@@ -120,7 +120,8 @@ def write_csv(path, header, rows):
         wr = csv.writer(f)
         wr.writerow(header)
         for row in rows:
-            wr.writerow([repr(v) if isinstance(v, float) else v for v in row])
+            wr.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                         for v in row])
 
 
 def write_long_csv(path, t, series):
@@ -148,8 +149,13 @@ def _manifest(out, cfg, t_wall, files, scalars=None, verdicts=None):
 
 
 def _grid_of(cfg, L_factor=40.0):
-    """The grid from --L/--N; default_grid's rule derives whichever is missing."""
+    """The grid from --L/--N; default_grid's rule derives whichever is missing.
+
+    Rejects (eps, K) for which peak_state finds no solitary-wave peak, also
+    when --L and --N are both given and default_grid does not look.
+    """
     try:
+        profile_mod.peak_state(np.sqrt(1.0 + cfg.K) + cfg.eps, cfg.K)
         return default_grid(cfg.eps, cfg.K, L=cfg.L, N=cfg.N, L_factor=L_factor)
     except ValueError as e:
         raise ValidationError(str(e))

@@ -297,7 +297,7 @@ def stability_experiment(config: StabilityConfig) -> StabilityReport:
     rep.blowup_time = traj.blowup_time
     rep.t = traj.times
 
-    ctx = modulation.ModulationContext(p.c, config.K, g)
+    ctx = modulation.ModulationContext(p)
     try:
         track = modulation.track(traj, ctx, w)
     except RuntimeError as e:

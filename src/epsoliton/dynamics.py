@@ -8,8 +8,10 @@ The evolved system is
 a Hamiltonian flow U' = -d/dx sigma1 grad E(U) for the energy functional with
 density e(U) = (1+n)u^2/2 + K((1+n)log(1+n) - n) - (phi')^2/2 + n phi
 - (e^phi - 1 - phi).  The electric potential phi is a constraint, resolved by
-a Newton solve at every Runge-Kutta stage (warm-started from the previous
-stage).  Conserved quantities: total energy E and momentum M = int n u.
+a Poisson solve at every Runge-Kutta stage, warm-started from a potential
+extrapolated from the stages already solved (`_stage_warm_start`).  On periodic grids `rhs` applies -d/dx to both fluxes with one
+rfft/irfft pair, dealiased by the 2/3 rule inside the same symbol.
+Conserved quantities: total energy E and momentum M = int n u.
 """
 
 from dataclasses import dataclass, field
@@ -54,23 +56,21 @@ def gradient_E(state, phi, K, grid):
 
 
 def rhs(state, K, grid, phi0=None, dealias=False):
-    """Tendency (dn/dt, du/dt); returns (ndot, udot, phi)."""
+    """Tendency (dn/dt, du/dt); returns (ndot, udot, phi).
+
+    On periodic grids both fluxes go through one rfft/irfft pair, with the
+    2/3-rule dealiasing mask folded into the symbol of -d/dx.
+    """
     phi, _ = solve_poisson(state.n, grid, phi0=phi0)
     gn, gu = gradient_E(state, phi, K, grid)
     # -d/dx sigma1 (gn, gu) = (-(gu)', -(gn)')
-    ndot = -derivative(gu, grid, order=1)
-    udot = -derivative(gn, grid, order=1)
-    if dealias and grid.boundary_mode == "periodic":
-        ndot = _dealias(ndot, grid)
-        udot = _dealias(udot, grid)
+    if grid.boundary_mode != "periodic":
+        return -derivative(gu, grid, order=1), -derivative(gn, grid, order=1), phi
+    sym = -grid.symbol(1)
+    if dealias:
+        sym[int(len(sym) * 2 / 3):] = 0.0
+    ndot, udot = np.fft.irfft(sym * np.fft.rfft(np.array([gu, gn])), n=grid.N)
     return ndot, udot, phi
-
-
-def _dealias(v, grid):
-    vh = np.fft.rfft(v)
-    cut = int(len(vh) * 2 / 3)
-    vh[cut:] = 0.0
-    return np.fft.irfft(vh, n=grid.N)
 
 
 def invariants_of(state, K, grid, phi=None):
@@ -126,7 +126,7 @@ def evolve(state0, T, K, grid, dt=None, cfl=0.4, dealias=None,
                       meta={"scheme": "rk4", "dt": dt, "cfl": cfl,
                             "grid": (grid.L, grid.N), "K": K, "T": T})
     next_save = t + save_every
-    phi_warm = None
+    phis = preds = None   # the previous step's stage potentials and their predictions
     t_end = t + T
     while t < t_end - 1e-14 * max(1.0, t_end):
         s = State(t, n, u)
@@ -134,15 +134,22 @@ def evolve(state0, T, K, grid, dt=None, cfl=0.4, dealias=None,
         step = min(step, t_end - t)
         if next_save < t_end:
             step = min(step, next_save - t)  # land exactly on save times
+        ks, cur, cur_preds = [], [], []
         try:
-            k1n, k1u, phi_warm = rhs(State(t, n, u), K, grid, phi_warm, dealias)
-            k2n, k2u, phi_warm = rhs(State(t, n + step / 2 * k1n, u + step / 2 * k1u), K, grid, phi_warm, dealias)
-            k3n, k3u, phi_warm = rhs(State(t, n + step / 2 * k2n, u + step / 2 * k2u), K, grid, phi_warm, dealias)
-            k4n, k4u, phi_warm = rhs(State(t, n + step * k3n, u + step * k3u), K, grid, phi_warm, dealias)
+            for a in (0.0, 0.5, 0.5, 1.0):
+                if ks:
+                    s = State(t, n + a * step * ks[-1][0], u + a * step * ks[-1][1])
+                pred, warm = _stage_warm_start(len(cur), cur, phis, preds)
+                kn, ku, phi = rhs(s, K, grid, warm, dealias)
+                ks.append((kn, ku))
+                cur.append(phi)
+                cur_preds.append(pred)
         except (ValueError, RuntimeError):
             traj.blown_up = True
             traj.blowup_time = t
             return traj
+        phis, preds = cur, cur_preds
+        (k1n, k1u), (k2n, k2u), (k3n, k3u), (k4n, k4u) = ks
         n = n + step / 6 * (k1n + 2 * k2n + 2 * k3n + k4n)
         u = u + step / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
         t += step
@@ -152,13 +159,40 @@ def evolve(state0, T, K, grid, dt=None, cfl=0.4, dealias=None,
             traj.blowup_time = t
             return traj
         if callback is not None:
-            callback(State(t, n, u), phi_warm)
+            callback(State(t, n, u), phis[-1])
         if t >= next_save - 1e-12:
             traj.states.append(State(t, n.copy(), u.copy()))
             next_save += save_every
     if traj.states[-1].t < t - 1e-12:
         traj.states.append(State(t, n.copy(), u.copy()))
     return traj
+
+
+def _stage_warm_start(i, cur, prev, prev_preds):
+    """(prediction, warm start) for the Poisson solve of RK4 stage i.
+
+    cur holds this step's solved stage potentials, prev and prev_preds the
+    previous step's potentials and predictions (None on the first step;
+    the first step chains each stage from the one before, with no prediction).
+    The stage densities are n, n + dt/2 k1, n + dt/2 k2 and n + dt k3, and
+    phi depends on n almost affinely, so stages 2 and 4 are extrapolated
+    along that path and stages 1 and 3 start from the nearest solved density.
+    The previous step's prediction error at the same stage is then added
+    back: it changes slowly from step to step.
+    """
+    if prev is None:
+        return None, (cur[-1] if cur else None)
+    if i == 0:
+        pred = prev[3]
+    elif i == 1:
+        pred = 2.0 * cur[0] - prev[2]
+    elif i == 2:
+        pred = cur[1]
+    else:
+        pred = 2.0 * cur[2] - cur[0]
+    if prev_preds[i] is None:
+        return pred, pred
+    return pred, pred + (prev[i] - prev_preds[i])
 
 
 def soliton_state(profile):

@@ -1,8 +1,15 @@
-"""Uniform 1D grid, fields, differentiation, quadrature, and weight functions."""
+"""Uniform 1D grid, fields, differentiation, quadrature, and weight functions.
+
+A `Grid` is immutable, so everything derived from (L, N) is computed once per
+grid and cached: the nodes `x`, the wavenumbers `k` and the Fourier symbols
+of d/dx, d^2/dx^2 and d^3/dx^3 (returned read-only).  Periodic derivatives of
+real data take one `rfft`/`irfft` pair; complex data keeps the full FFT.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -32,14 +39,36 @@ class Grid:
     def h(self) -> float:
         return 2.0 * self.L / self.N
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return -self.L + self.h * np.arange(self.N)
+        return _frozen(-self.L + self.h * np.arange(self.N))
 
-    @property
+    @cached_property
     def k(self) -> np.ndarray:
         """Fourier wavenumbers for the periodic mode."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.h)
+        return _frozen(2.0 * np.pi * np.fft.fftfreq(self.N, d=self.h))
+
+    @cached_property
+    def _symbols(self) -> dict:
+        """{(order, real): symbol of d^order/dx^order} on the fft (real=False)
+        or rfft (real=True) wavenumbers, orders 1-3."""
+        out = {}
+        for real in (False, True):
+            k = self.k[: self.N // 2 + 1] if real else self.k
+            d1, d3 = 1j * k, -1j * k ** 3
+            d1[self.N // 2] = d3[self.N // 2] = 0.0  # kill the asymmetric Nyquist mode for odd orders
+            out[1, real], out[2, real], out[3, real] = _frozen(d1), _frozen(-k ** 2), _frozen(d3)
+        return out
+
+    def symbol(self, order: int, real: bool = True) -> np.ndarray:
+        """Fourier symbol of d^order/dx^order (orders 1-3), read-only: on the
+        rfft wavenumbers when real, else on the full fft wavenumbers."""
+        return self._symbols[order, real]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 N_MAX = 2 ** 16       # largest N default_grid will choose
@@ -137,17 +166,10 @@ def derivative(v: np.ndarray, grid: Grid, order: int = 1) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("non-finite input to derivative")
     if grid.boundary_mode == "periodic":
-        ik = 1j * grid.k
-        if order == 2:
-            sym = -grid.k ** 2
-        elif order == 3:
-            sym = -1j * grid.k ** 3
-            sym[grid.N // 2] = 0.0  # kill the asymmetric Nyquist mode for odd orders
-        else:
-            sym = ik.copy()
-            sym[grid.N // 2] = 0.0
-        out = np.fft.ifft(sym * np.fft.fft(v, axis=-1), axis=-1)
-        return out.real if np.isrealobj(v) else out
+        if np.isrealobj(v):
+            return np.fft.irfft(grid.symbol(order) * np.fft.rfft(v, axis=-1),
+                                n=grid.N, axis=-1)
+        return np.fft.ifft(grid.symbol(order, real=False) * np.fft.fft(v, axis=-1), axis=-1)
     if order == 3:
         return _fd_apply(_fd_apply(v, grid.h, 2), grid.h, 1)
     return _fd_apply(v, grid.h, order)

@@ -90,15 +90,16 @@ def kernel_vectors(p, dc=1e-5, xi2=None, enforce_tol=1e-6):
 class ModulationContext:
     """Profiles and kernel vectors as smooth functions of c near a base speed.
 
-    Builds the profile at c0 and c0 +- dc once and interpolates quadratically
-    in c; Newton iterations in `decompose` then cost only quadratures.
+    Takes the base profile p (speed c0 = p.c), builds the profiles at
+    c0 +- dc on its grid and interpolates quadratically in c; Newton
+    iterations in `decompose` then cost only quadratures.
     """
 
-    def __init__(self, c0, K, grid, dc=1e-3):
-        self.c0, self.K, self.grid, self.dc = float(c0), float(K), grid, float(dc)
-        self.p0 = build_profile(c0, K, grid)
-        self.pm = build_profile(c0 - dc, K, grid)
-        self.pp = build_profile(c0 + dc, K, grid)
+    def __init__(self, p, dc=1e-3):
+        self.c0, self.K, self.grid, self.dc = float(p.c), float(p.K), p.grid, float(dc)
+        self.p0 = p
+        self.pm = build_profile(self.c0 - dc, self.K, self.grid)
+        self.pp = build_profile(self.c0 + dc, self.K, self.grid)
         self._stack = {}
         for nm in ("n", "u", "phi", "dn", "du"):
             self._stack[nm] = np.array([getattr(self.pm, nm),

@@ -1,4 +1,5 @@
 """CLI: config parsing, validation, artifacts, exit codes, determinism."""
+import csv
 import json
 from pathlib import Path
 
@@ -88,6 +89,14 @@ def test_profile_happy_path_manifest(tmp_path):
     assert man["scalars"]["c"] > 1.0
     prof = json.loads((out / "profile.json").read_text())
     assert abs(prof["c"] - (2.0 ** 0.5 + 0.1)) < 1e-12
+    # every cell of the CSV parses as a plain number
+    with open(out / "profile.csv", newline="") as f:
+        header, *rows = list(csv.reader(f))
+    assert header == ["x", "n", "u", "phi", "psi", "dn", "du"]
+    assert len(rows) == 256
+    values = [[float(v) for v in row] for row in rows]
+    assert all(len(row) == 7 for row in values)
+    assert values[128][0] == 0.0 and values[128][1] > 0.0   # x = 0, the peak
 
 
 def test_out_dir_collision_without_force(tmp_path, capsys):
@@ -174,6 +183,16 @@ def test_unresolvable_eps_exits_1(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "eps=0.15525" in err and "N=131072" in err
+
+
+def test_no_peak_with_explicit_grid_exits_1(tmp_path, capsys):
+    # explicit --L/--N skip default_grid; the missing peak is still a
+    # validation error, not a traceback
+    rc = cli.run(["profile", "--out", str(tmp_path / "r"), "--eps", "0.172",
+                  "--L", "60", "--N", "256"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no root of the peak equation" in err
 
 
 def test_bad_grid_size_exits_1(tmp_path, capsys):

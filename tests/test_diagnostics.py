@@ -152,10 +152,35 @@ def test_stability_config_validation():
     assert abs(cfg.T - 1000.0) < 1e-12
 
 
-def test_stability_experiment_unperturbed_trivial(grid10):
+def test_stability_experiment_unperturbed_trivial(grid10, monkeypatch):
+    from epsoliton import modulation
+    from epsoliton import profile as prof
+    builds, seen = [], {}
+    build = prof.build_profile
+
+    def counted_build(*args, **kwargs):
+        builds.append(args[0])
+        return build(*args, **kwargs)
+
+    def keep(key, fn):
+        def wrapped(*args, **kwargs):
+            seen[key] = (args, fn(*args, **kwargs))
+            return seen[key][1]
+        return wrapped
+
+    monkeypatch.setattr(prof, "build_profile", counted_build)
+    monkeypatch.setattr(modulation, "build_profile", counted_build)
+    monkeypatch.setattr(prof, "profile_from_eps", keep("profile", prof.profile_from_eps))
+    monkeypatch.setattr(modulation, "track", keep("track", modulation.track))
     cfg = dg.StabilityConfig(K=1.0, eps=0.1, delta=0.0, T=2.0, n_saves=3,
                              grid=grid10)
     rep = dg.stability_experiment(cfg)
+    # the base profile, then c0 -+ dc for the modulation context, which
+    # reuses the base profile instead of building it again
+    assert len(builds) == 3
+    p = seen["profile"][1]
+    ctx = seen["track"][0][1]
+    assert ctx.p0 is p
     assert rep.verdicts["decompose_ok"]
     assert rep.verdicts["local_decay"]
     assert rep.verdicts["running_integral_saturates"]

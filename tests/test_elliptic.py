@@ -44,6 +44,32 @@ def test_poisson_residual_reported(g):
     assert rep.residual < 1e-10
 
 
+def test_poisson_report_bounds_true_residual(g, p10):
+    # report.residual is the l1 norm of the residual's Fourier coefficients,
+    # which bounds the nodal max-norm residual.  Computing -phi'' both ways
+    # rounds differently, by about 1e-14 at N = 1024 (1% of tol is allowed)
+    tol = 1e-11
+    cases = [(g, 0.3 * np.exp(-(g.x / 3) ** 2)), (p10.grid, p10.n)]
+    for grid, n in cases:
+        phi, rep = ell.solve_poisson(n, grid, tol=tol)
+        n_warm = n + 1e-3 * np.exp(-grid.x ** 2)
+        phi_w, rep_w = ell.solve_poisson(n_warm, grid, phi0=phi, tol=tol)
+        for p, dens, r in ((phi, n, rep), (phi_w, n_warm, rep_w)):
+            true = np.max(np.abs(-derivative(p, grid, 2) + np.exp(p) - 1.0 - dens))
+            assert true <= r.residual + 1e-13
+            assert r.residual <= tol
+
+
+def test_poisson_newton_fallback(g):
+    # e^phi spans about [1, 20]: the fixed-point contraction is ~0.9, the
+    # iteration stalls and Newton finishes the solve
+    n = 20.0 * np.exp(-(g.x / 2) ** 2)
+    phi, rep = ell.solve_poisson(n, g)
+    assert np.exp(phi).max() > 10.0
+    res = -derivative(phi, g, 2) + np.exp(phi) - 1.0 - n
+    assert np.max(np.abs(res)) <= rep.residual <= 1e-11
+
+
 # --------------------------------------------------- apply_inv_schrodinger
 
 def test_inv_schrodinger_symbol(g):
@@ -157,6 +183,13 @@ def test_transmission_bounds(p10):
         T = ell.transmission(k, p10.phi, g)  # internally asserts both bounds
         assert abs(T) <= 1.0 + 1e-9
         assert 2 * abs(k) <= abs(T) * (2 * abs(k) + Kt) * (1 + 1e-9)
+
+
+def test_transmission_bound_failure_raises(g, monkeypatch):
+    # with K = 0 the lower bound reads |T| >= 1, which a nonzero potential breaks
+    monkeypatch.setattr(ell, "transmission_constant", lambda phi_c, grid: 0.0)
+    with pytest.raises(RuntimeError, match="lower bound"):
+        ell.transmission(0.5, 0.3 * np.exp(-(g.x / 3) ** 2), g)
 
 
 def test_transmission_rejects_zero(g):

@@ -30,6 +30,38 @@ def test_derivative_gaussian_second(g):
     assert np.max(np.abs(d2 - exact)) < 1e-8
 
 
+def test_derivative_real_path_matches_complex_fft(g):
+    f = np.exp(-(g.x / 2) ** 2) * np.sin(3 * g.x)
+    h = np.cos(g.x) / np.cosh(g.x / 3)
+    k = 2.0 * np.pi * np.fft.fftfreq(g.N, d=g.h)
+    for order in (1, 2, 3):
+        sym = (1j * k) ** order
+        if order % 2:
+            sym[g.N // 2] = 0.0
+        ref_f = np.fft.ifft(sym * np.fft.fft(f)).real
+        ref_h = np.fft.ifft(sym * np.fft.fft(h)).real
+        scale = np.max(np.abs(ref_f))
+        assert np.max(np.abs(derivative(f, g, order) - ref_f)) < 1e-12 * scale
+        # complex input keeps the full FFT and still differentiates both parts
+        dz = derivative(f + 1j * h, g, order)
+        assert np.iscomplexobj(dz)
+        assert np.max(np.abs(dz - (ref_f + 1j * ref_h))) < 1e-12 * scale
+        # rows of a 2-D array are differentiated independently
+        both = derivative(np.array([f, h]), g, order)
+        assert np.max(np.abs(both - np.array([ref_f, ref_h]))) < 1e-12 * scale
+
+
+def test_grid_arrays_cached_and_read_only(g):
+    assert g.x is g.x and g.k is g.k and g.symbol(1) is g.symbol(1)
+    for arr in (g.x, g.k, g.symbol(2), g.symbol(3, real=False)):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    with pytest.raises(ValueError):
+        g.x += 1.0
+    assert g.x[0] == -g.L
+    assert g == Grid(L=20.0, N=512)   # cached attributes are not fields
+
+
 def test_derivative_rejects_nonfinite(g):
     f = np.ones(g.N)
     f[3] = np.nan

@@ -8,7 +8,7 @@ from epsoliton import modulation as mod
 
 @pytest.fixture(scope="module")
 def ctx10(p10):
-    return mod.ModulationContext(p10.c, p10.K, p10.grid)
+    return mod.ModulationContext(p10)
 
 
 # --------------------------------------------------------- kernel vectors
@@ -123,7 +123,7 @@ def test_track_exact_soliton(p05):
     # so the evolved soliton is exact to solver tolerance
     from epsoliton.grid import default_weights
     g = p05.grid
-    ctx = mod.ModulationContext(p05.c, p05.K, g)
+    ctx = mod.ModulationContext(p05)
     w = default_weights(p05.eps, g)
     traj = dyn.evolve(dyn.soliton_state(p05), 6.0, p05.K, g, n_saves=7)
     tr = mod.track(traj, ctx, w)
