@@ -104,13 +104,12 @@ def cfl_dt(state, K, grid, cfl=0.4):
 
 
 def evolve(state0, T, K, grid, dt=None, cfl=0.4, dealias=None,
-           save_every=None, n_saves=41, callback=None):
+           save_every=None, n_saves=41):
     """Classical RK4 evolution up to time T; returns a Trajectory.
 
     dt defaults to the CFL-limited step, recomputed each step; a fixed dt is
     honoured exactly.  Blow-up (min(1+n) < 1e-6, sup|u| > 1e3, or NaN)
-    truncates the trajectory and flags it.  callback(state, phi) is invoked
-    at every accepted step if given.
+    truncates the trajectory and flags it.
     """
     if K <= 0.0:
         raise ValueError("evolve: K > 0 required")
@@ -158,8 +157,6 @@ def evolve(state0, T, K, grid, dt=None, cfl=0.4, dealias=None,
             traj.blown_up = True
             traj.blowup_time = t
             return traj
-        if callback is not None:
-            callback(State(t, n, u), phis[-1])
         if t >= next_save - 1e-12:
             traj.states.append(State(t, n.copy(), u.copy()))
             next_save += save_every

@@ -7,7 +7,9 @@ The wave S_c = (n_c, u_c, phi_c) with supersonic speed c > V = sqrt(1+K) solves
 which reduces (with decay at infinity) to u = c n/(1+n), phi = H(n, c) and the
 planar Hamiltonian system phi'' = e^phi - 1 - N(phi, c) whose homoclinic orbit is
 computed by quadrature of the first integral (phi')^2/2 = G(phi) (Sagdeev
-pseudopotential), regularized at the turning point by phi = phi* - t^2.
+pseudopotential), regularized at the turning point by phi = phi* - t^2.  Near
+the peak, G is taken from its Taylor series in the offset -t^2 itself
+(_G_turning), never from phi* - t^2 minus phi*.
 """
 
 from __future__ import annotations
@@ -38,7 +40,13 @@ def g_existence(n, c, K):
 
 
 def peak_state(c: float, K: float) -> tuple[float, float, float]:
-    """Peak values (n*, phi*, u*) of the solitary wave at x = 0."""
+    """Peak values (n*, phi*, u*) of the solitary wave at x = 0.
+
+    Raises ValueError outside the existence window: when the peak equation
+    has no root, when its last root lies in the first scan interval (the
+    trivial root n = 0, not a peak), or when the peak curvature
+    -phi''(0) = 1 + n* - e^{phi*} is not positive (no homoclinic orbit).
+    """
     V = np.sqrt(1.0 + K)
     if c <= V:
         raise ValueError("no solitary wave: speed must exceed the sonic speed sqrt(1+K)")
@@ -47,11 +55,15 @@ def peak_state(c: float, K: float) -> tuple[float, float, float]:
     # g(0) = target exactly; the wave peak is the second crossing. Bracket it by
     # scanning from just above the leading-order amplitude 3*eps/V downward/upward.
     ns = np.linspace(1e-12, n_hi * (1 - 1e-9), 4001)
-    vals = g_existence(ns, c, K) - target
+    with np.errstate(over="ignore"):  # e^H overflows far past the edge; inf keeps its sign
+        vals = g_existence(ns, c, K) - target
     sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
     if len(sign_change) == 0:
         raise ValueError("no solitary wave at this (c, K): no root of the peak equation")
     i = sign_change[-1]
+    if i == 0:
+        raise ValueError(f"no solitary wave at c={c:g}, K={K:g}: the peak equation has "
+                         "only the trivial root n = 0 (past the existence edge)")
     n_star = brentq(lambda n: g_existence(n, c, K) - target, ns[i], ns[i + 1],
                     xtol=1e-15, rtol=8.9e-16)
     # Newton polish
@@ -63,6 +75,9 @@ def peak_state(c: float, K: float) -> tuple[float, float, float]:
             break
         n_star -= step
     phi_star = H(n_star, c, K)
+    if 1.0 + n_star - np.exp(phi_star) <= 0.0:
+        raise ValueError(f"no solitary wave at c={c:g}, K={K:g}: the peak curvature "
+                         "1 + n* - e^phi* is not positive (past the existence edge)")
     u_star = c * n_star / (1.0 + n_star)
     return float(n_star), float(phi_star), float(u_star)
 
@@ -75,12 +90,13 @@ def sonic_branch_distance(c: float, K: float) -> float:
     b = -phi''(0)/2 = (1 + n* - e^{phi*})/2, so phi reaches H(n_s) at x = i d,
     d = sqrt((H(n_s) - phi*) / b), and the Fourier coefficients of the profile
     decay like exp(-d |k|) (Boyd, Chebyshev and Fourier Spectral Methods, 2001).
-    Returns 0 when the peak state has no positive curvature or sonic gap.
+    Returns 0 when the peak sits at the sonic point (no gap); raises
+    ValueError outside the existence window (see peak_state).
     """
     n_star, phi_star, _ = peak_state(c, K)
     b = 0.5 * (1.0 + n_star - np.exp(phi_star))
     gap = H(c / np.sqrt(K) - 1.0, c, K) - phi_star
-    if b <= 0.0 or gap <= 0.0:
+    if gap <= 0.0:
         return 0.0
     return float(np.sqrt(gap / b))
 
@@ -144,10 +160,12 @@ def _h_derivs(n, c, K):
     return h, hp, hpp
 
 
-def _G_taylor(phi, phi0, m0, G0, c, K):
-    """Taylor expansion of the Sagdeev potential G around phi0 (m0 = N(phi0)).
+def _G_taylor(d, phi0, m0, G0, c, K):
+    """Taylor expansion of the Sagdeev potential G at phi0 + d (m0 = N(phi0)).
 
     Cancellation-free near G's double/simple zeros: derivatives via N' = 1/h.
+    Takes the offset d itself, so a caller that knows d exactly (the turning
+    point's d = -t^2) never forms phi0 + d only to subtract phi0 again.
     """
     h, hp, hpp = _h_derivs(m0, c, K)
     e0 = np.exp(phi0)
@@ -155,7 +173,6 @@ def _G_taylor(phi, phi0, m0, G0, c, K):
     G2 = e0 - 1.0 / h
     G3 = e0 + hp / h ** 3
     G4 = e0 + (hpp * h - 3.0 * hp ** 2) / h ** 5
-    d = phi - phi0
     return G0 + d * (G1 + d * (G2 / 2.0 + d * (G3 / 6.0 + d * G4 / 24.0)))
 
 
@@ -164,8 +181,21 @@ def sagdeev_G_smooth(phi, c, K, n_star, phi_star):
     if phi < 1e-3:
         return _G_taylor(phi, 0.0, 0.0, 0.0, c, K)
     if phi_star - phi < 3e-3 * phi_star:
-        return _G_taylor(phi, phi_star, n_star, 0.0, c, K)
+        return _G_taylor(phi - phi_star, phi_star, n_star, 0.0, c, K)
     return sagdeev_G(phi, c, K, n_star)
+
+
+def _G_turning(t2, c, K, n_star, phi_star):
+    """G(phi* - t2) with the peak patch fed the exact offset -t2.
+
+    Same branches as sagdeev_G_smooth; only the peak patch differs, where
+    forming phi = phi* - t2 and subtracting phi* again would lose about
+    log10(phi*/t2) digits of the offset (1e-4 relative at the x0 seed).
+    """
+    phi = phi_star - t2
+    if phi >= 1e-3 and t2 < 3e-3 * phi_star:
+        return _G_taylor(-t2, phi_star, n_star, 0.0, c, K)
+    return sagdeev_G_smooth(phi, c, K, n_star, phi_star)
 
 
 def mu4_at_zero(c: float, K: float) -> float:
@@ -250,7 +280,8 @@ def _half_line_values(c, K, xq, n_star, phi_star):
     x0 = np.sqrt(2.0 / gp_star) * t0
 
     def rhs_core(x, t):
-        return [np.sqrt(2.0 * max(Gf(phi_star - t[0] * t[0]), 0.0)) / (2.0 * t[0])]
+        G = _G_turning(t[0] * t[0], c, K, n_star, phi_star)
+        return [np.sqrt(2.0 * max(G, 0.0)) / (2.0 * t[0])]
 
     hit_mid = lambda x, t: t[0] - t_mid
     hit_mid.terminal, hit_mid.direction = True, 1

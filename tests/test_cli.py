@@ -195,6 +195,17 @@ def test_no_peak_with_explicit_grid_exits_1(tmp_path, capsys):
     assert err.startswith("error:") and "no root of the peak equation" in err
 
 
+def test_past_existence_edge_with_explicit_grid_exits_1(tmp_path, capsys):
+    # peak_state used to return the trivial root there and the CLI wrote a
+    # flat profile with exit 0
+    rc = cli.run(["profile", "--out", str(tmp_path / "r"), "--eps", "50",
+                  "--L", "60", "--N", "256"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "existence edge" in err
+    assert not (tmp_path / "r" / "profile.csv").exists()
+
+
 def test_bad_grid_size_exits_1(tmp_path, capsys):
     rc = cli.run(["profile", "--out", str(tmp_path / "r"), "--eps", "0.1",
                   "--N", "17"])

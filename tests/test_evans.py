@@ -182,10 +182,12 @@ def test_xi_big_solves_lambda_zero_system(p05):
 # -------------------------------------------------------------------- Evans
 
 def test_evans_conjugation_symmetry(p10, cache10):
-    lam = 0.3 + 0.2j
-    D = ev.evans(lam, p10, cache10)
-    Dc = ev.evans(np.conj(lam), p10, cache10)
-    assert abs(Dc - np.conj(D)) < 1e-10 * abs(D)
+    # the march mesh does not depend on lambda and the roots at conj(lambda)
+    # are taken as conjugates, so the symmetry holds to roundoff
+    for lam in (0.3 + 0.2j, 0.51j):
+        D = ev.evans(lam, p10, cache10)
+        Dc = ev.evans(np.conj(lam), p10, cache10)
+        assert abs(Dc - np.conj(D)) <= 1e-13 * abs(D)
 
 
 def test_evans_pairing_x_independent(p10, cache10):
@@ -193,6 +195,79 @@ def test_evans_pairing_x_independent(p10, cache10):
                          return_spread=True)
     assert abs(D) > 0
     assert spread < 1e-8
+
+
+_PROBE_LAMS = [0.02j, 0.51j, 1.0j, 0.3 + 0.2j]
+
+
+def _perturbed_cache(p, rel, seed=3):
+    """A coefficient cache whose spline coefficients carry relative noise."""
+    cache = ev.CoefficientCache(p)
+    spl = cache._spl
+    noise = np.random.default_rng(seed).standard_normal(spl.c.shape)
+    spl.c[...] = spl.c * (1.0 + rel * noise)
+    return cache
+
+
+def test_evans_spread_at_roundoff(p10, cache10):
+    # f_1 and g_1 are marched over one mesh with exp(-Omega_k) and its
+    # transpose, so the pairing is conserved to roundoff; the adaptive march
+    # it replaced left a spread between 4e-7 and 1.5e-6 that 1e-12 noise in
+    # the spline coefficients reshuffled
+    noisy = _perturbed_cache(p10, 1e-12)
+    for cache in (cache10, noisy):
+        for lam in _PROBE_LAMS:
+            _, spread = ev.evans(lam, p10, cache, rtol=1e-9, return_spread=True)
+            assert spread <= 1e-12, (lam, spread)
+
+
+def _dop853_evans(lam, p, cache, rtol=1e-12):
+    """Oracle: f_1 and g_1 by adaptive DOP853 marches, paired at x = 0."""
+    from scipy.integrate import solve_ivp
+    data = ev.asymptotic_data(lam, p.c, p.K)
+    mu = data.mus[0]
+    xa = 0.9 * p.grid.L
+
+    def march(rhs, x_from, y0):
+        sol = solve_ivp(rhs, (x_from, 0.0), np.asarray(y0, dtype=complex),
+                        rtol=rtol, atol=1e-14, method="DOP853")
+        assert sol.success
+        return sol.y[:, -1]
+
+    m1 = march(lambda x, y: cache.A(x, lam) @ y - mu * y, xa, data.vs[:, 0])
+    n1 = march(lambda x, y: mu * y - cache.A(x, lam).T @ y, -xa, data.ws[:, 0])
+    return np.sum(m1 * n1)
+
+
+def test_evans_matches_adaptive_oracle(p10, cache10):
+    for lam in _PROBE_LAMS:
+        D = ev.evans(lam, p10, cache10, rtol=1e-9)   # the scans' setting
+        ref = _dop853_evans(lam, p10, cache10)
+        assert abs(D - ref) <= 1e-7 * abs(ref), (lam, abs(D - ref) / abs(ref))
+
+
+def test_magnus_march_is_sixth_order(p10, cache10):
+    # rtol sets the step as rtol^(1/6): each factor 100 in rtol should cut
+    # the error by about 100
+    lam = 0.3 + 0.2j
+    ref = ev.evans(lam, p10, cache10, rtol=1e-14)
+    errs = [abs(ev.evans(lam, p10, cache10, rtol=r) - ref) for r in (1e-7, 1e-9)]
+    assert 30.0 < errs[0] / errs[1] < 300.0
+    assert errs[1] < 1e-8 * abs(ref)
+
+
+def test_jost_mesh_holds_stations_and_grades_tails(p10):
+    xa = 0.9 * p10.grid.L
+    st = np.linspace(-xa, xa, 7)
+    mesh = ev._jost_mesh(p10.c, p10.K, -xa, xa, st, 1e-9)
+    assert np.all(np.isin(st, mesh))
+    h = np.diff(mesh)
+    assert np.all(h > 0)
+    core = np.abs(mesh[:-1]) < 2.0
+    assert np.max(h[core]) <= 0.1 + 1e-12
+    assert np.max(h) > 10 * np.max(h[core])     # graded tails
+    with pytest.raises(ValueError):
+        ev._jost_mesh(p10.c, p10.K, -xa, xa, [xa + 1.0], 1e-9)
 
 
 def test_evans_scan_segment_and_rectangle(p10, cache10):

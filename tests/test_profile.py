@@ -35,12 +35,44 @@ def test_peak_state_sonic_rejected():
         prof.peak_state(V2, 1.0)
 
 
+def test_peak_state_last_genuine_peak_near_edge():
+    n_star, phi_star, _ = prof.peak_state(V2 + 0.155, 1.0)
+    assert n_star == pytest.approx(0.5529, abs=1e-4)
+    assert 1.0 + n_star - np.exp(phi_star) > 0.0
+
+
+@pytest.mark.parametrize("eps", [0.1553, 0.3, 50.0])
+def test_peak_state_rejects_past_existence_edge(eps):
+    # the scan's last sign change used to sit in its first interval, and
+    # brentq returned the trivial root n* = 1e-12 (a flat "profile")
+    with pytest.raises(ValueError, match="existence edge"):
+        prof.peak_state(V2 + eps, 1.0)
+
+
 # ------------------------------------------------------------ build_profile
 
 def test_profile_poisson_residual(p10, p05):
     # both spectrally resolved on their default grids
     assert p05.poisson_residual < 1e-8
     assert p10.poisson_residual < 1e-8
+
+
+def test_build_profile_quadrature_is_cheap(monkeypatch):
+    # the turning-point patch takes the offset -t^2 itself: forming
+    # phi* - t^2 and subtracting phi* again made DOP853 fight 1e-4 relative
+    # noise near the seed (295k right-hand-side calls at eps = 0.1)
+    nfev = []
+    orig = prof.solve_ivp
+
+    def counted(*args, **kwargs):
+        sol = orig(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(prof, "solve_ivp", counted)
+    p = prof.profile_from_eps(0.1, 1.0)
+    assert len(nfev) >= 2 and sum(nfev) < 5000
+    assert p.poisson_residual < 1e-8
 
 
 @pytest.mark.parametrize("eps", [0.02, 0.05, 0.1])
