@@ -18,7 +18,9 @@ Three families of problems share one discretisation:
 
 Periodic grids use matrix-free Krylov iterations preconditioned by the
 constant-coefficient Fourier symbol; line grids use a cached sparse matrix
-of the finite-difference Laplacian.
+of the finite-difference Laplacian.  A fixed operator -d^2/dx^2 + e^{phi_c}
+applied many times (the linearized flow) is inverted once instead, as a dense
+Cholesky inverse on periodic grids of up to DENSE_N_MAX points.
 """
 
 from dataclasses import dataclass
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dpotrf, dpotri
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import LinearOperator, cg, gmres, factorized
 
@@ -206,6 +209,41 @@ def _poisson_fixed_point(n, grid, phi0, tol, maxiter=40):
 def apply_inv_schrodinger(f, phi_c, grid, tol=1e-13):
     """Solve (-d^2/dx^2 + e^{phi_c}) g = f."""
     return _helmholtz_solve(f, np.exp(np.asarray(phi_c, dtype=float)), grid, z=0.0, tol=tol)
+
+
+DENSE_N_MAX = 1024  # largest periodic N given a dense inverse (8 MB at 1024)
+
+
+def schrodinger_solver(phi_c, grid):
+    """Return the map f -> (-d^2/dx^2 + e^{phi_c})^{-1} f for a fixed phi_c.
+
+    On a periodic grid with N <= DENSE_N_MAX the operator is a symmetric
+    positive definite matrix: the circulant of the spectral -d^2/dx^2 plus
+    diag(e^{phi_c}).  It is inverted once, in place, by a Cholesky
+    factorisation (LAPACK potrf, then potri), and the map is the bound
+    `H.__matmul__` of the read-only inverse H, so each application is one
+    matrix-vector product.  Elsewhere (line grids, and large N, where H
+    would take 8 N^2 bytes) the map is `apply_inv_schrodinger`, a Krylov
+    solve per call.
+    """
+    phi_c = np.asarray(phi_c, dtype=float)
+    N = grid.N
+    if grid.boundary_mode != "periodic" or N > DENSE_N_MAX:
+        return lambda f: apply_inv_schrodinger(f, phi_c, grid)
+    c = np.fft.irfft(-grid.symbol(2), n=N)  # column 0 of -D2; even, so H is symmetric
+    H = np.empty((N, N), order="F")
+    for j in range(N):
+        H[:, j] = np.roll(c, j)
+    H.flat[:: N + 1] += np.exp(phi_c)
+    H, info = dpotrf(H, clean=0, overwrite_a=1)
+    if info == 0:
+        H, info = dpotri(H, overwrite_c=1)
+    if info != 0:
+        raise RuntimeError(f"schrodinger_solver: LAPACK Cholesky inverse failed (info={info})")
+    for j in range(N - 1):  # potri fills the upper triangle; mirror it
+        H[j + 1:, j] = H[j, j + 1:]
+    H.flags.writeable = False
+    return H.__matmul__
 
 
 def resolvent_hc(f, phi_c, grid, z=-1.0, tol=1e-13):

@@ -13,12 +13,13 @@ decay) and in time-integrated local norms (Kato smoothing), which the two
 experiment drivers below measure.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Grid, derivative, inner, integrate
-from .elliptic import apply_inv_schrodinger
+from .elliptic import schrodinger_solver
 from .modulation import kernel_vectors, KernelVectors
 
 
@@ -27,23 +28,23 @@ class LinearContext:
     profile: object
     kv: KernelVectors
     grid: Grid
+    solve: Callable  # f -> (-d^2/dx^2 + e^{phi_c})^{-1} f, see schrodinger_solver
 
     @classmethod
     def build(cls, profile, kv=None):
         if kv is None:
             kv = kernel_vectors(profile)
-        return cls(profile, kv, profile.grid)
+        return cls(profile, kv, profile.grid, schrodinger_solver(profile.phi, profile.grid))
 
 
 def apply_Lc(V, ctx):
-    """Apply the linearized operator; one elliptic solve per call."""
+    """Apply the linearized operator; one application of ctx.solve per call."""
     p = ctx.profile
-    g = ctx.grid
     Vn, Vu = V[0], V[1]
     uc = p.u - p.c
-    w1 = uc * Vn + (1.0 + p.n) * Vu
-    w2 = p.K / (1.0 + p.n) * Vn + uc * Vu + apply_inv_schrodinger(Vn, p.phi, g)
-    return np.array([-derivative(w1, g, order=1), -derivative(w2, g, order=1)])
+    w = np.array([uc * Vn + (1.0 + p.n) * Vu,
+                  p.K / (1.0 + p.n) * Vn + uc * Vu + ctx.solve(Vn)])
+    return -derivative(w, ctx.grid, order=1)
 
 
 def apply_Lc_adjoint(W, ctx, dW=None):
@@ -56,26 +57,17 @@ def apply_Lc_adjoint(W, ctx, dW=None):
     in closed form) that spectral differentiation would corrupt.
     """
     p = ctx.profile
-    g = ctx.grid
-    if dW is not None:
-        dW1, dW2 = dW[0], dW[1]
-    else:
-        dW1 = derivative(W[0], g, order=1)
-        dW2 = derivative(W[1], g, order=1)
+    dW1, dW2 = derivative(W, ctx.grid, order=1) if dW is None else dW
     uc = p.u - p.c
-    o1 = uc * dW1 + p.K / (1.0 + p.n) * dW2 + apply_inv_schrodinger(dW2, p.phi, g)
+    o1 = uc * dW1 + p.K / (1.0 + p.n) * dW2 + ctx.solve(dW2)
     o2 = (1.0 + p.n) * dW1 + uc * dW2
     return np.array([o1, o2])
 
 
-def _pair(a, b, grid):
-    return inner(a[0], b[0], grid) + inner(a[1], b[1], grid)
-
-
 def project_P(V, ctx):
     kv = ctx.kv
-    return (kv.xi1 * _pair(kv.eta1, V, ctx.grid)
-            + kv.xi2 * _pair(kv.eta2, V, ctx.grid))
+    return (kv.xi1 * inner(kv.eta1, V, ctx.grid)
+            + kv.xi2 * inner(kv.eta2, V, ctx.grid))
 
 
 def project_Q(V, ctx):
@@ -101,7 +93,7 @@ def evolve_linear(V0, ctx, T, dt=None, cfl=0.4, n_saves=41):
     dt = T / nsteps
     save_stride = max(nsteps // max(n_saves - 1, 1), 1)
     V = np.array(V0, dtype=float)
-    norm0 = max(np.sqrt(_pair(V, V, g)), 1e-300)
+    norm0 = max(np.sqrt(inner(V, V, g)), 1e-300)
     ts, snaps = [0.0], [V.copy()]
     flagged = False
     for i in range(1, nsteps + 1):
@@ -110,7 +102,7 @@ def evolve_linear(V0, ctx, T, dt=None, cfl=0.4, n_saves=41):
         k3 = apply_Lc(V + dt / 2 * k2, ctx)
         k4 = apply_Lc(V + dt * k3, ctx)
         V = V + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if np.sqrt(_pair(V, V, g)) > norm0 * np.exp(10.0):
+        if np.sqrt(inner(V, V, g)) > norm0 * np.exp(10.0):
             flagged = True  # spurious growth: spectrum is purely imaginary
             ts.append(i * dt); snaps.append(V.copy())
             break
@@ -118,11 +110,6 @@ def evolve_linear(V0, ctx, T, dt=None, cfl=0.4, n_saves=41):
             ts.append(i * dt)
             snaps.append(V.copy())
     return LinearTrajectory(np.array(ts), snaps, flagged)
-
-
-def v_phi_of(Vn, ctx):
-    """Linearized potential component: V_phi = (-d^2/dx^2 + e^{phi_c})^{-1} V_n."""
-    return apply_inv_schrodinger(Vn, ctx.profile.phi, ctx.grid)
 
 
 def _windowed_weighted_norm(V, ctx, a_rate, window=0.8):
@@ -187,18 +174,3 @@ def kato_smoothing_experiment(V0, ctx, weights, T, n_saves=161):
     running = np.concatenate([[0.0], np.cumsum((vals[1:] + vals[:-1]) / 2
                                                * np.diff(traj.t))])
     return traj.t, running
-
-
-def dense_operator(ctx):
-    """Dense matrix of the discretized operator (small grids only)."""
-    g = ctx.grid
-    N = g.N
-    if N > 1024:
-        raise ValueError("dense_operator: grid too large")
-    A = np.zeros((2 * N, 2 * N))
-    E = np.zeros((2, N))
-    for j in range(2 * N):
-        E.flat[j] = 1.0
-        A[:, j] = apply_Lc(E, ctx).ravel()
-        E.flat[j] = 0.0
-    return A

@@ -42,10 +42,6 @@ class KernelVectors:
     gram_correction: float = 0.0  # size of the enforcing correction, if any
 
 
-def _pair(a, b, grid):
-    return inner(a[0], b[0], grid) + inner(a[1], b[1], grid)
-
-
 def kernel_vectors(p, dc=1e-5, xi2=None, enforce_tol=1e-6):
     """Build (xi1, xi2, eta1, eta2) and the theta scalars for a profile."""
     grid = p.grid
@@ -74,8 +70,8 @@ def kernel_vectors(p, dc=1e-5, xi2=None, enforce_tol=1e-6):
     kv = KernelVectors(xi1, xi2, eta1, eta2, theta1, theta2, theta3,
                        eta1_deriv=deta1, eta2_deriv=deta2)
     # biorthogonality check, 2x2 Gram correction on (eta1, eta2) if needed
-    G = np.array([[_pair(xi1, eta1, grid), _pair(xi1, eta2, grid)],
-                  [_pair(xi2, eta1, grid), _pair(xi2, eta2, grid)]])
+    G = np.array([[inner(xi1, eta1, grid), inner(xi1, eta2, grid)],
+                  [inner(xi2, eta1, grid), inner(xi2, eta2, grid)]])
     err = np.max(np.abs(G - np.eye(2)))
     if err > enforce_tol:
         A = np.linalg.solve(G.T, np.eye(2))  # new etas = A11 eta1 + A21 eta2 ...
@@ -184,15 +180,15 @@ def decompose(state, ctx, weights, c_guess=None, D_guess=None,
     def F(D, c):
         V = shift_fields(U, -D, grid) - np.array(ctx.fields(c)[:2])
         kv = ctx.kernel_vectors(c)
-        r1 = _pair(V, zeta_B * kv.eta1, grid)
-        r2 = _pair(V, kv.eta2, grid)
+        r1 = inner(V, zeta_B * kv.eta1, grid)
+        r2 = inner(V, kv.eta2, grid)
         return np.array([r1, r2]), V, kv
 
     D, c = float(D_guess), float(c_guess)
     hD, hc = 1e-7, 1e-7
     history = []
     converged = False
-    scale = max(np.sqrt(_pair(U, U, grid)), 1e-30)
+    scale = max(np.sqrt(inner(U, U, grid)), 1e-30)
     try:
         for it in range(maxiter):
             r, V, kv = F(D, c)

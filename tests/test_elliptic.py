@@ -72,19 +72,48 @@ def test_poisson_newton_fallback(g):
 
 # --------------------------------------------------- apply_inv_schrodinger
 
-def test_inv_schrodinger_symbol(g):
+# schrodinger_solver inverts densely up to DENSE_N_MAX points and falls back
+# to apply_inv_schrodinger's Krylov solve above it
+SOLVER_GRIDS = pytest.mark.parametrize("N", [512, 2048], ids=["dense", "krylov"])
+
+
+def _solver(phi_c, grid):
+    solve = ell.schrodinger_solver(phi_c, grid)
+    dense = isinstance(getattr(solve, "__self__", None), np.ndarray)
+    assert dense == (grid.N <= ell.DENSE_N_MAX)
+    return solve
+
+
+@SOLVER_GRIDS
+def test_inv_schrodinger_symbol(N):
+    g = Grid(L=20.0, N=N)
     k = 2 * np.pi * 3 / (2 * g.L)
     f = np.cos(k * g.x)
-    out = ell.apply_inv_schrodinger(f, np.zeros(g.N), g)
+    out = _solver(np.zeros(g.N), g)(f)
     assert np.max(np.abs(out - f / (k ** 2 + 1.0))) < 1e-11
 
 
-def test_inv_schrodinger_round_trip(g, p10):
+@SOLVER_GRIDS
+def test_inv_schrodinger_round_trip(N, p10):
+    g = Grid(L=20.0, N=N)
     f = np.exp(-g.x ** 2) * np.cos(g.x)
     phi_c = np.exp(-(g.x / 5) ** 2)
-    out = ell.apply_inv_schrodinger(f, phi_c, g)
+    out = _solver(phi_c, g)(f)
     back = -derivative(out, g, 2) + np.exp(phi_c) * out
     assert np.max(np.abs(back - f)) < 1e-10
+
+
+@pytest.mark.parametrize("name", ["p05", "p10"])
+def test_schrodinger_solver_matches_krylov(name, request):
+    p = request.getfixturevalue(name)
+    g = p.grid
+    f = derivative(p.n, g, 1) + np.exp(-(g.x / 3) ** 2) * np.cos(g.x)
+    solve = _solver(p.phi, g)
+    ref = ell.apply_inv_schrodinger(f, p.phi, g)
+    assert np.max(np.abs(solve(f) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    H = solve.__self__
+    assert np.array_equal(H, H.T)
+    assert not H.flags.writeable
 
 
 def test_inv_schrodinger_kernel_decay(g):

@@ -3,6 +3,7 @@ import pytest
 
 from epsoliton.grid import inner, l2norm
 from epsoliton import dynamics as dyn
+from epsoliton import elliptic as ell
 from epsoliton import linearized as lin
 
 
@@ -115,6 +116,19 @@ def test_evolve_linear_eta2_pairing_conserved(p05, kv05, lin05, rng):
     tr = lin.evolve_linear(V0, lin05, T=20.0, n_saves=5)
     vals = [inner(kv05.eta2, V, g) for V in tr.states]
     assert max(abs(v - vals[0]) for v in vals) < 1e-8
+
+
+def test_evolve_linear_makes_no_krylov_solve(p05, kv05, lin05, rng, monkeypatch):
+    # LinearContext inverts -d^2/dx^2 + e^{phi_c} once (a dense Cholesky
+    # inverse at N = 512); a Krylov solve per RK4 stage took 4.4 of the 5.1 s
+    # that the benchmark's linear run spent in evolve_linear
+    def krylov(*args, **kwargs):
+        raise AssertionError("Krylov Helmholtz solve in the linearized flow")
+
+    monkeypatch.setattr(ell, "_helmholtz_solve", krylov)
+    lin.LinearContext.build(p05, kv05)
+    traj = lin.evolve_linear(_smooth(p05.grid, rng), lin05, 1.0)
+    assert not traj.flagged and np.all(np.isfinite(traj.states[-1]))
 
 
 def test_evolve_linear_real_and_bounded(p10, lin10, rng):
