@@ -209,6 +209,8 @@ def cmd_evolve(cfg, out):
     traj = dynamics.evolve(s0, T, cfg.K, g, n_saves=cfg.n_saves)
     if traj.blown_up:
         raise NumericalFailure(f"blow-up at t = {traj.blowup_time}")
+    if traj.failure:
+        raise NumericalFailure(f"time stepping failed at {traj.failure}")
     series = {"E": [], "E_K": [], "E_P": [], "M": []}
     for s in traj.states:
         inv = dynamics.invariants_of(s, cfg.K, g)

@@ -296,18 +296,21 @@ def stability_experiment(config: StabilityConfig) -> StabilityReport:
     rep.blown_up = traj.blown_up
     rep.blowup_time = traj.blowup_time
     rep.t = traj.times
+    if traj.failure:
+        rep.error = f"time stepping failed at {traj.failure}"
 
     ctx = modulation.ModulationContext(p)
     try:
         track = modulation.track(traj, ctx, w)
     except RuntimeError as e:
-        rep.error = f"modulation tracking failed: {e}"
+        rep.error = rep.error or f"modulation tracking failed: {e}"
         rep.verdicts["decompose_ok"] = False
         return rep
     rep.track = track
-    rep.verdicts["decompose_ok"] = not track.truncated and not traj.blown_up
+    rep.verdicts["decompose_ok"] = not (track.truncated or traj.blown_up
+                                        or traj.failure)
     if len(track.t) == 0:
-        rep.error = "modulation tracking failed at the first snapshot"
+        rep.error = rep.error or "modulation tracking failed at the first snapshot"
         return rep
 
     n_ok = len(track.t)

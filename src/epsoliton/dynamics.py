@@ -41,6 +41,7 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
     blown_up: bool = False
     blowup_time: float = None
+    failure: str = None  # a solver failure that stopped the run, with its stage and t
 
     @property
     def times(self):
@@ -108,8 +109,10 @@ def evolve(state0, T, K, grid, dt=None, cfl=0.4, dealias=None,
     """Classical RK4 evolution up to time T; returns a Trajectory.
 
     dt defaults to the CFL-limited step, recomputed each step; a fixed dt is
-    honoured exactly.  Blow-up (min(1+n) < 1e-6, sup|u| > 1e3, or NaN)
-    truncates the trajectory and flags it.
+    honoured exactly.  Blow-up (min(1+n) < 1e-6, sup|u| > 1e3, NaN, or a
+    vacuum or non-finite stage state) truncates the trajectory and flags it.
+    A Poisson solve that fails truncates it too, and is recorded in
+    traj.failure with the RK4 stage and t, not as a blow-up.
     """
     if K <= 0.0:
         raise ValueError("evolve: K > 0 required")
@@ -143,9 +146,13 @@ def evolve(state0, T, K, grid, dt=None, cfl=0.4, dealias=None,
                 ks.append((kn, ku))
                 cur.append(phi)
                 cur_preds.append(pred)
-        except (ValueError, RuntimeError):
+        except ValueError:
+            # vacuum or a non-finite density at a stage: a blow-up
             traj.blown_up = True
             traj.blowup_time = t
+            return traj
+        except RuntimeError as e:
+            traj.failure = f"RK4 stage {len(ks) + 1} of the step from t = {t:.6g}: {e}"
             return traj
         phis, preds = cur, cur_preds
         (k1n, k1u), (k2n, k2u), (k3n, k3u), (k4n, k4u) = ks

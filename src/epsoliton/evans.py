@@ -38,7 +38,6 @@ import numpy as np
 # unused here; kept importable because perfbench/spans.py wraps evans.solve_ivp by name
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.interpolate import CubicSpline
-from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
@@ -137,10 +136,18 @@ def mu4_closed(c, K):
     return np.sqrt(1.0 - 1.0 / (c * c - K))
 
 
-def _quartic_roots(lam, c, K):
+def _quartic_roots(lams, c, K):
+    """Roots of the dispersion quartic at each of lams, shape (len(lams), 4):
+    the eigenvalues of the companion matrices np.roots would build, found
+    by one eigvals call on the stack."""
+    lams = np.asarray(lams, dtype=complex)
     d = c * c - K
-    coeffs = [d, -2 * c * lam, lam * lam - d + 1.0, 2 * c * lam, -lam * lam]
-    return np.roots(coeffs)
+    coeffs = np.stack([np.full_like(lams, d), -2 * c * lams,
+                       lams * lams - d + 1.0, 2 * c * lams, -lams * lams], axis=1)
+    comp = np.zeros((len(lams), 4, 4), dtype=complex)
+    comp[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+    comp[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    return np.linalg.eigvals(comp)
 
 
 @dataclass
@@ -185,10 +192,8 @@ def dispersion_roots(lam, c, K, n_steps=60):
 
     t0 = min(1e-4 / abs(lam), 1.0)
     lam0 = lam * t0
-    pred = np.array([-mu40, lam0 / (c + V), lam0 / eps, mu40], dtype=complex)
-    mus = _assign(_quartic_roots(lam0, c, K), pred)
-    for t in np.geomspace(t0, 1.0, n_steps)[1:]:
-        roots = _quartic_roots(lam * t, c, K)
+    mus = np.array([-mu40, lam0 / (c + V), lam0 / eps, mu40], dtype=complex)
+    for roots in _quartic_roots(lam * np.geomspace(t0, 1.0, n_steps), c, K):
         mus = _assign(roots, mus)
     s = np.sum(mus) - 2 * c * lam / (c * c - K)
     if abs(s) > 1e-9 * max(1.0, abs(lam)):
@@ -313,6 +318,37 @@ def _commutator(X, Y):
     return X @ Y - Y @ X
 
 
+# Pade-13 coefficients and the 1-norm up to which the degree-13 approximant
+# is accurate to unit roundoff (Higham, SIAM J. Matrix Anal. Appl. 26, 2005)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm(A):
+    """exp of each matrix of a stack (M, n, n) by Pade-13 scaling and
+    squaring, with a scaling exponent per matrix; only the matrices that
+    still need it are squared in each round."""
+    norm = np.abs(A).sum(axis=1).max(axis=1)
+    s = np.ceil(np.log2(np.maximum(norm / _THETA13, 1.0))).astype(int)
+    A = A / (2.0 ** s)[:, None, None]
+    b, eye = _PADE13, np.eye(A.shape[-1])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+    E = np.linalg.solve(V - U, V + U)
+    for k in range(int(s.max(initial=0))):
+        sq = s > k
+        E[sq] = E[sq] @ E[sq]
+    return E
+
+
 def _magnus_exponents(cache, lam, mu, mesh):
     """Omega_k of the 6th-order Magnus method for m' = (A - mu I) m on each
     step [x_k, x_{k+1}]: three Gauss points and the commutator form of
@@ -354,7 +390,7 @@ def _march(cache, lam, mu, anchor, x_from, x_to, x_eval, rtol=1e-11):
     mesh = _jost_mesh(cache.c, cache.K, min(x_from, x_to), max(x_from, x_to),
                       x_eval, rtol)
     omega = _magnus_exponents(cache, lam, mu, mesh)
-    E = expm(-omega if backward else omega)
+    E = _expm(-omega if backward else omega)
     y = _sweep(E, anchor, backward)
     return y[:, np.searchsorted(mesh, x_eval)]
 
@@ -399,7 +435,7 @@ def evans(lam, p, cache=None, rtol=1e-11, return_spread=False):
     data = asymptotic_data(lam, p.c, p.K)
     xa, st = _stations(p)
     mesh = _jost_mesh(p.c, p.K, -xa, xa, st, rtol)
-    E = expm(-_magnus_exponents(cache, lam, data.mus[0], mesh))
+    E = _expm(-_magnus_exponents(cache, lam, data.mus[0], mesh))
     at = np.searchsorted(mesh, st)
     m1 = _sweep(E, data.vs[:, 0], backward=True)[:, at]
     n1 = _sweep(E, data.ws[:, 0], backward=False, transpose=True)[:, at]

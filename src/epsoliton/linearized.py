@@ -14,7 +14,7 @@ experiment drivers below measure.
 """
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,12 +29,33 @@ class LinearContext:
     kv: KernelVectors
     grid: Grid
     solve: Callable  # f -> (-d^2/dx^2 + e^{phi_c})^{-1} f, see schrodinger_solver
+    # the last q_trajectory run: ((V0 shape, V0 bytes, T), LinearTrajectory)
+    _memo: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, profile, kv=None):
         if kv is None:
             kv = kernel_vectors(profile)
         return cls(profile, kv, profile.grid, schrodinger_solver(profile.phi, profile.grid))
+
+    def q_trajectory(self, V0, T, n_saves):
+        """e^{tL} Q V0 on [0, T], sampled as evolve_linear(Q V0, ctx, T,
+        n_saves=n_saves) saves it, bit for bit.
+
+        One evolve_linear run serves every request on the same (V0, T): it
+        saves at the union of n_saves and the experiments' default counts,
+        and each request takes the samples at its own save steps.  A request
+        whose save steps the kept run lacks evolves afresh and replaces it.
+        """
+        V0 = np.array(V0, dtype=float)
+        key = (V0.shape, V0.tobytes(), float(T))
+        want = _save_steps(_step_count(self, T)[0], n_saves)
+        if self._memo is None or self._memo[0] != key \
+                or not self._memo[1].covers(want):
+            counts = tuple(sorted({n_saves, DECAY_SAVES, KATO_SAVES}))
+            self._memo = (key, evolve_linear(project_Q(V0, self), self, T,
+                                             n_saves=counts))
+        return self._memo[1].sampled(want)
 
 
 def apply_Lc(V, ctx):
@@ -80,21 +101,50 @@ class LinearTrajectory:
     t: np.ndarray
     states: list
     flagged: bool = False
+    steps: np.ndarray = None  # RK4 step index of each save
+
+    def covers(self, want):
+        """Whether this run saved every step of `want` that it reached."""
+        return {s for s in want if s < self.steps[-1]} <= set(self.steps.tolist())
+
+    def sampled(self, want):
+        """The saves at the steps of `want`, and the last save (the final
+        step, or the step that flagged spurious growth)."""
+        keep = [i for i, s in enumerate(self.steps.tolist())
+                if s in want or i == len(self.steps) - 1]
+        return LinearTrajectory(self.t[keep], [self.states[i] for i in keep],
+                                self.flagged, self.steps[keep])
+
+
+def _step_count(ctx, T, dt=None, cfl=0.4):
+    """(number of RK4 steps, step) of evolve_linear over [0, T]."""
+    if dt is None:
+        p = ctx.profile
+        speed = float(np.max(np.abs(p.u - p.c))) + np.sqrt(p.K) + 1.0
+        dt = cfl * ctx.grid.h / speed
+    nsteps = max(int(np.ceil(T / dt)), 1)
+    return nsteps, T / nsteps
+
+
+def _save_steps(nsteps, n_saves):
+    """Step indices evolve_linear saves at for one save count."""
+    stride = max(nsteps // max(n_saves - 1, 1), 1)
+    return set(range(0, nsteps + 1, stride)) | {nsteps}
 
 
 def evolve_linear(V0, ctx, T, dt=None, cfl=0.4, n_saves=41):
-    """RK4 evolution of V' = L V; returns a LinearTrajectory."""
+    """RK4 evolution of V' = L V; returns a LinearTrajectory.
+
+    n_saves is a save count or a tuple of them; a tuple saves at the union
+    of the steps each count saves at.
+    """
     g = ctx.grid
-    p = ctx.profile
-    if dt is None:
-        speed = float(np.max(np.abs(p.u - p.c))) + np.sqrt(p.K) + 1.0
-        dt = cfl * g.h / speed
-    nsteps = max(int(np.ceil(T / dt)), 1)
-    dt = T / nsteps
-    save_stride = max(nsteps // max(n_saves - 1, 1), 1)
+    nsteps, dt = _step_count(ctx, T, dt, cfl)
+    counts = n_saves if isinstance(n_saves, tuple) else (n_saves,)
+    save = set().union(*(_save_steps(nsteps, k) for k in counts))
     V = np.array(V0, dtype=float)
     norm0 = max(np.sqrt(inner(V, V, g)), 1e-300)
-    ts, snaps = [0.0], [V.copy()]
+    ts, snaps, steps = [0.0], [V.copy()], [0]
     flagged = False
     for i in range(1, nsteps + 1):
         k1 = apply_Lc(V, ctx)
@@ -104,12 +154,11 @@ def evolve_linear(V0, ctx, T, dt=None, cfl=0.4, n_saves=41):
         V = V + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         if np.sqrt(inner(V, V, g)) > norm0 * np.exp(10.0):
             flagged = True  # spurious growth: spectrum is purely imaginary
-            ts.append(i * dt); snaps.append(V.copy())
+            ts.append(i * dt); snaps.append(V.copy()); steps.append(i)
             break
-        if i % save_stride == 0 or i == nsteps:
-            ts.append(i * dt)
-            snaps.append(V.copy())
-    return LinearTrajectory(np.array(ts), snaps, flagged)
+        if i in save:
+            ts.append(i * dt); snaps.append(V.copy()); steps.append(i)
+    return LinearTrajectory(np.array(ts), snaps, flagged, np.array(steps))
 
 
 def _windowed_weighted_norm(V, ctx, a_rate, window=0.8):
@@ -133,16 +182,19 @@ def wrap_time(ctx, safety=0.9, window=0.8):
     return safety * (2.0 - window) * ctx.grid.L / speed
 
 
-def dispersive_decay_experiment(V0, ctx, a_rate, T, n_saves=81):
+# default save counts of the two experiments; LinearContext.q_trajectory
+# saves at both, so one run serves the pair
+DECAY_SAVES, KATO_SAVES = 81, 161
+
+
+def dispersive_decay_experiment(V0, ctx, a_rate, T, n_saves=DECAY_SAVES):
     """Weighted-norm decay of e^{tL} Q V0; returns (t, norms, fitted rate).
 
     The experiment stops at the wrap time (periodic re-entry of radiation
     into the weighted window); the fitted exponential rate over the decaying
     segment is the acceptance signal (positive under dispersive decay).
     """
-    T_run = min(T, wrap_time(ctx))
-    QV0 = project_Q(np.array(V0, dtype=float), ctx)
-    traj = evolve_linear(QV0, ctx, T_run, n_saves=n_saves)
+    traj = ctx.q_trajectory(V0, min(T, wrap_time(ctx)), n_saves)
     vals = np.array([_windowed_weighted_norm(V, ctx, a_rate) for V in traj.states])
     # fit on the decaying segment: global max to global min (late-time rise,
     # if any, is wrapped radiation entering the window and is excluded)
@@ -161,15 +213,13 @@ def sigma_tilde_norm(V, ctx, weights):
     return float(np.sqrt(integrate((w * V[0]) ** 2 + (w * V[1]) ** 2, g)))
 
 
-def kato_smoothing_experiment(V0, ctx, weights, T, n_saves=161):
+def kato_smoothing_experiment(V0, ctx, weights, T, n_saves=KATO_SAVES):
     """Running integral of the local smoothing norm along e^{tL} Q V0.
 
     Returns (t, running integral of ||V(s)||^2_Sigma-tilde ds); a plateau
     before the wrap time is the smoothing signal.
     """
-    T_run = min(T, wrap_time(ctx))
-    QV0 = project_Q(np.array(V0, dtype=float), ctx)
-    traj = evolve_linear(QV0, ctx, T_run, n_saves=n_saves)
+    traj = ctx.q_trajectory(V0, min(T, wrap_time(ctx)), n_saves)
     vals = np.array([sigma_tilde_norm(V, ctx, weights) ** 2 for V in traj.states])
     running = np.concatenate([[0.0], np.cumsum((vals[1:] + vals[:-1]) / 2
                                                * np.diff(traj.t))])

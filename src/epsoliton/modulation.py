@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
+from scipy.interpolate import CubicSpline
 
 from .grid import Grid, integrate, inner, norms, derivative
 from .profile import build_profile, profile_c_derivative
@@ -42,8 +43,12 @@ class KernelVectors:
     gram_correction: float = 0.0  # size of the enforcing correction, if any
 
 
-def kernel_vectors(p, dc=1e-5, xi2=None, enforce_tol=1e-6):
-    """Build (xi1, xi2, eta1, eta2) and the theta scalars for a profile."""
+def kernel_vectors(p, dc=1e-5, xi2=None, enforce_tol=1e-6, xi2_cum=None):
+    """Build (xi1, xi2, eta1, eta2) and the theta scalars for a profile.
+
+    xi2_cum, if given, is the cumulative integral of xi2 from the left grid
+    edge (the CubicSpline antiderivative that is computed otherwise).
+    """
     grid = p.grid
     xi1 = np.array([p.dn, p.du])
     if xi2 is None:
@@ -59,9 +64,9 @@ def kernel_vectors(p, dc=1e-5, xi2=None, enforce_tol=1e-6):
     eta2 = theta3 * np.array([p.u, p.n])
     # cumulative integral from the left grid edge; the neglected tail beyond
     # -L is exponentially small (profile derivatives decay at rate mu4)
-    from scipy.interpolate import CubicSpline
-    cum_u = CubicSpline(grid.x, xi2[1]).antiderivative()(grid.x)
-    cum_n = CubicSpline(grid.x, xi2[0]).antiderivative()(grid.x)
+    if xi2_cum is None:
+        xi2_cum = _antiderivative(xi2, grid)
+    cum_n, cum_u = xi2_cum
     eta1 = theta1 * np.array([cum_u, cum_n]) + theta2 * np.array([p.u, p.n])
     # closed-form derivatives (eta1 itself is not periodic; its derivative is)
     deta1 = theta1 * np.array([xi2[1], xi2[0]]) + theta2 * np.array([p.du, p.dn])
@@ -83,12 +88,19 @@ def kernel_vectors(p, dc=1e-5, xi2=None, enforce_tol=1e-6):
     return kv
 
 
+def _antiderivative(rows, grid):
+    """Cumulative integral of each row from the left grid edge (cubic spline)."""
+    return CubicSpline(grid.x, rows, axis=-1).antiderivative()(grid.x)
+
+
 class ModulationContext:
     """Profiles and kernel vectors as smooth functions of c near a base speed.
 
     Takes the base profile p (speed c0 = p.c), builds the profiles at
     c0 +- dc on its grid and interpolates quadratically in c; Newton
-    iterations in `decompose` then cost only quadratures.
+    iterations in `decompose` then cost only quadratures.  The spline
+    antiderivative is linear in its data, so that of xi2(c) is the same
+    combination of the stacked rows' antiderivatives, computed here once.
     """
 
     def __init__(self, p, dc=1e-3):
@@ -101,6 +113,8 @@ class ModulationContext:
             self._stack[nm] = np.array([getattr(self.pm, nm),
                                         getattr(self.p0, nm),
                                         getattr(self.pp, nm)])
+        self._cum = _antiderivative(
+            np.array([self._stack["n"], self._stack["u"]]), self.grid)
 
     def _coeffs(self, c):
         s = (c - self.c0) / self.dc
@@ -118,9 +132,12 @@ class ModulationContext:
         w, _ = self._coeffs(c)
         return np.array([w @ self._stack["dn"], w @ self._stack["du"]])
 
-    def xi2(self, c):
+    def _dweights(self, c):
         _, s = self._coeffs(c)
-        dw = np.array([(2 * s - 1) / 2, -2 * s, (2 * s + 1) / 2]) / self.dc
+        return np.array([(2 * s - 1) / 2, -2 * s, (2 * s + 1) / 2]) / self.dc
+
+    def xi2(self, c):
+        dw = self._dweights(c)
         return np.array([dw @ self._stack["n"], dw @ self._stack["u"]])
 
     def kernel_vectors(self, c):
@@ -129,7 +146,8 @@ class ModulationContext:
         proxy = _ProfileProxy(c, self.K, self.grid,
                               n=w @ st["n"], u=w @ st["u"],
                               dn=w @ st["dn"], du=w @ st["du"])
-        return kernel_vectors(proxy, xi2=self.xi2(c))
+        return kernel_vectors(proxy, xi2=self.xi2(c),
+                              xi2_cum=self._dweights(c) @ self._cum)
 
 
 @dataclass

@@ -71,3 +71,24 @@ def lin05(p05, kv05):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(7)
+
+
+@pytest.fixture
+def fail_poisson_at(monkeypatch):
+    """fail_poisson_at(k) makes the k-th Poisson solve (1-based) of the
+    nonlinear flow raise the RuntimeError of a solver failure."""
+    from epsoliton import dynamics
+
+    def install(fail_at):
+        calls = []
+        solve = dynamics.solve_poisson
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == fail_at:
+                raise RuntimeError("solve_poisson: Newton failed, residual 1e-3")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "solve_poisson", failing)
+
+    return install

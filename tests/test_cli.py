@@ -158,6 +158,15 @@ def test_evolve_writes_invariants(tmp_path):
     assert ",E," in text and ",M," in text
 
 
+def test_stability_solver_failure_exits_2(tmp_path, fail_poisson_at, capsys):
+    fail_poisson_at(6)
+    rc = cli.run(["stability", "--out", str(tmp_path / "run"), "--eps", "0.1",
+                  "--L", "60", "--N", "512", "--T", "2", "--n_saves", "3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "RK4 stage 2" in err and "blow-up" not in err
+
+
 # ------------------------------------------------------------------- grids
 
 def _cfg(**overrides):

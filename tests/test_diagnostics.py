@@ -197,3 +197,14 @@ def test_stability_experiment_far_data_degrades(grid10):
     rep = dg.stability_experiment(cfg)
     assert rep.verdicts["decompose_ok"] is False
     assert rep.error is not None
+
+
+def test_stability_experiment_reports_solver_failure(grid10, fail_poisson_at):
+    # the 10th solve is stage 2 of the third step
+    fail_poisson_at(10)
+    cfg = dg.StabilityConfig(K=1.0, eps=0.1, delta=1e-3, T=2.0, n_saves=3,
+                             grid=grid10)
+    rep = dg.stability_experiment(cfg)
+    assert not rep.blown_up and rep.blowup_time is None
+    assert "RK4 stage 2" in rep.error and "t = " in rep.error
+    assert rep.verdicts["decompose_ok"] is False

@@ -131,3 +131,13 @@ def test_conservation_drift_order(p05):
         drift[dt] = abs(dyn.invariants_of(end, p05.K, g)["E"] - E0)
     order = np.log2(drift[0.2] / drift[0.1])
     assert order >= 3.5
+
+
+def test_evolve_reports_poisson_failure_not_blowup(g, fail_poisson_at):
+    # the 7th solve is stage 3 of the second step, which starts at t = dt
+    fail_poisson_at(7)
+    traj = dyn.evolve(_zero(g), 1.0, 1.0, g, dt=0.25, n_saves=5)
+    assert not traj.blown_up and traj.blowup_time is None
+    assert "RK4 stage 3" in traj.failure and "t = 0.25" in traj.failure
+    assert "Newton failed" in traj.failure
+    assert traj.times[-1] == 0.25

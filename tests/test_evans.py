@@ -256,6 +256,47 @@ def test_magnus_march_is_sixth_order(p10, cache10):
     assert errs[1] < 1e-8 * abs(ref)
 
 
+@pytest.mark.parametrize("eps", [0.05, 0.1])
+def test_batched_expm_matches_scipy(eps, p05, p10, cache10):
+    from scipy.linalg import expm
+    p = p10 if eps == 0.1 else p05
+    cache = cache10 if eps == 0.1 else ev.CoefficientCache(p05)
+    xa, st = ev._stations(p)
+    mesh = ev._jost_mesh(p.c, p.K, -xa, xa, st, 1e-9)
+    for lam in (0.5j, 1e-3j, -0.8j, 0.3 + 0.7j, 1.5):
+        mu = ev.dispersion_roots(lam, p.c, p.K).mus[0]
+        omega = -ev._magnus_exponents(cache, lam, mu, mesh)
+        # the graded tail steps exceed the Pade-13 bound and are scaled
+        assert np.max(np.abs(omega).sum(axis=1).max(axis=1)) > 4 * ev._THETA13
+        E = ev._expm(omega)
+        ref = np.array([expm(w) for w in omega])
+        err = np.max(np.abs(E - ref), axis=(1, 2)) / np.max(np.abs(ref), axis=(1, 2))
+        assert np.max(err) <= 1e-13, (lam, np.max(err))
+
+
+def _dispersion_roots_loop(lam, c, K, n_steps=60):
+    """The continuation with one np.roots call per step."""
+    mu40, V = ev.mu4_closed(c, K), np.sqrt(1.0 + K)
+    d = c * c - K
+    t0 = min(1e-4 / abs(lam), 1.0)
+    lam0 = lam * t0
+    mus = np.array([-mu40, lam0 / (c + V), lam0 / (c - V), mu40], dtype=complex)
+    for t in np.geomspace(t0, 1.0, n_steps):
+        z = lam * t
+        mus = ev._assign(np.roots([d, -2 * c * z, z * z - d + 1.0, 2 * c * z,
+                                   -z * z]), mus)
+    return mus
+
+
+def test_batched_dispersion_roots_match_loop(p05, p10):
+    for p in (p05, p10):
+        for lam in (1e-3j, 0.02j, 0.5j, 1j, 3j, 0.3 + 0.7j, 1.5, 1e-5 + 2j):
+            got = ev.dispersion_roots(lam, p.c, p.K).mus
+            ref = _dispersion_roots_loop(complex(lam), p.c, p.K)
+            # same labels: each branch is the loop's branch, to roundoff
+            assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, abs(lam)), lam
+
+
 def test_jost_mesh_holds_stations_and_grades_tails(p10):
     xa = 0.9 * p10.grid.L
     st = np.linspace(-xa, xa, 7)

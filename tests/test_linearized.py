@@ -166,3 +166,85 @@ def test_xi1_weighted_norm_constant(p05, kv05, lin05, w05):
     vals = [lin._windowed_weighted_norm(V, lin05, w05.a_rate)
             for V in tr.states]
     assert max(vals) - min(vals) < 1e-8 * vals[0]
+
+
+# --------------------------------------------------- one shared trajectory
+
+def _decay_series(V0, ctx, a_rate, T, n_saves):
+    """dispersive_decay_experiment's series from its own evolve_linear run."""
+    traj = lin.evolve_linear(lin.project_Q(V0, ctx), ctx, T, n_saves=n_saves)
+    return traj.t, np.array([lin._windowed_weighted_norm(V, ctx, a_rate)
+                             for V in traj.states])
+
+
+def _kato_series(V0, ctx, w, T, n_saves):
+    """kato_smoothing_experiment's running integral from its own run."""
+    traj = lin.evolve_linear(lin.project_Q(V0, ctx), ctx, T, n_saves=n_saves)
+    vals = np.array([lin.sigma_tilde_norm(V, ctx, w) ** 2 for V in traj.states])
+    return traj.t, np.concatenate([[0.0], np.cumsum(
+        (vals[1:] + vals[:-1]) / 2 * np.diff(traj.t))])
+
+
+def _strides(ctx, T):
+    nsteps = lin._step_count(ctx, T)[0]
+    return [max(nsteps // (k - 1), 1) for k in (lin.DECAY_SAVES, lin.KATO_SAVES)]
+
+
+def _non_nesting_T(ctx):
+    """A horizon below the wrap time whose 81- and 161-save strides do not nest."""
+    for T in np.linspace(20.0, 0.9 * lin.wrap_time(ctx), 200):
+        s1, s2 = _strides(ctx, T)
+        if s1 % s2:
+            return T
+    raise AssertionError("no non-nesting horizon found")
+
+
+def _count_evolve_linear(monkeypatch):
+    """A list that grows by one with each evolve_linear call."""
+    calls = []
+    evolve = lin.evolve_linear
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(lin, "evolve_linear", counted)
+    return calls
+
+
+@pytest.mark.parametrize("horizon", ["wrap", "non_nesting"])
+def test_experiments_share_one_linear_run(p05, kv05, w05, monkeypatch, horizon):
+    g = p05.grid
+    # a fresh context: the session's lin05 may hold a trajectory already
+    ctx = lin.LinearContext.build(p05, kv05)
+    T = lin.wrap_time(ctx) if horizon == "wrap" else _non_nesting_T(ctx)
+    if horizon == "wrap":
+        s1, s2 = _strides(ctx, T)
+        assert s1 % s2 == 0
+    V0 = np.array([1e-3 * np.exp(-(g.x / 4.0) ** 2) * np.cos(g.x), np.zeros(g.N)])
+    calls = _count_evolve_linear(monkeypatch)
+    td, nd, _ = lin.dispersive_decay_experiment(V0, ctx, w05.a_rate, T)
+    tk, run = lin.kato_smoothing_experiment(V0, ctx, w05, T)
+    assert len(calls) == 1
+    t_ref, nd_ref = _decay_series(V0, ctx, w05.a_rate, T, lin.DECAY_SAVES)
+    tk_ref, run_ref = _kato_series(V0, ctx, w05, T, lin.KATO_SAVES)
+    assert np.array_equal(td, t_ref) and np.array_equal(nd, nd_ref)
+    assert np.array_equal(tk, tk_ref) and np.array_equal(run, run_ref)
+
+
+def test_shared_run_evolves_afresh_for_missing_saves(p05, kv05, w05, monkeypatch):
+    g = p05.grid
+    ctx = lin.LinearContext.build(p05, kv05)
+    T = 30.0
+    stride13 = lin._step_count(ctx, T)[0] // 12
+    assert all(stride13 % s for s in _strides(ctx, T))
+    V0 = np.array([np.exp(-(g.x / 4.0) ** 2), np.zeros(g.N)])
+    calls = _count_evolve_linear(monkeypatch)
+    lin.kato_smoothing_experiment(V0, ctx, w05, T)
+    # 13 saves need steps that neither default stride saves at
+    tk, run = lin.kato_smoothing_experiment(V0, ctx, w05, T, n_saves=13)
+    # another V0 is another trajectory
+    lin.kato_smoothing_experiment(2 * V0, ctx, w05, T, n_saves=13)
+    assert len(calls) == 3
+    tk_ref, run_ref = _kato_series(V0, ctx, w05, T, 13)
+    assert np.array_equal(tk, tk_ref) and np.array_equal(run, run_ref)
