@@ -11,14 +11,14 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, diagnostics, dynamics, evans, linearized, modulation
+from . import __version__, diagnostics, dynamics, evans, linearized
 from . import profile as profile_mod
-from .grid import default_grid, default_weights, norms
+from .grid import default_grid, default_weights
 
 
 class ValidationError(Exception):
@@ -33,10 +33,9 @@ class NumericalFailure(Exception):
 
 _DEFAULTS = dict(K=1.0, eps=0.05, L=None, N=None, A=100.0, B=10.0, A1=None,
                  kappa=0.1, rho=0.3, delta=1e-3, shape="even", T=None,
-                 n_saves=41, segment="0.02:1:25", lam="0.3+0.2j",
-                 seed=0, workers=1)
+                 n_saves=41, segment="0.02:1:25", lam="0.3+0.2j")
 
-_INT_KEYS = {"N", "n_saves", "seed", "workers"}
+_INT_KEYS = {"N", "n_saves"}
 _STR_KEYS = {"shape", "segment", "lam"}
 
 
@@ -330,7 +329,6 @@ def run(argv=None):
         validate(values)
         cfg = RunConfig(subcommand=ns.subcommand, out=ns.out,
                         force=ns.force, values=values)
-        np.random.seed(values["seed"])
         t0 = time.time()
         if ns.subcommand == "report":
             files, scalars, verdicts = cmd_report(cfg, Path(cfg.out))

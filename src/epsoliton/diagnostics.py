@@ -18,24 +18,24 @@ windows and report the fitted constants C; the stability experiment runs the
 full pipeline (profile -> perturb -> evolve -> modulation track -> verdicts).
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dynamics, elliptic, linearized, modulation, profile as profile_mod
-from .grid import (Grid, WeightSet, default_grid, default_weights, derivative,
-                   integrate, l2norm, norms)
+from . import dynamics, elliptic, modulation, profile as profile_mod
+from .grid import Grid, default_grid, default_weights, derivative, integrate, l2norm
 
 
 # ----------------------------------------------------------------- virials
 
-def energy_difference(V3, p):
-    """Pointwise e(S_c + V) - e(S_c) for V3 = (V_n, V_u, V_phi)."""
+def energy_difference(V3, p, e0=None):
+    """Pointwise e(S_c + V) - e(S_c) for V3 = (V_n, V_u, V_phi); e0 is
+    e(S_c) when the caller has it already."""
     Vn, Vu, Vphi = V3
     g = p.grid
     e1 = dynamics.energy_density(p.n + Vn, p.u + Vu, p.phi + Vphi, p.K, g)
-    e0 = dynamics.energy_density(p.n, p.u, p.phi, p.K, g)
+    if e0 is None:
+        e0 = dynamics.energy_density(p.n, p.u, p.phi, p.K, g)
     return e1 - e0
 
 
@@ -50,6 +50,15 @@ def virial_I(i, V3, p, w):
 def virial_J(V3, p, w):
     """J = <psi, e(S_c+V) - e(S_c)> with psi' = sech^2(eps kappa x)."""
     return float(integrate(w.psi_weight * energy_difference(V3, p), p.grid))
+
+
+def virial_series(Vs, p, w):
+    """Series (I1, I2, J) over the snapshots Vs: virial_I and virial_J at
+    each one, with e(S_c) computed once."""
+    e0 = dynamics.energy_density(p.n, p.u, p.phi, p.K, p.grid)
+    de = [energy_difference(V, p, e0) for V in Vs]
+    return tuple(np.array([float(integrate(weight * d, p.grid)) for d in de])
+                 for weight in (w.phi1, w.phi2, w.psi_weight))
 
 
 def _grad_e_profile(p):
@@ -90,26 +99,10 @@ def local_decay(Vs, ts, a, grid):
 
 # -------------------------------------------------- modulation-frame series
 
-def decompose_series(traj, ctx, weights, track):
-    """Re-run the decomposition at each snapshot with the track's (c, D) as
-    warm starts; returns the list of V3 = (V_n, V_u, V_phi) in the profile
-    frame."""
-    out = []
-    for state, c, D in zip(traj.states, track.c, track.D):
-        c_, D_, V, V_phi, rep = modulation.decompose(
-            state, ctx, weights, c_guess=c, D_guess=D)
-        out.append(np.array([V[0], V[1], V_phi]))
-    return out
-
-
-def norm_bundle_series(Vs, weights):
+def norm_bundle_series(bundles):
+    """Series {name: array over snapshots} from per-snapshot grid.norms dicts."""
     keys = ("Sigma1", "Sigma2", "Sigma_tilde", "L2a", "weighted_local")
-    series = {k: [] for k in keys}
-    for V3 in Vs:
-        nb = norms(V3, weights)
-        for k in keys:
-            series[k].append(nb[k])
-    return {k: np.array(v) for k, v in series.items()}
+    return {k: np.array([nb[k] for nb in bundles]) for k in keys}
 
 
 # --------------------------------------------------------- virial monitors
@@ -140,26 +133,28 @@ def _window_ratio(t, lhs_sq, rhs_terms, i0, i1):
     return lhs, rhs
 
 
-def virial_ratio_monitor(t, Vs, p, w):
+def virial_ratio_monitor(t, Vs, p, w, virials, bundle):
     """Fitted constants for the three virial inequalities over trailing time
     windows.  C = max over windows of (integrated LHS)/(integrated RHS);
-    'stable' requires at least two valid windows agreeing within 2x."""
+    'stable' requires at least two valid windows agreeing within 2x.
+
+    virials is virial_series(Vs, p, w) and bundle the norm_bundle_series of
+    the snapshots' norm bundles.
+    """
     g = p.grid
     eps = p.c - np.sqrt(1.0 + p.K)
     n = len(t)
-    I1 = np.array([virial_I(1, V, p, w) for V in Vs])
-    I2 = np.array([virial_I(2, V, p, w) for V in Vs])
-    J = np.array([virial_J(V, p, w) for V in Vs])
+    I1, I2, J = virials
     X1 = np.array([virial_cross(w.phi1, V, p) for V in Vs])
     X2 = np.array([virial_cross(w.phi2, V, p) for V in Vs])
     XJ = np.array([virial_cross(w.psi_weight, V, p) for V in Vs])
 
-    S1 = np.array([norms(V, w)["Sigma1"] for V in Vs]) ** 2
-    S2 = np.array([norms(V, w)["Sigma2"] for V in Vs]) ** 2
+    S1 = bundle["Sigma1"] ** 2
+    S2 = bundle["Sigma2"] ** 2
     St_full = np.array([
         l2norm(w.sech_weight * np.array([V[0], V[1], derivative(V[2], g)]), g)
         for V in Vs]) ** 2
-    St_V = np.array([l2norm(w.sech_weight * V, g) for V in Vs]) ** 2
+    St_V = bundle["Sigma_tilde"] ** 2
     St_phi = np.array([l2norm(w.sech_weight * V[2], g) for V in Vs]) ** 2
 
     defs = [
@@ -317,11 +312,9 @@ def stability_experiment(config: StabilityConfig) -> StabilityReport:
     Vs = track.Vs
     t = track.t
 
-    rep.I1 = np.array([virial_I(1, V, p, w) for V in Vs])
-    rep.I2 = np.array([virial_I(2, V, p, w) for V in Vs])
-    rep.J = np.array([virial_J(V, p, w) for V in Vs])
+    rep.I1, rep.I2, rep.J = virial_series(Vs, p, w)
     rep.local, rep.local_running = local_decay(Vs, t, w.a_rate, g)
-    rep.bundle = norm_bundle_series(Vs, w)
+    rep.bundle = norm_bundle_series(track.norms)
 
     if config.delta > 0:
         head = _window_mean(rep.local, 0.1, head=True)
@@ -344,7 +337,8 @@ def stability_experiment(config: StabilityConfig) -> StabilityReport:
     rep.c_tail_spread = float((np.max(q) - np.min(q)) / np.mean(q))
     rep.verdicts["c_converges"] = bool(rep.c_tail_spread < config.c_tail_tol)
 
-    rep.monitors = virial_ratio_monitor(t, Vs, p, w)
+    rep.monitors = virial_ratio_monitor(t, Vs, p, w, (rep.I1, rep.I2, rep.J),
+                                        rep.bundle)
     rep.verdicts["virial_constants_ok"] = all(
         np.isfinite(m.C) and m.stable and not m.inconclusive
         for m in rep.monitors) if config.delta > 0 else True

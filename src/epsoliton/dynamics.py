@@ -9,8 +9,9 @@ a Hamiltonian flow U' = -d/dx sigma1 grad E(U) for the energy functional with
 density e(U) = (1+n)u^2/2 + K((1+n)log(1+n) - n) - (phi')^2/2 + n phi
 - (e^phi - 1 - phi).  The electric potential phi is a constraint, resolved by
 a Poisson solve at every Runge-Kutta stage, warm-started from a potential
-extrapolated from the stages already solved (`_stage_warm_start`).  On periodic grids `rhs` applies -d/dx to both fluxes with one
-rfft/irfft pair, dealiased by the 2/3 rule inside the same symbol.
+extrapolated from the stages already solved (`_stage_warm_start`).  `rhs`
+applies -d/dx to both fluxes with one rfft/irfft pair, dealiased by the 2/3
+rule inside the same symbol.
 Conserved quantities: total energy E and momentum M = int n u.
 """
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, derivative, integrate
+from .grid import derivative, integrate, translate
 from .elliptic import solve_poisson
 
 
@@ -48,7 +49,7 @@ class Trajectory:
         return np.array([s.t for s in self.states])
 
 
-def gradient_E(state, phi, K, grid):
+def gradient_E(state, phi, K):
     """Variational gradient of the energy: (dE/dn, dE/du)."""
     one_n = 1.0 + state.n
     if np.min(one_n) <= 0.0:
@@ -59,14 +60,12 @@ def gradient_E(state, phi, K, grid):
 def rhs(state, K, grid, phi0=None, dealias=False):
     """Tendency (dn/dt, du/dt); returns (ndot, udot, phi).
 
-    On periodic grids both fluxes go through one rfft/irfft pair, with the
-    2/3-rule dealiasing mask folded into the symbol of -d/dx.
+    Both fluxes go through one rfft/irfft pair, with the 2/3-rule
+    dealiasing mask folded into the symbol of -d/dx.
     """
     phi, _ = solve_poisson(state.n, grid, phi0=phi0)
-    gn, gu = gradient_E(state, phi, K, grid)
+    gn, gu = gradient_E(state, phi, K)
     # -d/dx sigma1 (gn, gu) = (-(gu)', -(gn)')
-    if grid.boundary_mode != "periodic":
-        return -derivative(gu, grid, order=1), -derivative(gn, grid, order=1), phi
     sym = -grid.symbol(1)
     if dealias:
         sym[int(len(sym) * 2 / 3):] = 0.0
@@ -79,10 +78,8 @@ def invariants_of(state, K, grid, phi=None):
     if phi is None:
         phi, _ = solve_poisson(state.n, grid)
     n, u = state.n, state.u
-    one_n = 1.0 + n
     dphi = derivative(phi, grid, order=1)
-    e_full = (one_n * u ** 2 / 2.0 + K * (one_n * np.log(one_n) - n)
-              - dphi ** 2 / 2.0 + n * phi - (np.exp(phi) - 1.0 - phi))
+    e_full = energy_density(n, u, phi, K, grid)
     e_kin = (u ** 2 / 2.0 + K * n ** 2 / 2.0 - dphi ** 2 / 2.0
              - phi ** 2 / 2.0 + n * phi)
     E = float(integrate(e_full, grid))
@@ -104,9 +101,9 @@ def cfl_dt(state, K, grid, cfl=0.4):
     return cfl * grid.h / speed
 
 
-def evolve(state0, T, K, grid, dt=None, cfl=0.4, dealias=None,
-           save_every=None, n_saves=41):
-    """Classical RK4 evolution up to time T; returns a Trajectory.
+def evolve(state0, T, K, grid, dt=None, cfl=0.4, n_saves=41):
+    """Classical RK4 evolution up to time T, dealiased, saving n_saves states
+    evenly spaced in time; returns a Trajectory.
 
     dt defaults to the CFL-limited step, recomputed each step; a fixed dt is
     honoured exactly.  Blow-up (min(1+n) < 1e-6, sup|u| > 1e3, NaN, or a
@@ -117,10 +114,7 @@ def evolve(state0, T, K, grid, dt=None, cfl=0.4, dealias=None,
     if K <= 0.0:
         raise ValueError("evolve: K > 0 required")
     state0.validate()
-    if dealias is None:
-        dealias = grid.boundary_mode == "periodic"
-    if save_every is None:
-        save_every = T / max(n_saves - 1, 1)
+    save_every = T / max(n_saves - 1, 1)
 
     t = float(state0.t)
     n, u = state0.n.copy(), state0.u.copy()
@@ -142,7 +136,7 @@ def evolve(state0, T, K, grid, dt=None, cfl=0.4, dealias=None,
                 if ks:
                     s = State(t, n + a * step * ks[-1][0], u + a * step * ks[-1][1])
                 pred, warm = _stage_warm_start(len(cur), cur, phis, preds)
-                kn, ku, phi = rhs(s, K, grid, warm, dealias)
+                kn, ku, phi = rhs(s, K, grid, warm, dealias=True)
                 ks.append((kn, ku))
                 cur.append(phi)
                 cur_preds.append(pred)
@@ -205,11 +199,6 @@ def soliton_state(profile):
 
 
 def shift_state(state, shift, grid):
-    """Translate fields by `shift` (periodic grids: exact Fourier phase shift)."""
-    if grid.boundary_mode != "periodic":
-        raise ValueError("shift_state: periodic grids only")
-    kh = grid.k[: grid.N // 2 + 1]
-    ph = np.exp(-1j * kh * shift)
-    n = np.fft.irfft(np.fft.rfft(state.n) * ph, n=grid.N)
-    u = np.fft.irfft(np.fft.rfft(state.u) * ph, n=grid.N)
+    """Translate fields by `shift` (exact Fourier phase shift)."""
+    n, u = translate([state.n, state.u], shift, grid)
     return State(state.t, n, u)

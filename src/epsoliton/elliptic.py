@@ -4,23 +4,22 @@ Three families of problems share one discretisation:
 
 * the nonlinear Poisson constraint  -phi'' + e^phi - 1 - n = 0 (the
   functional F(phi) = 1/2 ||phi'||^2 + int(e^phi - phi - 1 - n phi) is
-  strictly convex, so the root is unique).  Periodic grids iterate on the
-  rfft coefficients of phi with the preconditioner 1/(k^2 + sigma), sigma the
+  strictly convex, so the root is unique).  It iterates on the rfft
+  coefficients of phi with the preconditioner 1/(k^2 + sigma), sigma the
   midpoint of the range of e^phi: two real FFTs per iteration and a linear
   contraction factor (max e^phi - min e^phi)/(max e^phi + min e^phi), about
   0.1 for the eps = 0.1 wave.  Newton steps, damped on F when the residual
-  keeps growing, take over when that iteration stalls, and on line grids;
+  keeps growing, take over when that iteration stalls;
 * linear solves with  -d^2/dx^2 + e^{phi_c}  and the shifted operator
   h_c - z = -d^2/dx^2 + (e^{phi_c} - 1) - z  for z off [0, inf);
 * the Jost machinery for the scalar operator h_c: decaying/oscillatory
   solutions f+-(x,k) = e^{+-ikx} m+-(x,k), the transmission coefficient
   1/T = (1/2ik)[f+, f-], and the resolvent kernel built from them.
 
-Periodic grids use matrix-free Krylov iterations preconditioned by the
-constant-coefficient Fourier symbol; line grids use a cached sparse matrix
-of the finite-difference Laplacian.  A fixed operator -d^2/dx^2 + e^{phi_c}
+Linear solves are matrix-free Krylov iterations preconditioned by the
+constant-coefficient Fourier symbol.  A fixed operator -d^2/dx^2 + e^{phi_c}
 applied many times (the linearized flow) is inverted once instead, as a dense
-Cholesky inverse on periodic grids of up to DENSE_N_MAX points.
+Cholesky inverse on grids of up to DENSE_N_MAX points.
 """
 
 from dataclasses import dataclass
@@ -29,46 +28,20 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dpotrf, dpotri
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import LinearOperator, cg, gmres, factorized
+from scipy.sparse.linalg import LinearOperator, cg, gmres
 
-from .grid import Grid, derivative, integrate
-
-_D2_CACHE = {}
-
-
-def _line_d2_solver(grid, w, z=0.0):
-    """Factorized solver for (-D2 + diag(w) - z) on a line grid."""
-    key = (grid.L, grid.N)
-    if key not in _D2_CACHE:
-        N = grid.N
-        cols = np.zeros((N, N))
-        e = np.zeros(N)
-        for j in range(N):
-            e[:] = 0.0
-            e[j] = 1.0
-            cols[:, j] = derivative(e, grid, order=2)
-        _D2_CACHE[key] = csc_matrix(cols)
-    D2 = _D2_CACHE[key]
-    N = grid.N
-    from scipy.sparse import identity, diags
-    A = -D2 + diags(np.asarray(w, dtype=complex if np.iscomplexobj(w) or np.iscomplexobj(z) else float)) \
-        - z * identity(N, dtype=complex if np.iscomplexobj(z) else float)
-    return factorized(csc_matrix(A))
+from .grid import derivative, integrate
 
 
 def _helmholtz_solve(f, w, grid, z=0.0, tol=1e-13):
     """Solve (-d^2/dx^2 + w(x) - z) g = f.
 
     w real positive (typically e^{phi_c}); z complex off the spectrum of the
-    constant-coefficient part.  Periodic: preconditioned Krylov with the
-    Fourier symbol 1/(k^2 + mean(w) - z).  Line: direct sparse solve.
+    constant-coefficient part.  Preconditioned Krylov with the Fourier
+    symbol 1/(k^2 + mean(w) - z).
     """
     f = np.asarray(f)
     w = np.broadcast_to(np.asarray(w, dtype=float), f.shape).copy()
-    if grid.boundary_mode == "line":
-        return _line_d2_solver(grid, w, z)(f.astype(complex) if np.iscomplexobj(z) or np.iscomplexobj(f) else f)
-
     k2 = grid.k ** 2
     shift = np.mean(w) - z
     complex_mode = np.iscomplexobj(f) or np.iscomplexobj(np.asarray(z))
@@ -121,23 +94,18 @@ def solve_poisson(n, grid, phi0=None, tol=1e-11, maxiter=30):
     """Solve -phi'' + e^phi - 1 - n = 0; returns (phi, report).
 
     Initial guess is the linearisation (-d^2/dx^2 + 1)^{-1} n unless phi0 is
-    given.  Periodic grids first run the preconditioned fixed-point iteration
-    on the rfft coefficients of phi (see `_poisson_fixed_point`); when it
-    stalls, and on line grids, Newton steps follow, damped by a line search on
-    the convex functional F once the residual keeps growing.  report.residual
-    bounds max |-phi'' + e^phi - 1 - n| and is at most tol on return.
+    given.  The preconditioned fixed-point iteration on the rfft coefficients
+    of phi runs first (see `_poisson_fixed_point`); when it stalls, Newton
+    steps follow, damped by a line search on the convex functional F once the
+    residual keeps growing.  report.residual bounds
+    max |-phi'' + e^phi - 1 - n| and is at most tol on return.
     """
     n = np.asarray(n, dtype=float)
     if not np.all(np.isfinite(n)):
         raise ValueError("solve_poisson: non-finite density")
-    if grid.boundary_mode == "periodic":
-        phi, rep = _poisson_fixed_point(n, grid, phi0, tol)
-        if rep.residual <= tol:
-            return phi, rep
-    elif phi0 is None:
-        phi = _helmholtz_solve(n, np.ones_like(n), grid)
-    else:
-        phi = np.array(phi0, dtype=float)
+    phi, rep = _poisson_fixed_point(n, grid, phi0, tol)
+    if rep.residual <= tol:
+        return phi, rep
 
     def residual(p):
         return -derivative(p, grid, order=2) + np.exp(p) - 1.0 - n
@@ -211,24 +179,23 @@ def apply_inv_schrodinger(f, phi_c, grid, tol=1e-13):
     return _helmholtz_solve(f, np.exp(np.asarray(phi_c, dtype=float)), grid, z=0.0, tol=tol)
 
 
-DENSE_N_MAX = 1024  # largest periodic N given a dense inverse (8 MB at 1024)
+DENSE_N_MAX = 1024  # largest N given a dense inverse (8 MB at 1024)
 
 
 def schrodinger_solver(phi_c, grid):
     """Return the map f -> (-d^2/dx^2 + e^{phi_c})^{-1} f for a fixed phi_c.
 
-    On a periodic grid with N <= DENSE_N_MAX the operator is a symmetric
-    positive definite matrix: the circulant of the spectral -d^2/dx^2 plus
-    diag(e^{phi_c}).  It is inverted once, in place, by a Cholesky
-    factorisation (LAPACK potrf, then potri), and the map is the bound
-    `H.__matmul__` of the read-only inverse H, so each application is one
-    matrix-vector product.  Elsewhere (line grids, and large N, where H
-    would take 8 N^2 bytes) the map is `apply_inv_schrodinger`, a Krylov
-    solve per call.
+    For N <= DENSE_N_MAX the operator is a symmetric positive definite
+    matrix: the circulant of the spectral -d^2/dx^2 plus diag(e^{phi_c}).
+    It is inverted once, in place, by a Cholesky factorisation (LAPACK
+    potrf, then potri), and the map is the bound `H.__matmul__` of the
+    read-only inverse H, so each application is one matrix-vector
+    product.  For larger N, where H would take 8 N^2 bytes,
+    the map is `apply_inv_schrodinger`, a Krylov solve per call.
     """
     phi_c = np.asarray(phi_c, dtype=float)
     N = grid.N
-    if grid.boundary_mode != "periodic" or N > DENSE_N_MAX:
+    if N > DENSE_N_MAX:
         return lambda f: apply_inv_schrodinger(f, phi_c, grid)
     c = np.fft.irfft(-grid.symbol(2), n=N)  # column 0 of -D2; even, so H is symmetric
     H = np.empty((N, N), order="F")
@@ -263,7 +230,7 @@ def resolvent_hc(f, phi_c, grid, z=-1.0, tol=1e-13):
 def _q_spline(phi_c, grid):
     q = np.exp(np.asarray(phi_c, dtype=float)) - 1.0
     xs = np.concatenate([grid.x, [grid.L]])
-    qs = np.concatenate([q, [q[0] if grid.boundary_mode == "periodic" else 0.0]])
+    qs = np.concatenate([q, q[:1]])  # periodic: q(L) = q(-L)
     return CubicSpline(xs, qs, extrapolate=False)
 
 
@@ -361,53 +328,3 @@ def potential_moment(phi_c, grid):
     """||<x> (e^{phi_c} - 1)||_{L^1} with <x> = 1 + |x|."""
     q = np.exp(np.asarray(phi_c, dtype=float)) - 1.0
     return float(integrate((1.0 + np.abs(grid.x)) * np.abs(q), grid))
-
-
-def jost_kernel_column(y_index, phi_c, grid, z=-1.0):
-    """Column x -> R(x, y) of the resolvent kernel of h_c at spectral point z.
-
-    Built from the Jost pair: R(x,y) = -(T(k)/2ik) f-(x<) f+(x>), k = sqrt(z)
-    with Im k > 0.  Independent oracle for resolvent_hc.
-    """
-    z = complex(z)
-    k = np.sqrt(z)
-    if k.imag < 0:
-        k = -k
-    if k.imag <= 0:
-        raise ValueError("jost_kernel_column: z on the essential spectrum")
-    m, dm = scalar_jost(k, phi_c, grid)
-    inv_T, _ = _inv_transmission(k, m, dm, grid)
-    refl = (-np.arange(grid.N)) % grid.N
-    x = grid.x
-    fp = np.exp(1j * k * x) * m
-    fm = np.exp(-1j * k * x) * m[refl]
-    # R(x,y) = -(T/2ik) fm(min(x,y)) fp(max(x,y))
-    col = np.where(x <= x[y_index], fm * fp[y_index], fp * fm[y_index])
-    return -(1.0 / inv_T) / (2j * k) * col
-
-
-def jost_resolvent_apply(f, phi_c, grid, z=-1.0):
-    """Apply the Jost-built resolvent kernel of h_c at z to a smooth field f.
-
-    (R f)(x) = -(T/2ik) [ f+(x) int_{-L}^x f- f dy + f-(x) int_x^{L} f+ f dy ].
-    Independent oracle for resolvent_hc (quadrature instead of a linear solve).
-    """
-    z = complex(z)
-    k = np.sqrt(z)
-    if k.imag < 0:
-        k = -k
-    m, dm = scalar_jost(k, phi_c, grid)
-    inv_T, _ = _inv_transmission(k, m, dm, grid)
-    refl = (-np.arange(grid.N)) % grid.N
-    x = grid.x
-    fp = np.exp(1j * k * x) * m
-    fm = np.exp(-1j * k * x) * m[refl]
-    f = np.asarray(f)
-
-    def cumint(vals):
-        return CubicSpline(x, vals).antiderivative()(x)
-
-    left = cumint(fm * f)
-    right = cumint(fp * f)
-    right = right[-1] - right
-    return -(1.0 / inv_T) / (2j * k) * (fp * left + fm * right)

@@ -26,12 +26,11 @@ D vanishes at lambda = 0 together with its first derivative, and nowhere
 else in the closed right half-plane.
 
 `resolvent_apply` solves (lambda - L)U = F by a 4th-order Hermite-Simpson
-collocation two-point BVP with decay boundary conditions; `vop_apply` is an
-independent variation-of-parameters assembly using stable subspace
-continuation.  All C^4 pairings here are bilinear (no conjugation).
+collocation two-point BVP with decay boundary conditions.  All C^4 pairings
+here are bilinear (no conjugation).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -651,112 +650,3 @@ def resolvent_apply_periodic(lam, F1, F2, p, cache=None, xa_frac=0.9, refine=8):
     out = np.zeros((4, g.N), dtype=complex)
     out[:, mask] = U[:, idx]
     return out
-
-
-# ------------------------------------------- variation-of-parameters oracle
-
-def vop_apply(lam, F1, F2, p, cache=None, xa_frac=0.9, refine=4):
-    """Independent variation-of-parameters assembly of (lambda - L)^{-1} F.
-
-    U(x) = f_1(x) int_{-xa}^x a_1(y) dy + w(x), where a_1 is the
-    f_1-coefficient of F in the fundamental frame, computed stably as a
-    determinant ratio against an orthonormalized basis Q(y) of the marched
-    subspace span{f_2, f_3, f_4} (the ratio is invariant under basis changes
-    within the span, including column scalings, so QR renormalization is
-    legal), and w is the backward sweep of the complementary part with the
-    unstable f_1 component projected out at every node.
-    """
-    lam = complex(lam)
-    if cache is None:
-        cache = CoefficientCache(p)
-    g = p.grid
-    xs, _, _ = _bvp_nodes(p, xa_frac, refine)
-    M = len(xs)
-    h = np.diff(xs)
-    xm = (xs[:-1] + xs[1:]) / 2
-
-    data = asymptotic_data(lam, p.c, p.K)
-    mus, vs = data.mus, data.vs
-
-    # f_1 direction: rescaled Jost solution m_1 at all nodes
-    m1 = jost_f(1, lam, p, cache, xa_frac=xa_frac, x_eval=xs).m  # (4, M)
-
-    # subspace span{f_2, f_3, f_4} marched from -xa; mean growth is removed
-    # before each step and QR renormalization applied after
-    A1n, A2n = cache.A1_A2(xs)
-    An = (A1n + lam * A2n).astype(complex)
-    A1m, A2m = cache.A1_A2(xm)
-    Am = (A1m + lam * A2m).astype(complex)
-    Y = np.linalg.qr(vs[:, 1:4])[0]
-    Qs = np.empty((M, 4, 3), dtype=complex)
-    Qs[0] = Y
-    mu_mid = np.mean(mus[1:4])
-    n_sub = 4
-    for k in range(M - 1):
-        hs = h[k] / n_sub
-        for s in range(n_sub):
-            x0 = xs[k] + s * hs
-
-            def rhs(x, Yv):
-                return cache.A(x, lam) @ Yv - mu_mid * Yv
-
-            k1 = rhs(x0, Y)
-            k2 = rhs(x0 + hs / 2, Y + hs / 2 * k1)
-            k3 = rhs(x0 + hs / 2, Y + hs / 2 * k2)
-            k4 = rhs(x0 + hs, Y + hs * k3)
-            Y = Y + hs / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        Y = np.linalg.qr(Y)[0]
-        Qs[k + 1] = Y
-
-    # data vector F = (L_c^{-1}(F1,F2), 0, 0) at the nodes (band-limited)
-    f1n, _ = _upsample_window(F1, p, xa_frac, refine)
-    f2n, _ = _upsample_window(F2, p, xa_frac, refine)
-    G1, G2 = cache.Lc_inv_apply(xs, f1n, f2n)
-    Fv = np.stack([G1, G2, np.zeros_like(G1), np.zeros_like(G1)]).astype(complex)
-
-    # a_1(y) f_1(y) = m_1(y) det([F, Q]) / det([m_1, Q]) (exponentials cancel)
-    detF = np.linalg.det(np.concatenate([Fv.T[:, :, None], Qs], axis=2))
-    detm = np.linalg.det(np.concatenate([m1.T[:, :, None], Qs], axis=2))
-    a1_tilde = detF / detm          # = a_1(y) e^{mu_1 y} x scaling of m_1
-
-    # R1(x) = m_1(x) int_{-xa}^x e^{mu_1 (x - y)} a1_tilde(y) dy, accumulated
-    # interval by interval with Simpson (spline value at the midpoint)
-    mu1 = mus[0]
-    a_spl = CubicSpline(xs, a1_tilde)
-    acc = np.zeros(M, dtype=complex)
-    amid = a_spl(xm)
-    for k in range(1, M):
-        hk = h[k - 1]
-        e1 = np.exp(mu1 * hk)
-        em = np.exp(mu1 * hk / 2)
-        acc[k] = e1 * acc[k - 1] + hk / 6 * (
-            e1 * a1_tilde[k - 1] + 4 * em * amid[k - 1] + a1_tilde[k])
-    R1 = m1 * acc[None, :]
-
-    # complementary part: backward sweep of (d/dx - A) w = F_perp with the
-    # f_1 content projected out against the marched subspace
-    Fperp = Fv - m1 * a1_tilde[None, :]
-    fp_spl = CubicSpline(xs, Fperp, axis=1)
-    Fpm = fp_spl(xm)
-    I4 = np.eye(4)
-    w = np.zeros((4, M), dtype=complex)
-    for k in range(M - 2, -1, -1):
-        hk = h[k]
-        Sk = I4 - hk / 6 * An[k + 1] - hk / 3 * Am[k] \
-            + hk ** 2 / 12 * (Am[k] @ An[k + 1])
-        Rk = -I4 - hk / 6 * An[k] - hk / 3 * Am[k] \
-            - hk ** 2 / 12 * (Am[k] @ An[k])
-        bk = hk / 6 * (Fperp[:, k] + 4 * Fpm[:, k] + Fperp[:, k + 1]) \
-            + hk ** 2 / 12 * (Am[k] @ (Fperp[:, k] - Fperp[:, k + 1]))
-        wk = np.linalg.solve(Rk, bk - Sk @ w[:, k + 1])
-        q = _orthocomplement(Qs[k])
-        wk = wk - m1[:, k] * (np.vdot(q, wk) / np.vdot(q, m1[:, k]))
-        w[:, k] = wk
-    return R1 + w, xs
-
-
-def _orthocomplement(Q):
-    """Unit vector orthogonal (hermitian sense) to the 3 columns of Q."""
-    full = np.linalg.qr(np.column_stack([Q, np.ones(4, dtype=complex)]),
-                        mode="complete")[0]
-    return full[:, 3]

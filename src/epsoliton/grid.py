@@ -1,9 +1,9 @@
-"""Uniform 1D grid, fields, differentiation, quadrature, and weight functions.
+"""Uniform periodic 1D grid, spectral differentiation, quadrature, and weight functions.
 
 A `Grid` is immutable, so everything derived from (L, N) is computed once per
 grid and cached: the nodes `x`, the wavenumbers `k` and the Fourier symbols
-of d/dx, d^2/dx^2 and d^3/dx^3 (returned read-only).  Periodic derivatives of
-real data take one `rfft`/`irfft` pair; complex data keeps the full FFT.
+of d/dx, d^2/dx^2 and d^3/dx^3 (returned read-only).  Derivatives of real
+data take one `rfft`/`irfft` pair; complex data keeps the full FFT.
 """
 
 from __future__ import annotations
@@ -17,23 +17,16 @@ from scipy.integrate import cumulative_trapezoid
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid on [-L, L) with spacing h = 2L/N.
-
-    boundary_mode 'periodic' wraps derivatives (FFT collocation);
-    'line' uses 4th-order finite differences with one-sided closures.
-    """
+    """Uniform periodic grid on [-L, L) with spacing h = 2L/N."""
 
     L: float
     N: int
-    boundary_mode: str = "periodic"
 
     def __post_init__(self):
         if self.N < 16 or self.N % 2 != 0:
             raise ValueError("N must be an even integer >= 16")
         if self.L <= 0:
             raise ValueError("L must be positive")
-        if self.boundary_mode not in ("periodic", "line"):
-            raise ValueError(f"unknown boundary_mode {self.boundary_mode!r}")
 
     @property
     def h(self) -> float:
@@ -45,7 +38,7 @@ class Grid:
 
     @cached_property
     def k(self) -> np.ndarray:
-        """Fourier wavenumbers for the periodic mode."""
+        """Fourier wavenumbers."""
         return _frozen(2.0 * np.pi * np.fft.fftfreq(self.N, d=self.h))
 
     @cached_property
@@ -72,16 +65,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 N_MAX = 2 ** 16       # largest N default_grid will choose
+_H_FACTOR = 0.25      # h <= _H_FACTOR / sqrt(eps): four nodes per KdV width at least
 _NYQUIST_TAIL = 1e-7  # profile's Fourier tail exp(-pi d / h) left at the Nyquist wavenumber
 
 
 def default_grid(eps: float, K: float = 1.0, L: float | None = None,
-                 N: int | None = None, L_factor: float = 40.0,
-                 h_factor: float = 0.25, boundary_mode: str = "periodic") -> Grid:
+                 N: int | None = None, L_factor: float = 40.0) -> Grid:
     """Grid resolving the solitary wave of speed c = sqrt(1+K) + eps.
 
     L = L_factor/sqrt(eps) holds the exponential tail (width ~ eps^{-1/2}).
-    N is the smallest power of two (at least 16) with h <= h_factor/sqrt(eps)
+    N is the smallest power of two (at least 16) with h <= 0.25/sqrt(eps)
     and exp(-pi d / h) <= 1e-7, where d = profile.sonic_branch_distance(c, K):
     the profile's Fourier coefficients decay like exp(-d |k|), and pi/h is the
     Nyquist wavenumber.  d shrinks much faster than eps^{-1/2} as eps leaves the
@@ -102,88 +95,44 @@ def default_grid(eps: float, K: float = 1.0, L: float | None = None,
         if d <= 0.0:
             raise ValueError(f"no solitary-wave peak below the sonic point at eps={eps:g}, "
                              f"K={K:g}: no grid resolves the profile")
-        h_max = min(h_factor / np.sqrt(eps), np.pi * d / np.log(1.0 / _NYQUIST_TAIL))
+        h_max = min(_H_FACTOR / np.sqrt(eps), np.pi * d / np.log(1.0 / _NYQUIST_TAIL))
         N = max(int(2 ** np.ceil(np.log2(2 * L / h_max))), 16)
         if N > N_MAX:
             raise ValueError(f"resolving the profile at eps={eps:g}, K={K:g} needs "
                              f"N={N} > {N_MAX} grid points")
-    return Grid(L=L, N=N, boundary_mode=boundary_mode)
-
-
-@dataclass
-class Field:
-    """Per-node values with 1..4 interleaved components, shape (ncomp, N) or (N,)."""
-
-    values: np.ndarray
-    grid: Grid
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-        if self.values.ndim == 1:
-            self.values = self.values[None, :]
-        if self.values.shape[1] != self.grid.N:
-            raise ValueError("values length does not match grid")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("non-finite field values")
-
-    @property
-    def ncomp(self) -> int:
-        return self.values.shape[0]
+    return Grid(L=L, N=N)
 
 
 # ---------------------------------------------------------------------------
-# differentiation / quadrature
-
-_FD1_INTERIOR = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-_FD2_INTERIOR = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-# 4th-order one-sided first derivative (forward), 5-point
-_FD1_EDGE = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-# 4th-order one-sided second derivative (forward), 6-point
-_FD2_EDGE = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / 12.0
-
-
-def _fd_apply(v: np.ndarray, h: float, order: int) -> np.ndarray:
-    n = v.shape[-1]
-    out = np.empty_like(v, dtype=float)
-    if order == 1:
-        stencil, edge, p = _FD1_INTERIOR, _FD1_EDGE, 1
-    else:
-        stencil, edge, p = _FD2_INTERIOR, _FD2_EDGE, 2
-    core = np.apply_along_axis(lambda r: np.convolve(r, stencil[::-1], mode="valid"), -1, v)
-    out[..., 2:n - 2] = core
-    m = len(edge)
-    for i in (0, 1):
-        out[..., i] = v[..., i:i + m] @ edge
-        out[..., n - 1 - i] = ((-1) ** p) * (v[..., n - 1 - i - m + 1:n - i][..., ::-1] @ edge)
-    return out / h ** p
-
+# differentiation / quadrature / translation
 
 def derivative(v: np.ndarray, grid: Grid, order: int = 1) -> np.ndarray:
-    """Differentiate node values; spectral in periodic mode, FD4 on the line."""
+    """Differentiate node values spectrally (Fourier collocation)."""
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2, or 3")
     v = np.asarray(v)
     if not np.all(np.isfinite(v)):
         raise ValueError("non-finite input to derivative")
-    if grid.boundary_mode == "periodic":
-        if np.isrealobj(v):
-            return np.fft.irfft(grid.symbol(order) * np.fft.rfft(v, axis=-1),
-                                n=grid.N, axis=-1)
-        return np.fft.ifft(grid.symbol(order, real=False) * np.fft.fft(v, axis=-1), axis=-1)
-    if order == 3:
-        return _fd_apply(_fd_apply(v, grid.h, 2), grid.h, 1)
-    return _fd_apply(v, grid.h, order)
+    if np.isrealobj(v):
+        return np.fft.irfft(grid.symbol(order) * np.fft.rfft(v, axis=-1),
+                            n=grid.N, axis=-1)
+    return np.fft.ifft(grid.symbol(order, real=False) * np.fft.fft(v, axis=-1), axis=-1)
 
 
 def integrate(v: np.ndarray, grid: Grid) -> float | complex:
-    """Quadrature consistent with boundary_mode (rectangle/trapezoid)."""
+    """Rectangle rule, spectrally accurate for periodic data."""
     v = np.asarray(v)
     if not np.all(np.isfinite(v)):
         raise ValueError("non-finite input to integrate")
-    if grid.boundary_mode == "periodic":
-        return grid.h * v.sum(axis=-1)
-    s = v.sum(axis=-1) - 0.5 * (v[..., 0] + v[..., -1])
-    return grid.h * s
+    return grid.h * v.sum(axis=-1)
+
+
+def translate(fields, shift, grid):
+    """Translate each row of real `fields` by `shift` via the Fourier phase
+    e^{-ik shift}: exact for band-limited data; returns shape (rows, N)."""
+    ph = np.exp(-1j * grid.k[: grid.N // 2 + 1] * shift)
+    return np.array([np.fft.irfft(np.fft.rfft(f) * ph, n=grid.N)
+                     for f in np.atleast_2d(fields)])
 
 
 def inner(f: np.ndarray, g: np.ndarray, grid: Grid):

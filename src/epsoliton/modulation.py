@@ -18,13 +18,12 @@ and `track` runs this along a trajectory, monitoring |dD/dt - c| and |dc/dt|
 against the weighted-norm bounds they must satisfy.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
 
-from .grid import Grid, integrate, inner, norms, derivative
+from .grid import Grid, integrate, inner, norms, translate
 from .profile import build_profile, profile_c_derivative
 from .elliptic import solve_poisson
 
@@ -169,13 +168,6 @@ class DecomposeReport:
     history: list
 
 
-def shift_fields(fields, shift, grid):
-    """Translate each row of `fields` by `shift` via Fourier phase."""
-    kh = grid.k[: grid.N // 2 + 1]
-    ph = np.exp(-1j * kh * shift)
-    return np.array([np.fft.irfft(np.fft.rfft(f) * ph, n=grid.N) for f in np.atleast_2d(fields)])
-
-
 def decompose(state, ctx, weights, c_guess=None, D_guess=None,
               tol=1e-12, maxiter=40):
     """Extract (c, D, V, V_phi) from a state near the soliton family.
@@ -196,7 +188,7 @@ def decompose(state, ctx, weights, c_guess=None, D_guess=None,
     zeta_B = weights.zeta_B
 
     def F(D, c):
-        V = shift_fields(U, -D, grid) - np.array(ctx.fields(c)[:2])
+        V = translate(U, -D, grid) - np.array(ctx.fields(c)[:2])
         kv = ctx.kernel_vectors(c)
         r1 = inner(V, zeta_B * kv.eta1, grid)
         r2 = inner(V, kv.eta2, grid)
@@ -234,7 +226,7 @@ def decompose(state, ctx, weights, c_guess=None, D_guess=None,
     if not converged:
         raise RuntimeError(f"decompose: Newton stagnated, residual history {history}")
     # electric-potential component of the perturbation
-    n_shift = shift_fields(state.n, -D, grid)[0]
+    n_shift = translate(state.n, -D, grid)[0]
     phi_full, _ = solve_poisson(n_shift, grid)
     V_phi = phi_full - ctx.fields(c)[2]
     return c, D, V, V_phi, DecomposeReport(len(history), res, converged, history)

@@ -421,33 +421,14 @@ def kdv_residual(p: ProfileSolution) -> float:
     return float(np.max(np.abs(S - ref)))
 
 
-def kdv_scaling_exponent(eps_list, K, grid_factory=None) -> tuple[float, list[float]]:
-    """log2-slope of the KdV remainder over an eps-sweep (expected ~ 2)."""
-    sups = []
-    for eps in eps_list:
-        grid = grid_factory(eps) if grid_factory else default_grid(eps, K)
-        sups.append(kdv_residual(profile_from_eps(eps, K, grid)))
-    le, ls = np.log2(np.asarray(eps_list, dtype=float)), np.log2(sups)
-    slope = np.polyfit(le, ls, 1)[0]
-    return float(slope), sups
-
-
-def profile_c_derivative(c: float, K: float, grid: Grid, dc: float = 1e-5,
-                         richardson: bool = False) -> dict:
+def profile_c_derivative(c: float, K: float, grid: Grid, dc: float = 1e-5) -> dict:
     """Central finite-difference c-derivatives of the profile family."""
-    def fd(d):
-        pp, pm = build_profile(c + d, K, grid), build_profile(c - d, K, grid)
-        return {
-            "xi2": np.array([(pp.n - pm.n), (pp.u - pm.u)]) / (2 * d),
-            "dphi_dc": (pp.phi - pm.phi) / (2 * d),
-            "dpsi_dc": (pp.psi - pm.psi) / (2 * d),
-        }
-    out = fd(dc)
-    if richardson:
-        half = fd(dc / 2)
-        for key in out:
-            out[key] = (4 * half[key] - out[key]) / 3.0
-    return out
+    pp, pm = build_profile(c + dc, K, grid), build_profile(c - dc, K, grid)
+    return {
+        "xi2": np.array([(pp.n - pm.n), (pp.u - pm.u)]) / (2 * dc),
+        "dphi_dc": (pp.phi - pm.phi) / (2 * dc),
+        "dpsi_dc": (pp.psi - pm.psi) / (2 * dc),
+    }
 
 
 def tail_rate_check(p: ProfileSolution, decades: float = 2.0) -> float:

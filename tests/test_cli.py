@@ -26,9 +26,12 @@ def test_load_config_parses_types_and_comments(tmp_path):
     assert v["K"] == cli._DEFAULTS["K"]
 
 
-def test_load_config_rejects_unknown_key(tmp_path):
+# seed and workers are not keys: no subcommand draws random numbers or runs workers
+@pytest.mark.parametrize("line", ["epsilon=0.1", "seed=1", "workers=2"],
+                         ids=["epsilon", "seed", "workers"])
+def test_load_config_rejects_unknown_key(tmp_path, line):
     f = tmp_path / "cfg.txt"
-    f.write_text("epsilon=0.1\n")
+    f.write_text(line + "\n")
     with pytest.raises(cli.ValidationError):
         cli.load_config(f)
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from epsoliton import diagnostics as dg, elliptic
-from epsoliton.grid import Grid, integrate
+from epsoliton.grid import integrate, norms
 
 
 def _test_V(p, scale=1e-3):
@@ -39,6 +39,14 @@ def test_virial_I_parity(p10, w10):
                           p10.grid))
     assert abs(dg.virial_I(1, V, p10, w10)) < 1e-10 * ref
     assert abs(dg.virial_I(2, V, p10, w10)) < 1e-10 * ref
+
+
+def test_virial_series_matches_single_snapshot_functionals(p10, w10):
+    Vs = [_test_V(p10), _test_V(p10, scale=-2e-3)]
+    I1, I2, J = dg.virial_series(Vs, p10, w10)
+    assert list(I1) == [dg.virial_I(1, V, p10, w10) for V in Vs]
+    assert list(I2) == [dg.virial_I(2, V, p10, w10) for V in Vs]
+    assert list(J) == [dg.virial_J(V, p10, w10) for V in Vs]
 
 
 def test_virial_J_bound(p10, w10):
@@ -109,7 +117,9 @@ def test_virial_ratio_monitor_shapes(p10, w10):
     t = np.linspace(0.0, 8.0, 9)
     V = _test_V(p10)
     Vs = [np.exp(-0.3 * tt) * V for tt in t]
-    monitors = dg.virial_ratio_monitor(t, Vs, p10, w10)
+    bundle = dg.norm_bundle_series([norms(V, w10) for V in Vs])
+    monitors = dg.virial_ratio_monitor(t, Vs, p10, w10,
+                                       dg.virial_series(Vs, p10, w10), bundle)
     assert [m.name for m in monitors] == ["Sigma1", "Sigma2", "Sigma_tilde"]
     for m in monitors:
         assert np.isfinite(m.C)
@@ -189,6 +199,34 @@ def test_stability_experiment_unperturbed_trivial(grid10, monkeypatch):
     assert not rep.blown_up
     d = rep.to_json_dict()
     assert d["verdicts"]["decompose_ok"] is True
+
+
+def test_stability_experiment_computes_each_series_once(grid10, monkeypatch):
+    # one norm bundle per snapshot (shared by the track, the bundle series and
+    # the virial monitor), and e(S_c) once for all the virial functionals
+    from epsoliton import dynamics, grid, modulation
+    norm_calls, energy_calls = [], []
+    bundle, energy = grid.norms, dynamics.energy_density
+
+    def counted_norms(*args, **kwargs):
+        norm_calls.append(1)
+        return bundle(*args, **kwargs)
+
+    def counted_energy(*args, **kwargs):
+        energy_calls.append(1)
+        return energy(*args, **kwargs)
+
+    for mod in (grid, modulation):
+        monkeypatch.setattr(mod, "norms", counted_norms)
+    monkeypatch.setattr(dynamics, "energy_density", counted_energy)
+    cfg = dg.StabilityConfig(K=1.0, eps=0.1, delta=1e-3, T=2.0, n_saves=5,
+                             grid=grid10)
+    rep = dg.stability_experiment(cfg)
+    n = len(rep.track.t)
+    assert n == 5 and rep.verdicts["decompose_ok"]
+    assert len(norm_calls) == n
+    assert len(energy_calls) == n + 1
+    assert len(rep.bundle["Sigma1"]) == n and len(rep.I1) == n
 
 
 def test_stability_experiment_far_data_degrades(grid10):

@@ -18,14 +18,14 @@ def _zero(g):
 # ------------------------------------------------------------ gradient / rhs
 
 def test_gradient_E_zero(g):
-    gn, gu = dyn.gradient_E(_zero(g), np.zeros(g.N), 1.0, g)
+    gn, gu = dyn.gradient_E(_zero(g), np.zeros(g.N), 1.0)
     assert np.max(np.abs(gn)) == 0.0 and np.max(np.abs(gu)) == 0.0
 
 
 def test_gradient_E_velocity_only(g):
     u0 = 0.3 * np.exp(-g.x ** 2)
     s = dyn.State(0.0, np.zeros(g.N), u0)
-    gn, gu = dyn.gradient_E(s, np.zeros(g.N), 1.0, g)
+    gn, gu = dyn.gradient_E(s, np.zeros(g.N), 1.0)
     assert np.max(np.abs(gn - u0 ** 2 / 2)) < 1e-14
     assert np.max(np.abs(gu - u0)) < 1e-14
 
@@ -33,7 +33,7 @@ def test_gradient_E_velocity_only(g):
 def test_gradient_E_rejects_vacuum(g):
     s = dyn.State(0.0, np.full(g.N, -1.0), np.zeros(g.N))
     with pytest.raises(ValueError):
-        dyn.gradient_E(s, np.zeros(g.N), 1.0, g)
+        dyn.gradient_E(s, np.zeros(g.N), 1.0)
 
 
 def test_rhs_zero_state(g):
@@ -55,7 +55,7 @@ def test_rhs_gradient_form(p05):
     g = p05.grid
     s = dyn.soliton_state(p05)
     phi, _ = ell.solve_poisson(s.n, g)
-    gn, gu = dyn.gradient_E(s, phi, p05.K, g)
+    gn, gu = dyn.gradient_E(s, phi, p05.K)
     dn = -derivative(gu, g, 1)
     du = -derivative(gn, g, 1)
     rn, ru, _ = dyn.rhs(s, p05.K, g)

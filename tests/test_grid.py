@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epsoliton.grid import (Grid, default_grid, derivative, integrate, inner,
-                            l2norm, zeta, make_weights, default_weights, norms)
+                            l2norm, translate, zeta, make_weights, default_weights,
+                            norms)
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +198,20 @@ def test_derivative_resolved_modes_property(m1, m2):
     exact = (k1 * np.cos(k1 * g.x) * np.cos(k2 * g.x)
              - k2 * np.sin(k1 * g.x) * np.sin(k2 * g.x))
     assert np.max(np.abs(derivative(f, g, 1) - exact)) < 1e-10
+
+
+def test_translate_rows_exactly(g):
+    f = np.exp(-(g.x / 2) ** 2) * np.sin(3 * g.x)
+    h = np.cos(np.pi * g.x / g.L)
+    # a whole number of cells is a cyclic roll of the nodes
+    out = translate(np.array([f, h]), 5 * g.h, g)
+    assert out.shape == (2, g.N)
+    assert np.max(np.abs(out - np.roll([f, h], 5, axis=1))) < 1e-13
+    # a fraction of a cell moves a resolved mode exactly; one row comes back 2-D
+    d = 0.3 * g.h
+    out = translate(h, d, g)
+    assert out.shape == (1, g.N)
+    assert np.max(np.abs(out[0] - np.cos(np.pi * (g.x - d) / g.L))) < 1e-13
 
 
 # ------------------------------------------------------------ default grid

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from epsoliton.grid import inner
+from epsoliton.grid import inner, translate
 from epsoliton import dynamics as dyn
 from epsoliton import modulation as mod
 
@@ -95,7 +95,7 @@ def test_newton_jacobian_near_identity(p10, ctx10, w10):
     h = 1e-7
 
     def F(D, c):
-        V = mod.shift_fields(U, -D, g) - np.array(ctx10.fields(c)[:2])
+        V = translate(U, -D, g) - np.array(ctx10.fields(c)[:2])
         kv = ctx10.kernel_vectors(c)
         return np.array([inner(V, w10.zeta_B * kv.eta1, g),
                          inner(V, kv.eta2, g)])
