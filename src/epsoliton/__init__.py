@@ -8,7 +8,7 @@ Modules:
   dynamics    - nonlinear evolution (method of lines, RK4) and invariants
   modulation  - kernel/adjoint vectors, (c, D) decomposition and tracking
   linearized  - the linearized operator, semigroup runs, decay/smoothing
-  evans       - 4x4 Evans function, dispersion roots, resolvent
+  evans       - 4x4 Evans function, dispersion roots, winding numbers
   diagnostics - virial functionals, stability experiment, verdicts
   cli         - command-line orchestration and persistence
 """

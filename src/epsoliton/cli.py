@@ -31,12 +31,12 @@ class NumericalFailure(Exception):
 
 # ------------------------------------------------------------------ config
 
-_DEFAULTS = dict(K=1.0, eps=0.05, L=None, N=None, A=100.0, B=10.0, A1=None,
+_DEFAULTS = dict(K=1.0, eps=0.05, L=None, N=None, A=100.0, B=10.0,
                  kappa=0.1, rho=0.3, delta=1e-3, shape="even", T=None,
-                 n_saves=41, segment="0.02:1:25", lam="0.3+0.2j")
+                 n_saves=41, segment="0.02:1:25")
 
 _INT_KEYS = {"N", "n_saves"}
-_STR_KEYS = {"shape", "segment", "lam"}
+_STR_KEYS = {"shape", "segment"}
 
 
 @dataclass
@@ -242,7 +242,9 @@ def cmd_linear(cfg, out):
     f2 = out / "kato.csv"
     write_long_csv(f2, tk, {"running_integral": run})
     excess = (run[-1] - run[len(run) // 2]) / max(run[-1], 1e-300)
-    return [f, f2], {"decay_rate": rate, "kato_excess": float(excess)}, \
+    # a NaN rate (no decaying segment to fit) is written as JSON null
+    return [f, f2], {"decay_rate": rate if np.isfinite(rate) else None,
+                     "kato_excess": float(excess)}, \
         {"decay_positive": bool(rate > 0),
          "kato_plateau": bool(excess < 0.1)}
 

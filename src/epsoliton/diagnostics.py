@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics, elliptic, modulation, profile as profile_mod
-from .grid import Grid, default_grid, default_weights, derivative, integrate, l2norm
+from .grid import (Grid, default_grid, default_weights, derivative, integrate, l2norm,
+                   running_integral)
 
 
 # ----------------------------------------------------------------- virials
@@ -84,17 +85,6 @@ def virial_linear_functional(weight, p):
     G = derivative(weight * p.psi, g) + weight * (p.n + 1.0 - np.exp(p.phi))
     W1 = weight * ge[0] + elliptic.apply_inv_schrodinger(G, p.phi, g)
     return W1, weight * ge[1]
-
-
-def local_decay(Vs, ts, a, grid):
-    """Series int e^{-2a<x>} |V|^2 dx and its running time integral."""
-    bracket = np.sqrt(1.0 + grid.x ** 2)
-    wloc = np.exp(-2.0 * a * bracket)
-    series = np.array([float(integrate(wloc * (np.abs(V) ** 2).sum(axis=0), grid))
-                       for V in Vs])
-    running = np.concatenate([[0.0], np.cumsum(
-        (series[1:] + series[:-1]) / 2 * np.diff(ts))])
-    return series, running
 
 
 # -------------------------------------------------- modulation-frame series
@@ -313,8 +303,10 @@ def stability_experiment(config: StabilityConfig) -> StabilityReport:
     t = track.t
 
     rep.I1, rep.I2, rep.J = virial_series(Vs, p, w)
-    rep.local, rep.local_running = local_decay(Vs, t, w.a_rate, g)
     rep.bundle = norm_bundle_series(track.norms)
+    # int e^{-2a<x>} |V|^2 dx per snapshot, and its running time integral
+    rep.local = rep.bundle["weighted_local"]
+    rep.local_running = running_integral(rep.local, t)
 
     if config.delta > 0:
         head = _window_mean(rep.local, 0.1, head=True)

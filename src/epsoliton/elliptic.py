@@ -10,13 +10,12 @@ Three families of problems share one discretisation:
   contraction factor (max e^phi - min e^phi)/(max e^phi + min e^phi), about
   0.1 for the eps = 0.1 wave.  Newton steps, damped on F when the residual
   keeps growing, take over when that iteration stalls;
-* linear solves with  -d^2/dx^2 + e^{phi_c}  and the shifted operator
-  h_c - z = -d^2/dx^2 + (e^{phi_c} - 1) - z  for z off [0, inf);
-* the Jost machinery for the scalar operator h_c: decaying/oscillatory
-  solutions f+-(x,k) = e^{+-ikx} m+-(x,k), the transmission coefficient
-  1/T = (1/2ik)[f+, f-], and the resolvent kernel built from them.
+* linear solves with  -d^2/dx^2 + e^{phi_c}  (e^phi in the Newton steps);
+* the Jost machinery for the scalar operator h_c = -d^2/dx^2 + e^{phi_c} - 1:
+  decaying/oscillatory solutions f+-(x,k) = e^{+-ikx} m+-(x,k) and the
+  transmission coefficient 1/T = (1/2ik)[f+, f-].
 
-Linear solves are matrix-free Krylov iterations preconditioned by the
+Linear solves are conjugate-gradient iterations preconditioned by the
 constant-coefficient Fourier symbol.  A fixed operator -d^2/dx^2 + e^{phi_c}
 applied many times (the linearized flow) is inverted once instead, as a dense
 Cholesky inverse on grids of up to DENSE_N_MAX points.
@@ -28,49 +27,29 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dpotrf, dpotri
-from scipy.sparse.linalg import LinearOperator, cg, gmres
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .grid import derivative, integrate
 
 
-def _helmholtz_solve(f, w, grid, z=0.0, tol=1e-13):
-    """Solve (-d^2/dx^2 + w(x) - z) g = f.
-
-    w real positive (typically e^{phi_c}); z complex off the spectrum of the
-    constant-coefficient part.  Preconditioned Krylov with the Fourier
-    symbol 1/(k^2 + mean(w) - z).
-    """
+def _helmholtz_solve(f, w, grid, tol=1e-13):
+    """Solve (-d^2/dx^2 + w(x)) g = f for real f and real positive w
+    (typically e^{phi_c}) by conjugate gradients preconditioned with the
+    Fourier symbol 1/(k^2 + mean(w))."""
     f = np.asarray(f)
-    w = np.broadcast_to(np.asarray(w, dtype=float), f.shape).copy()
-    k2 = grid.k ** 2
-    shift = np.mean(w) - z
-    complex_mode = np.iscomplexobj(f) or np.iscomplexobj(np.asarray(z))
-    dtype = complex if complex_mode else float
+    w = np.asarray(w, dtype=float)
+    k2 = grid.k[: grid.N // 2 + 1] ** 2
+    shift = np.mean(w)
 
     def apply_A(v):
-        v = v.view()
-        return -derivative(v, grid, order=2) + (w - z) * v
+        return -derivative(v, grid, order=2) + w * v
 
     def apply_M(v):
-        return np.fft.ifft(np.fft.fft(v) / (k2 + shift))
+        return np.fft.irfft(np.fft.rfft(v) / (k2 + shift), n=grid.N)
 
-    def apply_M_real(v):
-        return np.fft.irfft(np.fft.rfft(v) / (k2[: grid.N // 2 + 1] + shift), n=grid.N)
-
-    if not np.iscomplexobj(np.asarray(z)) and np.iscomplexobj(f):
-        # real operator, complex data: two symmetric solves
-        gr = _helmholtz_solve(f.real, w, grid, z=float(np.real(z)), tol=tol)
-        gi = _helmholtz_solve(f.imag, w, grid, z=float(np.real(z)), tol=tol)
-        return gr + 1j * gi
-
-    A = LinearOperator((grid.N, grid.N), matvec=apply_A, dtype=dtype)
-    if complex_mode:
-        M = LinearOperator((grid.N, grid.N), matvec=apply_M, dtype=complex)
-        g, info = gmres(A, f.astype(complex), M=M, rtol=max(tol, 3e-12), atol=0.0,
-                        restart=60, maxiter=50)
-    else:
-        M = LinearOperator((grid.N, grid.N), matvec=apply_M_real, dtype=float)
-        g, info = cg(A, f, M=M, rtol=tol, atol=0.0, maxiter=300)
+    A = LinearOperator((grid.N, grid.N), matvec=apply_A, dtype=float)
+    M = LinearOperator((grid.N, grid.N), matvec=apply_M, dtype=float)
+    g, info = cg(A, f, M=M, rtol=tol, atol=0.0, maxiter=300)
     if info != 0:
         raise RuntimeError(f"Helmholtz Krylov solve failed to converge (info={info})")
     return g
@@ -176,7 +155,7 @@ def _poisson_fixed_point(n, grid, phi0, tol, maxiter=40):
 
 def apply_inv_schrodinger(f, phi_c, grid, tol=1e-13):
     """Solve (-d^2/dx^2 + e^{phi_c}) g = f."""
-    return _helmholtz_solve(f, np.exp(np.asarray(phi_c, dtype=float)), grid, z=0.0, tol=tol)
+    return _helmholtz_solve(f, np.exp(np.asarray(phi_c, dtype=float)), grid, tol=tol)
 
 
 DENSE_N_MAX = 1024  # largest N given a dense inverse (8 MB at 1024)
@@ -211,20 +190,6 @@ def schrodinger_solver(phi_c, grid):
         H[j + 1:, j] = H[j, j + 1:]
     H.flags.writeable = False
     return H.__matmul__
-
-
-def resolvent_hc(f, phi_c, grid, z=-1.0, tol=1e-13):
-    """Solve (h_c - z) g = f with h_c = -d^2/dx^2 + e^{phi_c} - 1.
-
-    z must lie off the essential spectrum [0, inf).
-    """
-    z = complex(z)
-    if z.imag == 0.0 and z.real >= 0.0:
-        raise ValueError("resolvent_hc: z on the essential spectrum [0, inf)")
-    if z.imag == 0.0:
-        z = z.real
-    phi_c = np.asarray(phi_c, dtype=float)
-    return _helmholtz_solve(f, np.exp(phi_c), grid, z=1.0 + z, tol=tol)
 
 
 def _q_spline(phi_c, grid):

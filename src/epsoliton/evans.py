@@ -23,11 +23,8 @@ Both are marched by the 6th-order Magnus method on one mesh, f_1 with the
 step exponentials exp(-Omega_k) and g_1 with their transposes, so the
 discrete pairing is conserved to roundoff as well.
 D vanishes at lambda = 0 together with its first derivative, and nowhere
-else in the closed right half-plane.
-
-`resolvent_apply` solves (lambda - L)U = F by a 4th-order Hermite-Simpson
-collocation two-point BVP with decay boundary conditions.  All C^4 pairings
-here are bilinear (no conjugation).
+else in the closed right half-plane.  All C^4 pairings here are bilinear
+(no conjugation).
 """
 
 from dataclasses import dataclass
@@ -38,8 +35,6 @@ import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.interpolate import CubicSpline
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import spsolve
 
 from .profile import sonic_branch_distance
 
@@ -54,7 +49,6 @@ class CoefficientCache:
     """
 
     def __init__(self, p, n_fine=8):
-        self.p = p
         self.c, self.K = p.c, p.K
         g = p.grid
         xf = np.linspace(-g.L, g.L, n_fine * g.N + 1)
@@ -63,7 +57,7 @@ class CoefficientCache:
         c, K = self.c, self.K
         J = (c - u) ** 2 - K
         if np.min(J) <= 0:
-            raise ValueError("coefficient_matrix: J = (c-u)^2 - K <= 0 (not supersonic)")
+            raise ValueError("CoefficientCache: J = (c-u)^2 - K <= 0 (not supersonic)")
         one_n = 1.0 + n
         rows = np.array([
             (c - u) * du / J - K * dn / (J * one_n),          # A1[0,0]
@@ -103,15 +97,6 @@ class CoefficientCache:
         A1, A2 = self.A1_A2(x)
         return A1 + lam * A2
 
-    def Lc_inv_apply(self, x, F1, F2):
-        """(L_c)^{-1} (F1,F2) pointwise: L_c = ((u-c,1+n),(K/(1+n),u-c))."""
-        p = self.p
-        u = p.at(x, "u"); n = p.at(x, "n")
-        c, K = self.c, self.K
-        J = (c - u) ** 2 - K
-        return ((u - c) * F1 - (1.0 + n) * F2) / J, \
-               (-K / (1.0 + n) * F1 + (u - c) * F2) / J
-
 
 def A_infinity(lam, c, K):
     d = c * c - K
@@ -120,13 +105,6 @@ def A_infinity(lam, c, K):
         [K * lam / d, c * lam / d, 0.0, c / d],
         [0.0, 0.0, 0.0, 1.0],
         [-1.0, 0.0, 1.0, 0.0]], dtype=complex)
-
-
-def coefficient_matrix(x, lam, p, cache=None):
-    """A(x, lambda) for scalar or array x; see CoefficientCache."""
-    if cache is None:
-        cache = CoefficientCache(p)
-    return cache.A(x, lam)
 
 
 # ------------------------------------------------------------- dispersion
@@ -159,10 +137,6 @@ class AsymptoticData:
     ws: np.ndarray = None
     pairings: np.ndarray = None
     degenerate: np.ndarray = None    # branches with mu ~ 0 (no frame)
-
-    @property
-    def eps(self):
-        return self.c - np.sqrt(1.0 + self.K)
 
 
 def dispersion_roots(lam, c, K, n_steps=60):
@@ -244,16 +218,6 @@ def asymptotic_data(lam, c, K):
 
 
 # ------------------------------------------------------------------- Jost
-
-@dataclass
-class JostSolution:
-    lam: complex
-    j: int
-    x: np.ndarray
-    m: np.ndarray        # (4, M) rescaled profile e^{-mu_j x} f_j
-    mu: complex
-    anchor: np.ndarray
-
 
 # Gauss-Legendre nodes on [0, 1]: the three stages of the Magnus step
 _GAUSS3 = 0.5 + np.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
@@ -382,42 +346,9 @@ def _sweep(E, anchor, backward, transpose=False):
     return (y[::-1] if backward else y).T
 
 
-def _march(cache, lam, mu, anchor, x_from, x_to, x_eval, rtol=1e-11):
-    """March m' = (A - mu I) m from x_from to x_to by the 6th-order Magnus
-    method; values at x_eval, in its order, shape (4, len(x_eval))."""
-    backward = x_to < x_from
-    mesh = _jost_mesh(cache.c, cache.K, min(x_from, x_to), max(x_from, x_to),
-                      x_eval, rtol)
-    omega = _magnus_exponents(cache, lam, mu, mesh)
-    E = _expm(-omega if backward else omega)
-    y = _sweep(E, anchor, backward)
-    return y[:, np.searchsorted(mesh, x_eval)]
-
-
 def _stations(p, xa_frac=0.9, n_stations=7):
     xa = xa_frac * p.grid.L
     return xa, np.linspace(-xa, xa, n_stations)
-
-
-def jost_f(j, lam, p, cache=None, xa_frac=0.9, x_eval=None, rtol=1e-11):
-    """Jost solution branch j in {1, 4}: rescaled m_j with m_j(anchor) = v_j.
-
-    j=1 is anchored at +xa (decaying mode as x -> +inf) and marched left;
-    j=4 at -xa marched right.  Both directions are dominance-stable.
-    """
-    if j not in (1, 4):
-        raise ValueError("jost_f: only the extreme branches j=1,4 march stably")
-    if cache is None:
-        cache = CoefficientCache(p)
-    data = asymptotic_data(lam, p.c, p.K)
-    mu = data.mus[j - 1]
-    v = data.vs[:, j - 1]
-    xa, st = _stations(p, xa_frac)
-    if x_eval is None:
-        x_eval = st
-    ends = (xa, -xa) if j == 1 else (-xa, xa)
-    y = _march(cache, lam, mu, v, *ends, x_eval, rtol=rtol)
-    return JostSolution(lam, j, np.asarray(x_eval, dtype=float), y, mu, v)
 
 
 def evans(lam, p, cache=None, rtol=1e-11, return_spread=False):
@@ -535,118 +466,3 @@ def xi_big(p, x=None):
     return np.array([p.at(x, "dn"), p.at(x, "du"),
                      p.at(x, "psi"), p.at(x, "d2phi")])
 
-
-# ------------------------------------------------------- resolvent (BVP)
-
-def _upsample_window(F, p, xa_frac, refine):
-    """Band-limited (FFT zero-padding) values of grid data F at the BVP
-    nodes and interval midpoints; matches the trigonometric interpolant that
-    the spectral application of the operator sees."""
-    g = p.grid
-    factor = 2 * refine
-    spec = np.fft.fft(np.asarray(F, dtype=complex))
-    ext = np.zeros(factor * g.N, dtype=complex)
-    half = g.N // 2
-    ext[:half] = spec[:half]
-    ext[-half:] = spec[-half:]
-    ext[half] = spec[half] / 2
-    ext[-half] = ext[-half] + spec[half] / 2
-    fine = np.fft.ifft(ext) * factor
-    if np.isrealobj(np.asarray(F)):
-        fine = fine.real
-    mask = np.abs(g.x) <= xa_frac * g.L
-    idx = np.where(mask)[0]
-    lo, hi = idx[0] * factor, idx[-1] * factor
-    nodes = fine[lo:hi + 1:2]
-    mids = fine[lo + 1:hi:2]
-    return nodes, mids
-
-
-def _bvp_nodes(p, xa_frac=0.9, refine=1):
-    """Collocation nodes on [-xa, xa]: the periodic-grid nodes inside the
-    window, each interval subdivided `refine` times.  Returns (nodes, index
-    of the grid nodes within the refined set, mask of grid nodes used)."""
-    g = p.grid
-    mask = np.abs(g.x) <= xa_frac * g.L
-    base = g.x[mask]
-    if refine == 1:
-        return base, np.arange(len(base)), mask
-    xs = np.linspace(base[0], base[-1], (len(base) - 1) * refine + 1)
-    return xs, np.arange(0, len(xs), refine), mask
-
-
-def resolvent_apply(lam, F1, F2, p, cache=None, xa_frac=0.9, refine=8):
-    """Solve (lambda - L) U = (F1, F2) by Hermite-Simpson collocation.
-
-    Returns (U (4, M) on the BVP nodes, nodes).  Boundary conditions remove
-    the growing mode content: <w_j, U(+xa)> = 0 for j = 2,3,4 and
-    <w_1, U(-xa)> = 0 (bilinear pairings with the dual frame).
-    """
-    lam = complex(lam)
-    if abs(lam) < 1e-3:
-        raise ValueError("resolvent_apply: lambda too close to the Evans zero")
-    if cache is None:
-        cache = CoefficientCache(p)
-    g = p.grid
-    xs, _, _ = _bvp_nodes(p, xa_frac, refine)
-    M = len(xs)
-    xm = (xs[:-1] + xs[1:]) / 2
-    h = np.diff(xs)
-
-    A1n, A2n = cache.A1_A2(xs)
-    A1m, A2m = cache.A1_A2(xm)
-    An = (A1n + lam * A2n).astype(complex)
-    Am = (A1m + lam * A2m).astype(complex)
-
-    # band-limited data at nodes and midpoints; F = (L_c^{-1} (F1,F2), 0, 0)
-    f1n, f1m = _upsample_window(F1, p, xa_frac, refine)
-    f2n, f2m = _upsample_window(F2, p, xa_frac, refine)
-
-    def Fvec(x, d1, d2):
-        G1, G2 = cache.Lc_inv_apply(x, d1, d2)
-        return np.stack([G1, G2, np.zeros_like(G1), np.zeros_like(G1)], axis=-1)
-
-    Fn = Fvec(xs, f1n, f2n).astype(complex)
-    Fm = Fvec(xm, f1m, f2m).astype(complex)
-
-    I4 = np.eye(4)
-    hh = h[:, None, None]
-    Ak, Ak1 = An[:-1], An[1:]
-    S = I4 - hh / 6 * Ak1 - hh / 3 * Am + hh ** 2 / 12 * np.einsum("kij,kjl->kil", Am, Ak1)
-    R = -I4 - hh / 6 * Ak - hh / 3 * Am - hh ** 2 / 12 * np.einsum("kij,kjl->kil", Am, Ak)
-    b = (h[:, None] / 6 * (Fn[:-1] + 4 * Fm + Fn[1:])
-         + h[:, None] ** 2 / 12 * np.einsum("kij,kj->ki", Am, Fn[:-1] - Fn[1:]))
-
-    data_ = asymptotic_data(lam, p.c, p.K)
-    ws = data_.ws
-
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(4 * M, dtype=complex)
-    for k in range(M - 1):
-        r0 = 4 * k
-        for i in range(4):
-            for jj in range(4):
-                rows.append(r0 + i); cols.append(4 * k + jj); vals.append(R[k, i, jj])
-                rows.append(r0 + i); cols.append(4 * (k + 1) + jj); vals.append(S[k, i, jj])
-        rhs[r0:r0 + 4] = b[k]
-    r0 = 4 * (M - 1)
-    # <w_1, U(-xa)> = 0
-    for jj in range(4):
-        rows.append(r0); cols.append(jj); vals.append(ws[jj, 0])
-    # <w_j, U(+xa)> = 0, j = 2,3,4
-    for i, j in enumerate((1, 2, 3)):
-        for jj in range(4):
-            rows.append(r0 + 1 + i); cols.append(4 * (M - 1) + jj); vals.append(ws[jj, j])
-    Asp = coo_matrix((vals, (rows, cols)), shape=(4 * M, 4 * M), dtype=complex).tocsc()
-    U = spsolve(Asp, rhs).reshape(M, 4).T
-    return U, xs
-
-
-def resolvent_apply_periodic(lam, F1, F2, p, cache=None, xa_frac=0.9, refine=8):
-    """resolvent_apply embedded back on the full periodic grid (zero tails)."""
-    U, xs = resolvent_apply(lam, F1, F2, p, cache, xa_frac, refine)
-    g = p.grid
-    _, idx, mask = _bvp_nodes(p, xa_frac, refine)
-    out = np.zeros((4, g.N), dtype=complex)
-    out[:, mask] = U[:, idx]
-    return out

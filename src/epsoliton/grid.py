@@ -127,6 +127,12 @@ def integrate(v: np.ndarray, grid: Grid) -> float | complex:
     return grid.h * v.sum(axis=-1)
 
 
+def running_integral(series: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Trapezoid-rule integral of a time series from t[0] to each t[i]."""
+    return np.concatenate([[0.0], np.cumsum((series[1:] + series[:-1]) / 2
+                                            * np.diff(t))])
+
+
 def translate(fields, shift, grid):
     """Translate each row of real `fields` by `shift` via the Fourier phase
     e^{-ik shift}: exact for band-limited data; returns shape (rows, N)."""

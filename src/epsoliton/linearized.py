@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, derivative, inner, integrate
+from .grid import Grid, derivative, inner, integrate, running_integral
 from .elliptic import schrodinger_solver
 from .modulation import kernel_vectors, KernelVectors
 
@@ -192,7 +192,9 @@ def dispersive_decay_experiment(V0, ctx, a_rate, T, n_saves=DECAY_SAVES):
 
     The experiment stops at the wrap time (periodic re-entry of radiation
     into the weighted window); the fitted exponential rate over the decaying
-    segment is the acceptance signal (positive under dispersive decay).
+    segment is the acceptance signal (positive under dispersive decay).  The
+    rate is NaN when that segment has fewer than two samples (the norm peaks
+    at the last save): there is no decay to fit.
     """
     traj = ctx.q_trajectory(V0, min(T, wrap_time(ctx)), n_saves)
     vals = np.array([_windowed_weighted_norm(V, ctx, a_rate) for V in traj.states])
@@ -202,6 +204,8 @@ def dispersive_decay_experiment(V0, ctx, a_rate, T, n_saves=DECAY_SAVES):
     i1 = int(np.argmin(vals[i0:])) + i0
     tt, vv = traj.t[i0:i1 + 1], vals[i0:i1 + 1]
     good = vv > 0
+    if np.count_nonzero(good) < 2:
+        return traj.t, vals, float("nan")
     rate = -np.polyfit(tt[good], np.log(vv[good]), 1)[0]
     return traj.t, vals, float(rate)
 
@@ -221,6 +225,4 @@ def kato_smoothing_experiment(V0, ctx, weights, T, n_saves=KATO_SAVES):
     """
     traj = ctx.q_trajectory(V0, min(T, wrap_time(ctx)), n_saves)
     vals = np.array([sigma_tilde_norm(V, ctx, weights) ** 2 for V in traj.states])
-    running = np.concatenate([[0.0], np.cumsum((vals[1:] + vals[:-1]) / 2
-                                               * np.diff(traj.t))])
-    return traj.t, running
+    return traj.t, running_integral(vals, traj.t)

@@ -138,17 +138,14 @@ def _invert_H_scalar(phi: float, c: float, K: float, n_star: float) -> float:
 
 
 def sagdeev_G(phi, c, K, n_star):
-    """G(phi) = int_0^phi (e^s - 1 - N(s,c)) ds, in closed form via m = N(phi,c):
+    """G(phi) = int_0^phi (e^s - 1 - N(s,c)) ds at a scalar phi, in closed form
+    via m = N(phi,c):
 
     G = (e^phi - 1 - phi) - c^2 m^2 / (2 (1+m)^2) + K (m - log(1+m)).
     """
-    if np.ndim(phi) == 0:
-        m = _invert_H_scalar(float(phi), c, K, n_star)
-        return (math.expm1(phi) - phi) - 0.5 * c ** 2 * m * m / (1.0 + m) ** 2 \
-            + K * (m - math.log1p(m))
-    m = invert_H(phi, c, K, n_star)
-    return (np.expm1(phi) - phi) - 0.5 * c ** 2 * m ** 2 / (1.0 + m) ** 2 \
-        + K * (m - np.log1p(m))
+    m = _invert_H_scalar(float(phi), c, K, n_star)
+    return (math.expm1(phi) - phi) - 0.5 * c ** 2 * m * m / (1.0 + m) ** 2 \
+        + K * (m - math.log1p(m))
 
 
 def _h_derivs(n, c, K):
@@ -236,10 +233,6 @@ class ProfileSolution:
     @property
     def eps(self) -> float:
         return self.c - self.V
-
-    @property
-    def mu4_0(self) -> float:
-        return mu4_at_zero(self.c, self.K)
 
     def at(self, x, name: str):
         """Evaluate a profile quantity at arbitrary x (exactly even/odd extension)."""
@@ -364,20 +357,11 @@ def build_profile(c: float, K: float, grid: Grid | None = None) -> ProfileSoluti
         bc0 = (1, 0.0) if parity == "even" else (2, 0.0)
         splines[name] = (CubicSpline(xq, arr, bc_type=(bc0, "not-a-knot")), parity)
 
-    x = grid.x
-    ax = np.abs(x)
-    idx = np.rint(ax / h_fine).astype(int)
-    if np.max(np.abs(ax - xq[np.minimum(idx, len(xq) - 1)])) < 1e-9 * grid.h:
-        pick = lambda arr: arr[np.minimum(idx, len(xq) - 1)]
-        n_g, u_g, phi_g = pick(ns), pick(us), pick(phis)
-        psi_g, dn_g, du_g = pick(psis), pick(dns), pick(dus)
-        d2phi_g = pick(d2phi)
-    else:  # grid nodes not on the fine mesh: evaluate directly
-        sub = _half_line_values(c, K, np.sort(ax), n_star, phi_star)
-        order = np.argsort(ax)
-        inv = np.argsort(order)
-        phi_g, n_g, u_g, psi_g, dn_g, du_g, d2phi_g = (a[inv] for a in sub)
-    sgn = np.sign(x)
+    # node j sits at |x_j| = |j - N/2| h, the fine-mesh point 8 |j - N/2|
+    idx = 8 * np.abs(np.arange(grid.N) - grid.N // 2)
+    n_g, u_g, phi_g, psi_g, dn_g, du_g, d2phi_g = (
+        a[idx] for a in (ns, us, phis, psis, dns, dus, d2phi))
+    sgn = np.sign(grid.x)
     psi_g, dn_g, du_g = psi_g * sgn, dn_g * sgn, du_g * sgn
 
     h_n = dH_dn(n_g, c, K)

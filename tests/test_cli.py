@@ -3,6 +3,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from epsoliton import cli
@@ -26,9 +27,11 @@ def test_load_config_parses_types_and_comments(tmp_path):
     assert v["K"] == cli._DEFAULTS["K"]
 
 
-# seed and workers are not keys: no subcommand draws random numbers or runs workers
-@pytest.mark.parametrize("line", ["epsilon=0.1", "seed=1", "workers=2"],
-                         ids=["epsilon", "seed", "workers"])
+# seed, workers, lam and A1 are not keys: no subcommand draws random numbers,
+# runs workers or reads a spectral parameter or a Sigma_2 cutoff from the config
+@pytest.mark.parametrize("line", ["epsilon=0.1", "seed=1", "workers=2",
+                                  "lam=0.3+0.2j", "A1=3"],
+                         ids=["epsilon", "seed", "workers", "lam", "A1"])
 def test_load_config_rejects_unknown_key(tmp_path, line):
     f = tmp_path / "cfg.txt"
     f.write_text(line + "\n")
@@ -145,6 +148,65 @@ def test_evans_bad_segment(tmp_path, capsys):
                   "--segment", "nonsense"])
     assert rc == 1
     assert "segment" in capsys.readouterr().err
+
+
+def _rows(path):
+    """Header and rows of a CSV file."""
+    with open(path, newline="") as f:
+        header, *rows = list(csv.reader(f))
+    return header, rows
+
+
+def test_evans_happy_path(tmp_path):
+    out = tmp_path / "run"
+    rc = cli.run(["evans", "--out", str(out), "--eps", "0.1",
+                  "--segment", "0.1:0.3:3"])
+    assert rc == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["verdicts"] == {"min_abs_D_positive": True,
+                               "double_zero_at_origin": True}
+    header, rows = _rows(out / "evans.csv")
+    assert header == ["re_lambda", "im_lambda", "re_D", "im_D", "abs_D"]
+    values = [[float(v) for v in row] for row in rows]
+    assert len(values) >= 3 and all(len(row) == 5 for row in values)
+    assert values[0][1] == 0.1 and values[-1][1] == 0.3
+    assert min(row[4] for row in values) == pytest.approx(man["scalars"]["min_abs_D"])
+    assert man["scalars"]["min_abs_D"] > 0
+
+
+def _strict_json(path):
+    """Parse as JSON proper: NaN and Infinity are not JSON."""
+    def reject(token):
+        raise ValueError(f"{token} in {path}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_linear_happy_path(tmp_path):
+    out = tmp_path / "run"
+    rc = cli.run(["linear", "--out", str(out), "--eps", "0.05", "--T", "5"])
+    assert rc == 0
+    man = _strict_json(out / "manifest.json")
+    assert set(man["scalars"]) == {"decay_rate", "kato_excess"}
+    assert set(man["verdicts"]) == {"decay_positive", "kato_plateau"}
+    for name, series in (("linear.csv", "weighted_norm"),
+                         ("kato.csv", "running_integral")):
+        header, rows = _rows(out / name)
+        assert header == ["t", "name", "value"] and len(rows) > 2
+        assert {row[1] for row in rows} == {series}
+        assert np.isfinite(np.array([[row[0], row[2]] for row in rows], dtype=float)).all()
+
+
+def test_linear_without_decaying_segment_writes_null_rate(tmp_path, monkeypatch):
+    # a weighted norm that grows to the last save has no decay to fit
+    from epsoliton import linearized
+    grow = iter(range(1, 10 ** 6))
+    monkeypatch.setattr(linearized, "_windowed_weighted_norm",
+                        lambda V, ctx, a: float(next(grow)))
+    out = tmp_path / "run"
+    assert cli.run(["linear", "--out", str(out), "--T", "2"]) == 0
+    man = _strict_json(out / "manifest.json")
+    assert man["scalars"]["decay_rate"] is None
+    assert man["verdicts"]["decay_positive"] is False
 
 
 def test_evolve_writes_invariants(tmp_path):

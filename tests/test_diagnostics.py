@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from epsoliton import diagnostics as dg, elliptic
-from epsoliton.grid import integrate, norms
+from epsoliton.grid import integrate, norms, running_integral
 
 
 def _test_V(p, scale=1e-3):
@@ -85,17 +85,41 @@ def test_virial_linear_functional_is_first_variation(p10, w10):
 
 # -------------------------------------------------------------- local decay
 
+def _local(V, w):
+    return norms(V, w)["weighted_local"]
+
+
 def test_local_decay_zero_and_homogeneous(p10, w10):
     g = p10.grid
     ts = np.linspace(0.0, 4.0, 5)
-    Vs = [np.zeros((3, g.N))] * 5
-    series, running = dg.local_decay(Vs, ts, w10.a_rate, g)
-    assert np.max(series) == 0.0 and np.max(running) == 0.0
+    assert _local(np.zeros((3, g.N)), w10) == 0.0
+    assert np.max(running_integral(np.zeros(5), ts)) == 0.0
     V = _test_V(p10)
-    s1, r1 = dg.local_decay([V] * 5, ts, w10.a_rate, g)
-    s2, r2 = dg.local_decay([2.0 * V] * 5, ts, w10.a_rate, g)
+    s1 = np.full(5, _local(V, w10))
+    s2 = np.full(5, _local(2.0 * V, w10))
     assert np.allclose(s2, 4.0 * s1, rtol=1e-12)
+    r1 = running_integral(s1, ts)
     assert np.all(np.diff(r1) >= 0)
+    assert r1[-1] == pytest.approx(4.0 * s1[0], rel=1e-14)
+    # the trapezoid rule on t^2 over unit steps: 0, 1/2, 3, 19/2, 22
+    assert list(running_integral(ts ** 2, ts)) == [0.0, 0.5, 3.0, 9.5, 22.0]
+
+
+def test_local_series_match_direct_formula(grid10):
+    # the stability experiment reads the local series off the norm bundles;
+    # it must equal, bit for bit, the direct sum it used to recompute
+    cfg = dg.StabilityConfig(K=1.0, eps=0.1, delta=1e-3, T=2.0, n_saves=5,
+                             grid=grid10)
+    rep = dg.stability_experiment(cfg)
+    g, a = grid10, cfg.rho * np.sqrt(cfg.eps)    # default_weights' a_rate
+    wloc = np.exp(-2.0 * a * np.sqrt(1.0 + g.x ** 2))
+    series = np.array([float(integrate(wloc * (np.abs(V) ** 2).sum(axis=0), g))
+                       for V in rep.track.Vs])
+    running = np.concatenate([[0.0], np.cumsum(
+        (series[1:] + series[:-1]) / 2 * np.diff(rep.track.t))])
+    assert len(series) == 5
+    assert np.array_equal(rep.local, series)
+    assert np.array_equal(rep.local_running, running)
 
 
 # ------------------------------------------------------------- window ratio

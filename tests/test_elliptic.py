@@ -125,39 +125,16 @@ def test_inv_schrodinger_kernel_decay(g):
     assert abs(rate - 1.0) < 0.02
 
 
-# ------------------------------------------------------------ resolvent_hc
-
-def test_resolvent_hc_matches_inv_schrodinger(g):
-    f = np.exp(-g.x ** 2)
-    phi_c = 0.3 * np.exp(-(g.x / 4) ** 2)
-    a = ell.resolvent_hc(f, phi_c, g, z=-1.0)
-    b = ell.apply_inv_schrodinger(f, phi_c, g)
-    assert np.max(np.abs(a - b)) < 1e-11
-
-
-def test_resolvent_hc_round_trip(g):
-    f = np.exp(-(g.x / 2) ** 2)
-    phi_c = 0.2 * np.exp(-(g.x / 4) ** 2)
-    z = -0.7
-    out = ell.resolvent_hc(f, phi_c, g, z=z)
-    back = -derivative(out, g, 2) + (np.exp(phi_c) - 1.0 - z) * out
-    assert np.max(np.abs(back - f)) < 1e-10
-
-
-def test_resolvent_hc_free_kernel(g):
+def test_inv_schrodinger_free_kernel(g):
+    # zero potential: (-d^2/dx^2 + 1)^{-1} has the kernel e^{-|x-y|}/2
     j = g.N // 2 + 40
     f = np.zeros(g.N)
     f[j] = 1.0 / g.h
-    out = ell.resolvent_hc(f, np.zeros(g.N), g, z=-1.0)
+    out = ell.apply_inv_schrodinger(f, np.zeros(g.N), g)
     # away from the kink node (the discrete delta differs there at O(h^2))
     interior = (np.abs(g.x - g.x[j]) < 10) & (np.abs(g.x - g.x[j]) > 0.5)
     exact = 0.5 * np.exp(-np.abs(g.x - g.x[j]))
     assert np.max(np.abs(out[interior] - exact[interior])) < 1e-3
-
-
-def test_resolvent_hc_rejects_essential_spectrum(g):
-    with pytest.raises(ValueError):
-        ell.resolvent_hc(np.zeros(g.N), np.zeros(g.N), g, z=0.5)
 
 
 def test_resolvent_kernel_symmetry(g):
@@ -167,7 +144,7 @@ def test_resolvent_kernel_symmetry(g):
     for j in (i1, i2):
         f = np.zeros(g.N)
         f[j] = 1.0 / g.h
-        cols[j] = ell.resolvent_hc(f, phi_c, g, z=-1.0)
+        cols[j] = ell.apply_inv_schrodinger(f, phi_c, g)
     assert abs(cols[i1][i2] - cols[i2][i1]) < 1e-10
 
 

@@ -1,4 +1,4 @@
-"""Evans-function machinery: coefficients, dispersion, frames, Jost, resolvent."""
+"""Evans-function machinery: coefficients, dispersion, frames, Jost, Evans."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +13,7 @@ def test_coefficient_matrix_matches_A_infinity_in_tails(p10, cache10):
     lam = 0.3 + 0.2j
     Ainf = ev.A_infinity(lam, p10.c, p10.K)
     for xa in (-0.9 * p10.grid.L, 0.9 * p10.grid.L):
-        A = ev.coefficient_matrix(xa, lam, p10, cache10)
+        A = cache10.A(xa, lam)
         assert np.max(np.abs(A - Ainf)) < 1e-8
 
 
@@ -43,17 +43,6 @@ def test_coefficient_matrix_subsonic_rejected(grid10):
         if name == "u" else p.at(x, name)
     with pytest.raises(ValueError):
         ev.CoefficientCache(f)
-
-
-def test_lc_inv_apply_inverts(p10, cache10):
-    x = p10.grid.x
-    F1 = np.exp(-x ** 2 / 9)
-    F2 = np.tanh(x) * np.exp(-x ** 2 / 16)
-    G1, G2 = cache10.Lc_inv_apply(x, F1, F2)
-    u, n = p10.u, p10.n
-    r1 = (u - p10.c) * G1 + (1.0 + n) * G2 - F1
-    r2 = p10.K / (1.0 + n) * G1 + (u - p10.c) * G2 - F2
-    assert max(np.max(np.abs(r1)), np.max(np.abs(r2))) < 1e-12
 
 
 # --------------------------------------------------------------- dispersion
@@ -129,7 +118,6 @@ class _FreeCache:
     """Constant coefficients A(x, lam) = A_infinity: zero potential."""
 
     def __init__(self, c, K):
-        self.c, self.K = c, K
         self._A1 = ev.A_infinity(0.0, c, K).real
         self._A2 = (ev.A_infinity(1.0, c, K) - ev.A_infinity(0.0, c, K)).real
 
@@ -139,34 +127,13 @@ class _FreeCache:
         A2 = np.broadcast_to(self._A2, shp + (4, 4)).copy()
         return A1, A2
 
-    def A(self, x, lam):
-        A1, A2 = self.A1_A2(x)
-        return A1 + lam * A2
-
 
 def test_march_constant_for_zero_potential(p10):
-    lam = 0.3 + 0.2j
+    # constant coefficients: each Magnus step is exp(-(A_inf - mu_1) h), m_1
+    # stays v_1 and n_1 stays w_1, so D = <v_1, w_1> = 1
     cache = _FreeCache(p10.c, p10.K)
-    d = ev.asymptotic_data(lam, p10.c, p10.K)
-    xe = np.linspace(-20.0, 20.0, 9)
-    m = ev._march(cache, lam, d.mus[3], d.vs[:, 3], -25.0, 25.0, xe)
-    assert np.max(np.abs(m - d.vs[:, 3][:, None])) < 1e-8
-
-
-def test_jost_f_matches_frame_in_tail(p05):
-    lam = 0.3 + 0.2j
-    cache = ev.CoefficientCache(p05)
-    d = ev.asymptotic_data(lam, p05.c, p05.K)
-    xa = 0.9 * p05.grid.L
-    f4 = ev.jost_f(4, lam, p05, cache, x_eval=np.array([-xa, 0.0]))
-    assert np.max(np.abs(f4.m[:, 0] - d.vs[:, 3])) < 1e-10   # anchor value
-    f1 = ev.jost_f(1, lam, p05, cache, x_eval=np.array([0.0, xa]))
-    assert np.max(np.abs(f1.m[:, 1] - d.vs[:, 0])) < 1e-10
-
-
-def test_jost_f_invalid_branch(p10, cache10):
-    with pytest.raises(ValueError):
-        ev.jost_f(2, 0.1j, p10, cache10)
+    for lam in _PROBE_LAMS:
+        assert abs(ev.evans(lam, p10, cache) - 1.0) <= 1e-12, lam
 
 
 def test_xi_big_solves_lambda_zero_system(p05):
@@ -320,40 +287,8 @@ def test_evans_scan_segment_and_rectangle(p10, cache10):
     assert len(pts) == 32
     # corners present
     assert np.min(np.abs(pts - (0.1 - 0.3j))) < 1e-14
+    # D has no zero off the origin in the closed right half-plane
+    ring = ev.evans_scan(pts, p10, cache10, closed=True)
+    assert ring.winding == 0
+    assert ring.min_modulus > 0.1
 
-
-# ---------------------------------------------------------------- resolvent
-
-def test_resolvent_rejects_small_lambda(p10, cache10):
-    x = p10.grid.x
-    F = np.exp(-x ** 2 / 25)
-    with pytest.raises(ValueError):
-        ev.resolvent_apply(1e-4, F, F, p10, cache10)
-
-
-def test_resolvent_zero_data(p10, cache10):
-    z = np.zeros(p10.grid.N)
-    U, xs = ev.resolvent_apply(0.3 + 0.2j, z, z, p10, cache10, refine=2)
-    assert np.max(np.abs(U)) == 0.0
-    assert xs[0] < 0 < xs[-1]
-
-
-def test_resolvent_linear(p10, cache10):
-    x = p10.grid.x
-    F1 = np.exp(-(x - 30.0) ** 2 / 25)
-    F2 = np.exp(-(x - 35.0) ** 2 / 16)
-    U1, _ = ev.resolvent_apply(0.3 + 0.2j, F1, F2, p10, cache10, refine=2)
-    U2, _ = ev.resolvent_apply(0.3 + 0.2j, 2 * F1, 2 * F2, p10, cache10,
-                               refine=2)
-    assert np.max(np.abs(U2 - 2 * U1)) < 1e-9 * np.max(np.abs(U1))
-
-
-def test_resolvent_periodic_embedding(p10, cache10):
-    x = p10.grid.x
-    F = np.exp(-(x - 30.0) ** 2 / 25)
-    out = ev.resolvent_apply_periodic(0.3 + 0.2j, F, 0 * F, p10, cache10,
-                                      refine=2)
-    assert out.shape == (4, p10.grid.N)
-    # zero tails outside the BVP window
-    tail = np.abs(x) > 0.95 * p10.grid.L
-    assert np.max(np.abs(out[:, tail])) == 0.0

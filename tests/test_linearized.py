@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,29 @@ def test_kato_homogeneity(p10, lin10, w10):
     _, r1 = lin.kato_smoothing_experiment(V0, lin10, w10, T=4.0, n_saves=9)
     _, r2 = lin.kato_smoothing_experiment(2 * V0, lin10, w10, T=4.0, n_saves=9)
     assert r2[-1] == pytest.approx(4.0 * r1[-1], rel=1e-6)
+
+
+@pytest.mark.parametrize("falls_last", [False, True], ids=["peak_last", "two_points"])
+def test_decay_rate_needs_two_decaying_samples(p05, lin05, w05, monkeypatch, falls_last):
+    # a weighted norm that peaks at the last save leaves a one-sample
+    # decaying segment: no rate (a one-point polyfit warned and read 0.07
+    # at the README's eps = 0.1); two samples fit a line
+    g = p05.grid
+    V0 = np.array([np.exp(-(g.x / 4.0) ** 2), np.zeros(g.N)])
+    n = len(lin05.q_trajectory(V0, 2.0, lin.DECAY_SAVES).states)
+    series = np.arange(1.0, n + 1)
+    if falls_last:
+        series[-1] = series[-2] - 0.5
+    it = iter(series)
+    monkeypatch.setattr(lin, "_windowed_weighted_norm", lambda V, ctx, a: next(it))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, vals, rate = lin.dispersive_decay_experiment(V0, lin05, w05.a_rate, 2.0)
+    assert np.array_equal(vals, series)
+    if falls_last:
+        assert rate > 0
+    else:
+        assert np.isnan(rate)
 
 
 def test_xi1_weighted_norm_constant(p05, kv05, lin05, w05):
