@@ -244,7 +244,9 @@ def cmd_linear(cfg, out):
     excess = (run[-1] - run[len(run) // 2]) / max(run[-1], 1e-300)
     # a NaN rate (no decaying segment to fit) is written as JSON null
     return [f, f2], {"decay_rate": rate if np.isfinite(rate) else None,
-                     "kato_excess": float(excess)}, \
+                     "kato_excess": float(excess),
+                     "propagator_rho": ctx.rho,
+                     "L_applications": ctx.L_applications}, \
         {"decay_positive": bool(rate > 0),
          "kato_plateau": bool(excess < 0.1)}
 

@@ -74,15 +74,24 @@ def solve_poisson(n, grid, phi0=None, tol=1e-11, maxiter=30):
 
     Initial guess is the linearisation (-d^2/dx^2 + 1)^{-1} n unless phi0 is
     given.  The preconditioned fixed-point iteration on the rfft coefficients
-    of phi runs first (see `_poisson_fixed_point`); when it stalls, Newton
-    steps follow, damped by a line search on the convex functional F once the
-    residual keeps growing.  report.residual bounds
-    max |-phi'' + e^phi - 1 - n| and is at most tol on return.
+    of phi runs first (see `_poisson_fixed_point`); when it stalls from phi0,
+    it runs again from the linearisation.  When that stalls too, Newton
+    steps follow from the lower residual, damped by a line search on the
+    convex functional F once the residual keeps growing.  report.residual
+    bounds max |-phi'' + e^phi - 1 - n| and is at most tol on return.
     """
     n = np.asarray(n, dtype=float)
     if not np.all(np.isfinite(n)):
         raise ValueError("solve_poisson: non-finite density")
     phi, rep = _poisson_fixed_point(n, grid, phi0, tol)
+    if rep.residual > tol and phi0 is not None:
+        # a far guess can stall the iteration and leave Newton's CG too
+        # ill-conditioned to converge; restart from the linearisation
+        cold, cold_rep = _poisson_fixed_point(n, grid, None, tol)
+        if cold_rep.residual < rep.residual:
+            phi = cold
+            rep = EllipticSolveReport(rep.iterations + cold_rep.iterations,
+                                      cold_rep.residual, True)
     if rep.residual <= tol:
         return phi, rep
 

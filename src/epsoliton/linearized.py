@@ -1,5 +1,5 @@
 """Linearized operator about the solitary wave: application, adjoint,
-spectral projections, semigroup evolution, decay and smoothing experiments.
+spectral projections, the semigroup e^{tL}, decay and smoothing experiments.
 
 In the frame moving with the wave the linearised flow is V' = L V with
 
@@ -10,11 +10,15 @@ whose generalized kernel is spanned by xi1, xi2 (L xi1 = 0, L xi2 = -xi1);
 the adjoint satisfies L* eta2 = 0, L* eta1 = eta2.  The spectrum is purely
 imaginary; decay shows up only in exponentially weighted norms (dispersive
 decay) and in time-integrated local norms (Kato smoothing), which the two
-experiment drivers below measure.
+experiment drivers below measure.  `evolve_linear` evaluates e^{tL} V0
+exactly in time, by the Chebyshev-Bessel expansion that a spectrum on the
+imaginary interval [-i rho, i rho] admits (Tal-Ezer & Kosloff, J. Chem.
+Phys. 81, 3967 (1984)).
 """
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +33,8 @@ class LinearContext:
     kv: KernelVectors
     grid: Grid
     solve: Callable  # f -> (-d^2/dx^2 + e^{phi_c})^{-1} f, see schrodinger_solver
+    # apply_Lc calls made by evolve_linear runs on this context
+    L_applications: int = field(default=0, init=False, compare=False)
     # the last q_trajectory run: ((V0 shape, V0 bytes, T), LinearTrajectory)
     _memo: tuple = field(default=None, init=False, repr=False, compare=False)
 
@@ -37,6 +43,22 @@ class LinearContext:
         if kv is None:
             kv = kernel_vectors(profile)
         return cls(profile, kv, profile.grid, schrodinger_solver(profile.phi, profile.grid))
+
+    @cached_property
+    def rho(self):
+        """An upper bound on ||L||_2, the radius of evolve_linear's expansion.
+
+        L V = -d/dx (M V) - d/dx (0, H^{-1} V_n) with H = -d^2/dx^2 + e^{phi_c}.
+        The first term is at most k_max max_x ||M(x)||_2 ||V||.  For the
+        second, -(d/dx)^2 <= H - m with m = min e^{phi_c}, so
+        ||d/dx H^{-1} f||^2 <= <H^{-1} f, f> - m ||H^{-1} f||^2 <= ||f||^2 / (4m).
+        """
+        p = self.profile
+        a, b, c = p.u - p.c, 1.0 + p.n, p.K / (1.0 + p.n)
+        # largest singular value of M = ((a, b), (c, a)) at each node; b, c > 0
+        sigma = 0.5 * (np.sqrt(4.0 * a ** 2 + (b - c) ** 2) + b + c)
+        k_max = float(np.max(np.abs(self.grid.symbol(1))))
+        return k_max * float(np.max(sigma)) + 0.5 / np.sqrt(float(np.min(np.exp(p.phi))))
 
     def q_trajectory(self, V0, T, n_saves):
         """e^{tL} Q V0 on [0, T], sampled as evolve_linear(Q V0, ctx, T,
@@ -101,7 +123,7 @@ class LinearTrajectory:
     t: np.ndarray
     states: list
     flagged: bool = False
-    steps: np.ndarray = None  # RK4 step index of each save
+    steps: np.ndarray = None  # index of each save on the step lattice
 
     def covers(self, want):
         """Whether this run saved every step of `want` that it reached."""
@@ -109,7 +131,7 @@ class LinearTrajectory:
 
     def sampled(self, want):
         """The saves at the steps of `want`, and the last save (the final
-        step, or the step that flagged spurious growth)."""
+        step, or the save that flagged spurious growth)."""
         keep = [i for i, s in enumerate(self.steps.tolist())
                 if s in want or i == len(self.steps) - 1]
         return LinearTrajectory(self.t[keep], [self.states[i] for i in keep],
@@ -117,7 +139,7 @@ class LinearTrajectory:
 
 
 def _step_count(ctx, T, dt=None, cfl=0.4):
-    """(number of RK4 steps, step) of evolve_linear over [0, T]."""
+    """(number of steps, step) of evolve_linear's save lattice on [0, T]."""
     if dt is None:
         p = ctx.profile
         speed = float(np.max(np.abs(p.u - p.c))) + np.sqrt(p.K) + 1.0
@@ -132,33 +154,105 @@ def _save_steps(nsteps, n_saves):
     return set(range(0, nsteps + 1, stride)) | {nsteps}
 
 
-def evolve_linear(V0, ctx, T, dt=None, cfl=0.4, n_saves=41):
-    """RK4 evolution of V' = L V; returns a LinearTrajectory.
+def _kapteyn_cutoff(z, tol):
+    """For each z >= 0, the least integer k >= max(z, 1) at which Kapteyn's
+    bound |J_k(z)| <= (x e^s / (1 + s))^k, x = z/k, s = sqrt(1 - x^2),
+    falls to tol (1e-30 or more).  The bound decreases in k and increases
+    in z; it is below 1e-30 at k = 2z + 200, where the bisection starts."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    lo, hi = np.maximum(np.ceil(z), 1.0), np.ceil(2.0 * z) + 200.0
+    while np.any(lo < hi):
+        k = np.floor(0.5 * (lo + hi))
+        x = z / k
+        s = np.sqrt(1.0 - x * x)
+        with np.errstate(divide="ignore"):
+            ok = k * (np.log(x) + s - np.log1p(s)) <= np.log(tol)
+        lo, hi = np.where(ok, lo, k + 1.0), np.where(ok, k, hi)
+    return lo.astype(int)
 
-    n_saves is a save count or a tuple of them; a tuple saves at the union
-    of the steps each count saves at.
+
+def _bessel_table(z, kmax):
+    """J_k(z) for k = 0..kmax (rows) and z >= 0 (columns).
+
+    Miller's backward recurrence J_{k-1} = (2k/z) J_k - J_{k+1}, started
+    for each z where Kapteyn's bound puts J below 1e-30 (J_{k+1} = 0 and a
+    small J_k above it), then normalised by J_0 + 2 sum_k J_{2k} = 1.
+    """
+    z = np.asarray(z, dtype=float)
+    start = _kapteyn_cutoff(z, 1e-30)
+    zs = np.where(z > 0.0, z, 1.0)
+    J = np.zeros((kmax + 1, z.size))
+    nxt, cur, norm = np.zeros(z.size), np.zeros(z.size), np.zeros(z.size)
+    for k in range(int(start.max()), 0, -1):
+        cur = np.where(start == k, 1e-30, cur)
+        nxt, cur = cur, (2.0 * k / zs) * cur - nxt
+        if k <= kmax + 1:
+            J[k - 1] = cur
+        if k % 2 == 1:
+            norm += cur if k == 1 else 2.0 * cur
+    J /= norm
+    J[:, z == 0.0] = 0.0
+    J[0, z == 0.0] = 1.0
+    return J
+
+
+_TERM_TOL = 1e-17  # Kapteyn bound on the last Bessel coefficient kept
+_BLOCK = 128       # Chebyshev vectors per accumulation product
+
+
+def evolve_linear(V0, ctx, T, dt=None, cfl=0.4, n_saves=41):
+    """e^{tL} V0 at the save times of [0, T]; returns a LinearTrajectory.
+
+    The save times lie on the lattice of `_step_count` (the CFL step unless
+    dt is given); n_saves is a save count or a tuple of them, and a tuple
+    saves at the union of the steps each count saves at.  Every state is
+    exact in time: with rho = ctx.rho >= ||L||_2 and L's spectrum on the
+    imaginary axis,
+
+        e^{tL} V0 = J_0(rho t) U_0 + 2 sum_{k >= 1} J_k(rho t) U_k,
+        U_0 = V0,  U_1 = L V0 / rho,  U_{k+1} = (2/rho) L U_k + U_{k-1},
+
+    (U_k = i^k T_k(-iL/rho) V0, T_k the Chebyshev polynomials), cut where
+    Kapteyn's bound on |J_k(rho T)| falls below 1e-17: one apply_Lc per
+    term, about rho T of them, whatever the number of saves.  The U_k are
+    summed in blocks, each save by its own product, so a save's state does
+    not depend on which other saves the run makes.  A save whose norm
+    exceeds e^10 times the initial one flags spurious growth (the premise
+    of the expansion has failed) and ends the trajectory.
     """
     g = ctx.grid
     nsteps, dt = _step_count(ctx, T, dt, cfl)
     counts = n_saves if isinstance(n_saves, tuple) else (n_saves,)
-    save = set().union(*(_save_steps(nsteps, k) for k in counts))
+    steps = np.array(sorted(set().union(*(_save_steps(nsteps, k) for k in counts))))
+    t = steps * dt
+    rho = ctx.rho
+    n_terms = int(_kapteyn_cutoff(rho * t[-1], _TERM_TOL)[0])
+    coef = _bessel_table(rho * t, n_terms).T  # (save, term)
+    coef[:, 1:] *= 2.0
     V = np.array(V0, dtype=float)
+    out = np.zeros((len(t), 1, V.size))
+    block = np.empty((_BLOCK, V.size))
+    U_prev, U = None, V
+    for k in range(n_terms + 1):
+        block[k % _BLOCK] = U.ravel()
+        if k % _BLOCK == _BLOCK - 1 or k == n_terms:
+            k0 = k - k % _BLOCK
+            # copied so that each save's coefficients are contiguous, whatever
+            # the number of saves: every save takes the same product
+            out += np.matmul(coef[:, None, k0:k + 1].copy(), block[:k - k0 + 1])
+        if k < n_terms:
+            LU = apply_Lc(U, ctx)
+            U_prev, U = U, LU / rho if k == 0 else (2.0 / rho) * LU + U_prev
+    ctx.L_applications += n_terms
+    states = list(out.reshape(len(t), *V.shape))
     norm0 = max(np.sqrt(inner(V, V, g)), 1e-300)
-    ts, snaps, steps = [0.0], [V.copy()], [0]
     flagged = False
-    for i in range(1, nsteps + 1):
-        k1 = apply_Lc(V, ctx)
-        k2 = apply_Lc(V + dt / 2 * k1, ctx)
-        k3 = apply_Lc(V + dt / 2 * k2, ctx)
-        k4 = apply_Lc(V + dt * k3, ctx)
-        V = V + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if np.sqrt(inner(V, V, g)) > norm0 * np.exp(10.0):
+    for i, S in enumerate(states):
+        if not np.sqrt(inner(S, S, g)) <= norm0 * np.exp(10.0):
             flagged = True  # spurious growth: spectrum is purely imaginary
-            ts.append(i * dt); snaps.append(V.copy()); steps.append(i)
+            t, states, steps = t[:i + 1], states[:i + 1], steps[:i + 1]
             break
-        if i in save:
-            ts.append(i * dt); snaps.append(V.copy()); steps.append(i)
-    return LinearTrajectory(np.array(ts), snaps, flagged, np.array(steps))
+    return LinearTrajectory(t, states, flagged, steps)
 
 
 def _windowed_weighted_norm(V, ctx, a_rate, window=0.8):

@@ -186,7 +186,12 @@ def test_linear_happy_path(tmp_path):
     rc = cli.run(["linear", "--out", str(out), "--eps", "0.05", "--T", "5"])
     assert rc == 0
     man = _strict_json(out / "manifest.json")
-    assert set(man["scalars"]) == {"decay_rate", "kato_excess"}
+    assert set(man["scalars"]) == {"decay_rate", "kato_excess",
+                                   "propagator_rho", "L_applications"}
+    # what the linearized flow did: its expansion radius and its cost
+    assert man["scalars"]["propagator_rho"] > 0
+    assert isinstance(man["scalars"]["L_applications"], int)
+    assert man["scalars"]["L_applications"] > 0
     assert set(man["verdicts"]) == {"decay_positive", "kato_plateau"}
     for name, series in (("linear.csv", "weighted_norm"),
                          ("kato.csv", "running_integral")):

@@ -60,6 +60,25 @@ def test_poisson_report_bounds_true_residual(g, p10):
             assert r.residual <= tol
 
 
+@pytest.mark.parametrize("guess", ["cos", "gauss"])
+def test_poisson_far_guess_restarts_cold(guess):
+    # from these guesses the fixed point stalls; without a cold restart
+    # Newton's CG stopped at its iteration cap ("cos") or Newton diverged to
+    # a residual of 6e102 ("gauss")
+    from epsoliton.diagnostics import perturbation
+    from epsoliton.profile import profile_from_eps
+    grid = Grid(80.0 / np.sqrt(0.1), 1024)
+    p = profile_from_eps(0.1, 1.0, grid)
+    n = p.n + perturbation("even", 1e-3, grid)[0]
+    phi0 = {"cos": p.phi + 10.0 * np.cos(0.05 * grid.x),
+            "gauss": p.phi - 10.0 * np.exp(-(grid.x / 30.0) ** 2)}[guess]
+    phi, rep = ell.solve_poisson(n, grid, phi0=phi0)
+    cold, _ = ell.solve_poisson(n, grid)
+    true = np.max(np.abs(-derivative(phi, grid, 2) + np.exp(phi) - 1.0 - n))
+    assert true <= 1e-11 and rep.residual <= 1e-11
+    assert np.max(np.abs(phi - cold)) < 1e-12
+
+
 def test_poisson_newton_fallback(g):
     # e^phi spans about [1, 20]: the fixed-point contraction is ~0.9, the
     # iteration stalls and Newton finishes the solve

@@ -2,8 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.special import jv
 
-from epsoliton.grid import inner, l2norm
+from epsoliton.grid import default_weights, inner, l2norm
 from epsoliton import dynamics as dyn
 from epsoliton import elliptic as ell
 from epsoliton import linearized as lin
@@ -122,8 +124,8 @@ def test_evolve_linear_eta2_pairing_conserved(p05, kv05, lin05, rng):
 
 def test_evolve_linear_makes_no_krylov_solve(p05, kv05, lin05, rng, monkeypatch):
     # LinearContext inverts -d^2/dx^2 + e^{phi_c} once (a dense Cholesky
-    # inverse at N = 512); a Krylov solve per RK4 stage took 4.4 of the 5.1 s
-    # that the benchmark's linear run spent in evolve_linear
+    # inverse at N = 512); a Krylov solve per application of L took 4.4 of
+    # the 5.1 s that the benchmark's linear run spent in evolve_linear
     def krylov(*args, **kwargs):
         raise AssertionError("Krylov Helmholtz solve in the linearized flow")
 
@@ -141,6 +143,66 @@ def test_evolve_linear_real_and_bounded(p10, lin10, rng):
     n0 = l2norm(V0, g)
     norms_t = [l2norm(V, g) for V in tr.states]
     assert 0.05 * n0 < min(norms_t) and max(norms_t) < 20 * n0
+
+
+# ------------------------------------------------ Chebyshev-Bessel propagator
+
+@pytest.fixture(scope="module")
+def dense05(p05, lin05):
+    """L assembled column by column from apply_Lc (2N = 1024)."""
+    n = p05.grid.N
+    cols = np.eye(2 * n).reshape(2 * n, 2, n)
+    return np.array([lin.apply_Lc(e, lin05).ravel() for e in cols]).T
+
+
+def test_evolve_linear_matches_dense_expm(p05, lin05, dense05, rng):
+    g = p05.grid
+    V0 = _smooth(g, rng)
+    T = lin.wrap_time(lin05)
+    tr = lin.evolve_linear(V0, lin05, T, n_saves=3)
+    assert len(tr.t) == 3 and not tr.flagged
+    assert np.array_equal(tr.states[0], V0)
+    for t, V in zip(tr.t[1:], tr.states[1:]):
+        ref = (expm(t * dense05) @ V0.ravel()).reshape(V.shape)
+        assert np.linalg.norm(V - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_propagator_radius_bounds_L(lin05, dense05):
+    # the expansion needs rho >= ||L||_2 and the spectrum on the imaginary axis
+    assert lin05.rho >= np.linalg.norm(dense05, 2)
+    assert np.max(np.abs(np.linalg.eigvals(dense05).real)) <= 1e-6 * lin05.rho
+
+
+def test_bessel_table_matches_scipy():
+    z = np.array([0.0, 1e-3, 0.3, 5.0, 67.1, 774.0, 999.7, 1000.0])
+    kmax = int(lin._kapteyn_cutoff(z.max(), 1e-17)[0])
+    J = lin._bessel_table(z, kmax)
+    ref = jv(np.arange(kmax + 1)[:, None], z[None, :])
+    assert np.max(np.abs(J - ref)) <= 1e-13
+    # the cut-off term is below the tolerance its index was chosen for
+    assert np.max(np.abs(ref[-1])) <= 1e-17
+
+
+def test_linear_run_applies_L_fewer_than_1000_times(p05, kv05, monkeypatch):
+    # the benchmark's linear part (eps = 0.05, N = 512, T = wrap_time): RK4
+    # at the CFL step took 832 steps, 3,328 applications of L
+    g = p05.grid
+    ctx = lin.LinearContext.build(p05, kv05)
+    calls = []
+    apply = lin.apply_Lc
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return apply(*args, **kwargs)
+
+    monkeypatch.setattr(lin, "apply_Lc", counted)
+    w = default_weights(0.05, g, A=100.0, B=10.0, kappa=0.1, rho=0.3)
+    V0 = np.array([1e-3 * np.exp(-(g.x / 4.0) ** 2) * np.cos(g.x), np.zeros(g.N)])
+    T = lin.wrap_time(ctx)
+    lin.dispersive_decay_experiment(V0, ctx, w.a_rate, T)
+    lin.kato_smoothing_experiment(V0, ctx, w, T)
+    assert 0 < len(calls) <= 1000
+    assert ctx.L_applications == len(calls)
 
 
 # ------------------------------------------------------- decay experiments
