@@ -222,7 +222,7 @@ def cmd_evolve(cfg, out):
     write_csv(f2, ("x", "n", "u"), zip(g.x, sT.n, sT.u))
     dE = abs(series["E"][-1] - series["E"][0]) / max(abs(series["E"][0]), 1e-300)
     dM = abs(series["M"][-1] - series["M"][0]) / max(abs(series["M"][0]), 1e-300)
-    return [f, f2], {"rel_dE": dE, "rel_dM": dM, "T": T}, \
+    return [f, f2], {"rel_dE": dE, "rel_dM": dM, "T": T, **traj.poisson_telemetry}, \
         {"conserved": bool(dE < 1e-6 and dM < 1e-8)}
 
 
@@ -273,7 +273,7 @@ def cmd_stability(cfg, out):
         files.append(f2)
     if rep.error or rep.blown_up:
         raise NumericalFailure(rep.error or f"blow-up at t={rep.blowup_time}")
-    return files, {"c_tail_spread": rep.c_tail_spread}, rep.verdicts
+    return files, {"c_tail_spread": rep.c_tail_spread, **rep.poisson}, rep.verdicts
 
 
 def cmd_report(cfg, out):

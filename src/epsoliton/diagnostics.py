@@ -107,10 +107,14 @@ class VirialMonitor:
 
 
 def _window_ratio(t, lhs_sq, rhs_terms, i0, i1):
-    """Integrated LHS / integrated RHS over t[i0:i1]; derivative terms enter
-    as endpoint differences of their antiderivative series."""
-    tw = t[i0:i1 + 1]
-    lhs = np.trapezoid(lhs_sq[i0:i1 + 1], tw)
+    """Integrated LHS and integrated RHS over [t[i0], t[i1]]; integrals are
+    differences of the series' running integral, derivative terms endpoint
+    differences of their antiderivative series."""
+    def window(series):
+        run = running_integral(series, t)
+        return run[i1] - run[i0]
+
+    lhs = window(lhs_sq)
     rhs = 0.0
     for kind, series in rhs_terms:
         if kind == "ddt":
@@ -119,7 +123,7 @@ def _window_ratio(t, lhs_sq, rhs_terms, i0, i1):
         elif kind == "ddt+":
             rhs += series[i1] - series[i0]
         else:
-            rhs += np.trapezoid(series[i0:i1 + 1], tw)
+            rhs += window(series)
     return lhs, rhs
 
 
@@ -240,6 +244,7 @@ class StabilityReport:
     bundle: dict = None
     monitors: list = None
     c_tail_spread: float = None
+    poisson: dict = None        # the flow's Poisson telemetry (Trajectory.poisson_telemetry)
     verdicts: dict = field(default_factory=dict)
     blown_up: bool = False
     blowup_time: float = None
@@ -281,6 +286,7 @@ def stability_experiment(config: StabilityConfig) -> StabilityReport:
     rep.blown_up = traj.blown_up
     rep.blowup_time = traj.blowup_time
     rep.t = traj.times
+    rep.poisson = traj.poisson_telemetry
     if traj.failure:
         rep.error = f"time stepping failed at {traj.failure}"
 

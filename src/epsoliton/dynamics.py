@@ -8,10 +8,14 @@ The evolved system is
 a Hamiltonian flow U' = -d/dx sigma1 grad E(U) for the energy functional with
 density e(U) = (1+n)u^2/2 + K((1+n)log(1+n) - n) - (phi')^2/2 + n phi
 - (e^phi - 1 - phi).  The electric potential phi is a constraint, resolved by
-a Poisson solve at every Runge-Kutta stage, warm-started from a potential
-extrapolated from the stages already solved (`_stage_warm_start`).  `rhs`
-applies -d/dx to both fluxes with one rfft/irfft pair, dealiased by the 2/3
-rule inside the same symbol.
+a Poisson solve at every Runge-Kutta stage.  The stage potentials are kept as
+rfft coefficients, the form `solve_poisson` takes a warm start in and hands
+its solution back in, so chaining them costs no FFT.  Each stage's warm start
+is extrapolated from the stages already solved, plus the previous step's
+prediction error carried along with the wave: translated, by a Fourier phase,
+over the distance the potential moved during the previous step
+(`_stage_warm_start`, `_frame_speed`).  `rhs` applies -d/dx to both fluxes
+with one rfft/irfft pair, dealiased by the 2/3 rule inside the same symbol.
 Conserved quantities: total energy E and momentum M = int n u.
 """
 
@@ -48,6 +52,13 @@ class Trajectory:
     def times(self):
         return np.array([s.t for s in self.states])
 
+    @property
+    def poisson_telemetry(self):
+        """evolve's Poisson counters: solves, their summed iterations and the
+        largest reported residual."""
+        return {k: self.meta[k] for k in
+                ("poisson_solves", "poisson_iterations", "poisson_residual_max")}
+
 
 def gradient_E(state, phi, K):
     """Variational gradient of the energy: (dE/dn, dE/du)."""
@@ -58,19 +69,21 @@ def gradient_E(state, phi, K):
 
 
 def rhs(state, K, grid, phi0=None, dealias=False):
-    """Tendency (dn/dt, du/dt); returns (ndot, udot, phi).
+    """Tendency (dn/dt, du/dt); returns (ndot, udot, phi_hat, report).
 
+    phi0 is the Poisson warm start and phi_hat the solved potential, both as
+    rfft coefficients; report is the Poisson solve's EllipticSolveReport.
     Both fluxes go through one rfft/irfft pair, with the 2/3-rule
     dealiasing mask folded into the symbol of -d/dx.
     """
-    phi, _ = solve_poisson(state.n, grid, phi0=phi0)
+    phi, rep = solve_poisson(state.n, grid, phi0=phi0)
     gn, gu = gradient_E(state, phi, K)
     # -d/dx sigma1 (gn, gu) = (-(gu)', -(gn)')
     sym = -grid.symbol(1)
     if dealias:
         sym[int(len(sym) * 2 / 3):] = 0.0
     ndot, udot = np.fft.irfft(sym * np.fft.rfft(np.array([gu, gn])), n=grid.N)
-    return ndot, udot, phi
+    return ndot, udot, rep.phi_hat, rep
 
 
 def invariants_of(state, K, grid, phi=None):
@@ -120,9 +133,14 @@ def evolve(state0, T, K, grid, dt=None, cfl=0.4, n_saves=41):
     n, u = state0.n.copy(), state0.u.copy()
     traj = Trajectory(states=[State(t, n.copy(), u.copy())],
                       meta={"scheme": "rk4", "dt": dt, "cfl": cfl,
-                            "grid": (grid.L, grid.N), "K": K, "T": T})
+                            "grid": (grid.L, grid.N), "K": K, "T": T,
+                            "poisson_solves": 0, "poisson_iterations": 0,
+                            "poisson_residual_max": 0.0})
+    meta = traj.meta
     next_save = t + save_every
-    phis = preds = None   # the previous step's stage potentials and their predictions
+    # the previous step's stage potentials and their predictions (rfft
+    # coefficients), and the phase that translates them to this step
+    phis = preds = phase = None
     t_end = t + T
     while t < t_end - 1e-14 * max(1.0, t_end):
         s = State(t, n, u)
@@ -135,10 +153,14 @@ def evolve(state0, T, K, grid, dt=None, cfl=0.4, n_saves=41):
             for a in (0.0, 0.5, 0.5, 1.0):
                 if ks:
                     s = State(t, n + a * step * ks[-1][0], u + a * step * ks[-1][1])
-                pred, warm = _stage_warm_start(len(cur), cur, phis, preds)
-                kn, ku, phi = rhs(s, K, grid, warm, dealias=True)
+                pred, warm = _stage_warm_start(len(cur), cur, phis, preds, phase)
+                kn, ku, phi_hat, rep = rhs(s, K, grid, warm, dealias=True)
+                meta["poisson_solves"] += 1
+                meta["poisson_iterations"] += rep.iterations
+                meta["poisson_residual_max"] = max(meta["poisson_residual_max"],
+                                                   rep.residual)
                 ks.append((kn, ku))
-                cur.append(phi)
+                cur.append(phi_hat)
                 cur_preds.append(pred)
         except ValueError:
             # vacuum or a non-finite density at a stage: a blow-up
@@ -149,6 +171,7 @@ def evolve(state0, T, K, grid, dt=None, cfl=0.4, n_saves=41):
             traj.failure = f"RK4 stage {len(ks) + 1} of the step from t = {t:.6g}: {e}"
             return traj
         phis, preds = cur, cur_preds
+        phase = np.exp(-_frame_speed(cur[0], cur[3], step, grid) * step * grid.symbol(1))
         (k1n, k1u), (k2n, k2u), (k3n, k3u), (k4n, k4u) = ks
         n = n + step / 6 * (k1n + 2 * k2n + 2 * k3n + k4n)
         u = u + step / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
@@ -166,8 +189,9 @@ def evolve(state0, T, K, grid, dt=None, cfl=0.4, n_saves=41):
     return traj
 
 
-def _stage_warm_start(i, cur, prev, prev_preds):
-    """(prediction, warm start) for the Poisson solve of RK4 stage i.
+def _stage_warm_start(i, cur, prev, prev_preds, phase):
+    """(prediction, warm start) for the Poisson solve of RK4 stage i, as rfft
+    coefficients.
 
     cur holds this step's solved stage potentials, prev and prev_preds the
     previous step's potentials and predictions (None on the first step;
@@ -176,7 +200,10 @@ def _stage_warm_start(i, cur, prev, prev_preds):
     phi depends on n almost affinely, so stages 2 and 4 are extrapolated
     along that path and stages 1 and 3 start from the nearest solved density.
     The previous step's prediction error at the same stage is then added
-    back: it changes slowly from step to step.
+    back, comoving: near a travelling wave it changes slowly in the wave's
+    frame, not in the lab frame, so it is first multiplied by phase, the
+    Fourier phase e^{-ik c dt} of the previous step's translation (see
+    `_frame_speed`).
     """
     if prev is None:
         return None, (cur[-1] if cur else None)
@@ -190,7 +217,23 @@ def _stage_warm_start(i, cur, prev, prev_preds):
         pred = 2.0 * cur[2] - cur[0]
     if prev_preds[i] is None:
         return pred, pred
-    return pred, pred + (prev[i] - prev_preds[i])
+    return pred, pred + phase * (prev[i] - prev_preds[i])
+
+
+def _frame_speed(phi_hat0, phi_hat3, dt, grid):
+    """Least-squares translation speed c of a step's stage potentials, from
+    the first (at t) and the last (about t + dt), as rfft coefficients.
+
+    To first order phi_3(x) = phi_0(x - c dt) reads
+    phi_hat3 - phi_hat0 = -c dt ik phi_hat0, so
+    c = -Re<ik phi_hat0, phi_hat3 - phi_hat0> / (dt <k^2 phi_hat0, phi_hat0>).
+    c = 0 when phi_0 is constant (the denominator vanishes).
+    """
+    d = grid.symbol(1) * phi_hat0
+    den = dt * np.vdot(d, d).real
+    if den == 0.0:
+        return 0.0
+    return -np.vdot(d, phi_hat3 - phi_hat0).real / den
 
 
 def soliton_state(profile):

@@ -6,10 +6,13 @@ Three families of problems share one discretisation:
   functional F(phi) = 1/2 ||phi'||^2 + int(e^phi - phi - 1 - n phi) is
   strictly convex, so the root is unique).  It iterates on the rfft
   coefficients of phi with the preconditioner 1/(k^2 + sigma), sigma the
-  midpoint of the range of e^phi: two real FFTs per iteration and a linear
-  contraction factor (max e^phi - min e^phi)/(max e^phi + min e^phi), about
-  0.1 for the eps = 0.1 wave.  Newton steps, damped on F when the residual
-  keeps growing, take over when that iteration stalls;
+  midpoint of the range of e^phi (fixed for the solve at a warm start's
+  guess): two real FFTs per iteration and a linear contraction factor of about
+  (max e^phi - min e^phi)/(max e^phi + min e^phi), about 0.1 for the
+  eps = 0.1 wave.  A warm start comes in, and the solution goes out (on the
+  report), as those rfft coefficients, so a caller that chains solves spends
+  no FFT on either.  Newton steps, damped on F when the residual keeps
+  growing, take over when that iteration stalls;
 * linear solves with  -d^2/dx^2 + e^{phi_c}  (e^phi in the Newton steps);
 * the Jost machinery for the scalar operator h_c = -d^2/dx^2 + e^{phi_c} - 1:
   decaying/oscillatory solutions f+-(x,k) = e^{+-ikx} m+-(x,k) and the
@@ -60,6 +63,7 @@ class EllipticSolveReport:
     iterations: int
     residual: float
     convex_ok: bool
+    phi_hat: np.ndarray  # rfft coefficients of the returned phi
 
 
 def _poisson_F(phi, n, grid):
@@ -72,13 +76,15 @@ def _poisson_F(phi, n, grid):
 def solve_poisson(n, grid, phi0=None, tol=1e-11, maxiter=30):
     """Solve -phi'' + e^phi - 1 - n = 0; returns (phi, report).
 
-    Initial guess is the linearisation (-d^2/dx^2 + 1)^{-1} n unless phi0 is
-    given.  The preconditioned fixed-point iteration on the rfft coefficients
-    of phi runs first (see `_poisson_fixed_point`); when it stalls from phi0,
-    it runs again from the linearisation.  When that stalls too, Newton
-    steps follow from the lower residual, damped by a line search on the
-    convex functional F once the residual keeps growing.  report.residual
-    bounds max |-phi'' + e^phi - 1 - n| and is at most tol on return.
+    phi0, when given, is the initial guess as rfft coefficients (it is not
+    modified); otherwise the guess is the linearisation
+    (-d^2/dx^2 + 1)^{-1} n.  The preconditioned fixed-point iteration on the
+    rfft coefficients of phi runs first (see `_poisson_fixed_point`); when it
+    stalls from phi0, it runs again from the linearisation.  When that stalls
+    too, Newton steps follow from the lower residual, damped by a line search
+    on the convex functional F once the residual keeps growing.
+    report.residual bounds max |-phi'' + e^phi - 1 - n| and is at most tol on
+    return; report.phi_hat holds rfft(phi).
     """
     n = np.asarray(n, dtype=float)
     if not np.all(np.isfinite(n)):
@@ -91,7 +97,7 @@ def solve_poisson(n, grid, phi0=None, tol=1e-11, maxiter=30):
         if cold_rep.residual < rep.residual:
             phi = cold
             rep = EllipticSolveReport(rep.iterations + cold_rep.iterations,
-                                      cold_rep.residual, True)
+                                      cold_rep.residual, True, cold_rep.phi_hat)
     if rep.residual <= tol:
         return phi, rep
 
@@ -125,40 +131,53 @@ def solve_poisson(n, grid, phi0=None, tol=1e-11, maxiter=30):
         it += 1
     if res > tol:
         raise RuntimeError(f"solve_poisson: Newton failed, residual {res:.3e} after {it} iterations")
-    return phi, EllipticSolveReport(iterations=it, residual=res, convex_ok=convex_ok)
+    return phi, EllipticSolveReport(iterations=it, residual=res, convex_ok=convex_ok,
+                                    phi_hat=np.fft.rfft(phi))
 
 
 def _poisson_fixed_point(n, grid, phi0, tol, maxiter=40):
     """Preconditioned fixed-point iteration on phi_hat = rfft(phi).
 
-    Each iteration takes two real FFTs: phi = irfft(phi_hat), then
-    r_hat = k^2 phi_hat + rfft(e^phi - 1 - n), and updates
-    phi_hat -= r_hat / (k^2 + sigma) with sigma the midpoint of
-    [min e^phi, max e^phi].  The error then contracts by at most
-    (max e^phi - min e^phi) / (max e^phi + min e^phi) per iteration.
-    Convergence is judged on sum_k w_k |r_hat_k|, the l1 norm of the
-    residual's Fourier coefficients, which bounds max |r| on the nodes.
-    Returns (phi, report) at the last residual evaluated; the caller falls
-    back to Newton when report.residual > tol (a stall, or maxiter reached).
+    phi_hat starts from phi0 (rfft coefficients, copied) or from the
+    linearisation rfft(n) / (k^2 + 1).  Each iteration takes two real FFTs:
+    phi = irfft(phi_hat), then r_hat = k^2 phi_hat + rfft(e^phi - (1 + n)),
+    and updates phi_hat -= r_hat / (k^2 + sigma), sigma the midpoint of
+    [min e^phi, max e^phi].  From a warm start sigma is taken at phi0, and
+    it and the preconditioner 1/(k^2 + sigma) are formed once per solve, as
+    1 + n always is.  The cold linearisation can overshoot e^phi by orders
+    of magnitude (about 4e6 against 23 at the root for n = 20 e^{-x^2/4}),
+    and a sigma fixed there stalls the iteration far from the root, so a
+    cold start re-forms sigma at every iterate.  Near the solution the error
+    contracts by about (max e^phi - min e^phi) / (max e^phi + min e^phi)
+    per iteration.  Convergence is judged on sum_k w_k |r_hat_k|, the l1
+    norm of the residual's Fourier coefficients, which bounds max |r| on the
+    nodes.  Returns (phi, report) at the last residual evaluated, with
+    report.phi_hat the coefficients phi came from; the caller falls back to
+    Newton when report.residual > tol (a stall, or maxiter reached).
     """
     N = grid.N
     k2 = -grid.symbol(2)
     w = np.full(N // 2 + 1, 2.0 / N)
     w[0] = w[-1] = 1.0 / N
+    one_n = 1.0 + n
     if phi0 is None:
         phi_hat = np.fft.rfft(n) / (k2 + 1.0)
     else:
-        phi_hat = np.fft.rfft(phi0)
+        phi_hat = np.array(phi0, dtype=complex)
+    precond = None
     it, res = 0, np.inf
     while True:
         phi = np.fft.irfft(phi_hat, n=N)
         e = np.exp(phi)
-        r_hat = k2 * phi_hat + np.fft.rfft(e - 1.0 - n)
+        r_hat = k2 * phi_hat + np.fft.rfft(e - one_n)
         new_res = float(w @ np.abs(r_hat))
         if new_res <= tol or it == maxiter or new_res > 0.9 * res:
-            return phi, EllipticSolveReport(iterations=it, residual=new_res, convex_ok=True)
+            return phi, EllipticSolveReport(iterations=it, residual=new_res,
+                                            convex_ok=True, phi_hat=phi_hat)
+        if precond is None or phi0 is None:
+            precond = 1.0 / (k2 + 0.5 * (e.min() + e.max()))
         res = new_res
-        phi_hat -= r_hat / (k2 + 0.5 * (e.min() + e.max()))
+        phi_hat -= precond * r_hat
         it += 1
 
 

@@ -223,9 +223,34 @@ def test_evolve_writes_invariants(tmp_path):
     sc = man["scalars"]
     assert man["verdicts"]["conserved"] is True, \
         f"rel_dE = {sc['rel_dE']:.3g} (bound 1e-6), rel_dM = {sc['rel_dM']:.3g} (bound 1e-8)"
+    assert set(sc) == {"rel_dE", "rel_dM", "T"} | POISSON_SCALARS
+    _check_poisson_telemetry(sc)
     text = (out / "invariants.csv").read_text()
     assert text.splitlines()[0] == "t,name,value"
     assert ",E," in text and ",M," in text
+
+
+POISSON_SCALARS = {"poisson_solves", "poisson_iterations", "poisson_residual_max"}
+
+
+def _check_poisson_telemetry(scalars):
+    # what the nonlinear flow's Poisson solves cost: four per RK4 step
+    assert all(isinstance(scalars[k], (int, float)) for k in POISSON_SCALARS)
+    assert scalars["poisson_solves"] > 0 and scalars["poisson_solves"] % 4 == 0
+    assert scalars["poisson_iterations"] > 0
+    assert 0.0 < scalars["poisson_residual_max"] <= 1e-11
+
+
+def test_stability_happy_path_manifest(tmp_path):
+    out = tmp_path / "run"
+    assert cli.run(["stability", "--out", str(out), "--eps", "0.1", "--L", "60",
+                    "--N", "512", "--T", "2", "--n_saves", "3"]) == 0
+    man = _strict_json(out / "manifest.json")
+    assert set(man["scalars"]) == {"c_tail_spread"} | POISSON_SCALARS
+    _check_poisson_telemetry(man["scalars"])
+    assert set(man["verdicts"]) == {"decompose_ok", "local_decay",
+                                    "running_integral_saturates", "c_converges",
+                                    "virial_constants_ok"}
 
 
 def test_stability_solver_failure_exits_2(tmp_path, fail_poisson_at, capsys):

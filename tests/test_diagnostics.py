@@ -137,6 +137,23 @@ def test_window_ratio_synthetic():
     assert abs(rhs3 - 5.0) < 1e-12
 
 
+def test_window_ratio_trapezoid_order():
+    # sin on [0, pi] over the monitor's trailing windows [t_i0, pi]: the exact
+    # integral is 1 + cos(t_i0), and doubling the sampling quarters the error
+    errs = {}
+    for n in (41, 81):
+        t = np.linspace(0.0, np.pi, n)
+        q = (n - 1) // 4
+        errs[n] = []
+        for i0 in (q, 2 * q, 3 * q):
+            lhs, rhs = dg._window_ratio(t, np.sin(t), [("int", np.sin(t))], i0, n - 1)
+            exact = 1.0 + np.cos(t[i0])
+            assert abs(lhs - exact) == abs(rhs - exact) < (t[1] - t[0]) ** 2
+            errs[n].append(abs(lhs - exact))
+    for coarse, fine in zip(errs[41], errs[81]):
+        assert 3.9 < coarse / fine < 4.1
+
+
 def test_virial_ratio_monitor_shapes(p10, w10):
     t = np.linspace(0.0, 8.0, 9)
     V = _test_V(p10)

@@ -37,7 +37,7 @@ def test_gradient_E_rejects_vacuum(g):
 
 
 def test_rhs_zero_state(g):
-    dn, du, _ = dyn.rhs(_zero(g), 1.0, g)
+    dn, du, _, _ = dyn.rhs(_zero(g), 1.0, g)
     assert np.max(np.abs(dn)) < 1e-12 and np.max(np.abs(du)) < 1e-12
 
 
@@ -45,7 +45,7 @@ def test_rhs_traveling_wave_identity(p05):
     # rhs(S_c) = -c S_c' for the traveling wave
     g = p05.grid
     s = dyn.soliton_state(p05)
-    dn, du, _ = dyn.rhs(s, p05.K, g)
+    dn, du, _, _ = dyn.rhs(s, p05.K, g)
     assert np.max(np.abs(dn + p05.c * p05.dn)) < 1e-7
     assert np.max(np.abs(du + p05.c * p05.du)) < 1e-7
 
@@ -58,7 +58,7 @@ def test_rhs_gradient_form(p05):
     gn, gu = dyn.gradient_E(s, phi, p05.K)
     dn = -derivative(gu, g, 1)
     du = -derivative(gn, g, 1)
-    rn, ru, _ = dyn.rhs(s, p05.K, g)
+    rn, ru, _, _ = dyn.rhs(s, p05.K, g)
     assert np.max(np.abs(dn - rn)) < 1e-11
     assert np.max(np.abs(du - ru)) < 1e-11
 
@@ -79,7 +79,9 @@ def test_invariants_splitting(p05):
 # ------------------------------------------------------------ evolve
 
 def test_evolve_zero_data(g):
-    traj = dyn.evolve(_zero(g), 10.0, 1.0, g, n_saves=3)
+    # phi = 0 at every stage: the frame-speed estimate must not divide by zero
+    with np.errstate(all="raise"):
+        traj = dyn.evolve(_zero(g), 10.0, 1.0, g, n_saves=3)
     assert not traj.blown_up
     assert np.max(np.abs(traj.states[-1].n)) < 1e-12
 
@@ -141,3 +143,55 @@ def test_evolve_reports_poisson_failure_not_blowup(g, fail_poisson_at):
     assert "RK4 stage 3" in traj.failure and "t = 0.25" in traj.failure
     assert "Newton failed" in traj.failure
     assert traj.times[-1] == 0.25
+
+
+# ------------------------------------------------------------ warm starts
+
+@pytest.fixture(scope="module")
+def bumped10():
+    # the stability experiment's eps = 0.1 box and its even bump
+    from epsoliton.diagnostics import perturbation
+    from epsoliton.profile import profile_from_eps
+    g = Grid(80.0 / np.sqrt(0.1), 1024)
+    p = profile_from_eps(0.1, 1.0, g)
+    dn, du = perturbation("even", 1e-3, g)
+    return dyn.State(0.0, p.n + dn, p.u + du), p
+
+
+def test_warm_start_changes_cost_not_answer(bumped10, monkeypatch):
+    s0, p = bumped10
+    iterations = []
+    solve = dyn.solve_poisson
+
+    def counting(*args, **kwargs):
+        phi, rep = solve(*args, **kwargs)
+        iterations.append(rep.iterations)
+        return phi, rep
+
+    monkeypatch.setattr(dyn, "solve_poisson", counting)
+    warm = dyn.evolve(s0, 10.0, p.K, p.grid, n_saves=2)
+    assert np.mean(iterations) <= 4.3   # 5.07 with the lab-frame add-back
+    assert warm.meta["poisson_solves"] == len(iterations)
+    assert warm.meta["poisson_iterations"] == sum(iterations)
+    assert 0.0 < warm.meta["poisson_residual_max"] <= 1e-11
+
+    monkeypatch.setattr(dyn, "_stage_warm_start", lambda *args: (None, None))
+    cold = dyn.evolve(s0, 10.0, p.K, p.grid, n_saves=2)
+    a, b = warm.states[-1], cold.states[-1]
+    assert a.t == b.t
+    assert np.max(np.abs(a.n - b.n)) <= 1e-9
+    assert np.max(np.abs(a.u - b.u)) <= 1e-9
+
+
+def test_frame_speed_of_the_soliton(p10, monkeypatch):
+    speeds = []
+    estimate = dyn._frame_speed
+
+    def recording(*args):
+        speeds.append(estimate(*args))
+        return speeds[-1]
+
+    monkeypatch.setattr(dyn, "_frame_speed", recording)
+    dyn.evolve(dyn.soliton_state(p10), 2.0, p10.K, p10.grid, n_saves=2)
+    assert len(speeds) > 10
+    assert np.max(np.abs(np.array(speeds) - p10.c)) <= 1e-3

@@ -59,11 +59,11 @@ def test_frechet_consistency(p10, lin10):
     e = np.exp(-(g.x / 5.0) ** 2)
     V = np.array([e, -0.4 * e * np.cos(0.3 * g.x)])
     base = dyn.soliton_state(p10)
-    r0n, r0u, _ = dyn.rhs(base, p10.K, g)
+    r0n, r0u, _, _ = dyn.rhs(base, p10.K, g)
     out = {}
     for h in (1e-4, 5e-5):
         s = dyn.State(0.0, base.n + h * V[0], base.u + h * V[1])
-        rn, ru, _ = dyn.rhs(s, p10.K, g)
+        rn, ru, _, _ = dyn.rhs(s, p10.K, g)
         from epsoliton.grid import derivative
         # co-moving correction: + c d/dx of the perturbation
         out[h] = np.array([(rn - r0n) / h + p10.c * derivative(V[0], g),
