@@ -93,6 +93,9 @@ def validate(values):
         problems.append("A must be at least B^2 (weight-scale ordering A >> B^2)")
     if values["kappa"] <= 0:
         problems.append("kappa must be positive")
+    for key in ("T", "L", "rho"):
+        if values[key] is not None and not values[key] > 0:
+            problems.append(f"{key} must be positive")
     if values["delta"] < 0:
         problems.append("delta must be nonnegative")
     if values["n_saves"] < 2:

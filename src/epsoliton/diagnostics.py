@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dynamics, elliptic, modulation, profile as profile_mod
+from . import dynamics, modulation, profile as profile_mod
 from .grid import (Grid, default_grid, default_weights, derivative, integrate, l2norm,
                    running_integral)
 
@@ -40,51 +40,19 @@ def energy_difference(V3, p, e0=None):
     return e1 - e0
 
 
-def virial_I(i, V3, p, w):
-    """I^(i) = <phi_{iAA1}, e(S_c+V) - e(S_c)>, i in {1, 2}."""
-    if i not in (1, 2):
-        raise ValueError("virial_I: i must be 1 or 2")
-    phi_w = w.phi1 if i == 1 else w.phi2
-    return float(integrate(phi_w * energy_difference(V3, p), p.grid))
-
-
-def virial_J(V3, p, w):
-    """J = <psi, e(S_c+V) - e(S_c)> with psi' = sech^2(eps kappa x)."""
-    return float(integrate(w.psi_weight * energy_difference(V3, p), p.grid))
-
-
 def virial_series(Vs, p, w):
-    """Series (I1, I2, J) over the snapshots Vs: virial_I and virial_J at
-    each one, with e(S_c) computed once."""
+    """Series (I1, I2, J) of the virial functionals (weights phi_1, phi_2,
+    psi) over the snapshots Vs, with e(S_c) computed once."""
     e0 = dynamics.energy_density(p.n, p.u, p.phi, p.K, p.grid)
     de = [energy_difference(V, p, e0) for V in Vs]
     return tuple(np.array([float(integrate(weight * d, p.grid)) for d in de])
                  for weight in (w.phi1, w.phi2, w.psi_weight))
 
 
-def _grad_e_profile(p):
-    """grad_U e(S_c) = (u^2/2 + K log(1+n) + phi, (1+n) u) at the profile."""
-    return np.array([p.u ** 2 / 2 + p.K * np.log(1.0 + p.n) + p.phi,
-                     (1.0 + p.n) * p.u])
-
-
-def virial_cross(weight, V3, p):
-    """<weight * grad_U e(S_c), (V_n, V_u)>."""
-    ge = _grad_e_profile(p)
-    return float(integrate(weight * (ge[0] * V3[0] + ge[1] * V3[1]), p.grid))
-
-
-def virial_linear_functional(weight, p):
-    """(W1, W2) such that the first variation of <weight, e(S_c + V) - e(S_c)>
-    along (V_n, V_u) with induced V_phi = H^{-1} V_n is <W1, V_n> + <W2, V_u>.
-
-    The phi-part of the variation, <weight, -phi_c' V_phi' + (n_c+1-e^{phi_c}) V_phi>,
-    is folded into W1 through the self-adjoint H^{-1}."""
-    ge = _grad_e_profile(p)
-    g = p.grid
-    G = derivative(weight * p.psi, g) + weight * (p.n + 1.0 - np.exp(p.phi))
-    W1 = weight * ge[0] + elliptic.apply_inv_schrodinger(G, p.phi, g)
-    return W1, weight * ge[1]
+def virial_cross(weight, V3, grad_e, grid):
+    """<weight * grad_U e(S_c), (V_n, V_u)>, grad_e the pair
+    dynamics.gradient_E gives at the profile."""
+    return float(integrate(weight * (grad_e[0] * V3[0] + grad_e[1] * V3[1]), grid))
 
 
 # -------------------------------------------------- modulation-frame series
@@ -139,9 +107,10 @@ def virial_ratio_monitor(t, Vs, p, w, virials, bundle):
     eps = p.c - np.sqrt(1.0 + p.K)
     n = len(t)
     I1, I2, J = virials
-    X1 = np.array([virial_cross(w.phi1, V, p) for V in Vs])
-    X2 = np.array([virial_cross(w.phi2, V, p) for V in Vs])
-    XJ = np.array([virial_cross(w.psi_weight, V, p) for V in Vs])
+    ge = dynamics.gradient_E(dynamics.soliton_state(p), p.phi, p.K)
+    X1 = np.array([virial_cross(w.phi1, V, ge, g) for V in Vs])
+    X2 = np.array([virial_cross(w.phi2, V, ge, g) for V in Vs])
+    XJ = np.array([virial_cross(w.psi_weight, V, ge, g) for V in Vs])
 
     S1 = bundle["Sigma1"] ** 2
     S2 = bundle["Sigma2"] ** 2

@@ -1,6 +1,6 @@
-"""Elliptic solves: nonlinear Poisson, Schrodinger-type linear solves, Jost functions.
+"""Elliptic solves: nonlinear Poisson and Schrodinger-type linear solves.
 
-Three families of problems share one discretisation:
+Two families of problems share one discretisation:
 
 * the nonlinear Poisson constraint  -phi'' + e^phi - 1 - n = 0 (the
   functional F(phi) = 1/2 ||phi'||^2 + int(e^phi - phi - 1 - n phi) is
@@ -13,10 +13,7 @@ Three families of problems share one discretisation:
   report), as those rfft coefficients, so a caller that chains solves spends
   no FFT on either.  Newton steps, damped on F when the residual keeps
   growing, take over when that iteration stalls;
-* linear solves with  -d^2/dx^2 + e^{phi_c}  (e^phi in the Newton steps);
-* the Jost machinery for the scalar operator h_c = -d^2/dx^2 + e^{phi_c} - 1:
-  decaying/oscillatory solutions f+-(x,k) = e^{+-ikx} m+-(x,k) and the
-  transmission coefficient 1/T = (1/2ik)[f+, f-].
+* linear solves with  -d^2/dx^2 + e^{phi_c}  (e^phi in the Newton steps).
 
 Linear solves are conjugate-gradient iterations preconditioned by the
 constant-coefficient Fourier symbol.  A fixed operator -d^2/dx^2 + e^{phi_c}
@@ -27,8 +24,6 @@ Cholesky inverse on grids of up to DENSE_N_MAX points.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dpotrf, dpotri
 from scipy.sparse.linalg import LinearOperator, cg
 
@@ -219,105 +214,3 @@ def schrodinger_solver(phi_c, grid):
     H.flags.writeable = False
     return H.__matmul__
 
-
-def _q_spline(phi_c, grid):
-    q = np.exp(np.asarray(phi_c, dtype=float)) - 1.0
-    xs = np.concatenate([grid.x, [grid.L]])
-    qs = np.concatenate([q, q[:1]])  # periodic: q(L) = q(-L)
-    return CubicSpline(xs, qs, extrapolate=False)
-
-
-def scalar_jost(k, phi_c, grid, rtol=1e-11):
-    """Jost solution m+(x,k) of m'' + 2ik m' = q_c m with m -> 1 at +L.
-
-    Returns (m, dm) on the grid nodes (complex).  Valid for Im k >= 0; the
-    anchored variable has no exponentially growing mode marching leftward.
-    m-(x,k) = m+(-x,k) by evenness of phi_c.
-    """
-    k = complex(k)
-    if k == 0:
-        raise ValueError("scalar_jost: k = 0 not admitted")
-    qs = _q_spline(phi_c, grid)
-    x_hi = grid.x[-1]
-    tail = abs(np.exp(float(np.asarray(phi_c)[np.argmax(grid.x)])) - 1.0)
-    if tail > 1e-8:
-        import warnings
-        warnings.warn(f"scalar_jost: potential not decayed at the boundary (|q| = {tail:.2e})")
-
-    def rhs(x, y):
-        m, p = y[0] + 1j * y[1], y[2] + 1j * y[3]
-        q = qs(x)
-        if np.isnan(q):
-            q = 0.0
-        dm = p
-        dp = -2j * k * p + q * m
-        return [dm.real, dm.imag, dp.real, dp.imag]
-
-    sol = solve_ivp(rhs, (x_hi, grid.x[0]), [1.0, 0.0, 0.0, 0.0],
-                    t_eval=grid.x[::-1], rtol=rtol, atol=1e-13, method="DOP853")
-    if not sol.success:
-        raise RuntimeError(f"scalar_jost: integration failed: {sol.message}")
-    y = sol.y[:, ::-1]
-    m = y[0] + 1j * y[1]
-    dm = y[2] + 1j * y[3]
-    return m, dm
-
-
-def _inv_transmission(k, m, dm, grid):
-    """1/T(k) from the Wronskian [f+, f-] evaluated at every node.
-
-    f-(x) = e^{-ikx} m+(-x); the Wronskian is x-independent, so the nodewise
-    values double as a consistency diagnostic.  Returns (median 1/T, relative
-    spread).
-    """
-    k = complex(k)
-    N = grid.N
-    refl = (-np.arange(N)) % N
-    mr = m[refl]       # m-(x) = m+(-x)
-    dmr = -dm[refl]    # m-'(x) = -m+'(-x)
-    # [f+, f-] = e^{i k x} e^{-i k x} [(m' + ikm) m- - m (m-' - ik m-)]
-    w = (dm + 1j * k * m) * mr - m * (dmr - 1j * k * mr)
-    inv_T = w / (2j * k)
-    mid = inv_T[N // 2]
-    # node 0 (x = -L) has no reflected partner on the grid; exclude it
-    spread = float(np.max(np.abs(inv_T[1:] - mid)) / max(abs(mid), 1e-300))
-    return mid, spread
-
-
-def transmission_constant(phi_c, grid):
-    """Constant K = 1 + g0 + g0^2 e^{g0}, g0 = int_0^inf y |q_c(y)| dy.
-
-    This is the constant entering the transmission lower bound
-    2|k| <= |T| (2|k| + K ||(1+|x|) q_c||_L1).
-    """
-    q = np.exp(np.asarray(phi_c, dtype=float)) - 1.0
-    mask = grid.x >= 0
-    g0 = float(np.trapezoid(grid.x[mask] * np.abs(q[mask]), grid.x[mask]))
-    return 1.0 + g0 + g0 ** 2 * np.exp(g0)
-
-
-def transmission(k, phi_c, grid):
-    """Transmission coefficient T(c,k) for real k != 0.
-
-    Checks |T| <= 1 and the lower bound
-    2|k| <= |T| (2|k| + K ||<x> q_c||_L1) with K = transmission_constant,
-    and raises RuntimeError when either fails.
-    """
-    k = float(k)
-    if k == 0.0:
-        raise ValueError("transmission: k = 0 rejected (T -> 0 limit only)")
-    m, dm = scalar_jost(k, phi_c, grid)
-    inv_T, _ = _inv_transmission(k, m, dm, grid)
-    T = 1.0 / inv_T
-    Ktilde = transmission_constant(phi_c, grid) * potential_moment(phi_c, grid)
-    if abs(T) > 1.0 + 1e-10:
-        raise RuntimeError(f"transmission: |T| = {abs(T)} > 1 at k={k}")
-    if 2 * abs(k) > abs(T) * (2 * abs(k) + Ktilde) * (1 + 1e-10):
-        raise RuntimeError(f"transmission: lower bound violated at k={k} (|T| = {abs(T)})")
-    return T
-
-
-def potential_moment(phi_c, grid):
-    """||<x> (e^{phi_c} - 1)||_{L^1} with <x> = 1 + |x|."""
-    q = np.exp(np.asarray(phi_c, dtype=float)) - 1.0
-    return float(integrate((1.0 + np.abs(grid.x)) * np.abs(q), grid))

@@ -391,16 +391,12 @@ def psi_kdv(x, K):
     return (3.0 / V) / np.cosh(np.sqrt(V / 2.0) * x) ** 2
 
 
-def kdv_reference(eps: float, K: float, grid: Grid) -> np.ndarray:
-    """Leading-order soliton eps (1, V, 1)^T psi_KdV(sqrt(eps) x) on the grid."""
-    V = np.sqrt(1.0 + K)
-    base = psi_kdv(np.sqrt(eps) * grid.x, K)
-    return eps * np.array([base, V * base, base])
-
-
 def kdv_residual(p: ProfileSolution) -> float:
-    """sup-norm of S_c - leading KdV approximation."""
-    ref = kdv_reference(p.eps, p.K, p.grid)
+    """sup-norm of S_c minus its leading KdV approximation
+    eps (1, V, 1)^T psi_KdV(sqrt(eps) x), V = sqrt(1+K)."""
+    V = np.sqrt(1.0 + p.K)
+    base = psi_kdv(np.sqrt(p.eps) * p.grid.x, p.K)
+    ref = p.eps * np.array([base, V * base, base])
     S = np.array([p.n, p.u, p.phi])
     return float(np.max(np.abs(S - ref)))
 

@@ -71,6 +71,18 @@ def test_evolve_rejects_negative_eps(tmp_path, capsys):
     assert "eps must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["evolve", "--T", "-1"], "T"), (["evolve", "--T", "0"], "T"),
+    (["linear", "--rho", "0"], "rho"), (["profile", "--L", "-5"], "L")],
+    ids=["evolve-T-negative", "evolve-T-zero", "linear-rho-zero", "profile-L-negative"])
+def test_nonpositive_T_L_rho_exit_1(tmp_path, capsys, argv, key):
+    out = tmp_path / "r"
+    rc = cli.run(argv + ["--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {key} must be positive\n"
+    assert not out.exists()
+
+
 def test_flag_overrides_config_file(tmp_path):
     f = tmp_path / "cfg.txt"
     f.write_text("eps=0.2\nN=128\nL=40\n")

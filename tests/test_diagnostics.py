@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from epsoliton import diagnostics as dg, elliptic
+from epsoliton import diagnostics as dg, dynamics, elliptic
 from epsoliton.grid import integrate, norms, running_integral
 
 
@@ -23,11 +23,7 @@ def test_energy_difference_zero(p10):
 
 def test_virial_I_zero_and_invalid(p10, w10):
     V = np.zeros((3, p10.grid.N))
-    assert dg.virial_I(1, V, p10, w10) == 0.0
-    assert dg.virial_I(2, V, p10, w10) == 0.0
-    assert dg.virial_J(V, p10, w10) == 0.0
-    with pytest.raises(ValueError):
-        dg.virial_I(3, V, p10, w10)
+    assert [list(f) for f in dg.virial_series([V, V], p10, w10)] == [[0.0, 0.0]] * 3
 
 
 def test_virial_I_parity(p10, w10):
@@ -37,50 +33,25 @@ def test_virial_I_parity(p10, w10):
     V = np.array([Vn, 0.5 * Vn, 0.2 * Vn])
     ref = float(integrate(np.abs(w10.phi1 * dg.energy_difference(V, p10)),
                           p10.grid))
-    assert abs(dg.virial_I(1, V, p10, w10)) < 1e-10 * ref
-    assert abs(dg.virial_I(2, V, p10, w10)) < 1e-10 * ref
-
-
-def test_virial_series_matches_single_snapshot_functionals(p10, w10):
-    Vs = [_test_V(p10), _test_V(p10, scale=-2e-3)]
-    I1, I2, J = dg.virial_series(Vs, p10, w10)
-    assert list(I1) == [dg.virial_I(1, V, p10, w10) for V in Vs]
-    assert list(I2) == [dg.virial_I(2, V, p10, w10) for V in Vs]
-    assert list(J) == [dg.virial_J(V, p10, w10) for V in Vs]
+    I1, I2, _ = dg.virial_series([V], p10, w10)
+    assert abs(I1[0]) < 1e-10 * ref
+    assert abs(I2[0]) < 1e-10 * ref
 
 
 def test_virial_J_bound(p10, w10):
     V = _test_V(p10)
     bound = np.max(np.abs(w10.psi_weight)) * float(
         integrate(np.abs(dg.energy_difference(V, p10)), p10.grid))
-    assert abs(dg.virial_J(V, p10, w10)) <= bound + 1e-16
+    _, _, J = dg.virial_series([V], p10, w10)
+    assert abs(J[0]) <= bound + 1e-16
 
 
 def test_virial_cross_linear(p10, w10):
     V = _test_V(p10)
-    a = dg.virial_cross(w10.phi1, V, p10)
-    b = dg.virial_cross(w10.phi1, 3.0 * V, p10)
+    ge = dynamics.gradient_E(dynamics.soliton_state(p10), p10.phi, p10.K)
+    a = dg.virial_cross(w10.phi1, V, ge, p10.grid)
+    b = dg.virial_cross(w10.phi1, 3.0 * V, ge, p10.grid)
     assert abs(b - 3.0 * a) < 1e-12 * max(1.0, abs(a))
-
-
-def test_virial_linear_functional_is_first_variation(p10, w10):
-    # I(s) = <phi_1, e(S_c + sW) - e(S_c)> with induced V_phi; the quadratic
-    # remainder I(s) - s <(W1,W2),(dn,du)> scales as s^2
-    g = p10.grid
-    x = g.x
-    dn = np.exp(-x ** 2 / 20)
-    du = np.exp(-(x - 3.0) ** 2 / 25)
-    dphi = elliptic.apply_inv_schrodinger(dn, p10.phi, g)
-    W1, W2 = dg.virial_linear_functional(w10.phi1, p10)
-    lin = float(integrate(W1 * dn + W2 * du, g))
-
-    def I(s):
-        V = np.array([s * dn, s * du, s * dphi])
-        return dg.virial_I(1, V, p10, w10)
-
-    rem = {s: I(s) - s * lin for s in (2e-3, 1e-3)}
-    ratio = rem[2e-3] / rem[1e-3]
-    assert 3.5 < ratio < 4.5
 
 
 # -------------------------------------------------------------- local decay

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from epsoliton.grid import Grid, derivative, integrate, l2norm
+from epsoliton.grid import Grid, derivative
 from epsoliton import elliptic as ell
 
 
@@ -166,69 +166,3 @@ def test_resolvent_kernel_symmetry(g):
         cols[j] = ell.apply_inv_schrodinger(f, phi_c, g)
     assert abs(cols[i1][i2] - cols[i2][i1]) < 1e-10
 
-
-# ------------------------------------------------------------ scalar Jost
-
-def test_scalar_jost_free(g):
-    m, dm = ell.scalar_jost(1.0, np.zeros(g.N), g)
-    assert np.max(np.abs(m - 1.0)) < 1e-12
-
-
-def test_scalar_jost_anchor_and_bound(p10):
-    g = p10.grid
-    k = 1.0
-    m, dm = ell.scalar_jost(k, p10.phi, g)
-    assert abs(m[-1] - 1.0) < 1e-6
-    q = np.abs(np.exp(p10.phi) - 1.0)
-    eta = (np.cumsum(q[::-1]) * g.h)[::-1]
-    bound = eta / abs(k) * np.exp(eta / abs(k))
-    assert np.all(np.abs(m - 1.0) <= bound + 1e-10)
-
-
-def test_wronskian_constancy(p10):
-    g = p10.grid
-    k = 0.7
-    m, dm = ell.scalar_jost(k, p10.phi, g)
-    _, spread = ell._inv_transmission(k, m, dm, g)
-    assert spread < 1e-8
-
-
-# ------------------------------------------------------------ transmission
-
-def test_transmission_free(g):
-    for k in (0.3, 1.0, 4.0):
-        T = ell.transmission(k, np.zeros(g.N), g)
-        assert abs(T - 1.0) < 1e-10
-
-
-def test_transmission_bounds(p10):
-    g = p10.grid
-    Kt = ell.transmission_constant(p10.phi, g) * ell.potential_moment(p10.phi, g)
-    for k in np.linspace(0.05, 5.0, 12):
-        T = ell.transmission(k, p10.phi, g)  # internally asserts both bounds
-        assert abs(T) <= 1.0 + 1e-9
-        assert 2 * abs(k) <= abs(T) * (2 * abs(k) + Kt) * (1 + 1e-9)
-
-
-def test_transmission_bound_failure_raises(g, monkeypatch):
-    # with K = 0 the lower bound reads |T| >= 1, which a nonzero potential breaks
-    monkeypatch.setattr(ell, "transmission_constant", lambda phi_c, grid: 0.0)
-    with pytest.raises(RuntimeError, match="lower bound"):
-        ell.transmission(0.5, 0.3 * np.exp(-(g.x / 3) ** 2), g)
-
-
-def test_transmission_rejects_zero(g):
-    with pytest.raises(ValueError):
-        ell.transmission(0.0, np.zeros(g.N), g)
-
-
-# ------------------------------------------------------- potential moment
-
-def test_potential_moment_zero(g):
-    assert ell.potential_moment(np.zeros(g.N), g) == 0.0
-
-
-def test_potential_moment_monotone(p10):
-    a = ell.potential_moment(p10.phi, p10.grid)
-    b = ell.potential_moment(0.5 * p10.phi, p10.grid)
-    assert 0.0 < b < a

@@ -152,17 +152,12 @@ def test_kdv_reference_tail():
     assert abs(prof.psi_kdv(x, 1.0)) < 1e-10
 
 
-def test_kdv_residual_self_zero():
-    g = default_grid(0.05)
-    ref = prof.kdv_reference(0.05, 1.0, g)
-
-    class Fake:
-        pass
-
-    f = Fake()
-    f.grid, f.K, f.eps = g, 1.0, 0.05
-    f.n, f.u, f.phi = ref
-    assert prof.kdv_residual(f) == 0.0
+def test_kdv_residual_scaling():
+    # S_c - eps (1, V, 1) psi_KdV(sqrt(eps) x) is O(eps^2): halving eps
+    # quarters it (2.0e-3 at eps = 0.02, 5.0e-4 at 0.01)
+    r = {eps: prof.kdv_residual(prof.profile_from_eps(eps, 1.0, default_grid(eps)))
+         for eps in (0.02, 0.01)}
+    assert 3.5 < r[0.02] / r[0.01] < 4.5
 
 
 # ------------------------------------------------------------ c-derivative
