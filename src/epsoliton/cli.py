@@ -82,6 +82,10 @@ def load_config(path, base=None):
 
 
 def validate(values):
+    # NaN fails no comparison below, so non-finite values are rejected first
+    bad = [k for k, v in values.items() if isinstance(v, float) and not np.isfinite(v)]
+    if bad:
+        raise ValidationError("; ".join(f"{k} must be finite" for k in bad))
     problems = []
     if values["K"] <= 0:
         problems.append("K must be positive")
@@ -332,7 +336,10 @@ def run(argv=None):
         for key in _DEFAULTS:
             raw = getattr(ns, key, None)
             if raw is not None:
-                values[key] = _parse_value(key, raw) if isinstance(raw, str) else raw
+                try:
+                    values[key] = _parse_value(key, raw)
+                except ValueError:
+                    raise ValidationError(f"bad value for --{key}: {raw!r}")
         validate(values)
         cfg = RunConfig(subcommand=ns.subcommand, out=ns.out,
                         force=ns.force, values=values)

@@ -236,12 +236,6 @@ class StabilityReport:
         return d
 
 
-def _window_mean(series, frac, head):
-    n = max(1, int(len(series) * frac))
-    chunk = series[:n] if head else series[-n:]
-    return float(np.mean(chunk))
-
-
 def stability_experiment(config: StabilityConfig) -> StabilityReport:
     rep = StabilityReport(config=config)
     g = config.grid or default_grid(config.eps, config.K, L_factor=config.L_factor)
@@ -284,8 +278,9 @@ def stability_experiment(config: StabilityConfig) -> StabilityReport:
     rep.local_running = running_integral(rep.local, t)
 
     if config.delta > 0:
-        head = _window_mean(rep.local, 0.1, head=True)
-        tail = _window_mean(rep.local, 0.1, head=False)
+        # means over the first and the last tenth of the snapshots
+        m = max(1, int(len(rep.local) * 0.1))
+        head, tail = np.mean(rep.local[:m]), np.mean(rep.local[-m:])
         rep.verdicts["local_decay"] = bool(tail < 0.1 * head) if head > 0 else True
         # saturation = the integral's growth rate collapses: on a periodic box
         # the wrapped radiation leaves a small linear-in-t floor, so compare

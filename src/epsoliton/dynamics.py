@@ -43,7 +43,7 @@ class State:
 @dataclass
 class Trajectory:
     states: list
-    meta: dict = field(default_factory=dict)
+    meta: dict = field(default_factory=dict)  # evolve's Poisson counters
     blown_up: bool = False
     blowup_time: float = None
     failure: str = None  # a solver failure that stopped the run, with its stage and t
@@ -56,8 +56,7 @@ class Trajectory:
     def poisson_telemetry(self):
         """evolve's Poisson counters: solves, their summed iterations and the
         largest reported residual."""
-        return {k: self.meta[k] for k in
-                ("poisson_solves", "poisson_iterations", "poisson_residual_max")}
+        return dict(self.meta)
 
 
 def gradient_E(state, phi, K):
@@ -86,10 +85,9 @@ def rhs(state, K, grid, phi0=None, dealias=False):
     return ndot, udot, rep.phi_hat, rep
 
 
-def invariants_of(state, K, grid, phi=None):
+def invariants_of(state, K, grid):
     """Conserved-quantity record {E, E_K, E_P, M} from the exact densities."""
-    if phi is None:
-        phi, _ = solve_poisson(state.n, grid)
+    phi, _ = solve_poisson(state.n, grid)
     n, u = state.n, state.u
     dphi = derivative(phi, grid, order=1)
     e_full = energy_density(n, u, phi, K, grid)
@@ -107,11 +105,6 @@ def energy_density(n, u, phi, K, grid):
     dphi = derivative(phi, grid, order=1)
     return (one_n * u ** 2 / 2.0 + K * (one_n * np.log(one_n) - n)
             - dphi ** 2 / 2.0 + n * phi - (np.exp(phi) - 1.0 - phi))
-
-
-def cfl_dt(state, K, grid, cfl=0.4):
-    speed = float(np.max(np.abs(state.u))) + np.sqrt(K) + 1.0
-    return cfl * grid.h / speed
 
 
 def evolve(state0, T, K, grid, dt=None, cfl=0.4, n_saves=41):
@@ -132,9 +125,7 @@ def evolve(state0, T, K, grid, dt=None, cfl=0.4, n_saves=41):
     t = float(state0.t)
     n, u = state0.n.copy(), state0.u.copy()
     traj = Trajectory(states=[State(t, n.copy(), u.copy())],
-                      meta={"scheme": "rk4", "dt": dt, "cfl": cfl,
-                            "grid": (grid.L, grid.N), "K": K, "T": T,
-                            "poisson_solves": 0, "poisson_iterations": 0,
+                      meta={"poisson_solves": 0, "poisson_iterations": 0,
                             "poisson_residual_max": 0.0})
     meta = traj.meta
     next_save = t + save_every
@@ -144,7 +135,8 @@ def evolve(state0, T, K, grid, dt=None, cfl=0.4, n_saves=41):
     t_end = t + T
     while t < t_end - 1e-14 * max(1.0, t_end):
         s = State(t, n, u)
-        step = dt if dt is not None else cfl_dt(s, K, grid, cfl)
+        step = dt if dt is not None else \
+            cfl * grid.h / (float(np.max(np.abs(u))) + np.sqrt(K) + 1.0)
         step = min(step, t_end - t)
         if next_save < t_end:
             step = min(step, next_save - t)  # land exactly on save times

@@ -29,8 +29,12 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from .grid import derivative, integrate
 
+_CG_TOL = 1e-13          # relative residual of the Helmholtz CG solves
+_NEWTON_MAXITER = 30     # Newton steps after the fixed point stalls
+_FIXED_POINT_MAXITER = 40  # iteration cap of _poisson_fixed_point
 
-def _helmholtz_solve(f, w, grid, tol=1e-13):
+
+def _helmholtz_solve(f, w, grid):
     """Solve (-d^2/dx^2 + w(x)) g = f for real f and real positive w
     (typically e^{phi_c}) by conjugate gradients preconditioned with the
     Fourier symbol 1/(k^2 + mean(w))."""
@@ -47,7 +51,7 @@ def _helmholtz_solve(f, w, grid, tol=1e-13):
 
     A = LinearOperator((grid.N, grid.N), matvec=apply_A, dtype=float)
     M = LinearOperator((grid.N, grid.N), matvec=apply_M, dtype=float)
-    g, info = cg(A, f, M=M, rtol=tol, atol=0.0, maxiter=300)
+    g, info = cg(A, f, M=M, rtol=_CG_TOL, atol=0.0, maxiter=300)
     if info != 0:
         raise RuntimeError(f"Helmholtz Krylov solve failed to converge (info={info})")
     return g
@@ -57,7 +61,6 @@ def _helmholtz_solve(f, w, grid, tol=1e-13):
 class EllipticSolveReport:
     iterations: int
     residual: float
-    convex_ok: bool
     phi_hat: np.ndarray  # rfft coefficients of the returned phi
 
 
@@ -68,7 +71,7 @@ def _poisson_F(phi, n, grid):
     return integrate(dens, grid)
 
 
-def solve_poisson(n, grid, phi0=None, tol=1e-11, maxiter=30):
+def solve_poisson(n, grid, phi0=None, tol=1e-11):
     """Solve -phi'' + e^phi - 1 - n = 0; returns (phi, report).
 
     phi0, when given, is the initial guess as rfft coefficients (it is not
@@ -92,7 +95,7 @@ def solve_poisson(n, grid, phi0=None, tol=1e-11, maxiter=30):
         if cold_rep.residual < rep.residual:
             phi = cold
             rep = EllipticSolveReport(rep.iterations + cold_rep.iterations,
-                                      cold_rep.residual, True, cold_rep.phi_hat)
+                                      cold_rep.residual, cold_rep.phi_hat)
     if rep.residual <= tol:
         return phi, rep
 
@@ -102,14 +105,13 @@ def solve_poisson(n, grid, phi0=None, tol=1e-11, maxiter=30):
     r = residual(phi)
     res = float(np.max(np.abs(r)))
     grow = 0
-    F_prev = _poisson_F(phi, n, grid)
-    convex_ok = True
     it = 0
-    while res > tol and it < maxiter:
+    while res > tol and it < _NEWTON_MAXITER:
         delta = _helmholtz_solve(r, np.exp(phi), grid)
         step = 1.0
         if grow >= 3:
             # damped Newton: backtrack on F (descent direction by convexity)
+            F_prev = _poisson_F(phi, n, grid)
             while step > 1e-8:
                 if _poisson_F(phi - step * delta, n, grid) < F_prev:
                     break
@@ -119,18 +121,13 @@ def solve_poisson(n, grid, phi0=None, tol=1e-11, maxiter=30):
         new_res = float(np.max(np.abs(r)))
         grow = grow + 1 if new_res > res else 0
         res = new_res
-        F_new = _poisson_F(phi, n, grid)
-        if F_new > F_prev + 1e-12 * (1.0 + abs(F_prev)):
-            convex_ok = False
-        F_prev = F_new
         it += 1
     if res > tol:
         raise RuntimeError(f"solve_poisson: Newton failed, residual {res:.3e} after {it} iterations")
-    return phi, EllipticSolveReport(iterations=it, residual=res, convex_ok=convex_ok,
-                                    phi_hat=np.fft.rfft(phi))
+    return phi, EllipticSolveReport(iterations=it, residual=res, phi_hat=np.fft.rfft(phi))
 
 
-def _poisson_fixed_point(n, grid, phi0, tol, maxiter=40):
+def _poisson_fixed_point(n, grid, phi0, tol):
     """Preconditioned fixed-point iteration on phi_hat = rfft(phi).
 
     phi_hat starts from phi0 (rfft coefficients, copied) or from the
@@ -148,7 +145,7 @@ def _poisson_fixed_point(n, grid, phi0, tol, maxiter=40):
     norm of the residual's Fourier coefficients, which bounds max |r| on the
     nodes.  Returns (phi, report) at the last residual evaluated, with
     report.phi_hat the coefficients phi came from; the caller falls back to
-    Newton when report.residual > tol (a stall, or maxiter reached).
+    Newton when report.residual > tol (a stall, or the iteration cap reached).
     """
     N = grid.N
     k2 = -grid.symbol(2)
@@ -166,9 +163,9 @@ def _poisson_fixed_point(n, grid, phi0, tol, maxiter=40):
         e = np.exp(phi)
         r_hat = k2 * phi_hat + np.fft.rfft(e - one_n)
         new_res = float(w @ np.abs(r_hat))
-        if new_res <= tol or it == maxiter or new_res > 0.9 * res:
+        if new_res <= tol or it == _FIXED_POINT_MAXITER or new_res > 0.9 * res:
             return phi, EllipticSolveReport(iterations=it, residual=new_res,
-                                            convex_ok=True, phi_hat=phi_hat)
+                                            phi_hat=phi_hat)
         if precond is None or phi0 is None:
             precond = 1.0 / (k2 + 0.5 * (e.min() + e.max()))
         res = new_res
@@ -176,9 +173,9 @@ def _poisson_fixed_point(n, grid, phi0, tol, maxiter=40):
         it += 1
 
 
-def apply_inv_schrodinger(f, phi_c, grid, tol=1e-13):
+def apply_inv_schrodinger(f, phi_c, grid):
     """Solve (-d^2/dx^2 + e^{phi_c}) g = f."""
-    return _helmholtz_solve(f, np.exp(np.asarray(phi_c, dtype=float)), grid, tol=tol)
+    return _helmholtz_solve(f, np.exp(np.asarray(phi_c, dtype=float)), grid)
 
 
 DENSE_N_MAX = 1024  # largest N given a dense inverse (8 MB at 1024)

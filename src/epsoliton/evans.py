@@ -36,7 +36,12 @@ from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.interpolate import CubicSpline
 from scipy.optimize import linear_sum_assignment
 
-from .profile import sonic_branch_distance
+from .profile import mu4_at_zero, sonic_branch_distance
+
+_N_FINE = 8       # spline nodes per grid spacing of CoefficientCache
+_N_STEPS = 60     # continuation steps of dispersion_roots along the ray
+_DLAM = 1e-3      # stencil spacing of evans_derivs_at0
+_MAX_REFINE = 8   # bisection rounds of evans_scan
 
 
 # ---------------------------------------------------------------- matrices
@@ -48,10 +53,10 @@ class CoefficientCache:
     assembled matrices satisfy A(+-L) -> A_inf at tail tolerance.
     """
 
-    def __init__(self, p, n_fine=8):
+    def __init__(self, p):
         self.c, self.K = p.c, p.K
         g = p.grid
-        xf = np.linspace(-g.L, g.L, n_fine * g.N + 1)
+        xf = np.linspace(-g.L, g.L, _N_FINE * g.N + 1)
         n = p.at(xf, "n"); u = p.at(xf, "u"); phi = p.at(xf, "phi")
         dn = p.at(xf, "dn"); du = p.at(xf, "du")
         c, K = self.c, self.K
@@ -74,13 +79,9 @@ class CoefficientCache:
         self._spl = CubicSpline(xf, rows, axis=1)
         self._xmax = xf[-1]
 
-    def _entries(self, x):
-        x = np.clip(x, -self._xmax, self._xmax)
-        return self._spl(x)
-
     def A1_A2(self, x):
         """A1(x), A2(x) stacked over the last axis of x (shape (...,4,4))."""
-        e = self._entries(np.asarray(x, dtype=float))
+        e = self._spl(np.clip(np.asarray(x, dtype=float), -self._xmax, self._xmax))
         shp = np.shape(x)
         A1 = np.zeros(shp + (4, 4))
         A2 = np.zeros(shp + (4, 4))
@@ -109,10 +110,6 @@ def A_infinity(lam, c, K):
 
 # ------------------------------------------------------------- dispersion
 
-def mu4_closed(c, K):
-    return np.sqrt(1.0 - 1.0 / (c * c - K))
-
-
 def _quartic_roots(lams, c, K):
     """Roots of the dispersion quartic at each of lams, shape (len(lams), 4):
     the eigenvalues of the companion matrices np.roots would build, found
@@ -135,16 +132,15 @@ class AsymptoticData:
     mus: np.ndarray                  # labeled mu_1..mu_4
     vs: np.ndarray = None            # columns v_j (4,4), NaN where degenerate
     ws: np.ndarray = None
-    pairings: np.ndarray = None
     degenerate: np.ndarray = None    # branches with mu ~ 0 (no frame)
 
 
-def dispersion_roots(lam, c, K, n_steps=60):
+def dispersion_roots(lam, c, K):
     """Labeled roots mu_1..mu_4 of the dispersion quartic at lambda.
 
     Labels are fixed by closed-form small-lambda asymptotics and carried to
     the requested lambda by continuity along the ray t -> t*lambda, with
-    minimal-distance assignment at each step.  The sum rule
+    minimal-distance assignment at each of _N_STEPS steps.  The sum rule
     mu1+mu2+mu3+mu4 = 2 c lambda/(c^2-K) is asserted.
     """
     lam = complex(lam)
@@ -154,11 +150,11 @@ def dispersion_roots(lam, c, K, n_steps=60):
         # the quartic's coefficients are real polynomials in lambda, so the
         # labeled roots at conj(lambda) are the conjugates: exactly, not to
         # the root finder's roundoff
-        data = dispersion_roots(lam.conjugate(), c, K, n_steps)
+        data = dispersion_roots(lam.conjugate(), c, K)
         return AsymptoticData(lam, c, K, data.mus.conj())
     V = np.sqrt(1.0 + K)
     eps = c - V
-    mu40 = mu4_closed(c, K)
+    mu40 = mu4_at_zero(c, K)
     if lam == 0:
         mus = np.array([-mu40, 0.0, 0.0, mu40], dtype=complex)
         return AsymptoticData(lam, c, K, mus)
@@ -166,7 +162,7 @@ def dispersion_roots(lam, c, K, n_steps=60):
     t0 = min(1e-4 / abs(lam), 1.0)
     lam0 = lam * t0
     mus = np.array([-mu40, lam0 / (c + V), lam0 / eps, mu40], dtype=complex)
-    for roots in _quartic_roots(lam * np.geomspace(t0, 1.0, n_steps), c, K):
+    for roots in _quartic_roots(lam * np.geomspace(t0, 1.0, _N_STEPS), c, K):
         mus = _assign(roots, mus)
     s = np.sum(mus) - 2 * c * lam / (c * c - K)
     if abs(s) > 1e-9 * max(1.0, abs(lam)):
@@ -196,7 +192,6 @@ def eigen_frames(data):
     d = c * c - K
     vs = np.full((4, 4), np.nan, dtype=complex)
     ws = np.full((4, 4), np.nan, dtype=complex)
-    pairings = np.full(4, np.nan, dtype=complex)
     degenerate = np.zeros(4, dtype=bool)
     for j, mu in enumerate(data.mus):
         if abs(mu) < 1e-13:
@@ -205,11 +200,9 @@ def eigen_frames(data):
         om = 1.0 - mu * mu
         v = np.array([1.0, (c * mu - lam) / mu, 1.0 / om, mu / om])
         pi = np.array([(c * lam / mu - d) * om, -lam * om / mu, 1.0, mu])
-        pv = np.sum(pi * v)
         vs[:, j] = v
-        ws[:, j] = pi / pv
-        pairings[j] = pv
-    data.vs, data.ws, data.pairings, data.degenerate = vs, ws, pairings, degenerate
+        ws[:, j] = pi / np.sum(pi * v)
+    data.vs, data.ws, data.degenerate = vs, ws, degenerate
     return data
 
 
@@ -253,8 +246,8 @@ def _jost_mesh(c, K, x_lo, x_hi, x_eval, rtol):
     if np.any(x_eval < x_lo) or np.any(x_eval > x_hi):
         raise ValueError("jost marching: x_eval outside the march interval")
     h0 = _core_step(c, K) * (rtol / 1e-9) ** (1.0 / 6.0)
-    r = mu4_closed(c, K) / _GRADE
-    xc = 2.0 / mu4_closed(c, K)
+    r = mu4_at_zero(c, K) / _GRADE
+    xc = 2.0 / mu4_at_zero(c, K)
     s_core = xc / h0
 
     def s_of(x):  # mesh coordinate: s' = 1/h(x), one unit per step
@@ -346,9 +339,10 @@ def _sweep(E, anchor, backward, transpose=False):
     return (y[::-1] if backward else y).T
 
 
-def _stations(p, xa_frac=0.9, n_stations=7):
-    xa = xa_frac * p.grid.L
-    return xa, np.linspace(-xa, xa, n_stations)
+def _stations(p):
+    """Anchor xa = 0.9 L and the 7 stations on [-xa, xa] the pairing is read at."""
+    xa = 0.9 * p.grid.L
+    return xa, np.linspace(-xa, xa, 7)
 
 
 def evans(lam, p, cache=None, rtol=1e-11, return_spread=False):
@@ -377,9 +371,9 @@ def evans(lam, p, cache=None, rtol=1e-11, return_spread=False):
     return D
 
 
-def evans_derivs_at0(p, cache=None, dlam=1e-3, rtol=1e-11):
+def evans_derivs_at0(p, cache=None, rtol=1e-11):
     """(D(0), D'(0), D''(0)) by 5-point stencils along the imaginary axis,
-    Richardson-extrapolated across dlam and dlam/2."""
+    Richardson-extrapolated across _DLAM and _DLAM/2."""
     if cache is None:
         cache = CoefficientCache(p)
 
@@ -396,8 +390,8 @@ def evans_derivs_at0(p, cache=None, dlam=1e-3, rtol=1e-11):
         D2 = -(-Dp2 + 16 * Dp1 - 30 * D0 + 16 * Dm1 - Dm2) / (12 * d * d)
         return D0, D1, D2
 
-    D0a, D1a, D2a = stencil(dlam)
-    D0b, D1b, D2b = stencil(dlam / 2)
+    D0a, D1a, D2a = stencil(_DLAM)
+    D0b, D1b, D2b = stencil(_DLAM / 2)
     # both stencils are 4th order; Richardson across the halving
     D1 = (16 * D1b - D1a) / 15
     D2 = (16 * D2b - D2a) / 15
@@ -415,16 +409,17 @@ class EvansScan:
     winding: int = None
 
 
-def evans_scan(points, p, cache=None, closed=False, rtol=1e-9, max_refine=8):
+def evans_scan(points, p, cache=None, closed=False, rtol=1e-9):
     """Sample D along a contour; winding number for closed contours.
 
-    Refines between adjacent samples whenever the phase jump exceeds pi/2.
+    Refines between adjacent samples whenever the phase jump exceeds pi/2,
+    for at most _MAX_REFINE rounds.
     """
     if cache is None:
         cache = CoefficientCache(p)
     pts = list(np.asarray(points, dtype=complex))
     vals = [evans(z, p, cache, rtol=rtol) for z in pts]
-    for _ in range(max_refine):
+    for _ in range(_MAX_REFINE):
         new_pts, new_vals, refined = [], [], False
         seq = list(zip(pts, vals))
         if closed:

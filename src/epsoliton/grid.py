@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 
 @dataclass(frozen=True)
@@ -158,6 +157,11 @@ def l2norm(v: np.ndarray, grid: Grid) -> float:
 # ---------------------------------------------------------------------------
 # weights
 
+# the exponentially weighted norms read only |x| <= WINDOW L, where radiation
+# that left the periodic box arrives last
+WINDOW = 0.8
+
+
 def smooth_bump(x: np.ndarray) -> np.ndarray:
     """Even C^1-smoothstep bump: 1 on |x|<=1, 0 on |x|>=2, quintic transition."""
     s = np.clip(np.abs(x) - 1.0, 0.0, 1.0)
@@ -187,14 +191,12 @@ class WeightSet:
     psi_weight: np.ndarray = field(init=False)
     sech_weight: np.ndarray = field(init=False)
     exp_weight: np.ndarray = field(init=False)
-    degenerate_partition: bool = field(init=False, default=False)
 
     def __post_init__(self):
         for name in ("A", "B", "A1", "kappa", "a_rate"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        g, x = self.grid, self.grid.x
-        self.degenerate_partition = self.A1 >= g.L
+        x = self.grid.x
         self.zeta_A = zeta(x, self.A)
         self.zeta_B = zeta(x, self.B)
         self.theta1 = smooth_bump(x / self.A1)
@@ -210,20 +212,16 @@ class WeightSet:
         """phi_{iAA1}(x) = int_0^x zeta_A^2 theta_i^2, cumulative quadrature anchored at 0."""
         g = self.grid
         integ = self.zeta_A ** 2 * theta ** 2
-        F = np.concatenate([[0.0], cumulative_trapezoid(integ, g.x)])
+        F = running_integral(integ, g.x)
         # anchor at x = 0 (node since N even and grid starts at -L)
         i0 = int(np.argmin(np.abs(g.x)))
         return F - F[i0]
 
 
-def make_weights(A: float, B: float, A1: float, kappa: float, a_rate: float,
-                 eps: float, grid: Grid) -> WeightSet:
-    return WeightSet(A=A, B=B, A1=A1, kappa=kappa, a_rate=a_rate, eps=eps, grid=grid)
-
-
 def default_weights(eps: float, grid: Grid, A: float = 100.0, B: float = 10.0,
                     kappa: float = 0.1, rho: float = 0.3) -> WeightSet:
-    return make_weights(A, B, B ** 0.6, kappa, rho * np.sqrt(eps), eps, grid)
+    return WeightSet(A=A, B=B, A1=B ** 0.6, kappa=kappa, a_rate=rho * np.sqrt(eps),
+                     eps=eps, grid=grid)
 
 
 def norms(V: np.ndarray, w: WeightSet) -> dict:
@@ -248,7 +246,7 @@ def norms(V: np.ndarray, w: WeightSet) -> dict:
     else:
         raise ValueError("norms expects 2 or 3 components")
     out["Sigma_tilde"] = l2norm(w.sech_weight * V, g)
-    win = np.abs(g.x) <= 0.8 * g.L
+    win = np.abs(g.x) <= WINDOW * g.L
     out["L2a"] = l2norm(np.where(win, w.exp_weight * V, 0.0), g)
     bracket = np.sqrt(1.0 + g.x ** 2)
     out["weighted_local"] = float(integrate(

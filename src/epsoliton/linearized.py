@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Grid, derivative, inner, integrate, running_integral
+from .grid import WINDOW, Grid, derivative, inner, integrate, running_integral
 from .elliptic import schrodinger_solver
 from .modulation import kernel_vectors, KernelVectors
 
@@ -107,15 +107,11 @@ def apply_Lc_adjoint(W, ctx, dW=None):
     return np.array([o1, o2])
 
 
-def project_P(V, ctx):
-    kv = ctx.kv
-    return (kv.xi1 * inner(kv.eta1, V, ctx.grid)
-            + kv.xi2 * inner(kv.eta2, V, ctx.grid))
-
-
 def project_Q(V, ctx):
-    """Spectral projection off the generalized kernel: Q = 1 - P."""
-    return V - project_P(V, ctx)
+    """Spectral projection off the generalized kernel: Q = 1 - P,
+    P V = xi1 <eta1, V> + xi2 <eta2, V>."""
+    kv = ctx.kv
+    return V - (kv.xi1 * inner(kv.eta1, V, ctx.grid) + kv.xi2 * inner(kv.eta2, V, ctx.grid))
 
 
 @dataclass
@@ -138,12 +134,17 @@ class LinearTrajectory:
                                 self.flagged, self.steps[keep])
 
 
-def _step_count(ctx, T, dt=None, cfl=0.4):
+_CFL = 0.4         # Courant number of evolve_linear's default save lattice
+_TERM_TOL = 1e-17  # Kapteyn bound on the last Bessel coefficient kept
+_BLOCK = 128       # Chebyshev vectors per accumulation product
+
+
+def _step_count(ctx, T, dt=None):
     """(number of steps, step) of evolve_linear's save lattice on [0, T]."""
     if dt is None:
         p = ctx.profile
         speed = float(np.max(np.abs(p.u - p.c))) + np.sqrt(p.K) + 1.0
-        dt = cfl * ctx.grid.h / speed
+        dt = _CFL * ctx.grid.h / speed
     nsteps = max(int(np.ceil(T / dt)), 1)
     return nsteps, T / nsteps
 
@@ -196,11 +197,7 @@ def _bessel_table(z, kmax):
     return J
 
 
-_TERM_TOL = 1e-17  # Kapteyn bound on the last Bessel coefficient kept
-_BLOCK = 128       # Chebyshev vectors per accumulation product
-
-
-def evolve_linear(V0, ctx, T, dt=None, cfl=0.4, n_saves=41):
+def evolve_linear(V0, ctx, T, dt=None, n_saves=41):
     """e^{tL} V0 at the save times of [0, T]; returns a LinearTrajectory.
 
     The save times lie on the lattice of `_step_count` (the CFL step unless
@@ -221,7 +218,7 @@ def evolve_linear(V0, ctx, T, dt=None, cfl=0.4, n_saves=41):
     of the expansion has failed) and ends the trajectory.
     """
     g = ctx.grid
-    nsteps, dt = _step_count(ctx, T, dt, cfl)
+    nsteps, dt = _step_count(ctx, T, dt)
     counts = n_saves if isinstance(n_saves, tuple) else (n_saves,)
     steps = np.array(sorted(set().union(*(_save_steps(nsteps, k) for k in counts))))
     t = steps * dt
@@ -255,25 +252,25 @@ def evolve_linear(V0, ctx, T, dt=None, cfl=0.4, n_saves=41):
     return LinearTrajectory(t, states, flagged, steps)
 
 
-def _windowed_weighted_norm(V, ctx, a_rate, window=0.8):
+def _windowed_weighted_norm(V, ctx, a_rate):
     g = ctx.grid
-    mask = np.abs(g.x) <= window * g.L
+    mask = np.abs(g.x) <= WINDOW * g.L
     w = np.exp(a_rate * g.x) * mask
     dens = (w * V[0]) ** 2 + (w * V[1]) ** 2
     return float(np.sqrt(integrate(dens, g)))
 
 
-def wrap_time(ctx, safety=0.9, window=0.8):
+def wrap_time(ctx):
     """Time for the fastest wave to exit at -L and re-enter the weighted window.
 
     In the co-moving frame all group velocities are <= c + sqrt(1+K) in
     magnitude and leftward-directed; data supported near the center exits at
-    -L after ~L/speed and pollutes the window [-wL, wL] another (1-w)L/speed
-    later.
+    -L after ~L/speed and pollutes the window [-wL, wL] (w = grid.WINDOW)
+    another (1-w)L/speed later.  Returns 0.9 of that time.
     """
     p = ctx.profile
     speed = p.c + np.sqrt(1.0 + p.K)
-    return safety * (2.0 - window) * ctx.grid.L / speed
+    return 0.9 * (2.0 - WINDOW) * ctx.grid.L / speed
 
 
 # default save counts of the two experiments; LinearContext.q_trajectory

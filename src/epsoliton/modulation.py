@@ -14,8 +14,8 @@ state by Newton iteration on the two orthogonality conditions
     <shift(U, -D) - S_c, zeta_B eta1[c]> = 0,
     <shift(U, -D) - S_c, eta2[c]> = 0,
 
-and `track` runs this along a trajectory, monitoring |dD/dt - c| and |dc/dt|
-against the weighted-norm bounds they must satisfy.
+and `track` runs this along a trajectory, recording dD/dt and dc/dt (the
+modulation equations bound |dD/dt - c| and |dc/dt| by the weighted norms).
 """
 
 from dataclasses import dataclass
@@ -26,6 +26,10 @@ from scipy.interpolate import CubicSpline
 from .grid import Grid, integrate, inner, norms, translate
 from .profile import build_profile, profile_c_derivative
 from .elliptic import solve_poisson
+
+_ENFORCE_TOL = 1e-6  # Gram-matrix error above which kernel_vectors corrects the etas
+_DC = 1e-3           # half-width of ModulationContext's interpolation stencil in c
+_TOL, _MAXITER = 1e-12, 40  # decompose's Newton tolerance and iteration cap
 
 
 @dataclass
@@ -38,11 +42,9 @@ class KernelVectors:
     theta2: float
     theta3: float
     eta1_deriv: np.ndarray = None  # closed-form x-derivative of eta1
-    eta2_deriv: np.ndarray = None
-    gram_correction: float = 0.0  # size of the enforcing correction, if any
 
 
-def kernel_vectors(p, dc=1e-5, xi2=None, enforce_tol=1e-6, xi2_cum=None):
+def kernel_vectors(p, xi2=None, xi2_cum=None):
     """Build (xi1, xi2, eta1, eta2) and the theta scalars for a profile.
 
     xi2_cum, if given, is the cumulative integral of xi2 from the left grid
@@ -51,7 +53,7 @@ def kernel_vectors(p, dc=1e-5, xi2=None, enforce_tol=1e-6, xi2_cum=None):
     grid = p.grid
     xi1 = np.array([p.dn, p.du])
     if xi2 is None:
-        xi2 = profile_c_derivative(p.c, p.K, grid, dc=dc)["xi2"]
+        xi2 = profile_c_derivative(p.c, p.K, grid)
     dMdc = integrate(xi2[0] * p.u + xi2[1] * p.n, grid)
     if abs(dMdc) < 1e-14:
         raise ValueError("kernel_vectors: degenerate normalization d/dc M = 0")
@@ -72,18 +74,15 @@ def kernel_vectors(p, dc=1e-5, xi2=None, enforce_tol=1e-6, xi2_cum=None):
     deta2 = theta3 * np.array([p.du, p.dn])
 
     kv = KernelVectors(xi1, xi2, eta1, eta2, theta1, theta2, theta3,
-                       eta1_deriv=deta1, eta2_deriv=deta2)
+                       eta1_deriv=deta1)
     # biorthogonality check, 2x2 Gram correction on (eta1, eta2) if needed
     G = np.array([[inner(xi1, eta1, grid), inner(xi1, eta2, grid)],
                   [inner(xi2, eta1, grid), inner(xi2, eta2, grid)]])
-    err = np.max(np.abs(G - np.eye(2)))
-    if err > enforce_tol:
+    if np.max(np.abs(G - np.eye(2))) > _ENFORCE_TOL:
         A = np.linalg.solve(G.T, np.eye(2))  # new etas = A11 eta1 + A21 eta2 ...
         kv.eta1 = A[0, 0] * eta1 + A[1, 0] * eta2
         kv.eta2 = A[0, 1] * eta1 + A[1, 1] * eta2
         kv.eta1_deriv = A[0, 0] * deta1 + A[1, 0] * deta2
-        kv.eta2_deriv = A[0, 1] * deta1 + A[1, 1] * deta2
-        kv.gram_correction = float(err)
     return kv
 
 
@@ -96,27 +95,24 @@ class ModulationContext:
     """Profiles and kernel vectors as smooth functions of c near a base speed.
 
     Takes the base profile p (speed c0 = p.c), builds the profiles at
-    c0 +- dc on its grid and interpolates quadratically in c; Newton
+    c0 +- _DC on its grid and interpolates quadratically in c; Newton
     iterations in `decompose` then cost only quadratures.  The spline
     antiderivative is linear in its data, so that of xi2(c) is the same
     combination of the stacked rows' antiderivatives, computed here once.
     """
 
-    def __init__(self, p, dc=1e-3):
-        self.c0, self.K, self.grid, self.dc = float(p.c), float(p.K), p.grid, float(dc)
+    def __init__(self, p):
+        self.c0, self.K, self.grid = float(p.c), float(p.K), p.grid
         self.p0 = p
-        self.pm = build_profile(self.c0 - dc, self.K, self.grid)
-        self.pp = build_profile(self.c0 + dc, self.K, self.grid)
-        self._stack = {}
-        for nm in ("n", "u", "phi", "dn", "du"):
-            self._stack[nm] = np.array([getattr(self.pm, nm),
-                                        getattr(self.p0, nm),
-                                        getattr(self.pp, nm)])
+        family = (build_profile(self.c0 - _DC, self.K, self.grid), p,
+                  build_profile(self.c0 + _DC, self.K, self.grid))
+        self._stack = {nm: np.array([getattr(q, nm) for q in family])
+                       for nm in ("n", "u", "phi", "dn", "du")}
         self._cum = _antiderivative(
             np.array([self._stack["n"], self._stack["u"]]), self.grid)
 
     def _coeffs(self, c):
-        s = (c - self.c0) / self.dc
+        s = (c - self.c0) / _DC
         if abs(s) > 1.5:
             raise ValueError(f"ModulationContext: c = {c} outside interpolation window")
         return np.array([s * (s - 1) / 2, 1 - s * s, s * (s + 1) / 2]), s
@@ -127,13 +123,9 @@ class ModulationContext:
         st = self._stack
         return (w @ st["n"], w @ st["u"], w @ st["phi"])
 
-    def xi1(self, c):
-        w, _ = self._coeffs(c)
-        return np.array([w @ self._stack["dn"], w @ self._stack["du"]])
-
     def _dweights(self, c):
         _, s = self._coeffs(c)
-        return np.array([(2 * s - 1) / 2, -2 * s, (2 * s + 1) / 2]) / self.dc
+        return np.array([(2 * s - 1) / 2, -2 * s, (2 * s + 1) / 2]) / _DC
 
     def xi2(self, c):
         dw = self._dweights(c)
@@ -163,17 +155,15 @@ class _ProfileProxy:
 @dataclass
 class DecomposeReport:
     iterations: int
-    residual: float
-    converged: bool
-    history: list
+    residual: float  # at most _TOL: decompose raises otherwise
 
 
-def decompose(state, ctx, weights, c_guess=None, D_guess=None,
-              tol=1e-12, maxiter=40):
+def decompose(state, ctx, weights, c_guess=None, D_guess=None):
     """Extract (c, D, V, V_phi) from a state near the soliton family.
 
     Newton iteration on the two orthogonality conditions with a
-    finite-difference 2x2 Jacobian.  Returns (c, D, V, V_phi, report).
+    finite-difference 2x2 Jacobian.  Returns (c, D, V, V_phi, report);
+    raises RuntimeError when Newton stagnates or leaves ctx's window.
     """
     grid = ctx.grid
     U = np.array([state.n, state.u])
@@ -197,15 +187,13 @@ def decompose(state, ctx, weights, c_guess=None, D_guess=None,
     D, c = float(D_guess), float(c_guess)
     hD, hc = 1e-7, 1e-7
     history = []
-    converged = False
     scale = max(np.sqrt(inner(U, U, grid)), 1e-30)
     try:
-        for it in range(maxiter):
+        for _ in range(_MAXITER):
             r, V, kv = F(D, c)
             res = float(np.max(np.abs(r))) / scale
             history.append(res)
-            if res < tol:
-                converged = True
+            if res < _TOL:
                 break
             rD, _, _ = F(D + hD, c)
             rc, _, _ = F(D, c + hc)
@@ -222,14 +210,13 @@ def decompose(state, ctx, weights, c_guess=None, D_guess=None,
         # Newton left the context's interpolation window: a tracking failure
         raise RuntimeError(f"decompose: {e}") from e
     res = float(np.max(np.abs(r))) / scale
-    converged = res < tol
-    if not converged:
+    if not res < _TOL:
         raise RuntimeError(f"decompose: Newton stagnated, residual history {history}")
     # electric-potential component of the perturbation
     n_shift = translate(state.n, -D, grid)[0]
     phi_full, _ = solve_poisson(n_shift, grid)
     V_phi = phi_full - ctx.fields(c)[2]
-    return c, D, V, V_phi, DecomposeReport(len(history), res, converged, history)
+    return c, D, V, V_phi, DecomposeReport(len(history), res)
 
 
 @dataclass
@@ -237,29 +224,26 @@ class ModulationTrack:
     t: np.ndarray
     c: np.ndarray
     D: np.ndarray
-    residuals: np.ndarray
     norms: list           # per-snapshot dict from grid.norms
     dD_rate: np.ndarray   # centered finite differences of D
     dc_rate: np.ndarray
-    r_D: np.ndarray       # |dD/dt - c| / (B^{-1/2} (Sigma1 + Sigma2))
-    r_c: np.ndarray       # |dc/dt| / (Sigma1^2 + Sigma2^2)
     truncated: bool = False
     Vs: list = None        # per-snapshot (V_n, V_u, V_phi) in the profile frame
 
 
 def track(traj, ctx, weights):
-    """Run decompose along a trajectory and assemble monitor ratios."""
-    ts, cs, Ds, res, nrm, Vs = [], [], [], [], [], []
+    """Run decompose along a trajectory; c, D, their rates and the norms."""
+    ts, cs, Ds, nrm, Vs = [], [], [], [], []
     c_g, D_g = None, None
     truncated = False
     states = traj.states
     for i, s in enumerate(states):
         try:
-            c, D, V, V_phi, rep = decompose(s, ctx, weights, c_guess=c_g, D_guess=D_g)
+            c, D, V, V_phi, _ = decompose(s, ctx, weights, c_guess=c_g, D_guess=D_g)
         except RuntimeError:
             truncated = True
             break
-        ts.append(s.t); cs.append(c); Ds.append(D); res.append(rep.residual)
+        ts.append(s.t); cs.append(c); Ds.append(D)
         Vs.append(np.array([V[0], V[1], V_phi]))
         nrm.append(norms(Vs[-1], weights))
         c_g = c
@@ -272,13 +256,4 @@ def track(traj, ctx, weights):
     Dw = np.unwrap(Ds, period=2 * ctx.grid.L)
     dD = np.gradient(Dw, ts) if len(ts) > 2 else np.full_like(ts, np.nan)
     dc = np.gradient(cs, ts) if len(ts) > 2 else np.full_like(ts, np.nan)
-    B = weights.B
-    s1 = np.array([d["Sigma1"] for d in nrm])
-    s2 = np.array([d["Sigma2"] for d in nrm])
-    denom_D = (s1 + s2) / np.sqrt(B)
-    denom_c = s1 ** 2 + s2 ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r_D = np.abs(dD - cs) / denom_D
-        r_c = np.abs(dc) / denom_c
-    return ModulationTrack(ts, cs, Dw, np.array(res), nrm, dD, dc, r_D, r_c,
-                           truncated=truncated, Vs=Vs)
+    return ModulationTrack(ts, cs, Dw, nrm, dD, dc, truncated=truncated, Vs=Vs)

@@ -22,7 +22,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .grid import Grid, default_grid
+from .grid import Grid, default_grid, derivative
 
 
 def H(n, c, K):
@@ -217,12 +217,8 @@ class ProfileSolution:
     psi: np.ndarray          # phi'
     dn: np.ndarray           # n'
     du: np.ndarray           # u'
-    d2phi: np.ndarray        # phi''
-    d2n: np.ndarray
-    d2u: np.ndarray
     n_star: float
     phi_star: float
-    u_star: float
     poisson_residual: float
     _splines: dict = field(default_factory=dict, repr=False)
 
@@ -309,12 +305,12 @@ def _half_line_values(c, K, xq, n_star, phi_star):
     phis = np.empty_like(xq)
     near = xq <= x0
     phis[near] = phi_star - gp_star / 2.0 * xq[near] ** 2
+    # each segment's points are the first t_eval points of its solve (a
+    # terminal event keeps the t_eval points up to the event)
     seg1 = (xq > x0) & (xq <= x_mid)
-    lut1 = dict(zip(sol1.t, sol1.y[0]))
-    phis[seg1] = phi_star - np.array([lut1[xv] for xv in xq[seg1]]) ** 2
+    phis[seg1] = phi_star - sol1.y[0, :np.count_nonzero(seg1)] ** 2
     seg2 = (xq > x_mid) & (xq < x_end)
-    lut2 = dict(zip(sol2.t, sol2.y[0]))
-    phis[seg2] = np.exp([lut2[xv] for xv in xq[seg2]])
+    phis[seg2] = np.exp(sol2.y[0, :np.count_nonzero(seg2)])
     tail = xq >= x_end
     # exponential tail with the exact asymptotic rate, matched at x_end
     phis[tail] = phi_floor * np.exp(-mu * (xq[tail] - x_end))
@@ -333,7 +329,7 @@ def _half_line_values(c, K, xq, n_star, phi_star):
 
 def build_profile(c: float, K: float, grid: Grid | None = None) -> ProfileSolution:
     """Construct the solitary wave on the grid by pseudopotential quadrature."""
-    n_star, phi_star, u_star = peak_state(c, K)
+    n_star, phi_star, _ = peak_state(c, K)
     # monotonicity of H on [0, n*] asserted, not assumed
     ns_chk = np.linspace(0.0, n_star, 257)
     if np.any(dH_dn(ns_chk, c, K) <= 0):
@@ -345,8 +341,7 @@ def build_profile(c: float, K: float, grid: Grid | None = None) -> ProfileSoluti
     # fine auxiliary half-grid (node-exact values) for even spline evaluators
     h_fine = grid.h / 8.0
     xq = np.arange(0.0, grid.L + 4 * grid.h, h_fine)
-    vals = _half_line_values(c, K, xq, n_star, phi_star)
-    phis, ns, us, psis, dns, dus, d2phi = vals
+    phis, ns, us, psis, dns, dus, d2phi = _half_line_values(c, K, xq, n_star, phi_star)
 
     splines = {"__xmax__": xq[-1]}
     for name, arr, parity in (("phi", phis, "even"), ("n", ns, "even"),
@@ -359,22 +354,14 @@ def build_profile(c: float, K: float, grid: Grid | None = None) -> ProfileSoluti
 
     # node j sits at |x_j| = |j - N/2| h, the fine-mesh point 8 |j - N/2|
     idx = 8 * np.abs(np.arange(grid.N) - grid.N // 2)
-    n_g, u_g, phi_g, psi_g, dn_g, du_g, d2phi_g = (
-        a[idx] for a in (ns, us, phis, psis, dns, dus, d2phi))
+    n_g, u_g, phi_g, psi_g, dn_g, du_g = (a[idx] for a in (ns, us, phis, psis, dns, dus))
     sgn = np.sign(grid.x)
     psi_g, dn_g, du_g = psi_g * sgn, dn_g * sgn, du_g * sgn
 
-    h_n = dH_dn(n_g, c, K)
-    hp = -3 * c ** 2 / (1.0 + n_g) ** 4 + K / (1.0 + n_g) ** 2
-    d2n = d2phi_g / h_n - psi_g ** 2 * hp / h_n ** 3
-    d2u = c * (d2n * (1.0 + n_g) - 2.0 * dn_g ** 2) / (1.0 + n_g) ** 3
-
-    from .grid import derivative
     resid = float(np.max(np.abs(-derivative(phi_g, grid, 2) + np.exp(phi_g) - 1.0 - n_g)))
 
     return ProfileSolution(c=c, K=K, grid=grid, n=n_g, u=u_g, phi=phi_g, psi=psi_g,
-                           dn=dn_g, du=du_g, d2phi=d2phi_g, d2n=d2n, d2u=d2u,
-                           n_star=n_star, phi_star=phi_star, u_star=u_star,
+                           dn=dn_g, du=du_g, n_star=n_star, phi_star=phi_star,
                            poisson_residual=resid, _splines=splines)
 
 
@@ -401,23 +388,22 @@ def kdv_residual(p: ProfileSolution) -> float:
     return float(np.max(np.abs(S - ref)))
 
 
-def profile_c_derivative(c: float, K: float, grid: Grid, dc: float = 1e-5) -> dict:
-    """Central finite-difference c-derivatives of the profile family."""
+def profile_c_derivative(c: float, K: float, grid: Grid, dc: float = 1e-5) -> np.ndarray:
+    """xi2 = d/dc (n_c, u_c) by a central finite difference, shape (2, N)."""
     pp, pm = build_profile(c + dc, K, grid), build_profile(c - dc, K, grid)
-    return {
-        "xi2": np.array([(pp.n - pm.n), (pp.u - pm.u)]) / (2 * dc),
-        "dphi_dc": (pp.phi - pm.phi) / (2 * dc),
-        "dpsi_dc": (pp.psi - pm.psi) / (2 * dc),
-    }
+    return np.array([(pp.n - pm.n), (pp.u - pm.u)]) / (2 * dc)
 
 
-def tail_rate_check(p: ProfileSolution, decades: float = 2.0) -> float:
+_TAIL_DECADES = 2.0  # decades of n_c below n*/100 that tail_rate_check fits
+
+
+def tail_rate_check(p: ProfileSolution) -> float:
     """Least-squares exponential fit of log n_c on the tail window; compare to mu4(0,eps)."""
     x, n = p.grid.x, p.n
     mask = x > 0
     xm, nm = x[mask], n[mask]
     top = p.n_star * 1e-2
-    floor = max(p.n_star * 1e-2 * 10.0 ** (-decades), 1e-13)
+    floor = max(p.n_star * 1e-2 * 10.0 ** (-_TAIL_DECADES), 1e-13)
     sel = (nm < top) & (nm > floor)
     while sel.sum() < 8 and floor > 1e-300:
         floor *= 0.1

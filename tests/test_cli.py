@@ -83,6 +83,29 @@ def test_nonpositive_T_L_rho_exit_1(tmp_path, capsys, argv, key):
     assert not out.exists()
 
 
+# a flag value that does not parse, or is not finite, is a validation error,
+# not a traceback; NaN would fail none of validate's range comparisons
+@pytest.mark.parametrize("argv, message", [
+    (["profile", "--N", "abc"], "bad value for --N: 'abc'"),
+    (["profile", "--eps", "abc"], "bad value for --eps: 'abc'"),
+    (["evolve", "--n_saves", "2.5"], "bad value for --n_saves: '2.5'"),
+    (["profile", "--B", "nan"], "B must be finite"),
+    (["profile", "--K", "nan"], "K must be finite"),
+    (["profile", "--eps", "nan"], "eps must be finite"),
+    (["profile", "--A", "nan"], "A must be finite"),
+    (["linear", "--kappa", "nan"], "kappa must be finite"),
+    (["evolve", "--delta", "nan", "--eps", "0.1", "--T", "1"], "delta must be finite"),
+    (["evolve", "--T", "inf"], "T must be finite")],
+    ids=["N-abc", "eps-abc", "n_saves-2.5", "B-nan", "K-nan", "eps-nan", "A-nan",
+         "kappa-nan", "delta-nan", "T-inf"])
+def test_malformed_or_nan_flag_exit_1(tmp_path, capsys, argv, message):
+    out = tmp_path / "r"
+    rc = cli.run(argv + ["--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_flag_overrides_config_file(tmp_path):
     f = tmp_path / "cfg.txt"
     f.write_text("eps=0.2\nN=128\nL=40\n")
@@ -211,6 +234,19 @@ def test_linear_happy_path(tmp_path):
         assert header == ["t", "name", "value"] and len(rows) > 2
         assert {row[1] for row in rows} == {series}
         assert np.isfinite(np.array([[row[0], row[2]] for row in rows], dtype=float)).all()
+
+
+def test_linear_defaults_decay_verdict(tmp_path):
+    # the dispersive-decay verdict at the CLI defaults (eps = 0.05, up to the
+    # wrap time); kato_plateau is not asserted: on the periodic box the
+    # smoothing weight is wider than the half-box and the integral cannot
+    # saturate before the wrap time
+    out = tmp_path / "run"
+    assert cli.run(["linear", "--out", str(out)]) == 0
+    man = _strict_json(out / "manifest.json")
+    rate = man["scalars"]["decay_rate"]
+    assert man["verdicts"]["decay_positive"] is True
+    assert isinstance(rate, float) and np.isfinite(rate) and rate > 0
 
 
 def test_linear_without_decaying_segment_writes_null_rate(tmp_path, monkeypatch):

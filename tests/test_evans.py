@@ -48,12 +48,12 @@ def test_coefficient_matrix_subsonic_rejected(grid10):
 # --------------------------------------------------------------- dispersion
 
 def test_mu4_closed_value(p10):
-    assert abs(ev.mu4_closed(p10.c, p10.K) - 0.4759312) < 1e-6
+    assert abs(ev.mu4_at_zero(p10.c, p10.K) - 0.4759312) < 1e-6
 
 
 def test_dispersion_roots_at_zero(p10):
     d = ev.dispersion_roots(0.0, p10.c, p10.K)
-    mu4 = ev.mu4_closed(p10.c, p10.K)
+    mu4 = ev.mu4_at_zero(p10.c, p10.K)
     assert np.allclose(d.mus, [-mu4, 0.0, 0.0, mu4])
 
 
@@ -243,7 +243,7 @@ def test_batched_expm_matches_scipy(eps, p05, p10, cache10):
 
 def _dispersion_roots_loop(lam, c, K, n_steps=60):
     """The continuation with one np.roots call per step."""
-    mu40, V = ev.mu4_closed(c, K), np.sqrt(1.0 + K)
+    mu40, V = ev.mu4_at_zero(c, K), np.sqrt(1.0 + K)
     d = c * c - K
     t0 = min(1e-4 / abs(lam), 1.0)
     lam0 = lam * t0

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epsoliton.grid import (Grid, default_grid, derivative, integrate, inner,
-                            l2norm, translate, zeta, make_weights, default_weights,
+                            l2norm, translate, zeta, WeightSet, default_weights,
                             norms)
 
 
@@ -115,8 +115,8 @@ def test_zeta_plateau_even_monotone(g):
 
 
 def test_weightset_basics(g):
-    w = make_weights(A=100.0, B=10.0, A1=10 ** 0.6, kappa=0.1, a_rate=0.1,
-                     eps=0.1, grid=g)
+    w = WeightSet(A=100.0, B=10.0, A1=10 ** 0.6, kappa=0.1, a_rate=0.1,
+                  eps=0.1, grid=g)
     i0 = int(np.argmin(np.abs(g.x)))
     assert w.phi1[i0] == 0.0 and w.phi2[i0] == 0.0
     assert np.max(np.abs(w.theta1 + w.theta2 - 1.0)) < 1e-15
@@ -142,14 +142,8 @@ def test_weights_deterministic(g):
 
 def test_weights_positivity_validation(g):
     with pytest.raises(ValueError):
-        make_weights(A=-1.0, B=10.0, A1=4.0, kappa=0.1, a_rate=0.1,
-                     eps=0.1, grid=g)
-
-
-def test_degenerate_partition_flag(g):
-    w = make_weights(A=100.0, B=10.0, A1=2 * g.L, kappa=0.1, a_rate=0.1,
-                     eps=0.1, grid=g)
-    assert w.degenerate_partition
+        WeightSet(A=-1.0, B=10.0, A1=4.0, kappa=0.1, a_rate=0.1,
+                  eps=0.1, grid=g)
 
 
 # ------------------------------------------------------------ norms
@@ -170,8 +164,8 @@ def test_norms_derivative_term_acts_on_vphi_only(g):
 
 
 def test_norms_l2a_closed_form(g):
-    w = make_weights(A=100.0, B=10.0, A1=10 ** 0.6, kappa=0.1, a_rate=0.1,
-                     eps=0.1, grid=g)
+    w = WeightSet(A=100.0, B=10.0, A1=10 ** 0.6, kappa=0.1, a_rate=0.1,
+                  eps=0.1, grid=g)
     V = np.zeros((3, g.N))
     V[0] = 1.0
     out = norms(V, w)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from epsoliton.grid import inner, translate
+from epsoliton.grid import default_grid, inner, translate
 from epsoliton import dynamics as dyn
 from epsoliton import modulation as mod
+from epsoliton import profile as prof
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +38,25 @@ def test_theta_signs(kv10):
     assert kv10.theta1 == pytest.approx(-kv10.theta3, rel=1e-10)
 
 
+def test_theta_kdv_scaling():
+    # at leading KdV order n_c, u_c ~ eps psi(sqrt(eps) x), so M = int n_c u_c
+    # ~ eps^{3/2} and theta3 = 1/M'(c) ~ eps^{-1/2}; int d/dc n_c and
+    # int d/dc u_c ~ eps^{-1/2}, so theta2 = theta3^2 (int d/dc n_c)(int d/dc u_c)
+    # ~ eps^{-2}.  With log theta = a log eps + b + c1 eps + c2 eps^2, the
+    # exponent measured from eps to eps/2 misses a by (c1 eps/2 + 3 c2 eps^2/4)
+    # / log 2, so halving eps halves the gap up to a relative
+    # 3 (c2/c1) eps/4: at eps = 0.04 the band (0.375, 0.625) admits
+    # |c2/c1| up to 8.  A wrong limit exponent leaves the gaps equal.
+    eps = (0.04, 0.02, 0.01)
+    kvs = [mod.kernel_vectors(prof.profile_from_eps(e, 1.0, default_grid(e)))
+           for e in eps]
+    for name, limit in (("theta3", -0.5), ("theta2", -2.0)):
+        theta = np.array([getattr(kv, name) for kv in kvs])
+        assert np.all(theta > 0)
+        gap = -np.diff(np.log(theta)) / np.log(2.0) - limit
+        assert 0.375 < gap[1] / gap[0] < 0.625, (name, gap)
+
+
 # -------------------------------------------------------------- decompose
 
 def test_decompose_shifted_soliton(p10, ctx10, w10):
@@ -47,7 +67,7 @@ def test_decompose_shifted_soliton(p10, ctx10, w10):
     assert abs(c - p10.c) < 1e-9
     assert abs(D - x0) < 1e-9
     assert np.max(np.abs(V)) < 1e-8
-    assert rep.converged
+    assert rep.residual < 1e-12
 
 
 def test_decompose_orthogonality_residuals(p10, ctx10, w10, rng):

@@ -165,8 +165,7 @@ def test_kdv_residual_scaling():
 def test_profile_c_derivative_even_and_peak(p10):
     g = p10.grid
     dc = 1e-4
-    out = prof.profile_c_derivative(p10.c, 1.0, g, dc=dc)
-    xi2 = out["xi2"]
+    xi2 = prof.profile_c_derivative(p10.c, 1.0, g, dc=dc)
     for row in xi2:
         assert np.max(np.abs(row[1:] - row[1:][::-1])) < 1e-9
     np1, _, _ = prof.peak_state(p10.c + dc, 1.0)
