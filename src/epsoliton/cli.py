@@ -1,7 +1,8 @@
 """Command-line orchestration: run experiments, persist CSV/JSON artifacts.
 
 Subcommands: profile | evans | evolve | linear | stability | report.
-Configuration comes from an optional key=value file plus flags (flags win).
+Each subcommand reads the settings of its row in _READS, from an optional
+key=value file plus flags (flags win); any other setting is an error.
 Every run writes a manifest.json listing inputs, outputs, wall time, and
 verdicts.  Exit codes: 0 success, 1 validation error, 2 numerical failure.
 """
@@ -11,7 +12,6 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,39 +31,40 @@ class NumericalFailure(Exception):
 
 # ------------------------------------------------------------------ config
 
-_DEFAULTS = dict(K=1.0, eps=0.05, L=None, N=None, A=100.0, B=10.0,
-                 kappa=0.1, rho=0.3, delta=1e-3, shape="even", T=None,
-                 n_saves=41, segment="0.02:1:25")
+# type and default of each setting
+_SETTINGS = {"K": (float, 1.0), "eps": (float, 0.05), "L": (float, None),
+             "N": (int, None), "A": (float, 100.0), "B": (float, 10.0),
+             "kappa": (float, 0.1), "rho": (float, 0.3), "delta": (float, 1e-3),
+             "shape": (str, "even"), "T": (float, None), "n_saves": (int, 41),
+             "segment": (str, "0.02:1:25")}
 
-_INT_KEYS = {"N", "n_saves"}
-_STR_KEYS = {"shape", "segment"}
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    out: str
-    force: bool = False
-    values: dict = field(default_factory=lambda: dict(_DEFAULTS))
-
-    def __getattr__(self, name):
-        values = object.__getattribute__(self, "values")
-        if name in values:
-            return values[name]
-        raise AttributeError(name)
-
-
-def _parse_value(key, raw):
-    if key in _STR_KEYS:
-        return raw
-    if key in _INT_KEYS:
-        return int(raw)
-    return float(raw)
+# the settings each subcommand reads; a flag or config-file key outside its
+# row is an error, and the manifest's inputs are exactly its row
+_GRID_KEYS = ("K", "eps", "L", "N")
+_READS = {
+    "profile": _GRID_KEYS,
+    "evans": _GRID_KEYS + ("segment",),
+    "evolve": _GRID_KEYS + ("delta", "shape", "T", "n_saves"),
+    "linear": _GRID_KEYS + ("A", "B", "kappa", "rho", "delta", "T"),
+    "stability": _GRID_KEYS + ("A", "B", "kappa", "rho", "delta", "shape", "T",
+                               "n_saves"),
+    "report": (),
+}
 
 
-def load_config(path, base=None):
-    """key=value text file; unknown keys rejected, '#' comments allowed."""
-    values = dict(base or _DEFAULTS)
+def _defaults(subcommand):
+    return {key: _SETTINGS[key][1] for key in _READS[subcommand]}
+
+
+def _unread(subcommand, key):
+    reads = ", ".join(_READS[subcommand]) or "no settings"
+    return f"{subcommand} does not read {key} (it reads {reads})"
+
+
+def load_config(path, subcommand):
+    """key=value text file over the subcommand's defaults; keys the
+    subcommand does not read are rejected, '#' comments allowed."""
+    values = _defaults(subcommand)
     text = Path(path).read_text()
     for ln, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -72,39 +73,36 @@ def load_config(path, base=None):
         if "=" not in line:
             raise ValidationError(f"{path}:{ln}: expected key=value, got {line!r}")
         key, raw = (s.strip() for s in line.split("=", 1))
-        if key not in _DEFAULTS:
+        if key not in _SETTINGS:
             raise ValidationError(f"{path}:{ln}: unknown key {key!r}")
+        if key not in _READS[subcommand]:
+            raise ValidationError(f"{path}:{ln}: {_unread(subcommand, key)}")
         try:
-            values[key] = _parse_value(key, raw)
+            values[key] = _SETTINGS[key][0](raw)
         except ValueError:
             raise ValidationError(f"{path}:{ln}: bad value for {key}: {raw!r}")
     return values
 
 
 def validate(values):
+    """Range checks on the settings present in `values` (a subcommand's row)."""
     # NaN fails no comparison below, so non-finite values are rejected first
     bad = [k for k, v in values.items() if isinstance(v, float) and not np.isfinite(v)]
     if bad:
         raise ValidationError("; ".join(f"{k} must be finite" for k in bad))
     problems = []
-    if values["K"] <= 0:
-        problems.append("K must be positive")
-    if values["eps"] <= 0:
-        problems.append("eps must be positive")
-    if values["B"] <= 1:
-        problems.append("B must exceed 1")
-    if values["A"] < values["B"] ** 2:
-        problems.append("A must be at least B^2 (weight-scale ordering A >> B^2)")
-    if values["kappa"] <= 0:
-        problems.append("kappa must be positive")
-    for key in ("T", "L", "rho"):
-        if values[key] is not None and not values[key] > 0:
+    for key in ("K", "eps", "kappa", "T", "L", "rho"):
+        if values.get(key) is not None and not values[key] > 0:
             problems.append(f"{key} must be positive")
-    if values["delta"] < 0:
+    if "B" in values and values["B"] <= 1:
+        problems.append("B must exceed 1")
+    if "A" in values and values["A"] < values["B"] ** 2:
+        problems.append("A must be at least B^2 (weight-scale ordering A >> B^2)")
+    if "delta" in values and values["delta"] < 0:
         problems.append("delta must be nonnegative")
-    if values["n_saves"] < 2:
+    if "n_saves" in values and values["n_saves"] < 2:
         problems.append("n_saves must be at least 2")
-    if values["shape"] not in ("even", "odd", "shift", "kick"):
+    if "shape" in values and values["shape"] not in ("even", "odd", "shift", "kick"):
         problems.append(f"unknown perturbation shape {values['shape']!r}")
     if problems:
         raise ValidationError("; ".join(problems))
@@ -139,19 +137,18 @@ def write_long_csv(path, t, series):
     write_csv(path, ("t", "name", "value"), rows)
 
 
-def _manifest(out, cfg, t_wall, files, scalars=None, verdicts=None):
+def _manifest(out, cfg, t_wall, files, scalars, verdicts):
     man = {
         "version": __version__,
         "subcommand": cfg.subcommand,
-        "inputs": cfg.values,
+        "inputs": {key: getattr(cfg, key) for key in _READS[cfg.subcommand]},
         "wall_time_s": t_wall,
         "outputs": [str(f) for f in files],
-        "scalars": scalars or {},
-        "verdicts": verdicts or {},
+        "scalars": scalars,
+        "verdicts": verdicts,
     }
     path = out / "manifest.json"
     path.write_text(json.dumps(man, indent=2, default=float) + "\n")
-    return man
 
 
 def _grid_of(cfg, L_factor=40.0):
@@ -175,9 +172,11 @@ def cmd_profile(cfg, out):
     f = out / "profile.csv"
     write_csv(f, ("x", "n", "u", "phi", "psi", "dn", "du"),
               zip(g.x, p.n, p.u, p.phi, p.psi, p.dn, p.du))
+    rate = profile_mod.tail_rate_check(p)
+    # a NaN rate (the box holds too little of the tail) is written as JSON null
     scal = {"c": p.c, "eps": cfg.eps,
             "mu4_at_zero": profile_mod.mu4_at_zero(p.c, cfg.K),
-            "fitted_tail_rate": profile_mod.tail_rate_check(p)}
+            "fitted_tail_rate": rate if np.isfinite(rate) else None}
     side = out / "profile.json"
     side.write_text(json.dumps(scal, indent=2, default=float) + "\n")
     return [f, side], scal, {}
@@ -217,11 +216,8 @@ def cmd_evolve(cfg, out):
         raise NumericalFailure(f"blow-up at t = {traj.blowup_time}")
     if traj.failure:
         raise NumericalFailure(f"time stepping failed at {traj.failure}")
-    series = {"E": [], "E_K": [], "E_P": [], "M": []}
-    for s in traj.states:
-        inv = dynamics.invariants_of(s, cfg.K, g)
-        for k in series:
-            series[k].append(inv[k])
+    invs = [dynamics.invariants_of(s, cfg.K, g) for s in traj.states]
+    series = {k: [inv[k] for inv in invs] for k in ("E", "E_K", "E_P", "M")}
     f = out / "invariants.csv"
     write_long_csv(f, traj.times, series)
     f2 = out / "final_state.csv"
@@ -265,16 +261,14 @@ def cmd_stability(cfg, out):
         rho=cfg.rho,
         grid=_grid_of(cfg, L_factor=diagnostics.StabilityConfig.L_factor))
     rep = diagnostics.stability_experiment(sc)
-    files = []
     f = out / "report.json"
     f.write_text(json.dumps(rep.to_json_dict(), indent=2, default=float) + "\n")
-    files.append(f)
+    files = [f]
     if rep.track is not None:
         series = {"c": rep.track.c, "D": rep.track.D,
                   "I1": rep.I1, "I2": rep.I2, "J": rep.J,
                   "local_decay": rep.local,
-                  "local_running": rep.local_running}
-        series.update({k: v for k, v in rep.bundle.items()})
+                  "local_running": rep.local_running, **rep.bundle}
         f2 = out / "stability_series.csv"
         write_long_csv(f2, rep.t[:len(rep.track.t)], series)
         files.append(f2)
@@ -314,41 +308,52 @@ def _build_parser():
     for name in _COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--out", default=f"runs/{name}")
+        if not _READS[name]:
+            continue
         sp.add_argument("--config")
         sp.add_argument("--force", action="store_true")
-        for key, default in _DEFAULTS.items():
-            flag = f"--{key}"
-            sp.add_argument(flag, dest=key, default=None,
-                            help=f"default {default}")
+        for key in _READS[name]:
+            sp.add_argument(f"--{key}", dest=key, default=None,
+                            help=f"default {_SETTINGS[key][1]}")
     return ap
 
 
+def _resolve_settings(cfg, extra):
+    """Set the subcommand's settings on the parsed flags `cfg`: its defaults,
+    then --config, then its flags; `extra` (unparsed arguments) is an error."""
+    for arg in extra:
+        key = arg[2:].split("=", 1)[0] if arg.startswith("--") else None
+        if key in _SETTINGS:
+            raise ValidationError(_unread(cfg.subcommand, f"--{key}"))
+    if extra:
+        raise ValidationError(f"unrecognized arguments: {' '.join(extra)}")
+    reads = _READS[cfg.subcommand]
+    values = load_config(cfg.config, cfg.subcommand) if reads and cfg.config \
+        else _defaults(cfg.subcommand)
+    for key in reads:
+        raw = getattr(cfg, key)
+        if raw is not None:
+            try:
+                values[key] = _SETTINGS[key][0](raw)
+            except ValueError:
+                raise ValidationError(f"bad value for --{key}: {raw!r}")
+    validate(values)
+    vars(cfg).update(values)
+
+
 def run(argv=None):
-    ap = _build_parser()
     try:
-        ns = ap.parse_args(argv)
+        cfg, extra = _build_parser().parse_known_args(argv)
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     try:
-        values = dict(_DEFAULTS)
-        if ns.config:
-            values = load_config(ns.config, values)
-        for key in _DEFAULTS:
-            raw = getattr(ns, key, None)
-            if raw is not None:
-                try:
-                    values[key] = _parse_value(key, raw)
-                except ValueError:
-                    raise ValidationError(f"bad value for --{key}: {raw!r}")
-        validate(values)
-        cfg = RunConfig(subcommand=ns.subcommand, out=ns.out,
-                        force=ns.force, values=values)
+        _resolve_settings(cfg, extra)
         t0 = time.time()
-        if ns.subcommand == "report":
+        if cfg.subcommand == "report":
             files, scalars, verdicts = cmd_report(cfg, Path(cfg.out))
         else:
             out = _outdir(cfg)
-            files, scalars, verdicts = _COMMANDS[ns.subcommand](cfg, out)
+            files, scalars, verdicts = _COMMANDS[cfg.subcommand](cfg, out)
             _manifest(out, cfg, time.time() - t0, files, scalars, verdicts)
         return 0
     except ValidationError as e:

@@ -2,8 +2,8 @@
 
 A `Grid` is immutable, so everything derived from (L, N) is computed once per
 grid and cached: the nodes `x`, the wavenumbers `k` and the Fourier symbols
-of d/dx, d^2/dx^2 and d^3/dx^3 (returned read-only).  Derivatives of real
-data take one `rfft`/`irfft` pair; complex data keeps the full FFT.
+of d/dx, d^2/dx^2 and d^3/dx^3 on the rfft wavenumbers (returned read-only).
+Derivatives act on real data only, by one `rfft`/`irfft` pair.
 """
 
 from __future__ import annotations
@@ -42,20 +42,16 @@ class Grid:
 
     @cached_property
     def _symbols(self) -> dict:
-        """{(order, real): symbol of d^order/dx^order} on the fft (real=False)
-        or rfft (real=True) wavenumbers, orders 1-3."""
-        out = {}
-        for real in (False, True):
-            k = self.k[: self.N // 2 + 1] if real else self.k
-            d1, d3 = 1j * k, -1j * k ** 3
-            d1[self.N // 2] = d3[self.N // 2] = 0.0  # kill the asymmetric Nyquist mode for odd orders
-            out[1, real], out[2, real], out[3, real] = _frozen(d1), _frozen(-k ** 2), _frozen(d3)
-        return out
+        """{order: symbol of d^order/dx^order} on the rfft wavenumbers, orders 1-3."""
+        k = self.k[: self.N // 2 + 1]
+        d1, d3 = 1j * k, -1j * k ** 3
+        d1[self.N // 2] = d3[self.N // 2] = 0.0  # kill the asymmetric Nyquist mode for odd orders
+        return {1: _frozen(d1), 2: _frozen(-k ** 2), 3: _frozen(d3)}
 
-    def symbol(self, order: int, real: bool = True) -> np.ndarray:
-        """Fourier symbol of d^order/dx^order (orders 1-3), read-only: on the
-        rfft wavenumbers when real, else on the full fft wavenumbers."""
-        return self._symbols[order, real]
+    def symbol(self, order: int) -> np.ndarray:
+        """Fourier symbol of d^order/dx^order (orders 1-3) on the rfft
+        wavenumbers, read-only."""
+        return self._symbols[order]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -106,16 +102,16 @@ def default_grid(eps: float, K: float = 1.0, L: float | None = None,
 # differentiation / quadrature / translation
 
 def derivative(v: np.ndarray, grid: Grid, order: int = 1) -> np.ndarray:
-    """Differentiate node values spectrally (Fourier collocation)."""
+    """Differentiate real node values spectrally (Fourier collocation)."""
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2, or 3")
     v = np.asarray(v)
+    if not np.isrealobj(v):
+        raise ValueError("complex input to derivative")
     if not np.all(np.isfinite(v)):
         raise ValueError("non-finite input to derivative")
-    if np.isrealobj(v):
-        return np.fft.irfft(grid.symbol(order) * np.fft.rfft(v, axis=-1),
-                            n=grid.N, axis=-1)
-    return np.fft.ifft(grid.symbol(order, real=False) * np.fft.fft(v, axis=-1), axis=-1)
+    return np.fft.irfft(grid.symbol(order) * np.fft.rfft(v, axis=-1),
+                        n=grid.N, axis=-1)
 
 
 def integrate(v: np.ndarray, grid: Grid) -> float | complex:

@@ -62,22 +62,19 @@ class LinearContext:
 
     def q_trajectory(self, V0, T, n_saves):
         """e^{tL} Q V0 on [0, T], sampled as evolve_linear(Q V0, ctx, T,
-        n_saves=n_saves) saves it, bit for bit.
+        n_saves=n_saves) saves it, bit for bit, for n_saves DECAY_SAVES or
+        KATO_SAVES.
 
-        One evolve_linear run serves every request on the same (V0, T): it
-        saves at the union of n_saves and the experiments' default counts,
-        and each request takes the samples at its own save steps.  A request
-        whose save steps the kept run lacks evolves afresh and replaces it.
+        One evolve_linear run, saving at both counts, serves both
+        experiments on the same (V0, T); each takes the samples at its own
+        save steps.
         """
         V0 = np.array(V0, dtype=float)
         key = (V0.shape, V0.tobytes(), float(T))
-        want = _save_steps(_step_count(self, T)[0], n_saves)
-        if self._memo is None or self._memo[0] != key \
-                or not self._memo[1].covers(want):
-            counts = tuple(sorted({n_saves, DECAY_SAVES, KATO_SAVES}))
+        if self._memo is None or self._memo[0] != key:
             self._memo = (key, evolve_linear(project_Q(V0, self), self, T,
-                                             n_saves=counts))
-        return self._memo[1].sampled(want)
+                                             n_saves=(DECAY_SAVES, KATO_SAVES)))
+        return self._memo[1].sampled(_save_steps(_step_count(self, T)[0], n_saves))
 
 
 def apply_Lc(V, ctx):
@@ -120,10 +117,6 @@ class LinearTrajectory:
     states: list
     flagged: bool = False
     steps: np.ndarray = None  # index of each save on the step lattice
-
-    def covers(self, want):
-        """Whether this run saved every step of `want` that it reached."""
-        return {s for s in want if s < self.steps[-1]} <= set(self.steps.tolist())
 
     def sampled(self, want):
         """The saves at the steps of `want`, and the last save (the final
@@ -273,12 +266,12 @@ def wrap_time(ctx):
     return 0.9 * (2.0 - WINDOW) * ctx.grid.L / speed
 
 
-# default save counts of the two experiments; LinearContext.q_trajectory
-# saves at both, so one run serves the pair
+# save counts of the two experiments; LinearContext.q_trajectory saves at
+# both, so one run serves the pair
 DECAY_SAVES, KATO_SAVES = 81, 161
 
 
-def dispersive_decay_experiment(V0, ctx, a_rate, T, n_saves=DECAY_SAVES):
+def dispersive_decay_experiment(V0, ctx, a_rate, T):
     """Weighted-norm decay of e^{tL} Q V0; returns (t, norms, fitted rate).
 
     The experiment stops at the wrap time (periodic re-entry of radiation
@@ -287,7 +280,7 @@ def dispersive_decay_experiment(V0, ctx, a_rate, T, n_saves=DECAY_SAVES):
     rate is NaN when that segment has fewer than two samples (the norm peaks
     at the last save): there is no decay to fit.
     """
-    traj = ctx.q_trajectory(V0, min(T, wrap_time(ctx)), n_saves)
+    traj = ctx.q_trajectory(V0, min(T, wrap_time(ctx)), DECAY_SAVES)
     vals = np.array([_windowed_weighted_norm(V, ctx, a_rate) for V in traj.states])
     # fit on the decaying segment: global max to global min (late-time rise,
     # if any, is wrapped radiation entering the window and is excluded)
@@ -308,12 +301,12 @@ def sigma_tilde_norm(V, ctx, weights):
     return float(np.sqrt(integrate((w * V[0]) ** 2 + (w * V[1]) ** 2, g)))
 
 
-def kato_smoothing_experiment(V0, ctx, weights, T, n_saves=KATO_SAVES):
+def kato_smoothing_experiment(V0, ctx, weights, T):
     """Running integral of the local smoothing norm along e^{tL} Q V0.
 
     Returns (t, running integral of ||V(s)||^2_Sigma-tilde ds); a plateau
     before the wrap time is the smoothing signal.
     """
-    traj = ctx.q_trajectory(V0, min(T, wrap_time(ctx)), n_saves)
+    traj = ctx.q_trajectory(V0, min(T, wrap_time(ctx)), KATO_SAVES)
     vals = np.array([sigma_tilde_norm(V, ctx, weights) ** 2 for V in traj.states])
     return traj.t, running_integral(vals, traj.t)

@@ -398,7 +398,10 @@ _TAIL_DECADES = 2.0  # decades of n_c below n*/100 that tail_rate_check fits
 
 
 def tail_rate_check(p: ProfileSolution) -> float:
-    """Least-squares exponential fit of log n_c on the tail window; compare to mu4(0,eps)."""
+    """Least-squares exponential fit of log n_c on the tail window; compare to mu4(0,eps).
+
+    NaN when fewer than two nodes on x > 0 fall in the window (a box too
+    short for the tail to drop below n*/100)."""
     x, n = p.grid.x, p.n
     mask = x > 0
     xm, nm = x[mask], n[mask]
@@ -408,5 +411,7 @@ def tail_rate_check(p: ProfileSolution) -> float:
     while sel.sum() < 8 and floor > 1e-300:
         floor *= 0.1
         sel = (nm < top) & (nm > floor)
+    if sel.sum() < 2:
+        return float("nan")
     coeffs = np.polyfit(xm[sel], np.log(nm[sel]), 1)
     return float(-coeffs[0])

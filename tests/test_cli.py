@@ -1,7 +1,10 @@
 """CLI: config parsing, validation, artifacts, exit codes, determinism."""
+import ast
 import csv
+import inspect
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,17 +17,19 @@ from epsoliton import cli
 def test_load_config_empty_gives_defaults(tmp_path):
     f = tmp_path / "cfg.txt"
     f.write_text("# nothing but a comment\n\n")
-    assert cli.load_config(f) == cli._DEFAULTS
+    v = cli.load_config(f, "stability")
+    assert v == cli._defaults("stability")
+    assert set(v) == set(cli._SETTINGS) - {"segment"}
 
 
 def test_load_config_parses_types_and_comments(tmp_path):
     f = tmp_path / "cfg.txt"
     f.write_text("eps = 0.1   # sweep point\nN=256\nshape=odd\n")
-    v = cli.load_config(f)
+    v = cli.load_config(f, "stability")
     assert v["eps"] == 0.1 and isinstance(v["eps"], float)
     assert v["N"] == 256 and isinstance(v["N"], int)
     assert v["shape"] == "odd"
-    assert v["K"] == cli._DEFAULTS["K"]
+    assert v["K"] == cli._SETTINGS["K"][1]
 
 
 # seed, workers, lam and A1 are not keys: no subcommand draws random numbers,
@@ -35,29 +40,29 @@ def test_load_config_parses_types_and_comments(tmp_path):
 def test_load_config_rejects_unknown_key(tmp_path, line):
     f = tmp_path / "cfg.txt"
     f.write_text(line + "\n")
-    with pytest.raises(cli.ValidationError):
-        cli.load_config(f)
+    with pytest.raises(cli.ValidationError, match="unknown key"):
+        cli.load_config(f, "stability")
 
 
 def test_load_config_rejects_bad_syntax_and_value(tmp_path):
     f = tmp_path / "cfg.txt"
     f.write_text("eps 0.1\n")
     with pytest.raises(cli.ValidationError):
-        cli.load_config(f)
+        cli.load_config(f, "profile")
     f.write_text("eps=banana\n")
     with pytest.raises(cli.ValidationError):
-        cli.load_config(f)
+        cli.load_config(f, "profile")
 
 
 def test_validate_weight_scale_ordering():
-    v = dict(cli._DEFAULTS)
+    v = cli._defaults("linear")
     v["A"], v["B"] = 50.0, 10.0        # A < B^2
     with pytest.raises(cli.ValidationError):
         cli.validate(v)
 
 
 def test_validate_shape():
-    v = dict(cli._DEFAULTS)
+    v = cli._defaults("evolve")
     v["shape"] = "banana"
     with pytest.raises(cli.ValidationError):
         cli.validate(v)
@@ -89,10 +94,10 @@ def test_nonpositive_T_L_rho_exit_1(tmp_path, capsys, argv, key):
     (["profile", "--N", "abc"], "bad value for --N: 'abc'"),
     (["profile", "--eps", "abc"], "bad value for --eps: 'abc'"),
     (["evolve", "--n_saves", "2.5"], "bad value for --n_saves: '2.5'"),
-    (["profile", "--B", "nan"], "B must be finite"),
+    (["linear", "--B", "nan"], "B must be finite"),
     (["profile", "--K", "nan"], "K must be finite"),
     (["profile", "--eps", "nan"], "eps must be finite"),
-    (["profile", "--A", "nan"], "A must be finite"),
+    (["linear", "--A", "nan"], "A must be finite"),
     (["linear", "--kappa", "nan"], "kappa must be finite"),
     (["evolve", "--delta", "nan", "--eps", "0.1", "--T", "1"], "delta must be finite"),
     (["evolve", "--T", "inf"], "T must be finite")],
@@ -104,6 +109,48 @@ def test_malformed_or_nan_flag_exit_1(tmp_path, capsys, argv, message):
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+# a valid value of each setting, so that only its being unread can fail
+_SAMPLE = {"K": "1", "eps": "0.1", "L": "60", "N": "256", "A": "100", "B": "10",
+           "kappa": "0.1", "rho": "0.3", "delta": "1e-3", "shape": "odd",
+           "T": "2", "n_saves": "3", "segment": "0.1:0.3:3"}
+_UNREAD = [(sub, key) for sub, reads in cli._READS.items()
+           for key in cli._SETTINGS if key not in reads]
+
+
+@pytest.mark.parametrize("sub, key", _UNREAD, ids=[f"{s}-{k}" for s, k in _UNREAD])
+def test_unread_setting_exits_1(tmp_path, capsys, sub, key):
+    out = tmp_path / "r"
+    assert cli.run([sub, f"--{key}", _SAMPLE[key], "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {sub} does not read --{key} (")
+    f = tmp_path / "cfg.txt"
+    f.write_text(f"{key}={_SAMPLE[key]}\n")
+    assert cli.run([sub, "--config", str(f), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    if cli._READS[sub]:
+        assert err.startswith(f"error: {f}:1: {sub} does not read {key} (")
+    else:  # report reads no settings and takes no --config
+        assert err == f"error: unrecognized arguments: --config {f}\n"
+    assert not out.exists()
+
+
+def _cfg_reads(fn):
+    """The settings `fn` reads as cfg.<key>, with those of the _grid_of it calls."""
+    keys = set()
+    for node in ast.walk(ast.parse(inspect.getsource(fn))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "cfg":
+            keys.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "_grid_of":
+            keys |= _cfg_reads(cli._grid_of)
+    return keys & set(cli._SETTINGS)
+
+
+@pytest.mark.parametrize("sub", list(cli._READS))
+def test_reads_table_matches_commands(sub):
+    assert _cfg_reads(cli._COMMANDS[sub]) == set(cli._READS[sub])
 
 
 def test_flag_overrides_config_file(tmp_path):
@@ -125,6 +172,7 @@ def test_profile_happy_path_manifest(tmp_path):
     assert rc == 0
     man = json.loads((out / "manifest.json").read_text())
     assert man["subcommand"] == "profile"
+    assert man["inputs"] == {"K": 1.0, "eps": 0.1, "L": 60.0, "N": 256}
     for f in man["outputs"]:
         assert Path(f).exists()
     assert man["scalars"]["c"] > 1.0
@@ -138,6 +186,16 @@ def test_profile_happy_path_manifest(tmp_path):
     values = [[float(v) for v in row] for row in rows]
     assert all(len(row) == 7 for row in values)
     assert values[128][0] == 0.0 and values[128][1] > 0.0   # x = 0, the peak
+
+
+def test_profile_short_box_writes_null_tail_rate(tmp_path):
+    # on [-10, 10) the eps = 0.1 profile stays above n*/100, so the tail fit
+    # has no window (np.polyfit raised a TypeError on the empty selection)
+    out = tmp_path / "run"
+    assert cli.run(["profile", "--out", str(out), "--eps", "0.1",
+                    "--L", "10", "--N", "64"]) == 0
+    assert _strict_json(out / "profile.json")["fitted_tail_rate"] is None
+    assert _strict_json(out / "manifest.json")["scalars"]["fitted_tail_rate"] is None
 
 
 def test_out_dir_collision_without_force(tmp_path, capsys):
@@ -313,9 +371,7 @@ def test_stability_solver_failure_exits_2(tmp_path, fail_poisson_at, capsys):
 # ------------------------------------------------------------------- grids
 
 def _cfg(**overrides):
-    values = dict(cli._DEFAULTS, eps=0.1)
-    values.update(overrides)
-    return cli.RunConfig(subcommand="profile", out="unused", values=values)
+    return SimpleNamespace(**dict(cli._defaults("profile"), eps=0.1, **overrides))
 
 
 def test_partial_grid_override_follows_default_rule():

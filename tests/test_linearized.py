@@ -210,8 +210,7 @@ def test_linear_run_applies_L_fewer_than_1000_times(p05, kv05, monkeypatch):
 def test_kato_zero_data(p10, lin10, w10):
     g = p10.grid
     V0 = np.zeros((2, g.N))
-    t, running = lin.kato_smoothing_experiment(V0, lin10, w10, T=5.0,
-                                               n_saves=9)
+    t, running = lin.kato_smoothing_experiment(V0, lin10, w10, T=5.0)
     assert np.max(np.abs(running)) == 0.0
 
 
@@ -219,8 +218,8 @@ def test_kato_homogeneity(p10, lin10, w10):
     g = p10.grid
     e = np.exp(-(g.x / 4.0) ** 2) * np.cos(g.x)
     V0 = np.array([e, -0.3 * e])
-    _, r1 = lin.kato_smoothing_experiment(V0, lin10, w10, T=4.0, n_saves=9)
-    _, r2 = lin.kato_smoothing_experiment(2 * V0, lin10, w10, T=4.0, n_saves=9)
+    _, r1 = lin.kato_smoothing_experiment(V0, lin10, w10, T=4.0)
+    _, r2 = lin.kato_smoothing_experiment(2 * V0, lin10, w10, T=4.0)
     assert r2[-1] == pytest.approx(4.0 * r1[-1], rel=1e-6)
 
 
@@ -318,20 +317,3 @@ def test_experiments_share_one_linear_run(p05, kv05, w05, monkeypatch, horizon):
     assert np.array_equal(td, t_ref) and np.array_equal(nd, nd_ref)
     assert np.array_equal(tk, tk_ref) and np.array_equal(run, run_ref)
 
-
-def test_shared_run_evolves_afresh_for_missing_saves(p05, kv05, w05, monkeypatch):
-    g = p05.grid
-    ctx = lin.LinearContext.build(p05, kv05)
-    T = 30.0
-    stride13 = lin._step_count(ctx, T)[0] // 12
-    assert all(stride13 % s for s in _strides(ctx, T))
-    V0 = np.array([np.exp(-(g.x / 4.0) ** 2), np.zeros(g.N)])
-    calls = _count_evolve_linear(monkeypatch)
-    lin.kato_smoothing_experiment(V0, ctx, w05, T)
-    # 13 saves need steps that neither default stride saves at
-    tk, run = lin.kato_smoothing_experiment(V0, ctx, w05, T, n_saves=13)
-    # another V0 is another trajectory
-    lin.kato_smoothing_experiment(2 * V0, ctx, w05, T, n_saves=13)
-    assert len(calls) == 3
-    tk_ref, run_ref = _kato_series(V0, ctx, w05, T, 13)
-    assert np.array_equal(tk, tk_ref) and np.array_equal(run, run_ref)
