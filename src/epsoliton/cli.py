@@ -104,8 +104,27 @@ def validate(values):
         problems.append("n_saves must be at least 2")
     if "shape" in values and values["shape"] not in ("even", "odd", "shift", "kick"):
         problems.append(f"unknown perturbation shape {values['shape']!r}")
+    if "segment" in values:
+        try:
+            _segment_taus(values["segment"])
+        except ValidationError as e:
+            problems.append(str(e))
     if problems:
         raise ValidationError("; ".join(problems))
+
+
+def _segment_taus(segment):
+    """The imaginary parts tau of the evans scan's points i tau from
+    'lo:hi:n': n >= 1 points from lo to hi, both finite."""
+    try:
+        lo, hi, n = segment.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
+    except ValueError:
+        raise ValidationError(f"bad --segment {segment!r}, expected lo:hi:n")
+    if not (np.isfinite(lo) and np.isfinite(hi)) or n < 1:
+        raise ValidationError(f"bad --segment {segment!r}: lo and hi must be "
+                              "finite and n at least 1")
+    return np.linspace(lo, hi, n)
 
 
 # ------------------------------------------------------------------ output
@@ -186,12 +205,8 @@ def cmd_evans(cfg, out):
     g = _grid_of(cfg)
     p = profile_mod.profile_from_eps(cfg.eps, cfg.K, g)
     cache = evans.CoefficientCache(p)
-    try:
-        lo, hi, npts = cfg.segment.split(":")
-        taus = np.linspace(float(lo), float(hi), int(npts))
-    except ValueError:
-        raise ValidationError(f"bad --segment {cfg.segment!r}, expected lo:hi:n")
-    scan = evans.evans_scan(1j * taus, p, cache, closed=False, rtol=1e-9)
+    scan = evans.evans_scan(1j * _segment_taus(cfg.segment), p, cache,
+                            closed=False, rtol=1e-9)
     f = out / "evans.csv"
     write_csv(f, ("re_lambda", "im_lambda", "re_D", "im_D", "abs_D"),
               ((z.real, z.imag, d.real, d.imag, abs(d))
@@ -211,7 +226,7 @@ def cmd_evolve(cfg, out):
     dn, du = diagnostics.perturbation(cfg.shape, cfg.delta, g)
     s0 = dynamics.State(0.0, p.n + dn, p.u + du)
     T = cfg.T if cfg.T is not None else 50.0 / np.sqrt(cfg.eps)
-    traj = dynamics.evolve(s0, T, cfg.K, g, n_saves=cfg.n_saves)
+    traj = dynamics.evolve(s0, T, cfg.K, g, n_saves=cfg.n_saves, frame_speed=p.c)
     if traj.blown_up:
         raise NumericalFailure(f"blow-up at t = {traj.blowup_time}")
     if traj.failure:
@@ -225,7 +240,7 @@ def cmd_evolve(cfg, out):
     write_csv(f2, ("x", "n", "u"), zip(g.x, sT.n, sT.u))
     dE = abs(series["E"][-1] - series["E"][0]) / max(abs(series["E"][0]), 1e-300)
     dM = abs(series["M"][-1] - series["M"][0]) / max(abs(series["M"][0]), 1e-300)
-    return [f, f2], {"rel_dE": dE, "rel_dM": dM, "T": T, **traj.poisson_telemetry}, \
+    return [f, f2], {"rel_dE": dE, "rel_dM": dM, "T": T, **traj.meta}, \
         {"conserved": bool(dE < 1e-6 and dM < 1e-8)}
 
 
@@ -274,7 +289,7 @@ def cmd_stability(cfg, out):
         files.append(f2)
     if rep.error or rep.blown_up:
         raise NumericalFailure(rep.error or f"blow-up at t={rep.blowup_time}")
-    return files, {"c_tail_spread": rep.c_tail_spread, **rep.poisson}, rep.verdicts
+    return files, {"c_tail_spread": rep.c_tail_spread, **rep.flow}, rep.verdicts
 
 
 def cmd_report(cfg, out):

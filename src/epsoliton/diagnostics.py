@@ -213,7 +213,7 @@ class StabilityReport:
     bundle: dict = None
     monitors: list = None
     c_tail_spread: float = None
-    poisson: dict = None        # the flow's Poisson telemetry (Trajectory.poisson_telemetry)
+    flow: dict = None           # the flow's telemetry (Trajectory.meta)
     verdicts: dict = field(default_factory=dict)
     blown_up: bool = False
     blowup_time: float = None
@@ -245,11 +245,12 @@ def stability_experiment(config: StabilityConfig) -> StabilityReport:
     dn, du = perturbation(config.shape, config.delta, g)
     s0 = dynamics.State(0.0, p.n + dn, p.u + du)
 
-    traj = dynamics.evolve(s0, config.T, config.K, g, n_saves=config.n_saves)
+    traj = dynamics.evolve(s0, config.T, config.K, g, n_saves=config.n_saves,
+                           frame_speed=p.c)
     rep.blown_up = traj.blown_up
     rep.blowup_time = traj.blowup_time
     rep.t = traj.times
-    rep.poisson = traj.poisson_telemetry
+    rep.flow = dict(traj.meta)
     if traj.failure:
         rep.error = f"time stepping failed at {traj.failure}"
 

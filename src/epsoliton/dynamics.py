@@ -8,14 +8,21 @@ The evolved system is
 a Hamiltonian flow U' = -d/dx sigma1 grad E(U) for the energy functional with
 density e(U) = (1+n)u^2/2 + K((1+n)log(1+n) - n) - (phi')^2/2 + n phi
 - (e^phi - 1 - phi).  The electric potential phi is a constraint, resolved by
-a Poisson solve at every Runge-Kutta stage.  The stage potentials are kept as
-rfft coefficients, the form `solve_poisson` takes a warm start in and hands
-its solution back in, so chaining them costs no FFT.  Each stage's warm start
-is extrapolated from the stages already solved, plus the previous step's
-prediction error carried along with the wave: translated, by a Fourier phase,
-over the distance the potential moved during the previous step
-(`_stage_warm_start`, `_frame_speed`).  `rhs` applies -d/dx to both fluxes
-with one rfft/irfft pair, dealiased by the 2/3 rule inside the same symbol.
+a Poisson solve at every Runge-Kutta stage.  `rhs` applies -d/dx to both
+fluxes with one rfft/irfft pair, dealiased by the 2/3 rule inside the same
+symbol, so the top third of the Fourier modes never moves in the lab frame.
+
+`evolve` advances the flow in a frame moving at a given speed c, usually the
+wave's: V(xi, t) = U(xi + ct, t), whose fluxes are those of U less c (n, u).
+Only the dealiased low band of V goes through RK4; the top band is split off
+the initial state once and carried exactly, as a Fourier phase, so the
+semi-discretisation stays the lab frame's and the time error shrinks: near
+the wave it is set by the slow perturbation, not by the wave's translation
+across the grid.  The stage potentials are kept as rfft
+coefficients, the form `solve_poisson` takes a warm start in and hands its
+solution back in, and each stage's warm start is extrapolated from the
+stages already solved, plus the previous step's prediction error
+(`_stage_warm_start`).
 Conserved quantities: total energy E and momentum M = int n u.
 """
 
@@ -43,7 +50,7 @@ class State:
 @dataclass
 class Trajectory:
     states: list
-    meta: dict = field(default_factory=dict)  # evolve's Poisson counters
+    meta: dict = field(default_factory=dict)  # evolve's counters and frame speed
     blown_up: bool = False
     blowup_time: float = None
     failure: str = None  # a solver failure that stopped the run, with its stage and t
@@ -51,12 +58,6 @@ class Trajectory:
     @property
     def times(self):
         return np.array([s.t for s in self.states])
-
-    @property
-    def poisson_telemetry(self):
-        """evolve's Poisson counters: solves, their summed iterations and the
-        largest reported residual."""
-        return dict(self.meta)
 
 
 def gradient_E(state, phi, K):
@@ -67,21 +68,25 @@ def gradient_E(state, phi, K):
     return state.u ** 2 / 2.0 + K * np.log(one_n) + phi, one_n * state.u
 
 
-def rhs(state, K, grid, phi0=None, dealias=False):
-    """Tendency (dn/dt, du/dt); returns (ndot, udot, phi_hat, report).
+def rhs(state, K, grid, phi0=None, dealias=False, frame_speed=0.0):
+    """Tendency (dn/dt, du/dt) in the frame moving at frame_speed c; returns
+    (ndot, udot, phi_hat, report).
 
     phi0 is the Poisson warm start and phi_hat the solved potential, both as
     rfft coefficients; report is the Poisson solve's EllipticSolveReport.
-    Both fluxes go through one rfft/irfft pair, with the 2/3-rule
-    dealiasing mask folded into the symbol of -d/dx.
+    Both fluxes, less c (n, u), go through one rfft/irfft pair, with the
+    2/3-rule dealiasing mask folded into the symbol of -d/dx.
     """
     phi, rep = solve_poisson(state.n, grid, phi0=phi0)
     gn, gu = gradient_E(state, phi, K)
-    # -d/dx sigma1 (gn, gu) = (-(gu)', -(gn)')
+    c = frame_speed
+    # -d/dx sigma1 (gn - c u, gu - c n) = (-(gu - c n)', -(gn - c u)')
     sym = -grid.symbol(1)
     if dealias:
-        sym[int(len(sym) * 2 / 3):] = 0.0
-    ndot, udot = np.fft.irfft(sym * np.fft.rfft(np.array([gu, gn])), n=grid.N)
+        sym[_band_cut(grid):] = 0.0
+    ndot, udot = np.fft.irfft(sym * np.fft.rfft(np.array([gu - c * state.n,
+                                                           gn - c * state.u])),
+                              n=grid.N)
     return ndot, udot, rep.phi_hat, rep
 
 
@@ -107,51 +112,98 @@ def energy_density(n, u, phi, K, grid):
             - dphi ** 2 / 2.0 + n * phi - (np.exp(phi) - 1.0 - phi))
 
 
-def evolve(state0, T, K, grid, dt=None, cfl=0.4, n_saves=41):
+LAB_CFL = 0.4  # default cfl in the lab frame (frame_speed = 0)
+# default cfl in a moving frame: on the eps = 0.1, N = 1024 bumped wave run
+# to T = 316 in its own frame, the final state deviates from a half-step run
+# by 1.7e-5 at cfl 1.2 and by 2-3e-5 at 0.4, 0.8 and 1.6; at 2.0 it blows up
+# (RK4's limit on the top of the dealiased band is near 1.9)
+COMOVING_CFL = 1.2
+
+
+def evolve(state0, T, K, grid, dt=None, cfl=None, n_saves=41, frame_speed=0.0):
     """Classical RK4 evolution up to time T, dealiased, saving n_saves states
     evenly spaced in time; returns a Trajectory.
 
-    dt defaults to the CFL-limited step, recomputed each step; a fixed dt is
-    honoured exactly.  Blow-up (min(1+n) < 1e-6, sup|u| > 1e3, NaN, or a
-    vacuum or non-finite stage state) truncates the trajectory and flags it.
-    A Poisson solve that fails truncates it too, and is recorded in
-    traj.failure with the RK4 stage and t, not as a blow-up.
+    The flow is advanced in the frame moving at frame_speed c,
+    V(xi, t) = U(xi + c (t - t0), t), whose tendency is rhs(V) + c dV/dxi.
+    The top third of the Fourier modes, G, never changes in the lab frame
+    (the 2/3 rule zeroes its tendency), so it is split off the initial state
+    once and carried exactly: each stage evaluates `rhs` at V + G(xi + c tau),
+    tau the stage time, and each save is V translated back by c (t - t0),
+    plus G.  Only the low band goes through RK4, so the semi-discretisation
+    is the lab frame's at every c, up to how the pointwise fluxes alias under
+    a translation by a fraction of a node spacing (1e-7 of the bumped
+    eps = 0.1 wave on N = 1024 points), and mainly the time error depends
+    on c: near a wave of speed c it is set by the slow perturbation, not by
+    the wave's translation across the grid.  States are saved in the lab
+    frame.
+
+    dt defaults to the CFL-limited step cfl h / (max|u - c| + sqrt(K) + 1),
+    recomputed each step, with cfl LAB_CFL at c = 0 and COMOVING_CFL
+    otherwise; a fixed dt is honoured exactly.  Blow-up (min(1+n) < 1e-6,
+    sup|u| > 1e3, NaN, or a vacuum or non-finite stage state) truncates the
+    trajectory and flags it.  A Poisson solve that fails truncates it too,
+    and is recorded in traj.failure with the RK4 stage and t, not as a
+    blow-up.  traj.meta counts the Poisson solves, their iterations and
+    largest residual, and the RK4 steps, and records frame_speed.
     """
     if K <= 0.0:
         raise ValueError("evolve: K > 0 required")
     state0.validate()
+    c = float(frame_speed)
+    if cfl is None:
+        cfl = COMOVING_CFL if c else LAB_CFL
     save_every = T / max(n_saves - 1, 1)
 
-    t = float(state0.t)
-    n, u = state0.n.copy(), state0.u.copy()
-    traj = Trajectory(states=[State(t, n.copy(), u.copy())],
+    t0 = t = float(state0.t)
+    U_hat = np.fft.rfft([state0.n, state0.u])
+    cut = _band_cut(grid)
+    G_hat = U_hat.copy()
+    G_hat[:, :cut] = 0.0
+    U_hat[:, cut:] = 0.0
+    V = np.fft.irfft(U_hat, n=grid.N)  # the low band, in the moving frame
+    ik = grid.symbol(1)
+
+    def top(tau):
+        """G(xi + c (tau - t0)), the top band in the moving frame at tau."""
+        return np.fft.irfft(G_hat * np.exp(ik * (c * (tau - t0))), n=grid.N)
+
+    def lab(tau):
+        """The lab-frame state at tau."""
+        n, u = np.fft.irfft(np.fft.rfft(V) * np.exp(-ik * (c * (tau - t0))) + G_hat,
+                            n=grid.N)
+        return State(tau, n, u)
+
+    traj = Trajectory(states=[State(t, state0.n.copy(), state0.u.copy())],
                       meta={"poisson_solves": 0, "poisson_iterations": 0,
-                            "poisson_residual_max": 0.0})
+                            "poisson_residual_max": 0.0, "rk4_steps": 0,
+                            "frame_speed": c})
     meta = traj.meta
     next_save = t + save_every
+    W = V + top(t)  # the whole state in the moving frame
     # the previous step's stage potentials and their predictions (rfft
-    # coefficients), and the phase that translates them to this step
-    phis = preds = phase = None
+    # coefficients)
+    phis = preds = None
     t_end = t + T
     while t < t_end - 1e-14 * max(1.0, t_end):
-        s = State(t, n, u)
         step = dt if dt is not None else \
-            cfl * grid.h / (float(np.max(np.abs(u))) + np.sqrt(K) + 1.0)
+            cfl * grid.h / (float(np.max(np.abs(W[1] - c))) + np.sqrt(K) + 1.0)
         step = min(step, t_end - t)
         if next_save < t_end:
             step = min(step, next_save - t)  # land exactly on save times
+        mid, end = top(t + step / 2), top(t + step)
         ks, cur, cur_preds = [], [], []
         try:
-            for a in (0.0, 0.5, 0.5, 1.0):
-                if ks:
-                    s = State(t, n + a * step * ks[-1][0], u + a * step * ks[-1][1])
-                pred, warm = _stage_warm_start(len(cur), cur, phis, preds, phase)
-                kn, ku, phi_hat, rep = rhs(s, K, grid, warm, dealias=True)
+            for a, G in ((0.0, None), (0.5, mid), (0.5, mid), (1.0, end)):
+                s = V + a * step * ks[-1] + G if ks else W
+                pred, warm = _stage_warm_start(len(cur), cur, phis, preds)
+                kn, ku, phi_hat, rep = rhs(State(t, *s), K, grid, warm,
+                                           dealias=True, frame_speed=c)
                 meta["poisson_solves"] += 1
                 meta["poisson_iterations"] += rep.iterations
                 meta["poisson_residual_max"] = max(meta["poisson_residual_max"],
                                                    rep.residual)
-                ks.append((kn, ku))
+                ks.append(np.array([kn, ku]))
                 cur.append(phi_hat)
                 cur_preds.append(pred)
         except ValueError:
@@ -163,25 +215,31 @@ def evolve(state0, T, K, grid, dt=None, cfl=0.4, n_saves=41):
             traj.failure = f"RK4 stage {len(ks) + 1} of the step from t = {t:.6g}: {e}"
             return traj
         phis, preds = cur, cur_preds
-        phase = np.exp(-_frame_speed(cur[0], cur[3], step, grid) * step * grid.symbol(1))
-        (k1n, k1u), (k2n, k2u), (k3n, k3u), (k4n, k4u) = ks
-        n = n + step / 6 * (k1n + 2 * k2n + 2 * k3n + k4n)
-        u = u + step / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
+        k1, k2, k3, k4 = ks
+        V = V + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t += step
-        if (not np.all(np.isfinite(n)) or not np.all(np.isfinite(u))
-                or np.min(1.0 + n) < 1e-6 or np.max(np.abs(u)) > 1e3):
+        meta["rk4_steps"] += 1
+        W = V + end
+        if (not np.all(np.isfinite(W)) or np.min(1.0 + W[0]) < 1e-6
+                or np.max(np.abs(W[1])) > 1e3):
             traj.blown_up = True
             traj.blowup_time = t
             return traj
         if t >= next_save - 1e-12:
-            traj.states.append(State(t, n.copy(), u.copy()))
+            traj.states.append(lab(t))
             next_save += save_every
     if traj.states[-1].t < t - 1e-12:
-        traj.states.append(State(t, n.copy(), u.copy()))
+        traj.states.append(lab(t))
     return traj
 
 
-def _stage_warm_start(i, cur, prev, prev_preds, phase):
+def _band_cut(grid):
+    """First rfft index of the top third of the modes, which the 2/3 rule
+    zeroes."""
+    return int((grid.N // 2 + 1) * 2 / 3)
+
+
+def _stage_warm_start(i, cur, prev, prev_preds):
     """(prediction, warm start) for the Poisson solve of RK4 stage i, as rfft
     coefficients.
 
@@ -192,10 +250,8 @@ def _stage_warm_start(i, cur, prev, prev_preds, phase):
     phi depends on n almost affinely, so stages 2 and 4 are extrapolated
     along that path and stages 1 and 3 start from the nearest solved density.
     The previous step's prediction error at the same stage is then added
-    back, comoving: near a travelling wave it changes slowly in the wave's
-    frame, not in the lab frame, so it is first multiplied by phase, the
-    Fourier phase e^{-ik c dt} of the previous step's translation (see
-    `_frame_speed`).
+    back; in the frame of a travelling wave it changes slowly from step to
+    step.
     """
     if prev is None:
         return None, (cur[-1] if cur else None)
@@ -209,23 +265,7 @@ def _stage_warm_start(i, cur, prev, prev_preds, phase):
         pred = 2.0 * cur[2] - cur[0]
     if prev_preds[i] is None:
         return pred, pred
-    return pred, pred + phase * (prev[i] - prev_preds[i])
-
-
-def _frame_speed(phi_hat0, phi_hat3, dt, grid):
-    """Least-squares translation speed c of a step's stage potentials, from
-    the first (at t) and the last (about t + dt), as rfft coefficients.
-
-    To first order phi_3(x) = phi_0(x - c dt) reads
-    phi_hat3 - phi_hat0 = -c dt ik phi_hat0, so
-    c = -Re<ik phi_hat0, phi_hat3 - phi_hat0> / (dt <k^2 phi_hat0, phi_hat0>).
-    c = 0 when phi_0 is constant (the denominator vanishes).
-    """
-    d = grid.symbol(1) * phi_hat0
-    den = dt * np.vdot(d, d).real
-    if den == 0.0:
-        return 0.0
-    return -np.vdot(d, phi_hat3 - phi_hat0).real / den
+    return pred, pred + (prev[i] - prev_preds[i])
 
 
 def soliton_state(profile):

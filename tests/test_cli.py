@@ -236,11 +236,17 @@ def test_report_empty_tree_fails(tmp_path, capsys):
     assert rc == 1
 
 
-def test_evans_bad_segment(tmp_path, capsys):
+@pytest.mark.parametrize("segment", ["nonsense", "0.1:0.3:0", "0.1:inf:3",
+                                     "nan:1:3", "0.1:0.3:2.5", "0.1:0.3"])
+def test_evans_bad_segment(tmp_path, capsys, segment):
+    # the segment is checked with the other settings, before the output
+    # directory is made; an empty scan used to end in an IndexError
     rc = cli.run(["evans", "--out", str(tmp_path / "r"), "--eps", "0.1",
-                  "--segment", "nonsense"])
+                  "--segment", segment])
     assert rc == 1
-    assert "segment" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad --segment") and "Traceback" not in err
+    assert not (tmp_path / "r").exists()
 
 
 def _rows(path):
@@ -329,22 +335,40 @@ def test_evolve_writes_invariants(tmp_path):
     sc = man["scalars"]
     assert man["verdicts"]["conserved"] is True, \
         f"rel_dE = {sc['rel_dE']:.3g} (bound 1e-6), rel_dM = {sc['rel_dM']:.3g} (bound 1e-8)"
-    assert set(sc) == {"rel_dE", "rel_dM", "T"} | POISSON_SCALARS
-    _check_poisson_telemetry(sc)
+    assert set(sc) == {"rel_dE", "rel_dM", "T"} | FLOW_SCALARS
+    _check_flow_telemetry(sc)
     text = (out / "invariants.csv").read_text()
     assert text.splitlines()[0] == "t,name,value"
     assert ",E," in text and ",M," in text
 
 
-POISSON_SCALARS = {"poisson_solves", "poisson_iterations", "poisson_residual_max"}
+def test_evolve_conserves_the_perturbed_wave(tmp_path):
+    # the README's evolve command up to T = 10: in the lab frame rel_dM was
+    # 2.4e-8 there (4.3e-7 at the default T = 158), over the bound 1e-8; in
+    # the wave's frame both drifts are about 3e-12
+    out = tmp_path / "run"
+    assert cli.run(["evolve", "--out", str(out), "--eps", "0.1", "--delta", "1e-3",
+                    "--shape", "even", "--T", "10"]) == 0
+    man = _strict_json(out / "manifest.json")
+    sc = man["scalars"]
+    assert man["verdicts"]["conserved"] is True, \
+        f"rel_dE = {sc['rel_dE']:.3g} (bound 1e-6), rel_dM = {sc['rel_dM']:.3g} (bound 1e-8)"
+    assert sc["rel_dM"] < 1e-10 and sc["rel_dE"] < 1e-10
 
 
-def _check_poisson_telemetry(scalars):
-    # what the nonlinear flow's Poisson solves cost: four per RK4 step
-    assert all(isinstance(scalars[k], (int, float)) for k in POISSON_SCALARS)
-    assert scalars["poisson_solves"] > 0 and scalars["poisson_solves"] % 4 == 0
+FLOW_SCALARS = {"poisson_solves", "poisson_iterations", "poisson_residual_max",
+                "rk4_steps", "frame_speed"}
+
+
+def _check_flow_telemetry(scalars):
+    # what the nonlinear flow's Poisson solves cost, four per RK4 step, and
+    # the frame it ran in: the wave's, c = sqrt(1 + K) + eps
+    assert isinstance(scalars["rk4_steps"], int) and scalars["rk4_steps"] > 0
+    assert scalars["poisson_solves"] == 4 * scalars["rk4_steps"]
+    assert isinstance(scalars["poisson_iterations"], int)
     assert scalars["poisson_iterations"] > 0
     assert 0.0 < scalars["poisson_residual_max"] <= 1e-11
+    assert scalars["frame_speed"] == pytest.approx(np.sqrt(2.0) + 0.1, rel=1e-15)
 
 
 def test_stability_happy_path_manifest(tmp_path):
@@ -352,8 +376,8 @@ def test_stability_happy_path_manifest(tmp_path):
     assert cli.run(["stability", "--out", str(out), "--eps", "0.1", "--L", "60",
                     "--N", "512", "--T", "2", "--n_saves", "3"]) == 0
     man = _strict_json(out / "manifest.json")
-    assert set(man["scalars"]) == {"c_tail_spread"} | POISSON_SCALARS
-    _check_poisson_telemetry(man["scalars"])
+    assert set(man["scalars"]) == {"c_tail_spread"} | FLOW_SCALARS
+    _check_flow_telemetry(man["scalars"])
     assert set(man["verdicts"]) == {"decompose_ok", "local_decay",
                                     "running_integral_saturates", "c_converges",
                                     "virial_constants_ok"}
