@@ -65,7 +65,10 @@ def load_config(path, subcommand):
     """key=value text file over the subcommand's defaults; keys the
     subcommand does not read are rejected, '#' comments allowed."""
     values = _defaults(subcommand)
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ValidationError(f"cannot read --config {path}: {e}")
     for ln, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -131,10 +134,13 @@ def _segment_taus(segment):
 
 def _outdir(cfg):
     out = Path(cfg.out)
-    if out.exists() and any(out.iterdir()) and not cfg.force:
+    if out.is_dir() and any(out.iterdir()) and not cfg.force:
         raise ValidationError(
             f"output directory {out} is not empty (use --force to overwrite)")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ValidationError(f"cannot create output directory {out}: {e}")
     return out
 
 
@@ -295,6 +301,8 @@ def cmd_stability(cfg, out):
 def cmd_report(cfg, out):
     """Aggregate manifests/report.json files below --out into a summary."""
     root = Path(cfg.out)
+    if (root / "manifest.json").exists():
+        raise ValidationError(f"{root} is a run directory; report its parent")
     found = sorted(root.glob("**/manifest.json"))
     if not found:
         raise ValidationError(f"no manifest.json found under {root}")

@@ -10,10 +10,10 @@ dispersion quartic
 
     d(mu) = (c^2-K)^{-1} [ (mu^2-1)((lambda - c mu)^2 - K mu^2) + mu^2 ].
 
-Branch ordering: Re mu_1 < 0 <= Re mu_2 <= Re mu_3 (equality only on the
-imaginary axis) and Re mu_4 > 0; labels are carried by continuity along the
-ray from a small reference lambda where closed-form asymptotics identify
-them.  The Evans function is the bilinear pairing
+For Re lambda >= 0 exactly one root, mu_1, has Re mu_1 < 0 (the other
+three have Re mu >= 0, with equality only on the imaginary axis), and only
+mu_1 and its eigenvector pair (v_1, w_1) enter the Evans function, the
+bilinear pairing
 
     D(lambda) = < f_1(x), g_1(x) >_{C^4}
 
@@ -34,12 +34,10 @@ import numpy as np
 # unused here; kept importable because perfbench/spans.py wraps evans.solve_ivp by name
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.interpolate import CubicSpline
-from scipy.optimize import linear_sum_assignment
 
 from .profile import mu4_at_zero, sonic_branch_distance
 
 _N_FINE = 8       # spline nodes per grid spacing of CoefficientCache
-_N_STEPS = 60     # continuation steps of dispersion_roots along the ray
 _DLAM = 1e-3      # stencil spacing of evans_derivs_at0
 _MAX_REFINE = 8   # bisection rounds of evans_scan
 
@@ -124,90 +122,49 @@ def _quartic_roots(lams, c, K):
     return np.linalg.eigvals(comp)
 
 
-@dataclass
-class AsymptoticData:
-    lam: complex
-    c: float
-    K: float
-    mus: np.ndarray                  # labeled mu_1..mu_4
-    vs: np.ndarray = None            # columns v_j (4,4), NaN where degenerate
-    ws: np.ndarray = None
-    degenerate: np.ndarray = None    # branches with mu ~ 0 (no frame)
-
-
 def dispersion_roots(lam, c, K):
-    """Labeled roots mu_1..mu_4 of the dispersion quartic at lambda.
+    """The decaying root mu_1 of the dispersion quartic at lambda.
 
-    Labels are fixed by closed-form small-lambda asymptotics and carried to
-    the requested lambda by continuity along the ray t -> t*lambda, with
-    minimal-distance assignment at each of _N_STEPS steps.  The sum rule
-    mu1+mu2+mu3+mu4 = 2 c lambda/(c^2-K) is asserted.
+    For Re lambda >= 0, lambda != 0, exactly one root has Re mu < 0, so
+    mu_1 is the root of least real part.  The sum rule
+    mu1+mu2+mu3+mu4 = 2 c lambda/(c^2-K) is asserted on the four roots.
     """
     lam = complex(lam)
     if lam.real < -1e-12:
         raise ValueError("dispersion_roots: lambda in the closed right half-plane only")
     if lam.imag < 0.0:
         # the quartic's coefficients are real polynomials in lambda, so the
-        # labeled roots at conj(lambda) are the conjugates: exactly, not to
-        # the root finder's roundoff
-        data = dispersion_roots(lam.conjugate(), c, K)
-        return AsymptoticData(lam, c, K, data.mus.conj())
-    V = np.sqrt(1.0 + K)
-    eps = c - V
-    mu40 = mu4_at_zero(c, K)
+        # root at conj(lambda) is the conjugate: exactly, not to the root
+        # finder's roundoff
+        return dispersion_roots(lam.conjugate(), c, K).conjugate()
     if lam == 0:
-        mus = np.array([-mu40, 0.0, 0.0, mu40], dtype=complex)
-        return AsymptoticData(lam, c, K, mus)
-
-    t0 = min(1e-4 / abs(lam), 1.0)
-    lam0 = lam * t0
-    mus = np.array([-mu40, lam0 / (c + V), lam0 / eps, mu40], dtype=complex)
-    for roots in _quartic_roots(lam * np.geomspace(t0, 1.0, _N_STEPS), c, K):
-        mus = _assign(roots, mus)
-    s = np.sum(mus) - 2 * c * lam / (c * c - K)
-    if abs(s) > 1e-9 * max(1.0, abs(lam)):
+        return np.complex128(-mu4_at_zero(c, K))
+    roots = _quartic_roots([lam], c, K)[0]
+    tol = 1e-9 * max(1.0, abs(lam))
+    s = np.sum(roots) - 2 * c * lam / (c * c - K)
+    if abs(s) > tol:
         raise RuntimeError(f"dispersion_roots: sum rule violated by {abs(s):.2e}")
-    if not (mus[0].real < 0 < mus[3].real):
-        raise RuntimeError("dispersion_roots: branch ordering lost")
-    return AsymptoticData(lam, c, K, mus)
-
-
-def _assign(roots, reference):
-    cost = np.abs(roots[None, :] - reference[:, None])
-    rows, cols = linear_sum_assignment(cost)
-    out = np.empty(4, dtype=complex)
-    out[rows] = roots[cols]
-    return out
-
-
-def eigen_frames(data):
-    """Fill eigenvector frames v_j, dual frames w_j on an AsymptoticData.
-
-    v_j = (1, (c mu - lam)/mu, 1/(1-mu^2), mu/(1-mu^2));
-    pi_j = ((c lam/mu - (c^2-K))(1-mu^2), -lam (1-mu^2)/mu, 1, mu);
-    w_j = pi_j / <pi_j, v_j> (bilinear pairing).  Branches with mu = 0 are
-    marked degenerate (the formulas have 1/mu poles there).
-    """
-    lam, c, K = data.lam, data.c, data.K
-    d = c * c - K
-    vs = np.full((4, 4), np.nan, dtype=complex)
-    ws = np.full((4, 4), np.nan, dtype=complex)
-    degenerate = np.zeros(4, dtype=bool)
-    for j, mu in enumerate(data.mus):
-        if abs(mu) < 1e-13:
-            degenerate[j] = True
-            continue
-        om = 1.0 - mu * mu
-        v = np.array([1.0, (c * mu - lam) / mu, 1.0 / om, mu / om])
-        pi = np.array([(c * lam / mu - d) * om, -lam * om / mu, 1.0, mu])
-        vs[:, j] = v
-        ws[:, j] = pi / np.sum(pi * v)
-    data.vs, data.ws, data.degenerate = vs, ws, degenerate
-    return data
+    first, second = np.argsort(roots.real)[:2]
+    if not (roots[first].real < 0 and roots[second].real >= -tol):
+        raise RuntimeError("dispersion_roots: no unique decaying root")
+    return roots[first]
 
 
 def asymptotic_data(lam, c, K):
-    return eigen_frames(dispersion_roots(lam, c, K))
+    """(mu_1, v_1, w_1): the decaying root, its eigenvector of A_inf
+
+        v_1 = (1, (c mu - lam)/mu, 1/(1-mu^2), mu/(1-mu^2)),
+
+    and the dual vector w_1 = pi / <pi, v_1> (bilinear pairing), with
+    pi = ((c lam/mu - (c^2-K))(1-mu^2), -lam (1-mu^2)/mu, 1, mu) the left
+    eigenvector, w_1^T A_inf = mu_1 w_1^T.
+    """
+    lam = complex(lam)
+    mu = dispersion_roots(lam, c, K)
+    om = 1.0 - mu * mu
+    v = np.array([1.0, (c * mu - lam) / mu, 1.0 / om, mu / om])
+    pi = np.array([(c * lam / mu - (c * c - K)) * om, -lam * om / mu, 1.0, mu])
+    return mu, v, pi / np.sum(pi * v)
 
 
 # ------------------------------------------------------------------- Jost
@@ -356,13 +313,13 @@ def evans(lam, p, cache=None, rtol=1e-11, return_spread=False):
     """
     if cache is None:
         cache = CoefficientCache(p)
-    data = asymptotic_data(lam, p.c, p.K)
+    mu, v, w = asymptotic_data(lam, p.c, p.K)
     xa, st = _stations(p)
     mesh = _jost_mesh(p.c, p.K, -xa, xa, st, rtol)
-    E = _expm(-_magnus_exponents(cache, lam, data.mus[0], mesh))
+    E = _expm(-_magnus_exponents(cache, lam, mu, mesh))
     at = np.searchsorted(mesh, st)
-    m1 = _sweep(E, data.vs[:, 0], backward=True)[:, at]
-    n1 = _sweep(E, data.ws[:, 0], backward=False, transpose=True)[:, at]
+    m1 = _sweep(E, v, backward=True)[:, at]
+    n1 = _sweep(E, w, backward=False, transpose=True)[:, at]
     vals = np.sum(m1 * n1, axis=0)
     D = vals[len(vals) // 2]
     if return_spread:

@@ -54,6 +54,19 @@ def test_load_config_rejects_bad_syntax_and_value(tmp_path):
         cli.load_config(f, "profile")
 
 
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+def test_unreadable_config_exits_1(tmp_path, capsys, kind):
+    cfg = tmp_path / "cfg.txt"
+    if kind == "directory":
+        cfg.mkdir()
+    elif kind == "not_utf8":
+        cfg.write_bytes(b"eps = 0.1  # \xff\xfe\n")
+    out = tmp_path / "run"
+    assert cli.run(["profile", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read --config")
+    assert not out.exists()
+
 def test_validate_weight_scale_ordering():
     v = cli._defaults("linear")
     v["A"], v["B"] = 50.0, 10.0        # A < B^2
@@ -208,6 +221,16 @@ def test_out_dir_collision_without_force(tmp_path, capsys):
     assert cli.run(args + ["--force"]) == 0
 
 
+
+@pytest.mark.parametrize("force", [[], ["--force"]], ids=["plain", "force"])
+def test_out_naming_a_file_exits_1(tmp_path, capsys, force):
+    out = tmp_path / "taken"
+    out.write_text("keep\n")
+    assert cli.run(["profile", "--out", str(out), "--eps", "0.1", "--L", "60",
+                    "--N", "256"] + force) == 1
+    assert capsys.readouterr().err.startswith("error: cannot create output directory")
+    assert out.read_text() == "keep\n"
+
 def test_profile_determinism(tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -235,6 +258,18 @@ def test_report_empty_tree_fails(tmp_path, capsys):
     rc = cli.run(["report", "--out", str(tmp_path / "runs")])
     assert rc == 1
 
+
+
+def test_report_refuses_a_run_directory(tmp_path, capsys):
+    # a stability run's own report.json holds its verdicts; an aggregate
+    # written over it would lose them
+    run = tmp_path / "run"
+    assert cli.run(["stability", "--out", str(run), "--eps", "0.1", "--L", "60",
+                    "--N", "512", "--T", "2", "--n_saves", "3"]) == 0
+    before = {f.name: f.read_bytes() for f in run.iterdir()}
+    assert cli.run(["report", "--out", str(run)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert {f.name: f.read_bytes() for f in run.iterdir()} == before
 
 @pytest.mark.parametrize("segment", ["nonsense", "0.1:0.3:0", "0.1:inf:3",
                                      "nan:1:3", "0.1:0.3:2.5", "0.1:0.3"])

@@ -52,18 +52,19 @@ def test_mu4_closed_value(p10):
 
 
 def test_dispersion_roots_at_zero(p10):
-    d = ev.dispersion_roots(0.0, p10.c, p10.K)
-    mu4 = ev.mu4_at_zero(p10.c, p10.K)
-    assert np.allclose(d.mus, [-mu4, 0.0, 0.0, mu4])
+    mu = ev.dispersion_roots(0.0, p10.c, p10.K)
+    assert mu == -ev.mu4_at_zero(p10.c, p10.K)
+    assert isinstance(mu, np.complex128)
 
 
 def test_dispersion_small_lambda_asymptotics(p10):
+    # the two near-zero roots of the quartic are lam/(c + V) and lam/(c - V)
     c, K = p10.c, p10.K
     V = np.sqrt(1.0 + K)
     lam = 1e-3 * np.exp(0.4j)
-    d = ev.dispersion_roots(lam, c, K)
-    assert abs(d.mus[1] - lam / (c + V)) < 0.01 * abs(lam / (c + V))
-    assert abs(d.mus[2] - lam / (c - V)) < 0.01 * abs(lam / (c - V))
+    roots = ev._quartic_roots([lam], c, K)[0]
+    for ref in (lam / (c + V), lam / (c - V)):
+        assert np.min(np.abs(roots - ref)) < 0.01 * abs(ref)
 
 
 def test_dispersion_left_half_plane_rejected(p10):
@@ -78,38 +79,41 @@ def test_dispersion_sum_rule(re, im):
     lam = complex(re, im)
     if abs(lam) < 1e-6:
         return
-    d = ev.dispersion_roots(lam, c, K)
-    # each mu is a quartic root
+    roots = ev._quartic_roots([lam], c, K)[0]
+    # each is a quartic root
     dd = c * c - K
-    for mu in d.mus:
+    for mu in roots:
         r = dd * mu ** 4 - 2 * c * lam * mu ** 3 + (lam * lam - dd + 1) * mu ** 2 \
             + 2 * c * lam * mu - lam * lam
         assert abs(r) < 1e-8 * max(1.0, abs(lam) ** 2)
-    assert abs(np.sum(d.mus) - 2 * c * lam / dd) < 1e-9 * max(1.0, abs(lam))
+    assert abs(np.sum(roots) - 2 * c * lam / dd) < 1e-9 * max(1.0, abs(lam))
+    # mu_1 is one of them, and the only one in the open left half-plane
+    mu1 = ev.dispersion_roots(lam, c, K)
+    j = np.argmin(np.abs(roots - mu1))
+    assert abs(roots[j] - mu1) < 1e-12 * max(1.0, abs(lam))
+    assert mu1.real < 0
+    assert np.all(np.delete(roots, j).real >= -1e-9)
 
 
 def test_eigen_frames_eigen_relation(p10):
     lam = 0.3 + 0.2j
-    d = ev.asymptotic_data(lam, p10.c, p10.K)
+    mu, v, w = ev.asymptotic_data(lam, p10.c, p10.K)
     A = ev.A_infinity(lam, p10.c, p10.K)
-    for j in range(4):
-        v = d.vs[:, j]
-        assert np.max(np.abs(A @ v - d.mus[j] * v)) < 1e-10
+    assert np.max(np.abs(A @ v - mu * v)) < 1e-10
+    assert np.max(np.abs(w @ A - mu * w)) < 1e-10
 
 
 def test_eigen_frames_biorthogonal(p10):
-    d = ev.asymptotic_data(0.25 + 0.15j, p10.c, p10.K)
-    G = d.ws.T @ d.vs          # bilinear pairing, no conjugation
-    assert np.max(np.abs(G - np.eye(4))) < 1e-10
+    _, v, w = ev.asymptotic_data(0.25 + 0.15j, p10.c, p10.K)
+    assert abs(np.sum(w * v) - 1.0) < 1e-14     # bilinear pairing, no conjugation
 
 
-def test_eigen_frames_degenerate_at_zero(p10):
-    d = ev.eigen_frames(ev.dispersion_roots(0.0, p10.c, p10.K))
-    assert list(d.degenerate) == [False, True, True, False]
-    v4 = d.vs[:, 3]
-    mu = d.mus[3].real
-    ref = np.array([1.0, p10.c, 1.0 / (1 - mu ** 2), mu / (1 - mu ** 2)])
-    assert np.max(np.abs(v4 - ref)) < 1e-12
+def test_eigen_frames_closed_form_at_zero(p10):
+    mu, v, _ = ev.asymptotic_data(0.0, p10.c, p10.K)
+    mu4 = ev.mu4_at_zero(p10.c, p10.K)
+    ref = np.array([1.0, p10.c, 1.0 / (1 - mu4 ** 2), -mu4 / (1 - mu4 ** 2)])
+    assert mu == -mu4
+    assert np.max(np.abs(v - ref)) < 1e-12
 
 
 # --------------------------------------------------------------------- Jost
@@ -191,8 +195,7 @@ def test_evans_spread_at_roundoff(p10, cache10):
 def _dop853_evans(lam, p, cache, rtol=1e-12):
     """Oracle: f_1 and g_1 by adaptive DOP853 marches, paired at x = 0."""
     from scipy.integrate import solve_ivp
-    data = ev.asymptotic_data(lam, p.c, p.K)
-    mu = data.mus[0]
+    mu, v, w = ev.asymptotic_data(lam, p.c, p.K)
     xa = 0.9 * p.grid.L
 
     def march(rhs, x_from, y0):
@@ -201,8 +204,8 @@ def _dop853_evans(lam, p, cache, rtol=1e-12):
         assert sol.success
         return sol.y[:, -1]
 
-    m1 = march(lambda x, y: cache.A(x, lam) @ y - mu * y, xa, data.vs[:, 0])
-    n1 = march(lambda x, y: mu * y - cache.A(x, lam).T @ y, -xa, data.ws[:, 0])
+    m1 = march(lambda x, y: cache.A(x, lam) @ y - mu * y, xa, v)
+    n1 = march(lambda x, y: mu * y - cache.A(x, lam).T @ y, -xa, w)
     return np.sum(m1 * n1)
 
 
@@ -231,7 +234,7 @@ def test_batched_expm_matches_scipy(eps, p05, p10, cache10):
     xa, st = ev._stations(p)
     mesh = ev._jost_mesh(p.c, p.K, -xa, xa, st, 1e-9)
     for lam in (0.5j, 1e-3j, -0.8j, 0.3 + 0.7j, 1.5):
-        mu = ev.dispersion_roots(lam, p.c, p.K).mus[0]
+        mu = ev.dispersion_roots(lam, p.c, p.K)
         omega = -ev._magnus_exponents(cache, lam, mu, mesh)
         # the graded tail steps exceed the Pade-13 bound and are scaled
         assert np.max(np.abs(omega).sum(axis=1).max(axis=1)) > 4 * ev._THETA13
@@ -241,27 +244,22 @@ def test_batched_expm_matches_scipy(eps, p05, p10, cache10):
         assert np.max(err) <= 1e-13, (lam, np.max(err))
 
 
-def _dispersion_roots_loop(lam, c, K, n_steps=60):
-    """The continuation with one np.roots call per step."""
-    mu40, V = ev.mu4_at_zero(c, K), np.sqrt(1.0 + K)
-    d = c * c - K
-    t0 = min(1e-4 / abs(lam), 1.0)
-    lam0 = lam * t0
-    mus = np.array([-mu40, lam0 / (c + V), lam0 / (c - V), mu40], dtype=complex)
-    for t in np.geomspace(t0, 1.0, n_steps):
-        z = lam * t
-        mus = ev._assign(np.roots([d, -2 * c * z, z * z - d + 1.0, 2 * c * z,
-                                   -z * z]), mus)
-    return mus
-
-
-def test_batched_dispersion_roots_match_loop(p05, p10):
+def test_dispersion_roots_match_np_roots(p05, p10):
+    # mu_1 is the root of least real part of np.roots' companion solve; on
+    # the imaginary axis mu_2 and mu_3 come back with real parts of either
+    # sign, up to 2e-14 in size, while Re mu_1 stays well below zero
+    taus = np.linspace(-20.0, 20.0, 40)      # skips tau = 0
+    lams = [1e-3j, 0.02j, 0.5j, 0.3 + 0.7j, 1.5, 1e-5 + 2j, 12.0 - 9.0j,
+            *(1j * taus)]
     for p in (p05, p10):
-        for lam in (1e-3j, 0.02j, 0.5j, 1j, 3j, 0.3 + 0.7j, 1.5, 1e-5 + 2j):
-            got = ev.dispersion_roots(lam, p.c, p.K).mus
-            ref = _dispersion_roots_loop(complex(lam), p.c, p.K)
-            # same labels: each branch is the loop's branch, to roundoff
-            assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, abs(lam)), lam
+        c, K = p.c, p.K
+        d = c * c - K
+        for lam in lams:
+            roots = np.roots([d, -2 * c * lam, lam * lam - d + 1.0, 2 * c * lam,
+                              -lam * lam])
+            ref = roots[np.argmin(roots.real)]
+            got = ev.dispersion_roots(lam, c, K)
+            assert abs(got - ref) <= 1e-13 * max(1.0, abs(lam)), lam
 
 
 def test_jost_mesh_holds_stations_and_grades_tails(p10):
