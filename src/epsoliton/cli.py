@@ -238,7 +238,7 @@ def cmd_evolve(cfg, out):
     if traj.failure:
         raise NumericalFailure(f"time stepping failed at {traj.failure}")
     invs = [dynamics.invariants_of(s, cfg.K, g) for s in traj.states]
-    series = {k: [inv[k] for inv in invs] for k in ("E", "E_K", "E_P", "M")}
+    series = {k: [inv[k] for inv in invs] for k in ("E", "M")}
     f = out / "invariants.csv"
     write_long_csv(f, traj.times, series)
     f2 = out / "final_state.csv"
@@ -280,12 +280,12 @@ def cmd_stability(cfg, out):
         K=cfg.K, eps=cfg.eps, delta=cfg.delta, shape=cfg.shape,
         T=cfg.T, n_saves=cfg.n_saves, A=cfg.A, B=cfg.B, kappa=cfg.kappa,
         rho=cfg.rho,
-        grid=_grid_of(cfg, L_factor=diagnostics.StabilityConfig.L_factor))
+        grid=_grid_of(cfg, L_factor=diagnostics.L_FACTOR))
     rep = diagnostics.stability_experiment(sc)
     f = out / "report.json"
     f.write_text(json.dumps(rep.to_json_dict(), indent=2, default=float) + "\n")
     files = [f]
-    if rep.track is not None:
+    if rep.bundle is not None:  # tracking kept at least one snapshot
         series = {"c": rep.track.c, "D": rep.track.D,
                   "I1": rep.I1, "I2": rep.I2, "J": rep.J,
                   "local_decay": rep.local,
@@ -308,7 +308,12 @@ def cmd_report(cfg, out):
         raise ValidationError(f"no manifest.json found under {root}")
     summary = []
     for m in found:
-        man = json.loads(m.read_text())
+        try:
+            man = json.loads(m.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, ValueError) as e:
+            raise ValidationError(f"{m}: {e}")
+        if not isinstance(man, dict):
+            raise ValidationError(f"{m}: not a JSON object")
         summary.append({"path": str(m.parent), "subcommand": man.get("subcommand"),
                         "scalars": man.get("scalars"), "verdicts": man.get("verdicts")})
     f = root / "report.json"

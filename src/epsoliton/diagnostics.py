@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics, modulation, profile as profile_mod
-from .grid import (Grid, default_grid, default_weights, derivative, integrate, l2norm,
-                   running_integral)
+from .grid import (Grid, default_grid, default_weights, derivative, inner, integrate,
+                   l2norm, running_integral)
 
 
 # ----------------------------------------------------------------- virials
@@ -49,12 +49,6 @@ def virial_series(Vs, p, w):
                  for weight in (w.phi1, w.phi2, w.psi_weight))
 
 
-def virial_cross(weight, V3, grad_e, grid):
-    """<weight * grad_U e(S_c), (V_n, V_u)>, grad_e the pair
-    dynamics.gradient_E gives at the profile."""
-    return float(integrate(weight * (grad_e[0] * V3[0] + grad_e[1] * V3[1]), grid))
-
-
 # -------------------------------------------------- modulation-frame series
 
 def norm_bundle_series(bundles):
@@ -74,43 +68,24 @@ class VirialMonitor:
     inconclusive: bool
 
 
-def _window_ratio(t, lhs_sq, rhs_terms, i0, i1):
-    """Integrated LHS and integrated RHS over [t[i0], t[i1]]; integrals are
-    differences of the series' running integral, derivative terms endpoint
-    differences of their antiderivative series."""
-    def window(series):
-        run = running_integral(series, t)
-        return run[i1] - run[i0]
-
-    lhs = window(lhs_sq)
-    rhs = 0.0
-    for kind, series in rhs_terms:
-        if kind == "ddt":
-            # integral of -d/dt S = S(t0) - S(t1)
-            rhs += series[i0] - series[i1]
-        elif kind == "ddt+":
-            rhs += series[i1] - series[i0]
-        else:
-            rhs += window(series)
-    return lhs, rhs
-
-
 def virial_ratio_monitor(t, Vs, p, w, virials, bundle):
     """Fitted constants for the three virial inequalities over trailing time
     windows.  C = max over windows of (integrated LHS)/(integrated RHS);
     'stable' requires at least two valid windows agreeing within 2x.
 
     virials is virial_series(Vs, p, w) and bundle the norm_bundle_series of
-    the snapshots' norm bundles.
+    the snapshots' norm bundles.  Each side of an inequality is held as its
+    antiderivative in t (a -dI/dt term contributes -I, a norm term its
+    running integral), so a window's integral is an endpoint difference.
     """
     g = p.grid
-    eps = p.c - np.sqrt(1.0 + p.K)
+    eps = p.eps
     n = len(t)
     I1, I2, J = virials
-    ge = dynamics.gradient_E(dynamics.soliton_state(p), p.phi, p.K)
-    X1 = np.array([virial_cross(w.phi1, V, ge, g) for V in Vs])
-    X2 = np.array([virial_cross(w.phi2, V, ge, g) for V in Vs])
-    XJ = np.array([virial_cross(w.psi_weight, V, ge, g) for V in Vs])
+    ge = np.array(dynamics.gradient_E(dynamics.soliton_state(p), p.phi, p.K))
+    # the cross terms <weight grad e(S_c), V>
+    X1, X2, XJ = (np.array([inner(weight * ge, V[:2], g) for V in Vs])
+                  for weight in (w.phi1, w.phi2, w.psi_weight))
 
     S1 = bundle["Sigma1"] ** 2
     S2 = bundle["Sigma2"] ** 2
@@ -121,13 +96,10 @@ def virial_ratio_monitor(t, Vs, p, w, virials, bundle):
     St_phi = np.array([l2norm(w.sech_weight * V[2], g) for V in Vs]) ** 2
 
     defs = [
-        ("Sigma1", S1, [("ddt", I1 / eps), ("ddt+", X1 / eps),
-                        ("int", S2 / (w.B * eps)), ("int", St_V)]),
-        ("Sigma2", S2, [("ddt", I2 / eps), ("ddt+", X2 / eps),
-                        ("int", S1 / (w.A1 ** 2 * eps))]),
-        ("Sigma_tilde", St_full, [("ddt", J), ("ddt+", XJ),
-                                  ("int", S1 / w.B), ("int", S2 / w.B),
-                                  ("int", St_phi)]),
+        ("Sigma1", S1, (X1 - I1) / eps + running_integral(S2 / (w.B * eps) + St_V, t)),
+        ("Sigma2", S2, (X2 - I2) / eps + running_integral(S1 / (w.A1 ** 2 * eps), t)),
+        ("Sigma_tilde", St_full,
+         XJ - J + running_integral(S1 / w.B + S2 / w.B + St_phi, t)),
     ]
     monitors = []
     # trailing windows: the initial transient carries sign-indefinite
@@ -135,10 +107,11 @@ def virial_ratio_monitor(t, Vs, p, w, virials, bundle):
     # where they converge; windows with nonpositive integrated RHS are skipped
     q = (n - 1) // 4
     windows = [(q, n - 1), (2 * q, n - 1), (3 * q, n - 1)]
-    for name, lhs_sq, rhs_terms in defs:
+    for name, lhs_sq, rhs_run in defs:
+        lhs_run = running_integral(lhs_sq, t)
         fits, skipped = [], 0
         for i0, i1 in windows:
-            lhs, rhs = _window_ratio(t, lhs_sq, rhs_terms, i0, i1)
+            lhs, rhs = lhs_run[i1] - lhs_run[i0], rhs_run[i1] - rhs_run[i0]
             if rhs <= 0 or not np.isfinite(rhs):
                 skipped += 1
                 continue
@@ -174,6 +147,13 @@ def perturbation(shape, delta, grid):
 
 # ------------------------------------------------------ stability experiment
 
+# default box doubled vs. default_grid: radiation wraps the periodic domain
+# many times over T = 200/sqrt(eps); the larger box keeps the re-entrant
+# floor well below the local-decay threshold
+L_FACTOR = 80.0
+C_TAIL_TOL = 1e-2  # c_converges: spread of c over the last quarter, relative
+
+
 @dataclass
 class StabilityConfig:
     K: float = 1.0
@@ -186,12 +166,7 @@ class StabilityConfig:
     B: float = 10.0
     kappa: float = 0.1
     rho: float = 0.3            # a_rate = rho sqrt(eps)
-    c_tail_tol: float = 1e-2
-    # default box doubled vs. default_grid: radiation wraps the periodic
-    # domain many times over T = 200/sqrt(eps); the larger box keeps the
-    # re-entrant floor well below the local-decay threshold
-    L_factor: float = 80.0
-    grid: Grid = None
+    grid: Grid = None           # default: default_grid with L = L_FACTOR / sqrt(eps)
 
     def __post_init__(self):
         if self.K <= 0 or self.eps <= 0 or self.delta < 0:
@@ -238,7 +213,7 @@ class StabilityReport:
 
 def stability_experiment(config: StabilityConfig) -> StabilityReport:
     rep = StabilityReport(config=config)
-    g = config.grid or default_grid(config.eps, config.K, L_factor=config.L_factor)
+    g = config.grid or default_grid(config.eps, config.K, L_factor=L_FACTOR)
     p = profile_mod.profile_from_eps(config.eps, config.K, g)
     w = default_weights(config.eps, g, A=config.A, B=config.B,
                         kappa=config.kappa, rho=config.rho)
@@ -298,7 +273,7 @@ def stability_experiment(config: StabilityConfig) -> StabilityReport:
 
     q = track.c[3 * n_ok // 4:]
     rep.c_tail_spread = float((np.max(q) - np.min(q)) / np.mean(q))
-    rep.verdicts["c_converges"] = bool(rep.c_tail_spread < config.c_tail_tol)
+    rep.verdicts["c_converges"] = bool(rep.c_tail_spread < C_TAIL_TOL)
 
     rep.monitors = virial_ratio_monitor(t, Vs, p, w, (rep.I1, rep.I2, rep.J),
                                         rep.bundle)

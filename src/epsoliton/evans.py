@@ -330,7 +330,7 @@ def evans(lam, p, cache=None, rtol=1e-11, return_spread=False):
 
 def evans_derivs_at0(p, cache=None, rtol=1e-11):
     """(D(0), D'(0), D''(0)) by 5-point stencils along the imaginary axis,
-    Richardson-extrapolated across _DLAM and _DLAM/2."""
+    Richardson-extrapolated across d and d/2, d = _DLAM min(1, (eps/0.1)^1.5)."""
     if cache is None:
         cache = CoefficientCache(p)
 
@@ -347,8 +347,11 @@ def evans_derivs_at0(p, cache=None, rtol=1e-11):
         D2 = -(-Dp2 + 16 * Dp1 - 30 * D0 + 16 * Dm1 - Dm2) / (12 * d * d)
         return D0, D1, D2
 
-    D0a, D1a, D2a = stencil(_DLAM)
-    D0b, D1b, D2b = stencil(_DLAM / 2)
+    # near the KdV limit D varies in lambda on the scale eps^{3/2}; a fixed
+    # step's truncation error in D' swamps the double zero at eps <= 0.01
+    d = _DLAM * min(1, (p.eps / 0.1) ** 1.5)
+    D0a, D1a, D2a = stencil(d)
+    D0b, D1b, D2b = stencil(d / 2)
     # both stencils are 4th order; Richardson across the halving
     D1 = (16 * D1b - D1a) / 15
     D2 = (16 * D2b - D2a) / 15

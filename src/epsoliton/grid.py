@@ -221,26 +221,17 @@ def default_weights(eps: float, grid: Grid, A: float = 100.0, B: float = 10.0,
 
 
 def norms(V: np.ndarray, w: WeightSet) -> dict:
-    """Norm bundle {Sigma1, Sigma2, Sigma_tilde, L2a, weighted_local} of a perturbation.
-
-    For the Sigma norms V must have 3 components (V_n, V_u, V_phi); the derivative
-    term acts on V_phi only.  2-component input is accepted for the others.
-    """
+    """Norm bundle {Sigma1, Sigma2, Sigma_tilde, L2a, weighted_local} of a
+    perturbation V = (V_n, V_u, V_phi); the Sigma norms' derivative term acts
+    on V_phi only."""
     V = np.asarray(V)
-    if V.ndim == 1:
-        V = V[None, :]
+    if V.ndim != 2 or V.shape[0] != 3:
+        raise ValueError("norms expects 3 components (V_n, V_u, V_phi)")
     g = w.grid
     out = {}
-    if V.shape[0] == 3:
-        for i, theta in ((1, w.theta1), (2, w.theta2)):
-            wz = theta * w.zeta_A
-            main = l2norm(wz * V, g)
-            dterm = l2norm(derivative(wz * V[2], g, 1), g)
-            out[f"Sigma{i}"] = main + dterm
-    elif V.shape[0] == 2:
-        out["Sigma1"] = out["Sigma2"] = float("nan")
-    else:
-        raise ValueError("norms expects 2 or 3 components")
+    for i, theta in ((1, w.theta1), (2, w.theta2)):
+        wz = theta * w.zeta_A
+        out[f"Sigma{i}"] = l2norm(wz * V, g) + l2norm(derivative(wz * V[2], g, 1), g)
     out["Sigma_tilde"] = l2norm(w.sech_weight * V, g)
     win = np.abs(g.x) <= WINDOW * g.L
     out["L2a"] = l2norm(np.where(win, w.exp_weight * V, 0.0), g)

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import WINDOW, Grid, derivative, inner, integrate, running_integral
+from .grid import WINDOW, Grid, derivative, inner, integrate, l2norm, running_integral
 from .elliptic import schrodinger_solver
 from .modulation import kernel_vectors, KernelVectors
 
@@ -294,19 +294,13 @@ def dispersive_decay_experiment(V0, ctx, a_rate, T):
     return traj.t, vals, float(rate)
 
 
-def sigma_tilde_norm(V, ctx, weights):
-    """||sech(eps kappa x) V||_{L^2} for a two-component field."""
-    g = ctx.grid
-    w = weights.sech_weight
-    return float(np.sqrt(integrate((w * V[0]) ** 2 + (w * V[1]) ** 2, g)))
-
-
 def kato_smoothing_experiment(V0, ctx, weights, T):
     """Running integral of the local smoothing norm along e^{tL} Q V0.
 
-    Returns (t, running integral of ||V(s)||^2_Sigma-tilde ds); a plateau
-    before the wrap time is the smoothing signal.
+    Returns (t, running integral of ||sech(eps kappa x) V(s)||^2 ds, the
+    Sigma-tilde norm of grid.norms); a plateau before the wrap time is the
+    smoothing signal.
     """
     traj = ctx.q_trajectory(V0, min(T, wrap_time(ctx)), KATO_SAVES)
-    vals = np.array([sigma_tilde_norm(V, ctx, weights) ** 2 for V in traj.states])
+    vals = np.array([l2norm(weights.sech_weight * V, ctx.grid) ** 2 for V in traj.states])
     return traj.t, running_integral(vals, traj.t)

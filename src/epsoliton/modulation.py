@@ -171,18 +171,18 @@ def decompose(state, ctx, weights, c_guess=None, D_guess=None):
         # cross-correlation peak against the base profile
         corr = np.fft.irfft(np.fft.rfft(state.n) * np.conj(np.fft.rfft(ctx.p0.n)), n=grid.N)
         lag = np.argmax(corr) * grid.h
-        D_guess = float(((lag + grid.L) % (2 * grid.L)) - grid.L)
+        D_guess = _wrap(lag, grid)
     if c_guess is None:
         c_guess = ctx.c0
 
     zeta_B = weights.zeta_B
 
     def F(D, c):
-        V = translate(U, -D, grid) - np.array(ctx.fields(c)[:2])
+        """(residuals, the state translated by -D, V)."""
+        W = translate(U, -D, grid)
+        V = W - np.array(ctx.fields(c)[:2])
         kv = ctx.kernel_vectors(c)
-        r1 = inner(V, zeta_B * kv.eta1, grid)
-        r2 = inner(V, kv.eta2, grid)
-        return np.array([r1, r2]), V, kv
+        return np.array([inner(V, zeta_B * kv.eta1, grid), inner(V, kv.eta2, grid)]), W, V
 
     D, c = float(D_guess), float(c_guess)
     hD, hc = 1e-7, 1e-7
@@ -190,7 +190,7 @@ def decompose(state, ctx, weights, c_guess=None, D_guess=None):
     scale = max(np.sqrt(inner(U, U, grid)), 1e-30)
     try:
         for _ in range(_MAXITER):
-            r, V, kv = F(D, c)
+            r, W, V = F(D, c)
             res = float(np.max(np.abs(r))) / scale
             history.append(res)
             if res < _TOL:
@@ -205,7 +205,8 @@ def decompose(state, ctx, weights, c_guess=None, D_guess=None):
             D, c = D - step[0], c - step[1]
             if len(history) > 4 and history[-1] > 0.5 * history[-4]:
                 break  # stagnation
-        r, V, kv = F(D, c)
+        if not res < _TOL:  # (D, c) moved since the last evaluation
+            r, W, V = F(D, c)
     except ValueError as e:
         # Newton left the context's interpolation window: a tracking failure
         raise RuntimeError(f"decompose: {e}") from e
@@ -213,10 +214,14 @@ def decompose(state, ctx, weights, c_guess=None, D_guess=None):
     if not res < _TOL:
         raise RuntimeError(f"decompose: Newton stagnated, residual history {history}")
     # electric-potential component of the perturbation
-    n_shift = translate(state.n, -D, grid)[0]
-    phi_full, _ = solve_poisson(n_shift, grid)
+    phi_full, _ = solve_poisson(W[0], grid)
     V_phi = phi_full - ctx.fields(c)[2]
     return c, D, V, V_phi, DecomposeReport(len(history), res)
+
+
+def _wrap(D, grid):
+    """The shift D moved into [-L, L) by a multiple of the period 2L."""
+    return float(((D + grid.L) % (2 * grid.L)) - grid.L)
 
 
 @dataclass
@@ -249,8 +254,7 @@ def track(traj, ctx, weights):
         c_g = c
         if i + 1 < len(states):
             # advect the shift guess to the next snapshot time
-            Dp = D + c * (states[i + 1].t - s.t)
-            D_g = float(((Dp + ctx.grid.L) % (2 * ctx.grid.L)) - ctx.grid.L)
+            D_g = _wrap(D + c * (states[i + 1].t - s.t), ctx.grid)
     ts = np.array(ts); cs = np.array(cs); Ds = np.array(Ds)
     # unwrap D across the periodic domain before differencing
     Dw = np.unwrap(Ds, period=2 * ctx.grid.L)

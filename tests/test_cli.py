@@ -260,6 +260,18 @@ def test_report_empty_tree_fails(tmp_path, capsys):
 
 
 
+@pytest.mark.parametrize("content", [b"{bad", b"\xff\xfe", b"[1, 2]"],
+                         ids=["not_json", "not_utf8", "not_an_object"])
+def test_report_unreadable_manifest_exits_1(tmp_path, capsys, content):
+    bad = tmp_path / "runs" / "a" / "manifest.json"
+    bad.parent.mkdir(parents=True)
+    bad.write_bytes(content)
+    assert cli.run(["report", "--out", str(tmp_path / "runs")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+    assert not (tmp_path / "runs" / "report.json").exists()
+
+
 def test_report_refuses_a_run_directory(tmp_path, capsys):
     # a stability run's own report.json holds its verdicts; an aggregate
     # written over it would lose them
@@ -374,7 +386,7 @@ def test_evolve_writes_invariants(tmp_path):
     _check_flow_telemetry(sc)
     text = (out / "invariants.csv").read_text()
     assert text.splitlines()[0] == "t,name,value"
-    assert ",E," in text and ",M," in text
+    assert {row[1] for row in _rows(out / "invariants.csv")[1]} == {"E", "M"}
 
 
 def test_evolve_conserves_the_perturbed_wave(tmp_path):
@@ -425,6 +437,20 @@ def test_stability_solver_failure_exits_2(tmp_path, fail_poisson_at, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "RK4 stage 2" in err and "blow-up" not in err
+
+
+def test_stability_tracking_failure_at_first_snapshot_exits_2(tmp_path, capsys):
+    # decompose fails at t = 0 for this bump, so no series exists; the run
+    # used to end in a TypeError (exit 1) writing stability_series.csv
+    out = tmp_path / "run"
+    rc = cli.run(["stability", "--out", str(out), "--eps", "0.1", "--delta", "4e-3",
+                  "--T", "5", "--n_saves", "5"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: modulation tracking failed")
+    assert [f.name for f in out.iterdir()] == ["report.json"]
+    rep = _strict_json(out / "report.json")
+    assert rep["verdicts"] == {"decompose_ok": False} and rep["error"]
 
 
 # ------------------------------------------------------------------- grids

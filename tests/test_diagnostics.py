@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from epsoliton import diagnostics as dg, dynamics, elliptic
+from epsoliton import diagnostics as dg, elliptic
 from epsoliton.grid import integrate, norms, running_integral
 
 
@@ -46,14 +46,6 @@ def test_virial_J_bound(p10, w10):
     assert abs(J[0]) <= bound + 1e-16
 
 
-def test_virial_cross_linear(p10, w10):
-    V = _test_V(p10)
-    ge = dynamics.gradient_E(dynamics.soliton_state(p10), p10.phi, p10.K)
-    a = dg.virial_cross(w10.phi1, V, ge, p10.grid)
-    b = dg.virial_cross(w10.phi1, 3.0 * V, ge, p10.grid)
-    assert abs(b - 3.0 * a) < 1e-12 * max(1.0, abs(a))
-
-
 # -------------------------------------------------------------- local decay
 
 def _local(V, w):
@@ -95,32 +87,36 @@ def test_local_series_match_direct_formula(grid10):
 
 # ------------------------------------------------------------- window ratio
 
-def test_window_ratio_synthetic():
-    t = np.linspace(0.0, 10.0, 11)
-    lhs_sq = np.ones_like(t)
-    anti = t.copy()                       # d/dt anti = 1
-    lhs, rhs = dg._window_ratio(t, lhs_sq, [("ddt+", anti)], 0, 10)
-    assert abs(lhs - 10.0) < 1e-12
-    assert abs(rhs - 10.0) < 1e-12
-    _, rhs2 = dg._window_ratio(t, lhs_sq, [("ddt", anti)], 0, 10)
-    assert abs(rhs2 + 10.0) < 1e-12
-    _, rhs3 = dg._window_ratio(t, lhs_sq, [("int", lhs_sq)], 2, 7)
-    assert abs(rhs3 - 5.0) < 1e-12
+def test_virial_monitor_sign_convention(p10, w10):
+    # V = 0 and I1 = -eps t: -dI1/dt / eps = 1 against a constant
+    # ||V||_Sigma1 = 1, so every window of the Sigma1 inequality reads C = 1
+    t = np.linspace(0.0, 8.0, 9)
+    zero = np.zeros(len(t))
+    Vs = [np.zeros((3, p10.grid.N)) for _ in t]
+    bundle = {"Sigma1": np.ones(len(t)), "Sigma2": zero, "Sigma_tilde": zero}
+    monitors = dg.virial_ratio_monitor(t, Vs, p10, w10, (-p10.eps * t, zero, zero),
+                                       bundle)
+    s1 = monitors[0]
+    assert s1.name == "Sigma1" and len(s1.C_fits) == 3
+    assert s1.C == pytest.approx(1.0, rel=1e-12)
+    assert s1.stable and not s1.inconclusive
 
 
 def test_window_ratio_trapezoid_order():
-    # sin on [0, pi] over the monitor's trailing windows [t_i0, pi]: the exact
-    # integral is 1 + cos(t_i0), and doubling the sampling quarters the error
+    # sin on [0, pi] over the monitor's trailing windows [t_i0, pi], as
+    # endpoint differences of the running integral: the exact integral is
+    # 1 + cos(t_i0), and doubling the sampling quarters the error
     errs = {}
     for n in (41, 81):
         t = np.linspace(0.0, np.pi, n)
+        run = running_integral(np.sin(t), t)
         q = (n - 1) // 4
         errs[n] = []
         for i0 in (q, 2 * q, 3 * q):
-            lhs, rhs = dg._window_ratio(t, np.sin(t), [("int", np.sin(t))], i0, n - 1)
+            window = run[n - 1] - run[i0]
             exact = 1.0 + np.cos(t[i0])
-            assert abs(lhs - exact) == abs(rhs - exact) < (t[1] - t[0]) ** 2
-            errs[n].append(abs(lhs - exact))
+            assert abs(window - exact) < (t[1] - t[0]) ** 2
+            errs[n].append(abs(window - exact))
     for coarse, fine in zip(errs[41], errs[81]):
         assert 3.9 < coarse / fine < 4.1
 

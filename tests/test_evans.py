@@ -1,10 +1,13 @@
 """Evans-function machinery: coefficients, dispersion, frames, Jost, Evans."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from epsoliton import evans as ev
-from epsoliton.grid import derivative
+from epsoliton import profile as prof
+from epsoliton.grid import default_grid, derivative
 
 
 # -------------------------------------------------------- coefficient matrix
@@ -290,3 +293,14 @@ def test_evans_scan_segment_and_rectangle(p10, cache10):
     assert ring.winding == 0
     assert ring.min_modulus > 0.1
 
+
+
+def test_double_zero_at_origin_near_kdv_limit():
+    # D varies in lambda on the scale eps^{3/2}, and so does the stencil step
+    # below eps = 0.1; a fixed step read |D'(0)| = 2.5 against
+    # |D''(0)| = 4.6e4 at eps = 0.01, and its two stencils disagreed
+    p = prof.profile_from_eps(0.01, 1.0, default_grid(0.01, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        D0, D1, D2 = ev.evans_derivs_at0(p)
+    assert abs(D0) < 1e-6 * abs(D2) and abs(D1) < 1e-6 * abs(D2)

@@ -99,6 +99,10 @@ def test_inner_is_bilinear_no_conjugation(g):
     f = 1j * np.exp(-g.x ** 2)
     # bilinear pairing: <if, if> = -<f, f>, not +|f|^2
     assert inner(f, f, g).real < 0
+    # linear in each argument, also on rows (the virial cross terms)
+    F = np.array([np.cos(g.x), np.exp(-g.x ** 2)])
+    V = np.array([np.exp(-(g.x - 1.0) ** 2), np.cos(g.x)])
+    assert inner(F, 3.0 * V, g) == pytest.approx(3.0 * inner(F, V, g), rel=1e-12)
 
 
 # ------------------------------------------------------------ weights
@@ -177,8 +181,9 @@ def test_norms_l2a_closed_form(g):
 
 def test_norms_component_count_rejected(g):
     w = default_weights(0.1, g)
-    with pytest.raises(ValueError):
-        norms(np.zeros((5, g.N)), w)
+    for shape in ((5, g.N), (2, g.N), (g.N,)):
+        with pytest.raises(ValueError):
+            norms(np.zeros(shape), w)
 
 
 # ------------------------------------------------------------ properties

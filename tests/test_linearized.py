@@ -266,7 +266,7 @@ def _decay_series(V0, ctx, a_rate, T, n_saves):
 def _kato_series(V0, ctx, w, T, n_saves):
     """kato_smoothing_experiment's running integral from its own run."""
     traj = lin.evolve_linear(lin.project_Q(V0, ctx), ctx, T, n_saves=n_saves)
-    vals = np.array([lin.sigma_tilde_norm(V, ctx, w) ** 2 for V in traj.states])
+    vals = np.array([l2norm(w.sech_weight * V, ctx.grid) ** 2 for V in traj.states])
     return traj.t, np.concatenate([[0.0], np.cumsum(
         (vals[1:] + vals[:-1]) / 2 * np.diff(traj.t))])
 
