@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, diagnostics, dynamics, evans, linearized
+from . import __version__, diagnostics, dynamics, evans, linearized, modulation
 from . import profile as profile_mod
 from .grid import default_grid, default_weights
 
@@ -134,14 +134,41 @@ def _segment_taus(segment):
 
 def _outdir(cfg):
     out = Path(cfg.out)
-    if out.is_dir() and any(out.iterdir()) and not cfg.force:
-        raise ValidationError(
-            f"output directory {out} is not empty (use --force to overwrite)")
+    if out.is_dir() and any(out.iterdir()):
+        if not cfg.force:
+            raise ValidationError(
+                f"output directory {out} is not empty (use --force to overwrite)")
+        _remove_previous_run(out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise ValidationError(f"cannot create output directory {out}: {e}")
     return out
+
+
+def _remove_previous_run(out):
+    """Delete out/manifest.json and the outputs it lists that lie in out, so
+    a failed rerun leaves no stale artifacts beside its own; nothing else
+    in out is touched."""
+    path = out / "manifest.json"
+    if path.exists():
+        outputs = _read_manifest(path).get("outputs")
+        if not (isinstance(outputs, list) and all(isinstance(f, str) for f in outputs)):
+            raise ValidationError(f"{path}: outputs is not a list of paths")
+        for f in map(Path, outputs):
+            if f.resolve().parent == out.resolve() and f.is_file():
+                f.unlink()
+        path.unlink()
+
+
+def _read_manifest(path):
+    try:
+        man = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, ValueError) as e:
+        raise ValidationError(f"{path}: {e}")
+    if not isinstance(man, dict):
+        raise ValidationError(f"{path}: not a JSON object")
+    return man
 
 
 def write_csv(path, header, rows):
@@ -199,7 +226,7 @@ def cmd_profile(cfg, out):
               zip(g.x, p.n, p.u, p.phi, p.psi, p.dn, p.du))
     rate = profile_mod.tail_rate_check(p)
     # a NaN rate (the box holds too little of the tail) is written as JSON null
-    scal = {"c": p.c, "eps": cfg.eps,
+    scal = {"c": p.c, "eps": cfg.eps, "L": g.L, "N": g.N,
             "mu4_at_zero": profile_mod.mu4_at_zero(p.c, cfg.K),
             "fitted_tail_rate": rate if np.isfinite(rate) else None}
     side = out / "profile.json"
@@ -219,7 +246,7 @@ def cmd_evans(cfg, out):
                for z, d in zip(scan.lam, scan.D)))
     D0, D1, D2 = evans.evans_derivs_at0(p, cache)
     scal = {"min_abs_D": scan.min_modulus, "abs_D0": abs(D0),
-            "abs_D1_at0": abs(D1), "D2_at0_real": D2.real}
+            "abs_D1_at0": abs(D1), "D2_at0_real": D2.real, "L": g.L, "N": g.N}
     verd = {"min_abs_D_positive": bool(scan.min_modulus > 0),
             "double_zero_at_origin": bool(
                 abs(D0) < 1e-6 * abs(D2) and abs(D1) < 1e-6 * abs(D2))}
@@ -246,7 +273,7 @@ def cmd_evolve(cfg, out):
     write_csv(f2, ("x", "n", "u"), zip(g.x, sT.n, sT.u))
     dE = abs(series["E"][-1] - series["E"][0]) / max(abs(series["E"][0]), 1e-300)
     dM = abs(series["M"][-1] - series["M"][0]) / max(abs(series["M"][0]), 1e-300)
-    return [f, f2], {"rel_dE": dE, "rel_dM": dM, "T": T, **traj.meta}, \
+    return [f, f2], {"rel_dE": dE, "rel_dM": dM, "L": g.L, "N": g.N, "T": T, **traj.meta}, \
         {"conserved": bool(dE < 1e-6 and dM < 1e-8)}
 
 
@@ -258,7 +285,7 @@ def cmd_linear(cfg, out):
                         rho=cfg.rho)
     V0 = np.array([cfg.delta * np.exp(-(g.x / 4.0) ** 2) * np.cos(g.x),
                    np.zeros(g.N)])
-    T = cfg.T if cfg.T is not None else linearized.wrap_time(ctx)
+    T = min(cfg.T or np.inf, linearized.wrap_time(ctx))  # both experiments stop there
     td, nd, rate = linearized.dispersive_decay_experiment(V0, ctx, w.a_rate, T)
     tk, run = linearized.kato_smoothing_experiment(V0, ctx, w, T)
     f = out / "linear.csv"
@@ -270,7 +297,7 @@ def cmd_linear(cfg, out):
     return [f, f2], {"decay_rate": rate if np.isfinite(rate) else None,
                      "kato_excess": float(excess),
                      "propagator_rho": ctx.rho,
-                     "L_applications": ctx.L_applications}, \
+                     "L_applications": ctx.L_applications, "L": g.L, "N": g.N, "T": T}, \
         {"decay_positive": bool(rate > 0),
          "kato_plateau": bool(excess < 0.1)}
 
@@ -288,14 +315,15 @@ def cmd_stability(cfg, out):
     if rep.bundle is not None:  # tracking kept at least one snapshot
         series = {"c": rep.track.c, "D": rep.track.D,
                   "I1": rep.I1, "I2": rep.I2, "J": rep.J,
-                  "local_decay": rep.local,
+                  "local_decay": rep.bundle["weighted_local"],
                   "local_running": rep.local_running, **rep.bundle}
         f2 = out / "stability_series.csv"
-        write_long_csv(f2, rep.t[:len(rep.track.t)], series)
+        write_long_csv(f2, rep.track.t, series)
         files.append(f2)
     if rep.error or rep.blown_up:
         raise NumericalFailure(rep.error or f"blow-up at t={rep.blowup_time}")
-    return files, {"c_tail_spread": rep.c_tail_spread, **rep.flow}, rep.verdicts
+    return files, {"c_tail_spread": rep.c_tail_spread, "L": sc.grid.L,
+                   "N": sc.grid.N, "T": sc.T, **rep.flow}, rep.verdicts
 
 
 def cmd_report(cfg, out):
@@ -308,12 +336,7 @@ def cmd_report(cfg, out):
         raise ValidationError(f"no manifest.json found under {root}")
     summary = []
     for m in found:
-        try:
-            man = json.loads(m.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, ValueError) as e:
-            raise ValidationError(f"{m}: {e}")
-        if not isinstance(man, dict):
-            raise ValidationError(f"{m}: not a JSON object")
+        man = _read_manifest(m)
         summary.append({"path": str(m.parent), "subcommand": man.get("subcommand"),
                         "scalars": man.get("scalars"), "verdicts": man.get("verdicts")})
     f = root / "report.json"
@@ -366,6 +389,9 @@ def _resolve_settings(cfg, extra):
             except ValueError:
                 raise ValidationError(f"bad value for --{key}: {raw!r}")
     validate(values)
+    if cfg.subcommand == "stability" and not values["eps"] > modulation.DC:
+        # the modulation context builds the wave at c - DC
+        raise ValidationError(f"stability needs eps > {modulation.DC:g}")
     vars(cfg).update(values)
 
 

@@ -60,34 +60,32 @@ class Trajectory:
         return np.array([s.t for s in self.states])
 
 
-def gradient_E(state, phi, K):
+def gradient_E(n, u, phi, K):
     """Variational gradient of the energy: (dE/dn, dE/du)."""
-    one_n = 1.0 + state.n
+    one_n = 1.0 + n
     if np.min(one_n) <= 0.0:
         raise ValueError("gradient_E: 1 + n <= 0 (blow-up)")
-    return state.u ** 2 / 2.0 + K * np.log(one_n) + phi, one_n * state.u
+    return u ** 2 / 2.0 + K * np.log(one_n) + phi, one_n * u
 
 
-def rhs(state, K, grid, phi0=None, dealias=False, frame_speed=0.0):
-    """Tendency (dn/dt, du/dt) in the frame moving at frame_speed c; returns
-    (ndot, udot, phi_hat, report).
+def rhs(U, K, grid, phi0=None, frame_speed=0.0):
+    """Tendency dU/dt of U = (n, u) in the frame moving at frame_speed c;
+    returns (dU, report).
 
-    phi0 is the Poisson warm start and phi_hat the solved potential, both as
-    rfft coefficients; report is the Poisson solve's EllipticSolveReport.
-    Both fluxes, less c (n, u), go through one rfft/irfft pair, with the
-    2/3-rule dealiasing mask folded into the symbol of -d/dx.
+    phi0 is the Poisson warm start as rfft coefficients; report is the
+    Poisson solve's EllipticSolveReport, whose phi_hat holds the solved
+    potential.  Both fluxes, less c (n, u), go through one rfft/irfft pair,
+    with the 2/3-rule dealiasing mask folded into the symbol of -d/dx.
     """
-    phi, rep = solve_poisson(state.n, grid, phi0=phi0)
-    gn, gu = gradient_E(state, phi, K)
+    n, u = U
+    phi, rep = solve_poisson(n, grid, phi0=phi0)
+    gn, gu = gradient_E(n, u, phi, K)
     c = frame_speed
     # -d/dx sigma1 (gn - c u, gu - c n) = (-(gu - c n)', -(gn - c u)')
     sym = -grid.symbol(1)
-    if dealias:
-        sym[_band_cut(grid):] = 0.0
-    ndot, udot = np.fft.irfft(sym * np.fft.rfft(np.array([gu - c * state.n,
-                                                           gn - c * state.u])),
-                              n=grid.N)
-    return ndot, udot, rep.phi_hat, rep
+    sym[_band_cut(grid):] = 0.0
+    return np.fft.irfft(sym * np.fft.rfft(np.array([gu - c * n, gn - c * u])),
+                        n=grid.N), rep
 
 
 def invariants_of(state, K, grid):
@@ -190,14 +188,13 @@ def evolve(state0, T, K, grid, dt=None, cfl=None, n_saves=41, frame_speed=0.0):
             for a, G in ((0.0, None), (0.5, mid), (0.5, mid), (1.0, end)):
                 s = V + a * step * ks[-1] + G if ks else W
                 pred, warm = _stage_warm_start(len(cur), cur, phis, preds)
-                kn, ku, phi_hat, rep = rhs(State(t, *s), K, grid, warm,
-                                           dealias=True, frame_speed=c)
+                k, rep = rhs(s, K, grid, warm, frame_speed=c)
                 meta["poisson_solves"] += 1
                 meta["poisson_iterations"] += rep.iterations
                 meta["poisson_residual_max"] = max(meta["poisson_residual_max"],
                                                    rep.residual)
-                ks.append(np.array([kn, ku]))
-                cur.append(phi_hat)
+                ks.append(k)
+                cur.append(rep.phi_hat)
                 cur_preds.append(pred)
         except ValueError:
             # vacuum or a non-finite density at a stage: a blow-up

@@ -29,6 +29,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from .grid import derivative, integrate
 
+_POISSON_TOL = 1e-11     # bound on the Poisson residual max |-phi'' + e^phi - 1 - n|
 _CG_TOL = 1e-13          # relative residual of the Helmholtz CG solves
 _NEWTON_MAXITER = 30     # Newton steps after the fixed point stalls
 _FIXED_POINT_MAXITER = 40  # iteration cap of _poisson_fixed_point
@@ -71,7 +72,7 @@ def _poisson_F(phi, n, grid):
     return integrate(dens, grid)
 
 
-def solve_poisson(n, grid, phi0=None, tol=1e-11):
+def solve_poisson(n, grid, phi0=None):
     """Solve -phi'' + e^phi - 1 - n = 0; returns (phi, report).
 
     phi0, when given, is the initial guess as rfft coefficients (it is not
@@ -81,22 +82,22 @@ def solve_poisson(n, grid, phi0=None, tol=1e-11):
     stalls from phi0, it runs again from the linearisation.  When that stalls
     too, Newton steps follow from the lower residual, damped by a line search
     on the convex functional F once the residual keeps growing.
-    report.residual bounds max |-phi'' + e^phi - 1 - n| and is at most tol on
-    return; report.phi_hat holds rfft(phi).
+    report.residual bounds max |-phi'' + e^phi - 1 - n| and is at most
+    _POISSON_TOL on return; report.phi_hat holds rfft(phi).
     """
     n = np.asarray(n, dtype=float)
     if not np.all(np.isfinite(n)):
         raise ValueError("solve_poisson: non-finite density")
-    phi, rep = _poisson_fixed_point(n, grid, phi0, tol)
-    if rep.residual > tol and phi0 is not None:
+    phi, rep = _poisson_fixed_point(n, grid, phi0)
+    if rep.residual > _POISSON_TOL and phi0 is not None:
         # a far guess can stall the iteration and leave Newton's CG too
         # ill-conditioned to converge; restart from the linearisation
-        cold, cold_rep = _poisson_fixed_point(n, grid, None, tol)
+        cold, cold_rep = _poisson_fixed_point(n, grid, None)
         if cold_rep.residual < rep.residual:
             phi = cold
             rep = EllipticSolveReport(rep.iterations + cold_rep.iterations,
                                       cold_rep.residual, cold_rep.phi_hat)
-    if rep.residual <= tol:
+    if rep.residual <= _POISSON_TOL:
         return phi, rep
 
     def residual(p):
@@ -106,7 +107,7 @@ def solve_poisson(n, grid, phi0=None, tol=1e-11):
     res = float(np.max(np.abs(r)))
     grow = 0
     it = 0
-    while res > tol and it < _NEWTON_MAXITER:
+    while res > _POISSON_TOL and it < _NEWTON_MAXITER:
         delta = _helmholtz_solve(r, np.exp(phi), grid)
         step = 1.0
         if grow >= 3:
@@ -122,12 +123,12 @@ def solve_poisson(n, grid, phi0=None, tol=1e-11):
         grow = grow + 1 if new_res > res else 0
         res = new_res
         it += 1
-    if res > tol:
+    if res > _POISSON_TOL:
         raise RuntimeError(f"solve_poisson: Newton failed, residual {res:.3e} after {it} iterations")
     return phi, EllipticSolveReport(iterations=it, residual=res, phi_hat=np.fft.rfft(phi))
 
 
-def _poisson_fixed_point(n, grid, phi0, tol):
+def _poisson_fixed_point(n, grid, phi0):
     """Preconditioned fixed-point iteration on phi_hat = rfft(phi).
 
     phi_hat starts from phi0 (rfft coefficients, copied) or from the
@@ -145,7 +146,7 @@ def _poisson_fixed_point(n, grid, phi0, tol):
     norm of the residual's Fourier coefficients, which bounds max |r| on the
     nodes.  Returns (phi, report) at the last residual evaluated, with
     report.phi_hat the coefficients phi came from; the caller falls back to
-    Newton when report.residual > tol (a stall, or the iteration cap reached).
+    Newton above _POISSON_TOL (a stall, or the iteration cap reached).
     """
     N = grid.N
     k2 = -grid.symbol(2)
@@ -163,7 +164,7 @@ def _poisson_fixed_point(n, grid, phi0, tol):
         e = np.exp(phi)
         r_hat = k2 * phi_hat + np.fft.rfft(e - one_n)
         new_res = float(w @ np.abs(r_hat))
-        if new_res <= tol or it == _FIXED_POINT_MAXITER or new_res > 0.9 * res:
+        if new_res <= _POISSON_TOL or it == _FIXED_POINT_MAXITER or new_res > 0.9 * res:
             return phi, EllipticSolveReport(iterations=it, residual=new_res,
                                             phi_hat=phi_hat)
         if precond is None or phi0 is None:

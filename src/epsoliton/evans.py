@@ -302,17 +302,16 @@ def _stations(p):
     return xa, np.linspace(-xa, xa, 7)
 
 
-def evans(lam, p, cache=None, rtol=1e-11, return_spread=False):
+def evans(lam, p, cache, rtol=1e-11, return_spread=False):
     """Evans function D(lambda) = <m_1(x0), n_1(x0)> (bilinear, x-independent).
 
     m_1 (the Jost solution f_1, anchored at v_1 at +xa) is marched left with
     the steps exp(-Omega_k) and n_1 (the adjoint Jost solution g_1, anchored
     at w_1 at -xa) right with exp(-Omega_k)^T, on one mesh: the pairing is
     then conserved step by step to roundoff, and the spread over the
-    stations measures that roundoff.  rtol sets the step (see _jost_mesh).
+    stations measures that roundoff.  rtol sets the step (see _jost_mesh);
+    cache is p's CoefficientCache.
     """
-    if cache is None:
-        cache = CoefficientCache(p)
     mu, v, w = asymptotic_data(lam, p.c, p.K)
     xa, st = _stations(p)
     mesh = _jost_mesh(p.c, p.K, -xa, xa, st, rtol)
@@ -328,12 +327,9 @@ def evans(lam, p, cache=None, rtol=1e-11, return_spread=False):
     return D
 
 
-def evans_derivs_at0(p, cache=None, rtol=1e-11):
+def evans_derivs_at0(p, cache, rtol=1e-11):
     """(D(0), D'(0), D''(0)) by 5-point stencils along the imaginary axis,
     Richardson-extrapolated across d and d/2, d = _DLAM min(1, (eps/0.1)^1.5)."""
-    if cache is None:
-        cache = CoefficientCache(p)
-
     Dmemo = {}
 
     def Dval(tau):
@@ -369,14 +365,12 @@ class EvansScan:
     winding: int = None
 
 
-def evans_scan(points, p, cache=None, closed=False, rtol=1e-9):
+def evans_scan(points, p, cache, closed=False, rtol=1e-9):
     """Sample D along a contour; winding number for closed contours.
 
     Refines between adjacent samples whenever the phase jump exceeds pi/2,
     for at most _MAX_REFINE rounds.
     """
-    if cache is None:
-        cache = CoefficientCache(p)
     pts = list(np.asarray(points, dtype=complex))
     vals = [evans(z, p, cache, rtol=rtol) for z in pts]
     for _ in range(_MAX_REFINE):
@@ -413,11 +407,10 @@ def rectangle_contour(re_min, re_max, im_min, im_max, n_per_side=30):
         re_min + 1j * (im_max - tops * (im_max - im_min))])
 
 
-def xi_big(p, x=None):
+def xi_big(p):
     """Profile-derivative solution Xi_1 = (n', u', phi', phi'') of the
-    lambda = 0 system; f_1(., 0) is proportional to it."""
-    if x is None:
-        x = p.grid.x
+    lambda = 0 system at the grid nodes; f_1(., 0) is proportional to it."""
+    x = p.grid.x
     return np.array([p.at(x, "dn"), p.at(x, "du"),
                      p.at(x, "psi"), p.at(x, "d2phi")])
 

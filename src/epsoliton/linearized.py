@@ -39,10 +39,9 @@ class LinearContext:
     _memo: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def build(cls, profile, kv=None):
-        if kv is None:
-            kv = kernel_vectors(profile)
-        return cls(profile, kv, profile.grid, schrodinger_solver(profile.phi, profile.grid))
+    def build(cls, profile):
+        return cls(profile, kernel_vectors(profile), profile.grid,
+                   schrodinger_solver(profile.phi, profile.grid))
 
     @cached_property
     def rho(self):

@@ -27,8 +27,7 @@ from .grid import Grid, integrate, inner, norms, translate
 from .profile import build_profile, profile_c_derivative
 from .elliptic import solve_poisson
 
-_ENFORCE_TOL = 1e-6  # Gram-matrix error above which kernel_vectors corrects the etas
-_DC = 1e-3           # half-width of ModulationContext's interpolation stencil in c
+DC = 1e-3            # half-width of ModulationContext's stencil in c; eps must exceed it
 _TOL, _MAXITER = 1e-12, 40  # decompose's Newton tolerance and iteration cap
 
 
@@ -41,7 +40,7 @@ class KernelVectors:
     theta1: float
     theta2: float
     theta3: float
-    eta1_deriv: np.ndarray = None  # closed-form x-derivative of eta1
+    eta1_deriv: np.ndarray  # closed-form x-derivative of eta1
 
 
 def kernel_vectors(p, xi2=None, xi2_cum=None):
@@ -73,17 +72,15 @@ def kernel_vectors(p, xi2=None, xi2_cum=None):
     deta1 = theta1 * np.array([xi2[1], xi2[0]]) + theta2 * np.array([p.du, p.dn])
     deta2 = theta3 * np.array([p.du, p.dn])
 
-    kv = KernelVectors(xi1, xi2, eta1, eta2, theta1, theta2, theta3,
-                       eta1_deriv=deta1)
-    # biorthogonality check, 2x2 Gram correction on (eta1, eta2) if needed
+    # the quadrature pairings miss delta_ij by the truncation and the
+    # finite-difference xi2 (3e-5 at eps = 0.1); a 2x2 Gram correction on
+    # (eta1, eta2) restores biorthogonality
     G = np.array([[inner(xi1, eta1, grid), inner(xi1, eta2, grid)],
                   [inner(xi2, eta1, grid), inner(xi2, eta2, grid)]])
-    if np.max(np.abs(G - np.eye(2))) > _ENFORCE_TOL:
-        A = np.linalg.solve(G.T, np.eye(2))  # new etas = A11 eta1 + A21 eta2 ...
-        kv.eta1 = A[0, 0] * eta1 + A[1, 0] * eta2
-        kv.eta2 = A[0, 1] * eta1 + A[1, 1] * eta2
-        kv.eta1_deriv = A[0, 0] * deta1 + A[1, 0] * deta2
-    return kv
+    A = np.linalg.solve(G.T, np.eye(2))  # new etas = A11 eta1 + A21 eta2 ...
+    return KernelVectors(xi1, xi2, A[0, 0] * eta1 + A[1, 0] * eta2,
+                         A[0, 1] * eta1 + A[1, 1] * eta2, theta1, theta2, theta3,
+                         A[0, 0] * deta1 + A[1, 0] * deta2)
 
 
 def _antiderivative(rows, grid):
@@ -95,7 +92,7 @@ class ModulationContext:
     """Profiles and kernel vectors as smooth functions of c near a base speed.
 
     Takes the base profile p (speed c0 = p.c), builds the profiles at
-    c0 +- _DC on its grid and interpolates quadratically in c; Newton
+    c0 +- DC on its grid and interpolates quadratically in c; Newton
     iterations in `decompose` then cost only quadratures.  The spline
     antiderivative is linear in its data, so that of xi2(c) is the same
     combination of the stacked rows' antiderivatives, computed here once.
@@ -104,15 +101,15 @@ class ModulationContext:
     def __init__(self, p):
         self.c0, self.K, self.grid = float(p.c), float(p.K), p.grid
         self.p0 = p
-        family = (build_profile(self.c0 - _DC, self.K, self.grid), p,
-                  build_profile(self.c0 + _DC, self.K, self.grid))
+        family = (build_profile(self.c0 - DC, self.K, self.grid), p,
+                  build_profile(self.c0 + DC, self.K, self.grid))
         self._stack = {nm: np.array([getattr(q, nm) for q in family])
                        for nm in ("n", "u", "phi", "dn", "du")}
         self._cum = _antiderivative(
             np.array([self._stack["n"], self._stack["u"]]), self.grid)
 
     def _coeffs(self, c):
-        s = (c - self.c0) / _DC
+        s = (c - self.c0) / DC
         if abs(s) > 1.5:
             raise ValueError(f"ModulationContext: c = {c} outside interpolation window")
         return np.array([s * (s - 1) / 2, 1 - s * s, s * (s + 1) / 2]), s
@@ -125,7 +122,7 @@ class ModulationContext:
 
     def _dweights(self, c):
         _, s = self._coeffs(c)
-        return np.array([(2 * s - 1) / 2, -2 * s, (2 * s + 1) / 2]) / _DC
+        return np.array([(2 * s - 1) / 2, -2 * s, (2 * s + 1) / 2]) / DC
 
     def xi2(self, c):
         dw = self._dweights(c)

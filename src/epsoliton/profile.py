@@ -22,7 +22,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .grid import Grid, default_grid, derivative
+from .grid import Grid, derivative
 
 
 def H(n, c, K):
@@ -66,14 +66,6 @@ def peak_state(c: float, K: float) -> tuple[float, float, float]:
                          "only the trivial root n = 0 (past the existence edge)")
     n_star = brentq(lambda n: g_existence(n, c, K) - target, ns[i], ns[i + 1],
                     xtol=1e-15, rtol=8.9e-16)
-    # Newton polish
-    for _ in range(6):
-        f = g_existence(n_star, c, K) - target
-        df = -dH_dn(n_star, c, K) * (1.0 + n_star - np.exp(H(n_star, c, K)))
-        step = f / df
-        if abs(step) < 1e-17 * max(1.0, n_star):
-            break
-        n_star -= step
     phi_star = H(n_star, c, K)
     if 1.0 + n_star - np.exp(phi_star) <= 0.0:
         raise ValueError(f"no solitary wave at c={c:g}, K={K:g}: the peak curvature "
@@ -104,8 +96,6 @@ def sonic_branch_distance(c: float, K: float) -> float:
 def invert_H(phi, c, K, n_star):
     """N(phi, c): inverse of n -> H(n,c) on [0, n*], vectorized Newton with bisection guard."""
     phi = np.asarray(phi, dtype=float)
-    scalar = phi.ndim == 0
-    phi = np.atleast_1d(phi)
     n = np.clip(phi / (c ** 2 - K), 0.0, n_star)  # linearized guess
     for _ in range(60):
         f = H(n, c, K) - phi
@@ -119,7 +109,7 @@ def invert_H(phi, c, K, n_star):
     for idx in np.nonzero(bad)[0]:
         n[idx] = brentq(lambda m: H(m, c, K) - phi[idx], 0.0, n_star * (1 + 1e-9),
                         xtol=1e-16, rtol=8.9e-16)
-    return float(n[0]) if scalar else n
+    return n
 
 
 def _invert_H_scalar(phi: float, c: float, K: float, n_star: float) -> float:
@@ -231,16 +221,14 @@ class ProfileSolution:
         return self.c - self.V
 
     def at(self, x, name: str):
-        """Evaluate a profile quantity at arbitrary x (exactly even/odd extension)."""
+        """Evaluate a profile quantity at x (exactly even/odd extension);
+        |x| may not exceed the end of the fine half-line, about L + 4h."""
         sp, parity = self._splines[name]
         x = np.asarray(x, dtype=float)
         ax = np.abs(x)
-        out = sp(np.minimum(ax, self._splines["__xmax__"]))
-        tail = ax > self._splines["__xmax__"]
-        if np.any(tail):
-            rate = mu4_at_zero(self.c, self.K)
-            ref = sp(self._splines["__xmax__"])
-            out = np.where(tail, ref * np.exp(-rate * (ax - self._splines["__xmax__"])), out)
+        if np.any(ax > self._splines["__xmax__"]):
+            raise ValueError("ProfileSolution.at: x beyond the sampled half-line")
+        out = sp(ax)
         if parity == "odd":
             out = out * np.sign(x)
         return out if out.ndim else float(out)
@@ -257,7 +245,8 @@ def _half_line_values(c, K, xq, n_star, phi_star):
     probe = phi_star * np.linspace(1e-8, 1.0 - 1e-8, 257)
     Gp = np.array([Gf(p) for p in probe])
     if np.any(Gp <= 0):
-        raise ValueError("pseudopotential not single-signed on (0, phi*)")
+        # peak_state found the wave, so this is roundoff (near the KdV limit)
+        raise RuntimeError("pseudopotential not single-signed on (0, phi*)")
 
     # segment 1 (turning point): integrate t(x) with phi = phi* - t^2, which
     # regularizes the sqrt singularity at the peak.  G(phi*) = 0 analytically;
@@ -306,11 +295,12 @@ def _half_line_values(c, K, xq, n_star, phi_star):
     near = xq <= x0
     phis[near] = phi_star - gp_star / 2.0 * xq[near] ** 2
     # each segment's points are the first t_eval points of its solve (a
-    # terminal event keeps the t_eval points up to the event)
+    # terminal event keeps the t_eval points up to the event; with none
+    # before it, SciPy leaves sol.y an empty list, which ravel accepts)
     seg1 = (xq > x0) & (xq <= x_mid)
-    phis[seg1] = phi_star - sol1.y[0, :np.count_nonzero(seg1)] ** 2
+    phis[seg1] = phi_star - np.ravel(sol1.y)[:np.count_nonzero(seg1)] ** 2
     seg2 = (xq > x_mid) & (xq < x_end)
-    phis[seg2] = np.exp(sol2.y[0, :np.count_nonzero(seg2)])
+    phis[seg2] = np.exp(np.ravel(sol2.y)[:np.count_nonzero(seg2)])
     tail = xq >= x_end
     # exponential tail with the exact asymptotic rate, matched at x_end
     phis[tail] = phi_floor * np.exp(-mu * (xq[tail] - x_end))
@@ -327,16 +317,13 @@ def _half_line_values(c, K, xq, n_star, phi_star):
     return phis, ns, us, psis, dns, dus, d2phi
 
 
-def build_profile(c: float, K: float, grid: Grid | None = None) -> ProfileSolution:
+def build_profile(c: float, K: float, grid: Grid) -> ProfileSolution:
     """Construct the solitary wave on the grid by pseudopotential quadrature."""
     n_star, phi_star, _ = peak_state(c, K)
     # monotonicity of H on [0, n*] asserted, not assumed
     ns_chk = np.linspace(0.0, n_star, 257)
     if np.any(dH_dn(ns_chk, c, K) <= 0):
         raise ValueError("H(., c) not monotone on [0, n*]")
-    eps = c - np.sqrt(1.0 + K)
-    if grid is None:
-        grid = default_grid(eps, K)
 
     # fine auxiliary half-grid (node-exact values) for even spline evaluators
     h_fine = grid.h / 8.0
@@ -365,7 +352,7 @@ def build_profile(c: float, K: float, grid: Grid | None = None) -> ProfileSoluti
                            poisson_residual=resid, _splines=splines)
 
 
-def profile_from_eps(eps: float, K: float, grid: Grid | None = None) -> ProfileSolution:
+def profile_from_eps(eps: float, K: float, grid: Grid) -> ProfileSolution:
     return build_profile(np.sqrt(1.0 + K) + eps, K, grid)
 
 

@@ -24,15 +24,14 @@ def w10(p10):
 
 
 @pytest.fixture(scope="session")
-def kv10(p10):
-    from epsoliton import modulation
-    return modulation.kernel_vectors(p10)
+def lin10(p10):
+    from epsoliton.linearized import LinearContext
+    return LinearContext.build(p10)
 
 
 @pytest.fixture(scope="session")
-def lin10(p10, kv10):
-    from epsoliton.linearized import LinearContext
-    return LinearContext.build(p10, kv10)
+def kv10(lin10):
+    return lin10.kv
 
 
 @pytest.fixture(scope="session")
@@ -57,15 +56,14 @@ def w05(p05):
 
 
 @pytest.fixture(scope="session")
-def kv05(p05):
-    from epsoliton import modulation
-    return modulation.kernel_vectors(p05)
+def lin05(p05):
+    from epsoliton.linearized import LinearContext
+    return LinearContext.build(p05)
 
 
 @pytest.fixture(scope="session")
-def lin05(p05, kv05):
-    from epsoliton.linearized import LinearContext
-    return LinearContext.build(p05, kv05)
+def kv05(lin05):
+    return lin05.kv
 
 
 @pytest.fixture(scope="session")

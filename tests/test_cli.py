@@ -1,13 +1,17 @@
 """CLI: config parsing, validation, artifacts, exit codes, determinism."""
 import ast
+import contextlib
 import csv
 import inspect
+import io
 import json
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epsoliton import cli
 
@@ -201,6 +205,16 @@ def test_profile_happy_path_manifest(tmp_path):
     assert values[128][0] == 0.0 and values[128][1] > 0.0   # x = 0, the peak
 
 
+def test_default_grid_is_recorded(tmp_path):
+    # with --L and --N unset the inputs hold null; the scalars hold the grid
+    # default_grid chose
+    out = tmp_path / "run"
+    assert cli.run(["profile", "--out", str(out), "--eps", "0.1"]) == 0
+    man = _strict_json(out / "manifest.json")
+    assert man["inputs"]["L"] is None and man["inputs"]["N"] is None
+    assert man["scalars"]["N"] == 1024 and man["scalars"]["L"] == 40.0 / np.sqrt(0.1)
+
+
 def test_profile_short_box_writes_null_tail_rate(tmp_path):
     # on [-10, 10) the eps = 0.1 profile stays above n*/100, so the tail fit
     # has no window (np.polyfit raised a TypeError on the empty selection)
@@ -220,6 +234,31 @@ def test_out_dir_collision_without_force(tmp_path, capsys):
     assert "not empty" in capsys.readouterr().err
     assert cli.run(args + ["--force"]) == 0
 
+
+def test_force_removes_the_previous_runs_artifacts(tmp_path, capsys):
+    # a forced rerun that fails left the first run's manifest (its delta,
+    # its verdicts, which report would roll up) and its series beside the
+    # new report.json; files the manifest does not list stay
+    out = tmp_path / "run"
+    args = ["stability", "--out", str(out), "--eps", "0.1", "--L", "60",
+            "--N", "512", "--T", "2", "--n_saves", "5"]
+    assert cli.run(args) == 0
+    (out / "notes.txt").write_text("keep\n")
+    assert cli.run(args + ["--force", "--delta", "4e-3"]) == 2
+    assert sorted(f.name for f in out.iterdir()) == ["notes.txt", "report.json"]
+    assert _strict_json(out / "report.json")["config"]["delta"] == 4e-3
+
+
+@pytest.mark.parametrize("content", [b"{bad", b"[1, 2]", b'{"outputs": 3}'],
+                         ids=["not_json", "not_an_object", "outputs_not_a_list"])
+def test_force_over_unreadable_manifest_exits_1(tmp_path, capsys, content):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "manifest.json").write_bytes(content)
+    assert cli.run(["profile", "--out", str(out), "--eps", "0.1", "--L", "60",
+                    "--N", "256", "--force"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {out / 'manifest.json'}: ")
+    assert [f.name for f in out.iterdir()] == ["manifest.json"]
 
 
 @pytest.mark.parametrize("force", [[], ["--force"]], ids=["plain", "force"])
@@ -332,8 +371,9 @@ def test_linear_happy_path(tmp_path):
     rc = cli.run(["linear", "--out", str(out), "--eps", "0.05", "--T", "5"])
     assert rc == 0
     man = _strict_json(out / "manifest.json")
-    assert set(man["scalars"]) == {"decay_rate", "kato_excess",
-                                   "propagator_rho", "L_applications"}
+    assert set(man["scalars"]) == {"decay_rate", "kato_excess", "propagator_rho",
+                                   "L_applications", "L", "N", "T"}
+    assert man["scalars"]["T"] == 5.0
     # what the linearized flow did: its expansion radius and its cost
     assert man["scalars"]["propagator_rho"] > 0
     assert isinstance(man["scalars"]["L_applications"], int)
@@ -382,7 +422,7 @@ def test_evolve_writes_invariants(tmp_path):
     sc = man["scalars"]
     assert man["verdicts"]["conserved"] is True, \
         f"rel_dE = {sc['rel_dE']:.3g} (bound 1e-6), rel_dM = {sc['rel_dM']:.3g} (bound 1e-8)"
-    assert set(sc) == {"rel_dE", "rel_dM", "T"} | FLOW_SCALARS
+    assert set(sc) == {"rel_dE", "rel_dM", "L", "N", "T"} | FLOW_SCALARS
     _check_flow_telemetry(sc)
     text = (out / "invariants.csv").read_text()
     assert text.splitlines()[0] == "t,name,value"
@@ -423,7 +463,8 @@ def test_stability_happy_path_manifest(tmp_path):
     assert cli.run(["stability", "--out", str(out), "--eps", "0.1", "--L", "60",
                     "--N", "512", "--T", "2", "--n_saves", "3"]) == 0
     man = _strict_json(out / "manifest.json")
-    assert set(man["scalars"]) == {"c_tail_spread"} | FLOW_SCALARS
+    assert set(man["scalars"]) == {"c_tail_spread", "L", "N", "T"} | FLOW_SCALARS
+    assert (man["scalars"]["L"], man["scalars"]["N"], man["scalars"]["T"]) == (60.0, 512, 2.0)
     _check_flow_telemetry(man["scalars"])
     assert set(man["verdicts"]) == {"decompose_ok", "local_decay",
                                     "running_integral_saturates", "c_converges",
@@ -504,3 +545,79 @@ def test_bad_grid_size_exits_1(tmp_path, capsys):
                   "--N", "17"])
     assert rc == 1
     assert "N must be" in capsys.readouterr().err
+
+
+# ------------------------------------------------- settings-table contract
+
+@pytest.mark.parametrize("argv", [["--eps", "0.05", "--L", "358", "--N", "16"],
+                                  ["--eps", "0.1", "--L", "253", "--N", "18"]],
+                         ids=["eps0.05-N16", "eps0.1-N18"])
+def test_profile_turning_march_past_every_node(tmp_path, capsys, argv):
+    # the turning-point march hits its event before the first node it
+    # samples, and SciPy leaves sol.y an empty list: a TypeError before
+    rc = cli.run(["profile", "--out", str(tmp_path / "r")] + argv)
+    assert rc in (0, 2) and "Traceback" not in capsys.readouterr().err
+
+
+def test_evans_pseudopotential_roundoff_exits_2(tmp_path, capsys):
+    # a wave exists at K = 3, eps = 1e-4, but G(phi) loses its sign to
+    # roundoff: a numerical failure, not a ValueError traceback
+    rc = cli.run(["evans", "--out", str(tmp_path / "r"), "--K", "3", "--eps", "1e-4",
+                  "--L", "20", "--N", "64"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("numerical failure: pseudopotential")
+
+
+@pytest.mark.parametrize("eps", ["5e-4", "1e-3"])
+def test_stability_eps_floor_exits_1(tmp_path, capsys, eps):
+    # the modulation context builds the wave at c - 1e-3, below the sonic
+    # speed for eps <= 1e-3
+    out = tmp_path / "r"
+    rc = cli.run(["stability", "--out", str(out), "--eps", eps, "--L", "300",
+                  "--N", "256", "--T", "0.5", "--n_saves", "2"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: stability needs eps > 0.001\n"
+    assert not out.exists()
+
+
+# one strategy per setting (a setting without one fails the draw); L, N and
+# T are always given, and small, so that an example costs well under a
+# second (default grids near eps = 1e-4 take minutes), and evans scans at
+# most three points
+_PROBE = {
+    "K": st.floats(0.1, 4.0), "eps": st.floats(1e-4, 0.3),
+    "L": st.floats(5.0, 400.0), "N": st.sampled_from([16, 18, 32, 64, 128]),
+    "A": st.floats(10.0, 1000.0), "B": st.floats(1.1, 30.0),
+    "kappa": st.floats(0.01, 1.0), "rho": st.floats(0.01, 1.0),
+    "delta": st.floats(0.0, 1e-2),
+    "shape": st.sampled_from(["even", "odd", "shift", "kick"]),
+    "T": st.floats(0.1, 2.0), "n_saves": st.integers(2, 6),
+    "segment": st.builds("{}:{}:{}".format, st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                         st.integers(1, 3)),
+}
+_PINNED = ("L", "N", "T", "segment")
+
+
+@st.composite
+def _runs(draw):
+    sub = draw(st.sampled_from([s for s, reads in cli._READS.items() if reads]))
+    argv = [sub]
+    for key in cli._READS[sub]:
+        if key in _PINNED or draw(st.booleans()):
+            argv += [f"--{key}", str(draw(_PROBE[key]))]
+    return argv
+
+
+# 25 examples take about 10 s; the budget is 15 s
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(_runs())
+def test_settings_table_contract(argv):
+    # any point of the settings table ends in exit 0, 1 or 2, never in an
+    # uncaught exception, and a run that succeeds writes a parsable manifest
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        out = Path(tmp) / "run"
+        rc = cli.run(argv + ["--out", str(out)])
+        assert rc in (0, 1, 2) and "Traceback" not in err.getvalue()
+        if rc == 0:
+            assert _strict_json(out / "manifest.json")["subcommand"] == argv[0]

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from epsoliton import diagnostics as dg, elliptic
-from epsoliton.grid import integrate, norms, running_integral
+from epsoliton.grid import Grid, integrate, norms, running_integral
 
 
 def _test_V(p, scale=1e-3):
@@ -81,7 +81,7 @@ def test_local_series_match_direct_formula(grid10):
     running = np.concatenate([[0.0], np.cumsum(
         (series[1:] + series[:-1]) / 2 * np.diff(rep.track.t))])
     assert len(series) == 5
-    assert np.array_equal(rep.local, series)
+    assert np.array_equal(rep.bundle["weighted_local"], series)
     assert np.array_equal(rep.local_running, running)
 
 
@@ -100,6 +100,21 @@ def test_virial_monitor_sign_convention(p10, w10):
     assert s1.name == "Sigma1" and len(s1.C_fits) == 3
     assert s1.C == pytest.approx(1.0, rel=1e-12)
     assert s1.stable and not s1.inconclusive
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_virial_monitor_below_five_snapshots_is_inconclusive(p10, w10, n):
+    # below five snapshots the quarter index (n - 1) // 4 is 0: the three
+    # trailing windows were one window [t_0, T] counted three times, so
+    # "two windows agree within 2x" always held
+    t = np.linspace(0.0, 8.0, n)
+    zero = np.zeros(n)
+    Vs = [np.zeros((3, p10.grid.N)) for _ in t]
+    bundle = {"Sigma1": np.ones(n), "Sigma2": zero, "Sigma_tilde": zero}
+    monitors = dg.virial_ratio_monitor(t, Vs, p10, w10, (-p10.eps * t, zero, zero),
+                                       bundle)
+    for m in monitors:
+        assert len(m.C_fits) <= 1 and not m.stable and m.inconclusive
 
 
 def test_window_ratio_trapezoid_order():
@@ -235,6 +250,20 @@ def test_stability_experiment_computes_each_series_once(grid10, monkeypatch):
     assert len(norm_calls) == n
     assert len(energy_calls) == n + 1
     assert len(rep.bundle["Sigma1"]) == n and len(rep.I1) == n
+
+
+@pytest.mark.parametrize("n_saves", [3, 4])
+def test_stability_verdicts_below_five_saves(n_saves):
+    # one virial window is no evidence, and with fewer than four snapshots
+    # the running integral has no quarter increments to compare
+    cfg = dg.StabilityConfig(K=1.0, eps=0.1, delta=1e-3, T=5.0, n_saves=n_saves,
+                             grid=Grid(40.0 / np.sqrt(0.1), 512))
+    rep = dg.stability_experiment(cfg)
+    assert rep.verdicts["decompose_ok"]
+    assert all(m.inconclusive for m in rep.monitors)
+    assert rep.verdicts["virial_constants_ok"] is False
+    if n_saves == 3:
+        assert rep.verdicts["running_integral_saturates"] is False
 
 
 def test_stability_experiment_far_data_degrades(grid10):

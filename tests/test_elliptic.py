@@ -51,9 +51,9 @@ def test_poisson_report_bounds_true_residual(g, p10):
     tol = 1e-11
     cases = [(g, 0.3 * np.exp(-(g.x / 3) ** 2)), (p10.grid, p10.n)]
     for grid, n in cases:
-        phi, rep = ell.solve_poisson(n, grid, tol=tol)
+        phi, rep = ell.solve_poisson(n, grid)
         n_warm = n + 1e-3 * np.exp(-grid.x ** 2)
-        phi_w, rep_w = ell.solve_poisson(n_warm, grid, phi0=np.fft.rfft(phi), tol=tol)
+        phi_w, rep_w = ell.solve_poisson(n_warm, grid, phi0=np.fft.rfft(phi))
         for p, dens, r in ((phi, n, rep), (phi_w, n_warm, rep_w)):
             true = np.max(np.abs(-derivative(p, grid, 2) + np.exp(p) - 1.0 - dens))
             assert true <= r.residual + 1e-13

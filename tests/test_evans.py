@@ -302,5 +302,5 @@ def test_double_zero_at_origin_near_kdv_limit():
     p = prof.profile_from_eps(0.01, 1.0, default_grid(0.01, 1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        D0, D1, D2 = ev.evans_derivs_at0(p)
+        D0, D1, D2 = ev.evans_derivs_at0(p, ev.CoefficientCache(p))
     assert abs(D0) < 1e-6 * abs(D2) and abs(D1) < 1e-6 * abs(D2)

@@ -70,7 +70,7 @@ def test_build_profile_quadrature_is_cheap(monkeypatch):
         return sol
 
     monkeypatch.setattr(prof, "solve_ivp", counted)
-    p = prof.profile_from_eps(0.1, 1.0)
+    p = prof.profile_from_eps(0.1, 1.0, default_grid(0.1))
     assert len(nfev) >= 2 and sum(nfev) < 5000
     assert p.poisson_residual < 1e-8
 
