@@ -41,7 +41,7 @@ def _helmholtz_solve(f, w, grid):
     Fourier symbol 1/(k^2 + mean(w))."""
     f = np.asarray(f)
     w = np.asarray(w, dtype=float)
-    k2 = grid.k[: grid.N // 2 + 1] ** 2
+    k2 = grid.k2
     shift = np.mean(w)
 
     def apply_A(v):
@@ -60,9 +60,10 @@ def _helmholtz_solve(f, w, grid):
 
 @dataclass
 class EllipticSolveReport:
-    iterations: int
+    iterations: int      # every iteration the solve spent, fallbacks included
     residual: float
     phi_hat: np.ndarray  # rfft coefficients of the returned phi
+    fallback: bool = False  # the first fixed-point pass stalled
 
 
 def _poisson_F(phi, n, grid):
@@ -83,22 +84,26 @@ def solve_poisson(n, grid, phi0=None):
     too, Newton steps follow from the lower residual, damped by a line search
     on the convex functional F once the residual keeps growing.
     report.residual bounds max |-phi'' + e^phi - 1 - n| and is at most
-    _POISSON_TOL on return; report.phi_hat holds rfft(phi).
+    _POISSON_TOL on return; report.phi_hat holds rfft(phi);
+    report.iterations sums the fixed-point iterations of both passes and the
+    Newton steps, and report.fallback is set when the first pass stalled.
     """
     n = np.asarray(n, dtype=float)
     if not np.all(np.isfinite(n)):
         raise ValueError("solve_poisson: non-finite density")
     phi, rep = _poisson_fixed_point(n, grid, phi0)
-    if rep.residual > _POISSON_TOL and phi0 is not None:
+    if rep.residual <= _POISSON_TOL:
+        return phi, rep
+    rep.fallback = True
+    if phi0 is not None:
         # a far guess can stall the iteration and leave Newton's CG too
         # ill-conditioned to converge; restart from the linearisation
         cold, cold_rep = _poisson_fixed_point(n, grid, None)
+        rep.iterations += cold_rep.iterations
         if cold_rep.residual < rep.residual:
-            phi = cold
-            rep = EllipticSolveReport(rep.iterations + cold_rep.iterations,
-                                      cold_rep.residual, cold_rep.phi_hat)
-    if rep.residual <= _POISSON_TOL:
-        return phi, rep
+            phi, rep.residual, rep.phi_hat = cold, cold_rep.residual, cold_rep.phi_hat
+        if rep.residual <= _POISSON_TOL:
+            return phi, rep
 
     def residual(p):
         return -derivative(p, grid, order=2) + np.exp(p) - 1.0 - n
@@ -125,7 +130,8 @@ def solve_poisson(n, grid, phi0=None):
         it += 1
     if res > _POISSON_TOL:
         raise RuntimeError(f"solve_poisson: Newton failed, residual {res:.3e} after {it} iterations")
-    return phi, EllipticSolveReport(iterations=it, residual=res, phi_hat=np.fft.rfft(phi))
+    return phi, EllipticSolveReport(rep.iterations + it, res, np.fft.rfft(phi),
+                                    fallback=True)
 
 
 def _poisson_fixed_point(n, grid, phi0):
@@ -149,9 +155,7 @@ def _poisson_fixed_point(n, grid, phi0):
     Newton above _POISSON_TOL (a stall, or the iteration cap reached).
     """
     N = grid.N
-    k2 = -grid.symbol(2)
-    w = np.full(N // 2 + 1, 2.0 / N)
-    w[0] = w[-1] = 1.0 / N
+    k2, w = grid.k2, grid.l1_weights
     one_n = 1.0 + n
     if phi0 is None:
         phi_hat = np.fft.rfft(n) / (k2 + 1.0)
@@ -197,7 +201,7 @@ def schrodinger_solver(phi_c, grid):
     N = grid.N
     if N > DENSE_N_MAX:
         return lambda f: apply_inv_schrodinger(f, phi_c, grid)
-    c = np.fft.irfft(-grid.symbol(2), n=N)  # column 0 of -D2; even, so H is symmetric
+    c = np.fft.irfft(grid.k2, n=N)  # column 0 of -D2; even, so H is symmetric
     H = np.empty((N, N), order="F")
     for j in range(N):
         H[:, j] = np.roll(c, j)

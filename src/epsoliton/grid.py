@@ -1,8 +1,10 @@
 """Uniform periodic 1D grid, spectral differentiation, quadrature, and weight functions.
 
 A `Grid` is immutable, so everything derived from (L, N) is computed once per
-grid and cached: the nodes `x`, the wavenumbers `k` and the Fourier symbols
-of d/dx, d^2/dx^2 and d^3/dx^3 on the rfft wavenumbers (returned read-only).
+grid and cached: the nodes `x`, the wavenumbers `k`, the Fourier symbols
+of d/dx, d^2/dx^2 and d^3/dx^3 on the rfft wavenumbers, k^2, the
+2/3-dealiased symbol of d/dx and the l1 weights that bound a function's
+maximum by its rfft coefficients (all read-only).
 Derivatives act on real data only, by one `rfft`/`irfft` pair.
 """
 
@@ -46,12 +48,38 @@ class Grid:
         k = self.k[: self.N // 2 + 1]
         d1, d3 = 1j * k, -1j * k ** 3
         d1[self.N // 2] = d3[self.N // 2] = 0.0  # kill the asymmetric Nyquist mode for odd orders
-        return {1: _frozen(d1), 2: _frozen(-k ** 2), 3: _frozen(d3)}
+        return {1: _frozen(d1), 2: _frozen(-self.k2), 3: _frozen(d3)}
 
     def symbol(self, order: int) -> np.ndarray:
         """Fourier symbol of d^order/dx^order (orders 1-3) on the rfft
         wavenumbers, read-only."""
         return self._symbols[order]
+
+    @cached_property
+    def k2(self) -> np.ndarray:
+        """k^2 on the rfft wavenumbers, the symbol of -d^2/dx^2."""
+        return _frozen(self.k[: self.N // 2 + 1] ** 2)
+
+    @cached_property
+    def dealiased_d1(self) -> np.ndarray:
+        """Symbol of d/dx with the top third of the rfft modes zeroed (the
+        2/3 rule)."""
+        d1 = self.symbol(1).copy()
+        d1[_band_cut(self):] = 0.0
+        return _frozen(d1)
+
+    @cached_property
+    def l1_weights(self) -> np.ndarray:
+        """Weights w with max |f| <= sum_k w_k |rfft(f)_k| on the nodes."""
+        w = np.full(self.N // 2 + 1, 2.0 / self.N)
+        w[0] = w[-1] = 1.0 / self.N
+        return _frozen(w)
+
+
+def _band_cut(grid: Grid) -> int:
+    """First rfft index of the top third of the modes, which the 2/3 rule
+    zeroes."""
+    return int((grid.N // 2 + 1) * 2 / 3)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -443,8 +443,8 @@ def test_evolve_conserves_the_perturbed_wave(tmp_path):
     assert sc["rel_dM"] < 1e-10 and sc["rel_dE"] < 1e-10
 
 
-FLOW_SCALARS = {"poisson_solves", "poisson_iterations", "poisson_residual_max",
-                "rk4_steps", "frame_speed"}
+FLOW_SCALARS = {"poisson_solves", "poisson_iterations", "poisson_fallbacks",
+                "poisson_residual_max", "rk4_steps", "frame_speed"}
 
 
 def _check_flow_telemetry(scalars):
@@ -454,6 +454,8 @@ def _check_flow_telemetry(scalars):
     assert scalars["poisson_solves"] == 4 * scalars["rk4_steps"]
     assert isinstance(scalars["poisson_iterations"], int)
     assert scalars["poisson_iterations"] > 0
+    assert isinstance(scalars["poisson_fallbacks"], int)
+    assert scalars["poisson_fallbacks"] == 0
     assert 0.0 < scalars["poisson_residual_max"] <= 1e-11
     assert scalars["frame_speed"] == pytest.approx(np.sqrt(2.0) + 0.1, rel=1e-15)
 
@@ -606,6 +608,17 @@ def _runs(draw):
         if key in _PINNED or draw(st.booleans()):
             argv += [f"--{key}", str(draw(_PROBE[key]))]
     return argv
+
+
+def test_evolve_on_the_smallest_grid(tmp_path):
+    # the smallest grid, whose dealiased band holds six rfft modes, through
+    # every stage of the warm-started flow
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.run(["evolve", "--L", "5", "--N", "16", "--T", "1",
+                      "--out", str(tmp_path / "run")])
+    assert rc == 0 and "Traceback" not in err.getvalue()
+    assert _strict_json(tmp_path / "run" / "manifest.json")["scalars"]["N"] == 16
 
 
 # 25 examples take about 10 s; the budget is 15 s

@@ -89,6 +89,38 @@ def test_poisson_newton_fallback(g):
     assert np.max(np.abs(res)) <= rep.residual <= 1e-11
 
 
+def test_poisson_fallback_counts_every_iteration(g, monkeypatch):
+    # the reported iterations are the fixed-point passes' and the Newton
+    # steps' together; both solves below fall back
+    passes, newton = [], []
+    fixed_point, helmholtz = ell._poisson_fixed_point, ell._helmholtz_solve
+
+    def recording(*args):
+        out = fixed_point(*args)
+        passes.append(out[1].iterations)
+        return out
+
+    def counting(*args):
+        newton.append(1)
+        return helmholtz(*args)
+
+    monkeypatch.setattr(ell, "_poisson_fixed_point", recording)
+    monkeypatch.setattr(ell, "_helmholtz_solve", counting)
+    n = 20.0 * np.exp(-(g.x / 2) ** 2)
+    _, rep = ell.solve_poisson(n, g)  # the stall that Newton finishes
+    assert rep.fallback and len(passes) == 1 and len(newton) > 0
+    assert rep.iterations == passes[0] + len(newton)
+    passes.clear()
+    newton.clear()
+    # a far warm start: the fixed point stalls, restarts cold, and Newton
+    # finishes from the lower residual
+    _, rep = ell.solve_poisson(n, g, phi0=np.fft.rfft(10.0 * np.cos(0.5 * g.x)))
+    assert rep.fallback and len(passes) == 2
+    assert rep.iterations == sum(passes) + len(newton)
+    _, rep = ell.solve_poisson(0.1 * n, g)
+    assert not rep.fallback
+
+
 # --------------------------------------------------- apply_inv_schrodinger
 
 # schrodinger_solver inverts densely up to DENSE_N_MAX points and falls back

@@ -50,7 +50,9 @@ def test_derivative_real_path_matches_complex_fft(g):
 
 def test_grid_arrays_cached_and_read_only(g):
     assert g.x is g.x and g.k is g.k and g.symbol(1) is g.symbol(1)
-    for arr in (g.x, g.k, g.symbol(2), g.symbol(3)):
+    assert g.k2 is g.k2 and g.dealiased_d1 is g.dealiased_d1
+    for arr in (g.x, g.k, g.symbol(2), g.symbol(3), g.k2, g.dealiased_d1,
+                g.l1_weights):
         with pytest.raises(ValueError):
             arr[0] = 1.0
     with pytest.raises(ValueError):

@@ -65,8 +65,9 @@ def test_frechet_consistency(p10, lin10):
     e = np.exp(-(g.x / 5.0) ** 2)
     V = np.array([e, -0.4 * e * np.cos(0.3 * g.x)])
     base = np.array([p10.n, p10.u])
-    r0, _ = dyn.rhs(base, p10.K, g, frame_speed=p10.c)
-    out = {h: (dyn.rhs(base + h * V, p10.K, g, frame_speed=p10.c)[0] - r0) / h
+    r0 = np.fft.irfft(dyn.rhs(base, p10.K, g, frame_speed=p10.c)[0], n=g.N)
+    out = {h: (np.fft.irfft(dyn.rhs(base + h * V, p10.K, g, frame_speed=p10.c)[0],
+                            n=g.N) - r0) / h
            for h in (1e-4, 5e-5)}
     rich = 2 * out[5e-5] - out[1e-4]
     LV_hat = np.fft.rfft(lin.apply_Lc(V, lin10))
