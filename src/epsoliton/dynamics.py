@@ -36,7 +36,8 @@ changes little from one step to the next, so the add-back of the previous
 step's prediction error cancels most of it.  That takes the eps = 0.1 run to
 about 2 fixed-point iterations a solve, against 4.5 without the response
 (4.3 and 5.0 in the lab frame, where the wave crosses the grid).  The run's
-telemetry counts the solves whose warm start stalled (`poisson_fallbacks`).
+telemetry counts the solves whose warm start stalled and restarted cold
+(`poisson_fallbacks`).
 Conserved quantities: total energy E and momentum M = int n u.
 """
 
@@ -147,8 +148,8 @@ def evolve(state0, T, K, grid, dt=None, cfl=None, n_saves=41, frame_speed=0.0):
     trajectory and flags it.  A Poisson solve that fails truncates it too,
     and is recorded in traj.failure with the RK4 stage and t, not as a
     blow-up.  traj.meta counts the Poisson solves, their iterations, the
-    solves that fell back from a stalled warm start and their largest
-    residual, and the RK4 steps, and records frame_speed.
+    solves whose warm start stalled and restarted cold (poisson_fallbacks)
+    and their largest residual, and the RK4 steps, and records frame_speed.
     """
     if K <= 0.0:
         raise ValueError("evolve: K > 0 required")

@@ -1,76 +1,41 @@
 """Elliptic solves: nonlinear Poisson and Schrodinger-type linear solves.
 
-Two families of problems share one discretisation:
+Both iterate on rfft coefficients with one preconditioner, 1/(k^2 + sigma),
+sigma the midpoint of the range of the zeroth-order coefficient, at two real
+FFTs an iteration:
 
-* the nonlinear Poisson constraint  -phi'' + e^phi - 1 - n = 0 (the
-  functional F(phi) = 1/2 ||phi'||^2 + int(e^phi - phi - 1 - n phi) is
-  strictly convex, so the root is unique).  It iterates on the rfft
-  coefficients of phi with the preconditioner 1/(k^2 + sigma), sigma the
-  midpoint of the range of e^phi (fixed for the solve at a warm start's
-  guess): two real FFTs per iteration and a linear contraction factor of about
-  (max e^phi - min e^phi)/(max e^phi + min e^phi), about 0.1 for the
-  eps = 0.1 wave.  A warm start comes in, and the solution goes out (on the
-  report), as those rfft coefficients, so a caller that chains solves spends
-  no FFT on either.  Newton steps, damped on F when the residual keeps
-  growing, take over when that iteration stalls;
-* linear solves with  -d^2/dx^2 + e^{phi_c}  (e^phi in the Newton steps).
-
-Linear solves are conjugate-gradient iterations preconditioned by the
-constant-coefficient Fourier symbol.  A fixed operator -d^2/dx^2 + e^{phi_c}
-applied many times (the linearized flow) is inverted once instead, as a dense
-Cholesky inverse on grids of up to DENSE_N_MAX points.
+* the nonlinear Poisson constraint  -phi'' + e^phi - 1 - n = 0, whose root
+  is unique (it minimises a strictly convex functional).  The iterate
+  phi_hat -= r_hat / (k^2 + sigma), sigma taken from e^phi, contracts by
+  about (max e^phi - min e^phi)/(max e^phi + min e^phi) an iteration near
+  the root, about 0.1 for the eps = 0.1 wave.  A warm start comes in, and
+  the solution goes out (on the report), as those rfft coefficients, so a
+  caller that chains solves spends no FFT on either.  A warm start that
+  stalls the iteration is dropped for a cold start, which runs to the
+  tolerance or raises RuntimeError;
+* linear solves with  -d^2/dx^2 + e^{phi_c}, the same iteration with
+  e^{phi_c} for e^phi.  A fixed operator applied many times (the linearized
+  flow) is inverted once instead, as a dense Cholesky inverse on grids of up
+  to DENSE_N_MAX points.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri
-from scipy.sparse.linalg import LinearOperator, cg
-
-from .grid import derivative, integrate
 
 _POISSON_TOL = 1e-11     # bound on the Poisson residual max |-phi'' + e^phi - 1 - n|
-_CG_TOL = 1e-13          # relative residual of the Helmholtz CG solves
-_NEWTON_MAXITER = 30     # Newton steps after the fixed point stalls
-_FIXED_POINT_MAXITER = 40  # iteration cap of _poisson_fixed_point
-
-
-def _helmholtz_solve(f, w, grid):
-    """Solve (-d^2/dx^2 + w(x)) g = f for real f and real positive w
-    (typically e^{phi_c}) by conjugate gradients preconditioned with the
-    Fourier symbol 1/(k^2 + mean(w))."""
-    f = np.asarray(f)
-    w = np.asarray(w, dtype=float)
-    k2 = grid.k2
-    shift = np.mean(w)
-
-    def apply_A(v):
-        return -derivative(v, grid, order=2) + w * v
-
-    def apply_M(v):
-        return np.fft.irfft(np.fft.rfft(v) / (k2 + shift), n=grid.N)
-
-    A = LinearOperator((grid.N, grid.N), matvec=apply_A, dtype=float)
-    M = LinearOperator((grid.N, grid.N), matvec=apply_M, dtype=float)
-    g, info = cg(A, f, M=M, rtol=_CG_TOL, atol=0.0, maxiter=300)
-    if info != 0:
-        raise RuntimeError(f"Helmholtz Krylov solve failed to converge (info={info})")
-    return g
+_LINEAR_RTOL = 1e-13     # residual of a linear solve relative to its right side
+_WARM_MAXITER = 40       # iteration cap of a warm-started Poisson pass
+_MAXITER = 10000         # iteration cap of a cold Poisson pass and of a linear solve
 
 
 @dataclass
 class EllipticSolveReport:
-    iterations: int      # every iteration the solve spent, fallbacks included
+    iterations: int      # every iteration the solve spent, both passes included
     residual: float
     phi_hat: np.ndarray  # rfft coefficients of the returned phi
-    fallback: bool = False  # the first fixed-point pass stalled
-
-
-def _poisson_F(phi, n, grid):
-    """Convex functional whose gradient is the Poisson residual."""
-    dphi = derivative(phi, grid, order=1)
-    dens = 0.5 * dphi ** 2 + np.exp(phi) - phi - 1.0 - n * phi
-    return integrate(dens, grid)
+    fallback: bool = False  # the warm start stalled and the solve restarted cold
 
 
 def solve_poisson(n, grid, phi0=None):
@@ -79,59 +44,30 @@ def solve_poisson(n, grid, phi0=None):
     phi0, when given, is the initial guess as rfft coefficients (it is not
     modified); otherwise the guess is the linearisation
     (-d^2/dx^2 + 1)^{-1} n.  The preconditioned fixed-point iteration on the
-    rfft coefficients of phi runs first (see `_poisson_fixed_point`); when it
-    stalls from phi0, it runs again from the linearisation.  When that stalls
-    too, Newton steps follow from the lower residual, damped by a line search
-    on the convex functional F once the residual keeps growing.
-    report.residual bounds max |-phi'' + e^phi - 1 - n| and is at most
-    _POISSON_TOL on return; report.phi_hat holds rfft(phi);
-    report.iterations sums the fixed-point iterations of both passes and the
-    Newton steps, and report.fallback is set when the first pass stalled.
+    rfft coefficients of phi (see `_poisson_fixed_point`) runs from phi0;
+    when it stalls there, it runs again from the linearisation, to the
+    tolerance.  report.residual bounds max |-phi'' + e^phi - 1 - n| and is
+    at most _POISSON_TOL on return; report.phi_hat holds rfft(phi);
+    report.iterations sums the iterations of both passes, and
+    report.fallback is set when the warm start stalled.  A cold pass whose
+    residual turns non-finite or that reaches _MAXITER raises RuntimeError.
     """
     n = np.asarray(n, dtype=float)
     if not np.all(np.isfinite(n)):
         raise ValueError("solve_poisson: non-finite density")
-    phi, rep = _poisson_fixed_point(n, grid, phi0)
-    if rep.residual <= _POISSON_TOL:
-        return phi, rep
-    rep.fallback = True
+    spent = 0
     if phi0 is not None:
-        # a far guess can stall the iteration and leave Newton's CG too
-        # ill-conditioned to converge; restart from the linearisation
-        cold, cold_rep = _poisson_fixed_point(n, grid, None)
-        rep.iterations += cold_rep.iterations
-        if cold_rep.residual < rep.residual:
-            phi, rep.residual, rep.phi_hat = cold, cold_rep.residual, cold_rep.phi_hat
+        phi, rep = _poisson_fixed_point(n, grid, phi0)
         if rep.residual <= _POISSON_TOL:
             return phi, rep
-
-    def residual(p):
-        return -derivative(p, grid, order=2) + np.exp(p) - 1.0 - n
-
-    r = residual(phi)
-    res = float(np.max(np.abs(r)))
-    grow = 0
-    it = 0
-    while res > _POISSON_TOL and it < _NEWTON_MAXITER:
-        delta = _helmholtz_solve(r, np.exp(phi), grid)
-        step = 1.0
-        if grow >= 3:
-            # damped Newton: backtrack on F (descent direction by convexity)
-            F_prev = _poisson_F(phi, n, grid)
-            while step > 1e-8:
-                if _poisson_F(phi - step * delta, n, grid) < F_prev:
-                    break
-                step *= 0.5
-        phi = phi - step * delta
-        r = residual(phi)
-        new_res = float(np.max(np.abs(r)))
-        grow = grow + 1 if new_res > res else 0
-        res = new_res
-        it += 1
-    if res > _POISSON_TOL:
-        raise RuntimeError(f"solve_poisson: Newton failed, residual {res:.3e} after {it} iterations")
-    return phi, EllipticSolveReport(rep.iterations + it, res, np.fft.rfft(phi),
-                                    fallback=True)
+        spent = rep.iterations
+    phi, rep = _poisson_fixed_point(n, grid, None)
+    rep.iterations += spent
+    rep.fallback = phi0 is not None
+    if not rep.residual <= _POISSON_TOL:
+        raise RuntimeError(f"solve_poisson: fixed point failed, residual "
+                           f"{rep.residual:.3e} after {rep.iterations} iterations")
+    return phi, rep
 
 
 def _poisson_fixed_point(n, grid, phi0):
@@ -143,16 +79,18 @@ def _poisson_fixed_point(n, grid, phi0):
     and updates phi_hat -= r_hat / (k^2 + sigma), sigma the midpoint of
     [min e^phi, max e^phi].  From a warm start sigma is taken at phi0, and
     it and the preconditioner 1/(k^2 + sigma) are formed once per solve, as
-    1 + n always is.  The cold linearisation can overshoot e^phi by orders
-    of magnitude (about 4e6 against 23 at the root for n = 20 e^{-x^2/4}),
-    and a sigma fixed there stalls the iteration far from the root, so a
-    cold start re-forms sigma at every iterate.  Near the solution the error
-    contracts by about (max e^phi - min e^phi) / (max e^phi + min e^phi)
-    per iteration.  Convergence is judged on sum_k w_k |r_hat_k|, the l1
-    norm of the residual's Fourier coefficients, which bounds max |r| on the
-    nodes.  Returns (phi, report) at the last residual evaluated, with
-    report.phi_hat the coefficients phi came from; the caller falls back to
-    Newton above _POISSON_TOL (a stall, or the iteration cap reached).
+    1 + n always is; the pass ends at the tolerance, at _WARM_MAXITER, or
+    when the residual does not shrink by 0.9 in an iteration (a NaN counts).
+    The cold linearisation can overshoot e^phi by orders of magnitude (about
+    4e6 against 23 at the root for n = 20 e^{-x^2/4}), and a sigma fixed
+    there stalls the iteration far from the root, so a cold start re-forms
+    sigma at every iterate and runs until the tolerance, a non-finite
+    residual or _MAXITER.  Near the solution the error contracts by about
+    (max e^phi - min e^phi) / (max e^phi + min e^phi) per iteration.
+    Convergence is judged on sum_k w_k |r_hat_k|, the l1 norm of the
+    residual's Fourier coefficients, which bounds max |r| on the nodes.
+    Returns (phi, report) at the last residual evaluated, with
+    report.phi_hat the coefficients phi came from.
     """
     N = grid.N
     k2, w = grid.k2, grid.l1_weights
@@ -168,7 +106,11 @@ def _poisson_fixed_point(n, grid, phi0):
         e = np.exp(phi)
         r_hat = k2 * phi_hat + np.fft.rfft(e - one_n)
         new_res = float(w @ np.abs(r_hat))
-        if new_res <= _POISSON_TOL or it == _FIXED_POINT_MAXITER or new_res > 0.9 * res:
+        if phi0 is None:
+            done = it == _MAXITER or not np.isfinite(new_res)
+        else:
+            done = it == _WARM_MAXITER or not new_res <= 0.9 * res
+        if new_res <= _POISSON_TOL or done:
             return phi, EllipticSolveReport(iterations=it, residual=new_res,
                                             phi_hat=phi_hat)
         if precond is None or phi0 is None:
@@ -179,8 +121,34 @@ def _poisson_fixed_point(n, grid, phi0):
 
 
 def apply_inv_schrodinger(f, phi_c, grid):
-    """Solve (-d^2/dx^2 + e^{phi_c}) g = f."""
-    return _helmholtz_solve(f, np.exp(np.asarray(phi_c, dtype=float)), grid)
+    """Solve (-d^2/dx^2 + e^{phi_c}) g = f for real f.
+
+    The linear form of `_poisson_fixed_point`: g_hat -= r_hat / (k^2 + sigma)
+    with r_hat = k^2 g_hat + rfft(e^{phi_c} g) - rfft(f) and sigma the
+    midpoint of [min e^{phi_c}, max e^{phi_c}], which contracts the error by
+    (max - min) / (max + min) of e^{phi_c} an iteration.  It stops once the
+    2-norm of r_hat is at most _LINEAR_RTOL times that of rfft(f), and
+    raises RuntimeError when the residual turns non-finite or the iteration
+    reaches _MAXITER.
+    """
+    wgt = np.exp(np.asarray(phi_c, dtype=float))
+    k2, N = grid.k2, grid.N
+    f_hat = np.fft.rfft(f)
+    precond = 1.0 / (k2 + 0.5 * (wgt.min() + wgt.max()))
+    g_hat = precond * f_hat
+    f_norm = np.linalg.norm(f_hat)
+    it = 0
+    while True:
+        g = np.fft.irfft(g_hat, n=N)
+        r_hat = k2 * g_hat + np.fft.rfft(wgt * g) - f_hat
+        res = np.linalg.norm(r_hat)
+        if res <= _LINEAR_RTOL * f_norm:
+            return g
+        if it == _MAXITER or not np.isfinite(res):
+            raise RuntimeError(f"apply_inv_schrodinger: fixed point failed, relative "
+                               f"residual {res / f_norm:.3e} after {it} iterations")
+        g_hat -= precond * r_hat
+        it += 1
 
 
 DENSE_N_MAX = 1024  # largest N given a dense inverse (8 MB at 1024)
@@ -195,7 +163,7 @@ def schrodinger_solver(phi_c, grid):
     potrf, then potri), and the map is the bound `H.__matmul__` of the
     read-only inverse H, so each application is one matrix-vector
     product.  For larger N, where H would take 8 N^2 bytes,
-    the map is `apply_inv_schrodinger`, a Krylov solve per call.
+    the map is `apply_inv_schrodinger`, a fixed-point solve per call.
     """
     phi_c = np.asarray(phi_c, dtype=float)
     N = grid.N

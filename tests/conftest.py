@@ -84,7 +84,8 @@ def fail_poisson_at(monkeypatch):
         def failing(*args, **kwargs):
             calls.append(1)
             if len(calls) == fail_at:
-                raise RuntimeError("solve_poisson: Newton failed, residual 1e-3")
+                raise RuntimeError("solve_poisson: fixed point failed, residual "
+                                   "1e-3 after 10000 iterations")
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, "solve_poisson", failing)

@@ -197,8 +197,20 @@ def test_evolve_reports_poisson_failure_not_blowup(g, fail_poisson_at):
     traj = dyn.evolve(_zero(g), 1.0, 1.0, g, dt=0.25, n_saves=5)
     assert not traj.blown_up and traj.blowup_time is None
     assert "RK4 stage 3" in traj.failure and "t = 0.25" in traj.failure
-    assert "Newton failed" in traj.failure
+    assert "fixed point failed" in traj.failure
     assert traj.times[-1] == 0.25
+
+
+def test_evolve_reports_overflowing_density_as_failure():
+    # a finite density whose cold Poisson guess overflows e^phi: the solve
+    # fails at the first stage, which is no blow-up of the flow
+    g = Grid(20.0, 512)
+    n = 1e3 * np.exp(-(g.x / 2) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = dyn.evolve(dyn.State(0.0, n, np.zeros(g.N)), 0.1, 1.0, g)
+    assert not traj.blown_up and traj.blowup_time is None
+    assert "RK4 stage 1 of the step from t = 0:" in traj.failure
+    assert "solve_poisson" in traj.failure
 
 
 # ------------------------------------------------------------ warm starts

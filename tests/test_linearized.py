@@ -130,9 +130,9 @@ def test_evolve_linear_makes_no_krylov_solve(p05, kv05, lin05, rng, monkeypatch)
     # inverse at N = 512); a Krylov solve per application of L took 4.4 of
     # the 5.1 s that the benchmark's linear run spent in evolve_linear
     def krylov(*args, **kwargs):
-        raise AssertionError("Krylov Helmholtz solve in the linearized flow")
+        raise AssertionError("iterative Schrodinger solve in the linearized flow")
 
-    monkeypatch.setattr(ell, "_helmholtz_solve", krylov)
+    monkeypatch.setattr(ell, "apply_inv_schrodinger", krylov)
     _fresh_context(p05, kv05)
     traj = lin.evolve_linear(_smooth(p05.grid, rng), lin05, 1.0)
     assert not traj.flagged and np.all(np.isfinite(traj.states[-1]))
