@@ -4,7 +4,7 @@ Euler-Poisson plasma system.
 Modules:
   grid        - grids, spectral calculus, weight functions, norm bundles
   profile     - solitary-wave profiles via the Sagdeev pseudopotential
-  elliptic    - Poisson/Helmholtz solvers
+  elliptic    - Poisson and -d^2 + e^phi solves by one preconditioned fixed point
   dynamics    - nonlinear evolution (method of lines, RK4) and invariants
   modulation  - kernel/adjoint vectors, (c, D) decomposition and tracking
   linearized  - the linearized operator, semigroup runs, decay/smoothing

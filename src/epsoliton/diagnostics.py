@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics, modulation, profile as profile_mod
-from .grid import (Grid, default_grid, default_weights, derivative, inner, integrate,
-                   l2norm, running_integral)
+from .grid import (Grid, default_weights, derivative, inner, integrate, l2norm,
+                   running_integral)
 
 
 # ----------------------------------------------------------------- virials
@@ -157,6 +157,7 @@ C_TAIL_TOL = 1e-2  # c_converges: spread of c over the last quarter, relative
 
 @dataclass
 class StabilityConfig:
+    grid: Grid                  # the CLI sizes it: default_grid, L = L_FACTOR / sqrt(eps)
     K: float = 1.0
     eps: float = 0.1
     delta: float = 1e-3
@@ -167,7 +168,6 @@ class StabilityConfig:
     B: float = 10.0
     kappa: float = 0.1
     rho: float = 0.3            # a_rate = rho sqrt(eps)
-    grid: Grid = None           # default: default_grid with L = L_FACTOR / sqrt(eps)
 
     def __post_init__(self):
         if self.K <= 0 or self.eps <= 0 or self.delta < 0:
@@ -211,7 +211,7 @@ class StabilityReport:
 
 def stability_experiment(config: StabilityConfig) -> StabilityReport:
     rep = StabilityReport(config=config)
-    g = config.grid or default_grid(config.eps, config.K, L_factor=L_FACTOR)
+    g = config.grid
     p = profile_mod.profile_from_eps(config.eps, config.K, g)
     w = default_weights(config.eps, g, A=config.A, B=config.B,
                         kappa=config.kappa, rho=config.rho)

@@ -299,8 +299,3 @@ def _density_response(d_hat, grid):
     """
     return d_hat / (grid.k2 + 1.0)
 
-
-def soliton_state(profile):
-    """Initial State from a built profile."""
-    return State(0.0, profile.n.copy(), profile.u.copy())
-

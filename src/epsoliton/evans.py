@@ -92,10 +92,6 @@ class CoefficientCache:
         A2[..., 1, 0] = r[..., 9]; A2[..., 1, 1] = r[..., 7]
         return A1, A2
 
-    def A(self, x, lam):
-        A1, A2 = self.A1_A2(x)
-        return A1 + lam * A2
-
 
 def A_infinity(lam, c, K):
     d = c * c - K
@@ -409,8 +405,7 @@ def rectangle_contour(re_min, re_max, im_min, im_max, n_per_side=30):
 
 def xi_big(p):
     """Profile-derivative solution Xi_1 = (n', u', phi', phi'') of the
-    lambda = 0 system at the grid nodes; f_1(., 0) is proportional to it."""
-    x = p.grid.x
-    return np.array([p.at(x, "dn"), p.at(x, "du"),
-                     p.at(x, "psi"), p.at(x, "d2phi")])
+    lambda = 0 system at the grid nodes, phi'' = e^phi - 1 - n; f_1(., 0) is
+    proportional to it."""
+    return np.array([p.dn, p.du, p.psi, np.exp(p.phi) - 1.0 - p.n])
 

@@ -2,7 +2,7 @@
 
 A `Grid` is immutable, so everything derived from (L, N) is computed once per
 grid and cached: the nodes `x`, the wavenumbers `k`, the Fourier symbols
-of d/dx, d^2/dx^2 and d^3/dx^3 on the rfft wavenumbers, k^2, the
+of d/dx and d^2/dx^2 on the rfft wavenumbers, k^2, the
 2/3-dealiased symbol of d/dx and the l1 weights that bound a function's
 maximum by its rfft coefficients (all read-only).
 Derivatives act on real data only, by one `rfft`/`irfft` pair.
@@ -44,14 +44,13 @@ class Grid:
 
     @cached_property
     def _symbols(self) -> dict:
-        """{order: symbol of d^order/dx^order} on the rfft wavenumbers, orders 1-3."""
-        k = self.k[: self.N // 2 + 1]
-        d1, d3 = 1j * k, -1j * k ** 3
-        d1[self.N // 2] = d3[self.N // 2] = 0.0  # kill the asymmetric Nyquist mode for odd orders
-        return {1: _frozen(d1), 2: _frozen(-self.k2), 3: _frozen(d3)}
+        """{order: symbol of d^order/dx^order} on the rfft wavenumbers, orders 1-2."""
+        d1 = 1j * self.k[: self.N // 2 + 1]
+        d1[self.N // 2] = 0.0  # kill the asymmetric Nyquist mode for the odd order
+        return {1: _frozen(d1), 2: _frozen(-self.k2)}
 
     def symbol(self, order: int) -> np.ndarray:
-        """Fourier symbol of d^order/dx^order (orders 1-3) on the rfft
+        """Fourier symbol of d^order/dx^order (orders 1-2) on the rfft
         wavenumbers, read-only."""
         return self._symbols[order]
 
@@ -131,8 +130,8 @@ def default_grid(eps: float, K: float = 1.0, L: float | None = None,
 
 def derivative(v: np.ndarray, grid: Grid, order: int = 1) -> np.ndarray:
     """Differentiate real node values spectrally (Fourier collocation)."""
-    if order not in (1, 2, 3):
-        raise ValueError("order must be 1, 2, or 3")
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
     v = np.asarray(v)
     if not np.isrealobj(v):
         raise ValueError("complex input to derivative")

@@ -24,7 +24,8 @@ import numpy as np
 
 from .grid import WINDOW, Grid, derivative, inner, integrate, l2norm, running_integral
 from .elliptic import schrodinger_solver
-from .modulation import kernel_vectors, KernelVectors
+from .modulation import KernelVectors, antiderivative, kernel_vectors
+from .profile import profile_c_derivative
 
 
 @dataclass
@@ -40,8 +41,12 @@ class LinearContext:
 
     @classmethod
     def build(cls, profile):
-        return cls(profile, kernel_vectors(profile), profile.grid,
-                   schrodinger_solver(profile.phi, profile.grid))
+        """The context of a built profile; xi2 = d/dc (n_c, u_c) costs two
+        more profile builds (profile_c_derivative)."""
+        p, g = profile, profile.grid
+        xi2 = profile_c_derivative(p.c, p.K, g)
+        kv = kernel_vectors(p.n, p.u, p.dn, p.du, xi2, antiderivative(xi2, g), g)
+        return cls(p, kv, g, schrodinger_solver(p.phi, g))
 
     @cached_property
     def rho(self):

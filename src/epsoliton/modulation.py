@@ -14,8 +14,8 @@ state by Newton iteration on the two orthogonality conditions
     <shift(U, -D) - S_c, zeta_B eta1[c]> = 0,
     <shift(U, -D) - S_c, eta2[c]> = 0,
 
-and `track` runs this along a trajectory, recording dD/dt and dc/dt (the
-modulation equations bound |dD/dt - c| and |dc/dt| by the weighted norms).
+and `track` runs this along a trajectory, recording c, D and the norm
+bundle of the perturbation V at each snapshot.
 """
 
 from dataclasses import dataclass
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .grid import Grid, integrate, inner, norms, translate
-from .profile import build_profile, profile_c_derivative
+from .grid import integrate, inner, norms, translate
+from .profile import build_profile
 from .elliptic import solve_poisson
 
 DC = 1e-3            # half-width of ModulationContext's stencil in c; eps must exceed it
@@ -43,17 +43,15 @@ class KernelVectors:
     eta1_deriv: np.ndarray  # closed-form x-derivative of eta1
 
 
-def kernel_vectors(p, xi2=None, xi2_cum=None):
-    """Build (xi1, xi2, eta1, eta2) and the theta scalars for a profile.
-
-    xi2_cum, if given, is the cumulative integral of xi2 from the left grid
-    edge (the CubicSpline antiderivative that is computed otherwise).
+def kernel_vectors(n, u, dn, du, xi2, xi2_cum, grid):
+    """Build (xi1, xi2, eta1, eta2) and the theta scalars from the profile
+    (n_c, u_c), its x-derivative (dn, du) and xi2 = d/dc (n_c, u_c) on the
+    grid nodes; xi2_cum is the cumulative integral of xi2 from the left grid
+    edge (`antiderivative`).  The neglected tail beyond -L is exponentially
+    small: profile derivatives decay at rate mu4.
     """
-    grid = p.grid
-    xi1 = np.array([p.dn, p.du])
-    if xi2 is None:
-        xi2 = profile_c_derivative(p.c, p.K, grid)
-    dMdc = integrate(xi2[0] * p.u + xi2[1] * p.n, grid)
+    xi1 = np.array([dn, du])
+    dMdc = integrate(xi2[0] * u + xi2[1] * n, grid)
     if abs(dMdc) < 1e-14:
         raise ValueError("kernel_vectors: degenerate normalization d/dc M = 0")
     theta3 = 1.0 / dMdc
@@ -61,16 +59,12 @@ def kernel_vectors(p, xi2=None, xi2_cum=None):
     int_dcn = integrate(xi2[0], grid)
     int_dcu = integrate(xi2[1], grid)
     theta2 = theta3 ** 2 * int_dcn * int_dcu
-    eta2 = theta3 * np.array([p.u, p.n])
-    # cumulative integral from the left grid edge; the neglected tail beyond
-    # -L is exponentially small (profile derivatives decay at rate mu4)
-    if xi2_cum is None:
-        xi2_cum = _antiderivative(xi2, grid)
+    eta2 = theta3 * np.array([u, n])
     cum_n, cum_u = xi2_cum
-    eta1 = theta1 * np.array([cum_u, cum_n]) + theta2 * np.array([p.u, p.n])
+    eta1 = theta1 * np.array([cum_u, cum_n]) + theta2 * np.array([u, n])
     # closed-form derivatives (eta1 itself is not periodic; its derivative is)
-    deta1 = theta1 * np.array([xi2[1], xi2[0]]) + theta2 * np.array([p.du, p.dn])
-    deta2 = theta3 * np.array([p.du, p.dn])
+    deta1 = theta1 * np.array([xi2[1], xi2[0]]) + theta2 * np.array([du, dn])
+    deta2 = theta3 * np.array([du, dn])
 
     # the quadrature pairings miss delta_ij by the truncation and the
     # finite-difference xi2 (3e-5 at eps = 0.1); a 2x2 Gram correction on
@@ -83,7 +77,7 @@ def kernel_vectors(p, xi2=None, xi2_cum=None):
                          A[0, 0] * deta1 + A[1, 0] * deta2)
 
 
-def _antiderivative(rows, grid):
+def antiderivative(rows, grid):
     """Cumulative integral of each row from the left grid edge (cubic spline)."""
     return CubicSpline(grid.x, rows, axis=-1).antiderivative()(grid.x)
 
@@ -105,7 +99,7 @@ class ModulationContext:
                   build_profile(self.c0 + DC, self.K, self.grid))
         self._stack = {nm: np.array([getattr(q, nm) for q in family])
                        for nm in ("n", "u", "phi", "dn", "du")}
-        self._cum = _antiderivative(
+        self._cum = antiderivative(
             np.array([self._stack["n"], self._stack["u"]]), self.grid)
 
     def _coeffs(self, c):
@@ -131,22 +125,8 @@ class ModulationContext:
     def kernel_vectors(self, c):
         w, _ = self._coeffs(c)
         st = self._stack
-        proxy = _ProfileProxy(c, self.K, self.grid,
-                              n=w @ st["n"], u=w @ st["u"],
-                              dn=w @ st["dn"], du=w @ st["du"])
-        return kernel_vectors(proxy, xi2=self.xi2(c),
-                              xi2_cum=self._dweights(c) @ self._cum)
-
-
-@dataclass
-class _ProfileProxy:
-    c: float
-    K: float
-    grid: Grid
-    n: np.ndarray
-    u: np.ndarray
-    dn: np.ndarray
-    du: np.ndarray
+        return kernel_vectors(w @ st["n"], w @ st["u"], w @ st["dn"], w @ st["du"],
+                              self.xi2(c), self._dweights(c) @ self._cum, self.grid)
 
 
 @dataclass
@@ -227,14 +207,12 @@ class ModulationTrack:
     c: np.ndarray
     D: np.ndarray
     norms: list           # per-snapshot dict from grid.norms
-    dD_rate: np.ndarray   # centered finite differences of D
-    dc_rate: np.ndarray
     truncated: bool = False
     Vs: list = None        # per-snapshot (V_n, V_u, V_phi) in the profile frame
 
 
 def track(traj, ctx, weights):
-    """Run decompose along a trajectory; c, D, their rates and the norms."""
+    """Run decompose along a trajectory; c, D (unwrapped) and the norms."""
     ts, cs, Ds, nrm, Vs = [], [], [], [], []
     c_g, D_g = None, None
     truncated = False
@@ -252,9 +230,6 @@ def track(traj, ctx, weights):
         if i + 1 < len(states):
             # advect the shift guess to the next snapshot time
             D_g = _wrap(D + c * (states[i + 1].t - s.t), ctx.grid)
-    ts = np.array(ts); cs = np.array(cs); Ds = np.array(Ds)
-    # unwrap D across the periodic domain before differencing
-    Dw = np.unwrap(Ds, period=2 * ctx.grid.L)
-    dD = np.gradient(Dw, ts) if len(ts) > 2 else np.full_like(ts, np.nan)
-    dc = np.gradient(cs, ts) if len(ts) > 2 else np.full_like(ts, np.nan)
-    return ModulationTrack(ts, cs, Dw, nrm, dD, dc, truncated=truncated, Vs=Vs)
+    Dw = np.unwrap(np.array(Ds), period=2 * ctx.grid.L)
+    return ModulationTrack(np.array(ts), np.array(cs), Dw, nrm,
+                           truncated=truncated, Vs=Vs)

@@ -194,8 +194,9 @@ def mu4_at_zero(c: float, K: float) -> float:
 class ProfileSolution:
     """The solitary wave sampled on a grid, with exact nodal derivatives.
 
-    Carries exactly-even spline evaluators for off-grid use (Jost marching,
-    Evans coefficient matrices); component parity: n,u,phi even; derivatives odd.
+    Carries exactly-even spline evaluators of n, u, phi, dn and du for
+    off-grid use (Evans coefficient matrices); n, u, phi are even and the
+    derivatives odd.  psi = phi' exists on the nodes only.
     """
 
     c: float
@@ -210,7 +211,8 @@ class ProfileSolution:
     n_star: float
     phi_star: float
     poisson_residual: float
-    _splines: dict = field(default_factory=dict, repr=False)
+    _splines: dict = field(repr=False)   # name -> (spline of |x|, parity)
+    _xmax: float = field(repr=False)     # end of the splines' half-line
 
     @property
     def V(self) -> float:
@@ -221,12 +223,12 @@ class ProfileSolution:
         return self.c - self.V
 
     def at(self, x, name: str):
-        """Evaluate a profile quantity at x (exactly even/odd extension);
+        """Evaluate n, u, phi, dn or du at x (exactly even/odd extension);
         |x| may not exceed the end of the fine half-line, about L + 4h."""
         sp, parity = self._splines[name]
         x = np.asarray(x, dtype=float)
         ax = np.abs(x)
-        if np.any(ax > self._splines["__xmax__"]):
+        if np.any(ax > self._xmax):
             raise ValueError("ProfileSolution.at: x beyond the sampled half-line")
         out = sp(ax)
         if parity == "odd":
@@ -310,11 +312,10 @@ def _half_line_values(c, K, xq, n_star, phi_star):
     us = c * ns / (1.0 + ns)
     psis = -np.sqrt(np.maximum(2.0 * np.array([Gf(p) for p in phis]), 0.0))  # phi' < 0, x>0
     psis[phis == 0.0] = 0.0
-    d2phi = np.exp(phis) - 1.0 - ns
     h_n = dH_dn(ns, c, K)
     dns = psis / h_n
     dus = c * dns / (1.0 + ns) ** 2
-    return phis, ns, us, psis, dns, dus, d2phi
+    return phis, ns, us, psis, dns, dus
 
 
 def build_profile(c: float, K: float, grid: Grid) -> ProfileSolution:
@@ -328,13 +329,12 @@ def build_profile(c: float, K: float, grid: Grid) -> ProfileSolution:
     # fine auxiliary half-grid (node-exact values) for even spline evaluators
     h_fine = grid.h / 8.0
     xq = np.arange(0.0, grid.L + 4 * grid.h, h_fine)
-    phis, ns, us, psis, dns, dus, d2phi = _half_line_values(c, K, xq, n_star, phi_star)
+    phis, ns, us, psis, dns, dus = _half_line_values(c, K, xq, n_star, phi_star)
 
-    splines = {"__xmax__": xq[-1]}
+    splines = {}
     for name, arr, parity in (("phi", phis, "even"), ("n", ns, "even"),
-                              ("u", us, "even"), ("psi", psis, "odd"),
-                              ("dn", dns, "odd"), ("du", dus, "odd"),
-                              ("d2phi", d2phi, "even")):
+                              ("u", us, "even"), ("dn", dns, "odd"),
+                              ("du", dus, "odd")):
         # even: f'(0)=0; odd (stored as f(|x|)*sign): f''(0)=0
         bc0 = (1, 0.0) if parity == "even" else (2, 0.0)
         splines[name] = (CubicSpline(xq, arr, bc_type=(bc0, "not-a-knot")), parity)
@@ -349,7 +349,7 @@ def build_profile(c: float, K: float, grid: Grid) -> ProfileSolution:
 
     return ProfileSolution(c=c, K=K, grid=grid, n=n_g, u=u_g, phi=phi_g, psi=psi_g,
                            dn=dn_g, du=du_g, n_star=n_star, phi_star=phi_star,
-                           poisson_residual=resid, _splines=splines)
+                           poisson_residual=resid, _splines=splines, _xmax=xq[-1])
 
 
 def profile_from_eps(eps: float, K: float, grid: Grid) -> ProfileSolution:

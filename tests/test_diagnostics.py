@@ -175,13 +175,14 @@ def test_perturbation_shapes(grid10):
 # --------------------------------------------------------------- experiment
 
 def test_stability_config_validation():
+    g = Grid(10.0, 16)
     with pytest.raises(ValueError):
-        dg.StabilityConfig(K=-1.0)
+        dg.StabilityConfig(grid=g, K=-1.0)
     with pytest.raises(ValueError):
-        dg.StabilityConfig(eps=0.0)
+        dg.StabilityConfig(grid=g, eps=0.0)
     with pytest.raises(ValueError):
-        dg.StabilityConfig(delta=-1e-3)
-    cfg = dg.StabilityConfig(eps=0.04)
+        dg.StabilityConfig(grid=g, delta=-1e-3)
+    cfg = dg.StabilityConfig(grid=g, eps=0.04)
     assert abs(cfg.T - 1000.0) < 1e-12
 
 

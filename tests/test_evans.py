@@ -16,7 +16,8 @@ def test_coefficient_matrix_matches_A_infinity_in_tails(p10, cache10):
     lam = 0.3 + 0.2j
     Ainf = ev.A_infinity(lam, p10.c, p10.K)
     for xa in (-0.9 * p10.grid.L, 0.9 * p10.grid.L):
-        A = cache10.A(xa, lam)
+        A1, A2 = cache10.A1_A2(xa)
+        A = A1 + lam * A2
         assert np.max(np.abs(A - Ainf)) < 1e-8
 
 
@@ -28,8 +29,8 @@ def test_A_infinity_entry_03(p10):
 
 def test_coefficient_matrix_at_lambda_zero_is_A1(p10, cache10):
     x = np.array([-3.0, 0.0, 2.5])
-    A1, _ = cache10.A1_A2(x)
-    assert np.max(np.abs(cache10.A(x, 0.0) - A1)) == 0.0
+    A1, A2 = cache10.A1_A2(x)
+    assert np.max(np.abs(A1 + 0.0 * A2 - A1)) == 0.0
 
 
 def test_coefficient_matrix_subsonic_rejected(grid10):
@@ -207,8 +208,12 @@ def _dop853_evans(lam, p, cache, rtol=1e-12):
         assert sol.success
         return sol.y[:, -1]
 
-    m1 = march(lambda x, y: cache.A(x, lam) @ y - mu * y, xa, v)
-    n1 = march(lambda x, y: mu * y - cache.A(x, lam).T @ y, -xa, w)
+    def A(x):
+        A1, A2 = cache.A1_A2(x)
+        return A1 + lam * A2
+
+    m1 = march(lambda x, y: A(x) @ y - mu * y, xa, v)
+    n1 = march(lambda x, y: mu * y - A(x).T @ y, -xa, w)
     return np.sum(m1 * n1)
 
 
