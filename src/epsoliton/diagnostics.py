@@ -227,12 +227,7 @@ def stability_experiment(config: StabilityConfig) -> StabilityReport:
         rep.error = f"time stepping failed at {traj.failure}"
 
     ctx = modulation.ModulationContext(p)
-    try:
-        track = modulation.track(traj, ctx, w)
-    except RuntimeError as e:
-        rep.error = rep.error or f"modulation tracking failed: {e}"
-        rep.verdicts["decompose_ok"] = False
-        return rep
+    track = modulation.track(traj, ctx, w)
     rep.track = track
     rep.verdicts["decompose_ok"] = not (track.truncated or traj.blown_up
                                         or traj.failure)

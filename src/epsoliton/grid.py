@@ -159,8 +159,7 @@ def translate(fields, shift, grid):
     """Translate each row of real `fields` by `shift` via the Fourier phase
     e^{-ik shift}: exact for band-limited data; returns shape (rows, N)."""
     ph = np.exp(-1j * grid.k[: grid.N // 2 + 1] * shift)
-    return np.array([np.fft.irfft(np.fft.rfft(f) * ph, n=grid.N)
-                     for f in np.atleast_2d(fields)])
+    return np.fft.irfft(np.fft.rfft(np.atleast_2d(fields), axis=-1) * ph, n=grid.N, axis=-1)
 
 
 def inner(f: np.ndarray, g: np.ndarray, grid: Grid):
@@ -183,6 +182,12 @@ def l2norm(v: np.ndarray, grid: Grid) -> float:
 # the exponentially weighted norms read only |x| <= WINDOW L, where radiation
 # that left the periodic box arrives last
 WINDOW = 0.8
+
+
+def l2a(V: np.ndarray, a_rate: float, grid: Grid) -> float:
+    """L^2 norm of the rows of V with weight e^{a_rate x}, on |x| <= WINDOW L."""
+    w = np.exp(a_rate * grid.x) * (np.abs(grid.x) <= WINDOW * grid.L)
+    return float(np.sqrt(integrate(((w * V) ** 2).sum(axis=0), grid)))
 
 
 def smooth_bump(x: np.ndarray) -> np.ndarray:
@@ -213,7 +218,6 @@ class WeightSet:
     phi2: np.ndarray = field(init=False)
     psi_weight: np.ndarray = field(init=False)
     sech_weight: np.ndarray = field(init=False)
-    exp_weight: np.ndarray = field(init=False)
 
     def __post_init__(self):
         for name in ("A", "B", "A1", "kappa", "a_rate"):
@@ -229,7 +233,6 @@ class WeightSet:
         ek = self.eps * self.kappa
         self.psi_weight = np.tanh(ek * x) / ek
         self.sech_weight = 1.0 / np.cosh(ek * x)
-        self.exp_weight = np.exp(self.a_rate * x)
 
     def _phi_i(self, theta: np.ndarray) -> np.ndarray:
         """phi_{iAA1}(x) = int_0^x zeta_A^2 theta_i^2, cumulative quadrature anchored at 0."""
@@ -260,8 +263,7 @@ def norms(V: np.ndarray, w: WeightSet) -> dict:
         wz = theta * w.zeta_A
         out[f"Sigma{i}"] = l2norm(wz * V, g) + l2norm(derivative(wz * V[2], g, 1), g)
     out["Sigma_tilde"] = l2norm(w.sech_weight * V, g)
-    win = np.abs(g.x) <= WINDOW * g.L
-    out["L2a"] = l2norm(np.where(win, w.exp_weight * V, 0.0), g)
+    out["L2a"] = l2a(V, w.a_rate, g)
     bracket = np.sqrt(1.0 + g.x ** 2)
     out["weighted_local"] = float(integrate(
         np.exp(-2.0 * w.a_rate * bracket) * (np.abs(V) ** 2).sum(axis=0), g))

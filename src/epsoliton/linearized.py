@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import WINDOW, Grid, derivative, inner, integrate, l2norm, running_integral
+from .grid import WINDOW, Grid, derivative, inner, l2a, l2norm, running_integral
 from .elliptic import schrodinger_solver
 from .modulation import KernelVectors, antiderivative, kernel_vectors
 from .profile import profile_c_derivative
@@ -65,20 +65,23 @@ class LinearContext:
         return k_max * float(np.max(sigma)) + 0.5 / np.sqrt(float(np.min(np.exp(p.phi))))
 
     def q_trajectory(self, V0, T, n_saves):
-        """e^{tL} Q V0 on [0, T], sampled as evolve_linear(Q V0, ctx, T,
-        n_saves=n_saves) saves it, bit for bit, for n_saves DECAY_SAVES or
-        KATO_SAVES.
+        """e^{tL} Q V0 at save_times(self, T, n_saves) and at the last state
+        (the save that flagged spurious growth, if any), for n_saves
+        DECAY_SAVES or KATO_SAVES.
 
-        One evolve_linear run, saving at both counts, serves both
-        experiments on the same (V0, T); each takes the samples at its own
-        save steps.
+        One evolve_linear run, at the union of both experiments' times,
+        serves both on the same (V0, T).
         """
         V0 = np.array(V0, dtype=float)
         key = (V0.shape, V0.tobytes(), float(T))
         if self._memo is None or self._memo[0] != key:
-            self._memo = (key, evolve_linear(project_Q(V0, self), self, T,
-                                             n_saves=(DECAY_SAVES, KATO_SAVES)))
-        return self._memo[1].sampled(_save_steps(_step_count(self, T)[0], n_saves))
+            t = np.union1d(save_times(self, T, DECAY_SAVES), save_times(self, T, KATO_SAVES))
+            self._memo = (key, evolve_linear(project_Q(V0, self), self, t))
+        traj = self._memo[1]
+        keep = np.isin(traj.t, save_times(self, T, n_saves))
+        keep[-1] = True
+        return LinearTrajectory(traj.t[keep], [S for S, k in zip(traj.states, keep) if k],
+                                traj.flagged)
 
 
 def apply_Lc(V, ctx):
@@ -120,36 +123,21 @@ class LinearTrajectory:
     t: np.ndarray
     states: list
     flagged: bool = False
-    steps: np.ndarray = None  # index of each save on the step lattice
-
-    def sampled(self, want):
-        """The saves at the steps of `want`, and the last save (the final
-        step, or the save that flagged spurious growth)."""
-        keep = [i for i, s in enumerate(self.steps.tolist())
-                if s in want or i == len(self.steps) - 1]
-        return LinearTrajectory(self.t[keep], [self.states[i] for i in keep],
-                                self.flagged, self.steps[keep])
 
 
-_CFL = 0.4         # Courant number of evolve_linear's default save lattice
+_CFL = 0.4         # Courant number of save_times' lattice
 _TERM_TOL = 1e-17  # Kapteyn bound on the last Bessel coefficient kept
 _BLOCK = 128       # Chebyshev vectors per accumulation product
 
 
-def _step_count(ctx, T, dt=None):
-    """(number of steps, step) of evolve_linear's save lattice on [0, T]."""
-    if dt is None:
-        p = ctx.profile
-        speed = float(np.max(np.abs(p.u - p.c))) + np.sqrt(p.K) + 1.0
-        dt = _CFL * ctx.grid.h / speed
-    nsteps = max(int(np.ceil(T / dt)), 1)
-    return nsteps, T / nsteps
-
-
-def _save_steps(nsteps, n_saves):
-    """Step indices evolve_linear saves at for one save count."""
+def save_times(ctx, T, n_saves):
+    """The experiments' sample times on [0, T]: every stride-th point of the
+    lattice of CFL steps T/nsteps, stride = nsteps // (n_saves - 1), and T."""
+    p = ctx.profile
+    speed = float(np.max(np.abs(p.u - p.c))) + np.sqrt(p.K) + 1.0
+    nsteps = max(int(np.ceil(T / (_CFL * ctx.grid.h / speed))), 1)
     stride = max(nsteps // max(n_saves - 1, 1), 1)
-    return set(range(0, nsteps + 1, stride)) | {nsteps}
+    return np.array(sorted(set(range(0, nsteps + 1, stride)) | {nsteps})) * (T / nsteps)
 
 
 def _kapteyn_cutoff(z, tol):
@@ -194,34 +182,33 @@ def _bessel_table(z, kmax):
     return J
 
 
-def evolve_linear(V0, ctx, T, dt=None, n_saves=41):
-    """e^{tL} V0 at the save times of [0, T]; returns a LinearTrajectory.
+def evolve_linear(V0, ctx, t):
+    """e^{tL} V0 at each time of t, a nondecreasing 1-D array of times >= 0;
+    returns a LinearTrajectory.
 
-    The save times lie on the lattice of `_step_count` (the CFL step unless
-    dt is given); n_saves is a save count or a tuple of them, and a tuple
-    saves at the union of the steps each count saves at.  Every state is
-    exact in time: with rho = ctx.rho >= ||L||_2 and L's spectrum on the
-    imaginary axis,
+    Every state is exact in time: with rho = ctx.rho >= ||L||_2 and L's
+    spectrum on the imaginary axis,
 
         e^{tL} V0 = J_0(rho t) U_0 + 2 sum_{k >= 1} J_k(rho t) U_k,
         U_0 = V0,  U_1 = L V0 / rho,  U_{k+1} = (2/rho) L U_k + U_{k-1},
 
     (U_k = i^k T_k(-iL/rho) V0, T_k the Chebyshev polynomials), cut where
-    Kapteyn's bound on |J_k(rho T)| falls below 1e-17: one apply_Lc per
-    term, about rho T of them, whatever the number of saves.  The U_k are
-    summed in blocks, each save by its own product, so a save's state does
-    not depend on which other saves the run makes.  A save whose norm
-    exceeds e^10 times the initial one flags spurious growth (the premise
-    of the expansion has failed) and ends the trajectory.
+    Kapteyn's bound on |J_k(rho t[-1])| falls below 1e-17: one apply_Lc per
+    term, about rho t[-1] of them, whatever the number of times.  The U_k
+    are summed in blocks, each time by its own product, so a state does not
+    depend on which other times the run takes.  A state whose norm exceeds
+    e^10 times the initial one flags spurious growth (the premise of the
+    expansion has failed) and ends the trajectory.
     """
     g = ctx.grid
-    nsteps, dt = _step_count(ctx, T, dt)
-    counts = n_saves if isinstance(n_saves, tuple) else (n_saves,)
-    steps = np.array(sorted(set().union(*(_save_steps(nsteps, k) for k in counts))))
-    t = steps * dt
+    t = np.array(t, dtype=float)
+    if t.ndim != 1 or t.size == 0 or not (
+            np.all(np.isfinite(t)) and t[0] >= 0.0 and np.all(np.diff(t) >= 0.0)):
+        raise ValueError("evolve_linear needs a nonempty, nondecreasing 1-D "
+                         "array of finite times >= 0")
     rho = ctx.rho
     n_terms = int(_kapteyn_cutoff(rho * t[-1], _TERM_TOL)[0])
-    coef = _bessel_table(rho * t, n_terms).T  # (save, term)
+    coef = _bessel_table(rho * t, n_terms).T  # (time, term)
     coef[:, 1:] *= 2.0
     V = np.array(V0, dtype=float)
     out = np.zeros((len(t), 1, V.size))
@@ -231,8 +218,8 @@ def evolve_linear(V0, ctx, T, dt=None, n_saves=41):
         block[k % _BLOCK] = U.ravel()
         if k % _BLOCK == _BLOCK - 1 or k == n_terms:
             k0 = k - k % _BLOCK
-            # copied so that each save's coefficients are contiguous, whatever
-            # the number of saves: every save takes the same product
+            # copied so that each time's coefficients are contiguous, whatever
+            # the number of times: every time takes the same product
             out += np.matmul(coef[:, None, k0:k + 1].copy(), block[:k - k0 + 1])
         if k < n_terms:
             LU = apply_Lc(U, ctx)
@@ -244,17 +231,9 @@ def evolve_linear(V0, ctx, T, dt=None, n_saves=41):
     for i, S in enumerate(states):
         if not np.sqrt(inner(S, S, g)) <= norm0 * np.exp(10.0):
             flagged = True  # spurious growth: spectrum is purely imaginary
-            t, states, steps = t[:i + 1], states[:i + 1], steps[:i + 1]
+            t, states = t[:i + 1], states[:i + 1]
             break
-    return LinearTrajectory(t, states, flagged, steps)
-
-
-def _windowed_weighted_norm(V, ctx, a_rate):
-    g = ctx.grid
-    mask = np.abs(g.x) <= WINDOW * g.L
-    w = np.exp(a_rate * g.x) * mask
-    dens = (w * V[0]) ** 2 + (w * V[1]) ** 2
-    return float(np.sqrt(integrate(dens, g)))
+    return LinearTrajectory(t, states, flagged)
 
 
 def wrap_time(ctx):
@@ -270,8 +249,8 @@ def wrap_time(ctx):
     return 0.9 * (2.0 - WINDOW) * ctx.grid.L / speed
 
 
-# save counts of the two experiments; LinearContext.q_trajectory saves at
-# both, so one run serves the pair
+# save counts of the two experiments; LinearContext.q_trajectory runs at the
+# union of their save_times, so one run serves the pair
 DECAY_SAVES, KATO_SAVES = 81, 161
 
 
@@ -285,7 +264,7 @@ def dispersive_decay_experiment(V0, ctx, a_rate, T):
     at the last save): there is no decay to fit.
     """
     traj = ctx.q_trajectory(V0, min(T, wrap_time(ctx)), DECAY_SAVES)
-    vals = np.array([_windowed_weighted_norm(V, ctx, a_rate) for V in traj.states])
+    vals = np.array([l2a(V, a_rate, ctx.grid) for V in traj.states])
     # fit on the decaying segment: global max to global min (late-time rise,
     # if any, is wrapped radiation entering the window and is excluded)
     i0 = int(np.argmax(vals))

@@ -404,8 +404,7 @@ def test_linear_without_decaying_segment_writes_null_rate(tmp_path, monkeypatch)
     # a weighted norm that grows to the last save has no decay to fit
     from epsoliton import linearized
     grow = iter(range(1, 10 ** 6))
-    monkeypatch.setattr(linearized, "_windowed_weighted_norm",
-                        lambda V, ctx, a: float(next(grow)))
+    monkeypatch.setattr(linearized, "l2a", lambda V, a, g: float(next(grow)))
     out = tmp_path / "run"
     assert cli.run(["linear", "--out", str(out), "--T", "2"]) == 0
     man = _strict_json(out / "manifest.json")

@@ -143,7 +143,7 @@ def test_weights_deterministic(g):
     w1 = default_weights(0.1, g)
     w2 = default_weights(0.1, g)
     for name in ("zeta_A", "zeta_B", "phi1", "phi2", "psi_weight",
-                 "sech_weight", "exp_weight"):
+                 "sech_weight"):
         assert np.array_equal(getattr(w1, name), getattr(w2, name))
 
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import jv
 
-from epsoliton.grid import default_weights, inner, l2norm
+from epsoliton.grid import default_weights, inner, l2a, l2norm
 from epsoliton import dynamics as dyn
 from epsoliton import elliptic as ell
 from epsoliton import linearized as lin
@@ -103,7 +103,7 @@ def test_project_Q_kernel_of_P_star(kv10, lin10, p10, rng):
 
 def test_evolve_linear_xi1_stationary(p05, kv05, lin05):
     g = p05.grid
-    tr = lin.evolve_linear(kv05.xi1, lin05, T=5.0, n_saves=3)
+    tr = lin.evolve_linear(kv05.xi1, lin05, np.linspace(0.0, 5.0, 3))
     err = l2norm(tr.states[-1] - kv05.xi1, g) / l2norm(kv05.xi1, g)
     assert err < 1e-7
 
@@ -111,7 +111,7 @@ def test_evolve_linear_xi1_stationary(p05, kv05, lin05):
 def test_evolve_linear_jordan_block(p05, kv05, lin05):
     g = p05.grid
     T = 5.0
-    tr = lin.evolve_linear(kv05.xi2, lin05, T=T, n_saves=3)
+    tr = lin.evolve_linear(kv05.xi2, lin05, np.linspace(0.0, T, 3))
     expect = kv05.xi2 - T * kv05.xi1
     err = l2norm(tr.states[-1] - expect, g) / l2norm(expect, g)
     assert err < 1e-6
@@ -120,7 +120,7 @@ def test_evolve_linear_jordan_block(p05, kv05, lin05):
 def test_evolve_linear_eta2_pairing_conserved(p05, kv05, lin05, rng):
     g = p05.grid
     V0 = lin.project_Q(_smooth(g, rng), lin05)
-    tr = lin.evolve_linear(V0, lin05, T=20.0, n_saves=5)
+    tr = lin.evolve_linear(V0, lin05, np.linspace(0.0, 20.0, 5))
     vals = [inner(kv05.eta2, V, g) for V in tr.states]
     assert max(abs(v - vals[0]) for v in vals) < 1e-8
 
@@ -134,14 +134,14 @@ def test_evolve_linear_makes_no_krylov_solve(p05, kv05, lin05, rng, monkeypatch)
 
     monkeypatch.setattr(ell, "apply_inv_schrodinger", krylov)
     _fresh_context(p05, kv05)
-    traj = lin.evolve_linear(_smooth(p05.grid, rng), lin05, 1.0)
+    traj = lin.evolve_linear(_smooth(p05.grid, rng), lin05, np.linspace(0.0, 1.0, 41))
     assert not traj.flagged and np.all(np.isfinite(traj.states[-1]))
 
 
 def test_evolve_linear_real_and_bounded(p10, lin10, rng):
     g = p10.grid
     V0 = lin.project_Q(_smooth(g, rng), lin10)
-    tr = lin.evolve_linear(V0, lin10, T=50.0, n_saves=6)
+    tr = lin.evolve_linear(V0, lin10, np.linspace(0.0, 50.0, 6))
     assert all(np.isrealobj(V) for V in tr.states)
     n0 = l2norm(V0, g)
     norms_t = [l2norm(V, g) for V in tr.states]
@@ -162,12 +162,32 @@ def test_evolve_linear_matches_dense_expm(p05, lin05, dense05, rng):
     g = p05.grid
     V0 = _smooth(g, rng)
     T = lin.wrap_time(lin05)
-    tr = lin.evolve_linear(V0, lin05, T, n_saves=3)
-    assert len(tr.t) == 3 and not tr.flagged
-    assert np.array_equal(tr.states[0], V0)
-    for t, V in zip(tr.t[1:], tr.states[1:]):
-        ref = (expm(t * dense05) @ V0.ravel()).reshape(V.shape)
-        assert np.linalg.norm(V - ref) <= 1e-12 * np.linalg.norm(ref)
+    for t in (lin.save_times(lin05, T, 3), np.array([0.0, 0.37, T / 3, T])):
+        tr = lin.evolve_linear(V0, lin05, t)
+        assert np.array_equal(tr.t, t) and not tr.flagged
+        assert np.array_equal(tr.states[0], V0)
+        for s, V in zip(tr.t[1:], tr.states[1:]):
+            ref = (expm(s * dense05) @ V0.ravel()).reshape(V.shape)
+            assert np.linalg.norm(V - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("t", [[0.0, -1.0, 2.0], [0.0, 2.0, 1.0], [[0.0, 1.0]], 1.0],
+                         ids=["negative", "decreasing", "2d", "scalar"])
+def test_evolve_linear_rejects_bad_times(p05, kv05, lin05, t):
+    with pytest.raises(ValueError):
+        lin.evolve_linear(kv05.xi1, lin05, t)
+
+
+def test_save_times_on_the_benchmark_lattice(lin05):
+    # the benchmark's linear input (eps = 0.05 on Grid(40/sqrt(0.05), 512),
+    # T = wrap_time), whose times perfbench/ref/linear.json records
+    T = lin.wrap_time(lin05)
+    kato = lin.save_times(lin05, T, lin.KATO_SAVES)
+    decay = lin.save_times(lin05, T, lin.DECAY_SAVES)
+    assert np.array_equal(kato, np.r_[np.arange(0, 831, 5), 832] * (T / 832))
+    assert np.array_equal(decay, np.r_[np.arange(0, 831, 10), 832] * (T / 832))
+    assert len(kato) == 168 and len(decay) == 85
+    assert np.isin(decay, kato).all() and decay[-1] == kato[-1] == T
 
 
 def test_propagator_radius_bounds_L(lin05, dense05):
@@ -238,7 +258,7 @@ def test_decay_rate_needs_two_decaying_samples(p05, lin05, w05, monkeypatch, fal
     if falls_last:
         series[-1] = series[-2] - 0.5
     it = iter(series)
-    monkeypatch.setattr(lin, "_windowed_weighted_norm", lambda V, ctx, a: next(it))
+    monkeypatch.setattr(lin, "l2a", lambda V, a, g: next(it))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, vals, rate = lin.dispersive_decay_experiment(V0, lin05, w05.a_rate, 2.0)
@@ -251,9 +271,8 @@ def test_decay_rate_needs_two_decaying_samples(p05, lin05, w05, monkeypatch, fal
 
 def test_xi1_weighted_norm_constant(p05, kv05, lin05, w05):
     # kernel direction is stationary: its weighted norm does not decay
-    tr = lin.evolve_linear(kv05.xi1, lin05, T=10.0, n_saves=5)
-    vals = [lin._windowed_weighted_norm(V, lin05, w05.a_rate)
-            for V in tr.states]
+    tr = lin.evolve_linear(kv05.xi1, lin05, np.linspace(0.0, 10.0, 5))
+    vals = [l2a(V, w05.a_rate, p05.grid) for V in tr.states]
     assert max(vals) - min(vals) < 1e-8 * vals[0]
 
 
@@ -261,29 +280,28 @@ def test_xi1_weighted_norm_constant(p05, kv05, lin05, w05):
 
 def _decay_series(V0, ctx, a_rate, T, n_saves):
     """dispersive_decay_experiment's series from its own evolve_linear run."""
-    traj = lin.evolve_linear(lin.project_Q(V0, ctx), ctx, T, n_saves=n_saves)
-    return traj.t, np.array([lin._windowed_weighted_norm(V, ctx, a_rate)
-                             for V in traj.states])
+    traj = lin.evolve_linear(lin.project_Q(V0, ctx), ctx, lin.save_times(ctx, T, n_saves))
+    return traj.t, np.array([l2a(V, a_rate, ctx.grid) for V in traj.states])
 
 
 def _kato_series(V0, ctx, w, T, n_saves):
     """kato_smoothing_experiment's running integral from its own run."""
-    traj = lin.evolve_linear(lin.project_Q(V0, ctx), ctx, T, n_saves=n_saves)
+    traj = lin.evolve_linear(lin.project_Q(V0, ctx), ctx, lin.save_times(ctx, T, n_saves))
     vals = np.array([l2norm(w.sech_weight * V, ctx.grid) ** 2 for V in traj.states])
     return traj.t, np.concatenate([[0.0], np.cumsum(
         (vals[1:] + vals[:-1]) / 2 * np.diff(traj.t))])
 
 
-def _strides(ctx, T):
-    nsteps = lin._step_count(ctx, T)[0]
-    return [max(nsteps // (k - 1), 1) for k in (lin.DECAY_SAVES, lin.KATO_SAVES)]
+def _nested(ctx, T):
+    """Whether the decay experiment's times are among the Kato experiment's."""
+    return np.isin(lin.save_times(ctx, T, lin.DECAY_SAVES),
+                   lin.save_times(ctx, T, lin.KATO_SAVES)).all()
 
 
 def _non_nesting_T(ctx):
-    """A horizon below the wrap time whose 81- and 161-save strides do not nest."""
+    """A horizon below the wrap time whose 81- and 161-save times do not nest."""
     for T in np.linspace(20.0, 0.9 * lin.wrap_time(ctx), 200):
-        s1, s2 = _strides(ctx, T)
-        if s1 % s2:
+        if not _nested(ctx, T):
             return T
     raise AssertionError("no non-nesting horizon found")
 
@@ -307,9 +325,7 @@ def test_experiments_share_one_linear_run(p05, kv05, w05, monkeypatch, horizon):
     # a fresh context: the session's lin05 may hold a trajectory already
     ctx = _fresh_context(p05, kv05)
     T = lin.wrap_time(ctx) if horizon == "wrap" else _non_nesting_T(ctx)
-    if horizon == "wrap":
-        s1, s2 = _strides(ctx, T)
-        assert s1 % s2 == 0
+    assert _nested(ctx, T) == (horizon == "wrap")
     V0 = np.array([1e-3 * np.exp(-(g.x / 4.0) ** 2) * np.cos(g.x), np.zeros(g.N)])
     calls = _count_evolve_linear(monkeypatch)
     td, nd, _ = lin.dispersive_decay_experiment(V0, ctx, w05.a_rate, T)
