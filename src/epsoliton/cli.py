@@ -246,7 +246,9 @@ def cmd_evans(cfg, out):
                for z, d in zip(scan.lam, scan.D)))
     D0, D1, D2 = evans.evans_derivs_at0(p, cache)
     scal = {"min_abs_D": scan.min_modulus, "abs_D0": abs(D0),
-            "abs_D1_at0": abs(D1), "D2_at0_real": D2.real, "L": g.L, "N": g.N}
+            "abs_D1_at0": abs(D1), "D2_at0_real": D2.real,
+            "evans_evaluations": cache.evaluations, "jost_steps": scan.jost_steps,
+            "L": g.L, "N": g.N}
     verd = {"min_abs_D_positive": bool(scan.min_modulus > 0),
             "double_zero_at_origin": bool(
                 abs(D0) < 1e-6 * abs(D2) and abs(D1) < 1e-6 * abs(D2))}
@@ -297,7 +299,9 @@ def cmd_linear(cfg, out):
     return [f, f2], {"decay_rate": rate if np.isfinite(rate) else None,
                      "kato_excess": float(excess),
                      "propagator_rho": ctx.rho,
-                     "L_applications": ctx.L_applications, "L": g.L, "N": g.N, "T": T}, \
+                     "L_applications": ctx.L_applications,
+                     "xi2_iterations": ctx.xi2_iterations, "xi2_residual": ctx.xi2_residual,
+                     "L": g.L, "N": g.N, "T": T}, \
         {"decay_positive": bool(rate > 0),
          "kato_plateau": bool(excess < 0.1)}
 

@@ -17,6 +17,9 @@ FFTs an iteration:
   e^{phi_c} for e^phi.  A fixed operator applied many times (the linearized
   flow) is inverted once instead, as a dense Cholesky inverse on grids of up
   to DENSE_N_MAX points.
+
+`solve_schrodinger` takes  -d^2/dx^2 + q  with a q that may be negative,
+where neither iteration contracts: preconditioned MINRES, on every grid.
 """
 
 from dataclasses import dataclass
@@ -34,7 +37,7 @@ _MAXITER = 10000         # iteration cap of a cold Poisson pass and of a linear 
 class EllipticSolveReport:
     iterations: int      # every iteration the solve spent, both passes included
     residual: float
-    phi_hat: np.ndarray  # rfft coefficients of the returned phi
+    phi_hat: np.ndarray  # rfft coefficients of the returned solution
     fallback: bool = False  # the warm start stalled and the solve restarted cold
 
 
@@ -149,6 +152,75 @@ def apply_inv_schrodinger(f, phi_c, grid):
                                f"residual {res / f_norm:.3e} after {it} iterations")
         g_hat -= precond * r_hat
         it += 1
+
+
+def solve_schrodinger(q, f, grid):
+    """Solve (-d^2/dx^2 + q) w = f for real f and q by preconditioned MINRES
+    (Paige & Saunders, SIAM J. Numer. Anal. 12, 1975); returns (w, report).
+
+    The operator is symmetric but may be indefinite (q < 0 on the wave).
+    MINRES runs on the rfft coefficients, in the inner product of the nodal
+    values (Parseval: the weights grid.l1_weights), preconditioned by
+    (k^2 + q(-L))^{-1}: the exact inverse of the operator far from the wave,
+    so the iteration count does not grow with N.  (On a box too short for
+    the wave to decay, where q(-L) <= 0, it takes (k^2 + 1)^{-1} instead.)
+    It stops once the preconditioned residual norm is at most _LINEAR_RTOL
+    times that of f, and raises RuntimeError, naming the iterations and the
+    residual, when the residual turns non-finite or the iteration reaches
+    _MAXITER.  report.residual is max |-w'' + q w - f| / max |f| of the
+    returned w on the nodes, report.phi_hat its rfft coefficients.
+    """
+    q = np.asarray(q, dtype=float)
+    k2, wts, N = grid.k2, grid.l1_weights, grid.N
+    f_hat = np.fft.rfft(f)
+    precond = 1.0 / (k2 + (q[0] if q[0] > 0.0 else 1.0))
+
+    def apply(v):
+        return k2 * v + np.fft.rfft(q * np.fft.irfft(v, n=N))
+
+    def dot(a, b):
+        return float(wts @ (a.real * b.real + a.imag * b.imag))
+
+    x = np.zeros_like(f_hat)
+    r1, r2 = f_hat, f_hat
+    y = precond * f_hat
+    beta1 = np.sqrt(dot(f_hat, y))
+    oldb, beta, dbar, epsln, phibar = 0.0, beta1, 0.0, 0.0, beta1
+    cs, sn = -1.0, 0.0
+    d, d1 = np.zeros_like(f_hat), np.zeros_like(f_hat)  # the last two directions
+    it = 0
+    while not phibar <= _LINEAR_RTOL * beta1:
+        if it == _MAXITER or not np.isfinite(phibar):
+            raise RuntimeError(f"solve_schrodinger: MINRES failed, relative residual "
+                               f"{phibar / beta1:.3e} after {it} iterations")
+        it += 1
+        # Lanczos step: v_k = y / beta_k, then y = A v_k - ..., beta_{k+1}
+        v = y / beta
+        y = apply(v)
+        if it >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = dot(v, y)
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = precond * r2
+        oldb, beta = beta, np.sqrt(dot(r2, y))
+        # the previous plane rotation, then the next one
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        gamma = max(np.hypot(gbar, beta), np.finfo(float).eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi = cs * phibar
+        phibar = sn * phibar
+        d1, d = d, (v - oldeps * d1 - delta * d) / gamma
+        x = x + phi * d
+    w = np.fft.irfft(x, n=N)
+    w_hat = np.fft.rfft(w)
+    r = np.fft.irfft(apply(w_hat) - f_hat, n=N)
+    res = float(np.max(np.abs(r)) / max(np.max(np.abs(f)), 1e-300))
+    return w, EllipticSolveReport(iterations=it, residual=res, phi_hat=w_hat)
 
 
 DENSE_N_MAX = 1024  # largest N given a dense inverse (8 MB at 1024)

@@ -49,10 +49,12 @@ class CoefficientCache:
 
     One vector-valued cubic spline evaluates all x-dependent entries; the
     assembled matrices satisfy A(+-L) -> A_inf at tail tolerance.
+    `evaluations` counts the lambda values `evans` has marched with it.
     """
 
     def __init__(self, p):
         self.c, self.K = p.c, p.K
+        self.evaluations = 0
         g = p.grid
         xf = np.linspace(-g.L, g.L, _N_FINE * g.N + 1)
         n = p.at(xf, "n"); u = p.at(xf, "u"); phi = p.at(xf, "phi")
@@ -258,13 +260,20 @@ def _expm(A):
     return E
 
 
-def _magnus_exponents(cache, lam, mu, mesh):
-    """Omega_k of the 6th-order Magnus method for m' = (A - mu I) m on each
-    step [x_k, x_{k+1}]: three Gauss points and the commutator form of
-    Blanes, Casas and Ros (Blanes-Casas-Oteo-Ros, Phys. Rep. 470, 2009).
-    exp(Omega_k) maps m(x_k) to m(x_{k+1}).  Shape (M-1, 4, 4)."""
+def _step_coefficients(cache, mesh):
+    """The step lengths h (M-1, 1, 1) of the mesh and A1, A2 at the three
+    Gauss points of each step (M-1, 3, 4, 4): what every lambda shares."""
     h = np.diff(mesh)[:, None, None]
     A1, A2 = cache.A1_A2(mesh[:-1, None] + h[:, :, 0] * _GAUSS3)
+    return h, A1, A2
+
+
+def _magnus_exponents(h, A1, A2, lam, mu):
+    """Omega_k of the 6th-order Magnus method for m' = (A - mu I) m on each
+    step [x_k, x_{k+1}], from `_step_coefficients`: three Gauss points and
+    the commutator form of Blanes, Casas and Ros (Blanes-Casas-Oteo-Ros,
+    Phys. Rep. 470, 2009).  exp(Omega_k) maps m(x_k) to m(x_{k+1}).
+    Shape (M-1, 4, 4)."""
     A = A1 + complex(lam) * A2
     a1 = h * A[:, 1]
     a2 = np.sqrt(15.0) / 3.0 * h * (A[:, 2] - A[:, 0])
@@ -275,73 +284,99 @@ def _magnus_exponents(cache, lam, mu, mesh):
     return omega - mu * h * np.eye(4)
 
 
-def _sweep(E, anchor, backward, transpose=False):
-    """Values at every mesh node of y_{k+1} = E_k y_k (forward from the
-    first node) or y_k = E_k y_{k+1} (backward from the last); E_k^T in
-    place of E_k if transpose.  Returns (4, M)."""
+def _sweep(E, anchor, steps, backward=False, transpose=False):
+    """`steps` steps of y_{k+1} = E_k y_k forward from the first node, or of
+    y_k = E_k y_{k+1} backward from the last; E_k^T in place of E_k if
+    transpose.  Batched over lambda: E is (B, M-1, 4, 4) and anchor (B, 4),
+    and each lambda's step is the matrix-vector product of its own march.
+    Returns the values at the nodes reached, in mesh order, (B, steps+1, 4)."""
     if transpose:
-        E = np.swapaxes(E, 1, 2)
+        E = np.swapaxes(E, 2, 3)
     if backward:
-        E = E[::-1]
-    y = np.empty((len(E) + 1, 4), dtype=complex)
-    y[0] = anchor
-    for k, Ek in enumerate(E):
-        y[k + 1] = Ek @ y[k]
+        E = E[:, ::-1]
+    y = np.empty((steps + 1, len(E), 4, 1), dtype=complex)
+    y[0, :, :, 0] = anchor
+    for k in range(steps):
+        np.matmul(E[:, k], y[k], out=y[k + 1])
     if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > 1e12:
         raise RuntimeError("jost marching overflow")
-    return (y[::-1] if backward else y).T
+    return np.swapaxes((y[::-1] if backward else y)[..., 0], 0, 1)
 
 
-def _stations(p):
-    """Anchor xa = 0.9 L and the 7 stations on [-xa, xa] the pairing is read at."""
+def _march_mesh(p, rtol):
+    """The mesh of the march on [-xa, xa], xa = 0.9 L, and the indices of its
+    7 stations, spread evenly over [-xa, xa], at which the pairing is read."""
     xa = 0.9 * p.grid.L
-    return xa, np.linspace(-xa, xa, 7)
+    st = np.linspace(-xa, xa, 7)
+    mesh = _jost_mesh(p.c, p.K, -xa, xa, st, rtol)
+    return mesh, np.searchsorted(mesh, st)
 
 
 def evans(lam, p, cache, rtol=1e-11, return_spread=False):
-    """Evans function D(lambda) = <m_1(x0), n_1(x0)> (bilinear, x-independent).
+    """Evans function D(lambda) = <m_1(x0), n_1(x0)> (bilinear, x-independent),
+    at a scalar lambda or at each of a 1-D array of them.
 
     m_1 (the Jost solution f_1, anchored at v_1 at +xa) is marched left with
     the steps exp(-Omega_k) and n_1 (the adjoint Jost solution g_1, anchored
     at w_1 at -xa) right with exp(-Omega_k)^T, on one mesh: the pairing is
-    then conserved step by step to roundoff, and the spread over the
-    stations measures that roundoff.  rtol sets the step (see _jost_mesh);
-    cache is p's CoefficientCache.
+    then conserved step by step to roundoff.  D is read at the middle
+    station, x0 = 0, so each march stops there; with return_spread both run
+    across the box, and the spread of the pairing over the stations, which
+    measures that roundoff, is returned too.  rtol sets the step (see
+    _jost_mesh); cache is p's CoefficientCache.
+    The mesh and the coefficients at its Gauss points are formed once a
+    call, the step exponentials once a lambda, and the marches run batched
+    over lambda: each lambda's D is that of a call at it alone, bit for bit.
     """
-    mu, v, w = asymptotic_data(lam, p.c, p.K)
-    xa, st = _stations(p)
-    mesh = _jost_mesh(p.c, p.K, -xa, xa, st, rtol)
-    E = _expm(-_magnus_exponents(cache, lam, mu, mesh))
-    at = np.searchsorted(mesh, st)
-    m1 = _sweep(E, v, backward=True)[:, at]
-    n1 = _sweep(E, w, backward=False, transpose=True)[:, at]
-    vals = np.sum(m1 * n1, axis=0)
-    D = vals[len(vals) // 2]
-    if return_spread:
-        spread = float(np.max(np.abs(vals - D)) / max(abs(D), 1e-300))
-        return D, spread
-    return D
+    lams = np.asarray(lam, dtype=complex)
+    mesh, at = _march_mesh(p, rtol)
+    h, A1, A2 = _step_coefficients(cache, mesh)
+    E, v, w = [], [], []
+    for z in lams.ravel():
+        mu, vz, wz = asymptotic_data(z, p.c, p.K)
+        E.append(_expm(-_magnus_exponents(h, A1, A2, z, mu)))
+        v.append(vz)
+        w.append(wz)
+    E, v, w = np.array(E), np.array(v), np.array(w)
+    cache.evaluations += len(E)
+    M, mid = len(mesh) - 1, at[len(at) // 2]
+    if return_spread:  # both marches cross the box
+        m1 = _sweep(E, v, M, backward=True)[:, at]
+        n1 = _sweep(E, w, M, transpose=True)[:, at]
+    else:              # each stops at the middle station
+        m1 = _sweep(E, v, M - mid, backward=True)[:, :1]
+        n1 = _sweep(E, w, mid, transpose=True)[:, -1:]
+    # summed along the contiguous component axis: the order of the additions
+    # is then that of a single lambda's
+    vals = np.sum(m1 * n1, axis=-1)  # (B, stations read)
+    D = vals[:, vals.shape[1] // 2].reshape(lams.shape)
+    if not return_spread:
+        return D[()]
+    # one lambda at a time: abs of a complex scalar and of an array round apart
+    spread = np.array([float(np.max(np.abs(row - d)) / max(abs(d), 1e-300))
+                       for row, d in zip(vals, D.ravel())]).reshape(lams.shape)
+    return D[()], spread[()]
 
 
 def evans_derivs_at0(p, cache, rtol=1e-11):
     """(D(0), D'(0), D''(0)) by 5-point stencils along the imaginary axis,
-    Richardson-extrapolated across d and d/2, d = _DLAM min(1, (eps/0.1)^1.5)."""
-    Dmemo = {}
+    Richardson-extrapolated across d and d/2, d = _DLAM min(1, (eps/0.1)^1.5).
 
-    def Dval(tau):
-        if tau not in Dmemo:
-            Dmemo[tau] = evans(1j * tau if tau else 0.0, p, cache, rtol=rtol)
-        return Dmemo[tau]
+    One evans call marches tau = 0, d/2, d and 2d; D(-i tau) = conj D(i tau),
+    which the march also returns at -i tau, bit for bit."""
+    # near the KdV limit D varies in lambda on the scale eps^{3/2}; a fixed
+    # step's truncation error in D' swamps the double zero at eps <= 0.01
+    d = _DLAM * min(1, (p.eps / 0.1) ** 1.5)
+    taus = np.array([0.0, d / 2, d, 2 * d])
+    Dval = dict(zip(taus, evans(1j * taus, p, cache, rtol=rtol)))
+    Dval.update({-t: np.conj(D) for t, D in list(Dval.items()) if t})
 
     def stencil(d):
-        Dm2, Dm1, D0, Dp1, Dp2 = (Dval(k * d) for k in (-2, -1, 0, 1, 2))
+        Dm2, Dm1, D0, Dp1, Dp2 = (Dval[k * d] for k in (-2, -1, 0, 1, 2))
         D1 = (-Dp2 + 8 * Dp1 - 8 * Dm1 + Dm2) / (12j * d)
         D2 = -(-Dp2 + 16 * Dp1 - 30 * D0 + 16 * Dm1 - Dm2) / (12 * d * d)
         return D0, D1, D2
 
-    # near the KdV limit D varies in lambda on the scale eps^{3/2}; a fixed
-    # step's truncation error in D' swamps the double zero at eps <= 0.01
-    d = _DLAM * min(1, (p.eps / 0.1) ** 1.5)
     D0a, D1a, D2a = stencil(d)
     D0b, D1b, D2b = stencil(d / 2)
     # both stencils are 4th order; Richardson across the halving
@@ -350,7 +385,7 @@ def evans_derivs_at0(p, cache, rtol=1e-11):
     if abs(D2a - D2b) > 0.2 * abs(D2b):
         import warnings
         warnings.warn("evans_derivs_at0: D'' stencil disagreement > 20%")
-    return Dval(0.0), D1, D2
+    return Dval[0.0], D1, D2
 
 
 @dataclass
@@ -358,6 +393,7 @@ class EvansScan:
     lam: np.ndarray
     D: np.ndarray
     min_modulus: float
+    jost_steps: int      # steps of the mesh every lambda of the scan is marched on
     winding: int = None
 
 
@@ -365,28 +401,28 @@ def evans_scan(points, p, cache, closed=False, rtol=1e-9):
     """Sample D along a contour; winding number for closed contours.
 
     Refines between adjacent samples whenever the phase jump exceeds pi/2,
-    for at most _MAX_REFINE rounds.
+    for at most _MAX_REFINE rounds.  One evans call takes the points, and
+    one more each round's midpoints.
     """
-    pts = list(np.asarray(points, dtype=complex))
-    vals = [evans(z, p, cache, rtol=rtol) for z in pts]
+    pts = np.asarray(points, dtype=complex)
+    samples = list(zip(pts, evans(pts, p, cache, rtol=rtol)))  # (lambda, D)
     for _ in range(_MAX_REFINE):
-        new_pts, new_vals, refined = [], [], False
-        seq = list(zip(pts, vals))
-        if closed:
-            seq.append(seq[0])
-        for (z0, d0), (z1, d1) in zip(seq[:-1], seq[1:]):
-            new_pts.append(z0); new_vals.append(d0)
-            if abs(np.angle(d1 / d0)) > np.pi / 2:
-                zm = (z0 + z1) / 2
-                new_pts.append(zm); new_vals.append(evans(zm, p, cache, rtol=rtol))
-                refined = True
-        if not closed:
-            new_pts.append(pts[-1]); new_vals.append(vals[-1])
-        pts, vals = new_pts, new_vals
-        if not refined:
+        seq = samples + samples[:1] if closed else samples
+        pairs = list(zip(seq[:-1], seq[1:]))
+        split = [abs(np.angle(d1 / d0)) > np.pi / 2 for (_, d0), (_, d1) in pairs]
+        if not any(split):
             break
-    vals = np.array(vals)
-    scan = EvansScan(np.array(pts), vals, float(np.min(np.abs(vals))))
+        mids = np.array([(z0 + z1) / 2 for ((z0, _), (z1, _)), s in zip(pairs, split) if s])
+        fill = iter(zip(mids, evans(mids, p, cache, rtol=rtol)))
+        merged = []
+        for (first, _), s in zip(pairs, split):
+            merged.append(first)
+            if s:
+                merged.append(next(fill))
+        samples = merged if closed else merged + samples[-1:]
+    vals = np.array([d for _, d in samples])
+    scan = EvansScan(np.array([z for z, _ in samples]), vals, float(np.min(np.abs(vals))),
+                     len(_march_mesh(p, rtol)[0]) - 1)
     if closed:
         ring = np.concatenate([vals, vals[:1]])
         dphi = np.angle(ring[1:] / ring[:-1])

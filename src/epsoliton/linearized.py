@@ -34,6 +34,9 @@ class LinearContext:
     kv: KernelVectors
     grid: Grid
     solve: Callable  # f -> (-d^2/dx^2 + e^{phi_c})^{-1} f, see schrodinger_solver
+    # the iterations and relative residual of build's xi2 solve
+    xi2_iterations: int = field(default=None, compare=False)
+    xi2_residual: float = field(default=None, compare=False)
     # apply_Lc calls made by evolve_linear runs on this context
     L_applications: int = field(default=0, init=False, compare=False)
     # the last q_trajectory run: ((V0 shape, V0 bytes, T), LinearTrajectory)
@@ -41,12 +44,12 @@ class LinearContext:
 
     @classmethod
     def build(cls, profile):
-        """The context of a built profile; xi2 = d/dc (n_c, u_c) costs two
-        more profile builds (profile_c_derivative)."""
+        """The context of a built profile; xi2 = d/dc (n_c, u_c) costs one
+        linear solve (profile_c_derivative)."""
         p, g = profile, profile.grid
-        xi2 = profile_c_derivative(p.c, p.K, g)
+        xi2, rep = profile_c_derivative(p)
         kv = kernel_vectors(p.n, p.u, p.dn, p.du, xi2, antiderivative(xi2, g), g)
-        return cls(p, kv, g, schrodinger_solver(p.phi, g))
+        return cls(p, kv, g, schrodinger_solver(p.phi, g), rep.iterations, rep.residual)
 
     @cached_property
     def rho(self):

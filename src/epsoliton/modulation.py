@@ -66,9 +66,9 @@ def kernel_vectors(n, u, dn, du, xi2, xi2_cum, grid):
     deta1 = theta1 * np.array([xi2[1], xi2[0]]) + theta2 * np.array([du, dn])
     deta2 = theta3 * np.array([du, dn])
 
-    # the quadrature pairings miss delta_ij by the truncation and the
-    # finite-difference xi2 (3e-5 at eps = 0.1); a 2x2 Gram correction on
-    # (eta1, eta2) restores biorthogonality
+    # the quadrature pairings miss delta_ij, almost all of it in <xi1, eta1>
+    # through the spline antiderivative xi2_cum (1.6e-6 at eps = 0.1, 6.4e-6
+    # at 0.05); a 2x2 Gram correction on (eta1, eta2) restores biorthogonality
     G = np.array([[inner(xi1, eta1, grid), inner(xi1, eta2, grid)],
                   [inner(xi2, eta1, grid), inner(xi2, eta2, grid)]])
     A = np.linalg.solve(G.T, np.eye(2))  # new etas = A11 eta1 + A21 eta2 ...

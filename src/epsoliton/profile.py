@@ -22,6 +22,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
+from .elliptic import solve_schrodinger
 from .grid import Grid, derivative
 
 
@@ -375,10 +376,27 @@ def kdv_residual(p: ProfileSolution) -> float:
     return float(np.max(np.abs(S - ref)))
 
 
-def profile_c_derivative(c: float, K: float, grid: Grid, dc: float = 1e-5) -> np.ndarray:
-    """xi2 = d/dc (n_c, u_c) by a central finite difference, shape (2, N)."""
-    pp, pm = build_profile(c + dc, K, grid), build_profile(c - dc, K, grid)
-    return np.array([(pp.n - pm.n), (pp.u - pm.u)]) / (2 * dc)
+def profile_c_derivative(p: ProfileSolution):
+    """xi2 = d/dc (n_c, u_c) of the built profile p, shape (2, N), and the
+    report of the one linear solve it takes.
+
+    With H_n, H_c the n- and c-derivatives of H at n_c, w = d/dc phi_c
+    solves the profile equation differentiated in c,
+
+        (-d^2/dx^2 + q) w = -H_c / H_n,     q = e^{phi_c} - 1/H_n,
+
+    and d/dc n_c = (w - H_c)/H_n, d/dc u_c = n_c/(1+n_c) + c d/dc n_c/(1+n_c)^2.
+    q is negative on the wave, so the operator is indefinite on even
+    functions: elliptic.solve_schrodinger.  Its kernel is spanned by the odd
+    phi_c', so w is made exactly even, as the data are.
+    """
+    c, K, n = p.c, p.K, p.n
+    H_n = dH_dn(n, c, K)
+    H_c = c * (1.0 - 1.0 / (1.0 + n) ** 2)
+    w, rep = solve_schrodinger(np.exp(p.phi) - 1.0 / H_n, -H_c / H_n, p.grid)
+    w = 0.5 * (w + np.roll(w[::-1], 1))  # w[j] and w[N - j] sit at -x and x
+    dn_dc = (w - H_c) / H_n
+    return np.array([dn_dc, n / (1.0 + n) + c * dn_dc / (1.0 + n) ** 2]), rep
 
 
 _TAIL_DECADES = 2.0  # decades of n_c below n*/100 that tail_rate_check fits

@@ -357,6 +357,12 @@ def test_evans_happy_path(tmp_path):
     assert values[0][1] == 0.1 and values[-1][1] == 0.3
     assert min(row[4] for row in values) == pytest.approx(man["scalars"]["min_abs_D"])
     assert man["scalars"]["min_abs_D"] > 0
+    assert set(man["scalars"]) == {"min_abs_D", "abs_D0", "abs_D1_at0", "D2_at0_real",
+                                   "evans_evaluations", "jost_steps", "L", "N"}
+    # the lambda values marched: every row of evans.csv, and the origin
+    # stencil's four (0, d/2, d, 2d); the scan's mesh at eps = 0.1
+    assert man["scalars"]["evans_evaluations"] == len(values) + 4
+    assert man["scalars"]["jost_steps"] == 382
 
 
 def _strict_json(path):
@@ -372,12 +378,17 @@ def test_linear_happy_path(tmp_path):
     assert rc == 0
     man = _strict_json(out / "manifest.json")
     assert set(man["scalars"]) == {"decay_rate", "kato_excess", "propagator_rho",
-                                   "L_applications", "L", "N", "T"}
+                                   "L_applications", "xi2_iterations", "xi2_residual",
+                                   "L", "N", "T"}
     assert man["scalars"]["T"] == 5.0
     # what the linearized flow did: its expansion radius and its cost
     assert man["scalars"]["propagator_rho"] > 0
     assert isinstance(man["scalars"]["L_applications"], int)
     assert man["scalars"]["L_applications"] > 0
+    # and what the one solve for xi2 = d/dc (n_c, u_c) took
+    assert isinstance(man["scalars"]["xi2_iterations"], int)
+    assert 0 < man["scalars"]["xi2_iterations"] <= 20
+    assert 0.0 <= man["scalars"]["xi2_residual"] < 1e-11
     assert set(man["verdicts"]) == {"decay_positive", "kato_plateau"}
     for name, series in (("linear.csv", "weighted_norm"),
                          ("kato.csv", "running_integral")):

@@ -232,3 +232,33 @@ def test_resolvent_kernel_symmetry(g):
         cols[j] = ell.apply_inv_schrodinger(f, phi_c, g)
     assert abs(cols[i1][i2] - cols[i2][i1]) < 1e-10
 
+
+
+# ------------------------------------------------------- solve_schrodinger
+
+def _indefinite_problem():
+    # -d^2 - 2 sech^2 x has the bound state sech x at -1: with 0.3 added the
+    # operator is indefinite, its spectrum -0.7 and [0.3, inf)
+    g = Grid(L=20.0, N=256)
+    q = 0.3 - 2.0 / np.cosh(g.x) ** 2
+    f = np.exp(-(g.x - 1.0) ** 2) * (1.0 + 0.5 * np.sin(g.x))  # neither even nor odd
+    return g, q, f
+
+
+def test_solve_schrodinger_matches_dense_solve():
+    g, q, f = _indefinite_problem()
+    D2 = np.array([np.fft.irfft(-g.k2 * np.fft.rfft(e), n=g.N) for e in np.eye(g.N)]).T
+    A = -D2 + np.diag(q)
+    assert np.min(np.linalg.eigvalsh(A)) < 0 < np.max(np.linalg.eigvalsh(A))
+    ref = np.linalg.solve(A, f)
+    w, rep = ell.solve_schrodinger(q, f, g)
+    assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert 0 < rep.iterations < 100 and rep.residual < 1e-12
+    assert np.array_equal(rep.phi_hat, np.fft.rfft(w))
+
+
+def test_solve_schrodinger_cap_raises(monkeypatch):
+    g, q, f = _indefinite_problem()
+    monkeypatch.setattr(ell, "_MAXITER", 2)
+    with pytest.raises(RuntimeError, match=r"MINRES failed, relative residual .* after 2 iterations"):
+        ell.solve_schrodinger(q, f, g)

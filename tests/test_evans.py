@@ -126,6 +126,7 @@ class _FreeCache:
     """Constant coefficients A(x, lam) = A_infinity: zero potential."""
 
     def __init__(self, c, K):
+        self.evaluations = 0
         self._A1 = ev.A_infinity(0.0, c, K).real
         self._A2 = (ev.A_infinity(1.0, c, K) - ev.A_infinity(0.0, c, K)).real
 
@@ -163,6 +164,37 @@ def test_evans_conjugation_symmetry(p10, cache10):
         D = ev.evans(lam, p10, cache10)
         Dc = ev.evans(np.conj(lam), p10, cache10)
         assert abs(Dc - np.conj(D)) <= 1e-13 * abs(D)
+
+
+def test_evans_on_an_array_is_a_loop_of_scalar_calls(p10, cache10):
+    # the mesh and coefficients are shared and the marches batched, but each
+    # lambda's D (and spread) is bit for bit that of a call at it alone, also
+    # where the marches stop at the middle station
+    lams = np.array([0.0, 0.51j, -0.51j, 1e-3j, 0.3 + 0.2j, 1.5])
+    for rtol in (1e-9, 1e-11):
+        D = ev.evans(lams, p10, cache10, rtol=rtol)
+        assert D.shape == lams.shape
+        assert np.array_equal(D, [ev.evans(z, p10, cache10, rtol=rtol) for z in lams])
+        Ds, spread = ev.evans(lams, p10, cache10, rtol=rtol, return_spread=True)
+        loop = [ev.evans(z, p10, cache10, rtol=rtol, return_spread=True) for z in lams]
+        assert np.array_equal(Ds, [d for d, _ in loop])
+        assert np.array_equal(spread, [s for _, s in loop])
+        # stopping at the middle station changes no bit of D
+        assert np.array_equal(Ds, D)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.01])
+def test_evans_conjugate_is_exact_at_stencil_points(eps, p10, cache10):
+    # evans_derivs_at0 takes D(-i tau) = conj D(i tau) without marching it
+    if eps == 0.1:
+        p, cache = p10, cache10
+    else:
+        p = prof.profile_from_eps(eps, 1.0, default_grid(eps, 1.0))
+        cache = ev.CoefficientCache(p)
+    d = ev._DLAM * min(1, (p.eps / 0.1) ** 1.5)
+    for tau in (d / 2, d, 2 * d):
+        D = ev.evans(1j * tau, p, cache, rtol=1e-11)
+        assert ev.evans(-1j * tau, p, cache, rtol=1e-11) == np.conj(D), tau
 
 
 def test_evans_pairing_x_independent(p10, cache10):
@@ -239,11 +271,11 @@ def test_batched_expm_matches_scipy(eps, p05, p10, cache10):
     from scipy.linalg import expm
     p = p10 if eps == 0.1 else p05
     cache = cache10 if eps == 0.1 else ev.CoefficientCache(p05)
-    xa, st = ev._stations(p)
-    mesh = ev._jost_mesh(p.c, p.K, -xa, xa, st, 1e-9)
+    mesh, _ = ev._march_mesh(p, 1e-9)
+    h, A1, A2 = ev._step_coefficients(cache, mesh)
     for lam in (0.5j, 1e-3j, -0.8j, 0.3 + 0.7j, 1.5):
         mu = ev.dispersion_roots(lam, p.c, p.K)
-        omega = -ev._magnus_exponents(cache, lam, mu, mesh)
+        omega = -ev._magnus_exponents(h, A1, A2, lam, mu)
         # the graded tail steps exceed the Pade-13 bound and are scaled
         assert np.max(np.abs(omega).sum(axis=1).max(axis=1)) > 4 * ev._THETA13
         E = ev._expm(omega)

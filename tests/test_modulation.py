@@ -15,7 +15,7 @@ def ctx10(p10):
 # --------------------------------------------------------- kernel vectors
 
 def _kernel_vectors(p):
-    xi2 = prof.profile_c_derivative(p.c, p.K, p.grid)
+    xi2, _ = prof.profile_c_derivative(p)
     return mod.kernel_vectors(p.n, p.u, p.dn, p.du, xi2,
                               mod.antiderivative(xi2, p.grid), p.grid)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epsoliton.grid import default_grid, derivative
+from epsoliton.grid import Grid, default_grid, derivative
 from epsoliton import profile as prof
 
 
@@ -165,7 +165,7 @@ def test_kdv_residual_scaling():
 def test_profile_c_derivative_even_and_peak(p10):
     g = p10.grid
     dc = 1e-4
-    xi2 = prof.profile_c_derivative(p10.c, 1.0, g, dc=dc)
+    xi2, _ = prof.profile_c_derivative(p10)
     for row in xi2:
         assert np.max(np.abs(row[1:] - row[1:][::-1])) < 1e-9
     np1, _, _ = prof.peak_state(p10.c + dc, 1.0)
@@ -173,6 +173,32 @@ def test_profile_c_derivative_even_and_peak(p10):
     fd = (np1 - nm1) / (2 * dc)
     i0 = int(np.argmin(np.abs(g.x)))
     assert xi2[0][i0] == pytest.approx(fd, rel=1e-6)
+
+
+def _central_difference_xi2(p, dc=1e-5):
+    """Oracle: d/dc (n_c, u_c) by a central difference over two builds."""
+    pp, pm = prof.build_profile(p.c + dc, p.K, p.grid), prof.build_profile(p.c - dc, p.K, p.grid)
+    return np.array([pp.n - pm.n, pp.u - pm.u]) / (2 * dc)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.1])
+def test_profile_c_derivative_matches_central_difference(eps, p05, p10):
+    # default grids: N = 512 at eps = 0.05 and 1024 at 0.1; the difference
+    # carries its own error of about 1e-8
+    p = p05 if eps == 0.05 else p10
+    xi2, rep = prof.profile_c_derivative(p)
+    ref = _central_difference_xi2(p)
+    assert np.max(np.abs(xi2 - ref)) <= 1e-7 * np.max(np.abs(ref))
+    assert 0 < rep.iterations <= 20 and rep.residual < 1e-11
+
+
+def test_profile_c_derivative_iterations_do_not_grow_with_N():
+    # the preconditioner inverts the operator far from the wave exactly, so
+    # refining the grid adds no iterations
+    for N in (1024, 4096):
+        p = prof.profile_from_eps(0.1, 1.0, Grid(40.0 / np.sqrt(0.1), N))
+        _, rep = prof.profile_c_derivative(p)
+        assert rep.iterations <= 20, (N, rep.iterations)
 
 
 # ------------------------------------------------------------ tail rate
