@@ -105,7 +105,7 @@ def validate(values):
         problems.append("delta must be nonnegative")
     if "n_saves" in values and values["n_saves"] < 2:
         problems.append("n_saves must be at least 2")
-    if "shape" in values and values["shape"] not in ("even", "odd", "shift", "kick"):
+    if "shape" in values and values["shape"] not in diagnostics.SHAPES:
         problems.append(f"unknown perturbation shape {values['shape']!r}")
     if "segment" in values:
         try:
@@ -228,7 +228,8 @@ def cmd_profile(cfg, out):
     # a NaN rate (the box holds too little of the tail) is written as JSON null
     scal = {"c": p.c, "eps": cfg.eps, "L": g.L, "N": g.N,
             "mu4_at_zero": profile_mod.mu4_at_zero(p.c, cfg.K),
-            "fitted_tail_rate": rate if np.isfinite(rate) else None}
+            "fitted_tail_rate": rate if np.isfinite(rate) else None,
+            "poisson_residual": p.poisson_residual}
     side = out / "profile.json"
     side.write_text(json.dumps(scal, indent=2, default=float) + "\n")
     return [f, side], scal, {}

@@ -129,8 +129,13 @@ def virial_ratio_monitor(t, Vs, p, w, virials, bundle):
 
 # ------------------------------------------------------------ perturbations
 
+SHAPES = ("even", "odd", "shift", "kick")
+
+
 def perturbation(shape, delta, grid):
     """Initial perturbation (dn, du): even/odd/shifted bumps, velocity kick."""
+    if shape not in SHAPES:
+        raise ValueError(f"unknown perturbation shape {shape!r}")
     x = grid.x
     z = np.zeros_like(x)
     bump = np.exp(-(x / 6.0) ** 2)
@@ -141,9 +146,7 @@ def perturbation(shape, delta, grid):
         return delta * oddb / np.max(np.abs(oddb)), z
     if shape == "shift":
         return delta * np.exp(-((x - 10.0) / 6.0) ** 2), z
-    if shape == "kick":
-        return z, delta * bump
-    raise ValueError(f"unknown perturbation shape {shape!r}")
+    return z, delta * bump  # kick
 
 
 # ------------------------------------------------------ stability experiment

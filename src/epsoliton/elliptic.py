@@ -220,6 +220,9 @@ def solve_schrodinger(q, f, grid):
     w_hat = np.fft.rfft(w)
     r = np.fft.irfft(apply(w_hat) - f_hat, n=N)
     res = float(np.max(np.abs(r)) / max(np.max(np.abs(f)), 1e-300))
+    if not np.isfinite(res):  # e.g. an infinite q(-L) zeroes the preconditioner
+        raise RuntimeError(f"solve_schrodinger: MINRES failed, relative residual "
+                           f"{res:.3e} after {it} iterations")
     return w, EllipticSolveReport(iterations=it, residual=res, phi_hat=w_hat)
 
 

@@ -1,4 +1,4 @@
-"""Uniform periodic 1D grid, spectral differentiation, quadrature, and weight functions.
+"""Uniform periodic 1D grid, spectral calculus, quadrature, and weight functions.
 
 A `Grid` is immutable, so everything derived from (L, N) is computed once per
 grid and cached: the nodes `x`, the wavenumbers `k`, the Fourier symbols
@@ -139,6 +139,18 @@ def derivative(v: np.ndarray, grid: Grid, order: int = 1) -> np.ndarray:
         raise ValueError("non-finite input to derivative")
     return np.fft.irfft(grid.symbol(order) * np.fft.rfft(v, axis=-1),
                         n=grid.N, axis=-1)
+
+
+def antiderivative(rows: np.ndarray, grid: Grid) -> np.ndarray:
+    """Cumulative integral of each real row from -L: the mean-free part's
+    rfft coefficients over ik (Nyquist dropped), anchored at -L, plus the
+    mean times (x + L).  Spectrally accurate for smooth data whose mean-free
+    part is periodic; continued to x = L it gives `integrate`."""
+    f_hat = np.fft.rfft(rows, axis=-1)
+    inv = np.zeros_like(grid.symbol(1))
+    inv[1:-1] = 1.0 / grid.symbol(1)[1:-1]
+    F = np.fft.irfft(inv * f_hat, n=grid.N, axis=-1)
+    return F - F[..., :1] + f_hat[..., :1].real / grid.N * (grid.x + grid.L)
 
 
 def integrate(v: np.ndarray, grid: Grid) -> float | complex:

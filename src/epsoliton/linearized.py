@@ -22,9 +22,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import WINDOW, Grid, derivative, inner, l2a, l2norm, running_integral
+from .grid import (WINDOW, Grid, antiderivative, derivative, inner, l2a, l2norm,
+                   running_integral)
 from .elliptic import schrodinger_solver
-from .modulation import KernelVectors, antiderivative, kernel_vectors
+from .modulation import KernelVectors, kernel_vectors
 from .profile import profile_c_derivative
 
 

@@ -21,9 +21,8 @@ bundle of the perturbation V at each snapshot.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .grid import integrate, inner, norms, translate
+from .grid import antiderivative, integrate, inner, norms, translate
 from .profile import build_profile
 from .elliptic import solve_poisson
 
@@ -47,39 +46,20 @@ def kernel_vectors(n, u, dn, du, xi2, xi2_cum, grid):
     """Build (xi1, xi2, eta1, eta2) and the theta scalars from the profile
     (n_c, u_c), its x-derivative (dn, du) and xi2 = d/dc (n_c, u_c) on the
     grid nodes; xi2_cum is the cumulative integral of xi2 from the left grid
-    edge (`antiderivative`).  The neglected tail beyond -L is exponentially
-    small: profile derivatives decay at rate mu4.
+    edge (`grid.antiderivative`).  The etas are the closed forms, biorthogonal
+    to the xis up to the tail beyond the box (decay rate mu4).
     """
-    xi1 = np.array([dn, du])
     dMdc = integrate(xi2[0] * u + xi2[1] * n, grid)
     if abs(dMdc) < 1e-14:
         raise ValueError("kernel_vectors: degenerate normalization d/dc M = 0")
     theta3 = 1.0 / dMdc
     theta1 = -theta3
-    int_dcn = integrate(xi2[0], grid)
-    int_dcu = integrate(xi2[1], grid)
-    theta2 = theta3 ** 2 * int_dcn * int_dcu
-    eta2 = theta3 * np.array([u, n])
+    theta2 = theta3 ** 2 * integrate(xi2[0], grid) * integrate(xi2[1], grid)
     cum_n, cum_u = xi2_cum
-    eta1 = theta1 * np.array([cum_u, cum_n]) + theta2 * np.array([u, n])
-    # closed-form derivatives (eta1 itself is not periodic; its derivative is)
-    deta1 = theta1 * np.array([xi2[1], xi2[0]]) + theta2 * np.array([du, dn])
-    deta2 = theta3 * np.array([du, dn])
-
-    # the quadrature pairings miss delta_ij, almost all of it in <xi1, eta1>
-    # through the spline antiderivative xi2_cum (1.6e-6 at eps = 0.1, 6.4e-6
-    # at 0.05); a 2x2 Gram correction on (eta1, eta2) restores biorthogonality
-    G = np.array([[inner(xi1, eta1, grid), inner(xi1, eta2, grid)],
-                  [inner(xi2, eta1, grid), inner(xi2, eta2, grid)]])
-    A = np.linalg.solve(G.T, np.eye(2))  # new etas = A11 eta1 + A21 eta2 ...
-    return KernelVectors(xi1, xi2, A[0, 0] * eta1 + A[1, 0] * eta2,
-                         A[0, 1] * eta1 + A[1, 1] * eta2, theta1, theta2, theta3,
-                         A[0, 0] * deta1 + A[1, 0] * deta2)
-
-
-def antiderivative(rows, grid):
-    """Cumulative integral of each row from the left grid edge (cubic spline)."""
-    return CubicSpline(grid.x, rows, axis=-1).antiderivative()(grid.x)
+    return KernelVectors(np.array([dn, du]), xi2,
+                         theta1 * np.array([cum_u, cum_n]) + theta2 * np.array([u, n]),
+                         theta3 * np.array([u, n]), theta1, theta2, theta3,
+                         theta1 * np.array([xi2[1], xi2[0]]) + theta2 * np.array([du, dn]))
 
 
 class ModulationContext:
@@ -87,7 +67,7 @@ class ModulationContext:
 
     Takes the base profile p (speed c0 = p.c), builds the profiles at
     c0 +- DC on its grid and interpolates quadratically in c; Newton
-    iterations in `decompose` then cost only quadratures.  The spline
+    iterations in `decompose` then cost only quadratures.  The
     antiderivative is linear in its data, so that of xi2(c) is the same
     combination of the stacked rows' antiderivatives, computed here once.
     """
@@ -118,15 +98,13 @@ class ModulationContext:
         _, s = self._coeffs(c)
         return np.array([(2 * s - 1) / 2, -2 * s, (2 * s + 1) / 2]) / DC
 
-    def xi2(self, c):
-        dw = self._dweights(c)
-        return np.array([dw @ self._stack["n"], dw @ self._stack["u"]])
-
     def kernel_vectors(self, c):
         w, _ = self._coeffs(c)
+        dw = self._dweights(c)
         st = self._stack
         return kernel_vectors(w @ st["n"], w @ st["u"], w @ st["dn"], w @ st["du"],
-                              self.xi2(c), self._dweights(c) @ self._cum, self.grid)
+                              np.array([dw @ st["n"], dw @ st["u"]]), dw @ self._cum,
+                              self.grid)
 
 
 @dataclass

@@ -193,7 +193,10 @@ def test_profile_happy_path_manifest(tmp_path):
     for f in man["outputs"]:
         assert Path(f).exists()
     assert man["scalars"]["c"] > 1.0
+    assert set(man["scalars"]) == {"c", "eps", "L", "N", "mu4_at_zero",
+                                   "fitted_tail_rate", "poisson_residual"}
     prof = json.loads((out / "profile.json").read_text())
+    assert prof == man["scalars"]
     assert abs(prof["c"] - (2.0 ** 0.5 + 0.1)) < 1e-12
     # every cell of the CSV parses as a plain number
     with open(out / "profile.csv", newline="") as f:

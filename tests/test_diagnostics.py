@@ -155,7 +155,8 @@ def test_virial_ratio_monitor_shapes(p10, w10):
 
 def test_perturbation_shapes(grid10):
     x = grid10.x
-    for shape in ("even", "odd", "shift", "kick"):
+    assert dg.SHAPES == ("even", "odd", "shift", "kick")   # what the CLI accepts
+    for shape in dg.SHAPES:
         dn, du = dg.perturbation(shape, 1e-3, grid10)
         assert dn.shape == x.shape and du.shape == x.shape
         assert max(np.max(np.abs(dn)), np.max(np.abs(du))) <= 1e-3 + 1e-15

@@ -262,3 +262,12 @@ def test_solve_schrodinger_cap_raises(monkeypatch):
     monkeypatch.setattr(ell, "_MAXITER", 2)
     with pytest.raises(RuntimeError, match=r"MINRES failed, relative residual .* after 2 iterations"):
         ell.solve_schrodinger(q, f, g)
+
+
+def test_solve_schrodinger_infinite_coefficient_raises():
+    # an infinite q(-L) zeroes the preconditioner: MINRES takes no step and
+    # the residual of the returned w is NaN
+    g, _, f = _indefinite_problem()
+    with (pytest.raises(RuntimeError, match=r"MINRES failed, relative residual nan after 0 iterations"),
+          np.errstate(invalid="ignore")):
+        ell.solve_schrodinger(np.full(g.N, np.inf), f, g)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epsoliton.grid import (Grid, default_grid, derivative, integrate, inner,
-                            l2norm, translate, zeta, WeightSet, default_weights,
+from epsoliton.grid import (Grid, antiderivative, default_grid, derivative, integrate,
+                            inner, l2norm, translate, zeta, WeightSet, default_weights,
                             norms)
 
 
@@ -79,6 +79,26 @@ def test_leibniz_rule_spectral(g):
     lhs = derivative(f * h, g, 1)
     rhs = derivative(f, g, 1) * h + f * derivative(h, g, 1)
     assert np.max(np.abs(lhs - rhs)) < 1e-11
+
+
+# ------------------------------------------------------------ antiderivative
+
+def test_antiderivative_inverts_derivative(g):
+    f = np.exp(np.sin(np.pi * g.x / g.L)) * np.cos(3 * np.pi * g.x / g.L)
+    F = antiderivative(derivative(f, g, 1), g)
+    assert np.max(np.abs(F - (f - f[0]))) < 1e-12
+
+
+def test_antiderivative_sech2():
+    # a non-periodic antiderivative: the mean carries the ramp (x + L)
+    g = Grid(L=20.0, N=256)
+    F = antiderivative(1.0 / np.cosh(g.x) ** 2, g)
+    assert np.max(np.abs(F - (np.tanh(g.x) + np.tanh(20.0)))) < 1e-12
+
+
+def test_antiderivative_constant_rows(g):
+    F = antiderivative(np.array([np.full(g.N, 2.5), np.full(g.N, -1.0)]), g)
+    assert np.max(np.abs(F - np.array([2.5, -1.0])[:, None] * (g.x + g.L))) < 1e-12
 
 
 # ------------------------------------------------------------ quadrature

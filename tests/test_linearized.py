@@ -5,10 +5,11 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import jv
 
-from epsoliton.grid import default_weights, inner, l2a, l2norm
+from epsoliton.grid import Grid, default_weights, inner, l2a, l2norm
 from epsoliton import dynamics as dyn
 from epsoliton import elliptic as ell
 from epsoliton import linearized as lin
+from epsoliton import profile as prof
 
 
 def _smooth(g, rng, width=6.0):
@@ -41,6 +42,28 @@ def test_Lc_adjoint_kernel(p05, kv05, lin05):
     # eta1 is non-periodic: its closed-form derivative must be supplied
     r1 = lin.apply_Lc_adjoint(kv05.eta1, lin05, dW=kv05.eta1_deriv) + kv05.eta2
     assert l2norm(r1, g) < 1e-4 * l2norm(kv05.eta2, g)
+
+
+@pytest.fixture(scope="module")
+def lin_short():
+    # on [-20, 20) the eps = 0.1 tail is cut at 1e-4 of its peak
+    return lin.LinearContext.build(prof.profile_from_eps(0.1, 1.0, Grid(20.0, 128)))
+
+
+@pytest.mark.parametrize("ctx, bound2, bound1", [
+    ("lin05", 1e-6, 1e-7), ("lin10", 1e-6, 1e-7), ("lin_short", 1e-3, 1e-3)])
+def test_Lc_adjoint_jordan_relations(ctx, bound2, bound1, request):
+    # the closed-form etas on the spectral antiderivative of xi2 keep
+    # L* eta2 = 0 and L* eta1 = -eta2: max misses relative to max |eta2| of
+    # (4e-8, 2e-8), (5e-8, 6e-10) and (5e-5, 3e-4) in the order above; any
+    # mixing of eta1 and eta2 breaks them
+    ctx = request.getfixturevalue(ctx)
+    kv = ctx.kv
+    scale = np.max(np.abs(kv.eta2))
+    r2 = lin.apply_Lc_adjoint(kv.eta2, ctx)
+    r1 = lin.apply_Lc_adjoint(kv.eta1, ctx, dW=kv.eta1_deriv) + kv.eta2
+    assert np.max(np.abs(r2)) < bound2 * scale
+    assert np.max(np.abs(r1)) < bound1 * scale
 
 
 def test_Lc_adjoint_constants(p10, lin10):

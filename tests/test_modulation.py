@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from epsoliton.grid import default_grid, inner, translate
+from epsoliton.grid import antiderivative, default_grid, inner, translate
 from epsoliton import dynamics as dyn
 from epsoliton import modulation as mod
 from epsoliton import profile as prof
@@ -16,8 +16,8 @@ def ctx10(p10):
 
 def _kernel_vectors(p):
     xi2, _ = prof.profile_c_derivative(p)
-    return mod.kernel_vectors(p.n, p.u, p.dn, p.du, xi2,
-                              mod.antiderivative(xi2, p.grid), p.grid)
+    return mod.kernel_vectors(p.n, p.u, p.dn, p.du, xi2, antiderivative(xi2, p.grid),
+                              p.grid)
 
 
 def test_biorthogonality(p10, kv10):

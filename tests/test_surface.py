@@ -68,3 +68,21 @@ def test_oracle_serves_a_readme_acceptance_test(oracle):
     assert reach[oracle] > 0, f"{test} does not call {oracle}"
     module = file.removeprefix("test_").removesuffix(".py")
     assert f"{module}::{test}" in (ROOT / "README.md").read_text()
+
+
+def _scipy_importers():
+    """Modules of the package that import SciPy anywhere in their source."""
+    out = set()
+    for f in PACKAGE.glob("*.py"):
+        for n in ast.walk(ast.parse(f.read_text(), filename=str(f))):
+            mods = ([a.name for a in n.names] if isinstance(n, ast.Import)
+                    else [n.module or ""] if isinstance(n, ast.ImportFrom) else [])
+            if any(m.split(".")[0] == "scipy" for m in mods):
+                out.add(f.stem)
+    return out
+
+
+def test_only_the_ode_and_lapack_modules_import_scipy():
+    # profile and evans march ODEs and fit splines, elliptic calls LAPACK;
+    # every x-integral elsewhere is spectral (grid)
+    assert _scipy_importers() == {"profile", "evans", "elliptic"}
