@@ -147,16 +147,17 @@ def _outdir(cfg):
 
 
 def _remove_previous_run(out):
-    """Delete out/manifest.json and the outputs it lists that lie in out, so
+    """Delete out/manifest.json and the files of out named as its outputs, so
     a failed rerun leaves no stale artifacts beside its own; nothing else
-    in out is touched."""
+    in out is touched.  Only the names count: the listed paths are relative
+    to the directory the earlier run was started from."""
     path = out / "manifest.json"
     if path.exists():
         outputs = _read_manifest(path).get("outputs")
         if not (isinstance(outputs, list) and all(isinstance(f, str) for f in outputs)):
             raise ValidationError(f"{path}: outputs is not a list of paths")
-        for f in map(Path, outputs):
-            if f.resolve().parent == out.resolve() and f.is_file():
+        for f in (out / Path(name).name for name in outputs):
+            if f.is_file():
                 f.unlink()
         path.unlink()
 
@@ -216,11 +217,28 @@ def _grid_of(cfg, L_factor=40.0):
         raise ValidationError(str(e))
 
 
+_RESIDUAL_MAX = 1e-6  # nodal Poisson residual of a profile on the default grid
+
+
+def _profile_of(cfg):
+    """The profile on _grid_of's grid.  On the default grid (neither --L nor
+    --N given) a nodal Poisson residual above _RESIDUAL_MAX is a numerical
+    failure, the wave unresolved near the existence edge; an explicit grid
+    may be coarse on purpose."""
+    p = profile_mod.profile_from_eps(cfg.eps, cfg.K, _grid_of(cfg))
+    if cfg.L is None and cfg.N is None and p.poisson_residual > _RESIDUAL_MAX:
+        raise NumericalFailure(
+            f"profile at eps = {cfg.eps:g} unresolved on the default grid "
+            f"(N = {p.grid.N}): nodal Poisson residual {p.poisson_residual:.2e} "
+            f"> {_RESIDUAL_MAX:g}")
+    return p
+
+
 # ------------------------------------------------------------- subcommands
 
 def cmd_profile(cfg, out):
-    g = _grid_of(cfg)
-    p = profile_mod.profile_from_eps(cfg.eps, cfg.K, g)
+    p = _profile_of(cfg)
+    g = p.grid
     f = out / "profile.csv"
     write_csv(f, ("x", "n", "u", "phi", "psi", "dn", "du"),
               zip(g.x, p.n, p.u, p.phi, p.psi, p.dn, p.du))
@@ -236,8 +254,8 @@ def cmd_profile(cfg, out):
 
 
 def cmd_evans(cfg, out):
-    g = _grid_of(cfg)
-    p = profile_mod.profile_from_eps(cfg.eps, cfg.K, g)
+    p = _profile_of(cfg)
+    g = p.grid
     cache = evans.CoefficientCache(p)
     scan = evans.evans_scan(1j * _segment_taus(cfg.segment), p, cache,
                             closed=False, rtol=1e-9)
@@ -257,8 +275,8 @@ def cmd_evans(cfg, out):
 
 
 def cmd_evolve(cfg, out):
-    g = _grid_of(cfg)
-    p = profile_mod.profile_from_eps(cfg.eps, cfg.K, g)
+    p = _profile_of(cfg)
+    g = p.grid
     dn, du = diagnostics.perturbation(cfg.shape, cfg.delta, g)
     s0 = dynamics.State(0.0, p.n + dn, p.u + du)
     T = cfg.T if cfg.T is not None else 50.0 / np.sqrt(cfg.eps)
@@ -281,8 +299,8 @@ def cmd_evolve(cfg, out):
 
 
 def cmd_linear(cfg, out):
-    g = _grid_of(cfg)
-    p = profile_mod.profile_from_eps(cfg.eps, cfg.K, g)
+    p = _profile_of(cfg)
+    g = p.grid
     ctx = linearized.LinearContext.build(p)
     w = default_weights(cfg.eps, g, A=cfg.A, B=cfg.B, kappa=cfg.kappa,
                         rho=cfg.rho)

@@ -35,9 +35,8 @@ import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.interpolate import CubicSpline
 
-from .profile import mu4_at_zero, sonic_branch_distance
+from .profile import FINE, mu4_at_zero, sonic_branch_distance
 
-_N_FINE = 8       # spline nodes per grid spacing of CoefficientCache
 _DLAM = 1e-3      # stencil spacing of evans_derivs_at0
 _MAX_REFINE = 8   # bisection rounds of evans_scan
 
@@ -47,8 +46,9 @@ _MAX_REFINE = 8   # bisection rounds of evans_scan
 class CoefficientCache:
     """Coefficient functions of A(x, lambda) = A1(x) + lambda A2(x).
 
-    One vector-valued cubic spline evaluates all x-dependent entries; the
-    assembled matrices satisfy A(+-L) -> A_inf at tail tolerance.
+    One vector-valued cubic spline evaluates all x-dependent entries, with
+    its knots on the profile's fine line and its data formed from p.fine;
+    the assembled matrices satisfy A(+-L) -> A_inf at tail tolerance.
     `evaluations` counts the lambda values `evans` has marched with it.
     """
 
@@ -56,9 +56,8 @@ class CoefficientCache:
         self.c, self.K = p.c, p.K
         self.evaluations = 0
         g = p.grid
-        xf = np.linspace(-g.L, g.L, _N_FINE * g.N + 1)
-        n = p.at(xf, "n"); u = p.at(xf, "u"); phi = p.at(xf, "phi")
-        dn = p.at(xf, "dn"); du = p.at(xf, "du")
+        xf = np.linspace(-g.L, g.L, FINE * g.N + 1)
+        n, u, phi, _, dn, du = p.fine
         c, K = self.c, self.K
         J = (c - u) ** 2 - K
         if np.min(J) <= 0:

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from .elliptic import solve_schrodinger
@@ -191,13 +190,17 @@ def mu4_at_zero(c: float, K: float) -> float:
     return float(np.sqrt(1.0 - 1.0 / (c ** 2 - K)))
 
 
+FINE = 8  # points of the fine line per grid spacing
+
+
 @dataclass
 class ProfileSolution:
     """The solitary wave sampled on a grid, with exact nodal derivatives.
 
-    Carries exactly-even spline evaluators of n, u, phi, dn and du for
-    off-grid use (Evans coefficient matrices); n, u, phi are even and the
-    derivatives odd.  psi = phi' exists on the nodes only.
+    `fine` holds the rows (n, u, phi, psi, dn, du) on the fine line
+    x = linspace(-L, L, FINE*N + 1), exactly even (n, u, phi) and odd
+    (psi = phi', dn, du) about its middle column; the node arrays are its
+    every FINE-th column, and Evans's coefficient spline takes its knots there.
     """
 
     c: float
@@ -212,8 +215,7 @@ class ProfileSolution:
     n_star: float
     phi_star: float
     poisson_residual: float
-    _splines: dict = field(repr=False)   # name -> (spline of |x|, parity)
-    _xmax: float = field(repr=False)     # end of the splines' half-line
+    fine: np.ndarray = field(repr=False)   # (6, FINE*N + 1)
 
     @property
     def V(self) -> float:
@@ -222,19 +224,6 @@ class ProfileSolution:
     @property
     def eps(self) -> float:
         return self.c - self.V
-
-    def at(self, x, name: str):
-        """Evaluate n, u, phi, dn or du at x (exactly even/odd extension);
-        |x| may not exceed the end of the fine half-line, about L + 4h."""
-        sp, parity = self._splines[name]
-        x = np.asarray(x, dtype=float)
-        ax = np.abs(x)
-        if np.any(ax > self._xmax):
-            raise ValueError("ProfileSolution.at: x beyond the sampled half-line")
-        out = sp(ax)
-        if parity == "odd":
-            out = out * np.sign(x)
-        return out if out.ndim else float(out)
 
 
 def _half_line_values(c, K, xq, n_star, phi_star):
@@ -327,30 +316,20 @@ def build_profile(c: float, K: float, grid: Grid) -> ProfileSolution:
     if np.any(dH_dn(ns_chk, c, K) <= 0):
         raise ValueError("H(., c) not monotone on [0, n*]")
 
-    # fine auxiliary half-grid (node-exact values) for even spline evaluators
-    h_fine = grid.h / 8.0
-    xq = np.arange(0.0, grid.L + 4 * grid.h, h_fine)
+    # fine half-line (node-exact values), mirrored once onto the fine line,
+    # whose column i sits at |x| = |i - FINE*N/2| h/FINE
+    xq = np.arange(0.0, grid.L + 4 * grid.h, grid.h / FINE)
     phis, ns, us, psis, dns, dus = _half_line_values(c, K, xq, n_star, phi_star)
-
-    splines = {}
-    for name, arr, parity in (("phi", phis, "even"), ("n", ns, "even"),
-                              ("u", us, "even"), ("dn", dns, "odd"),
-                              ("du", dus, "odd")):
-        # even: f'(0)=0; odd (stored as f(|x|)*sign): f''(0)=0
-        bc0 = (1, 0.0) if parity == "even" else (2, 0.0)
-        splines[name] = (CubicSpline(xq, arr, bc_type=(bc0, "not-a-knot")), parity)
-
-    # node j sits at |x_j| = |j - N/2| h, the fine-mesh point 8 |j - N/2|
-    idx = 8 * np.abs(np.arange(grid.N) - grid.N // 2)
-    n_g, u_g, phi_g, psi_g, dn_g, du_g = (a[idx] for a in (ns, us, phis, psis, dns, dus))
-    sgn = np.sign(grid.x)
-    psi_g, dn_g, du_g = psi_g * sgn, dn_g * sgn, du_g * sgn
+    mirror = np.abs(np.arange(FINE * grid.N + 1) - FINE * grid.N // 2)
+    fine = np.array([ns, us, phis, psis, dns, dus])[:, mirror]
+    fine[3:] *= np.sign(np.linspace(-grid.L, grid.L, FINE * grid.N + 1))
+    n_g, u_g, phi_g, psi_g, dn_g, du_g = np.ascontiguousarray(fine[:, :-1:FINE])
 
     resid = float(np.max(np.abs(-derivative(phi_g, grid, 2) + np.exp(phi_g) - 1.0 - n_g)))
 
     return ProfileSolution(c=c, K=K, grid=grid, n=n_g, u=u_g, phi=phi_g, psi=psi_g,
                            dn=dn_g, du=du_g, n_star=n_star, phi_star=phi_star,
-                           poisson_residual=resid, _splines=splines, _xmax=xq[-1])
+                           poisson_residual=resid, fine=fine)
 
 
 def profile_from_eps(eps: float, K: float, grid: Grid) -> ProfileSolution:

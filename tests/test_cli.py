@@ -153,15 +153,16 @@ def test_unread_setting_exits_1(tmp_path, capsys, sub, key):
 
 
 def _cfg_reads(fn):
-    """The settings `fn` reads as cfg.<key>, with those of the _grid_of it calls."""
+    """The settings `fn` reads as cfg.<key>, with those of the cli helpers
+    (_profile_of, _grid_of) it hands cfg to."""
     keys = set()
     for node in ast.walk(ast.parse(inspect.getsource(fn))):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
                 and node.value.id == "cfg":
             keys.add(node.attr)
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id == "_grid_of":
-            keys |= _cfg_reads(cli._grid_of)
+                and any(isinstance(a, ast.Name) and a.id == "cfg" for a in node.args):
+            keys |= _cfg_reads(getattr(cli, node.func.id))
     return keys & set(cli._SETTINGS)
 
 
@@ -220,12 +221,34 @@ def test_default_grid_is_recorded(tmp_path):
 
 def test_profile_short_box_writes_null_tail_rate(tmp_path):
     # on [-10, 10) the eps = 0.1 profile stays above n*/100, so the tail fit
-    # has no window (np.polyfit raised a TypeError on the empty selection)
+    # has no window (np.polyfit raised a TypeError on the empty selection);
+    # the grid is explicit, so its residual (1.6e-2) is recorded, not refused
     out = tmp_path / "run"
     assert cli.run(["profile", "--out", str(out), "--eps", "0.1",
                     "--L", "10", "--N", "64"]) == 0
     assert _strict_json(out / "profile.json")["fitted_tail_rate"] is None
+    assert _strict_json(out / "profile.json")["poisson_residual"] > cli._RESIDUAL_MAX
     assert _strict_json(out / "manifest.json")["scalars"]["fitted_tail_rate"] is None
+
+
+def test_unresolved_profile_on_the_default_grid_exits_2(tmp_path, capsys):
+    # at eps = 0.15 the default grid (N = 8192) leaves a nodal Poisson
+    # residual of 7.3e-6, above the bound
+    out = tmp_path / "run"
+    assert cli.run(["profile", "--out", str(out), "--eps", "0.15"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "Traceback" not in err
+    assert "eps = 0.15" in err and "Poisson residual" in err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("sub", ["profile", "evans", "evolve", "linear"])
+def test_default_grid_residual_bound_covers_each_profile_subcommand(
+        tmp_path, capsys, monkeypatch, sub):
+    # the eps = 0.1 profile's residual (4.7e-10) set against a bound below it
+    monkeypatch.setattr(cli, "_RESIDUAL_MAX", 1e-12)
+    assert cli.run([sub, "--out", str(tmp_path / "run"), "--eps", "0.1"]) == 2
+    assert "Poisson residual" in capsys.readouterr().err
 
 
 def test_out_dir_collision_without_force(tmp_path, capsys):
@@ -250,6 +273,25 @@ def test_force_removes_the_previous_runs_artifacts(tmp_path, capsys):
     assert cli.run(args + ["--force", "--delta", "4e-3"]) == 2
     assert sorted(f.name for f in out.iterdir()) == ["notes.txt", "report.json"]
     assert _strict_json(out / "report.json")["config"]["delta"] == 4e-3
+
+
+def test_force_from_another_working_directory(tmp_path, monkeypatch):
+    # the manifest lists its outputs relative to the directory the first run
+    # started in; a forced rerun started elsewhere still removes them, and
+    # touches no file of the same path below its own directory
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    (b / "runs" / "x").mkdir(parents=True)
+    (b / "runs" / "x" / "profile.csv").write_text("keep\n")
+    monkeypatch.chdir(a)
+    assert cli.run(["profile", "--eps", "0.1", "--L", "40", "--N", "128",
+                    "--out", "runs/x"]) == 0
+    monkeypatch.chdir(b)
+    assert cli.run(["evans", "--eps", "0.1", "--L", "40", "--N", "128",
+                    "--segment", "0.02:1:3", "--out", "../a/runs/x", "--force"]) == 0
+    assert sorted(f.name for f in (a / "runs" / "x").iterdir()) == ["evans.csv",
+                                                                  "manifest.json"]
+    assert (b / "runs" / "x" / "profile.csv").read_text() == "keep\n"
 
 
 @pytest.mark.parametrize("content", [b"{bad", b"[1, 2]", b'{"outputs": 3}'],

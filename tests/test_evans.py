@@ -43,10 +43,25 @@ def test_coefficient_matrix_subsonic_rejected(grid10):
     f = Fake()
     f.c, f.K, f.grid = p.c, p.K, p.grid
     # u so large that (c-u)^2 - K <= 0 somewhere
-    f.at = lambda x, name: (p.c - 0.5 * np.sqrt(p.K)) * np.exp(-np.asarray(x) ** 2) \
-        if name == "u" else p.at(x, name)
+    xf = np.linspace(-p.grid.L, p.grid.L, p.fine.shape[1])
+    f.fine = p.fine.copy()
+    f.fine[1] = (p.c - 0.5 * np.sqrt(p.K)) * np.exp(-xf ** 2)
     with pytest.raises(ValueError):
         ev.CoefficientCache(f)
+
+
+def test_coefficient_spline_data_are_the_fine_line(p10, cache10):
+    # the cache's knots are the profile's fine line and its data the rows
+    # formed from p.fine, not values interpolated between profile samples
+    n, u, phi, _, dn, du = p10.fine
+    c, K = p10.c, p10.K
+    J = (c - u) ** 2 - K
+    g = p10.grid
+    assert np.array_equal(cache10._spl.x, np.linspace(-g.L, g.L, prof.FINE * g.N + 1))
+    const = cache10._spl.c[3]   # the value at each knot but the last
+    assert np.array_equal(const[:, 2], ((1.0 + n) / J)[:-1])
+    assert np.array_equal(const[:, 6], np.exp(phi)[:-1])
+    assert np.array_equal(const[:, 0], ((c - u) * du / J - K * dn / (J * (1.0 + n)))[:-1])
 
 
 # --------------------------------------------------------------- dispersion

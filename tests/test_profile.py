@@ -103,6 +103,20 @@ def test_profile_peak_and_evenness(p10):
         assert np.max(np.abs(f[1:] - f[1:][::-1])) < 1e-13
 
 
+def test_profile_nodes_are_the_fine_lines_every_FINE_th_point(p10, p05):
+    for p in (p10, p05):
+        nodes = np.array([p.n, p.u, p.phi, p.psi, p.dn, p.du])
+        assert p.fine.shape == (6, prof.FINE * p.grid.N + 1)
+        assert np.array_equal(nodes, p.fine[:, :-1:prof.FINE])
+
+
+def test_profile_fine_line_exactly_even_and_odd(p10, p05):
+    # rows n, u, phi even and psi, dn, du odd about the middle column x = 0
+    for p in (p10, p05):
+        assert np.array_equal(p.fine[:3, ::-1], p.fine[:3])
+        assert np.array_equal(p.fine[3:, ::-1], -p.fine[3:])
+
+
 def test_profile_reduction_identities(p10):
     c, K = p10.c, p10.K
     mass = c * p10.n - (1 + p10.n) * p10.u

@@ -83,6 +83,6 @@ def _scipy_importers():
 
 
 def test_only_the_ode_and_lapack_modules_import_scipy():
-    # profile and evans march ODEs and fit splines, elliptic calls LAPACK;
-    # every x-integral elsewhere is spectral (grid)
+    # profile marches its quadrature ODE, evans fits its coefficient spline,
+    # elliptic calls LAPACK; every x-integral elsewhere is spectral (grid)
     assert _scipy_importers() == {"profile", "evans", "elliptic"}
