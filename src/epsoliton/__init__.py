@@ -4,7 +4,9 @@ Euler-Poisson plasma system.
 Modules:
   grid        - grids, spectral calculus, weight functions, norm bundles
   profile     - solitary-wave profiles via the Sagdeev pseudopotential
-  elliptic    - Poisson and -d^2 + e^phi solves by one preconditioned fixed point
+  elliptic    - Poisson and -d^2 + e^phi solves by one preconditioned fixed
+                point (a fixed -d^2 + e^phi_c inverted once, densely, on small
+                grids) and MINRES for the indefinite -d^2 + q
   dynamics    - nonlinear evolution (method of lines, RK4) and invariants
   modulation  - kernel/adjoint vectors, (c, D) decomposition and tracking
   linearized  - the linearized operator, semigroup runs, decay/smoothing

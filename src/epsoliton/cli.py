@@ -220,12 +220,12 @@ def _grid_of(cfg, L_factor=40.0):
 _RESIDUAL_MAX = 1e-6  # nodal Poisson residual of a profile on the default grid
 
 
-def _profile_of(cfg):
+def _profile_of(cfg, L_factor=40.0):
     """The profile on _grid_of's grid.  On the default grid (neither --L nor
     --N given) a nodal Poisson residual above _RESIDUAL_MAX is a numerical
     failure, the wave unresolved near the existence edge; an explicit grid
     may be coarse on purpose."""
-    p = profile_mod.profile_from_eps(cfg.eps, cfg.K, _grid_of(cfg))
+    p = profile_mod.profile_from_eps(cfg.eps, cfg.K, _grid_of(cfg, L_factor))
     if cfg.L is None and cfg.N is None and p.poisson_residual > _RESIDUAL_MAX:
         raise NumericalFailure(
             f"profile at eps = {cfg.eps:g} unresolved on the default grid "
@@ -326,11 +326,13 @@ def cmd_linear(cfg, out):
 
 
 def cmd_stability(cfg, out):
+    # the experiment builds its own profile; this one is built first so that
+    # an unresolved wave fails before the flow starts
+    grid = _profile_of(cfg, L_factor=diagnostics.L_FACTOR).grid
     sc = diagnostics.StabilityConfig(
         K=cfg.K, eps=cfg.eps, delta=cfg.delta, shape=cfg.shape,
         T=cfg.T, n_saves=cfg.n_saves, A=cfg.A, B=cfg.B, kappa=cfg.kappa,
-        rho=cfg.rho,
-        grid=_grid_of(cfg, L_factor=diagnostics.L_FACTOR))
+        rho=cfg.rho, grid=grid)
     rep = diagnostics.stability_experiment(sc)
     f = out / "report.json"
     f.write_text(json.dumps(rep.to_json_dict(), indent=2, default=float) + "\n")

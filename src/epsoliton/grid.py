@@ -101,10 +101,11 @@ def default_grid(eps: float, K: float = 1.0, L: float | None = None,
     the profile's Fourier coefficients decay like exp(-d |k|), and pi/h is the
     Nyquist wavenumber.  d shrinks much faster than eps^{-1/2} as eps leaves the
     KdV limit (d = 4.4 at eps = 0.05, 1.3 at 0.1, 0.17 at 0.15 for K = 1), so
-    N grows with eps.  The tail bound is calibrated so that the built profile's
-    Poisson residual stays below 1e-8 even where the rule is tightest (2L/h just
-    under a power of two: 5e-9 at eps = 0.062, K = 1).  A given L or N is kept
-    and only the missing one is derived.
+    N grows with eps.  At K = 1 the built profile's nodal Poisson residual stays
+    below 1e-8 up to eps = 0.138 (4.7e-10 at 0.1, 8.1e-9 at 0.138); nearer the
+    existence edge it grows although the rule is met: 1.6e-8 at eps = 0.14,
+    7.3e-6 at 0.15 and 1.9e-4 at 0.153.  A given L or N is kept and only the
+    missing one is derived.
 
     Raises ValueError when the rule needs more than N_MAX points, which happens
     as eps nears the existence edge and the branch point reaches the real axis.

@@ -22,11 +22,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import (WINDOW, Grid, antiderivative, derivative, inner, l2a, l2norm,
-                   running_integral)
+from .grid import WINDOW, Grid, derivative, inner, l2a, l2norm, running_integral
 from .elliptic import schrodinger_solver
 from .modulation import KernelVectors, kernel_vectors
-from .profile import profile_c_derivative
 
 
 @dataclass
@@ -45,12 +43,11 @@ class LinearContext:
 
     @classmethod
     def build(cls, profile):
-        """The context of a built profile; xi2 = d/dc (n_c, u_c) costs one
-        linear solve (profile_c_derivative)."""
-        p, g = profile, profile.grid
-        xi2, rep = profile_c_derivative(p)
-        kv = kernel_vectors(p.n, p.u, p.dn, p.du, xi2, antiderivative(xi2, g), g)
-        return cls(p, kv, g, schrodinger_solver(p.phi, g), rep.iterations, rep.residual)
+        """The context of a built profile; its kernel vectors cost one linear
+        solve (kernel_vectors)."""
+        kv, rep = kernel_vectors(profile)
+        return cls(profile, kv, profile.grid, schrodinger_solver(profile.phi, profile.grid),
+                   rep.iterations, rep.residual)
 
     @cached_property
     def rho(self):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import antiderivative, integrate, inner, norms, translate
-from .profile import build_profile
+from .profile import build_profile, profile_c_derivative
 from .elliptic import solve_poisson
 
 DC = 1e-3            # half-width of ModulationContext's stencil in c; eps must exceed it
@@ -42,34 +42,38 @@ class KernelVectors:
     eta1_deriv: np.ndarray  # closed-form x-derivative of eta1
 
 
-def kernel_vectors(n, u, dn, du, xi2, xi2_cum, grid):
-    """Build (xi1, xi2, eta1, eta2) and the theta scalars from the profile
-    (n_c, u_c), its x-derivative (dn, du) and xi2 = d/dc (n_c, u_c) on the
-    grid nodes; xi2_cum is the cumulative integral of xi2 from the left grid
-    edge (`grid.antiderivative`).  The etas are the closed forms, biorthogonal
-    to the xis up to the tail beyond the box (decay rate mu4).
+def kernel_vectors(p):
+    """(xi1, xi2, eta1, eta2) and the theta scalars of the built profile p,
+    and the report of the one linear solve that gives xi2 = d/dc (n_c, u_c)
+    (profile_c_derivative).  eta1 takes the cumulative integral of xi2 from
+    the left grid edge (`grid.antiderivative`).  The etas are the closed
+    forms, biorthogonal to the xis up to the tail beyond the box (decay rate
+    mu4).
     """
-    dMdc = integrate(xi2[0] * u + xi2[1] * n, grid)
+    g, n, u, dn, du = p.grid, p.n, p.u, p.dn, p.du
+    xi2, rep = profile_c_derivative(p)
+    dMdc = integrate(xi2[0] * u + xi2[1] * n, g)
     if abs(dMdc) < 1e-14:
         raise ValueError("kernel_vectors: degenerate normalization d/dc M = 0")
     theta3 = 1.0 / dMdc
     theta1 = -theta3
-    theta2 = theta3 ** 2 * integrate(xi2[0], grid) * integrate(xi2[1], grid)
-    cum_n, cum_u = xi2_cum
-    return KernelVectors(np.array([dn, du]), xi2,
-                         theta1 * np.array([cum_u, cum_n]) + theta2 * np.array([u, n]),
-                         theta3 * np.array([u, n]), theta1, theta2, theta3,
-                         theta1 * np.array([xi2[1], xi2[0]]) + theta2 * np.array([du, dn]))
+    theta2 = theta3 ** 2 * integrate(xi2[0], g) * integrate(xi2[1], g)
+    cum_n, cum_u = antiderivative(xi2, g)
+    kv = KernelVectors(np.array([dn, du]), xi2,
+                       theta1 * np.array([cum_u, cum_n]) + theta2 * np.array([u, n]),
+                       theta3 * np.array([u, n]), theta1, theta2, theta3,
+                       theta1 * np.array([xi2[1], xi2[0]]) + theta2 * np.array([du, dn]))
+    return kv, rep
 
 
 class ModulationContext:
-    """Profiles and kernel vectors as smooth functions of c near a base speed.
+    """Profiles and adjoint kernel vectors as smooth functions of c near a
+    base speed.
 
-    Takes the base profile p (speed c0 = p.c), builds the profiles at
-    c0 +- DC on its grid and interpolates quadratically in c; Newton
-    iterations in `decompose` then cost only quadratures.  The
-    antiderivative is linear in its data, so that of xi2(c) is the same
-    combination of the stacked rows' antiderivatives, computed here once.
+    Takes the base profile p (speed c0 = p.c) and builds the profiles at
+    c0 +- DC on its grid.  Their (n, u, phi) and their exact (eta1, eta2)
+    (kernel_vectors) are interpolated quadratically in c with the same
+    weights, so Newton iterations in `decompose` cost only quadratures.
     """
 
     def __init__(self, p):
@@ -77,34 +81,23 @@ class ModulationContext:
         self.p0 = p
         family = (build_profile(self.c0 - DC, self.K, self.grid), p,
                   build_profile(self.c0 + DC, self.K, self.grid))
-        self._stack = {nm: np.array([getattr(q, nm) for q in family])
-                       for nm in ("n", "u", "phi", "dn", "du")}
-        self._cum = antiderivative(
-            np.array([self._stack["n"], self._stack["u"]]), self.grid)
+        self._fields = np.array([[q.n, q.u, q.phi] for q in family])
+        self._eta = np.array([[kv.eta1, kv.eta2]
+                              for kv in (kernel_vectors(q)[0] for q in family)])
 
-    def _coeffs(self, c):
+    def _weights(self, c):
         s = (c - self.c0) / DC
         if abs(s) > 1.5:
             raise ValueError(f"ModulationContext: c = {c} outside interpolation window")
-        return np.array([s * (s - 1) / 2, 1 - s * s, s * (s + 1) / 2]), s
+        return np.array([s * (s - 1) / 2, 1 - s * s, s * (s + 1) / 2])
 
     def fields(self, c):
         """(n_c, u_c, phi_c) by quadratic interpolation in c."""
-        w, _ = self._coeffs(c)
-        st = self._stack
-        return (w @ st["n"], w @ st["u"], w @ st["phi"])
+        return tuple(np.tensordot(self._weights(c), self._fields, 1))
 
-    def _dweights(self, c):
-        _, s = self._coeffs(c)
-        return np.array([(2 * s - 1) / 2, -2 * s, (2 * s + 1) / 2]) / DC
-
-    def kernel_vectors(self, c):
-        w, _ = self._coeffs(c)
-        dw = self._dweights(c)
-        st = self._stack
-        return kernel_vectors(w @ st["n"], w @ st["u"], w @ st["dn"], w @ st["du"],
-                              np.array([dw @ st["n"], dw @ st["u"]]), dw @ self._cum,
-                              self.grid)
+    def eta(self, c):
+        """(eta1, eta2) by the same interpolation in c."""
+        return tuple(np.tensordot(self._weights(c), self._eta, 1))
 
 
 @dataclass
@@ -136,8 +129,8 @@ def decompose(state, ctx, weights, c_guess=None, D_guess=None):
         """(residuals, the state translated by -D, V)."""
         W = translate(U, -D, grid)
         V = W - np.array(ctx.fields(c)[:2])
-        kv = ctx.kernel_vectors(c)
-        return np.array([inner(V, zeta_B * kv.eta1, grid), inner(V, kv.eta2, grid)]), W, V
+        eta1, eta2 = ctx.eta(c)
+        return np.array([inner(V, zeta_B * eta1, grid), inner(V, eta2, grid)]), W, V
 
     D, c = float(D_guess), float(c_guess)
     hD, hc = 1e-7, 1e-7

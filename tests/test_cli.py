@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epsoliton import cli
+from epsoliton import cli, dynamics
 
 
 # ------------------------------------------------------------------- config
@@ -242,11 +242,30 @@ def test_unresolved_profile_on_the_default_grid_exits_2(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("sub", ["profile", "evans", "evolve", "linear"])
+def _no_flow(*args, **kwargs):
+    raise AssertionError("the nonlinear flow started")
+
+
+def test_unresolved_profile_stops_stability_before_the_flow(tmp_path, capsys,
+                                                            monkeypatch):
+    # stability's default grid (L_FACTOR 80) at eps = 0.15 has N = 16384 and
+    # a nodal Poisson residual of 7.3e-6, above the bound
+    monkeypatch.setattr(dynamics, "evolve", _no_flow)
+    out = tmp_path / "run"
+    assert cli.run(["stability", "--out", str(out), "--eps", "0.15"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "Traceback" not in err
+    assert "eps = 0.15" in err and "N = 16384" in err and "Poisson residual" in err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("sub", ["profile", "evans", "evolve", "linear", "stability"])
 def test_default_grid_residual_bound_covers_each_profile_subcommand(
         tmp_path, capsys, monkeypatch, sub):
-    # the eps = 0.1 profile's residual (4.7e-10) set against a bound below it
+    # the eps = 0.1 profile's residual (4.7e-10) set against a bound below
+    # it; the failure comes before any nonlinear flow
     monkeypatch.setattr(cli, "_RESIDUAL_MAX", 1e-12)
+    monkeypatch.setattr(dynamics, "evolve", _no_flow)
     assert cli.run([sub, "--out", str(tmp_path / "run"), "--eps", "0.1"]) == 2
     assert "Poisson residual" in capsys.readouterr().err
 

@@ -201,6 +201,23 @@ def test_evolve_linear_rejects_bad_times(p05, kv05, lin05, t):
         lin.evolve_linear(kv05.xi1, lin05, t)
 
 
+def test_evolve_linear_flags_growth_when_rho_is_below_the_norm(p05, kv05, lin05):
+    # with rho at half the bound on ||L|| the expansion's premise fails: the
+    # states grow past e^10 times the initial norm, and the trajectory is
+    # flagged and ends at the first save that does (the 4th of 11 here)
+    ctx = _fresh_context(p05, kv05)
+    ctx.rho = 0.5 * lin05.rho
+    g = p05.grid
+    V0 = np.array([1e-3 * np.exp(-(g.x / 4.0) ** 2) * np.cos(g.x), np.zeros(g.N)])
+    t = np.linspace(0.0, 20.0, 11)
+    tr = lin.evolve_linear(V0, ctx, t)
+    assert tr.flagged and 1 < len(tr.t) < len(t)
+    assert np.array_equal(tr.t, t[:len(tr.t)])
+    norms = np.array([np.sqrt(inner(S, S, g)) for S in tr.states])
+    bound = np.exp(10.0) * norms[0]
+    assert norms[-1] > bound and np.all(norms[:-1] <= bound)
+
+
 def test_save_times_on_the_benchmark_lattice(lin05):
     # the benchmark's linear input (eps = 0.05 on Grid(40/sqrt(0.05), 512),
     # T = wrap_time), whose times perfbench/ref/linear.json records

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from epsoliton.grid import antiderivative, default_grid, inner, translate
+from epsoliton.grid import default_grid, inner, translate
 from epsoliton import dynamics as dyn
 from epsoliton import modulation as mod
 from epsoliton import profile as prof
@@ -13,12 +13,6 @@ def ctx10(p10):
 
 
 # --------------------------------------------------------- kernel vectors
-
-def _kernel_vectors(p):
-    xi2, _ = prof.profile_c_derivative(p)
-    return mod.kernel_vectors(p.n, p.u, p.dn, p.du, xi2, antiderivative(xi2, p.grid),
-                              p.grid)
-
 
 def test_biorthogonality(p10, kv10):
     g = p10.grid
@@ -54,13 +48,34 @@ def test_theta_kdv_scaling():
     # 3 (c2/c1) eps/4: at eps = 0.04 the band (0.375, 0.625) admits
     # |c2/c1| up to 8.  A wrong limit exponent leaves the gaps equal.
     eps = (0.04, 0.02, 0.01)
-    kvs = [_kernel_vectors(prof.profile_from_eps(e, 1.0, default_grid(e)))
+    kvs = [mod.kernel_vectors(prof.profile_from_eps(e, 1.0, default_grid(e)))[0]
            for e in eps]
     for name, limit in (("theta3", -0.5), ("theta2", -2.0)):
         theta = np.array([getattr(kv, name) for kv in kvs])
         assert np.all(theta > 0)
         gap = -np.diff(np.log(theta)) / np.log(2.0) - limit
         assert 0.375 < gap[1] / gap[0] < 0.625, (name, gap)
+
+
+# ------------------------------------------------------------ family eta
+
+def test_family_eta_at_base_speed_is_the_profiles_own(p10, ctx10):
+    # the quadratic weights at c0 are (0, 1, 0): the family returns the base
+    # profile's exact eta
+    kv, _ = mod.kernel_vectors(p10)
+    eta1, eta2 = ctx10.eta(p10.c)
+    assert np.array_equal(eta1, kv.eta1) and np.array_equal(eta2, kv.eta2)
+
+
+@pytest.mark.parametrize("s", [-1.0, -0.5, 0.5, 1.0])
+def test_family_eta_against_fresh_builds(p10, ctx10, s):
+    # at the family's nodes c0 +- DC its eta is a fresh build's to roundoff;
+    # halfway between, the quadratic misses by 8.1e-7 of max|eta| at eps = 0.1
+    c = p10.c + s * mod.DC
+    kv, _ = mod.kernel_vectors(prof.build_profile(c, p10.K, p10.grid))
+    for got, want in zip(ctx10.eta(c), (kv.eta1, kv.eta2)):
+        tol = 1e-12 if abs(s) == 1.0 else 5e-6 * np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= tol
 
 
 # -------------------------------------------------------------- decompose
@@ -81,9 +96,9 @@ def test_decompose_orthogonality_residuals(p10, ctx10, w10, rng):
     pert = 1e-4 * np.exp(-(g.x / 7.0) ** 2) * np.cos(0.3 * g.x)
     s = dyn.State(0.0, p10.n + pert, p10.u - 0.5 * pert)
     c, D, V, V_phi, rep = mod.decompose(s, ctx10, w10)
-    kv = ctx10.kernel_vectors(c)
-    r1 = inner(V, w10.zeta_B * kv.eta1, g)
-    r2 = inner(V, kv.eta2, g)
+    eta1, eta2 = ctx10.eta(c)
+    r1 = inner(V, w10.zeta_B * eta1, g)
+    r2 = inner(V, eta2, g)
     assert abs(r1) < 1e-10 and abs(r2) < 1e-10
 
 
@@ -123,9 +138,8 @@ def test_newton_jacobian_near_identity(p10, ctx10, w10):
 
     def F(D, c):
         V = translate(U, -D, g) - np.array(ctx10.fields(c)[:2])
-        kv = ctx10.kernel_vectors(c)
-        return np.array([inner(V, w10.zeta_B * kv.eta1, g),
-                         inner(V, kv.eta2, g)])
+        eta1, eta2 = ctx10.eta(c)
+        return np.array([inner(V, w10.zeta_B * eta1, g), inner(V, eta2, g)])
 
     r0 = F(0.0, p10.c)
     J = np.column_stack([(F(h, p10.c) - r0) / h, (F(0.0, p10.c + h) - r0) / h])
