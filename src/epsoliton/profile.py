@@ -7,9 +7,9 @@ The wave S_c = (n_c, u_c, phi_c) with supersonic speed c > V = sqrt(1+K) solves
 which reduces (with decay at infinity) to u = c n/(1+n), phi = H(n, c) and the
 planar Hamiltonian system phi'' = e^phi - 1 - N(phi, c) whose homoclinic orbit is
 computed by quadrature of the first integral (phi')^2/2 = G(phi) (Sagdeev
-pseudopotential), regularized at the turning point by phi = phi* - t^2.  Near
-the peak, G is taken from its Taylor series in the offset -t^2 itself
-(_G_turning), never from phi* - t^2 minus phi*.
+pseudopotential), regularized at the turning point by phi = phi* - t^2.  Its one
+evaluator sagdeev_G takes phi with the offset phi* - phi each caller already
+holds, so near the peak G comes from its Taylor series in t^2 itself.
 """
 
 from __future__ import annotations
@@ -127,62 +127,39 @@ def _invert_H_scalar(phi: float, c: float, K: float, n_star: float) -> float:
     return n
 
 
-def sagdeev_G(phi, c, K, n_star):
-    """G(phi) = int_0^phi (e^s - 1 - N(s,c)) ds at a scalar phi, in closed form
-    via m = N(phi,c):
-
-    G = (e^phi - 1 - phi) - c^2 m^2 / (2 (1+m)^2) + K (m - log(1+m)).
-    """
-    m = _invert_H_scalar(float(phi), c, K, n_star)
-    return (math.expm1(phi) - phi) - 0.5 * c ** 2 * m * m / (1.0 + m) ** 2 \
-        + K * (m - math.log1p(m))
-
-
-def _h_derivs(n, c, K):
-    """h = dH/dn and its first two n-derivatives."""
-    e = 1.0 + n
+def _G_taylor(d, phi0, m0, c, K):
+    """Taylor expansion of G at phi0 + d about a zero phi0 of G (0 or phi*),
+    m0 = N(phi0): cancellation-free, with derivatives via N' = 1/h, h = dH/dn."""
+    e = 1.0 + m0
     h = c ** 2 / e ** 3 - K / e
     hp = -3 * c ** 2 / e ** 4 + K / e ** 2
     hpp = 12 * c ** 2 / e ** 5 - 2 * K / e ** 3
-    return h, hp, hpp
-
-
-def _G_taylor(d, phi0, m0, G0, c, K):
-    """Taylor expansion of the Sagdeev potential G at phi0 + d (m0 = N(phi0)).
-
-    Cancellation-free near G's double/simple zeros: derivatives via N' = 1/h.
-    Takes the offset d itself, so a caller that knows d exactly (the turning
-    point's d = -t^2) never forms phi0 + d only to subtract phi0 again.
-    """
-    h, hp, hpp = _h_derivs(m0, c, K)
     e0 = np.exp(phi0)
     G1 = e0 - 1.0 - m0
     G2 = e0 - 1.0 / h
     G3 = e0 + hp / h ** 3
     G4 = e0 + (hpp * h - 3.0 * hp ** 2) / h ** 5
-    return G0 + d * (G1 + d * (G2 / 2.0 + d * (G3 / 6.0 + d * G4 / 24.0)))
+    return d * (G1 + d * (G2 / 2.0 + d * (G3 / 6.0 + d * G4 / 24.0)))
 
 
-def sagdeev_G_smooth(phi, c, K, n_star, phi_star):
-    """Sagdeev potential evaluated without cancellation noise near its zeros."""
-    if phi < 1e-3:
-        return _G_taylor(phi, 0.0, 0.0, 0.0, c, K)
-    if phi_star - phi < 3e-3 * phi_star:
-        return _G_taylor(phi - phi_star, phi_star, n_star, 0.0, c, K)
-    return sagdeev_G(phi, c, K, n_star)
+def sagdeev_G(phi, t2, c, K, n_star, phi_star):
+    """Sagdeev potential G(phi) = int_0^phi (e^s - 1 - N(s,c)) ds at a scalar phi
+    whose offset from the peak, t2 = phi* - phi, the caller passes as well.
 
+    Near G's zeros it takes the Taylor patch: at 0 for phi < 1e-3, at phi* in
+    the offset -t2 for t2 < 3e-3 phi* (the turning-point march knows t2 exactly,
+    where phi - phi* would lose about log10(phi*/t2) digits).  Elsewhere the
+    closed form via m = N(phi,c):
 
-def _G_turning(t2, c, K, n_star, phi_star):
-    """G(phi* - t2) with the peak patch fed the exact offset -t2.
-
-    Same branches as sagdeev_G_smooth; only the peak patch differs, where
-    forming phi = phi* - t2 and subtracting phi* again would lose about
-    log10(phi*/t2) digits of the offset (1e-4 relative at the x0 seed).
+    G = (e^phi - 1 - phi) - c^2 m^2 / (2 (1+m)^2) + K (m - log(1+m)).
     """
-    phi = phi_star - t2
-    if phi >= 1e-3 and t2 < 3e-3 * phi_star:
-        return _G_taylor(-t2, phi_star, n_star, 0.0, c, K)
-    return sagdeev_G_smooth(phi, c, K, n_star, phi_star)
+    if phi < 1e-3:
+        return _G_taylor(phi, 0.0, 0.0, c, K)
+    if t2 < 3e-3 * phi_star:
+        return _G_taylor(-t2, phi_star, n_star, c, K)
+    m = _invert_H_scalar(float(phi), c, K, n_star)
+    return (math.expm1(phi) - phi) - 0.5 * c ** 2 * m * m / (1.0 + m) ** 2 \
+        + K * (m - math.log1p(m))
 
 
 def mu4_at_zero(c: float, K: float) -> float:
@@ -228,7 +205,7 @@ class ProfileSolution:
 
 def _half_line_values(c, K, xq, n_star, phi_star):
     """phi, n, u and exact derivatives at the points xq >= 0 (sorted ascending)."""
-    Gf = lambda p: sagdeev_G_smooth(p, c, K, n_star, phi_star)
+    Gf = lambda p: sagdeev_G(p, phi_star - p, c, K, n_star, phi_star)
     mu = mu4_at_zero(c, K)
     phi_floor = 1e-9 * phi_star
     phi_mid = 0.5 * phi_star
@@ -250,7 +227,8 @@ def _half_line_values(c, K, xq, n_star, phi_star):
     x0 = np.sqrt(2.0 / gp_star) * t0
 
     def rhs_core(x, t):
-        G = _G_turning(t[0] * t[0], c, K, n_star, phi_star)
+        t2 = t[0] * t[0]
+        G = sagdeev_G(phi_star - t2, t2, c, K, n_star, phi_star)
         return [np.sqrt(2.0 * max(G, 0.0)) / (2.0 * t[0])]
 
     hit_mid = lambda x, t: t[0] - t_mid

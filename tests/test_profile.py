@@ -234,6 +234,23 @@ def test_mu4_kdv_limit():
         assert abs(mu - np.sqrt(2 * V2 * eps)) / mu < 10 * eps
 
 
+@pytest.mark.parametrize("eps", [0.01, 0.05, 0.1, 0.14])
+def test_sagdeev_G_patches_meet_the_closed_form(eps):
+    # at each switch sagdeev_G takes the closed form; the Taylor patch it
+    # leaves must meet it (jumps 3.6e-10 to 6.7e-7, largest at the peak, 0.14)
+    c = V2 + eps
+    n_star, phi_star, _ = prof.peak_state(c, 1.0)
+    G = lambda phi, t2: prof.sagdeev_G(phi, t2, c, 1.0, n_star, phi_star)
+    closed = G(1e-3, phi_star - 1e-3)
+    assert prof._G_taylor(1e-3, 0.0, 0.0, c, 1.0) == pytest.approx(closed, rel=2e-6)
+    t2 = 3e-3 * phi_star
+    closed = G(phi_star - t2, t2)
+    assert prof._G_taylor(-t2, phi_star, n_star, c, 1.0) == pytest.approx(closed, rel=2e-6)
+    # below the switch the peak patch reads the offset passed, not phi - phi*
+    for t2 in phi_star * np.array([1e-12, 1e-6, 1e-4, 2.9e-3]):
+        assert G(phi_star - t2, t2) == prof._G_taylor(-t2, phi_star, n_star, c, 1.0)
+
+
 # ------------------------------------------------------------ properties
 
 @settings(max_examples=30, deadline=None)
