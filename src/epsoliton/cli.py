@@ -253,12 +253,15 @@ def cmd_profile(cfg, out):
     return [f, side], scal, {}
 
 
+_SCAN_RTOL = 1e-9  # the evans scan's march tolerance, and D's relative accuracy on it
+
+
 def cmd_evans(cfg, out):
     p = _profile_of(cfg)
     g = p.grid
     cache = evans.CoefficientCache(p)
     scan = evans.evans_scan(1j * _segment_taus(cfg.segment), p, cache,
-                            closed=False, rtol=1e-9)
+                            closed=False, rtol=_SCAN_RTOL)
     f = out / "evans.csv"
     write_csv(f, ("re_lambda", "im_lambda", "re_D", "im_D", "abs_D"),
               ((z.real, z.imag, d.real, d.imag, abs(d))
@@ -268,7 +271,10 @@ def cmd_evans(cfg, out):
             "abs_D1_at0": abs(D1), "D2_at0_real": D2.real,
             "evans_evaluations": cache.evaluations, "jost_steps": scan.jost_steps,
             "L": g.L, "N": g.N}
-    verd = {"min_abs_D_positive": bool(scan.min_modulus > 0),
+    # |D| is known to about _SCAN_RTOL of its largest value on the scan; a
+    # minimum below that cannot be told from a zero of D
+    verd = {"min_abs_D_positive": bool(
+                scan.min_modulus > _SCAN_RTOL * np.max(np.abs(scan.D))),
             "double_zero_at_origin": bool(
                 abs(D0) < 1e-6 * abs(D2) and abs(D1) < 1e-6 * abs(D2))}
     return [f], scal, verd
@@ -326,14 +332,14 @@ def cmd_linear(cfg, out):
 
 
 def cmd_stability(cfg, out):
-    # the experiment builds its own profile; this one is built first so that
-    # an unresolved wave fails before the flow starts
-    grid = _profile_of(cfg, L_factor=diagnostics.L_FACTOR).grid
+    # the profile is checked before the flow starts, so that an unresolved
+    # wave fails first, and the experiment takes it as its base wave
+    p = _profile_of(cfg, L_factor=diagnostics.L_FACTOR)
     sc = diagnostics.StabilityConfig(
         K=cfg.K, eps=cfg.eps, delta=cfg.delta, shape=cfg.shape,
         T=cfg.T, n_saves=cfg.n_saves, A=cfg.A, B=cfg.B, kappa=cfg.kappa,
-        rho=cfg.rho, grid=grid)
-    rep = diagnostics.stability_experiment(sc)
+        rho=cfg.rho, grid=p.grid)
+    rep = diagnostics.stability_experiment(sc, p)
     f = out / "report.json"
     f.write_text(json.dumps(rep.to_json_dict(), indent=2, default=float) + "\n")
     files = [f]

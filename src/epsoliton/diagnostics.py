@@ -212,10 +212,13 @@ class StabilityReport:
         return d
 
 
-def stability_experiment(config: StabilityConfig) -> StabilityReport:
+def stability_experiment(config: StabilityConfig, profile=None) -> StabilityReport:
+    """The stability experiment on config's grid.  profile, when given, is
+    the base wave at config's (eps, K) on that grid, built already;
+    otherwise it is built here (profile_from_eps)."""
     rep = StabilityReport(config=config)
     g = config.grid
-    p = profile_mod.profile_from_eps(config.eps, config.K, g)
+    p = profile if profile is not None else profile_mod.profile_from_eps(config.eps, config.K, g)
     w = default_weights(config.eps, g, A=config.A, B=config.B,
                         kappa=config.kappa, rho=config.rho)
     dn, du = perturbation(config.shape, config.delta, g)
@@ -232,10 +235,12 @@ def stability_experiment(config: StabilityConfig) -> StabilityReport:
     ctx = modulation.ModulationContext(p)
     track = modulation.track(traj, ctx, w)
     rep.track = track
-    rep.verdicts["decompose_ok"] = not (track.truncated or traj.blown_up
+    rep.verdicts["decompose_ok"] = not (track.error or traj.blown_up
                                         or traj.failure)
+    if track.error:
+        stop = f"modulation tracking failed at t = {track.failed_t:g}: {track.error}"
+        rep.error = f"{rep.error}; {stop}" if rep.error else stop
     if len(track.t) == 0:
-        rep.error = rep.error or "modulation tracking failed at the first snapshot"
         return rep
 
     n_ok = len(track.t)

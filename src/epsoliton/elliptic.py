@@ -14,9 +14,11 @@ FFTs an iteration:
   stalls the iteration is dropped for a cold start, which runs to the
   tolerance or raises RuntimeError;
 * linear solves with  -d^2/dx^2 + e^{phi_c}, the same iteration with
-  e^{phi_c} for e^phi.  A fixed operator applied many times (the linearized
-  flow) is inverted once instead, as a dense Cholesky inverse on grids of up
-  to DENSE_N_MAX points.
+  e^{phi_c} for e^phi.  A fixed operator with an even phi_c applied many
+  times (the linearized flow) is inverted once instead, on grids of up to
+  DENSE_N_MAX points: it commutes with the reflection x -> -x, so its
+  inverse is two dense blocks of about half the size, one on even and one
+  on odd functions (schrodinger_solver).
 
 `solve_schrodinger` takes  -d^2/dx^2 + q  with a q that may be negative,
 where neither iteration contracts: preconditioned MINRES, on every grid.
@@ -25,7 +27,6 @@ where neither iteration contracts: preconditioned MINRES, on every grid.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotri
 
 _POISSON_TOL = 1e-11     # bound on the Poisson residual max |-phi'' + e^phi - 1 - n|
 _LINEAR_RTOL = 1e-13     # residual of a linear solve relative to its right side
@@ -226,36 +227,55 @@ def solve_schrodinger(q, f, grid):
     return w, EllipticSolveReport(iterations=it, residual=res, phi_hat=w_hat)
 
 
-DENSE_N_MAX = 1024  # largest N given a dense inverse (8 MB at 1024)
+DENSE_N_MAX = 1024  # largest N given a dense inverse (two parity blocks, 4 MB at 1024)
+_EVEN_TOL = 1e-12   # max |phi_c(x) - phi_c(-x)| / max(1, max |phi_c|) schrodinger_solver accepts
 
 
 def schrodinger_solver(phi_c, grid):
-    """Return the map f -> (-d^2/dx^2 + e^{phi_c})^{-1} f for a fixed phi_c.
+    """Return the map f -> (-d^2/dx^2 + e^{phi_c})^{-1} f for a fixed, even phi_c.
 
-    For N <= DENSE_N_MAX the operator is a symmetric positive definite
-    matrix: the circulant of the spectral -d^2/dx^2 plus diag(e^{phi_c}).
-    It is inverted once, in place, by a Cholesky factorisation (LAPACK
-    potrf, then potri), and the map is the bound `H.__matmul__` of the
-    read-only inverse H, so each application is one matrix-vector
-    product.  For larger N, where H would take 8 N^2 bytes,
-    the map is `apply_inv_schrodinger`, a fixed-point solve per call.
+    phi_c must be even on the nodes to roundoff, phi_c[j] = phi_c[(N - j) % N]
+    within _EVEN_TOL (the profile is exactly even); ValueError otherwise.  Then
+    H = -d^2/dx^2 + e^{phi_c} commutes with the reflection j -> (N - j) mod N
+    and its inverse splits into two blocks: an even one on the values at
+    j = 0..N/2, of size (N/2 + 1)^2, and an odd one on j = 1..N/2 - 1, of size
+    (N/2 - 1)^2.  For N <= DENSE_N_MAX both blocks, assembled from column 0 of
+    the circulant -d^2/dx^2 and diag(e^{phi_c}), are inverted once
+    (np.linalg.inv), about 4 N^2 bytes (4 MB at N = 1024) against 8 N^2 for the
+    full inverse, and each application folds f into its even and odd halves
+    and takes two half-size matrix-vector products.  For larger N the map is
+    `apply_inv_schrodinger`, a fixed-point solve per call.
     """
     phi_c = np.asarray(phi_c, dtype=float)
-    N = grid.N
+    N, m = grid.N, grid.N // 2
+    mirror = -np.arange(N) % N
+    mirrored = phi_c[mirror]
+    if not np.max(np.abs(phi_c - mirrored)) <= _EVEN_TOL * max(1.0, np.max(np.abs(phi_c))):
+        raise ValueError("schrodinger_solver: phi_c is not even about x = 0")
     if N > DENSE_N_MAX:
         return lambda f: apply_inv_schrodinger(f, phi_c, grid)
-    c = np.fft.irfft(grid.k2, n=N)  # column 0 of -D2; even, so H is symmetric
-    H = np.empty((N, N), order="F")
-    for j in range(N):
-        H[:, j] = np.roll(c, j)
-    H.flat[:: N + 1] += np.exp(phi_c)
-    H, info = dpotrf(H, clean=0, overwrite_a=1)
-    if info == 0:
-        H, info = dpotri(H, overwrite_c=1)
-    if info != 0:
-        raise RuntimeError(f"schrodinger_solver: LAPACK Cholesky inverse failed (info={info})")
-    for j in range(N - 1):  # potri fills the upper triangle; mirror it
-        H[j + 1:, j] = H[j, j + 1:]
-    H.flags.writeable = False
-    return H.__matmul__
+    c = np.fft.irfft(grid.k2, n=N)  # column 0 of -D2, even: H[i, j] = c[(i - j) % N]
+    wgt = np.exp(0.5 * (phi_c + mirrored))
+    i = np.arange(m + 1)[:, None]
+    # H on even g, in g's values at 0..m: columns j and N - j fold onto j
+    even = c[(i - i.T) % N] + c[(i + i.T) % N]
+    even[:, [0, m]] *= 0.5  # j = 0 and j = m are their own mirror images
+    even.flat[:: m + 2] += wgt[: m + 1]
+    # H on odd g (g_0 = g_m = 0), in g's values at 1..m-1
+    i = i[1:m]
+    odd = c[(i - i.T) % N] - c[(i + i.T) % N]
+    odd.flat[:: m] += wgt[1:m]
+    # the halves of f are (f +- f reflected) / 2: the 1/2 is taken into the blocks
+    even_inv, odd_inv = 0.5 * np.linalg.inv(even), 0.5 * np.linalg.inv(odd)
+    fold = mirror[: m + 1]  # 0, N - 1, ..., m
 
+    def solve(f):
+        g = np.empty(N)
+        g[: m + 1] = even_inv @ (f[: m + 1] + f[fold])
+        g[m + 1:] = g[m - 1: 0: -1]
+        g_odd = odd_inv @ (f[1:m] - f[: m: -1])
+        g[1:m] += g_odd
+        g[m + 1:] -= g_odd[::-1]
+        return g
+
+    return solve

@@ -128,7 +128,8 @@ def dispersion_roots(lam, c, K):
     """
     lam = complex(lam)
     if lam.real < -1e-12:
-        raise ValueError("dispersion_roots: lambda in the closed right half-plane only")
+        raise ValueError(f"dispersion_roots: lambda = {lam:.6g} is not in the closed "
+                         "right half-plane")
     if lam.imag < 0.0:
         # the quartic's coefficients are real polynomials in lambda, so the
         # root at conj(lambda) is the conjugate: exactly, not to the root
@@ -140,10 +141,11 @@ def dispersion_roots(lam, c, K):
     tol = 1e-9 * max(1.0, abs(lam))
     s = np.sum(roots) - 2 * c * lam / (c * c - K)
     if abs(s) > tol:
-        raise RuntimeError(f"dispersion_roots: sum rule violated by {abs(s):.2e}")
+        raise RuntimeError(f"dispersion_roots: sum rule violated by {abs(s):.2e} "
+                           f"at lambda = {lam:.6g}")
     first, second = np.argsort(roots.real)[:2]
     if not (roots[first].real < 0 and roots[second].real >= -tol):
-        raise RuntimeError("dispersion_roots: no unique decaying root")
+        raise RuntimeError(f"dispersion_roots: no unique decaying root at lambda = {lam:.6g}")
     return roots[first]
 
 
@@ -283,11 +285,12 @@ def _magnus_exponents(h, A1, A2, lam, mu):
     return omega - mu * h * np.eye(4)
 
 
-def _sweep(E, anchor, steps, backward=False, transpose=False):
+def _sweep(E, anchor, steps, lams, backward=False, transpose=False):
     """`steps` steps of y_{k+1} = E_k y_k forward from the first node, or of
     y_k = E_k y_{k+1} backward from the last; E_k^T in place of E_k if
     transpose.  Batched over lambda: E is (B, M-1, 4, 4) and anchor (B, 4),
-    and each lambda's step is the matrix-vector product of its own march.
+    and each lambda's step is the matrix-vector product of its own march;
+    lams, the B lambdas, name those whose march overflows.
     Returns the values at the nodes reached, in mesh order, (B, steps+1, 4)."""
     if transpose:
         E = np.swapaxes(E, 2, 3)
@@ -297,8 +300,10 @@ def _sweep(E, anchor, steps, backward=False, transpose=False):
     y[0, :, :, 0] = anchor
     for k in range(steps):
         np.matmul(E[:, k], y[k], out=y[k + 1])
-    if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > 1e12:
-        raise RuntimeError("jost marching overflow")
+    bad = ~np.all(np.abs(y) <= 1e12, axis=(0, 2, 3))  # NaN counts
+    if np.any(bad):
+        raise RuntimeError("jost marching overflow at lambda = "
+                           + ", ".join(f"{z:.6g}" for z in lams[bad]))
     return np.swapaxes((y[::-1] if backward else y)[..., 0], 0, 1)
 
 
@@ -340,11 +345,11 @@ def evans(lam, p, cache, rtol=1e-11, return_spread=False):
     cache.evaluations += len(E)
     M, mid = len(mesh) - 1, at[len(at) // 2]
     if return_spread:  # both marches cross the box
-        m1 = _sweep(E, v, M, backward=True)[:, at]
-        n1 = _sweep(E, w, M, transpose=True)[:, at]
+        m1 = _sweep(E, v, M, lams.ravel(), backward=True)[:, at]
+        n1 = _sweep(E, w, M, lams.ravel(), transpose=True)[:, at]
     else:              # each stops at the middle station
-        m1 = _sweep(E, v, M - mid, backward=True)[:, :1]
-        n1 = _sweep(E, w, mid, transpose=True)[:, -1:]
+        m1 = _sweep(E, v, M - mid, lams.ravel(), backward=True)[:, :1]
+        n1 = _sweep(E, w, mid, lams.ravel(), transpose=True)[:, -1:]
     # summed along the contiguous component axis: the order of the additions
     # is then that of a single lambda's
     vals = np.sum(m1 * n1, axis=-1)  # (B, stations read)

@@ -58,12 +58,22 @@ class LinearContext:
         second, -(d/dx)^2 <= H - m with m = min e^{phi_c}, so
         ||d/dx H^{-1} f||^2 <= <H^{-1} f, f> - m ||H^{-1} f||^2 <= ||f||^2 / (4m).
         """
-        p = self.profile
-        a, b, c = p.u - p.c, 1.0 + p.n, p.K / (1.0 + p.n)
+        a, b, c = self.M_rows
         # largest singular value of M = ((a, b), (c, a)) at each node; b, c > 0
         sigma = 0.5 * (np.sqrt(4.0 * a ** 2 + (b - c) ** 2) + b + c)
         k_max = float(np.max(np.abs(self.grid.symbol(1))))
-        return k_max * float(np.max(sigma)) + 0.5 / np.sqrt(float(np.min(np.exp(p.phi))))
+        return k_max * float(np.max(sigma)) + 0.5 / np.sqrt(float(np.min(np.exp(self.profile.phi))))
+
+    @cached_property
+    def M_rows(self):
+        """The rows (u_c - c, 1 + n_c, K/(1 + n_c)) of M = ((a, b), (c, a))."""
+        p = self.profile
+        return p.u - p.c, 1.0 + p.n, p.K / (1.0 + p.n)
+
+    @cached_property
+    def minus_ik(self):
+        """The symbol of -d/dx on the rfft wavenumbers (Nyquist mode zeroed)."""
+        return -self.grid.symbol(1)
 
     def q_trajectory(self, V0, T, n_saves):
         """e^{tL} Q V0 at save_times(self, T, n_saves) and at the last state
@@ -86,13 +96,13 @@ class LinearContext:
 
 
 def apply_Lc(V, ctx):
-    """Apply the linearized operator; one application of ctx.solve per call."""
-    p = ctx.profile
-    Vn, Vu = V[0], V[1]
-    uc = p.u - p.c
-    w = np.array([uc * Vn + (1.0 + p.n) * Vu,
-                  p.K / (1.0 + p.n) * Vn + uc * Vu + ctx.solve(Vn)])
-    return -derivative(w, ctx.grid, order=1)
+    """Apply the linearized operator, L V = -d/dx (M V + (0, H^{-1} V_n)), with
+    M's rows and the symbol of -d/dx taken from ctx and the derivative as one
+    rfft/irfft pair; one application of ctx.solve per call."""
+    a, b, c = ctx.M_rows
+    Vn, Vu = V
+    w = np.array([a * Vn + b * Vu, c * Vn + a * Vu + ctx.solve(Vn)])
+    return np.fft.irfft(ctx.minus_ik * np.fft.rfft(w), n=ctx.grid.N)
 
 
 def apply_Lc_adjoint(W, ctx, dW=None):
@@ -104,12 +114,9 @@ def apply_Lc_adjoint(W, ctx, dW=None):
     up to a non-periodic component (e.g. eta1, whose x-derivative is known
     in closed form) that spectral differentiation would corrupt.
     """
-    p = ctx.profile
+    a, b, c = ctx.M_rows
     dW1, dW2 = derivative(W, ctx.grid, order=1) if dW is None else dW
-    uc = p.u - p.c
-    o1 = uc * dW1 + p.K / (1.0 + p.n) * dW2 + ctx.solve(dW2)
-    o2 = (1.0 + p.n) * dW1 + uc * dW2
-    return np.array([o1, o2])
+    return np.array([a * dW1 + c * dW2 + ctx.solve(dW2), b * dW1 + a * dW2])
 
 
 def project_Q(V, ctx):
@@ -196,10 +203,13 @@ def evolve_linear(V0, ctx, t):
     (U_k = i^k T_k(-iL/rho) V0, T_k the Chebyshev polynomials), cut where
     Kapteyn's bound on |J_k(rho t[-1])| falls below 1e-17: one apply_Lc per
     term, about rho t[-1] of them, whatever the number of times.  The U_k
-    are summed in blocks, each time by its own product, so a state does not
-    depend on which other times the run takes.  A state whose norm exceeds
-    e^10 times the initial one flags spurious growth (the premise of the
-    expansion has failed) and ends the trajectory.
+    are summed in blocks of _BLOCK, all times by one (times x _BLOCK) by
+    (_BLOCK x 2N) matrix product a block.  q_trajectory's shared run relies
+    on a row of that product not depending on the number of rows, so that a
+    state does not depend on which other times the run takes;
+    test_experiments_share_one_linear_run checks this bit for bit.  A state
+    whose norm exceeds e^10 times the initial one flags spurious growth (the
+    premise of the expansion has failed) and ends the trajectory.
     """
     g = ctx.grid
     t = np.array(t, dtype=float)
@@ -212,16 +222,14 @@ def evolve_linear(V0, ctx, t):
     coef = _bessel_table(rho * t, n_terms).T  # (time, term)
     coef[:, 1:] *= 2.0
     V = np.array(V0, dtype=float)
-    out = np.zeros((len(t), 1, V.size))
+    out = np.zeros((len(t), V.size))
     block = np.empty((_BLOCK, V.size))
     U_prev, U = None, V
     for k in range(n_terms + 1):
         block[k % _BLOCK] = U.ravel()
         if k % _BLOCK == _BLOCK - 1 or k == n_terms:
             k0 = k - k % _BLOCK
-            # copied so that each time's coefficients are contiguous, whatever
-            # the number of times: every time takes the same product
-            out += np.matmul(coef[:, None, k0:k + 1].copy(), block[:k - k0 + 1])
+            out += coef[:, k0:k + 1] @ block[:k - k0 + 1]
         if k < n_terms:
             LU = apply_Lc(U, ctx)
             U_prev, U = U, LU / rho if k == 0 else (2.0 / rho) * LU + U_prev

@@ -88,7 +88,8 @@ class ModulationContext:
     def _weights(self, c):
         s = (c - self.c0) / DC
         if abs(s) > 1.5:
-            raise ValueError(f"ModulationContext: c = {c} outside interpolation window")
+            raise ValueError(f"ModulationContext: c = {c:.9g} outside the interpolation "
+                             f"window [{self.c0 - 1.5 * DC:.9g}, {self.c0 + 1.5 * DC:.9g}]")
         return np.array([s * (s - 1) / 2, 1 - s * s, s * (s + 1) / 2])
 
     def fields(self, c):
@@ -178,21 +179,25 @@ class ModulationTrack:
     c: np.ndarray
     D: np.ndarray
     norms: list           # per-snapshot dict from grid.norms
-    truncated: bool = False
     Vs: list = None        # per-snapshot (V_n, V_u, V_phi) in the profile frame
+    failed_t: float = None  # the time of the snapshot decompose failed at
+    error: str = None       # and decompose's message
 
 
 def track(traj, ctx, weights):
-    """Run decompose along a trajectory; c, D (unwrapped) and the norms."""
+    """Run decompose along a trajectory; c, D (unwrapped) and the norms.
+
+    Tracking stops at the first snapshot decompose fails at; the track keeps
+    its time and decompose's message."""
     ts, cs, Ds, nrm, Vs = [], [], [], [], []
     c_g, D_g = None, None
-    truncated = False
+    failed_t, error = None, None
     states = traj.states
     for i, s in enumerate(states):
         try:
             c, D, V, V_phi, _ = decompose(s, ctx, weights, c_guess=c_g, D_guess=D_g)
-        except RuntimeError:
-            truncated = True
+        except RuntimeError as e:
+            failed_t, error = s.t, str(e)
             break
         ts.append(s.t); cs.append(c); Ds.append(D)
         Vs.append(np.array([V[0], V[1], V_phi]))
@@ -202,5 +207,5 @@ def track(traj, ctx, weights):
             # advect the shift guess to the next snapshot time
             D_g = _wrap(D + c * (states[i + 1].t - s.t), ctx.grid)
     Dw = np.unwrap(np.array(Ds), period=2 * ctx.grid.L)
-    return ModulationTrack(np.array(ts), np.array(cs), Dw, nrm,
-                           truncated=truncated, Vs=Vs)
+    return ModulationTrack(np.array(ts), np.array(cs), Dw, nrm, Vs=Vs,
+                           failed_t=failed_t, error=error)

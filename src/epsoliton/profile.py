@@ -210,9 +210,16 @@ def _half_line_values(c, K, xq, n_star, phi_star):
     phi_floor = 1e-9 * phi_star
     phi_mid = 0.5 * phi_star
 
-    # guard: G must be positive on (phi_floor, phi*)
+    # guard: G must be positive on (phi_floor, phi*).  Only its sign is read,
+    # so sagdeev_G's branches are taken at once, the closed form through the
+    # vectorized invert_H
     probe = phi_star * np.linspace(1e-8, 1.0 - 1e-8, 257)
-    Gp = np.array([Gf(p) for p in probe])
+    t2 = phi_star - probe
+    m = invert_H(probe, c, K, n_star)
+    Gp = np.where(probe < 1e-3, _G_taylor(probe, 0.0, 0.0, c, K),
+                  np.where(t2 < 3e-3 * phi_star, _G_taylor(-t2, phi_star, n_star, c, K),
+                           np.expm1(probe) - probe - 0.5 * c ** 2 * m * m / (1.0 + m) ** 2
+                           + K * (m - np.log1p(m))))
     if np.any(Gp <= 0):
         # peak_state found the wave, so this is roundoff (near the KdV limit)
         raise RuntimeError("pseudopotential not single-signed on (0, phi*)")
@@ -278,7 +285,12 @@ def _half_line_values(c, K, xq, n_star, phi_star):
 
     ns = invert_H(phis, c, K, n_star)
     us = c * ns / (1.0 + ns)
-    psis = -np.sqrt(np.maximum(2.0 * np.array([Gf(p) for p in phis]), 0.0))  # phi' < 0, x>0
+    # sagdeev_G at each phi: its Taylor patch at 0 (most points) as one array
+    # call, bit for bit the scalar one; the scalar closed form elsewhere
+    G = _G_taylor(phis, 0.0, 0.0, c, K)
+    closed = phis >= 1e-3
+    G[closed] = [Gf(p) for p in phis[closed]]
+    psis = -np.sqrt(np.maximum(2.0 * G, 0.0))  # phi' < 0, x>0
     psis[phis == 0.0] = 0.0
     h_n = dH_dn(ns, c, K)
     dns = psis / h_n

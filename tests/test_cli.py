@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epsoliton import cli, dynamics
+from epsoliton import cli, dynamics, modulation
+from epsoliton import profile as profile_mod
 
 
 # ------------------------------------------------------------------- config
@@ -429,6 +430,18 @@ def test_evans_happy_path(tmp_path):
     assert man["scalars"]["jost_steps"] == 382
 
 
+def test_evans_segment_through_the_double_zero_is_not_positive(tmp_path):
+    # lambda = 0 is D's double zero: there |D| is roundoff (2.5e-10), far below
+    # the scan's accuracy rtol * max |D|, and the verdict reads false
+    out = tmp_path / "run"
+    assert cli.run(["evans", "--out", str(out), "--eps", "0.1",
+                    "--segment", "0:1:26"]) == 0
+    man = _strict_json(out / "manifest.json")
+    assert man["verdicts"] == {"min_abs_D_positive": False,
+                               "double_zero_at_origin": True}
+    assert 0 < man["scalars"]["min_abs_D"] < 1e-8
+
+
 def _strict_json(path):
     """Parse as JSON proper: NaN and Infinity are not JSON."""
     def reject(token):
@@ -564,10 +577,32 @@ def test_stability_tracking_failure_at_first_snapshot_exits_2(tmp_path, capsys):
                   "--T", "5", "--n_saves", "5"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: modulation tracking failed")
+    # D10: the stop names its t, the speed decompose reached and the window
+    # it left
+    assert err.startswith("numerical failure: modulation tracking failed at t = 0: ")
+    assert "c = 1.51591" in err and "outside the interpolation window [1.51271" in err
     assert [f.name for f in out.iterdir()] == ["report.json"]
     rep = _strict_json(out / "report.json")
-    assert rep["verdicts"] == {"decompose_ok": False} and rep["error"]
+    assert rep["verdicts"] == {"decompose_ok": False}
+    assert f"numerical failure: {rep['error']}\n" == err
+
+
+def test_stability_builds_one_base_profile(tmp_path, monkeypatch):
+    # the profile the CLI checks is the experiment's base wave: three builds,
+    # with the modulation context's two at c0 -+ DC
+    builds = []
+    build = profile_mod.build_profile
+
+    def counted(c, *args):
+        builds.append(c)
+        return build(c, *args)
+
+    monkeypatch.setattr(profile_mod, "build_profile", counted)
+    monkeypatch.setattr(modulation, "build_profile", counted)
+    assert cli.run(["stability", "--out", str(tmp_path / "run"), "--eps", "0.1",
+                    "--L", "60", "--N", "512", "--T", "2", "--n_saves", "3"]) == 0
+    c0 = np.sqrt(2.0) + 0.1
+    assert sorted(builds) == [c0 - modulation.DC, c0, c0 + modulation.DC]
 
 
 # ------------------------------------------------------------------- grids

@@ -276,6 +276,27 @@ def test_stability_experiment_far_data_degrades(grid10):
     assert rep.error is not None
 
 
+def test_stability_experiment_names_a_tracking_stop_midway(grid10, monkeypatch):
+    # a stop after the first snapshot is an error too, naming the snapshot's
+    # t and decompose's message; the snapshots before it are kept
+    from epsoliton import modulation
+    decompose, seen = modulation.decompose, []
+
+    def failing_third(state, *args, **kwargs):
+        seen.append(state.t)
+        if len(seen) == 3:
+            raise RuntimeError("decompose: Newton stagnated")
+        return decompose(state, *args, **kwargs)
+
+    monkeypatch.setattr(modulation, "decompose", failing_third)
+    cfg = dg.StabilityConfig(K=1.0, eps=0.1, delta=1e-3, T=2.0, n_saves=5,
+                             grid=grid10)
+    rep = dg.stability_experiment(cfg)
+    assert len(rep.track.t) == 2 and rep.track.failed_t == seen[2] > 0
+    assert rep.verdicts["decompose_ok"] is False
+    assert rep.to_json_dict()["error"] == (
+        f"modulation tracking failed at t = {seen[2]:g}: decompose: Newton stagnated")
+
 def test_stability_experiment_reports_solver_failure(grid10, fail_poisson_at):
     # the 10th solve is stage 2 of the third step
     fail_poisson_at(10)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -156,8 +158,10 @@ SOLVER_GRIDS = pytest.mark.parametrize("N", [512, 2048], ids=["dense", "krylov"]
 
 def _solver(phi_c, grid):
     solve = ell.schrodinger_solver(phi_c, grid)
-    dense = isinstance(getattr(solve, "__self__", None), np.ndarray)
-    assert dense == (grid.N <= ell.DENSE_N_MAX)
+    with mock.patch.object(ell, "apply_inv_schrodinger",
+                           wraps=ell.apply_inv_schrodinger) as fixed_point:
+        solve(np.cos(grid.x))
+    assert fixed_point.called == (grid.N > ell.DENSE_N_MAX)
     return solve
 
 
@@ -185,12 +189,46 @@ def test_schrodinger_solver_matches_krylov(name, request):
     p = request.getfixturevalue(name)
     g = p.grid
     f = derivative(p.n, g, 1) + np.exp(-(g.x / 3) ** 2) * np.cos(g.x)
+    f_in = f.copy()
     solve = _solver(p.phi, g)
     ref = ell.apply_inv_schrodinger(f, p.phi, g)
-    assert np.max(np.abs(solve(f) - ref)) <= 1e-12 * np.max(np.abs(ref))
-    H = solve.__self__
-    assert np.array_equal(H, H.T)
-    assert not H.flags.writeable
+    out = solve(f)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # the map is fixed: f is left as it was, and a second application
+    # returns the same bits
+    assert np.array_equal(f, f_in) and np.array_equal(solve(f), out)
+    # and symmetric, as H is: <e, H^-1 f> = <H^-1 e, f>
+    e = np.exp(-((g.x - 2.0) / 4) ** 2)
+    assert abs(e @ out - solve(e) @ f) <= 1e-13 * np.max(np.abs(e)) * np.sum(np.abs(out))
+
+
+def _assembled_inverse(phi_c, g):
+    D2 = np.array([np.fft.irfft(-g.k2 * np.fft.rfft(e), n=g.N) for e in np.eye(g.N)]).T
+    return np.linalg.inv(-D2 + np.diag(np.exp(phi_c)))
+
+
+@pytest.mark.parametrize("name", ["p05", "p10"])
+def test_parity_inverse_matches_the_assembled_inverse(name, request):
+    # the even and odd blocks together are the whole inverse of H, on data
+    # of either parity and of none
+    p = request.getfixturevalue(name)
+    g = p.grid
+    assert g.N <= ell.DENSE_N_MAX
+    inv = _assembled_inverse(p.phi, g)
+    solve = ell.schrodinger_solver(p.phi, g)
+    rng = np.random.default_rng(0)
+    for f in (rng.standard_normal(g.N), np.cos(g.x) * np.exp(-(g.x / 3) ** 2),
+              np.sin(g.x) * np.exp(-(g.x / 3) ** 2)):
+        ref = inv @ f
+        assert np.max(np.abs(solve(f) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@SOLVER_GRIDS
+def test_schrodinger_solver_rejects_an_uneven_phi(N):
+    # the parity split needs e^{phi_c} even about x = 0
+    g = Grid(L=20.0, N=N)
+    with pytest.raises(ValueError, match="not even"):
+        ell.schrodinger_solver(np.exp(-(g.x - 1.0) ** 2), g)
 
 
 def test_inv_schrodinger_kernel_decay(g):

@@ -87,8 +87,15 @@ def test_dispersion_small_lambda_asymptotics(p10):
 
 
 def test_dispersion_left_half_plane_rejected(p10):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"lambda = -0\.1\+0j is not in"):
         ev.dispersion_roots(-0.1, p10.c, p10.K)
+
+
+def test_jost_overflow_names_lambda():
+    # of a batch of marches, the error names the lambdas whose march overflowed
+    E = np.stack([np.eye(4), 1e3 * np.eye(4)])[:, None].repeat(8, axis=1)
+    with pytest.raises(RuntimeError, match=r"overflow at lambda = 0\+2j$"):
+        ev._sweep(E, np.ones((2, 4)), 8, np.array([1j, 2j]))
 
 
 @settings(max_examples=30, deadline=None)

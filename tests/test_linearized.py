@@ -149,8 +149,8 @@ def test_evolve_linear_eta2_pairing_conserved(p05, kv05, lin05, rng):
 
 
 def test_evolve_linear_makes_no_krylov_solve(p05, kv05, lin05, rng, monkeypatch):
-    # LinearContext inverts -d^2/dx^2 + e^{phi_c} once (a dense Cholesky
-    # inverse at N = 512); a Krylov solve per application of L took 4.4 of
+    # LinearContext inverts -d^2/dx^2 + e^{phi_c} once (two dense parity
+    # blocks at N = 512); a Krylov solve per application of L took 4.4 of
     # the 5.1 s that the benchmark's linear run spent in evolve_linear
     def krylov(*args, **kwargs):
         raise AssertionError("iterative Schrodinger solve in the linearized flow")

@@ -168,7 +168,7 @@ def test_track_exact_soliton(p05):
     w = default_weights(p05.eps, g)
     traj = dyn.evolve(dyn.State(0.0, p05.n.copy(), p05.u.copy()), 6.0, p05.K, g, n_saves=7)
     tr = mod.track(traj, ctx, w)
-    assert not tr.truncated
+    assert tr.error is None and tr.failed_t is None
     assert np.max(np.abs(np.gradient(tr.D, tr.t) - tr.c)) < 1e-6
     assert np.max(np.abs(np.gradient(tr.c, tr.t))) < 1e-6
     assert len(tr.Vs) == len(tr.t)

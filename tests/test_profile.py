@@ -251,6 +251,25 @@ def test_sagdeev_G_patches_meet_the_closed_form(eps):
         assert G(phi_star - t2, t2) == prof._G_taylor(-t2, phi_star, n_star, c, 1.0)
 
 
+
+@pytest.mark.parametrize("eps, L, N", [(0.1, 40.0 / np.sqrt(0.1), 512),
+                                     (0.05, 40.0 / np.sqrt(0.05), 512),
+                                     (0.1, 80.0 / np.sqrt(0.1), 1024),
+                                     (3e-4, 150.0, 18)])  # phi* < 1e-3: no closed form
+def test_fine_line_is_bit_for_bit_the_scalar_pseudopotential(eps, L, N):
+    # the psi column takes sagdeev_G's Taylor patch at 0 as one array call of
+    # _G_taylor; its rows psi, dn, du on x > 0 are, bit for bit, those of a
+    # sagdeev_G call per point (dn and du feed the Evans coefficients)
+    p = prof.profile_from_eps(eps, 1.0, Grid(L, N))
+    c, K = p.c, p.K
+    n, _, phi, *odd = p.fine[:, prof.FINE * N // 2 + 1:]
+    G = [prof.sagdeev_G(q, p.phi_star - q, c, K, p.n_star, p.phi_star) for q in phi]
+    psi = -np.sqrt(np.maximum(2.0 * np.array(G), 0.0))
+    psi[phi == 0.0] = 0.0
+    dn = psi / prof.dH_dn(n, c, K)
+    assert np.array_equal(np.array(odd), [psi, dn, c * dn / (1.0 + n) ** 2])
+
+
 # ------------------------------------------------------------ properties
 
 @settings(max_examples=30, deadline=None)

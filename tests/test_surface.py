@@ -82,7 +82,8 @@ def _scipy_importers():
     return out
 
 
-def test_only_the_ode_and_lapack_modules_import_scipy():
-    # profile marches its quadrature ODE, evans fits its coefficient spline,
-    # elliptic calls LAPACK; every x-integral elsewhere is spectral (grid)
-    assert _scipy_importers() == {"profile", "evans", "elliptic"}
+def test_only_the_ode_and_spline_modules_import_scipy():
+    # profile marches its quadrature ODE, evans fits its coefficient spline;
+    # every x-integral elsewhere is spectral (grid), and elliptic inverts its
+    # parity blocks with NumPy
+    assert _scipy_importers() == {"profile", "evans"}
