@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, diagnostics, dynamics, evans, linearized, modulation
 from . import profile as profile_mod
-from .grid import default_grid, default_weights
+from .grid import default_weights
 
 
 class ValidationError(Exception):
@@ -208,11 +208,11 @@ def _grid_of(cfg, L_factor=40.0):
     """The grid from --L/--N; default_grid's rule derives whichever is missing.
 
     Rejects (eps, K) for which peak_state finds no solitary-wave peak, also
-    when --L and --N are both given and default_grid does not look.
+    when --L and --N are both given.
     """
     try:
-        profile_mod.peak_state(np.sqrt(1.0 + cfg.K) + cfg.eps, cfg.K)
-        return default_grid(cfg.eps, cfg.K, L=cfg.L, N=cfg.N, L_factor=L_factor)
+        return profile_mod.default_grid(cfg.eps, cfg.K, L=cfg.L, N=cfg.N,
+                                        L_factor=L_factor)
     except ValueError as e:
         raise ValidationError(str(e))
 

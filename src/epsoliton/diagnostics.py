@@ -23,30 +23,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics, modulation, profile as profile_mod
-from .grid import (Grid, default_weights, derivative, inner, integrate, l2norm,
-                   running_integral)
+from .grid import Grid, default_weights, derivative, integrate, running_integral
 
 
 # ----------------------------------------------------------------- virials
 
-def energy_difference(V3, p, e0=None):
-    """Pointwise e(S_c + V) - e(S_c) for V3 = (V_n, V_u, V_phi); e0 is
-    e(S_c) when the caller has it already."""
-    Vn, Vu, Vphi = V3
-    g = p.grid
-    e1 = dynamics.energy_density(p.n + Vn, p.u + Vu, p.phi + Vphi, p.K, g)
-    if e0 is None:
-        e0 = dynamics.energy_density(p.n, p.u, p.phi, p.K, g)
-    return e1 - e0
-
-
-def virial_series(Vs, p, w):
+def virial_series(V, p, w):
     """Series (I1, I2, J) of the virial functionals (weights phi_1, phi_2,
-    psi) over the snapshots Vs, with e(S_c) computed once."""
-    e0 = dynamics.energy_density(p.n, p.u, p.phi, p.K, p.grid)
-    de = [energy_difference(V, p, e0) for V in Vs]
-    return tuple(np.array([float(integrate(weight * d, p.grid)) for d in de])
-                 for weight in (w.phi1, w.phi2, w.psi_weight))
+    psi) over the stack V (S, 3, N) of perturbations (V_n, V_u, V_phi):
+    integrals of the weights times e(S_c + V) - e(S_c)."""
+    g = p.grid
+    de = (dynamics.energy_density(p.n + V[:, 0], p.u + V[:, 1], p.phi + V[:, 2], p.K, g)
+          - dynamics.energy_density(p.n, p.u, p.phi, p.K, g))
+    return tuple(integrate(weight * de, g) for weight in (w.phi1, w.phi2, w.psi_weight))
 
 
 # -------------------------------------------------- modulation-frame series
@@ -68,16 +57,17 @@ class VirialMonitor:
     inconclusive: bool
 
 
-def virial_ratio_monitor(t, Vs, p, w, virials, bundle):
+def virial_ratio_monitor(t, V, p, w, virials, bundle):
     """Fitted constants for the three virial inequalities over trailing time
     windows.  C = max over windows of (integrated LHS)/(integrated RHS);
     'stable' requires two valid windows agreeing within 2x; below five
     snapshots the windows coincide and the monitor is inconclusive.
 
-    virials is virial_series(Vs, p, w) and bundle the norm_bundle_series of
-    the snapshots' norm bundles.  Each side of an inequality is held as its
-    antiderivative in t (a -dI/dt term contributes -I, a norm term its
-    running integral), so a window's integral is an endpoint difference.
+    V is the (S, 3, N) stack of perturbations, virials is
+    virial_series(V, p, w) and bundle the norm_bundle_series of their norm
+    bundles.  Each side of an inequality is held as its antiderivative in t
+    (a -dI/dt term contributes -I, a norm term its running integral), so a
+    window's integral is an endpoint difference.
     """
     g = p.grid
     eps = p.eps
@@ -85,16 +75,17 @@ def virial_ratio_monitor(t, Vs, p, w, virials, bundle):
     I1, I2, J = virials
     ge = np.array(dynamics.gradient_E(p.n, p.u, p.phi, p.K))
     # the cross terms <weight grad e(S_c), V>
-    X1, X2, XJ = (np.array([inner(weight * ge, V[:2], g) for V in Vs])
+    X1, X2, XJ = (integrate((weight * ge * V[:, :2]).sum(axis=1), g)
                   for weight in (w.phi1, w.phi2, w.psi_weight))
 
     S1 = bundle["Sigma1"] ** 2
     S2 = bundle["Sigma2"] ** 2
-    St_full = np.array([
-        l2norm(w.sech_weight * np.array([V[0], V[1], derivative(V[2], g)]), g)
-        for V in Vs]) ** 2
+    # ||(V_n, V_u, V_phi')||^2 and ||V_phi||^2 with the sech weight
+    sech_V = w.sech_weight * V
+    St_phi = integrate(sech_V[:, 2] ** 2, g)
+    sech_V[:, 2] = w.sech_weight * derivative(V[:, 2], g)
+    St_full = integrate(sech_V ** 2, g).sum(axis=1)
     St_V = bundle["Sigma_tilde"] ** 2
-    St_phi = np.array([l2norm(w.sech_weight * V[2], g) for V in Vs]) ** 2
 
     defs = [
         ("Sigma1", S1, (X1 - I1) / eps + running_integral(S2 / (w.B * eps) + St_V, t)),
@@ -107,23 +98,14 @@ def virial_ratio_monitor(t, Vs, p, w, virials, bundle):
     # endpoint terms at desk scale, so the ratios are read off late windows
     # where they converge; windows with nonpositive integrated RHS are skipped
     q = (n - 1) // 4
-    windows = [(i0, n - 1) for i0 in sorted({q, 2 * q, 3 * q})]
+    starts = sorted({q, 2 * q, 3 * q})  # each window ends at the last snapshot
     for name, lhs_sq, rhs_run in defs:
         lhs_run = running_integral(lhs_sq, t)
-        fits, skipped = [], 0
-        for i0, i1 in windows:
-            lhs, rhs = lhs_run[i1] - lhs_run[i0], rhs_run[i1] - rhs_run[i0]
-            if rhs <= 0 or not np.isfinite(rhs):
-                skipped += 1
-                continue
-            fits.append(lhs / rhs)
-        if not fits:
-            monitors.append(VirialMonitor(name, [], 0.0, False, True))
-            continue
-        C = max(fits)
+        sides = [(lhs_run[-1] - lhs_run[i0], rhs_run[-1] - rhs_run[i0]) for i0 in starts]
+        fits = [lhs / rhs for lhs, rhs in sides if rhs > 0 and np.isfinite(rhs)]
         stable = len(fits) >= 2 and max(fits) <= 2.0 * max(min(fits), 1e-300)
-        monitors.append(VirialMonitor(name, fits, float(C), bool(stable),
-                                      skipped == len(windows) or len(windows) < 2))
+        monitors.append(VirialMonitor(name, fits, float(max(fits, default=0.0)), bool(stable),
+                                      not fits or len(starts) < 2))
     return monitors
 
 
@@ -161,12 +143,12 @@ C_TAIL_TOL = 1e-2  # c_converges: spread of c over the last quarter, relative
 @dataclass
 class StabilityConfig:
     grid: Grid                  # the CLI sizes it: default_grid, L = L_FACTOR / sqrt(eps)
-    K: float = 1.0
-    eps: float = 0.1
-    delta: float = 1e-3
-    shape: str = "even"
+    K: float
+    eps: float
+    delta: float
+    shape: str
+    n_saves: int
     T: float = None             # default 200 / sqrt(eps)
-    n_saves: int = 81
     A: float = 100.0
     B: float = 10.0
     kappa: float = 0.1
@@ -243,11 +225,9 @@ def stability_experiment(config: StabilityConfig, profile=None) -> StabilityRepo
     if len(track.t) == 0:
         return rep
 
-    n_ok = len(track.t)
-    Vs = track.Vs
     t = track.t
 
-    rep.I1, rep.I2, rep.J = virial_series(Vs, p, w)
+    rep.I1, rep.I2, rep.J = virial_series(track.V, p, w)
     rep.bundle = norm_bundle_series(track.norms)
     # int e^{-2a<x>} |V|^2 dx per snapshot, and its running time integral
     local = rep.bundle["weighted_local"]
@@ -272,11 +252,11 @@ def stability_experiment(config: StabilityConfig, profile=None) -> StabilityRepo
         rep.verdicts["local_decay"] = True
         rep.verdicts["running_integral_saturates"] = True
 
-    q = track.c[3 * n_ok // 4:]
+    q = track.c[3 * len(t) // 4:]
     rep.c_tail_spread = float((np.max(q) - np.min(q)) / np.mean(q))
     rep.verdicts["c_converges"] = bool(rep.c_tail_spread < C_TAIL_TOL)
 
-    rep.monitors = virial_ratio_monitor(t, Vs, p, w, (rep.I1, rep.I2, rep.J),
+    rep.monitors = virial_ratio_monitor(t, track.V, p, w, (rep.I1, rep.I2, rep.J),
                                         rep.bundle)
     rep.verdicts["virial_constants_ok"] = all(
         np.isfinite(m.C) and m.stable and not m.inconclusive

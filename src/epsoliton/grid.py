@@ -86,46 +86,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-N_MAX = 2 ** 16       # largest N default_grid will choose
-_H_FACTOR = 0.25      # h <= _H_FACTOR / sqrt(eps): four nodes per KdV width at least
-_NYQUIST_TAIL = 1e-7  # profile's Fourier tail exp(-pi d / h) left at the Nyquist wavenumber
-
-
-def default_grid(eps: float, K: float = 1.0, L: float | None = None,
-                 N: int | None = None, L_factor: float = 40.0) -> Grid:
-    """Grid resolving the solitary wave of speed c = sqrt(1+K) + eps.
-
-    L = L_factor/sqrt(eps) holds the exponential tail (width ~ eps^{-1/2}).
-    N is the smallest power of two (at least 16) with h <= 0.25/sqrt(eps)
-    and exp(-pi d / h) <= 1e-7, where d = profile.sonic_branch_distance(c, K):
-    the profile's Fourier coefficients decay like exp(-d |k|), and pi/h is the
-    Nyquist wavenumber.  d shrinks much faster than eps^{-1/2} as eps leaves the
-    KdV limit (d = 4.4 at eps = 0.05, 1.3 at 0.1, 0.17 at 0.15 for K = 1), so
-    N grows with eps.  At K = 1 the built profile's nodal Poisson residual stays
-    below 1e-8 up to eps = 0.138 (4.7e-10 at 0.1, 8.1e-9 at 0.138); nearer the
-    existence edge it grows although the rule is met: 1.6e-8 at eps = 0.14,
-    7.3e-6 at 0.15 and 1.9e-4 at 0.153.  A given L or N is kept and only the
-    missing one is derived.
-
-    Raises ValueError when the rule needs more than N_MAX points, which happens
-    as eps nears the existence edge and the branch point reaches the real axis.
-    """
-    if L is None:
-        L = L_factor / np.sqrt(eps)
-    if N is None:
-        from .profile import sonic_branch_distance
-        d = sonic_branch_distance(np.sqrt(1.0 + K) + eps, K)
-        if d <= 0.0:
-            raise ValueError(f"no solitary-wave peak below the sonic point at eps={eps:g}, "
-                             f"K={K:g}: no grid resolves the profile")
-        h_max = min(_H_FACTOR / np.sqrt(eps), np.pi * d / np.log(1.0 / _NYQUIST_TAIL))
-        N = max(int(2 ** np.ceil(np.log2(2 * L / h_max))), 16)
-        if N > N_MAX:
-            raise ValueError(f"resolving the profile at eps={eps:g}, K={K:g} needs "
-                             f"N={N} > {N_MAX} grid points")
-    return Grid(L=L, N=N)
-
-
 # ---------------------------------------------------------------------------
 # differentiation / quadrature / translation
 

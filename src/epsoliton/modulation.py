@@ -71,9 +71,10 @@ class ModulationContext:
     base speed.
 
     Takes the base profile p (speed c0 = p.c) and builds the profiles at
-    c0 +- DC on its grid.  Their (n, u, phi) and their exact (eta1, eta2)
-    (kernel_vectors) are interpolated quadratically in c with the same
-    weights, so Newton iterations in `decompose` cost only quadratures.
+    c0 +- DC on its grid.  Each wave's (n, u, phi) and exact (eta1, eta2)
+    (kernel_vectors) are held as seven rows of one (3, 7, N) stack, which
+    `wave` interpolates quadratically in c, so Newton iterations in
+    `decompose` cost only quadratures.
     """
 
     def __init__(self, p):
@@ -81,24 +82,18 @@ class ModulationContext:
         self.p0 = p
         family = (build_profile(self.c0 - DC, self.K, self.grid), p,
                   build_profile(self.c0 + DC, self.K, self.grid))
-        self._fields = np.array([[q.n, q.u, q.phi] for q in family])
-        self._eta = np.array([[kv.eta1, kv.eta2]
-                              for kv in (kernel_vectors(q)[0] for q in family)])
+        kvs = [kernel_vectors(q)[0] for q in family]
+        self._waves = np.array([np.vstack([q.n, q.u, q.phi, kv.eta1, kv.eta2])
+                                for q, kv in zip(family, kvs)])
 
-    def _weights(self, c):
+    def wave(self, c):
+        """The rows (n_c, u_c, phi_c, eta1_n, eta1_u, eta2_n, eta2_u) at
+        speed c, a (7, N) array, by quadratic interpolation in c."""
         s = (c - self.c0) / DC
         if abs(s) > 1.5:
             raise ValueError(f"ModulationContext: c = {c:.9g} outside the interpolation "
                              f"window [{self.c0 - 1.5 * DC:.9g}, {self.c0 + 1.5 * DC:.9g}]")
-        return np.array([s * (s - 1) / 2, 1 - s * s, s * (s + 1) / 2])
-
-    def fields(self, c):
-        """(n_c, u_c, phi_c) by quadratic interpolation in c."""
-        return tuple(np.tensordot(self._weights(c), self._fields, 1))
-
-    def eta(self, c):
-        """(eta1, eta2) by the same interpolation in c."""
-        return tuple(np.tensordot(self._weights(c), self._eta, 1))
+        return np.tensordot([s * (s - 1) / 2, 1 - s * s, s * (s + 1) / 2], self._waves, 1)
 
 
 @dataclass
@@ -112,26 +107,26 @@ def decompose(state, ctx, weights, c_guess=None, D_guess=None):
 
     Newton iteration on the two orthogonality conditions with a
     finite-difference 2x2 Jacobian.  Returns (c, D, V, V_phi, report);
-    raises RuntimeError when Newton stagnates or leaves ctx's window.
+    raises RuntimeError when Newton stagnates, meets a singular Jacobian,
+    runs out of iterations (each naming the residual history) or leaves
+    ctx's window.
     """
     grid = ctx.grid
     U = np.array([state.n, state.u])
     if D_guess is None:
         # cross-correlation peak against the base profile
         corr = np.fft.irfft(np.fft.rfft(state.n) * np.conj(np.fft.rfft(ctx.p0.n)), n=grid.N)
-        lag = np.argmax(corr) * grid.h
-        D_guess = _wrap(lag, grid)
+        D_guess = _wrap(np.argmax(corr) * grid.h, grid)
     if c_guess is None:
         c_guess = ctx.c0
 
-    zeta_B = weights.zeta_B
-
     def F(D, c):
-        """(residuals, the state translated by -D, V)."""
+        """(residuals, the state translated by -D, V, ctx.wave(c))."""
         W = translate(U, -D, grid)
-        V = W - np.array(ctx.fields(c)[:2])
-        eta1, eta2 = ctx.eta(c)
-        return np.array([inner(V, zeta_B * eta1, grid), inner(V, eta2, grid)]), W, V
+        wave = ctx.wave(c)
+        V = W - wave[:2]
+        return (np.array([inner(V, weights.zeta_B * wave[3:5], grid), inner(V, wave[5:], grid)]),
+                W, V, wave)
 
     D, c = float(D_guess), float(c_guess)
     hD, hc = 1e-7, 1e-7
@@ -139,33 +134,28 @@ def decompose(state, ctx, weights, c_guess=None, D_guess=None):
     scale = max(np.sqrt(inner(U, U, grid)), 1e-30)
     try:
         for _ in range(_MAXITER):
-            r, W, V = F(D, c)
-            res = float(np.max(np.abs(r))) / scale
-            history.append(res)
-            if res < _TOL:
+            r, W, V, wave = F(D, c)
+            history.append(float(np.max(np.abs(r))) / scale)
+            if history[-1] < _TOL:
                 break
-            rD, _, _ = F(D + hD, c)
-            rc, _, _ = F(D, c + hc)
-            J = np.column_stack([(rD - r) / hD, (rc - r) / hc])
+            if len(history) > 4 and history[-1] > 0.5 * history[-4]:
+                raise RuntimeError(f"decompose: Newton stagnated, residual history {history}")
+            J = np.column_stack([(F(D + hD, c)[0] - r) / hD, (F(D, c + hc)[0] - r) / hc])
             try:
                 step = np.linalg.solve(J, r)
             except np.linalg.LinAlgError:
-                break
+                raise RuntimeError(f"decompose: singular Newton Jacobian, residual "
+                                   f"history {history}") from None
             D, c = D - step[0], c - step[1]
-            if len(history) > 4 and history[-1] > 0.5 * history[-4]:
-                break  # stagnation
-        if not res < _TOL:  # (D, c) moved since the last evaluation
-            r, W, V = F(D, c)
+        else:
+            raise RuntimeError(f"decompose: no convergence in {_MAXITER} Newton "
+                               f"iterations, residual history {history}")
     except ValueError as e:
         # Newton left the context's interpolation window: a tracking failure
         raise RuntimeError(f"decompose: {e}") from e
-    res = float(np.max(np.abs(r))) / scale
-    if not res < _TOL:
-        raise RuntimeError(f"decompose: Newton stagnated, residual history {history}")
     # electric-potential component of the perturbation
     phi_full, _ = solve_poisson(W[0], grid)
-    V_phi = phi_full - ctx.fields(c)[2]
-    return c, D, V, V_phi, DecomposeReport(len(history), res)
+    return c, D, V, phi_full - wave[2], DecomposeReport(len(history), history[-1])
 
 
 def _wrap(D, grid):
@@ -178,34 +168,36 @@ class ModulationTrack:
     t: np.ndarray
     c: np.ndarray
     D: np.ndarray
-    norms: list           # per-snapshot dict from grid.norms
-    Vs: list = None        # per-snapshot (V_n, V_u, V_phi) in the profile frame
+    V: np.ndarray           # (S, 3, N): (V_n, V_u, V_phi) per snapshot, profile frame
+    norms: list             # per-snapshot dict from grid.norms
     failed_t: float = None  # the time of the snapshot decompose failed at
     error: str = None       # and decompose's message
 
 
 def track(traj, ctx, weights):
-    """Run decompose along a trajectory; c, D (unwrapped) and the norms.
+    """Run decompose along a trajectory; c, D (unwrapped), V and the norms.
 
     Tracking stops at the first snapshot decompose fails at; the track keeps
     its time and decompose's message."""
-    ts, cs, Ds, nrm, Vs = [], [], [], [], []
+    states = traj.states
+    V = np.empty((len(states), 3, ctx.grid.N))
+    cs, Ds, nrm = [], [], []
     c_g, D_g = None, None
     failed_t, error = None, None
-    states = traj.states
     for i, s in enumerate(states):
         try:
-            c, D, V, V_phi, _ = decompose(s, ctx, weights, c_guess=c_g, D_guess=D_g)
+            c, D, Vnu, V_phi, _ = decompose(s, ctx, weights, c_guess=c_g, D_guess=D_g)
         except RuntimeError as e:
             failed_t, error = s.t, str(e)
             break
-        ts.append(s.t); cs.append(c); Ds.append(D)
-        Vs.append(np.array([V[0], V[1], V_phi]))
-        nrm.append(norms(Vs[-1], weights))
+        cs.append(c); Ds.append(D)
+        V[i, :2], V[i, 2] = Vnu, V_phi
+        nrm.append(norms(V[i], weights))
         c_g = c
         if i + 1 < len(states):
             # advect the shift guess to the next snapshot time
             D_g = _wrap(D + c * (states[i + 1].t - s.t), ctx.grid)
+    S = len(cs)
     Dw = np.unwrap(np.array(Ds), period=2 * ctx.grid.L)
-    return ModulationTrack(np.array(ts), np.array(cs), Dw, nrm, Vs=Vs,
-                           failed_t=failed_t, error=error)
+    return ModulationTrack(np.array([s.t for s in states[:S]]), np.array(cs), Dw,
+                           V[:S], nrm, failed_t=failed_t, error=error)

@@ -4,8 +4,9 @@ caches) are built once per session and shared read-only."""
 import numpy as np
 import pytest
 
-from epsoliton.grid import default_grid, default_weights
+from epsoliton.grid import default_weights
 from epsoliton import profile as prof
+from epsoliton.profile import default_grid
 
 
 @pytest.fixture(scope="session")

@@ -118,9 +118,12 @@ def test_nonpositive_T_L_rho_exit_1(tmp_path, capsys, argv, key):
     (["linear", "--A", "nan"], "A must be finite"),
     (["linear", "--kappa", "nan"], "kappa must be finite"),
     (["evolve", "--delta", "nan", "--eps", "0.1", "--T", "1"], "delta must be finite"),
-    (["evolve", "--T", "inf"], "T must be finite")],
+    (["evolve", "--T", "inf"], "T must be finite"),
+    (["linear", "--B", "1"], "B must exceed 1"),
+    (["evolve", "--delta=-1e-3"], "delta must be nonnegative"),
+    (["evolve", "--n_saves", "1"], "n_saves must be at least 2")],
     ids=["N-abc", "eps-abc", "n_saves-2.5", "B-nan", "K-nan", "eps-nan", "A-nan",
-         "kappa-nan", "delta-nan", "T-inf"])
+         "kappa-nan", "delta-nan", "T-inf", "B-1", "delta-negative", "n_saves-1"])
 def test_malformed_or_nan_flag_exit_1(tmp_path, capsys, argv, message):
     out = tmp_path / "r"
     rc = cli.run(argv + ["--out", str(out)])
@@ -530,6 +533,27 @@ def test_evolve_conserves_the_perturbed_wave(tmp_path):
     assert sc["rel_dM"] < 1e-10 and sc["rel_dE"] < 1e-10
 
 
+def test_evolve_blow_up_exits_2(tmp_path, capsys):
+    # a velocity kick of amplitude 2000 empties the density within the first
+    # step: evolve's check after the step stops the flow, and the run exits 2
+    rc = cli.run(["evolve", "--out", str(tmp_path / "run"), "--eps", "0.1", "--L", "40",
+                  "--N", "256", "--T", "2", "--delta", "2000", "--shape", "kick"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: blow-up at t = 0.000187")
+    assert "Traceback" not in err
+
+
+def test_evolve_solver_failure_exits_2(tmp_path, fail_poisson_at, capsys):
+    fail_poisson_at(6)
+    rc = cli.run(["evolve", "--out", str(tmp_path / "run"), "--eps", "0.1",
+                  "--L", "60", "--N", "512", "--T", "2", "--n_saves", "3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: time stepping failed at RK4 stage 2")
+    assert "blow-up" not in err
+
+
 FLOW_SCALARS = {"poisson_solves", "poisson_iterations", "poisson_fallbacks",
                 "poisson_residual_max", "rk4_steps", "frame_speed"}
 
@@ -612,8 +636,7 @@ def _cfg(**overrides):
 
 
 def test_partial_grid_override_follows_default_rule():
-    from epsoliton.grid import default_grid
-    full = default_grid(0.1)
+    full = profile_mod.default_grid(0.1)
     only_L = cli._grid_of(_cfg(L=full.L))
     assert (only_L.L, only_L.N) == (full.L, full.N)
     only_N = cli._grid_of(_cfg(N=256))

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from epsoliton import diagnostics as dg, elliptic
+from epsoliton import diagnostics as dg, dynamics, elliptic
 from epsoliton.grid import Grid, integrate, norms, running_integral
 
 
@@ -16,14 +16,20 @@ def _test_V(p, scale=1e-3):
 
 # ------------------------------------------------------------------ virials
 
+def _energy_difference(V, p):
+    # pointwise e(S_c + V) - e(S_c) of one perturbation V = (V_n, V_u, V_phi)
+    return (dynamics.energy_density(p.n + V[0], p.u + V[1], p.phi + V[2], p.K, p.grid)
+            - dynamics.energy_density(p.n, p.u, p.phi, p.K, p.grid))
+
+
 def test_energy_difference_zero(p10):
     V = np.zeros((3, p10.grid.N))
-    assert np.max(np.abs(dg.energy_difference(V, p10))) == 0.0
+    assert np.max(np.abs(_energy_difference(V, p10))) == 0.0
 
 
 def test_virial_I_zero_and_invalid(p10, w10):
-    V = np.zeros((3, p10.grid.N))
-    assert [list(f) for f in dg.virial_series([V, V], p10, w10)] == [[0.0, 0.0]] * 3
+    V = np.zeros((2, 3, p10.grid.N))
+    assert [list(f) for f in dg.virial_series(V, p10, w10)] == [[0.0, 0.0]] * 3
 
 
 def test_virial_I_parity(p10, w10):
@@ -31,9 +37,9 @@ def test_virial_I_parity(p10, w10):
     x = p10.grid.x
     Vn = 1e-3 * np.exp(-x ** 2 / 20)
     V = np.array([Vn, 0.5 * Vn, 0.2 * Vn])
-    ref = float(integrate(np.abs(w10.phi1 * dg.energy_difference(V, p10)),
+    ref = float(integrate(np.abs(w10.phi1 * _energy_difference(V, p10)),
                           p10.grid))
-    I1, I2, _ = dg.virial_series([V], p10, w10)
+    I1, I2, _ = dg.virial_series(V[None], p10, w10)
     assert abs(I1[0]) < 1e-10 * ref
     assert abs(I2[0]) < 1e-10 * ref
 
@@ -41,9 +47,20 @@ def test_virial_I_parity(p10, w10):
 def test_virial_J_bound(p10, w10):
     V = _test_V(p10)
     bound = np.max(np.abs(w10.psi_weight)) * float(
-        integrate(np.abs(dg.energy_difference(V, p10)), p10.grid))
-    _, _, J = dg.virial_series([V], p10, w10)
+        integrate(np.abs(_energy_difference(V, p10)), p10.grid))
+    _, _, J = dg.virial_series(V[None], p10, w10)
     assert abs(J[0]) <= bound + 1e-16
+
+
+def test_virial_series_over_the_stack_is_each_snapshots_integral(p10, w10):
+    # one energy density over the whole stack gives, bit for bit, each
+    # snapshot's own integral of the weight times e(S_c + V) - e(S_c)
+    V = _test_V(p10)
+    stack = np.array([V, 0.5 * V, -2.0 * V])
+    series = dg.virial_series(stack, p10, w10)
+    for weight, got in zip((w10.phi1, w10.phi2, w10.psi_weight), series):
+        want = [integrate(weight * _energy_difference(v, p10), p10.grid) for v in stack]
+        assert np.array_equal(got, want)
 
 
 # -------------------------------------------------------------- local decay
@@ -71,13 +88,13 @@ def test_local_decay_zero_and_homogeneous(p10, w10):
 def test_local_series_match_direct_formula(grid10):
     # the stability experiment reads the local series off the norm bundles;
     # it must equal, bit for bit, the direct sum it used to recompute
-    cfg = dg.StabilityConfig(K=1.0, eps=0.1, delta=1e-3, T=2.0, n_saves=5,
+    cfg = dg.StabilityConfig(K=1.0, eps=0.1, delta=1e-3, shape="even", T=2.0, n_saves=5,
                              grid=grid10)
     rep = dg.stability_experiment(cfg)
     g, a = grid10, cfg.rho * np.sqrt(cfg.eps)    # default_weights' a_rate
     wloc = np.exp(-2.0 * a * np.sqrt(1.0 + g.x ** 2))
     series = np.array([float(integrate(wloc * (np.abs(V) ** 2).sum(axis=0), g))
-                       for V in rep.track.Vs])
+                       for V in rep.track.V])
     running = np.concatenate([[0.0], np.cumsum(
         (series[1:] + series[:-1]) / 2 * np.diff(rep.track.t))])
     assert len(series) == 5
@@ -92,9 +109,9 @@ def test_virial_monitor_sign_convention(p10, w10):
     # ||V||_Sigma1 = 1, so every window of the Sigma1 inequality reads C = 1
     t = np.linspace(0.0, 8.0, 9)
     zero = np.zeros(len(t))
-    Vs = [np.zeros((3, p10.grid.N)) for _ in t]
+    V = np.zeros((len(t), 3, p10.grid.N))
     bundle = {"Sigma1": np.ones(len(t)), "Sigma2": zero, "Sigma_tilde": zero}
-    monitors = dg.virial_ratio_monitor(t, Vs, p10, w10, (-p10.eps * t, zero, zero),
+    monitors = dg.virial_ratio_monitor(t, V, p10, w10, (-p10.eps * t, zero, zero),
                                        bundle)
     s1 = monitors[0]
     assert s1.name == "Sigma1" and len(s1.C_fits) == 3
@@ -109,9 +126,9 @@ def test_virial_monitor_below_five_snapshots_is_inconclusive(p10, w10, n):
     # "two windows agree within 2x" always held
     t = np.linspace(0.0, 8.0, n)
     zero = np.zeros(n)
-    Vs = [np.zeros((3, p10.grid.N)) for _ in t]
+    V = np.zeros((n, 3, p10.grid.N))
     bundle = {"Sigma1": np.ones(n), "Sigma2": zero, "Sigma_tilde": zero}
-    monitors = dg.virial_ratio_monitor(t, Vs, p10, w10, (-p10.eps * t, zero, zero),
+    monitors = dg.virial_ratio_monitor(t, V, p10, w10, (-p10.eps * t, zero, zero),
                                        bundle)
     for m in monitors:
         assert len(m.C_fits) <= 1 and not m.stable and m.inconclusive
@@ -139,7 +156,7 @@ def test_window_ratio_trapezoid_order():
 def test_virial_ratio_monitor_shapes(p10, w10):
     t = np.linspace(0.0, 8.0, 9)
     V = _test_V(p10)
-    Vs = [np.exp(-0.3 * tt) * V for tt in t]
+    Vs = np.exp(-0.3 * t)[:, None, None] * V
     bundle = dg.norm_bundle_series([norms(V, w10) for V in Vs])
     monitors = dg.virial_ratio_monitor(t, Vs, p10, w10,
                                        dg.virial_series(Vs, p10, w10), bundle)
@@ -177,14 +194,16 @@ def test_perturbation_shapes(grid10):
 
 def test_stability_config_validation():
     g = Grid(10.0, 16)
-    with pytest.raises(ValueError):
-        dg.StabilityConfig(grid=g, K=-1.0)
-    with pytest.raises(ValueError):
-        dg.StabilityConfig(grid=g, eps=0.0)
-    with pytest.raises(ValueError):
-        dg.StabilityConfig(grid=g, delta=-1e-3)
-    cfg = dg.StabilityConfig(grid=g, eps=0.04)
+    given = dict(grid=g, K=1.0, eps=0.1, delta=1e-3, shape="even", n_saves=5)
+    for bad in ({"K": -1.0}, {"eps": 0.0}, {"delta": -1e-3}):
+        with pytest.raises(ValueError):
+            dg.StabilityConfig(**{**given, **bad})
+    cfg = dg.StabilityConfig(**{**given, "eps": 0.04})
     assert abs(cfg.T - 1000.0) < 1e-12
+    # the settings every caller passes have no defaults to disagree with the CLI's
+    for key in ("K", "eps", "delta", "shape", "n_saves"):
+        with pytest.raises(TypeError):
+            dg.StabilityConfig(**{k: v for k, v in given.items() if k != key})
 
 
 def test_stability_experiment_unperturbed_trivial(grid10, monkeypatch):
@@ -207,7 +226,7 @@ def test_stability_experiment_unperturbed_trivial(grid10, monkeypatch):
     monkeypatch.setattr(modulation, "build_profile", counted_build)
     monkeypatch.setattr(prof, "profile_from_eps", keep("profile", prof.profile_from_eps))
     monkeypatch.setattr(modulation, "track", keep("track", modulation.track))
-    cfg = dg.StabilityConfig(K=1.0, eps=0.1, delta=0.0, T=2.0, n_saves=3,
+    cfg = dg.StabilityConfig(K=1.0, eps=0.1, delta=0.0, shape="even", T=2.0, n_saves=3,
                              grid=grid10)
     rep = dg.stability_experiment(cfg)
     # the base profile, then c0 -+ dc for the modulation context, which
@@ -228,7 +247,8 @@ def test_stability_experiment_unperturbed_trivial(grid10, monkeypatch):
 
 def test_stability_experiment_computes_each_series_once(grid10, monkeypatch):
     # one norm bundle per snapshot (shared by the track, the bundle series and
-    # the virial monitor), and e(S_c) once for all the virial functionals
+    # the virial monitor), and two energy densities for all the virial
+    # functionals: e(S_c + V) over the whole stack of snapshots, and e(S_c)
     from epsoliton import dynamics, grid, modulation
     norm_calls, energy_calls = [], []
     bundle, energy = grid.norms, dynamics.energy_density
@@ -244,13 +264,13 @@ def test_stability_experiment_computes_each_series_once(grid10, monkeypatch):
     for mod in (grid, modulation):
         monkeypatch.setattr(mod, "norms", counted_norms)
     monkeypatch.setattr(dynamics, "energy_density", counted_energy)
-    cfg = dg.StabilityConfig(K=1.0, eps=0.1, delta=1e-3, T=2.0, n_saves=5,
+    cfg = dg.StabilityConfig(K=1.0, eps=0.1, delta=1e-3, shape="even", T=2.0, n_saves=5,
                              grid=grid10)
     rep = dg.stability_experiment(cfg)
     n = len(rep.track.t)
     assert n == 5 and rep.verdicts["decompose_ok"]
     assert len(norm_calls) == n
-    assert len(energy_calls) == n + 1
+    assert len(energy_calls) == 2
     assert len(rep.bundle["Sigma1"]) == n and len(rep.I1) == n
 
 
@@ -258,7 +278,7 @@ def test_stability_experiment_computes_each_series_once(grid10, monkeypatch):
 def test_stability_verdicts_below_five_saves(n_saves):
     # one virial window is no evidence, and with fewer than four snapshots
     # the running integral has no quarter increments to compare
-    cfg = dg.StabilityConfig(K=1.0, eps=0.1, delta=1e-3, T=5.0, n_saves=n_saves,
+    cfg = dg.StabilityConfig(K=1.0, eps=0.1, delta=1e-3, shape="even", T=5.0, n_saves=n_saves,
                              grid=Grid(40.0 / np.sqrt(0.1), 512))
     rep = dg.stability_experiment(cfg)
     assert rep.verdicts["decompose_ok"]
@@ -269,11 +289,13 @@ def test_stability_verdicts_below_five_saves(n_saves):
 
 
 def test_stability_experiment_far_data_degrades(grid10):
-    cfg = dg.StabilityConfig(K=1.0, eps=0.1, delta=0.5, T=1.0, n_saves=2,
+    cfg = dg.StabilityConfig(K=1.0, eps=0.1, delta=0.5, shape="even", T=1.0, n_saves=2,
                              grid=grid10)
     rep = dg.stability_experiment(cfg)
     assert rep.verdicts["decompose_ok"] is False
     assert rep.error is not None
+    # tracking stopped at the first snapshot: an empty stack of perturbations
+    assert rep.track.V.shape == (0, 3, grid10.N)
 
 
 def test_stability_experiment_names_a_tracking_stop_midway(grid10, monkeypatch):
@@ -289,7 +311,7 @@ def test_stability_experiment_names_a_tracking_stop_midway(grid10, monkeypatch):
         return decompose(state, *args, **kwargs)
 
     monkeypatch.setattr(modulation, "decompose", failing_third)
-    cfg = dg.StabilityConfig(K=1.0, eps=0.1, delta=1e-3, T=2.0, n_saves=5,
+    cfg = dg.StabilityConfig(K=1.0, eps=0.1, delta=1e-3, shape="even", T=2.0, n_saves=5,
                              grid=grid10)
     rep = dg.stability_experiment(cfg)
     assert len(rep.track.t) == 2 and rep.track.failed_t == seen[2] > 0
@@ -300,7 +322,7 @@ def test_stability_experiment_names_a_tracking_stop_midway(grid10, monkeypatch):
 def test_stability_experiment_reports_solver_failure(grid10, fail_poisson_at):
     # the 10th solve is stage 2 of the third step
     fail_poisson_at(10)
-    cfg = dg.StabilityConfig(K=1.0, eps=0.1, delta=1e-3, T=2.0, n_saves=3,
+    cfg = dg.StabilityConfig(K=1.0, eps=0.1, delta=1e-3, shape="even", T=2.0, n_saves=3,
                              grid=grid10)
     rep = dg.stability_experiment(cfg)
     assert not rep.blown_up and rep.blowup_time is None

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from epsoliton import evans as ev
 from epsoliton import profile as prof
-from epsoliton.grid import default_grid, derivative
+from epsoliton.grid import derivative
+from epsoliton.profile import default_grid
 
 
 # -------------------------------------------------------- coefficient matrix

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epsoliton.grid import (Grid, antiderivative, default_grid, derivative, integrate,
-                            inner, l2norm, translate, zeta, WeightSet, default_weights,
-                            norms)
+from epsoliton.grid import (Grid, antiderivative, derivative, integrate, inner, l2norm,
+                            translate, zeta, WeightSet, default_weights, norms)
 
 
 @pytest.fixture(scope="module")
@@ -234,20 +233,3 @@ def test_translate_rows_exactly(g):
     out = translate(h, d, g)
     assert out.shape == (1, g.N)
     assert np.max(np.abs(out[0] - np.cos(np.pi * (g.x - d) / g.L))) < 1e-13
-
-
-# ------------------------------------------------------------ default grid
-
-def test_default_grid_resolution_rule():
-    for eps, N in ((0.02, 512), (0.05, 512), (0.1, 1024), (0.12, 2048)):
-        g = default_grid(eps)
-        assert g.N == N
-        assert g.L == pytest.approx(40.0 / np.sqrt(eps))
-        assert g.h <= 0.25 / np.sqrt(eps)   # never coarser than the width rule
-
-
-def test_default_grid_rejects_unresolvable_eps():
-    with pytest.raises(ValueError, match=r"eps=0\.15525.*N=131072"):
-        default_grid(0.15525)
-    with pytest.raises(ValueError):
-        default_grid(0.16)   # past the existence edge

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from epsoliton.grid import default_grid, inner, translate
+from epsoliton.grid import inner, translate
 from epsoliton import dynamics as dyn
 from epsoliton import modulation as mod
 from epsoliton import profile as prof
@@ -48,7 +48,7 @@ def test_theta_kdv_scaling():
     # 3 (c2/c1) eps/4: at eps = 0.04 the band (0.375, 0.625) admits
     # |c2/c1| up to 8.  A wrong limit exponent leaves the gaps equal.
     eps = (0.04, 0.02, 0.01)
-    kvs = [mod.kernel_vectors(prof.profile_from_eps(e, 1.0, default_grid(e)))[0]
+    kvs = [mod.kernel_vectors(prof.profile_from_eps(e, 1.0, prof.default_grid(e)))[0]
            for e in eps]
     for name, limit in (("theta3", -0.5), ("theta2", -2.0)):
         theta = np.array([getattr(kv, name) for kv in kvs])
@@ -63,8 +63,8 @@ def test_family_eta_at_base_speed_is_the_profiles_own(p10, ctx10):
     # the quadratic weights at c0 are (0, 1, 0): the family returns the base
     # profile's exact eta
     kv, _ = mod.kernel_vectors(p10)
-    eta1, eta2 = ctx10.eta(p10.c)
-    assert np.array_equal(eta1, kv.eta1) and np.array_equal(eta2, kv.eta2)
+    wave = ctx10.wave(p10.c)
+    assert np.array_equal(wave[3:5], kv.eta1) and np.array_equal(wave[5:], kv.eta2)
 
 
 @pytest.mark.parametrize("s", [-1.0, -0.5, 0.5, 1.0])
@@ -73,7 +73,8 @@ def test_family_eta_against_fresh_builds(p10, ctx10, s):
     # halfway between, the quadratic misses by 8.1e-7 of max|eta| at eps = 0.1
     c = p10.c + s * mod.DC
     kv, _ = mod.kernel_vectors(prof.build_profile(c, p10.K, p10.grid))
-    for got, want in zip(ctx10.eta(c), (kv.eta1, kv.eta2)):
+    wave = ctx10.wave(c)
+    for got, want in zip((wave[3:5], wave[5:]), (kv.eta1, kv.eta2)):
         tol = 1e-12 if abs(s) == 1.0 else 5e-6 * np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= tol
 
@@ -96,9 +97,9 @@ def test_decompose_orthogonality_residuals(p10, ctx10, w10, rng):
     pert = 1e-4 * np.exp(-(g.x / 7.0) ** 2) * np.cos(0.3 * g.x)
     s = dyn.State(0.0, p10.n + pert, p10.u - 0.5 * pert)
     c, D, V, V_phi, rep = mod.decompose(s, ctx10, w10)
-    eta1, eta2 = ctx10.eta(c)
-    r1 = inner(V, w10.zeta_B * eta1, g)
-    r2 = inner(V, eta2, g)
+    wave = ctx10.wave(c)
+    r1 = inner(V, w10.zeta_B * wave[3:5], g)
+    r2 = inner(V, wave[5:], g)
     assert abs(r1) < 1e-10 and abs(r2) < 1e-10
 
 
@@ -122,7 +123,7 @@ def test_decompose_vphi_consistency(p10, ctx10, w10):
     pert = 1e-4 * np.exp(-(g.x / 6.0) ** 2)
     s = dyn.State(0.0, p10.n + pert, p10.u)
     c, D, V, V_phi, _ = mod.decompose(s, ctx10, w10)
-    n_c, _, phi_c = ctx10.fields(c)
+    n_c, _, phi_c = ctx10.wave(c)[:3]
     phi_full = phi_c + V_phi
     res = -derivative(phi_full, g, 2) + np.exp(phi_full) - 1.0 - (n_c + V[0])
     assert np.max(np.abs(res)) < 1e-4
@@ -137,9 +138,9 @@ def test_newton_jacobian_near_identity(p10, ctx10, w10):
     h = 1e-7
 
     def F(D, c):
-        V = translate(U, -D, g) - np.array(ctx10.fields(c)[:2])
-        eta1, eta2 = ctx10.eta(c)
-        return np.array([inner(V, w10.zeta_B * eta1, g), inner(V, eta2, g)])
+        wave = ctx10.wave(c)
+        V = translate(U, -D, g) - wave[:2]
+        return np.array([inner(V, w10.zeta_B * wave[3:5], g), inner(V, wave[5:], g)])
 
     r0 = F(0.0, p10.c)
     J = np.column_stack([(F(h, p10.c) - r0) / h, (F(0.0, p10.c + h) - r0) / h])
@@ -151,10 +152,27 @@ def test_newton_jacobian_near_identity(p10, ctx10, w10):
 def test_decompose_far_state_fails(p10, ctx10, w10):
     g = p10.grid
     s = dyn.State(0.0, p10.n + 0.5 * np.exp(-(g.x / 4.0) ** 2), p10.u)
-    # Newton either stagnates (RuntimeError) or runs c out of the family
-    # window (ValueError); both are explicit failures
-    with pytest.raises((RuntimeError, ValueError)):
+    # Newton either stagnates or runs c out of the family window; both are
+    # explicit failures
+    with pytest.raises(RuntimeError, match="^decompose: "):
         mod.decompose(s, ctx10, w10)
+
+
+def test_decompose_without_convergence_names_the_residual_history(
+        p10, ctx10, w10, monkeypatch):
+    # one Newton iteration cannot reach the tolerance from a perturbed state
+    g = p10.grid
+    pert = 1e-4 * np.exp(-(g.x / 6.0) ** 2)
+    s = dyn.State(0.0, p10.n + pert, p10.u)
+    monkeypatch.setattr(mod, "_MAXITER", 1)
+    with pytest.raises(RuntimeError, match=r"^decompose: no convergence in 1 Newton "
+                                           r"iterations, residual history \[\S+\]$"):
+        mod.decompose(s, ctx10, w10)
+
+
+def test_wave_rejects_c_outside_the_window(p10, ctx10):
+    with pytest.raises(ValueError, match="outside the interpolation window"):
+        ctx10.wave(p10.c + 1.6 * mod.DC)
 
 
 # ------------------------------------------------------------------ track
@@ -171,4 +189,4 @@ def test_track_exact_soliton(p05):
     assert tr.error is None and tr.failed_t is None
     assert np.max(np.abs(np.gradient(tr.D, tr.t) - tr.c)) < 1e-6
     assert np.max(np.abs(np.gradient(tr.c, tr.t))) < 1e-6
-    assert len(tr.Vs) == len(tr.t)
+    assert tr.V.shape == (len(tr.t), 3, g.N)

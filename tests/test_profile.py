@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epsoliton.grid import Grid, default_grid, derivative
+from epsoliton.grid import Grid, derivative
 from epsoliton import profile as prof
+from epsoliton.profile import default_grid
 
 
 V2 = np.sqrt(2.0)  # sonic speed at K = 1
@@ -85,6 +86,23 @@ def test_default_grid_resolves_profile(eps, request):
     else:
         p = prof.profile_from_eps(eps, 1.0, default_grid(eps))
     assert p.poisson_residual < 1e-8
+
+
+def test_default_grid_resolution_rule():
+    for eps, N in ((0.02, 512), (0.05, 512), (0.1, 1024), (0.12, 2048)):
+        g = default_grid(eps)
+        assert g.N == N
+        assert g.L == pytest.approx(40.0 / np.sqrt(eps))
+        assert g.h <= 0.25 / np.sqrt(eps)   # never coarser than the width rule
+
+
+def test_default_grid_rejects_unresolvable_eps():
+    with pytest.raises(ValueError, match=r"eps=0\.15525.*N=131072"):
+        default_grid(0.15525)
+    with pytest.raises(ValueError):
+        default_grid(0.16)   # past the existence edge
+    with pytest.raises(ValueError, match="no root of the peak equation"):
+        default_grid(0.172, L=60.0, N=256)   # looked at with L and N given too
 
 
 def test_sonic_branch_distance_shrinks_toward_edge():
