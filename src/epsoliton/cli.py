@@ -346,7 +346,6 @@ def cmd_stability(cfg, out):
     if rep.bundle is not None:  # tracking kept at least one snapshot
         series = {"c": rep.track.c, "D": rep.track.D,
                   "I1": rep.I1, "I2": rep.I2, "J": rep.J,
-                  "local_decay": rep.bundle["weighted_local"],
                   "local_running": rep.local_running, **rep.bundle}
         f2 = out / "stability_series.csv"
         write_long_csv(f2, rep.track.t, series)

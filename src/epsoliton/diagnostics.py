@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics, modulation, profile as profile_mod
-from .grid import Grid, default_weights, derivative, integrate, running_integral
+from .grid import (Grid, default_weights, derivative, integrate, norms, running_integral,
+                   sigma_tilde_sq)
 
 
 # ----------------------------------------------------------------- virials
@@ -40,10 +41,11 @@ def virial_series(V, p, w):
 
 # -------------------------------------------------- modulation-frame series
 
-def norm_bundle_series(bundles):
-    """Series {name: array over snapshots} from per-snapshot grid.norms dicts."""
-    keys = ("Sigma1", "Sigma2", "Sigma_tilde", "L2a", "weighted_local")
-    return {k: np.array([nb[k] for nb in bundles]) for k in keys}
+def norm_bundle_series(V, w):
+    """Series {name: array over snapshots} of the norm bundle of the stack V
+    (S, 3, N): grid.norms itself, kept under this name because
+    perfbench/spans.py times the bundle through it."""
+    return norms(V, w)
 
 
 # --------------------------------------------------------- virial monitors
@@ -64,10 +66,11 @@ def virial_ratio_monitor(t, V, p, w, virials, bundle):
     snapshots the windows coincide and the monitor is inconclusive.
 
     V is the (S, 3, N) stack of perturbations, virials is
-    virial_series(V, p, w) and bundle the norm_bundle_series of their norm
-    bundles.  Each side of an inequality is held as its antiderivative in t
-    (a -dI/dt term contributes -I, a norm term its running integral), so a
-    window's integral is an endpoint difference.
+    virial_series(V, p, w) and bundle its norm_bundle_series, of which the
+    monitor reads Sigma1 and Sigma2; its three Sigma-tilde series are
+    grid.sigma_tilde_sq over a stack.  Each side of an inequality is held as
+    its antiderivative in t (a -dI/dt term contributes -I, a norm term its
+    running integral), so a window's integral is an endpoint difference.
     """
     g = p.grid
     eps = p.eps
@@ -80,12 +83,11 @@ def virial_ratio_monitor(t, V, p, w, virials, bundle):
 
     S1 = bundle["Sigma1"] ** 2
     S2 = bundle["Sigma2"] ** 2
-    # ||(V_n, V_u, V_phi')||^2 and ||V_phi||^2 with the sech weight
-    sech_V = w.sech_weight * V
-    St_phi = integrate(sech_V[:, 2] ** 2, g)
-    sech_V[:, 2] = w.sech_weight * derivative(V[:, 2], g)
-    St_full = integrate(sech_V ** 2, g).sum(axis=1)
-    St_V = bundle["Sigma_tilde"] ** 2
+    # ||V||^2, ||V_phi||^2 and ||(V_n, V_u, V_phi')||^2 with the sech weight
+    St_rows = sigma_tilde_sq(V, w)
+    St_V, St_phi = St_rows.sum(axis=1), St_rows[:, 2]
+    dV = np.concatenate([V[:, :2], derivative(V[:, 2:], g)], axis=1)
+    St_full = sigma_tilde_sq(dV, w).sum(axis=1)
 
     defs = [
         ("Sigma1", S1, (X1 - I1) / eps + running_integral(S2 / (w.B * eps) + St_V, t)),
@@ -228,7 +230,7 @@ def stability_experiment(config: StabilityConfig, profile=None) -> StabilityRepo
     t = track.t
 
     rep.I1, rep.I2, rep.J = virial_series(track.V, p, w)
-    rep.bundle = norm_bundle_series(track.norms)
+    rep.bundle = norm_bundle_series(track.V, w)
     # int e^{-2a<x>} |V|^2 dx per snapshot, and its running time integral
     local = rep.bundle["weighted_local"]
     rep.local_running = running_integral(local, t)

@@ -136,17 +136,13 @@ def translate(fields, shift, grid):
 
 
 def inner(f: np.ndarray, g: np.ndarray, grid: Grid):
-    """Bilinear pairing <f, g> = integral of sum_j f_j g_j, no conjugation."""
+    """Bilinear pairing <f, g> = integral of sum_j f_j g_j, no conjugation;
+    over a stack (..., rows, N) it is an array over the leading axes."""
     f, g = np.asarray(f), np.asarray(g)
     prod = f * g
-    if prod.ndim == 2:
-        prod = prod.sum(axis=0)
+    if prod.ndim >= 2:
+        prod = prod.sum(axis=-2)
     return integrate(prod, grid)
-
-
-def l2norm(v: np.ndarray, grid: Grid) -> float:
-    v = np.asarray(v)
-    return float(np.sqrt(integrate(np.abs(v) ** 2, grid).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +153,11 @@ def l2norm(v: np.ndarray, grid: Grid) -> float:
 WINDOW = 0.8
 
 
-def l2a(V: np.ndarray, a_rate: float, grid: Grid) -> float:
-    """L^2 norm of the rows of V with weight e^{a_rate x}, on |x| <= WINDOW L."""
+def l2a(V: np.ndarray, a_rate: float, grid: Grid) -> np.ndarray:
+    """L^2 norm of the rows of V with weight e^{a_rate x}, on |x| <= WINDOW L;
+    over a stack (..., rows, N), an array over the leading axes."""
     w = np.exp(a_rate * grid.x) * (np.abs(grid.x) <= WINDOW * grid.L)
-    return float(np.sqrt(integrate(((w * V) ** 2).sum(axis=0), grid)))
+    return np.sqrt(integrate(((w * V) ** 2).sum(axis=-2), grid))
 
 
 def smooth_bump(x: np.ndarray) -> np.ndarray:
@@ -217,27 +214,34 @@ class WeightSet:
         return F - F[i0]
 
 
-def default_weights(eps: float, grid: Grid, A: float = 100.0, B: float = 10.0,
-                    kappa: float = 0.1, rho: float = 0.3) -> WeightSet:
+def default_weights(eps: float, grid: Grid, A: float, B: float, kappa: float,
+                    rho: float) -> WeightSet:
     return WeightSet(A=A, B=B, A1=B ** 0.6, kappa=kappa, a_rate=rho * np.sqrt(eps),
                      eps=eps, grid=grid)
 
 
+def sigma_tilde_sq(V: np.ndarray, w: WeightSet) -> np.ndarray:
+    """The local norm Sigma-tilde squared of each row of a stack V (..., N):
+    integral of sech^2(eps kappa x) V_j^2 dx, an array over the leading axes."""
+    return integrate((w.sech_weight * V) ** 2, w.grid)
+
+
 def norms(V: np.ndarray, w: WeightSet) -> dict:
     """Norm bundle {Sigma1, Sigma2, Sigma_tilde, L2a, weighted_local} of a
-    perturbation V = (V_n, V_u, V_phi); the Sigma norms' derivative term acts
-    on V_phi only."""
+    stack V (..., 3, N) of perturbations (V_n, V_u, V_phi), each an array over
+    the leading axes; the Sigma norms' derivative term acts on V_phi only."""
     V = np.asarray(V)
-    if V.ndim != 2 or V.shape[0] != 3:
+    if V.ndim < 2 or V.shape[-2] != 3:
         raise ValueError("norms expects 3 components (V_n, V_u, V_phi)")
     g = w.grid
     out = {}
     for i, theta in ((1, w.theta1), (2, w.theta2)):
         wz = theta * w.zeta_A
-        out[f"Sigma{i}"] = l2norm(wz * V, g) + l2norm(derivative(wz * V[2], g, 1), g)
-    out["Sigma_tilde"] = l2norm(w.sech_weight * V, g)
+        out[f"Sigma{i}"] = (np.sqrt(integrate((wz * V) ** 2, g).sum(axis=-1))
+                            + np.sqrt(integrate(derivative(wz * V[..., 2, :], g) ** 2, g)))
+    out["Sigma_tilde"] = np.sqrt(sigma_tilde_sq(V, w).sum(axis=-1))
     out["L2a"] = l2a(V, w.a_rate, g)
     bracket = np.sqrt(1.0 + g.x ** 2)
-    out["weighted_local"] = float(integrate(
-        np.exp(-2.0 * w.a_rate * bracket) * (np.abs(V) ** 2).sum(axis=0), g))
+    out["weighted_local"] = integrate(
+        np.exp(-2.0 * w.a_rate * bracket) * (V ** 2).sum(axis=-2), g)
     return out

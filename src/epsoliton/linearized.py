@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import WINDOW, Grid, derivative, inner, l2a, l2norm, running_integral
+from .grid import WINDOW, Grid, derivative, inner, l2a, running_integral, sigma_tilde_sq
 from .elliptic import schrodinger_solver
 from .modulation import KernelVectors, kernel_vectors
 
@@ -91,8 +91,7 @@ class LinearContext:
         traj = self._memo[1]
         keep = np.isin(traj.t, save_times(self, T, n_saves))
         keep[-1] = True
-        return LinearTrajectory(traj.t[keep], [S for S, k in zip(traj.states, keep) if k],
-                                traj.flagged)
+        return LinearTrajectory(traj.t[keep], traj.states[keep], traj.flagged)
 
 
 def apply_Lc(V, ctx):
@@ -129,8 +128,8 @@ def project_Q(V, ctx):
 @dataclass
 class LinearTrajectory:
     t: np.ndarray
-    states: list
-    flagged: bool = False
+    states: np.ndarray  # (len(t), 2, N): the state at each time
+    flagged: bool
 
 
 _CFL = 0.4         # Courant number of save_times' lattice
@@ -234,15 +233,11 @@ def evolve_linear(V0, ctx, t):
             LU = apply_Lc(U, ctx)
             U_prev, U = U, LU / rho if k == 0 else (2.0 / rho) * LU + U_prev
     ctx.L_applications += n_terms
-    states = list(out.reshape(len(t), *V.shape))
+    states = out.reshape(len(t), *V.shape)
     norm0 = max(np.sqrt(inner(V, V, g)), 1e-300)
-    flagged = False
-    for i, S in enumerate(states):
-        if not np.sqrt(inner(S, S, g)) <= norm0 * np.exp(10.0):
-            flagged = True  # spurious growth: spectrum is purely imaginary
-            t, states = t[:i + 1], states[:i + 1]
-            break
-    return LinearTrajectory(t, states, flagged)
+    grew = ~(np.sqrt(inner(states, states, g)) <= norm0 * np.exp(10.0))
+    end = int(np.argmax(grew)) + 1 if grew.any() else len(t)
+    return LinearTrajectory(t[:end], states[:end], bool(grew.any()))
 
 
 def wrap_time(ctx):
@@ -273,7 +268,7 @@ def dispersive_decay_experiment(V0, ctx, a_rate, T):
     at the last save): there is no decay to fit.
     """
     traj = ctx.q_trajectory(V0, min(T, wrap_time(ctx)), DECAY_SAVES)
-    vals = np.array([l2a(V, a_rate, ctx.grid) for V in traj.states])
+    vals = l2a(traj.states, a_rate, ctx.grid)
     # fit on the decaying segment: global max to global min (late-time rise,
     # if any, is wrapped radiation entering the window and is excluded)
     i0 = int(np.argmax(vals))
@@ -290,9 +285,8 @@ def kato_smoothing_experiment(V0, ctx, weights, T):
     """Running integral of the local smoothing norm along e^{tL} Q V0.
 
     Returns (t, running integral of ||sech(eps kappa x) V(s)||^2 ds, the
-    Sigma-tilde norm of grid.norms); a plateau before the wrap time is the
-    smoothing signal.
+    Sigma-tilde norm squared, grid.sigma_tilde_sq, summed over V's rows); a
+    plateau before the wrap time is the smoothing signal.
     """
     traj = ctx.q_trajectory(V0, min(T, wrap_time(ctx)), KATO_SAVES)
-    vals = np.array([l2norm(weights.sech_weight * V, ctx.grid) ** 2 for V in traj.states])
-    return traj.t, running_integral(vals, traj.t)
+    return traj.t, running_integral(sigma_tilde_sq(traj.states, weights).sum(axis=-1), traj.t)

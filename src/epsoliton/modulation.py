@@ -14,15 +14,15 @@ state by Newton iteration on the two orthogonality conditions
     <shift(U, -D) - S_c, zeta_B eta1[c]> = 0,
     <shift(U, -D) - S_c, eta2[c]> = 0,
 
-and `track` runs this along a trajectory, recording c, D and the norm
-bundle of the perturbation V at each snapshot.
+and `track` runs this along a trajectory, recording c, D and the
+perturbation V at each snapshot.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import antiderivative, integrate, inner, norms, translate
+from .grid import antiderivative, integrate, inner, translate
 from .profile import build_profile, profile_c_derivative
 from .elliptic import solve_poisson
 
@@ -169,19 +169,18 @@ class ModulationTrack:
     c: np.ndarray
     D: np.ndarray
     V: np.ndarray           # (S, 3, N): (V_n, V_u, V_phi) per snapshot, profile frame
-    norms: list             # per-snapshot dict from grid.norms
     failed_t: float = None  # the time of the snapshot decompose failed at
     error: str = None       # and decompose's message
 
 
 def track(traj, ctx, weights):
-    """Run decompose along a trajectory; c, D (unwrapped), V and the norms.
+    """Run decompose along a trajectory; c, D (unwrapped) and V.
 
     Tracking stops at the first snapshot decompose fails at; the track keeps
     its time and decompose's message."""
     states = traj.states
     V = np.empty((len(states), 3, ctx.grid.N))
-    cs, Ds, nrm = [], [], []
+    cs, Ds = [], []
     c_g, D_g = None, None
     failed_t, error = None, None
     for i, s in enumerate(states):
@@ -192,7 +191,6 @@ def track(traj, ctx, weights):
             break
         cs.append(c); Ds.append(D)
         V[i, :2], V[i, 2] = Vnu, V_phi
-        nrm.append(norms(V[i], weights))
         c_g = c
         if i + 1 < len(states):
             # advect the shift guess to the next snapshot time
@@ -200,4 +198,4 @@ def track(traj, ctx, weights):
     S = len(cs)
     Dw = np.unwrap(np.array(Ds), period=2 * ctx.grid.L)
     return ModulationTrack(np.array([s.t for s in states[:S]]), np.array(cs), Dw,
-                           V[:S], nrm, failed_t=failed_t, error=error)
+                           V[:S], failed_t=failed_t, error=error)

@@ -4,9 +4,16 @@ caches) are built once per session and shared read-only."""
 import numpy as np
 import pytest
 
+from epsoliton import cli
 from epsoliton.grid import default_weights
 from epsoliton import profile as prof
 from epsoliton.profile import default_grid
+
+
+@pytest.fixture(scope="session")
+def weight_settings():
+    """The CLI's default A, B, kappa and rho, which default_weights requires."""
+    return {key: cli._SETTINGS[key][1] for key in ("A", "B", "kappa", "rho")}
 
 
 @pytest.fixture(scope="session")
@@ -20,8 +27,8 @@ def p10(grid10):
 
 
 @pytest.fixture(scope="session")
-def w10(p10):
-    return default_weights(p10.eps, p10.grid)
+def w10(p10, weight_settings):
+    return default_weights(p10.eps, p10.grid, **weight_settings)
 
 
 @pytest.fixture(scope="session")
@@ -52,8 +59,8 @@ def p05(grid05):
 
 
 @pytest.fixture(scope="session")
-def w05(p05):
-    return default_weights(p05.eps, p05.grid)
+def w05(p05, weight_settings):
+    return default_weights(p05.eps, p05.grid, **weight_settings)
 
 
 @pytest.fixture(scope="session")

@@ -494,8 +494,7 @@ def test_linear_defaults_decay_verdict(tmp_path):
 def test_linear_without_decaying_segment_writes_null_rate(tmp_path, monkeypatch):
     # a weighted norm that grows to the last save has no decay to fit
     from epsoliton import linearized
-    grow = iter(range(1, 10 ** 6))
-    monkeypatch.setattr(linearized, "l2a", lambda V, a, g: float(next(grow)))
+    monkeypatch.setattr(linearized, "l2a", lambda V, a, g: np.arange(1.0, len(V) + 1))
     out = tmp_path / "run"
     assert cli.run(["linear", "--out", str(out), "--T", "2"]) == 0
     man = _strict_json(out / "manifest.json")
@@ -582,6 +581,20 @@ def test_stability_happy_path_manifest(tmp_path):
     assert set(man["verdicts"]) == {"decompose_ok", "local_decay",
                                     "running_integral_saturates", "c_converges",
                                     "virial_constants_ok"}
+
+
+def test_stability_series_csv_holds_each_series_once_per_snapshot(tmp_path):
+    # one sample a snapshot of each series; weighted_local is not repeated as local_decay
+    out = tmp_path / "run"
+    assert cli.run(["stability", "--out", str(out), "--eps", "0.1", "--L", "60",
+                    "--N", "512", "--T", "2", "--n_saves", "3"]) == 0
+    with open(out / "stability_series.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    names = [r["name"] for r in rows]
+    assert set(names) == {"c", "D", "I1", "I2", "J", "local_running", "Sigma1", "Sigma2",
+                          "Sigma_tilde", "L2a", "weighted_local"}
+    assert all(names.count(name) == 3 for name in set(names))
+    assert all(np.isfinite(float(r["value"])) for r in rows)
 
 
 def test_stability_solver_failure_exits_2(tmp_path, fail_poisson_at, capsys):

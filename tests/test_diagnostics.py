@@ -157,7 +157,7 @@ def test_virial_ratio_monitor_shapes(p10, w10):
     t = np.linspace(0.0, 8.0, 9)
     V = _test_V(p10)
     Vs = np.exp(-0.3 * t)[:, None, None] * V
-    bundle = dg.norm_bundle_series([norms(V, w10) for V in Vs])
+    bundle = dg.norm_bundle_series(Vs, w10)
     monitors = dg.virial_ratio_monitor(t, Vs, p10, w10,
                                        dg.virial_series(Vs, p10, w10), bundle)
     assert [m.name for m in monitors] == ["Sigma1", "Sigma2", "Sigma_tilde"]
@@ -246,10 +246,10 @@ def test_stability_experiment_unperturbed_trivial(grid10, monkeypatch):
 
 
 def test_stability_experiment_computes_each_series_once(grid10, monkeypatch):
-    # one norm bundle per snapshot (shared by the track, the bundle series and
-    # the virial monitor), and two energy densities for all the virial
-    # functionals: e(S_c + V) over the whole stack of snapshots, and e(S_c)
-    from epsoliton import dynamics, grid, modulation
+    # one norm bundle over the whole stack of snapshots (shared by the
+    # bundle series and the virial monitor), and two energy densities for all
+    # the virial functionals: e(S_c + V) over the stack, and e(S_c)
+    from epsoliton import dynamics, grid
     norm_calls, energy_calls = [], []
     bundle, energy = grid.norms, dynamics.energy_density
 
@@ -261,7 +261,7 @@ def test_stability_experiment_computes_each_series_once(grid10, monkeypatch):
         energy_calls.append(1)
         return energy(*args, **kwargs)
 
-    for mod in (grid, modulation):
+    for mod in (grid, dg):
         monkeypatch.setattr(mod, "norms", counted_norms)
     monkeypatch.setattr(dynamics, "energy_density", counted_energy)
     cfg = dg.StabilityConfig(K=1.0, eps=0.1, delta=1e-3, shape="even", T=2.0, n_saves=5,
@@ -269,7 +269,7 @@ def test_stability_experiment_computes_each_series_once(grid10, monkeypatch):
     rep = dg.stability_experiment(cfg)
     n = len(rep.track.t)
     assert n == 5 and rep.verdicts["decompose_ok"]
-    assert len(norm_calls) == n
+    assert len(norm_calls) == 1
     assert len(energy_calls) == 2
     assert len(rep.bundle["Sigma1"]) == n and len(rep.I1) == n
 

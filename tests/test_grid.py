@@ -2,13 +2,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epsoliton.grid import (Grid, antiderivative, derivative, integrate, inner, l2norm,
-                            translate, zeta, WeightSet, default_weights, norms)
+from epsoliton.grid import (Grid, antiderivative, derivative, integrate, inner, l2a,
+                            translate, zeta, WeightSet, default_weights, norms,
+                            sigma_tilde_sq)
 
 
 @pytest.fixture(scope="module")
 def g():
     return Grid(L=20.0, N=512)
+
+
+@pytest.fixture(scope="module")
+def w(g, weight_settings):
+    return default_weights(0.1, g, **weight_settings)
+
+
+def _l2norm(v, g):
+    return np.sqrt(integrate(v ** 2, g).sum())
 
 
 # ------------------------------------------------------------ derivative
@@ -148,19 +158,18 @@ def test_weightset_basics(g):
     assert np.max(np.abs(w.theta1 + w.theta2 - 1.0)) < 1e-15
 
 
-def test_psi_weight_derivative_analytic(g):
+def test_psi_weight_derivative_analytic(g, w):
     # psi is not periodic on the box: verify psi' = sech^2(eps*kappa*x) by
     # centered differences at interior nodes, never spectrally.
-    w = default_weights(0.1, g)
     ek = 0.1 * w.kappa
     dpsi = (w.psi_weight[2:] - w.psi_weight[:-2]) / (2 * g.h)
     exact = 1.0 / np.cosh(ek * g.x[1:-1]) ** 2
     assert np.max(np.abs(dpsi - exact)) < 1e-6
 
 
-def test_weights_deterministic(g):
-    w1 = default_weights(0.1, g)
-    w2 = default_weights(0.1, g)
+def test_weights_deterministic(g, weight_settings):
+    w1 = default_weights(0.1, g, **weight_settings)
+    w2 = default_weights(0.1, g, **weight_settings)
     for name in ("zeta_A", "zeta_B", "phi1", "phi2", "psi_weight",
                  "sech_weight"):
         assert np.array_equal(getattr(w1, name), getattr(w2, name))
@@ -174,18 +183,16 @@ def test_weights_positivity_validation(g):
 
 # ------------------------------------------------------------ norms
 
-def test_norms_zero(g):
-    w = default_weights(0.1, g)
+def test_norms_zero(g, w):
     out = norms(np.zeros((3, g.N)), w)
     assert all(v == 0.0 for v in out.values())
 
 
-def test_norms_derivative_term_acts_on_vphi_only(g):
-    w = default_weights(0.1, g)
+def test_norms_derivative_term_acts_on_vphi_only(g, w):
     sech = 1.0 / np.cosh(g.x)
     V = np.array([sech, sech, np.zeros(g.N)])
     out = norms(V, w)
-    manual = l2norm(w.theta1 * w.zeta_A * V, g)
+    manual = _l2norm(w.theta1 * w.zeta_A * V, g)
     assert out["Sigma1"] == pytest.approx(manual, rel=1e-12)
 
 
@@ -200,11 +207,49 @@ def test_norms_l2a_closed_form(g):
     assert out["L2a"] == pytest.approx(exact, rel=2e-2)
 
 
-def test_norms_component_count_rejected(g):
-    w = default_weights(0.1, g)
-    for shape in ((5, g.N), (2, g.N), (g.N,)):
+def test_norms_component_count_rejected(g, w):
+    for shape in ((5, g.N), (2, g.N), (g.N,), (3, 2, g.N)):
         with pytest.raises(ValueError):
             norms(np.zeros(shape), w)
+
+
+def _three_snapshots(g):
+    x = g.x
+    V = np.array([np.exp(-x ** 2 / 20), np.tanh(x / 4) * np.exp(-x ** 2 / 30),
+                  np.cos(x) / np.cosh(x / 3)])
+    return np.array([V, -0.5 * V + 0.1 * V[::-1], 2.0 * np.roll(V, 7, axis=-1)])
+
+
+def test_norms_over_a_stack_are_each_snapshots_formulas(g, w):
+    # the bundle of a stack (S, 3, N) is, bit for bit, each snapshot's own
+    # bundle by the direct formulas: one call serves the whole track
+    Vs = _three_snapshots(g)
+    out = norms(Vs, w)
+    assert all(v.shape == (3,) for v in out.values())
+    local = np.exp(-2.0 * w.a_rate * np.sqrt(1.0 + g.x ** 2))
+    window = np.exp(w.a_rate * g.x) * (np.abs(g.x) <= 0.8 * g.L)
+    for i, V in enumerate(Vs):
+        for k, theta in ((1, w.theta1), (2, w.theta2)):
+            wz = theta * w.zeta_A
+            direct = _l2norm(wz * V, g) + _l2norm(derivative(wz * V[2], g), g)
+            assert out[f"Sigma{k}"][i] == direct
+        assert out["Sigma_tilde"][i] == _l2norm(w.sech_weight * V, g)
+        assert out["L2a"][i] == np.sqrt(integrate(((window * V) ** 2).sum(axis=0), g))
+        assert out["weighted_local"][i] == integrate(local * (V ** 2).sum(axis=0), g)
+    assert np.array_equal(out["L2a"], l2a(Vs, w.a_rate, g))
+
+
+def test_sigma_tilde_is_one_form(g, w):
+    # Sigma-tilde squared is the row sum of sigma_tilde_sq, which is the
+    # integral of sech^2(eps kappa x) V_j^2 for each row of any stack
+    Vs = _three_snapshots(g)
+    rows = sigma_tilde_sq(Vs, w)
+    assert rows.shape == (3, 3)
+    sech2 = 1.0 / np.cosh(w.eps * w.kappa * g.x) ** 2
+    assert np.allclose(rows, integrate(sech2 * Vs ** 2, g), rtol=1e-14, atol=0.0)
+    assert np.allclose(norms(Vs, w)["Sigma_tilde"] ** 2, rows.sum(axis=1),
+                       rtol=1e-15, atol=0.0)
+    assert np.array_equal(sigma_tilde_sq(Vs[:, 2], w), rows[:, 2])
 
 
 # ------------------------------------------------------------ properties

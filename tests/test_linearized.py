@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import jv
 
-from epsoliton.grid import Grid, default_weights, inner, l2a, l2norm
+from epsoliton.grid import Grid, default_weights, inner, integrate, l2a, sigma_tilde_sq
 from epsoliton import dynamics as dyn
 from epsoliton import elliptic as ell
 from epsoliton import linearized as lin
@@ -19,6 +19,10 @@ def _smooth(g, rng, width=6.0):
                      a[2] * e + a[3] * e * np.sin(0.3 * g.x)])
 
 
+def _l2norm(v, g):
+    return np.sqrt(integrate(v ** 2, g).sum())
+
+
 def _fresh_context(p, kv):
     """A LinearContext with its own counters and memo, reusing kv."""
     return lin.LinearContext(p, kv, p.grid, ell.schrodinger_solver(p.phi, p.grid))
@@ -30,18 +34,18 @@ def test_Lc_kernel_vectors(p05, kv05, lin05):
     g = p05.grid
     r1 = lin.apply_Lc(kv05.xi1, lin05)
     r2 = lin.apply_Lc(kv05.xi2, lin05) + kv05.xi1
-    scale = l2norm(kv05.xi1, g)
-    assert l2norm(r1, g) < 1e-6 * scale
-    assert l2norm(r2, g) < 1e-5 * scale
+    scale = _l2norm(kv05.xi1, g)
+    assert _l2norm(r1, g) < 1e-6 * scale
+    assert _l2norm(r2, g) < 1e-5 * scale
 
 
 def test_Lc_adjoint_kernel(p05, kv05, lin05):
     g = p05.grid
     r = lin.apply_Lc_adjoint(kv05.eta2, lin05)
-    assert l2norm(r, g) < 1e-6 * l2norm(kv05.eta2, g)
+    assert _l2norm(r, g) < 1e-6 * _l2norm(kv05.eta2, g)
     # eta1 is non-periodic: its closed-form derivative must be supplied
     r1 = lin.apply_Lc_adjoint(kv05.eta1, lin05, dW=kv05.eta1_deriv) + kv05.eta2
-    assert l2norm(r1, g) < 1e-4 * l2norm(kv05.eta2, g)
+    assert _l2norm(r1, g) < 1e-4 * _l2norm(kv05.eta2, g)
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +74,7 @@ def test_Lc_adjoint_constants(p10, lin10):
     g = p10.grid
     W = np.array([np.full(g.N, 0.7), np.full(g.N, -1.3)])
     r = lin.apply_Lc_adjoint(W, lin10)
-    assert l2norm(r, g) < 1e-8
+    assert _l2norm(r, g) < 1e-8
 
 
 def test_adjointness(p10, lin10, rng):
@@ -104,7 +108,7 @@ def test_frechet_consistency(p10, lin10):
 def test_project_Q_annihilates_kernel(kv10, lin10, p10):
     g = p10.grid
     for xi in (kv10.xi1, kv10.xi2):
-        assert l2norm(lin.project_Q(xi, lin10), g) < 1e-8 * max(l2norm(xi, g), 1.0)
+        assert _l2norm(lin.project_Q(xi, lin10), g) < 1e-8 * max(_l2norm(xi, g), 1.0)
 
 
 def test_project_Q_idempotent(lin10, p10, rng):
@@ -127,7 +131,7 @@ def test_project_Q_kernel_of_P_star(kv10, lin10, p10, rng):
 def test_evolve_linear_xi1_stationary(p05, kv05, lin05):
     g = p05.grid
     tr = lin.evolve_linear(kv05.xi1, lin05, np.linspace(0.0, 5.0, 3))
-    err = l2norm(tr.states[-1] - kv05.xi1, g) / l2norm(kv05.xi1, g)
+    err = _l2norm(tr.states[-1] - kv05.xi1, g) / _l2norm(kv05.xi1, g)
     assert err < 1e-7
 
 
@@ -136,7 +140,7 @@ def test_evolve_linear_jordan_block(p05, kv05, lin05):
     T = 5.0
     tr = lin.evolve_linear(kv05.xi2, lin05, np.linspace(0.0, T, 3))
     expect = kv05.xi2 - T * kv05.xi1
-    err = l2norm(tr.states[-1] - expect, g) / l2norm(expect, g)
+    err = _l2norm(tr.states[-1] - expect, g) / _l2norm(expect, g)
     assert err < 1e-6
 
 
@@ -166,8 +170,8 @@ def test_evolve_linear_real_and_bounded(p10, lin10, rng):
     V0 = lin.project_Q(_smooth(g, rng), lin10)
     tr = lin.evolve_linear(V0, lin10, np.linspace(0.0, 50.0, 6))
     assert all(np.isrealobj(V) for V in tr.states)
-    n0 = l2norm(V0, g)
-    norms_t = [l2norm(V, g) for V in tr.states]
+    n0 = _l2norm(V0, g)
+    norms_t = [_l2norm(V, g) for V in tr.states]
     assert 0.05 * n0 < min(norms_t) and max(norms_t) < 20 * n0
 
 
@@ -277,6 +281,23 @@ def test_kato_zero_data(p10, lin10, w10):
     assert np.max(np.abs(running)) == 0.0
 
 
+def test_kato_integrand_is_the_sigma_tilde_form(p10, lin10, w10, monkeypatch):
+    # the running integral's integrand is grid.sigma_tilde_sq summed over
+    # each state's rows, formed in one call over the stack of the states
+    g = p10.grid
+    V0 = np.array([np.exp(-(g.x / 4.0) ** 2) * np.cos(g.x), np.zeros(g.N)])
+    stacks = []
+    form = lin.sigma_tilde_sq
+    monkeypatch.setattr(lin, "sigma_tilde_sq", lambda V, w: stacks.append(V) or form(V, w))
+    t, running = lin.kato_smoothing_experiment(V0, lin10, w10, T=4.0)
+    assert len(stacks) == 1
+    assert np.array_equal(stacks[0], lin10.q_trajectory(V0, 4.0, lin.KATO_SAVES).states)
+    vals = form(stacks[0], w10).sum(axis=1)
+    assert np.array_equal(running, lin.running_integral(vals, t))
+    direct = [integrate(w10.sech_weight ** 2 * (V ** 2).sum(axis=0), g) for V in stacks[0]]
+    assert np.allclose(vals, direct, rtol=1e-14, atol=0.0)
+
+
 def test_kato_homogeneity(p10, lin10, w10):
     g = p10.grid
     e = np.exp(-(g.x / 4.0) ** 2) * np.cos(g.x)
@@ -297,8 +318,8 @@ def test_decay_rate_needs_two_decaying_samples(p05, lin05, w05, monkeypatch, fal
     series = np.arange(1.0, n + 1)
     if falls_last:
         series[-1] = series[-2] - 0.5
-    it = iter(series)
-    monkeypatch.setattr(lin, "l2a", lambda V, a, g: next(it))
+    # l2a takes the whole stack of states and returns the whole series
+    monkeypatch.setattr(lin, "l2a", lambda V, a, g: series[:len(V)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, vals, rate = lin.dispersive_decay_experiment(V0, lin05, w05.a_rate, 2.0)
@@ -312,7 +333,7 @@ def test_decay_rate_needs_two_decaying_samples(p05, lin05, w05, monkeypatch, fal
 def test_xi1_weighted_norm_constant(p05, kv05, lin05, w05):
     # kernel direction is stationary: its weighted norm does not decay
     tr = lin.evolve_linear(kv05.xi1, lin05, np.linspace(0.0, 10.0, 5))
-    vals = [l2a(V, w05.a_rate, p05.grid) for V in tr.states]
+    vals = l2a(tr.states, w05.a_rate, p05.grid)
     assert max(vals) - min(vals) < 1e-8 * vals[0]
 
 
@@ -327,7 +348,8 @@ def _decay_series(V0, ctx, a_rate, T, n_saves):
 def _kato_series(V0, ctx, w, T, n_saves):
     """kato_smoothing_experiment's running integral from its own run."""
     traj = lin.evolve_linear(lin.project_Q(V0, ctx), ctx, lin.save_times(ctx, T, n_saves))
-    vals = np.array([l2norm(w.sech_weight * V, ctx.grid) ** 2 for V in traj.states])
+    vals = np.array([integrate((w.sech_weight * V) ** 2, ctx.grid).sum()
+                     for V in traj.states])
     return traj.t, np.concatenate([[0.0], np.cumsum(
         (vals[1:] + vals[:-1]) / 2 * np.diff(traj.t))])
 

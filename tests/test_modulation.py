@@ -177,15 +177,13 @@ def test_wave_rejects_c_outside_the_window(p10, ctx10):
 
 # ------------------------------------------------------------------ track
 
-def test_track_exact_soliton(p05):
+def test_track_exact_soliton(p05, w05):
     # eps = 0.05: the profile is spectrally resolved at default resolution,
     # so the evolved soliton is exact to solver tolerance
-    from epsoliton.grid import default_weights
     g = p05.grid
     ctx = mod.ModulationContext(p05)
-    w = default_weights(p05.eps, g)
     traj = dyn.evolve(dyn.State(0.0, p05.n.copy(), p05.u.copy()), 6.0, p05.K, g, n_saves=7)
-    tr = mod.track(traj, ctx, w)
+    tr = mod.track(traj, ctx, w05)
     assert tr.error is None and tr.failed_t is None
     assert np.max(np.abs(np.gradient(tr.D, tr.t) - tr.c)) < 1e-6
     assert np.max(np.abs(np.gradient(tr.c, tr.t))) < 1e-6
