@@ -53,7 +53,6 @@ def norm_bundle_series(V, w):
 @dataclass
 class VirialMonitor:
     name: str
-    C_fits: list
     C: float
     stable: bool
     inconclusive: bool
@@ -106,7 +105,7 @@ def virial_ratio_monitor(t, V, p, w, virials, bundle):
         sides = [(lhs_run[-1] - lhs_run[i0], rhs_run[-1] - rhs_run[i0]) for i0 in starts]
         fits = [lhs / rhs for lhs, rhs in sides if rhs > 0 and np.isfinite(rhs)]
         stable = len(fits) >= 2 and max(fits) <= 2.0 * max(min(fits), 1e-300)
-        monitors.append(VirialMonitor(name, fits, float(max(fits, default=0.0)), bool(stable),
+        monitors.append(VirialMonitor(name, float(max(fits, default=0.0)), bool(stable),
                                       not fits or len(starts) < 2))
     return monitors
 
@@ -178,7 +177,7 @@ class StabilityReport:
     verdicts: dict = field(default_factory=dict)
     blown_up: bool = False
     blowup_time: float = None
-    error: str = None
+    error: str = None           # every early stop: the flow's failure, then the tracking's
 
     def to_json_dict(self):
         d = {
@@ -213,14 +212,12 @@ def stability_experiment(config: StabilityConfig, profile=None) -> StabilityRepo
     rep.blown_up = traj.blown_up
     rep.blowup_time = traj.blowup_time
     rep.flow = dict(traj.meta)
-    if traj.failure:
-        rep.error = f"time stepping failed at {traj.failure}"
+    rep.error = traj.failure
 
     ctx = modulation.ModulationContext(p)
     track = modulation.track(traj, ctx, w)
     rep.track = track
-    rep.verdicts["decompose_ok"] = not (track.error or traj.blown_up
-                                        or traj.failure)
+    rep.verdicts["decompose_ok"] = not (track.error or traj.failure)
     if track.error:
         stop = f"modulation tracking failed at t = {track.failed_t:g}: {track.error}"
         rep.error = f"{rep.error}; {stop}" if rep.error else stop

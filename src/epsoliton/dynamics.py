@@ -68,7 +68,7 @@ class Trajectory:
     meta: dict = field(default_factory=dict)  # evolve's counters and frame speed
     blown_up: bool = False
     blowup_time: float = None
-    failure: str = None  # a solver failure that stopped the run, with its stage and t
+    failure: str = None  # what stopped the run early, blow-up or solver failure, and its t
 
     @property
     def times(self):
@@ -124,8 +124,12 @@ COMOVING_CFL = 1.2
 
 
 def evolve(state0, T, K, grid, dt=None, cfl=None, n_saves=41, frame_speed=0.0):
-    """Classical RK4 evolution up to time T, dealiased, saving n_saves states
-    evenly spaced in time; returns a Trajectory.
+    """Classical RK4 evolution up to time T, dealiased; returns a Trajectory
+    of the states at t0 + T k/(n_saves - 1), k = 0 ... n_saves - 1 (t0 and
+    t0 + T when n_saves < 2).  Each step is cut at the next save, a step that
+    would stop short of it by at most 1e-12 of its length is stretched onto
+    it, and t is then set to the save exactly, so a run that does not stop
+    early holds exactly those n_saves states, at exactly those times.
 
     The flow is advanced in the frame moving at frame_speed c,
     V(xi, t) = U(xi + c (t - t0), t), whose tendency is rhs(V) + c dV/dxi.
@@ -143,23 +147,25 @@ def evolve(state0, T, K, grid, dt=None, cfl=None, n_saves=41, frame_speed=0.0):
 
     dt defaults to the CFL-limited step cfl h / (max|u - c| + sqrt(K) + 1),
     recomputed each step, with cfl LAB_CFL at c = 0 and COMOVING_CFL
-    otherwise; a fixed dt is honoured exactly.  Blow-up (min(1+n) < 1e-6,
-    sup|u| > 1e3, NaN, or a vacuum or non-finite stage state) truncates the
-    trajectory and flags it.  A Poisson solve that fails truncates it too,
-    and is recorded in traj.failure with the RK4 stage and t, not as a
-    blow-up.  traj.meta counts the Poisson solves, their iterations, the
-    solves whose warm start stalled and restarted cold (poisson_fallbacks)
-    and their largest residual, and the RK4 steps, and records frame_speed.
+    otherwise; a fixed dt is honoured up to the cuts at the saves.  An early
+    stop truncates the trajectory and traj.failure names it: "blow-up at
+    t = ..." for a blow-up (min(1+n) < 1e-6, sup|u| > 1e3, NaN, or a vacuum
+    or non-finite stage state), which also sets blown_up and blowup_time,
+    and "time stepping failed at RK4 stage k of the step from t = ...: ..."
+    for a failed Poisson solve.  traj.meta counts the Poisson solves,
+    their iterations, the solves whose warm start stalled and restarted cold
+    (poisson_fallbacks) and their largest residual, and the RK4 steps, and
+    records frame_speed.
     """
-    if K <= 0.0:
-        raise ValueError("evolve: K > 0 required")
+    if K <= 0.0 or T <= 0.0:
+        raise ValueError("evolve: K > 0 and T > 0 required")
     state0.validate()
     c = float(frame_speed)
     if cfl is None:
         cfl = COMOVING_CFL if c else LAB_CFL
-    save_every = T / max(n_saves - 1, 1)
-
     t0 = t = float(state0.t)
+    m = max(n_saves - 1, 1)
+    lattice = (t0 + T * np.arange(m + 1) / m).tolist()  # the save times, t0 first
     cut = _band_cut(grid)
     U_hat = np.fft.rfft([state0.n, state0.u])
     V, G = U_hat[:, :cut], U_hat[:, cut:]  # V is the low band in the moving frame
@@ -183,19 +189,18 @@ def evolve(state0, T, K, grid, dt=None, cfl=None, n_saves=41, frame_speed=0.0):
                             "poisson_fallbacks": 0, "poisson_residual_max": 0.0,
                             "rk4_steps": 0, "frame_speed": c})
     meta = traj.meta
-    next_save = t + save_every
     W_hat = whole(V, top(t))  # the whole state in the moving frame
     W = np.fft.irfft(W_hat, n=grid.N)
     # the previous step's stage potentials less their density responses, and
     # their predictions, and its length
     prev = preds = prev_step = None
-    t_end = t + T
-    while t < t_end - 1e-14 * max(1.0, t_end):
+    while len(traj.states) < len(lattice):
+        t_save = lattice[len(traj.states)]
         step = dt if dt is not None else \
             cfl * grid.h / (float(np.max(np.abs(W[1] - c))) + np.sqrt(K) + 1.0)
-        step = min(step, t_end - t)
-        if next_save < t_end:
-            step = min(step, next_save - t)  # land exactly on save times
+        lands = t_save - t <= step * (1.0 + 1e-12)
+        if lands:
+            step = t_save - t  # cut at the save, or stretched onto it over roundoff
         mid, end = top(t + step / 2), top(t + step)
         ks, cur, cur_preds = [], [], []
         try:
@@ -220,29 +225,27 @@ def evolve(state0, T, K, grid, dt=None, cfl=None, n_saves=41, frame_speed=0.0):
                 cur_preds.append(pred)
         except ValueError:
             # vacuum or a non-finite density at a stage: a blow-up
-            traj.blown_up = True
-            traj.blowup_time = t
+            traj.blown_up, traj.blowup_time = True, t
+            traj.failure = f"blow-up at t = {t}"
             return traj
         except RuntimeError as e:
-            traj.failure = f"RK4 stage {len(ks) + 1} of the step from t = {t:.6g}: {e}"
+            traj.failure = (f"time stepping failed at RK4 stage {len(ks) + 1} of the "
+                            f"step from t = {t:.6g}: {e}")
             return traj
         prev, preds, prev_step = cur, cur_preds, step
         k1, k2, k3, k4 = ks
         V = V + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += step
+        t = t_save if lands else t + step
         meta["rk4_steps"] += 1
         W_hat = whole(V, end)
         W = np.fft.irfft(W_hat, n=grid.N)
         if (not np.all(np.isfinite(W)) or np.min(1.0 + W[0]) < 1e-6
                 or np.max(np.abs(W[1])) > 1e3):
-            traj.blown_up = True
-            traj.blowup_time = t
+            traj.blown_up, traj.blowup_time = True, t
+            traj.failure = f"blow-up at t = {t}"
             return traj
-        if t >= next_save - 1e-12:
+        if lands:
             traj.states.append(lab(t))
-            next_save += save_every
-    if traj.states[-1].t < t - 1e-12:
-        traj.states.append(lab(t))
     return traj
 
 

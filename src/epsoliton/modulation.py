@@ -135,7 +135,7 @@ def decompose(state, ctx, weights, c_guess=None, D_guess=None):
     try:
         for _ in range(_MAXITER):
             r, W, V, wave = F(D, c)
-            history.append(float(np.max(np.abs(r))) / scale)
+            history.append(float(np.max(np.abs(r)) / scale))
             if history[-1] < _TOL:
                 break
             if len(history) > 4 and history[-1] > 0.5 * history[-4]:

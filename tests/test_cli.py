@@ -532,6 +532,17 @@ def test_evolve_conserves_the_perturbed_wave(tmp_path):
     assert sc["rel_dM"] < 1e-10 and sc["rel_dE"] < 1e-10
 
 
+def test_evolve_unresolved_wave_is_not_conserved(tmp_path):
+    # the negative control of `conserved`: at h = 2.5 the wave is unresolved,
+    # and its invariants drift well past both bounds; the run itself succeeds
+    out = tmp_path / "run"
+    assert cli.run(["evolve", "--out", str(out), "--eps", "0.1", "--L", "40",
+                    "--N", "32", "--T", "5"]) == 0
+    man = _strict_json(out / "manifest.json")
+    assert man["verdicts"]["conserved"] is False
+    assert man["scalars"]["rel_dE"] > 1e-3 and man["scalars"]["rel_dM"] > 1e-4
+
+
 def test_evolve_blow_up_exits_2(tmp_path, capsys):
     # a velocity kick of amplitude 2000 empties the density within the first
     # step: evolve's check after the step stops the flow, and the run exits 2
@@ -604,6 +615,23 @@ def test_stability_solver_failure_exits_2(tmp_path, fail_poisson_at, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "RK4 stage 2" in err and "blow-up" not in err
+
+
+def test_stability_blow_up_is_named_before_the_tracking_stop(tmp_path, capsys):
+    # the kick that blows evolve up in its first step: the flow's stop comes
+    # first, then the tracking stop (at t = 0, where the kicked state already
+    # lies outside the modulation window)
+    out = tmp_path / "run"
+    rc = cli.run(["stability", "--out", str(out), "--eps", "0.1", "--L", "40",
+                  "--N", "256", "--T", "2", "--n_saves", "3", "--delta", "2000",
+                  "--shape", "kick"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: blow-up at t = 0.000187")
+    assert "; modulation tracking failed at t = 0: " in err and "Traceback" not in err
+    rep = _strict_json(out / "report.json")
+    assert rep["error"].startswith("blow-up at t = ") and rep["blown_up"] is True
+    assert f"numerical failure: {rep['error']}\n" == err
 
 
 def test_stability_tracking_failure_at_first_snapshot_exits_2(tmp_path, capsys):

@@ -114,7 +114,7 @@ def test_virial_monitor_sign_convention(p10, w10):
     monitors = dg.virial_ratio_monitor(t, V, p10, w10, (-p10.eps * t, zero, zero),
                                        bundle)
     s1 = monitors[0]
-    assert s1.name == "Sigma1" and len(s1.C_fits) == 3
+    assert s1.name == "Sigma1"
     assert s1.C == pytest.approx(1.0, rel=1e-12)
     assert s1.stable and not s1.inconclusive
 
@@ -131,7 +131,7 @@ def test_virial_monitor_below_five_snapshots_is_inconclusive(p10, w10, n):
     monitors = dg.virial_ratio_monitor(t, V, p10, w10, (-p10.eps * t, zero, zero),
                                        bundle)
     for m in monitors:
-        assert len(m.C_fits) <= 1 and not m.stable and m.inconclusive
+        assert not m.stable and m.inconclusive
 
 
 def test_window_ratio_trapezoid_order():
@@ -162,10 +162,8 @@ def test_virial_ratio_monitor_shapes(p10, w10):
                                        dg.virial_series(Vs, p10, w10), bundle)
     assert [m.name for m in monitors] == ["Sigma1", "Sigma2", "Sigma_tilde"]
     for m in monitors:
-        assert np.isfinite(m.C)
+        assert np.isfinite(m.C) and m.C >= 0.0  # a ratio of nonnegative window integrals
         assert isinstance(m.stable, bool) and isinstance(m.inconclusive, bool)
-        if m.C_fits:
-            assert max(m.C_fits) == m.C
 
 
 # ------------------------------------------------------------ perturbations

@@ -86,6 +86,29 @@ def test_evolve_rejects_nonpositive_K(g):
         dyn.evolve(_zero(g), 1.0, 0.0, g)
 
 
+@pytest.mark.parametrize("n0, T, message", [
+    (np.nan, 1.0, "State: non-finite fields"),
+    (-1.0, 1.0, "State: vacuum reached"),
+    (0.0, 0.0, "evolve: K > 0 and T > 0 required"),
+], ids=["nan", "vacuum", "T0"])
+def test_evolve_guards(g, n0, T, message):
+    s0 = dyn.State(0.0, np.full(g.N, n0), np.zeros(g.N))
+    with pytest.raises(ValueError, match=f"^{message}"):
+        dyn.evolve(s0, T, 1.0, g)
+
+
+@pytest.mark.parametrize("T, n", [(200.0 / np.sqrt(0.002), 1001), (1e5 / 3, 41),
+                                  (12345.678, 11)])
+def test_evolve_saves_on_the_exact_lattice(T, n):
+    # a fixed step of one save spacing: each step lands on its save, with no
+    # roundoff-sized step after it and no extra snapshot at T, and the save
+    # times are T k/(n - 1) bit for bit, not an accumulated clock
+    g = Grid(10.0, 16)
+    traj = dyn.evolve(_zero(g), T, 1.0, g, dt=T / (n - 1), n_saves=n)
+    assert traj.failure is None and traj.meta["rk4_steps"] == n - 1
+    assert np.array_equal(traj.times, T * np.arange(n) / (n - 1))
+
+
 def test_evolve_blowup_detected(g):
     # deep density trough drives 1+n toward 0
     n0 = -0.98 * np.exp(-(g.x / 2) ** 2)
@@ -93,6 +116,7 @@ def test_evolve_blowup_detected(g):
     traj = dyn.evolve(dyn.State(0.0, n0, u0), 20.0, 1.0, g, n_saves=5)
     assert traj.blown_up
     assert traj.blowup_time is not None
+    assert traj.failure == f"blow-up at t = {traj.blowup_time}"
 
 
 def test_time_reversal(p05):
@@ -196,7 +220,8 @@ def test_evolve_reports_poisson_failure_not_blowup(g, fail_poisson_at):
     fail_poisson_at(7)
     traj = dyn.evolve(_zero(g), 1.0, 1.0, g, dt=0.25, n_saves=5)
     assert not traj.blown_up and traj.blowup_time is None
-    assert "RK4 stage 3" in traj.failure and "t = 0.25" in traj.failure
+    assert traj.failure.startswith("time stepping failed at RK4 stage 3 ")
+    assert "t = 0.25" in traj.failure
     assert "fixed point failed" in traj.failure
     assert traj.times[-1] == 0.25
 

@@ -139,6 +139,13 @@ def test_poisson_nan_warm_residual_restarts_cold(g):
     assert rep.residual == cold_rep.residual <= 1e-11
 
 
+def test_poisson_rejects_nonfinite_density(g):
+    n = np.zeros(g.N)
+    n[7] = np.nan
+    with pytest.raises(ValueError, match="^solve_poisson: non-finite density"):
+        ell.solve_poisson(n, g)
+
+
 def test_poisson_cold_failure_raises(g):
     # the cold linearisation of this density overflows e^phi: the solve
     # names its residual and iteration count instead of returning NaN

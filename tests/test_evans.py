@@ -92,6 +92,31 @@ def test_dispersion_left_half_plane_rejected(p10):
         ev.dispersion_roots(-0.1, p10.c, p10.K)
 
 
+def test_dispersion_sum_rule_violation_names_lambda(p10, monkeypatch):
+    quartic = ev._quartic_roots
+    monkeypatch.setattr(ev, "_quartic_roots", lambda *a: quartic(*a) + 1e-3)
+    with pytest.raises(RuntimeError, match=r"^dispersion_roots: sum rule violated by "
+                                           r"4\.00e-03 at lambda = 0\.3\+0\.2j$"):
+        ev.dispersion_roots(0.3 + 0.2j, p10.c, p10.K)
+
+
+def test_dispersion_two_decaying_roots_name_lambda(p10, monkeypatch):
+    # move the second root into the left half-plane and the last one right by
+    # as much, which keeps the sum rule
+    quartic = ev._quartic_roots
+
+    def two_decaying(*a):
+        roots = quartic(*a)
+        roots = roots[:, np.argsort(roots[0].real)]
+        shift = roots[0, 1].real + 1.0
+        return roots + np.array([0.0, -shift, 0.0, shift])
+
+    monkeypatch.setattr(ev, "_quartic_roots", two_decaying)
+    with pytest.raises(RuntimeError, match=r"^dispersion_roots: no unique decaying root "
+                                           r"at lambda = 0\.3\+0\.2j$"):
+        ev.dispersion_roots(0.3 + 0.2j, p10.c, p10.K)
+
+
 def test_jost_overflow_names_lambda():
     # of a batch of marches, the error names the lambdas whose march overflowed
     E = np.stack([np.eye(4), 1e3 * np.eye(4)])[:, None].repeat(8, axis=1)

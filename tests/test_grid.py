@@ -77,6 +77,16 @@ def test_derivative_rejects_nonfinite(g):
         derivative(f, g, 1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda g: Grid(0.0, 16), "L must be positive"),
+    (lambda g: derivative(np.ones(g.N), g, order=3), "order must be 1 or 2"),
+    (lambda g: integrate(np.full(g.N, np.inf), g), "non-finite input to integrate"),
+], ids=["L0", "order3", "integrate_inf"])
+def test_grid_guards(g, call, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call(g)
+
+
 def test_derivative_rejects_complex(g):
     with pytest.raises(ValueError, match="complex input"):
         derivative(np.exp(1j * g.x), g, 1)

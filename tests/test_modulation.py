@@ -1,3 +1,5 @@
+import ast
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,36 @@ def test_decompose_without_convergence_names_the_residual_history(
     with pytest.raises(RuntimeError, match=r"^decompose: no convergence in 1 Newton "
                                            r"iterations, residual history \[\S+\]$"):
         mod.decompose(s, ctx10, w10)
+
+
+def _history(message):
+    """The residual history a decompose failure names, as a Python list."""
+    return ast.literal_eval(message.split("residual history ")[1])
+
+
+def test_decompose_stagnation_names_the_residual_history(p10, ctx10, w10, monkeypatch):
+    # no residual reaches a zero tolerance: Newton goes on at roundoff until
+    # it stops halving
+    g = p10.grid
+    s = dyn.State(0.0, *translate([p10.n, p10.u], 8 * g.h, g))
+    monkeypatch.setattr(mod, "_TOL", 0.0)
+    with pytest.raises(RuntimeError, match="^decompose: Newton stagnated") as e:
+        mod.decompose(s, ctx10, w10)
+    history = _history(str(e.value))
+    assert len(history) > 4 and all(type(r) is float for r in history)
+
+
+def test_decompose_singular_jacobian_names_the_residual_history(
+        p10, ctx10, w10, monkeypatch):
+    # a translate that ignores D leaves the residuals blind to D: the
+    # Jacobian's D column is zero
+    g = p10.grid
+    s = dyn.State(0.0, *translate([p10.n, p10.u], 8 * g.h, g))
+    monkeypatch.setattr(mod, "translate", lambda U, D, grid: U)
+    with pytest.raises(RuntimeError, match="^decompose: singular Newton Jacobian") as e:
+        mod.decompose(s, ctx10, w10)
+    history = _history(str(e.value))
+    assert len(history) == 1 and type(history[0]) is float
 
 
 def test_wave_rejects_c_outside_the_window(p10, ctx10):
