@@ -45,7 +45,7 @@ _READS = {
     "profile": _GRID_KEYS,
     "evans": _GRID_KEYS + ("segment",),
     "evolve": _GRID_KEYS + ("delta", "shape", "T", "n_saves"),
-    "linear": _GRID_KEYS + ("A", "B", "kappa", "rho", "delta", "T"),
+    "linear": _GRID_KEYS + ("kappa", "rho", "delta", "T"),
     "stability": _GRID_KEYS + ("A", "B", "kappa", "rho", "delta", "shape", "T",
                                "n_saves"),
     "report": (),
@@ -234,6 +234,17 @@ def _profile_of(cfg, L_factor=40.0):
     return p
 
 
+def _perturbed(cfg, p):
+    """The initial state p + perturbation(--shape, --delta); one that
+    empties the density (1 + n <= 0 somewhere) is a validation error."""
+    dn, du = diagnostics.perturbation(cfg.shape, cfg.delta, p.grid)
+    floor = np.min(1.0 + p.n + dn)
+    if not floor > 0.0:
+        raise ValidationError(f"--delta {cfg.delta:g} with --shape {cfg.shape} empties "
+                              f"the density: min(1 + n) = {floor:.3g}")
+    return dynamics.State(0.0, p.n + dn, p.u + du)
+
+
 # ------------------------------------------------------------- subcommands
 
 def cmd_profile(cfg, out):
@@ -283,8 +294,7 @@ def cmd_evans(cfg, out):
 def cmd_evolve(cfg, out):
     p = _profile_of(cfg)
     g = p.grid
-    dn, du = diagnostics.perturbation(cfg.shape, cfg.delta, g)
-    s0 = dynamics.State(0.0, p.n + dn, p.u + du)
+    s0 = _perturbed(cfg, p)
     T = cfg.T if cfg.T is not None else 50.0 / np.sqrt(cfg.eps)
     traj = dynamics.evolve(s0, T, cfg.K, g, n_saves=cfg.n_saves, frame_speed=p.c)
     if traj.failure:
@@ -306,8 +316,9 @@ def cmd_linear(cfg, out):
     p = _profile_of(cfg)
     g = p.grid
     ctx = linearized.LinearContext.build(p)
-    w = default_weights(cfg.eps, g, A=cfg.A, B=cfg.B, kappa=cfg.kappa,
-                        rho=cfg.rho)
+    # A and B shape no weight the experiments read; the Kato experiment takes a WeightSet
+    w = default_weights(cfg.eps, g, A=_SETTINGS["A"][1], B=_SETTINGS["B"][1],
+                        kappa=cfg.kappa, rho=cfg.rho)
     V0 = np.array([cfg.delta * np.exp(-(g.x / 4.0) ** 2) * np.cos(g.x),
                    np.zeros(g.N)])
     T = min(cfg.T or np.inf, linearized.wrap_time(ctx))  # both experiments stop there
@@ -323,7 +334,7 @@ def cmd_linear(cfg, out):
                      "kato_excess": float(excess),
                      "propagator_rho": ctx.rho,
                      "L_applications": ctx.L_applications,
-                     "xi2_iterations": ctx.xi2_iterations, "xi2_residual": ctx.xi2_residual,
+                     "xi2_iterations": ctx.xi2.iterations, "xi2_residual": ctx.xi2.residual,
                      "L": g.L, "N": g.N, "T": T}, \
         {"decay_positive": bool(rate > 0),
          "kato_plateau": bool(excess < 0.1)}
@@ -333,6 +344,7 @@ def cmd_stability(cfg, out):
     # the profile is checked before the flow starts, so that an unresolved
     # wave fails first, and the experiment takes it as its base wave
     p = _profile_of(cfg, L_factor=diagnostics.L_FACTOR)
+    _perturbed(cfg, p)  # the experiment perturbs p the same way
     sc = diagnostics.StabilityConfig(
         K=cfg.K, eps=cfg.eps, delta=cfg.delta, shape=cfg.shape,
         T=cfg.T, n_saves=cfg.n_saves, A=cfg.A, B=cfg.B, kappa=cfg.kappa,
@@ -341,12 +353,9 @@ def cmd_stability(cfg, out):
     f = out / "report.json"
     f.write_text(json.dumps(rep.to_json_dict(), indent=2, default=float) + "\n")
     files = [f]
-    if rep.bundle is not None:  # tracking kept at least one snapshot
-        series = {"c": rep.track.c, "D": rep.track.D,
-                  "I1": rep.I1, "I2": rep.I2, "J": rep.J,
-                  "local_running": rep.local_running, **rep.bundle}
+    if rep.series is not None:  # tracking kept at least one snapshot
         f2 = out / "stability_series.csv"
-        write_long_csv(f2, rep.track.t, series)
+        write_long_csv(f2, rep.track.t, {"c": rep.track.c, "D": rep.track.D, **rep.series})
         files.append(f2)
     if rep.error:
         raise NumericalFailure(rep.error)
@@ -417,9 +426,15 @@ def _resolve_settings(cfg, extra):
             except ValueError:
                 raise ValidationError(f"bad value for --{key}: {raw!r}")
     validate(values)
-    if cfg.subcommand == "stability" and not values["eps"] > modulation.DC:
-        # the modulation context builds the wave at c - DC
-        raise ValidationError(f"stability needs eps > {modulation.DC:g}")
+    if cfg.subcommand == "stability":
+        # the modulation context builds the waves at c -+ DC
+        if not values["eps"] > modulation.DC:
+            raise ValidationError(f"stability needs eps > {modulation.DC:g}")
+        try:
+            profile_mod.peak_state(np.sqrt(1.0 + values["K"]) + values["eps"] + modulation.DC,
+                                   values["K"])
+        except ValueError as e:
+            raise ValidationError(f"stability needs a wave at eps + {modulation.DC:g}: {e}")
     vars(cfg).update(values)
 
 

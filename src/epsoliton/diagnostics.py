@@ -58,15 +58,15 @@ class VirialMonitor:
     inconclusive: bool
 
 
-def virial_ratio_monitor(t, V, p, w, virials, bundle):
+def virial_ratio_monitor(t, V, p, w, series):
     """Fitted constants for the three virial inequalities over trailing time
     windows.  C = max over windows of (integrated LHS)/(integrated RHS);
     'stable' requires two valid windows agreeing within 2x; below five
     snapshots the windows coincide and the monitor is inconclusive.
 
-    V is the (S, 3, N) stack of perturbations, virials is
-    virial_series(V, p, w) and bundle its norm_bundle_series, of which the
-    monitor reads Sigma1 and Sigma2; its three Sigma-tilde series are
+    V is the (S, 3, N) stack of perturbations and series holds its
+    virial_series(V, p, w) as I1, I2, J and its norm_bundle_series, of which
+    the monitor reads Sigma1 and Sigma2; its three Sigma-tilde series are
     grid.sigma_tilde_sq over a stack.  Each side of an inequality is held as
     its antiderivative in t (a -dI/dt term contributes -I, a norm term its
     running integral), so a window's integral is an endpoint difference.
@@ -74,14 +74,14 @@ def virial_ratio_monitor(t, V, p, w, virials, bundle):
     g = p.grid
     eps = p.eps
     n = len(t)
-    I1, I2, J = virials
+    I1, I2, J = series["I1"], series["I2"], series["J"]
     ge = np.array(dynamics.gradient_E(p.n, p.u, p.phi, p.K))
     # the cross terms <weight grad e(S_c), V>
     X1, X2, XJ = (integrate((weight * ge * V[:, :2]).sum(axis=1), g)
                   for weight in (w.phi1, w.phi2, w.psi_weight))
 
-    S1 = bundle["Sigma1"] ** 2
-    S2 = bundle["Sigma2"] ** 2
+    S1 = series["Sigma1"] ** 2
+    S2 = series["Sigma2"] ** 2
     # ||V||^2, ||V_phi||^2 and ||(V_n, V_u, V_phi')||^2 with the sech weight
     St_rows = sigma_tilde_sq(V, w)
     St_V, St_phi = St_rows.sum(axis=1), St_rows[:, 2]
@@ -166,11 +166,7 @@ class StabilityConfig:
 class StabilityReport:
     config: StabilityConfig
     track: object = None
-    I1: np.ndarray = None
-    I2: np.ndarray = None
-    J: np.ndarray = None
-    local_running: np.ndarray = None
-    bundle: dict = None
+    series: dict = None         # per snapshot: I1, I2, J, local_running, norm bundle
     monitors: list = None
     c_tail_spread: float = None
     flow: dict = None           # the flow's telemetry (Trajectory.meta)
@@ -209,28 +205,26 @@ def stability_experiment(config: StabilityConfig, profile=None) -> StabilityRepo
 
     traj = dynamics.evolve(s0, config.T, config.K, g, n_saves=config.n_saves,
                            frame_speed=p.c)
-    rep.blown_up = traj.blown_up
+    rep.blown_up = traj.blowup_time is not None
     rep.blowup_time = traj.blowup_time
     rep.flow = dict(traj.meta)
-    rep.error = traj.failure
 
     ctx = modulation.ModulationContext(p)
     track = modulation.track(traj, ctx, w)
     rep.track = track
-    rep.verdicts["decompose_ok"] = not (track.error or traj.failure)
-    if track.error:
-        stop = f"modulation tracking failed at t = {track.failed_t:g}: {track.error}"
-        rep.error = f"{rep.error}; {stop}" if rep.error else stop
+    rep.error = "; ".join(f for f in (traj.failure, track.failure) if f) or None
+    rep.verdicts["decompose_ok"] = rep.error is None
     if len(track.t) == 0:
         return rep
 
     t = track.t
 
-    rep.I1, rep.I2, rep.J = virial_series(track.V, p, w)
-    rep.bundle = norm_bundle_series(track.V, w)
+    I1, I2, J = virial_series(track.V, p, w)
+    bundle = norm_bundle_series(track.V, w)
     # int e^{-2a<x>} |V|^2 dx per snapshot, and its running time integral
-    local = rep.bundle["weighted_local"]
-    rep.local_running = running_integral(local, t)
+    local = bundle["weighted_local"]
+    rep.series = {"I1": I1, "I2": I2, "J": J,
+                  "local_running": running_integral(local, t), **bundle}
 
     if config.delta > 0:
         # means over the first and the last tenth of the snapshots
@@ -241,7 +235,7 @@ def stability_experiment(config: StabilityConfig, profile=None) -> StabilityRepo
         # the wrapped radiation leaves a small linear-in-t floor, so compare
         # quarter increments instead of absolute tail share (below four
         # snapshots there are none, and no saturation)
-        ru = rep.local_running
+        ru = rep.series["local_running"]
         nq = len(ru) // 4
         inc_first = ru[nq] - ru[0]
         inc_last = ru[-1] - ru[len(ru) - 1 - nq]
@@ -255,8 +249,7 @@ def stability_experiment(config: StabilityConfig, profile=None) -> StabilityRepo
     rep.c_tail_spread = float((np.max(q) - np.min(q)) / np.mean(q))
     rep.verdicts["c_converges"] = bool(rep.c_tail_spread < C_TAIL_TOL)
 
-    rep.monitors = virial_ratio_monitor(t, track.V, p, w, (rep.I1, rep.I2, rep.J),
-                                        rep.bundle)
+    rep.monitors = virial_ratio_monitor(t, track.V, p, w, rep.series)
     rep.verdicts["virial_constants_ok"] = all(
         np.isfinite(m.C) and m.stable and not m.inconclusive
         for m in rep.monitors) if config.delta > 0 else True

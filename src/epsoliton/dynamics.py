@@ -66,7 +66,6 @@ class State:
 class Trajectory:
     states: list
     meta: dict = field(default_factory=dict)  # evolve's counters and frame speed
-    blown_up: bool = False
     blowup_time: float = None
     failure: str = None  # what stopped the run early, blow-up or solver failure, and its t
 
@@ -150,7 +149,7 @@ def evolve(state0, T, K, grid, dt=None, cfl=None, n_saves=41, frame_speed=0.0):
     otherwise; a fixed dt is honoured up to the cuts at the saves.  An early
     stop truncates the trajectory and traj.failure names it: "blow-up at
     t = ..." for a blow-up (min(1+n) < 1e-6, sup|u| > 1e3, NaN, or a vacuum
-    or non-finite stage state), which also sets blown_up and blowup_time,
+    or non-finite stage state), which also sets blowup_time,
     and "time stepping failed at RK4 stage k of the step from t = ...: ..."
     for a failed Poisson solve.  traj.meta counts the Poisson solves,
     their iterations, the solves whose warm start stalled and restarted cold
@@ -225,7 +224,7 @@ def evolve(state0, T, K, grid, dt=None, cfl=None, n_saves=41, frame_speed=0.0):
                 cur_preds.append(pred)
         except ValueError:
             # vacuum or a non-finite density at a stage: a blow-up
-            traj.blown_up, traj.blowup_time = True, t
+            traj.blowup_time = t
             traj.failure = f"blow-up at t = {t}"
             return traj
         except RuntimeError as e:
@@ -241,7 +240,7 @@ def evolve(state0, T, K, grid, dt=None, cfl=None, n_saves=41, frame_speed=0.0):
         W = np.fft.irfft(W_hat, n=grid.N)
         if (not np.all(np.isfinite(W)) or np.min(1.0 + W[0]) < 1e-6
                 or np.max(np.abs(W[1])) > 1e3):
-            traj.blown_up, traj.blowup_time = True, t
+            traj.blowup_time = t
             traj.failure = f"blow-up at t = {t}"
             return traj
         if lands:

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import WINDOW, Grid, derivative, inner, l2a, running_integral, sigma_tilde_sq
-from .elliptic import schrodinger_solver
+from .elliptic import EllipticSolveReport, schrodinger_solver
 from .modulation import KernelVectors, kernel_vectors
 
 
@@ -33,9 +33,7 @@ class LinearContext:
     kv: KernelVectors
     grid: Grid
     solve: Callable  # f -> (-d^2/dx^2 + e^{phi_c})^{-1} f, see schrodinger_solver
-    # the iterations and relative residual of build's xi2 solve
-    xi2_iterations: int = field(default=None, compare=False)
-    xi2_residual: float = field(default=None, compare=False)
+    xi2: EllipticSolveReport = field(default=None, compare=False)  # build's xi2 solve
     # apply_Lc calls made by evolve_linear runs on this context
     L_applications: int = field(default=0, init=False, compare=False)
     # the last q_trajectory run: ((V0 shape, V0 bytes, T), LinearTrajectory)
@@ -46,8 +44,7 @@ class LinearContext:
         """The context of a built profile; its kernel vectors cost one linear
         solve (kernel_vectors)."""
         kv, rep = kernel_vectors(profile)
-        return cls(profile, kv, profile.grid, schrodinger_solver(profile.phi, profile.grid),
-                   rep.iterations, rep.residual)
+        return cls(profile, kv, profile.grid, schrodinger_solver(profile.phi, profile.grid), rep)
 
     @cached_property
     def rho(self):
@@ -76,8 +73,7 @@ class LinearContext:
         return -self.grid.symbol(1)
 
     def q_trajectory(self, V0, T, n_saves):
-        """e^{tL} Q V0 at save_times(self, T, n_saves) and at the last state
-        (the save that flagged spurious growth, if any), for n_saves
+        """e^{tL} Q V0 at save_times(self, T, n_saves), for n_saves
         DECAY_SAVES or KATO_SAVES.
 
         One evolve_linear run, at the union of both experiments' times,
@@ -90,8 +86,7 @@ class LinearContext:
             self._memo = (key, evolve_linear(project_Q(V0, self), self, t))
         traj = self._memo[1]
         keep = np.isin(traj.t, save_times(self, T, n_saves))
-        keep[-1] = True
-        return LinearTrajectory(traj.t[keep], traj.states[keep], traj.flagged)
+        return LinearTrajectory(traj.t[keep], traj.states[keep])
 
 
 def apply_Lc(V, ctx):
@@ -129,7 +124,6 @@ def project_Q(V, ctx):
 class LinearTrajectory:
     t: np.ndarray
     states: np.ndarray  # (len(t), 2, N): the state at each time
-    flagged: bool
 
 
 _CFL = 0.4         # Courant number of save_times' lattice
@@ -207,8 +201,9 @@ def evolve_linear(V0, ctx, t):
     on a row of that product not depending on the number of rows, so that a
     state does not depend on which other times the run takes;
     test_experiments_share_one_linear_run checks this bit for bit.  A state
-    whose norm exceeds e^10 times the initial one flags spurious growth (the
-    premise of the expansion has failed) and ends the trajectory.
+    whose norm exceeds e^10 times the initial one is spurious growth (the
+    premise rho >= ||L||_2 has failed): RuntimeError, naming the first such
+    time and rho.
     """
     g = ctx.grid
     t = np.array(t, dtype=float)
@@ -236,8 +231,10 @@ def evolve_linear(V0, ctx, t):
     states = out.reshape(len(t), *V.shape)
     norm0 = max(np.sqrt(inner(V, V, g)), 1e-300)
     grew = ~(np.sqrt(inner(states, states, g)) <= norm0 * np.exp(10.0))
-    end = int(np.argmax(grew)) + 1 if grew.any() else len(t)
-    return LinearTrajectory(t[:end], states[:end], bool(grew.any()))
+    if grew.any():
+        raise RuntimeError(f"evolve_linear: spurious growth at t = {t[np.argmax(grew)]:g}: "
+                           f"the norm passed e^10 ||V0||, so rho = {rho:g} is below ||L||_2")
+    return LinearTrajectory(t, states)
 
 
 def wrap_time(ctx):

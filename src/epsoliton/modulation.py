@@ -169,25 +169,24 @@ class ModulationTrack:
     c: np.ndarray
     D: np.ndarray
     V: np.ndarray           # (S, 3, N): (V_n, V_u, V_phi) per snapshot, profile frame
-    failed_t: float = None  # the time of the snapshot decompose failed at
-    error: str = None       # and decompose's message
+    failure: str = None     # the stop: the t decompose failed at, and its message
 
 
 def track(traj, ctx, weights):
     """Run decompose along a trajectory; c, D (unwrapped) and V.
 
-    Tracking stops at the first snapshot decompose fails at; the track keeps
-    its time and decompose's message."""
+    Tracking stops at the first snapshot decompose fails at; the track's
+    failure names its time and decompose's message."""
     states = traj.states
     V = np.empty((len(states), 3, ctx.grid.N))
     cs, Ds = [], []
     c_g, D_g = None, None
-    failed_t, error = None, None
+    failure = None
     for i, s in enumerate(states):
         try:
             c, D, Vnu, V_phi, _ = decompose(s, ctx, weights, c_guess=c_g, D_guess=D_g)
         except RuntimeError as e:
-            failed_t, error = s.t, str(e)
+            failure = f"modulation tracking failed at t = {s.t:g}: {e}"
             break
         cs.append(c); Ds.append(D)
         V[i, :2], V[i, 2] = Vnu, V_phi
@@ -198,4 +197,4 @@ def track(traj, ctx, weights):
     S = len(cs)
     Dw = np.unwrap(np.array(Ds), period=2 * ctx.grid.L)
     return ModulationTrack(np.array([s.t for s in states[:S]]), np.array(cs), Dw,
-                           V[:S], failed_t=failed_t, error=error)
+                           V[:S], failure)

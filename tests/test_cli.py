@@ -5,6 +5,7 @@ import csv
 import inspect
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -73,7 +74,7 @@ def test_unreadable_config_exits_1(tmp_path, capsys, kind):
     assert not out.exists()
 
 def test_validate_weight_scale_ordering():
-    v = cli._defaults("linear")
+    v = cli._defaults("stability")
     v["A"], v["B"] = 50.0, 10.0        # A < B^2
     with pytest.raises(cli.ValidationError):
         cli.validate(v)
@@ -112,14 +113,14 @@ def test_nonpositive_T_L_rho_exit_1(tmp_path, capsys, argv, key):
     (["profile", "--N", "abc"], "bad value for --N: 'abc'"),
     (["profile", "--eps", "abc"], "bad value for --eps: 'abc'"),
     (["evolve", "--n_saves", "2.5"], "bad value for --n_saves: '2.5'"),
-    (["linear", "--B", "nan"], "B must be finite"),
+    (["stability", "--B", "nan"], "B must be finite"),
     (["profile", "--K", "nan"], "K must be finite"),
     (["profile", "--eps", "nan"], "eps must be finite"),
-    (["linear", "--A", "nan"], "A must be finite"),
+    (["stability", "--A", "nan"], "A must be finite"),
     (["linear", "--kappa", "nan"], "kappa must be finite"),
     (["evolve", "--delta", "nan", "--eps", "0.1", "--T", "1"], "delta must be finite"),
     (["evolve", "--T", "inf"], "T must be finite"),
-    (["linear", "--B", "1"], "B must exceed 1"),
+    (["stability", "--B", "1"], "B must exceed 1"),
     (["evolve", "--delta=-1e-3"], "delta must be nonnegative"),
     (["evolve", "--n_saves", "1"], "n_saves must be at least 2")],
     ids=["N-abc", "eps-abc", "n_saves-2.5", "B-nan", "K-nan", "eps-nan", "A-nan",
@@ -502,6 +503,23 @@ def test_linear_without_decaying_segment_writes_null_rate(tmp_path, monkeypatch)
     assert man["verdicts"]["decay_positive"] is False
 
 
+def test_linear_spurious_growth_exits_2(tmp_path, capsys, monkeypatch):
+    # rho below ||L||_2 breaks the propagator's premise: the run stops at the
+    # first save past e^10 ||V0|| and names its t and rho, writing no series
+    from epsoliton import linearized
+    rho = linearized.LinearContext.rho
+    monkeypatch.setattr(linearized.LinearContext, "rho",
+                        property(lambda ctx: 0.5 * rho.func(ctx)))
+    out = tmp_path / "run"
+    assert cli.run(["linear", "--out", str(out), "--eps", "0.1", "--L", "40",
+                    "--N", "256", "--T", "5"]) == 2
+    err = capsys.readouterr().err
+    m = re.match(r"numerical failure: evolve_linear: spurious growth at t = (\S+): "
+                 r".* rho = (\S+) is below", err)
+    assert m and 0.0 < float(m[1]) <= 5.0 and float(m[2]) > 0.0
+    assert not (out / "linear.csv").exists() and not (out / "manifest.json").exists()
+
+
 def test_evolve_writes_invariants(tmp_path):
     out = tmp_path / "run"
     rc = cli.run(["evolve", "--out", str(out), "--eps", "0.1", "--T", "2",
@@ -753,6 +771,37 @@ def test_stability_eps_floor_exits_1(tmp_path, capsys, eps):
     assert rc == 1
     assert capsys.readouterr().err == "error: stability needs eps > 0.001\n"
     assert not out.exists()
+
+
+def test_stability_without_a_wave_at_eps_plus_dc_exits_1(tmp_path, capsys):
+    # the modulation context builds the wave at c + 1e-3 too; at K = 1 the
+    # existence edge is eps = 0.15527, so eps = 0.155 has a wave and
+    # eps + 1e-3 none
+    out = tmp_path / "r"
+    rc = cli.run(["stability", "--out", str(out), "--eps", "0.155", "--L", "40",
+                  "--N", "64", "--T", "0.5", "--n_saves", "3"])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: stability needs a wave at eps + 0.001: "
+                                       "no solitary wave at this (c, K): no root of "
+                                       "the peak equation\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, delta, min_density", [
+    (["evolve", "--eps", "0.1", "--T", "2"], "1.1", "-0.0563"),
+    (["stability", "--eps", "0.1", "--L", "40", "--N", "256", "--T", "2",
+      "--n_saves", "3"], "3", "-1.96")], ids=["evolve", "stability"])
+def test_perturbation_emptying_the_density_exits_1(tmp_path, capsys, argv, delta,
+                                                  min_density):
+    # the odd bump reaches -delta: past delta = 1.04 the initial density is
+    # not positive, which the flow cannot start from
+    out = tmp_path / "r"
+    rc = cli.run(argv + ["--delta", delta, "--shape", "odd", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: --delta {delta} with --shape odd empties the density: "
+                   f"min(1 + n) = {min_density}\n")
+    assert not (out / "manifest.json").exists()
 
 
 # one strategy per setting (a setting without one fails the draw); L, N and

@@ -98,8 +98,8 @@ def test_local_series_match_direct_formula(grid10):
     running = np.concatenate([[0.0], np.cumsum(
         (series[1:] + series[:-1]) / 2 * np.diff(rep.track.t))])
     assert len(series) == 5
-    assert np.array_equal(rep.bundle["weighted_local"], series)
-    assert np.array_equal(rep.local_running, running)
+    assert np.array_equal(rep.series["weighted_local"], series)
+    assert np.array_equal(rep.series["local_running"], running)
 
 
 # ------------------------------------------------------------- window ratio
@@ -110,9 +110,9 @@ def test_virial_monitor_sign_convention(p10, w10):
     t = np.linspace(0.0, 8.0, 9)
     zero = np.zeros(len(t))
     V = np.zeros((len(t), 3, p10.grid.N))
-    bundle = {"Sigma1": np.ones(len(t)), "Sigma2": zero, "Sigma_tilde": zero}
-    monitors = dg.virial_ratio_monitor(t, V, p10, w10, (-p10.eps * t, zero, zero),
-                                       bundle)
+    series = {"I1": -p10.eps * t, "I2": zero, "J": zero, "Sigma1": np.ones(len(t)),
+              "Sigma2": zero, "Sigma_tilde": zero}
+    monitors = dg.virial_ratio_monitor(t, V, p10, w10, series)
     s1 = monitors[0]
     assert s1.name == "Sigma1"
     assert s1.C == pytest.approx(1.0, rel=1e-12)
@@ -127,9 +127,9 @@ def test_virial_monitor_below_five_snapshots_is_inconclusive(p10, w10, n):
     t = np.linspace(0.0, 8.0, n)
     zero = np.zeros(n)
     V = np.zeros((n, 3, p10.grid.N))
-    bundle = {"Sigma1": np.ones(n), "Sigma2": zero, "Sigma_tilde": zero}
-    monitors = dg.virial_ratio_monitor(t, V, p10, w10, (-p10.eps * t, zero, zero),
-                                       bundle)
+    series = {"I1": -p10.eps * t, "I2": zero, "J": zero, "Sigma1": np.ones(n),
+              "Sigma2": zero, "Sigma_tilde": zero}
+    monitors = dg.virial_ratio_monitor(t, V, p10, w10, series)
     for m in monitors:
         assert not m.stable and m.inconclusive
 
@@ -157,9 +157,9 @@ def test_virial_ratio_monitor_shapes(p10, w10):
     t = np.linspace(0.0, 8.0, 9)
     V = _test_V(p10)
     Vs = np.exp(-0.3 * t)[:, None, None] * V
-    bundle = dg.norm_bundle_series(Vs, w10)
-    monitors = dg.virial_ratio_monitor(t, Vs, p10, w10,
-                                       dg.virial_series(Vs, p10, w10), bundle)
+    series = dict(zip(("I1", "I2", "J"), dg.virial_series(Vs, p10, w10)),
+                  **dg.norm_bundle_series(Vs, w10))
+    monitors = dg.virial_ratio_monitor(t, Vs, p10, w10, series)
     assert [m.name for m in monitors] == ["Sigma1", "Sigma2", "Sigma_tilde"]
     for m in monitors:
         assert np.isfinite(m.C) and m.C >= 0.0  # a ratio of nonnegative window integrals
@@ -269,7 +269,7 @@ def test_stability_experiment_computes_each_series_once(grid10, monkeypatch):
     assert n == 5 and rep.verdicts["decompose_ok"]
     assert len(norm_calls) == 1
     assert len(energy_calls) == 2
-    assert len(rep.bundle["Sigma1"]) == n and len(rep.I1) == n
+    assert len(rep.series["Sigma1"]) == n and len(rep.series["I1"]) == n
 
 
 @pytest.mark.parametrize("n_saves", [3, 4])
@@ -312,10 +312,10 @@ def test_stability_experiment_names_a_tracking_stop_midway(grid10, monkeypatch):
     cfg = dg.StabilityConfig(K=1.0, eps=0.1, delta=1e-3, shape="even", T=2.0, n_saves=5,
                              grid=grid10)
     rep = dg.stability_experiment(cfg)
-    assert len(rep.track.t) == 2 and rep.track.failed_t == seen[2] > 0
+    stop = f"modulation tracking failed at t = {seen[2]:g}: decompose: Newton stagnated"
+    assert len(rep.track.t) == 2 and seen[2] > 0 and rep.track.failure == stop
     assert rep.verdicts["decompose_ok"] is False
-    assert rep.to_json_dict()["error"] == (
-        f"modulation tracking failed at t = {seen[2]:g}: decompose: Newton stagnated")
+    assert rep.to_json_dict()["error"] == stop
 
 def test_stability_experiment_reports_solver_failure(grid10, fail_poisson_at):
     # the 10th solve is stage 2 of the third step

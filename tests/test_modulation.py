@@ -216,7 +216,7 @@ def test_track_exact_soliton(p05, w05):
     ctx = mod.ModulationContext(p05)
     traj = dyn.evolve(dyn.State(0.0, p05.n.copy(), p05.u.copy()), 6.0, p05.K, g, n_saves=7)
     tr = mod.track(traj, ctx, w05)
-    assert tr.error is None and tr.failed_t is None
+    assert tr.failure is None
     assert np.max(np.abs(np.gradient(tr.D, tr.t) - tr.c)) < 1e-6
     assert np.max(np.abs(np.gradient(tr.c, tr.t))) < 1e-6
     assert tr.V.shape == (len(tr.t), 3, g.N)
