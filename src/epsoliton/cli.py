@@ -3,6 +3,7 @@
 Subcommands: profile | evans | evolve | linear | stability | report.
 Each subcommand reads the settings of its row in _READS, from an optional
 key=value file plus flags (flags win); any other setting is an error.
+_prepare checks and builds a run's inputs before --out is touched.
 Every run writes a manifest.json listing inputs, outputs, wall time, and
 verdicts.  Exit codes: 0 success, 1 validation error, 2 numerical failure.
 """
@@ -13,12 +14,13 @@ import json
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__, diagnostics, dynamics, evans, linearized, modulation
 from . import profile as profile_mod
-from .grid import default_weights
+from .grid import A_RATE_L_MAX, default_weights
 
 
 class ValidationError(Exception):
@@ -31,10 +33,11 @@ class NumericalFailure(Exception):
 
 # ------------------------------------------------------------------ config
 
-# type and default of each setting
+# type and default of each setting (the weight settings' are the experiment's)
+_SC = diagnostics.StabilityConfig
 _SETTINGS = {"K": (float, 1.0), "eps": (float, 0.05), "L": (float, None),
-             "N": (int, None), "A": (float, 100.0), "B": (float, 10.0),
-             "kappa": (float, 0.1), "rho": (float, 0.3), "delta": (float, 1e-3),
+             "N": (int, None), "A": (float, _SC.A), "B": (float, _SC.B),
+             "kappa": (float, _SC.kappa), "rho": (float, _SC.rho), "delta": (float, 1e-3),
              "shape": (str, "even"), "T": (float, None), "n_saves": (int, 41),
              "segment": (str, "0.02:1:25")}
 
@@ -204,51 +207,57 @@ def _manifest(out, cfg, t_wall, files, scalars, verdicts):
     path.write_text(json.dumps(man, indent=2, default=float) + "\n")
 
 
-def _grid_of(cfg, L_factor=40.0):
-    """The grid from --L/--N; default_grid's rule derives whichever is missing.
-
-    Rejects (eps, K) for which peak_state finds no solitary-wave peak, also
-    when --L and --N are both given.
-    """
-    try:
-        return profile_mod.default_grid(cfg.eps, cfg.K, L=cfg.L, N=cfg.N,
-                                        L_factor=L_factor)
-    except ValueError as e:
-        raise ValidationError(str(e))
-
-
 _RESIDUAL_MAX = 1e-6  # nodal Poisson residual of a profile on the default grid
 
 
-def _profile_of(cfg, L_factor=40.0):
-    """The profile on _grid_of's grid.  On the default grid (neither --L nor
-    --N given) a nodal Poisson residual above _RESIDUAL_MAX is a numerical
-    failure, the wave unresolved near the existence edge; an explicit grid
-    may be coarse on purpose."""
-    p = profile_mod.profile_from_eps(cfg.eps, cfg.K, _grid_of(cfg, L_factor))
+def _prepare(cfg):
+    """Check and build a run's inputs, the cheap checks first: under
+    stability the waves at c -+ DC, the grid (default_grid derives a missing
+    --L or --N), the weight set w if the subcommand reads rho, the profile p,
+    the perturbed state s0 if it reads shape.  On the default grid a nodal
+    Poisson residual above _RESIDUAL_MAX, a wave unresolved near the
+    existence edge, is a NumericalFailure; an explicit grid may be coarse."""
+    stability = cfg.subcommand == "stability"
+    if stability:  # the modulation context builds the waves at c -+ DC
+        if not cfg.eps > modulation.DC:
+            raise ValidationError(f"stability needs eps > {modulation.DC:g}")
+        try:
+            profile_mod.peak_state(np.sqrt(1.0 + cfg.K) + cfg.eps + modulation.DC, cfg.K)
+        except ValueError as e:
+            raise ValidationError(f"stability needs a wave at eps + {modulation.DC:g}: {e}")
+    try:
+        g = profile_mod.default_grid(cfg.eps, cfg.K, L=cfg.L, N=cfg.N,
+                                     L_factor=diagnostics.L_FACTOR if stability else 40.0)
+    except ValueError as e:
+        raise ValidationError(str(e))
+    w = s0 = None
+    if "rho" in _READS[cfg.subcommand]:
+        try:  # linear reads no weight scale and takes the defaults
+            w = default_weights(cfg.eps, g, A=getattr(cfg, "A", _SC.A),
+                                B=getattr(cfg, "B", _SC.B), kappa=cfg.kappa, rho=cfg.rho)
+        except ValueError as e:
+            bound = A_RATE_L_MAX / (np.sqrt(cfg.eps) * g.L)
+            raise ValidationError(f"--rho {cfg.rho:g} must be below {bound:.4g} on this box: {e}")
+    p = profile_mod.profile_from_eps(cfg.eps, cfg.K, g)
     if cfg.L is None and cfg.N is None and p.poisson_residual > _RESIDUAL_MAX:
         raise NumericalFailure(
             f"profile at eps = {cfg.eps:g} unresolved on the default grid "
-            f"(N = {p.grid.N}): nodal Poisson residual {p.poisson_residual:.2e} "
+            f"(N = {g.N}): nodal Poisson residual {p.poisson_residual:.2e} "
             f"> {_RESIDUAL_MAX:g}")
-    return p
-
-
-def _perturbed(cfg, p):
-    """The initial state p + perturbation(--shape, --delta); one that
-    empties the density (1 + n <= 0 somewhere) is a validation error."""
-    dn, du = diagnostics.perturbation(cfg.shape, cfg.delta, p.grid)
-    floor = np.min(1.0 + p.n + dn)
-    if not floor > 0.0:
-        raise ValidationError(f"--delta {cfg.delta:g} with --shape {cfg.shape} empties "
-                              f"the density: min(1 + n) = {floor:.3g}")
-    return dynamics.State(0.0, p.n + dn, p.u + du)
+    if "shape" in _READS[cfg.subcommand]:
+        dn, du = diagnostics.perturbation(cfg.shape, cfg.delta, g)
+        floor = np.min(1.0 + p.n + dn)
+        if not floor > 0.0:
+            raise ValidationError(f"--delta {cfg.delta:g} with --shape {cfg.shape} empties "
+                                  f"the density: min(1 + n) = {floor:.3g}")
+        s0 = dynamics.State(0.0, p.n + dn, p.u + du)
+    return SimpleNamespace(p=p, w=w, s0=s0)
 
 
 # ------------------------------------------------------------- subcommands
 
-def cmd_profile(cfg, out):
-    p = _profile_of(cfg)
+def cmd_profile(cfg, out, built):
+    p = built.p
     g = p.grid
     f = out / "profile.csv"
     write_csv(f, ("x", "n", "u", "phi", "psi", "dn", "du"),
@@ -267,8 +276,8 @@ def cmd_profile(cfg, out):
 _SCAN_RTOL = 1e-9  # the evans scan's march tolerance, and D's relative accuracy on it
 
 
-def cmd_evans(cfg, out):
-    p = _profile_of(cfg)
+def cmd_evans(cfg, out, built):
+    p = built.p
     g = p.grid
     cache = evans.CoefficientCache(p)
     scan = evans.evans_scan(1j * _segment_taus(cfg.segment), p, cache,
@@ -291,12 +300,11 @@ def cmd_evans(cfg, out):
     return [f], scal, verd
 
 
-def cmd_evolve(cfg, out):
-    p = _profile_of(cfg)
+def cmd_evolve(cfg, out, built):
+    p = built.p
     g = p.grid
-    s0 = _perturbed(cfg, p)
     T = cfg.T if cfg.T is not None else 50.0 / np.sqrt(cfg.eps)
-    traj = dynamics.evolve(s0, T, cfg.K, g, n_saves=cfg.n_saves, frame_speed=p.c)
+    traj = dynamics.evolve(built.s0, T, cfg.K, g, n_saves=cfg.n_saves, frame_speed=p.c)
     if traj.failure:
         raise NumericalFailure(traj.failure)
     invs = [dynamics.invariants_of(s, cfg.K, g) for s in traj.states]
@@ -312,13 +320,10 @@ def cmd_evolve(cfg, out):
         {"conserved": bool(dE < 1e-6 and dM < 1e-8)}
 
 
-def cmd_linear(cfg, out):
-    p = _profile_of(cfg)
+def cmd_linear(cfg, out, built):
+    p, w = built.p, built.w
     g = p.grid
     ctx = linearized.LinearContext.build(p)
-    # A and B shape no weight the experiments read; the Kato experiment takes a WeightSet
-    w = default_weights(cfg.eps, g, A=_SETTINGS["A"][1], B=_SETTINGS["B"][1],
-                        kappa=cfg.kappa, rho=cfg.rho)
     V0 = np.array([cfg.delta * np.exp(-(g.x / 4.0) ** 2) * np.cos(g.x),
                    np.zeros(g.N)])
     T = min(cfg.T or np.inf, linearized.wrap_time(ctx))  # both experiments stop there
@@ -340,16 +345,14 @@ def cmd_linear(cfg, out):
          "kato_plateau": bool(excess < 0.1)}
 
 
-def cmd_stability(cfg, out):
-    # the profile is checked before the flow starts, so that an unresolved
-    # wave fails first, and the experiment takes it as its base wave
-    p = _profile_of(cfg, L_factor=diagnostics.L_FACTOR)
-    _perturbed(cfg, p)  # the experiment perturbs p the same way
+def cmd_stability(cfg, out, built):
+    # the experiment takes the checked profile as its base wave and forms the
+    # weights and the initial state that _prepare checked the same way
     sc = diagnostics.StabilityConfig(
         K=cfg.K, eps=cfg.eps, delta=cfg.delta, shape=cfg.shape,
         T=cfg.T, n_saves=cfg.n_saves, A=cfg.A, B=cfg.B, kappa=cfg.kappa,
-        rho=cfg.rho, grid=p.grid)
-    rep = diagnostics.stability_experiment(sc, p)
+        rho=cfg.rho, grid=built.p.grid)
+    rep = diagnostics.stability_experiment(sc, built.p)
     f = out / "report.json"
     f.write_text(json.dumps(rep.to_json_dict(), indent=2, default=float) + "\n")
     files = [f]
@@ -426,15 +429,6 @@ def _resolve_settings(cfg, extra):
             except ValueError:
                 raise ValidationError(f"bad value for --{key}: {raw!r}")
     validate(values)
-    if cfg.subcommand == "stability":
-        # the modulation context builds the waves at c -+ DC
-        if not values["eps"] > modulation.DC:
-            raise ValidationError(f"stability needs eps > {modulation.DC:g}")
-        try:
-            profile_mod.peak_state(np.sqrt(1.0 + values["K"]) + values["eps"] + modulation.DC,
-                                   values["K"])
-        except ValueError as e:
-            raise ValidationError(f"stability needs a wave at eps + {modulation.DC:g}: {e}")
     vars(cfg).update(values)
 
 
@@ -449,8 +443,9 @@ def run(argv=None):
         if cfg.subcommand == "report":
             files, scalars, verdicts = cmd_report(cfg, Path(cfg.out))
         else:
+            built = _prepare(cfg)
             out = _outdir(cfg)
-            files, scalars, verdicts = _COMMANDS[cfg.subcommand](cfg, out)
+            files, scalars, verdicts = _COMMANDS[cfg.subcommand](cfg, out, built)
             _manifest(out, cfg, time.time() - t0, files, scalars, verdicts)
         return 0
     except ValidationError as e:

@@ -202,6 +202,7 @@ def stability_experiment(config: StabilityConfig, profile=None) -> StabilityRepo
                         kappa=config.kappa, rho=config.rho)
     dn, du = perturbation(config.shape, config.delta, g)
     s0 = dynamics.State(0.0, p.n + dn, p.u + du)
+    ctx = modulation.ModulationContext(p)  # before the flow: a missing wave at c +- DC fails first
 
     traj = dynamics.evolve(s0, config.T, config.K, g, n_saves=config.n_saves,
                            frame_speed=p.c)
@@ -209,7 +210,6 @@ def stability_experiment(config: StabilityConfig, profile=None) -> StabilityRepo
     rep.blowup_time = traj.blowup_time
     rep.flow = dict(traj.meta)
 
-    ctx = modulation.ModulationContext(p)
     track = modulation.track(traj, ctx, w)
     rep.track = track
     rep.error = "; ".join(f for f in (traj.failure, track.failure) if f) or None

@@ -151,6 +151,8 @@ def inner(f: np.ndarray, g: np.ndarray, grid: Grid):
 # the exponentially weighted norms read only |x| <= WINDOW L, where radiation
 # that left the periodic box arrives last
 WINDOW = 0.8
+# l2a squares e^{a_rate x} on the window: finite while a_rate L < 443.6
+A_RATE_L_MAX = np.log(np.finfo(float).max) / (2.0 * WINDOW)
 
 
 def l2a(V: np.ndarray, a_rate: float, grid: Grid) -> np.ndarray:
@@ -193,6 +195,8 @@ class WeightSet:
         for name in ("A", "B", "A1", "kappa", "a_rate"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not self.a_rate * self.grid.L < A_RATE_L_MAX:
+            raise ValueError(f"a_rate {self.a_rate:g} overflows the weight on |x| <= {WINDOW:g} L")
         x = self.grid.x
         self.zeta_A = zeta(x, self.A)
         self.zeta_B = zeta(x, self.B)

@@ -158,22 +158,37 @@ def test_unread_setting_exits_1(tmp_path, capsys, sub, key):
 
 
 def _cfg_reads(fn):
-    """The settings `fn` reads as cfg.<key>, with those of the cli helpers
-    (_profile_of, _grid_of) it hands cfg to."""
-    keys = set()
-    for node in ast.walk(ast.parse(inspect.getsource(fn))):
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-                and node.value.id == "cfg":
-            keys.add(node.attr)
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and any(isinstance(a, ast.Name) and a.id == "cfg" for a in node.args):
-            keys |= _cfg_reads(getattr(cli, node.func.id))
-    return keys & set(cli._SETTINGS)
+    """The settings `fn` reads as cfg.<key>."""
+    return {node.attr for node in ast.walk(ast.parse(inspect.getsource(fn)))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "cfg"} & set(cli._SETTINGS)
+
+
+def _prepare_reads(sub):
+    """The settings cli._prepare reads from a `sub` run's cfg, which holds
+    exactly the subcommand's row (reading any other setting raises), on a
+    small grid; linear's weight scales come from the defaults, not cfg."""
+    seen = set()
+
+    class Recording(SimpleNamespace):
+        def __getattribute__(self, name):
+            value = super().__getattribute__(name)
+            seen.add(name)
+            return value
+
+    cli._prepare(Recording(subcommand=sub, **dict(cli._defaults(sub), eps=0.1, L=40.0,
+                                                  N=256)))
+    return seen & set(cli._SETTINGS)
 
 
 @pytest.mark.parametrize("sub", list(cli._READS))
 def test_reads_table_matches_commands(sub):
-    assert _cfg_reads(cli._COMMANDS[sub]) == set(cli._READS[sub])
+    # the command and, for a run that builds inputs, _prepare before it;
+    # report builds none
+    reads = _cfg_reads(cli._COMMANDS[sub])
+    if cli._READS[sub]:
+        reads |= _prepare_reads(sub)
+    assert reads == set(cli._READS[sub])
 
 
 def test_flag_overrides_config_file(tmp_path):
@@ -690,17 +705,20 @@ def test_stability_builds_one_base_profile(tmp_path, monkeypatch):
 
 # ------------------------------------------------------------------- grids
 
-def _cfg(**overrides):
-    return SimpleNamespace(**dict(cli._defaults("profile"), eps=0.1, **overrides))
+def _grid(**overrides):
+    """The grid cli._prepare builds a profile run's inputs on."""
+    cfg = SimpleNamespace(subcommand="profile",
+                          **dict(cli._defaults("profile"), eps=0.1, **overrides))
+    return cli._prepare(cfg).p.grid
 
 
 def test_partial_grid_override_follows_default_rule():
     full = profile_mod.default_grid(0.1)
-    only_L = cli._grid_of(_cfg(L=full.L))
+    only_L = _grid(L=full.L)
     assert (only_L.L, only_L.N) == (full.L, full.N)
-    only_N = cli._grid_of(_cfg(N=256))
+    only_N = _grid(N=256)
     assert (only_N.L, only_N.N) == (full.L, 256)
-    both = cli._grid_of(_cfg(L=60.0, N=256))
+    both = _grid(L=60.0, N=256)
     assert (both.L, both.N) == (60.0, 256)
 
 
@@ -804,6 +822,57 @@ def test_perturbation_emptying_the_density_exits_1(tmp_path, capsys, argv, delta
     assert not (out / "manifest.json").exists()
 
 
+def _no_profile(*args, **kwargs):
+    raise AssertionError("a profile was built")
+
+
+# runs refused before --out is made: five validation errors and the default
+# grid's residual gate; "built" is whether the refusal needs the profile
+_REFUSED = {
+    "profile-no-wave": (["profile", "--eps", "0.172", "--L", "60", "--N", "256"], 1,
+                        "error: no solitary wave at this (c, K): no root", False),
+    "evolve-empty-density": (["evolve", "--eps", "0.1", "--delta", "1.1", "--shape", "odd",
+                              "--T", "2"], 1,
+                             "error: --delta 1.1 with --shape odd empties the density", True),
+    "stability-empty-density": (["stability", "--eps", "0.1", "--delta", "3", "--shape", "odd",
+                                 "--L", "40", "--N", "256", "--T", "2", "--n_saves", "3"], 1,
+                                "error: --delta 3 with --shape odd empties the density", True),
+    "profile-unresolved": (["profile", "--eps", "0.153"], 2,
+                           "numerical failure: profile at eps = 0.153 unresolved", True),
+    "linear-rho": (["linear", "--rho", "12"], 1,
+                   "error: --rho 12 must be below 11.09 on this box", False),
+    "stability-rho": (["stability", "--eps", "0.1", "--rho", "6", "--T", "1",
+                       "--n_saves", "3"], 1,
+                      "error: --rho 6 must be below 5.545 on this box", False),
+}
+
+
+@pytest.mark.parametrize("argv, rc, message, built", _REFUSED.values(), ids=list(_REFUSED))
+def test_refused_run_makes_no_out(tmp_path, capsys, monkeypatch, argv, rc, message, built):
+    # every input check runs before --out is made, and the cheap ones before
+    # the profile is built; none of these runs reaches the flow
+    monkeypatch.setattr(dynamics, "evolve", _no_flow)
+    if not built:
+        monkeypatch.setattr(profile_mod, "build_profile", _no_profile)
+    out = tmp_path / "r"
+    assert cli.run(argv + ["--out", str(out)]) == rc
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_refused_forced_rerun_keeps_the_previous_run(tmp_path, capsys):
+    # the inputs are checked before --force deletes the old run's files
+    out = tmp_path / "run"
+    assert cli.run(["profile", "--eps", "0.1", "--L", "40", "--N", "256",
+                    "--out", str(out)]) == 0
+    first = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert cli.run(["profile", "--eps", "0.172", "--L", "60", "--N", "256",
+                    "--out", str(out), "--force"]) == 1
+    assert "no root of the peak equation" in capsys.readouterr().err
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == first
+
+
 # one strategy per setting (a setting without one fails the draw); L, N and
 # T are always given, and small, so that an example costs well under a
 # second (default grids near eps = 1e-4 take minutes), and evans scans at
@@ -812,7 +881,7 @@ _PROBE = {
     "K": st.floats(0.1, 4.0), "eps": st.floats(1e-4, 0.3),
     "L": st.floats(5.0, 400.0), "N": st.sampled_from([16, 18, 32, 64, 128]),
     "A": st.floats(10.0, 1000.0), "B": st.floats(1.1, 30.0),
-    "kappa": st.floats(0.01, 1.0), "rho": st.floats(0.01, 1.0),
+    "kappa": st.floats(0.01, 1.0), "rho": st.floats(0.01, 30.0),
     "delta": st.floats(0.0, 1e-2),
     "shape": st.sampled_from(["even", "odd", "shift", "kick"]),
     "T": st.floats(0.1, 2.0), "n_saves": st.integers(2, 6),
@@ -848,7 +917,9 @@ def test_evolve_on_the_smallest_grid(tmp_path):
 @given(_runs())
 def test_settings_table_contract(argv):
     # any point of the settings table ends in exit 0, 1 or 2, never in an
-    # uncaught exception, and a run that succeeds writes a parsable manifest
+    # uncaught exception; a run that succeeds writes a parsable manifest and
+    # one refused with exit 1 leaves no --out.  rho's range crosses the
+    # weight's overflow bound (11.09 on a default grid, lower on long boxes)
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
         out = Path(tmp) / "run"
@@ -856,3 +927,4 @@ def test_settings_table_contract(argv):
         assert rc in (0, 1, 2) and "Traceback" not in err.getvalue()
         if rc == 0:
             assert _strict_json(out / "manifest.json")["subcommand"] == argv[0]
+        assert rc != 1 or not out.exists()

@@ -317,6 +317,29 @@ def test_stability_experiment_names_a_tracking_stop_midway(grid10, monkeypatch):
     assert rep.verdicts["decompose_ok"] is False
     assert rep.to_json_dict()["error"] == stop
 
+def test_stability_experiment_fails_before_the_flow_without_a_wave_at_c0_plus_dc(
+        p10, monkeypatch):
+    # the modulation context is built before the flow, so a wave missing at
+    # c0 + DC stops the experiment before its first step
+    from epsoliton import modulation
+    build = modulation.build_profile
+
+    def no_wave_above(c, *args):
+        if c > p10.c:
+            raise ValueError("no solitary wave above c0")
+        return build(c, *args)
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("the nonlinear flow started")
+
+    monkeypatch.setattr(modulation, "build_profile", no_wave_above)
+    monkeypatch.setattr(dynamics, "evolve", no_flow)
+    cfg = dg.StabilityConfig(K=1.0, eps=0.1, delta=1e-3, shape="even", T=2.0, n_saves=3,
+                             grid=p10.grid)
+    with pytest.raises(ValueError, match="no solitary wave above c0"):
+        dg.stability_experiment(cfg, p10)
+
+
 def test_stability_experiment_reports_solver_failure(grid10, fail_poisson_at):
     # the 10th solve is stage 2 of the third step
     fail_poisson_at(10)

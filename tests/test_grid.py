@@ -191,6 +191,23 @@ def test_weights_positivity_validation(g):
                   eps=0.1, grid=g)
 
 
+def test_weights_reject_a_rate_that_overflows(weight_settings):
+    # l2a squares e^{a_rate x} on |x| <= WINDOW L: on linear's default box
+    # (eps = 0.05, L = 40/sqrt(eps)) rho must stay below
+    # ln(float max) / (2 WINDOW 40) = 11.09, to roundoff at the bound
+    from epsoliton.grid import A_RATE_L_MAX
+    from epsoliton.profile import default_grid
+    g = default_grid(0.05)
+    bound = A_RATE_L_MAX / (np.sqrt(0.05) * g.L)
+    assert bound == pytest.approx(11.0904, abs=1e-4)
+    settings = dict(weight_settings, rho=bound * (1 + 1e-12))
+    with pytest.raises(ValueError, match="overflows the weight on"):
+        default_weights(0.05, g, **settings)
+    w = default_weights(0.05, g, **dict(settings, rho=bound * (1 - 1e-12)))
+    V = np.ones((3, g.N)) * 1e-3
+    assert np.isfinite(l2a(V, w.a_rate, g)).all()
+
+
 # ------------------------------------------------------------ norms
 
 def test_norms_zero(g, w):
