@@ -3,9 +3,12 @@
 Subcommands: profile | evans | evolve | linear | stability | report.
 Each subcommand reads the settings of its row in _READS, from an optional
 key=value file plus flags (flags win); any other setting is an error.
-_prepare checks and builds a run's inputs before --out is touched.
-Every run writes a manifest.json listing inputs, outputs, wall time, and
-verdicts.  Exit codes: 0 success, 1 validation error, 2 numerical failure.
+_prepare checks and builds a run's inputs before --out is touched.  A
+command returns its Record and run writes it: the tables as CSV, then
+manifest.json, with the inputs, the outputs, wall time, scalars, verdicts
+and the error that stopped the run (null on success).  Exit codes: 0
+success, 1 validation error (no --out made), 2 numerical failure (with a
+manifest naming it once --out is made).
 """
 
 import argparse
@@ -15,12 +18,13 @@ import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__, diagnostics, dynamics, evans, linearized, modulation
 from . import profile as profile_mod
-from .grid import A_RATE_L_MAX, default_weights
+from .grid import A_RATE_L_MAX, WINDOW, default_weights
 
 
 class ValidationError(Exception):
@@ -29,6 +33,9 @@ class ValidationError(Exception):
 
 class NumericalFailure(Exception):
     pass
+
+
+_FAILURES = (NumericalFailure, RuntimeError, FloatingPointError)
 
 
 # ------------------------------------------------------------------ config
@@ -175,6 +182,15 @@ def _read_manifest(path):
     return man
 
 
+class Record(NamedTuple):
+    """What a run found: its tables {file name: (header, rows)}, its scalars
+    and verdicts, and the error that stopped it early (None on success)."""
+    tables: dict
+    scalars: dict
+    verdicts: dict
+    error: str = None
+
+
 def write_csv(path, header, rows):
     with open(path, "w", newline="") as f:
         wr = csv.writer(f)
@@ -184,27 +200,23 @@ def write_csv(path, header, rows):
                          for v in row])
 
 
-def write_long_csv(path, t, series):
+def long_table(t, series):
     """Long-format time series: columns t,name,value."""
-    rows = []
-    for name, vals in series.items():
-        for ti, vi in zip(t, vals):
-            rows.append((repr(float(ti)), name, repr(float(vi))))
-    write_csv(path, ("t", "name", "value"), rows)
+    return ("t", "name", "value"), [(repr(float(ti)), name, repr(float(vi)))
+                                    for name, vals in series.items()
+                                    for ti, vi in zip(t, vals)]
 
 
-def _manifest(out, cfg, t_wall, files, scalars, verdicts):
-    man = {
-        "version": __version__,
-        "subcommand": cfg.subcommand,
-        "inputs": {key: getattr(cfg, key) for key in _READS[cfg.subcommand]},
-        "wall_time_s": t_wall,
-        "outputs": [str(f) for f in files],
-        "scalars": scalars,
-        "verdicts": verdicts,
-    }
-    path = out / "manifest.json"
-    path.write_text(json.dumps(man, indent=2, default=float) + "\n")
+def _write_record(out, cfg, t_wall, rec):
+    """The run's tables, then manifest.json naming them."""
+    files = [out / name for name in rec.tables]
+    for f, (header, rows) in zip(files, rec.tables.values()):
+        write_csv(f, header, rows)
+    man = {"version": __version__, "subcommand": cfg.subcommand,
+           "inputs": {key: getattr(cfg, key) for key in _READS[cfg.subcommand]},
+           "wall_time_s": t_wall, "outputs": [str(f) for f in files],
+           "scalars": rec.scalars, "verdicts": rec.verdicts, "error": rec.error}
+    (out / "manifest.json").write_text(json.dumps(man, indent=2, default=float) + "\n")
 
 
 _RESIDUAL_MAX = 1e-6  # nodal Poisson residual of a profile on the default grid
@@ -213,8 +225,9 @@ _RESIDUAL_MAX = 1e-6  # nodal Poisson residual of a profile on the default grid
 def _prepare(cfg):
     """Check and build a run's inputs, the cheap checks first: under
     stability the waves at c -+ DC, the grid (default_grid derives a missing
-    --L or --N), the weight set w if the subcommand reads rho, the profile p,
-    the perturbed state s0 if it reads shape.  On the default grid a nodal
+    --L or --N), the weight set w if the subcommand reads rho, the
+    perturbation if it reads delta (linear's initial state V0), the profile
+    p, the perturbed state s0 if it reads shape.  On the default grid a nodal
     Poisson residual above _RESIDUAL_MAX, a wave unresolved near the
     existence edge, is a NumericalFailure; an explicit grid may be coarse."""
     stability = cfg.subcommand == "stability"
@@ -230,7 +243,7 @@ def _prepare(cfg):
                                      L_factor=diagnostics.L_FACTOR if stability else 40.0)
     except ValueError as e:
         raise ValidationError(str(e))
-    w = s0 = None
+    w = V0 = s0 = None
     if "rho" in _READS[cfg.subcommand]:
         try:  # linear reads no weight scale and takes the defaults
             w = default_weights(cfg.eps, g, A=getattr(cfg, "A", _SC.A),
@@ -238,6 +251,21 @@ def _prepare(cfg):
         except ValueError as e:
             bound = A_RATE_L_MAX / (np.sqrt(cfg.eps) * g.L)
             raise ValidationError(f"--rho {cfg.rho:g} must be below {bound:.4g} on this box: {e}")
+    if cfg.subcommand == "linear":
+        V0 = np.array([cfg.delta * np.exp(-(g.x / 4.0) ** 2) * np.cos(g.x), np.zeros(g.N)])
+        dn, du = V0
+    elif "delta" in _READS[cfg.subcommand]:
+        dn, du = diagnostics.perturbation(cfg.shape, cfg.delta, g)
+    if "delta" in _READS[cfg.subcommand] and cfg.delta > 0:
+        # the squares a run forms stay finite while delta^2 times this does:
+        # the sum of (dn, du)^2 at delta = 1, and h times it, on states grown
+        # to linear's spurious-growth cap and weighed by l2a's largest weight
+        unit_sq = max(g.h, 1.0) * np.sum((np.array([dn, du]) / cfg.delta) ** 2)
+        weight = np.exp(w.a_rate * WINDOW * g.L) if w else 1.0
+        bound = np.sqrt(np.finfo(float).max / unit_sq) / (linearized.GROWTH_MAX * weight)
+        if not cfg.delta < bound:
+            raise ValidationError(f"--delta {cfg.delta:g} must be below {bound:.4g} on this "
+                                  "box: a squared norm of the run could overflow float64")
     p = profile_mod.profile_from_eps(cfg.eps, cfg.K, g)
     if cfg.L is None and cfg.N is None and p.poisson_residual > _RESIDUAL_MAX:
         raise NumericalFailure(
@@ -245,62 +273,54 @@ def _prepare(cfg):
             f"(N = {g.N}): nodal Poisson residual {p.poisson_residual:.2e} "
             f"> {_RESIDUAL_MAX:g}")
     if "shape" in _READS[cfg.subcommand]:
-        dn, du = diagnostics.perturbation(cfg.shape, cfg.delta, g)
         floor = np.min(1.0 + p.n + dn)
         if not floor > 0.0:
             raise ValidationError(f"--delta {cfg.delta:g} with --shape {cfg.shape} empties "
                                   f"the density: min(1 + n) = {floor:.3g}")
         s0 = dynamics.State(0.0, p.n + dn, p.u + du)
-    return SimpleNamespace(p=p, w=w, s0=s0)
+    return SimpleNamespace(p=p, w=w, V0=V0, s0=s0)
 
 
 # ------------------------------------------------------------- subcommands
 
-def cmd_profile(cfg, out, built):
+def cmd_profile(cfg, built):
     p = built.p
     g = p.grid
-    f = out / "profile.csv"
-    write_csv(f, ("x", "n", "u", "phi", "psi", "dn", "du"),
-              zip(g.x, p.n, p.u, p.phi, p.psi, p.dn, p.du))
     rate = profile_mod.tail_rate_check(p)
     # a NaN rate (the box holds too little of the tail) is written as JSON null
-    scal = {"c": p.c, "eps": cfg.eps, "L": g.L, "N": g.N,
-            "mu4_at_zero": profile_mod.mu4_at_zero(p.c, cfg.K),
-            "fitted_tail_rate": rate if np.isfinite(rate) else None,
-            "poisson_residual": p.poisson_residual}
-    side = out / "profile.json"
-    side.write_text(json.dumps(scal, indent=2, default=float) + "\n")
-    return [f, side], scal, {}
+    return Record({"profile.csv": (("x", "n", "u", "phi", "psi", "dn", "du"),
+                                   zip(g.x, p.n, p.u, p.phi, p.psi, p.dn, p.du))},
+                  {"c": p.c, "eps": cfg.eps, "L": g.L, "N": g.N,
+                   "mu4_at_zero": profile_mod.mu4_at_zero(p.c, cfg.K),
+                   "fitted_tail_rate": rate if np.isfinite(rate) else None,
+                   "poisson_residual": p.poisson_residual}, {})
 
 
 _SCAN_RTOL = 1e-9  # the evans scan's march tolerance, and D's relative accuracy on it
 
 
-def cmd_evans(cfg, out, built):
+def cmd_evans(cfg, built):
     p = built.p
     g = p.grid
     cache = evans.CoefficientCache(p)
     scan = evans.evans_scan(1j * _segment_taus(cfg.segment), p, cache,
                             closed=False, rtol=_SCAN_RTOL)
-    f = out / "evans.csv"
-    write_csv(f, ("re_lambda", "im_lambda", "re_D", "im_D", "abs_D"),
-              ((z.real, z.imag, d.real, d.imag, abs(d))
-               for z, d in zip(scan.lam, scan.D)))
     D0, D1, D2 = evans.evans_derivs_at0(p, cache)
-    scal = {"min_abs_D": scan.min_modulus, "abs_D0": abs(D0),
-            "abs_D1_at0": abs(D1), "D2_at0_real": D2.real,
-            "evans_evaluations": cache.evaluations, "jost_steps": scan.jost_steps,
-            "L": g.L, "N": g.N}
+    scal = {"min_abs_D": scan.min_modulus, "abs_D0": abs(D0), "abs_D1_at0": abs(D1),
+            "D2_at0_real": D2.real, "evans_evaluations": cache.evaluations,
+            "jost_steps": scan.jost_steps, "L": g.L, "N": g.N}
     # |D| is known to about _SCAN_RTOL of its largest value on the scan; a
     # minimum below that cannot be told from a zero of D
     verd = {"min_abs_D_positive": bool(
                 scan.min_modulus > _SCAN_RTOL * np.max(np.abs(scan.D))),
             "double_zero_at_origin": bool(
                 abs(D0) < 1e-6 * abs(D2) and abs(D1) < 1e-6 * abs(D2))}
-    return [f], scal, verd
+    return Record({"evans.csv": (("re_lambda", "im_lambda", "re_D", "im_D", "abs_D"),
+                                 ((z.real, z.imag, d.real, d.imag, abs(d))
+                                  for z, d in zip(scan.lam, scan.D)))}, scal, verd)
 
 
-def cmd_evolve(cfg, out, built):
+def cmd_evolve(cfg, built):
     p = built.p
     g = p.grid
     T = cfg.T if cfg.T is not None else 50.0 / np.sqrt(cfg.eps)
@@ -309,43 +329,35 @@ def cmd_evolve(cfg, out, built):
         raise NumericalFailure(traj.failure)
     invs = [dynamics.invariants_of(s, cfg.K, g) for s in traj.states]
     series = {k: [inv[k] for inv in invs] for k in ("E", "M")}
-    f = out / "invariants.csv"
-    write_long_csv(f, traj.times, series)
-    f2 = out / "final_state.csv"
     sT = traj.states[-1]
-    write_csv(f2, ("x", "n", "u"), zip(g.x, sT.n, sT.u))
     dE = abs(series["E"][-1] - series["E"][0]) / max(abs(series["E"][0]), 1e-300)
     dM = abs(series["M"][-1] - series["M"][0]) / max(abs(series["M"][0]), 1e-300)
-    return [f, f2], {"rel_dE": dE, "rel_dM": dM, "L": g.L, "N": g.N, "T": T, **traj.meta}, \
-        {"conserved": bool(dE < 1e-6 and dM < 1e-8)}
+    return Record({"invariants.csv": long_table(traj.times, series),
+                   "final_state.csv": (("x", "n", "u"), zip(g.x, sT.n, sT.u))},
+                  {"rel_dE": dE, "rel_dM": dM, "L": g.L, "N": g.N, "T": T, **traj.meta},
+                  {"conserved": bool(dE < 1e-6 and dM < 1e-8)})
 
 
-def cmd_linear(cfg, out, built):
-    p, w = built.p, built.w
+def cmd_linear(cfg, built):
+    p, w, V0 = built.p, built.w, built.V0
     g = p.grid
     ctx = linearized.LinearContext.build(p)
-    V0 = np.array([cfg.delta * np.exp(-(g.x / 4.0) ** 2) * np.cos(g.x),
-                   np.zeros(g.N)])
     T = min(cfg.T or np.inf, linearized.wrap_time(ctx))  # both experiments stop there
     td, nd, rate = linearized.dispersive_decay_experiment(V0, ctx, w.a_rate, T)
     tk, run = linearized.kato_smoothing_experiment(V0, ctx, w, T)
-    f = out / "linear.csv"
-    write_long_csv(f, td, {"weighted_norm": nd})
-    f2 = out / "kato.csv"
-    write_long_csv(f2, tk, {"running_integral": run})
     excess = (run[-1] - run[len(run) // 2]) / max(run[-1], 1e-300)
     # a NaN rate (no decaying segment to fit) is written as JSON null
-    return [f, f2], {"decay_rate": rate if np.isfinite(rate) else None,
-                     "kato_excess": float(excess),
-                     "propagator_rho": ctx.rho,
-                     "L_applications": ctx.L_applications,
-                     "xi2_iterations": ctx.xi2.iterations, "xi2_residual": ctx.xi2.residual,
-                     "L": g.L, "N": g.N, "T": T}, \
-        {"decay_positive": bool(rate > 0),
-         "kato_plateau": bool(excess < 0.1)}
+    return Record({"linear.csv": long_table(td, {"weighted_norm": nd}),
+                   "kato.csv": long_table(tk, {"running_integral": run})},
+                  {"decay_rate": rate if np.isfinite(rate) else None,
+                   "kato_excess": float(excess), "propagator_rho": ctx.rho,
+                   "L_applications": ctx.L_applications,
+                   "xi2_iterations": ctx.xi2.iterations, "xi2_residual": ctx.xi2.residual,
+                   "L": g.L, "N": g.N, "T": T},
+                  {"decay_positive": bool(rate > 0), "kato_plateau": bool(excess < 0.1)})
 
 
-def cmd_stability(cfg, out, built):
+def cmd_stability(cfg, built):
     # the experiment takes the checked profile as its base wave and forms the
     # weights and the initial state that _prepare checked the same way
     sc = diagnostics.StabilityConfig(
@@ -353,21 +365,20 @@ def cmd_stability(cfg, out, built):
         T=cfg.T, n_saves=cfg.n_saves, A=cfg.A, B=cfg.B, kappa=cfg.kappa,
         rho=cfg.rho, grid=built.p.grid)
     rep = diagnostics.stability_experiment(sc, built.p)
-    f = out / "report.json"
-    f.write_text(json.dumps(rep.to_json_dict(), indent=2, default=float) + "\n")
-    files = [f]
-    if rep.series is not None:  # tracking kept at least one snapshot
-        f2 = out / "stability_series.csv"
-        write_long_csv(f2, rep.track.t, {"c": rep.track.c, "D": rep.track.D, **rep.series})
-        files.append(f2)
-    if rep.error:
-        raise NumericalFailure(rep.error)
-    return files, {"c_tail_spread": rep.c_tail_spread, "L": sc.grid.L,
-                   "N": sc.grid.N, "T": sc.T, **rep.flow}, rep.verdicts
+    # a run that stops early keeps what it found: the series up to the last
+    # snapshot tracked (none when tracking stopped at the first)
+    tables = {} if rep.series is None else {"stability_series.csv": long_table(
+        rep.track.t, {"c": rep.track.c, "D": rep.track.D, **rep.series})}
+    virial = None if rep.monitors is None else {
+        m.name: {"C": m.C, "stable": m.stable, "inconclusive": m.inconclusive}
+        for m in rep.monitors}
+    return Record(tables, {"c_tail_spread": rep.c_tail_spread, "blowup_time": rep.blowup_time,
+                           "virial_constants": virial, "L": sc.grid.L, "N": sc.grid.N,
+                           "T": sc.T, **rep.flow}, rep.verdicts, rep.error)
 
 
-def cmd_report(cfg, out):
-    """Aggregate manifests/report.json files below --out into a summary."""
+def cmd_report(cfg):
+    """Roll the manifests below --out up into --out/report.json."""
     root = Path(cfg.out)
     if (root / "manifest.json").exists():
         raise ValidationError(f"{root} is a run directory; report its parent")
@@ -377,12 +388,10 @@ def cmd_report(cfg, out):
     summary = []
     for m in found:
         man = _read_manifest(m)
-        summary.append({"path": str(m.parent), "subcommand": man.get("subcommand"),
-                        "scalars": man.get("scalars"), "verdicts": man.get("verdicts")})
-    f = root / "report.json"
-    f.write_text(json.dumps(summary, indent=2) + "\n")
+        summary.append({"path": str(m.parent), **{key: man.get(key) for key in (
+            "subcommand", "scalars", "verdicts", "error")}})
+    (root / "report.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(json.dumps(summary, indent=2))
-    return [f], {"n_runs": len(summary)}, {}
 
 
 _COMMANDS = {"profile": cmd_profile, "evans": cmd_evans, "evolve": cmd_evolve,
@@ -439,19 +448,24 @@ def run(argv=None):
         return 1 if e.code not in (0, None) else 0
     try:
         _resolve_settings(cfg, extra)
-        t0 = time.time()
         if cfg.subcommand == "report":
-            files, scalars, verdicts = cmd_report(cfg, Path(cfg.out))
-        else:
-            built = _prepare(cfg)
-            out = _outdir(cfg)
-            files, scalars, verdicts = _COMMANDS[cfg.subcommand](cfg, out, built)
-            _manifest(out, cfg, time.time() - t0, files, scalars, verdicts)
+            cmd_report(cfg)
+            return 0
+        t0 = time.time()
+        built = _prepare(cfg)
+        out = _outdir(cfg)
+        try:
+            rec = _COMMANDS[cfg.subcommand](cfg, built)
+        except _FAILURES as e:  # the run stopped with nothing written
+            rec = Record({}, {}, {}, str(e))
+        _write_record(out, cfg, time.time() - t0, rec)
+        if rec.error is not None:
+            raise NumericalFailure(rec.error)
         return 0
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (NumericalFailure, RuntimeError, FloatingPointError) as e:
+    except _FAILURES as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 2
 

@@ -164,7 +164,6 @@ class StabilityConfig:
 
 @dataclass
 class StabilityReport:
-    config: StabilityConfig
     track: object = None
     series: dict = None         # per snapshot: I1, I2, J, local_running, norm bundle
     monitors: list = None
@@ -175,27 +174,12 @@ class StabilityReport:
     blowup_time: float = None
     error: str = None           # every early stop: the flow's failure, then the tracking's
 
-    def to_json_dict(self):
-        d = {
-            "config": {k: v for k, v in vars(self.config).items() if k != "grid"},
-            "verdicts": self.verdicts,
-            "blown_up": self.blown_up,
-            "blowup_time": self.blowup_time,
-            "c_tail_spread": self.c_tail_spread,
-            "error": self.error,
-        }
-        if self.monitors:
-            d["virial_constants"] = {m.name: {"C": m.C, "stable": m.stable,
-                                              "inconclusive": m.inconclusive}
-                                     for m in self.monitors}
-        return d
-
 
 def stability_experiment(config: StabilityConfig, profile=None) -> StabilityReport:
     """The stability experiment on config's grid.  profile, when given, is
     the base wave at config's (eps, K) on that grid, built already;
     otherwise it is built here (profile_from_eps)."""
-    rep = StabilityReport(config=config)
+    rep = StabilityReport()
     g = config.grid
     p = profile if profile is not None else profile_mod.profile_from_eps(config.eps, config.K, g)
     w = default_weights(config.eps, g, A=config.A, B=config.B,

@@ -129,6 +129,7 @@ class LinearTrajectory:
 _CFL = 0.4         # Courant number of save_times' lattice
 _TERM_TOL = 1e-17  # Kapteyn bound on the last Bessel coefficient kept
 _BLOCK = 128       # Chebyshev vectors per accumulation product
+GROWTH_MAX = np.exp(10.0)  # a state's norm over the initial one past which growth is spurious
 
 
 def save_times(ctx, T, n_saves):
@@ -230,7 +231,7 @@ def evolve_linear(V0, ctx, t):
     ctx.L_applications += n_terms
     states = out.reshape(len(t), *V.shape)
     norm0 = max(np.sqrt(inner(V, V, g)), 1e-300)
-    grew = ~(np.sqrt(inner(states, states, g)) <= norm0 * np.exp(10.0))
+    grew = ~(np.sqrt(inner(states, states, g)) <= norm0 * GROWTH_MAX)
     if grew.any():
         raise RuntimeError(f"evolve_linear: spurious growth at t = {t[np.argmax(grew)]:g}: "
                            f"the norm passed e^10 ||V0||, so rho = {rho:g} is below ||L||_2")

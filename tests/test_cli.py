@@ -2,6 +2,7 @@
 import ast
 import contextlib
 import csv
+import dataclasses
 import inspect
 import io
 import json
@@ -14,8 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epsoliton import cli, dynamics, modulation
+from epsoliton import cli, diagnostics, dynamics, modulation
 from epsoliton import profile as profile_mod
+from epsoliton.grid import Grid
 
 
 # ------------------------------------------------------------------- config
@@ -211,14 +213,13 @@ def test_profile_happy_path_manifest(tmp_path):
     man = json.loads((out / "manifest.json").read_text())
     assert man["subcommand"] == "profile"
     assert man["inputs"] == {"K": 1.0, "eps": 0.1, "L": 60.0, "N": 256}
-    for f in man["outputs"]:
-        assert Path(f).exists()
-    assert man["scalars"]["c"] > 1.0
+    # the manifest is the run's one record: the table and the manifest
+    # beside it, no second copy of the scalars
+    assert man["outputs"] == [str(out / "profile.csv")] and man["error"] is None
+    assert sorted(f.name for f in out.iterdir()) == ["manifest.json", "profile.csv"]
     assert set(man["scalars"]) == {"c", "eps", "L", "N", "mu4_at_zero",
                                    "fitted_tail_rate", "poisson_residual"}
-    prof = json.loads((out / "profile.json").read_text())
-    assert prof == man["scalars"]
-    assert abs(prof["c"] - (2.0 ** 0.5 + 0.1)) < 1e-12
+    assert abs(man["scalars"]["c"] - (2.0 ** 0.5 + 0.1)) < 1e-12
     # every cell of the CSV parses as a plain number
     with open(out / "profile.csv", newline="") as f:
         header, *rows = list(csv.reader(f))
@@ -246,9 +247,9 @@ def test_profile_short_box_writes_null_tail_rate(tmp_path):
     out = tmp_path / "run"
     assert cli.run(["profile", "--out", str(out), "--eps", "0.1",
                     "--L", "10", "--N", "64"]) == 0
-    assert _strict_json(out / "profile.json")["fitted_tail_rate"] is None
-    assert _strict_json(out / "profile.json")["poisson_residual"] > cli._RESIDUAL_MAX
-    assert _strict_json(out / "manifest.json")["scalars"]["fitted_tail_rate"] is None
+    scalars = _strict_json(out / "manifest.json")["scalars"]
+    assert scalars["fitted_tail_rate"] is None
+    assert scalars["poisson_residual"] > cli._RESIDUAL_MAX
 
 
 def test_unresolved_profile_on_the_default_grid_exits_2(tmp_path, capsys):
@@ -302,16 +303,17 @@ def test_out_dir_collision_without_force(tmp_path, capsys):
 
 def test_force_removes_the_previous_runs_artifacts(tmp_path, capsys):
     # a forced rerun that fails left the first run's manifest (its delta,
-    # its verdicts, which report would roll up) and its series beside the
-    # new report.json; files the manifest does not list stay
+    # its verdicts, which report would roll up) and its series beside its
+    # own record; files the manifest does not list stay
     out = tmp_path / "run"
     args = ["stability", "--out", str(out), "--eps", "0.1", "--L", "60",
             "--N", "512", "--T", "2", "--n_saves", "5"]
     assert cli.run(args) == 0
     (out / "notes.txt").write_text("keep\n")
     assert cli.run(args + ["--force", "--delta", "4e-3"]) == 2
-    assert sorted(f.name for f in out.iterdir()) == ["notes.txt", "report.json"]
-    assert _strict_json(out / "report.json")["config"]["delta"] == 4e-3
+    assert sorted(f.name for f in out.iterdir()) == ["manifest.json", "notes.txt"]
+    man = _strict_json(out / "manifest.json")
+    assert man["inputs"]["delta"] == 4e-3 and man["outputs"] == []
 
 
 def test_force_from_another_working_directory(tmp_path, monkeypatch):
@@ -366,14 +368,19 @@ def test_profile_determinism(tmp_path):
 
 
 def test_report_aggregates(tmp_path, capsys):
-    out = tmp_path / "runs" / "p"
-    assert cli.run(["profile", "--out", str(out), "--eps", "0.1",
+    # a run that failed is rolled up too, with the error its manifest names
+    runs = tmp_path / "runs"
+    assert cli.run(["profile", "--out", str(runs / "p"), "--eps", "0.1",
                     "--L", "60", "--N", "256"]) == 0
-    rc = cli.run(["report", "--out", str(tmp_path / "runs")])
+    assert cli.run(["evolve", "--out", str(runs / "kick"), "--eps", "0.1", "--L", "40",
+                    "--N", "256", "--T", "2", "--delta", "2000", "--shape", "kick"]) == 2
+    rc = cli.run(["report", "--out", str(runs)])
     assert rc == 0
-    summary = json.loads((tmp_path / "runs" / "report.json").read_text())
-    assert len(summary) == 1
-    assert summary[0]["subcommand"] == "profile"
+    summary = {Path(r["path"]).name: r
+               for r in json.loads((runs / "report.json").read_text())}
+    assert set(summary) == {"p", "kick"}
+    assert summary["p"]["subcommand"] == "profile" and summary["p"]["error"] is None
+    assert summary["kick"]["error"].startswith("blow-up at t = ")
 
 
 def test_report_empty_tree_fails(tmp_path, capsys):
@@ -396,8 +403,9 @@ def test_report_unreadable_manifest_exits_1(tmp_path, capsys, content):
 
 
 def test_report_refuses_a_run_directory(tmp_path, capsys):
-    # a stability run's own report.json holds its verdicts; an aggregate
-    # written over it would lose them
+    # a run directory holds one run's record: a roll-up of it would add
+    # nothing, and its report.json would sit among the run's files, where
+    # no manifest names it and a --force rerun would not clear it
     run = tmp_path / "run"
     assert cli.run(["stability", "--out", str(run), "--eps", "0.1", "--L", "60",
                     "--N", "512", "--T", "2", "--n_saves", "3"]) == 0
@@ -459,6 +467,22 @@ def test_evans_segment_through_the_double_zero_is_not_positive(tmp_path):
     assert man["verdicts"] == {"min_abs_D_positive": False,
                                "double_zero_at_origin": True}
     assert 0 < man["scalars"]["min_abs_D"] < 1e-8
+
+
+def test_double_zero_verdict_negative_control(p10):
+    # a profile whose potential row is scaled by 1.01 off the travelling-
+    # wave equation: lambda = 0 is no longer a double zero of D, and both
+    # arms of the verdict fail (measured |D(0)| = 3.7e-4, |D'(0)| = 1.3e-2
+    # against 1e-6 |D''(0)| = 1.8e-4; 3.2e-10 and 6.4e-9 on the wave itself)
+    cfg = SimpleNamespace(segment="0.1:0.3:3")
+    assert cli.cmd_evans(cfg, SimpleNamespace(p=p10)).verdicts["double_zero_at_origin"]
+    fine = p10.fine.copy()
+    fine[2] *= 1.01
+    rec = cli.cmd_evans(cfg, SimpleNamespace(p=dataclasses.replace(p10, fine=fine)))
+    s = rec.scalars
+    assert s["abs_D0"] > 1e-6 * abs(s["D2_at0_real"]) and s["abs_D1_at0"] > 1e-6 * abs(
+        s["D2_at0_real"])
+    assert rec.verdicts["double_zero_at_origin"] is False
 
 
 def _strict_json(path):
@@ -532,7 +556,7 @@ def test_linear_spurious_growth_exits_2(tmp_path, capsys, monkeypatch):
     m = re.match(r"numerical failure: evolve_linear: spurious growth at t = (\S+): "
                  r".* rho = (\S+) is below", err)
     assert m and 0.0 < float(m[1]) <= 5.0 and float(m[2]) > 0.0
-    assert not (out / "linear.csv").exists() and not (out / "manifest.json").exists()
+    _check_failure_record(out, err, [])
 
 
 def test_evolve_writes_invariants(tmp_path):
@@ -579,22 +603,38 @@ def test_evolve_unresolved_wave_is_not_conserved(tmp_path):
 def test_evolve_blow_up_exits_2(tmp_path, capsys):
     # a velocity kick of amplitude 2000 empties the density within the first
     # step: evolve's check after the step stops the flow, and the run exits 2
-    rc = cli.run(["evolve", "--out", str(tmp_path / "run"), "--eps", "0.1", "--L", "40",
+    out = tmp_path / "run"
+    rc = cli.run(["evolve", "--out", str(out), "--eps", "0.1", "--L", "40",
                   "--N", "256", "--T", "2", "--delta", "2000", "--shape", "kick"])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: blow-up at t = 0.000187")
     assert "Traceback" not in err
+    # the run is recorded with the failure it stopped on, and nothing else
+    man = _check_failure_record(out, err, [])
+    assert man["scalars"] == {} and man["verdicts"] == {}
 
 
 def test_evolve_solver_failure_exits_2(tmp_path, fail_poisson_at, capsys):
     fail_poisson_at(6)
-    rc = cli.run(["evolve", "--out", str(tmp_path / "run"), "--eps", "0.1",
+    out = tmp_path / "run"
+    rc = cli.run(["evolve", "--out", str(out), "--eps", "0.1",
                   "--L", "60", "--N", "512", "--T", "2", "--n_saves", "3"])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: time stepping failed at RK4 stage 2")
     assert "blow-up" not in err
+    _check_failure_record(out, err, [])
+
+
+def _check_failure_record(out, err, outputs):
+    """The manifest of a run that exited 2: it names the failure stderr
+    printed and lists exactly the files `outputs` (names in out)."""
+    man = _strict_json(out / "manifest.json")
+    assert err == f"numerical failure: {man['error']}\n"
+    assert man["outputs"] == [str(out / name) for name in outputs]
+    assert sorted(f.name for f in out.iterdir()) == sorted(outputs + ["manifest.json"])
+    return man
 
 
 FLOW_SCALARS = {"poisson_solves", "poisson_iterations", "poisson_fallbacks",
@@ -615,16 +655,33 @@ def _check_flow_telemetry(scalars):
 
 
 def test_stability_happy_path_manifest(tmp_path):
+    # the manifest holds every fact the run's report.json held, each equal to
+    # the experiment's own on the same inputs: the config (the inputs and
+    # the horizon), the verdicts, the blow-up time (blown_up is whether it
+    # is null), c's tail spread, the error and the virial constants
     out = tmp_path / "run"
     assert cli.run(["stability", "--out", str(out), "--eps", "0.1", "--L", "60",
                     "--N", "512", "--T", "2", "--n_saves", "3"]) == 0
     man = _strict_json(out / "manifest.json")
-    assert set(man["scalars"]) == {"c_tail_spread", "L", "N", "T"} | FLOW_SCALARS
+    assert set(man["scalars"]) == {"c_tail_spread", "blowup_time", "virial_constants",
+                                   "L", "N", "T"} | FLOW_SCALARS
     assert (man["scalars"]["L"], man["scalars"]["N"], man["scalars"]["T"]) == (60.0, 512, 2.0)
     _check_flow_telemetry(man["scalars"])
     assert set(man["verdicts"]) == {"decompose_ok", "local_decay",
                                     "running_integral_saturates", "c_converges",
                                     "virial_constants_ok"}
+    assert sorted(f.name for f in out.iterdir()) == ["manifest.json", "stability_series.csv"]
+    sc = diagnostics.StabilityConfig(grid=Grid(60.0, 512), K=1.0, eps=0.1, delta=1e-3,
+                                     shape="even", T=2.0, n_saves=3)
+    rep = diagnostics.stability_experiment(sc)
+    config = {k: v for k, v in vars(sc).items() if k != "grid"}
+    assert {**man["inputs"], "T": man["scalars"]["T"]} == {**config, "L": 60.0, "N": 512}
+    assert man["verdicts"] == rep.verdicts and man["error"] == rep.error is None
+    assert man["scalars"]["blowup_time"] == rep.blowup_time is None and not rep.blown_up
+    assert man["scalars"]["c_tail_spread"] == rep.c_tail_spread
+    assert man["scalars"]["virial_constants"] == {
+        m.name: {"C": m.C, "stable": m.stable, "inconclusive": m.inconclusive}
+        for m in rep.monitors}
 
 
 def test_stability_series_csv_holds_each_series_once_per_snapshot(tmp_path):
@@ -662,9 +719,9 @@ def test_stability_blow_up_is_named_before_the_tracking_stop(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: blow-up at t = 0.000187")
     assert "; modulation tracking failed at t = 0: " in err and "Traceback" not in err
-    rep = _strict_json(out / "report.json")
-    assert rep["error"].startswith("blow-up at t = ") and rep["blown_up"] is True
-    assert f"numerical failure: {rep['error']}\n" == err
+    man = _check_failure_record(out, err, [])
+    assert err.startswith(f"numerical failure: blow-up at t = {man['scalars']['blowup_time']};")
+    assert man["verdicts"] == {"decompose_ok": False}
 
 
 def test_stability_tracking_failure_at_first_snapshot_exits_2(tmp_path, capsys):
@@ -679,10 +736,35 @@ def test_stability_tracking_failure_at_first_snapshot_exits_2(tmp_path, capsys):
     # it left
     assert err.startswith("numerical failure: modulation tracking failed at t = 0: ")
     assert "c = 1.51591" in err and "outside the interpolation window [1.51271" in err
-    assert [f.name for f in out.iterdir()] == ["report.json"]
-    rep = _strict_json(out / "report.json")
-    assert rep["verdicts"] == {"decompose_ok": False}
-    assert f"numerical failure: {rep['error']}\n" == err
+    man = _check_failure_record(out, err, [])
+    assert man["verdicts"] == {"decompose_ok": False}
+    assert man["scalars"]["c_tail_spread"] is None and man["scalars"]["virial_constants"] is None
+
+
+def test_stability_tracking_stop_midway_keeps_the_series(tmp_path, capsys, monkeypatch):
+    # a stop after the first snapshot exits 2 with the record of what was
+    # tracked: the series up to the last snapshot, the verdicts and scalars
+    decompose, seen = modulation.decompose, []
+
+    def failing_third(state, *args, **kwargs):
+        seen.append(state.t)
+        if len(seen) == 3:
+            raise RuntimeError("decompose: Newton stagnated")
+        return decompose(state, *args, **kwargs)
+
+    monkeypatch.setattr(modulation, "decompose", failing_third)
+    out = tmp_path / "run"
+    assert cli.run(["stability", "--out", str(out), "--eps", "0.1", "--L", "60",
+                    "--N", "512", "--T", "2", "--n_saves", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"numerical failure: modulation tracking failed at t = {seen[2]:g}: "
+                   "decompose: Newton stagnated\n")
+    man = _check_failure_record(out, err, ["stability_series.csv"])
+    assert man["verdicts"]["decompose_ok"] is False and len(man["verdicts"]) == 5
+    assert len(man["scalars"]["virial_constants"]) == 3
+    with open(out / "stability_series.csv", newline="") as fh:
+        t = {float(r["t"]) for r in csv.DictReader(fh)}
+    assert t == {0.0, seen[1]}
 
 
 def test_stability_builds_one_base_profile(tmp_path, monkeypatch):
@@ -826,8 +908,9 @@ def _no_profile(*args, **kwargs):
     raise AssertionError("a profile was built")
 
 
-# runs refused before --out is made: five validation errors and the default
-# grid's residual gate; "built" is whether the refusal needs the profile
+# runs refused before --out is made: seven validation errors and the
+# default grid's residual gate; "built" is whether the refusal needs the
+# profile
 _REFUSED = {
     "profile-no-wave": (["profile", "--eps", "0.172", "--L", "60", "--N", "256"], 1,
                         "error: no solitary wave at this (c, K): no root", False),
@@ -844,6 +927,13 @@ _REFUSED = {
     "stability-rho": (["stability", "--eps", "0.1", "--rho", "6", "--T", "1",
                        "--n_saves", "3"], 1,
                       "error: --rho 6 must be below 5.545 on this box", False),
+    # an amplitude whose squared norm overflowed where the run formed it
+    # (ValueError: non-finite input to integrate)
+    "linear-delta": (["linear", "--delta", "1e160", "--L", "40", "--N", "64", "--T", "1"], 1,
+                     "error: --delta 1e+160 must be below 4.493e+148 on this box", False),
+    "stability-delta": (["stability", "--eps", "0.1", "--delta", "1e160", "--L", "40",
+                         "--N", "64", "--T", "1", "--n_saves", "3"], 1,
+                        "error: --delta 1e+160 must be below 1.066e+148 on this box", False),
 }
 
 
@@ -882,7 +972,10 @@ _PROBE = {
     "L": st.floats(5.0, 400.0), "N": st.sampled_from([16, 18, 32, 64, 128]),
     "A": st.floats(10.0, 1000.0), "B": st.floats(1.1, 30.0),
     "kappa": st.floats(0.01, 1.0), "rho": st.floats(0.01, 30.0),
-    "delta": st.floats(0.0, 1e-2),
+    # small amplitudes, and 1e130-1e300 drawn evenly in the exponent, across
+    # the squared norm's overflow bound (4.5e148 at L = 40, N = 64; lower on
+    # long boxes and near rho's bound)
+    "delta": st.one_of(st.floats(0.0, 1e-2), st.floats(130.0, 300.0).map(lambda e: 10.0 ** e)),
     "shape": st.sampled_from(["even", "odd", "shift", "kick"]),
     "T": st.floats(0.1, 2.0), "n_saves": st.integers(2, 6),
     "segment": st.builds("{}:{}:{}".format, st.floats(0.0, 1.0), st.floats(0.0, 1.0),
@@ -917,14 +1010,23 @@ def test_evolve_on_the_smallest_grid(tmp_path):
 @given(_runs())
 def test_settings_table_contract(argv):
     # any point of the settings table ends in exit 0, 1 or 2, never in an
-    # uncaught exception; a run that succeeds writes a parsable manifest and
-    # one refused with exit 1 leaves no --out.  rho's range crosses the
-    # weight's overflow bound (11.09 on a default grid, lower on long boxes)
+    # uncaught exception.  A run that succeeds writes a parsable manifest
+    # with a null error; one that fails numerically leaves no --out (its
+    # inputs failed in _prepare) or a manifest whose error is the message
+    # on stderr; one refused with exit 1 leaves no --out.  rho's range
+    # crosses the weight's overflow bound (11.09 on a default grid, lower on
+    # long boxes), and delta's the squared norm's
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
         out = Path(tmp) / "run"
         rc = cli.run(argv + ["--out", str(out)])
         assert rc in (0, 1, 2) and "Traceback" not in err.getvalue()
-        if rc == 0:
-            assert _strict_json(out / "manifest.json")["subcommand"] == argv[0]
-        assert rc != 1 or not out.exists()
+        if rc == 1:
+            assert not out.exists()
+        elif rc == 0 or out.exists():  # an exit 2 in _prepare makes no --out
+            man = _strict_json(out / "manifest.json")
+            assert man["subcommand"] == argv[0]
+            if rc == 0:
+                assert man["error"] is None
+            else:  # warnings may precede the message
+                assert err.getvalue().endswith(f"numerical failure: {man['error']}\n")

@@ -238,9 +238,7 @@ def test_stability_experiment_unperturbed_trivial(grid10, monkeypatch):
     assert rep.verdicts["running_integral_saturates"]
     assert rep.verdicts["c_converges"]
     assert rep.verdicts["virial_constants_ok"]
-    assert not rep.blown_up
-    d = rep.to_json_dict()
-    assert d["verdicts"]["decompose_ok"] is True
+    assert not rep.blown_up and rep.error is None
 
 
 def test_stability_experiment_computes_each_series_once(grid10, monkeypatch):
@@ -286,6 +284,19 @@ def test_stability_verdicts_below_five_saves(n_saves):
         assert rep.verdicts["running_integral_saturates"] is False
 
 
+def test_local_decay_negative_control():
+    # at T = 2 the bump has not left the window: the local norm at T keeps
+    # 87 % of its value at t = 0 (measured; with three saves the first and
+    # the last tenth are one snapshot each), far above the 10 % the verdict
+    # asks for
+    cfg = dg.StabilityConfig(K=1.0, eps=0.1, delta=1e-3, shape="even", T=2.0, n_saves=3,
+                             grid=Grid(60.0, 512))
+    rep = dg.stability_experiment(cfg)
+    local = rep.series["weighted_local"]
+    assert rep.verdicts["decompose_ok"] and local[-1] > 0.5 * local[0]
+    assert rep.verdicts["local_decay"] is False
+
+
 def test_stability_experiment_far_data_degrades(grid10):
     cfg = dg.StabilityConfig(K=1.0, eps=0.1, delta=0.5, shape="even", T=1.0, n_saves=2,
                              grid=grid10)
@@ -315,7 +326,7 @@ def test_stability_experiment_names_a_tracking_stop_midway(grid10, monkeypatch):
     stop = f"modulation tracking failed at t = {seen[2]:g}: decompose: Newton stagnated"
     assert len(rep.track.t) == 2 and seen[2] > 0 and rep.track.failure == stop
     assert rep.verdicts["decompose_ok"] is False
-    assert rep.to_json_dict()["error"] == stop
+    assert rep.error == stop
 
 def test_stability_experiment_fails_before_the_flow_without_a_wave_at_c0_plus_dc(
         p10, monkeypatch):
