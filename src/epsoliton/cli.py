@@ -325,8 +325,9 @@ def cmd_evolve(cfg, built):
     g = p.grid
     T = cfg.T if cfg.T is not None else 50.0 / np.sqrt(cfg.eps)
     traj = dynamics.evolve(built.s0, T, cfg.K, g, n_saves=cfg.n_saves, frame_speed=p.c)
-    if traj.failure:
-        raise NumericalFailure(traj.failure)
+    if traj.failure:  # the record keeps the flow's counters up to the stop
+        return Record({}, {"L": g.L, "N": g.N, "T": T, "blowup_time": traj.blowup_time,
+                           **traj.meta}, {}, traj.failure)
     invs = [dynamics.invariants_of(s, cfg.K, g) for s in traj.states]
     series = {k: [inv[k] for inv in invs] for k in ("E", "M")}
     sT = traj.states[-1]

@@ -37,6 +37,9 @@ _MAXITER = 10000         # iteration cap of a cold Poisson pass and of a linear 
 @dataclass
 class EllipticSolveReport:
     iterations: int      # every iteration the solve spent, both passes included
+    # Poisson: the l1 norm of the residual's Fourier coefficients, formed from
+    # phi_hat, so a bound for the potential band-limited to phi_hat, not for
+    # the returned phi re-transformed (see solve_poisson)
     residual: float
     phi_hat: np.ndarray  # rfft coefficients of the returned solution
     fallback: bool = False  # the warm start stalled and the solve restarted cold
@@ -50,8 +53,12 @@ def solve_poisson(n, grid, phi0=None):
     (-d^2/dx^2 + 1)^{-1} n.  The preconditioned fixed-point iteration on the
     rfft coefficients of phi (see `_poisson_fixed_point`) runs from phi0;
     when it stalls there, it runs again from the linearisation, to the
-    tolerance.  report.residual bounds max |-phi'' + e^phi - 1 - n| and is
-    at most _POISSON_TOL on return; report.phi_hat holds rfft(phi);
+    tolerance.  report.residual is at most _POISSON_TOL on return and
+    bounds max |-phi'' + e^phi - 1 - n| on the nodes for the band-limited
+    potential whose rfft coefficients are report.phi_hat, phi'' taken from
+    them.  The returned phi = irfft(report.phi_hat) re-transformed does not
+    carry the bound: with phi'' from rfft(phi) its nodal residual read
+    1.0e-11 to 1.8e-11 at N = 2048 and max phi 3 to 5.
     report.iterations sums the iterations of both passes, and
     report.fallback is set when the warm start stalled.  A cold pass whose
     residual turns non-finite or that reaches _MAXITER raises RuntimeError.
@@ -92,7 +99,9 @@ def _poisson_fixed_point(n, grid, phi0):
     residual or _MAXITER.  Near the solution the error contracts by about
     (max e^phi - min e^phi) / (max e^phi + min e^phi) per iteration.
     Convergence is judged on sum_k w_k |r_hat_k|, the l1 norm of the
-    residual's Fourier coefficients, which bounds max |r| on the nodes.
+    residual's Fourier coefficients, which bounds max |r| on the nodes for
+    the potential band-limited to phi_hat, not for irfft(phi_hat)
+    re-transformed.
     Returns (phi, report) at the last residual evaluated, with
     report.phi_hat the coefficients phi came from.
     """

@@ -31,10 +31,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-# unused here; kept importable because perfbench/spans.py wraps evans.solve_ivp by name
-from scipy.integrate import solve_ivp  # noqa: F401
-from scipy.interpolate import CubicSpline
 
+from .ode import CubicSpline
+# unused here; kept importable because perfbench/spans.py wraps evans.solve_ivp by name
+from .ode import solve_ivp  # noqa: F401
 from .profile import FINE, mu4_at_zero, sonic_branch_distance
 
 _DLAM = 1e-3      # stencil spacing of evans_derivs_at0
@@ -75,16 +75,15 @@ class CoefficientCache:
             one_n / J,                                        # A2[0,1]
             K / (J * one_n),                                  # A2[1,0]
         ])
-        self._spl = CubicSpline(xf, rows, axis=1)
+        self._spl = CubicSpline(xf, rows)
         self._xmax = xf[-1]
 
     def A1_A2(self, x):
         """A1(x), A2(x) stacked over the last axis of x (shape (...,4,4))."""
-        e = self._spl(np.clip(np.asarray(x, dtype=float), -self._xmax, self._xmax))
+        r = self._spl(np.clip(np.asarray(x, dtype=float), -self._xmax, self._xmax))
         shp = np.shape(x)
         A1 = np.zeros(shp + (4, 4))
         A2 = np.zeros(shp + (4, 4))
-        r = np.moveaxis(e, 0, -1)
         A1[..., 0, 0] = r[..., 0]; A1[..., 0, 1] = r[..., 1]; A1[..., 0, 3] = r[..., 2]
         A1[..., 1, 0] = r[..., 3]; A1[..., 1, 1] = r[..., 4]; A1[..., 1, 3] = r[..., 5]
         A1[..., 2, 3] = 1.0

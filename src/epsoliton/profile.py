@@ -18,11 +18,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .elliptic import solve_schrodinger
 from .grid import Grid, derivative
+from .ode import brentq, solve_ivp
 
 
 def H(n, c, K):
@@ -283,10 +282,9 @@ def _half_line_values(c, K, xq, n_star, phi_star):
     x_span_max = max(100.0 / mu, float(xq[-1]) + 1.0)
     ev1 = xq[(xq > x0)]
     eps_loc = c - np.sqrt(1.0 + K)
-    sol1 = solve_ivp(rhs_core, (x0, x_span_max), [t0], method="DOP853",
+    sol1 = solve_ivp(rhs_core, (x0, x_span_max), [t0], t_eval=ev1,
                      rtol=1e-12, atol=1e-15, events=hit_mid,
-                     max_step=0.2 / np.sqrt(eps_loc),  # keep dense output accurate
-                     t_eval=ev1 if len(ev1) else None)
+                     max_step=0.2 / np.sqrt(eps_loc))  # keep dense output accurate
     if not sol1.success or len(sol1.t_events[0]) == 0:
         raise RuntimeError("profile quadrature (core) failed")
     x_mid = float(sol1.t_events[0][0])
@@ -301,9 +299,8 @@ def _half_line_values(c, K, xq, n_star, phi_star):
     hit_floor.terminal, hit_floor.direction = True, -1
     ev2 = xq[(xq > x_mid)]
     sol2 = solve_ivp(rhs_tail, (x_mid, x_mid + x_span_max), [np.log(phi_mid)],
-                     method="DOP853", rtol=1e-12, atol=1e-14, events=hit_floor,
-                     max_step=0.5 / mu,
-                     t_eval=ev2 if len(ev2) else None)
+                     t_eval=ev2, rtol=1e-12, atol=1e-14, events=hit_floor,
+                     max_step=0.5 / mu)
     if not sol2.success or len(sol2.t_events[0]) == 0:
         raise RuntimeError("profile quadrature (tail) failed")
     x_end = float(sol2.t_events[0][0])
@@ -312,8 +309,7 @@ def _half_line_values(c, K, xq, n_star, phi_star):
     near = xq <= x0
     phis[near] = phi_star - gp_star / 2.0 * xq[near] ** 2
     # each segment's points are the first t_eval points of its solve (a
-    # terminal event keeps the t_eval points up to the event; with none
-    # before it, SciPy leaves sol.y an empty list, which ravel accepts)
+    # terminal event keeps the t_eval points up to the event)
     seg1 = (xq > x0) & (xq <= x_mid)
     phis[seg1] = phi_star - np.ravel(sol1.y)[:np.count_nonzero(seg1)] ** 2
     seg2 = (xq > x_mid) & (xq < x_end)

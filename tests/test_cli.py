@@ -610,9 +610,13 @@ def test_evolve_blow_up_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: blow-up at t = 0.000187")
     assert "Traceback" not in err
-    # the run is recorded with the failure it stopped on, and nothing else
+    # the run is recorded with the failure it stopped on and the flow's
+    # telemetry up to it, with no table and no verdict
     man = _check_failure_record(out, err, [])
-    assert man["scalars"] == {} and man["verdicts"] == {}
+    sc = man["scalars"]
+    assert set(sc) == {"L", "N", "T", "blowup_time"} | FLOW_SCALARS and man["verdicts"] == {}
+    assert sc["rk4_steps"] >= 1
+    assert man["error"] == f"blow-up at t = {sc['blowup_time']}"
 
 
 def test_evolve_solver_failure_exits_2(tmp_path, fail_poisson_at, capsys):

@@ -3,6 +3,9 @@ the program (src/ or perfbench/) outside its own definition.  The only
 exceptions are the oracles that README-mapped acceptance tests call."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -82,8 +85,16 @@ def _scipy_importers():
     return out
 
 
-def test_only_the_ode_and_spline_modules_import_scipy():
-    # profile marches its quadrature ODE, evans fits its coefficient spline;
-    # every x-integral elsewhere is spectral (grid), and elliptic inverts its
-    # parity blocks with NumPy
-    assert _scipy_importers() == {"profile", "evans"}
+def test_no_module_imports_scipy():
+    # the profile's DOP853 march, its brentq and the Evans coefficient spline
+    # are NumPy ports (ode); SciPy is a test oracle only
+    assert _scipy_importers() == set()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = ("import sys, epsoliton.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
