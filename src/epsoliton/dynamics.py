@@ -24,20 +24,20 @@ carried top band and the tendencies), with one irfft per stage for the
 pointwise fluxes, and so are the stage potentials, the form `solve_poisson`
 takes a warm start in and hands its solution back in.
 
-Each stage's warm start (`_stage_warm_start`) is extrapolated from the
-stages already solved, plus the linear response of the potential to what the
+Each stage's warm start is extrapolated from the stages already solved
+(`_stage_prediction`), plus the linear response of the potential to what the
 same extrapolation of the stage densities misses, plus the previous step's
-prediction error.  The response is the inverse of the Poisson map's Jacobian
--d^2/dx^2 + e^phi frozen at its far-field value e^phi = 1, a Fourier
-multiplier that costs no FFT.  It holds in the wave's frame: the solution
-stays close to the wave there, so the stage densities change slowly, and the
-error the frozen Jacobian leaves, where e^phi - 1 is localised on the wave,
-changes little from one step to the next, so the add-back of the previous
-step's prediction error cancels most of it.  That takes the eps = 0.1 run to
-about 2 fixed-point iterations a solve, against 4.5 without the response
-(4.3 and 5.0 in the lab frame, where the wave crosses the grid).  The run's
-telemetry counts the solves whose warm start stalled and restarted cold
-(`poisson_fallbacks`).
+prediction error at the same stage.  The response is the inverse of the
+Poisson map's Jacobian -d^2/dx^2 + e^phi frozen at its far-field value
+e^phi = 1, a Fourier multiplier that costs no FFT.  It holds in the wave's
+frame: the solution stays close to the wave there, so the stage densities
+change slowly, and the error the frozen Jacobian leaves, where e^phi - 1 is
+localised on the wave, changes little from one step to the next, so the
+add-back of the previous step's prediction error cancels most of it.  That
+takes the eps = 0.1 run to about 2 fixed-point iterations a solve, against
+4.5 without the response (4.3 and 5.0 in the lab frame, where the wave
+crosses the grid).  The run's telemetry counts the solves whose warm start
+stalled and restarted cold (`poisson_fallbacks`).
 Conserved quantities: total energy E and momentum M = int n u.
 """
 
@@ -190,9 +190,9 @@ def evolve(state0, T, K, grid, dt=None, cfl=None, n_saves=41, frame_speed=0.0):
     meta = traj.meta
     W_hat = whole(V, top(t))  # the whole state in the moving frame
     W = np.fft.irfft(W_hat, n=grid.N)
-    # the previous step's stage potentials less their density responses, and
-    # their predictions, and its length
-    prev = preds = prev_step = None
+    # the previous step's stage potentials less their density responses,
+    # their prediction errors (None where a stage started cold), and its length
+    prev, prev_err, prev_step = None, [None] * 4, None
     while len(traj.states) < len(lattice):
         t_save = lattice[len(traj.states)]
         step = dt if dt is not None else \
@@ -201,7 +201,7 @@ def evolve(state0, T, K, grid, dt=None, cfl=None, n_saves=41, frame_speed=0.0):
         if lands:
             step = t_save - t  # cut at the save, or stretched onto it over roundoff
         mid, end = top(t + step / 2), top(t + step)
-        ks, cur, cur_preds = [], [], []
+        ks, cur, cur_err = [], [], []
         try:
             for a, G_tau in ((0.0, None), (0.5, mid), (0.5, mid), (1.0, end)):
                 if ks:
@@ -209,9 +209,10 @@ def evolve(state0, T, K, grid, dt=None, cfl=None, n_saves=41, frame_speed=0.0):
                     s = np.fft.irfft(s_hat, n=grid.N)
                 else:
                     s_hat, s = W_hat, W
+                i = len(cur)
                 resp = _density_response(s_hat[0], grid)
-                pred, warm = _stage_warm_start(len(cur), cur, prev, preds,
-                                               step / (prev_step or step))
+                pred = _stage_prediction(i, cur, prev, step / (prev_step or step))
+                warm = pred if prev_err[i] is None else pred + prev_err[i]
                 k, rep = rhs(s, K, grid, None if warm is None else warm + resp,
                              frame_speed=c)
                 meta["poisson_solves"] += 1
@@ -221,7 +222,7 @@ def evolve(state0, T, K, grid, dt=None, cfl=None, n_saves=41, frame_speed=0.0):
                                                    rep.residual)
                 ks.append(k[:, :cut])  # its top band is zero
                 cur.append(rep.phi_hat - resp)
-                cur_preds.append(pred)
+                cur_err.append(None if pred is None else cur[i] - pred)
         except ValueError:
             # vacuum or a non-finite density at a stage: a blow-up
             traj.blowup_time = t
@@ -231,7 +232,7 @@ def evolve(state0, T, K, grid, dt=None, cfl=None, n_saves=41, frame_speed=0.0):
             traj.failure = (f"time stepping failed at RK4 stage {len(ks) + 1} of the "
                             f"step from t = {t:.6g}: {e}")
             return traj
-        prev, preds, prev_step = cur, cur_preds, step
+        prev, prev_err, prev_step = cur, cur_err, step
         k1, k2, k3, k4 = ks
         V = V + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t = t_save if lands else t + step
@@ -248,41 +249,29 @@ def evolve(state0, T, K, grid, dt=None, cfl=None, n_saves=41, frame_speed=0.0):
     return traj
 
 
-# Stage i's prediction is sum_j (a_j + b_j r) psi_j over the rows below,
-# (j, a_j, b_j) with j indexing the previous step's four stages (0-3) and
-# then this step's solved ones (4-6), and r the ratio of this step to the
-# previous one.  The stages sit at t, t + dt/2, t + dt/2 and t + dt, and psi
-# depends on n almost affinely, so stages 2 and 4 are extrapolated linearly
-# in time (stage 2 from t - dt_prev/2 and t) and stages 1 and 3 start from
-# the stage solved at the same time.
-_STAGE_EXTRAPOLATION = (((3, 1.0, 0.0),), ((4, 1.0, 1.0), (2, 0.0, -1.0)),
-                        ((5, 1.0, 0.0),), ((6, 2.0, 0.0), (4, -1.0, 0.0)))
-
-
-def _stage_warm_start(i, cur, prev, prev_preds, r):
-    """(prediction, warm start) for the Poisson solve of RK4 stage i, as rfft
-    coefficients of psi = phi - _density_response(n), the part of a stage
-    potential that the linear response to its density leaves.
+def _stage_prediction(i, cur, prev, r):
+    """The prediction of psi = phi - _density_response(n), the part of a stage
+    potential that the linear response to its density leaves, for stage
+    i + 1 of an RK4 step (i = 0-3), as rfft coefficients; None for a cold
+    start.
 
     cur holds this step's solved stages' psi and prev the previous step's,
-    prev_preds the previous step's predictions, and r is the ratio of this
-    step to the previous one.  Extrapolating psi with one row of
-    _STAGE_EXTRAPOLATION extrapolates the potentials, plus the response to
-    what the same extrapolation of the densities misses.  The previous
-    step's prediction error at the same stage is then added back; in the
-    frame of a travelling wave it changes slowly from step to step.  The
-    first step's first stage starts cold (None), and that step takes every
-    stage of the step before it to be its first.
+    and r is the ratio of this step to the previous one.  The stages sit at
+    t, t + dt/2, t + dt/2 and t + dt, and psi depends on n almost affinely:
+    stages 1 and 3 take the stage solved at the same time, and stages 2 and
+    4 extrapolate linearly in time, stage 2 from t - dt_prev/2 and t.  So
+    the potentials are extrapolated, plus the response to what the same
+    extrapolation of the densities misses.  The first step's first stage
+    starts cold, and that step takes every stage of the step before it to
+    be its first.
     """
-    if prev is None:
-        if not cur:
-            return None, None
-        prev = [cur[0]] * 4
-    known = prev + cur
-    pred = sum((a + b * r) * known[j] for j, a, b in _STAGE_EXTRAPOLATION[i])
-    if prev_preds is None or prev_preds[i] is None:
-        return pred, pred
-    return pred, pred + (prev[i] - prev_preds[i])
+    if i == 0:
+        return None if prev is None else prev[3]
+    if i == 1:
+        return (1 + r) * cur[0] - r * (cur[0] if prev is None else prev[2])
+    if i == 2:
+        return cur[1]
+    return 2 * cur[2] - cur[0]
 
 
 def _density_response(d_hat, grid):

@@ -12,7 +12,7 @@ FFTs an iteration:
   the solution goes out (on the report), as those rfft coefficients, so a
   caller that chains solves spends no FFT on either.  A warm start that
   stalls the iteration is dropped for a cold start, which runs to the
-  tolerance or raises RuntimeError;
+  tolerance or raises RuntimeError, at once when e^phi would overflow there;
 * linear solves with  -d^2/dx^2 + e^{phi_c}, the same iteration with
   e^{phi_c} for e^phi.  A fixed operator with an even phi_c applied many
   times (the linearized flow) is inverted once instead, on grids of up to
@@ -32,6 +32,7 @@ _POISSON_TOL = 1e-11     # bound on the Poisson residual max |-phi'' + e^phi - 1
 _LINEAR_RTOL = 1e-13     # residual of a linear solve relative to its right side
 _WARM_MAXITER = 40       # iteration cap of a warm-started Poisson pass
 _MAXITER = 10000         # iteration cap of a cold Poisson pass and of a linear solve
+_EXP_MAX = float(np.log(np.finfo(float).max))  # 709.78: e^phi overflows above it
 
 
 @dataclass
@@ -48,85 +49,64 @@ class EllipticSolveReport:
 def solve_poisson(n, grid, phi0=None):
     """Solve -phi'' + e^phi - 1 - n = 0; returns (phi, report).
 
-    phi0, when given, is the initial guess as rfft coefficients (it is not
-    modified); otherwise the guess is the linearisation
-    (-d^2/dx^2 + 1)^{-1} n.  The preconditioned fixed-point iteration on the
-    rfft coefficients of phi (see `_poisson_fixed_point`) runs from phi0;
-    when it stalls there, it runs again from the linearisation, to the
-    tolerance.  report.residual is at most _POISSON_TOL on return and
-    bounds max |-phi'' + e^phi - 1 - n| on the nodes for the band-limited
-    potential whose rfft coefficients are report.phi_hat, phi'' taken from
-    them.  The returned phi = irfft(report.phi_hat) re-transformed does not
-    carry the bound: with phi'' from rfft(phi) its nodal residual read
-    1.0e-11 to 1.8e-11 at N = 2048 and max phi 3 to 5.
-    report.iterations sums the iterations of both passes, and
-    report.fallback is set when the warm start stalled.  A cold pass whose
-    residual turns non-finite or that reaches _MAXITER raises RuntimeError.
+    A preconditioned fixed-point iteration on phi_hat = rfft(phi), two real
+    FFTs an iteration: phi = irfft(phi_hat), r_hat = k^2 phi_hat +
+    rfft(e^phi - (1 + n)), then phi_hat -= r_hat / (k^2 + sigma), sigma the
+    midpoint of [min e^phi, max e^phi].  Near the solution the error
+    contracts by about (max e^phi - min e^phi) / (max e^phi + min e^phi).
+
+    phi0, when given, is a warm start as rfft coefficients (not modified).
+    The warm pass forms sigma once, at phi0, and stops at _WARM_MAXITER or
+    when the residual does not shrink by 0.9 in an iteration (a NaN counts);
+    the solve then restarts once, cold, from the linearisation
+    (-d^2/dx^2 + 1)^{-1} n, where a solve without phi0 starts.  That start
+    can overshoot e^phi by orders of magnitude (about 4e6 against 23 at the
+    root for n = 20 e^{-x^2/4}), and a sigma fixed there stalls the
+    iteration, so the cold pass re-forms sigma at every iterate.  It raises
+    RuntimeError when its residual turns non-finite or it reaches _MAXITER
+    iterations, and at once when its start passes _EXP_MAX.
+
+    Convergence is judged on report.residual = sum_k w_k |r_hat_k|, at most
+    _POISSON_TOL on return: it bounds max |-phi'' + e^phi - 1 - n| on the
+    nodes for the band-limited potential whose rfft coefficients are
+    report.phi_hat, phi'' taken from them.  The returned phi =
+    irfft(report.phi_hat) re-transformed does not carry the bound: with phi''
+    from rfft(phi) its nodal residual read 1.0e-11 to 1.8e-11 at N = 2048
+    and max phi 3 to 5.  report.iterations sums both passes' iterations, and
+    report.fallback is set when the warm start stalled.
     """
     n = np.asarray(n, dtype=float)
     if not np.all(np.isfinite(n)):
         raise ValueError("solve_poisson: non-finite density")
-    spent = 0
-    if phi0 is not None:
-        phi, rep = _poisson_fixed_point(n, grid, phi0)
-        if rep.residual <= _POISSON_TOL:
-            return phi, rep
-        spent = rep.iterations
-    phi, rep = _poisson_fixed_point(n, grid, None)
-    rep.iterations += spent
-    rep.fallback = phi0 is not None
-    if not rep.residual <= _POISSON_TOL:
-        raise RuntimeError(f"solve_poisson: fixed point failed, residual "
-                           f"{rep.residual:.3e} after {rep.iterations} iterations")
-    return phi, rep
-
-
-def _poisson_fixed_point(n, grid, phi0):
-    """Preconditioned fixed-point iteration on phi_hat = rfft(phi).
-
-    phi_hat starts from phi0 (rfft coefficients, copied) or from the
-    linearisation rfft(n) / (k^2 + 1).  Each iteration takes two real FFTs:
-    phi = irfft(phi_hat), then r_hat = k^2 phi_hat + rfft(e^phi - (1 + n)),
-    and updates phi_hat -= r_hat / (k^2 + sigma), sigma the midpoint of
-    [min e^phi, max e^phi].  From a warm start sigma is taken at phi0, and
-    it and the preconditioner 1/(k^2 + sigma) are formed once per solve, as
-    1 + n always is; the pass ends at the tolerance, at _WARM_MAXITER, or
-    when the residual does not shrink by 0.9 in an iteration (a NaN counts).
-    The cold linearisation can overshoot e^phi by orders of magnitude (about
-    4e6 against 23 at the root for n = 20 e^{-x^2/4}), and a sigma fixed
-    there stalls the iteration far from the root, so a cold start re-forms
-    sigma at every iterate and runs until the tolerance, a non-finite
-    residual or _MAXITER.  Near the solution the error contracts by about
-    (max e^phi - min e^phi) / (max e^phi + min e^phi) per iteration.
-    Convergence is judged on sum_k w_k |r_hat_k|, the l1 norm of the
-    residual's Fourier coefficients, which bounds max |r| on the nodes for
-    the potential band-limited to phi_hat, not for irfft(phi_hat)
-    re-transformed.
-    Returns (phi, report) at the last residual evaluated, with
-    report.phi_hat the coefficients phi came from.
-    """
-    N = grid.N
-    k2, w = grid.k2, grid.l1_weights
+    N, k2, w = grid.N, grid.k2, grid.l1_weights
     one_n = 1.0 + n
-    if phi0 is None:
-        phi_hat = np.fft.rfft(n) / (k2 + 1.0)
-    else:
-        phi_hat = np.array(phi0, dtype=complex)
-    precond = None
-    it, res = 0, np.inf
+    warm = phi0 is not None
+    phi_hat = np.array(phi0, dtype=complex) if warm else None
+    it = cold_from = 0  # the iterations spent, and those spent before the cold start
+    res = np.inf
     while True:
+        cold_start = phi_hat is None
+        if cold_start:
+            phi_hat, cold_from = np.fft.rfft(n) / (k2 + 1.0), it
         phi = np.fft.irfft(phi_hat, n=N)
+        if cold_start and phi.max() > _EXP_MAX:
+            raise RuntimeError(f"solve_poisson: the cold start reaches max phi = "
+                               f"{phi.max():.4g}, past {_EXP_MAX:.4g}, where e^phi "
+                               f"overflows")
         e = np.exp(phi)
         r_hat = k2 * phi_hat + np.fft.rfft(e - one_n)
         new_res = float(w @ np.abs(r_hat))
-        if phi0 is None:
-            done = it == _MAXITER or not np.isfinite(new_res)
-        else:
-            done = it == _WARM_MAXITER or not new_res <= 0.9 * res
-        if new_res <= _POISSON_TOL or done:
+        if new_res <= _POISSON_TOL:
             return phi, EllipticSolveReport(iterations=it, residual=new_res,
-                                            phi_hat=phi_hat)
-        if precond is None or phi0 is None:
+                                            phi_hat=phi_hat,
+                                            fallback=phi0 is not None and not warm)
+        if warm and (it == _WARM_MAXITER or not new_res <= 0.9 * res):
+            warm, phi_hat = False, None  # the warm start stalled: restart cold
+            continue
+        if not warm and (it - cold_from == _MAXITER or not np.isfinite(new_res)):
+            raise RuntimeError(f"solve_poisson: fixed point failed, residual "
+                               f"{new_res:.3e} after {it} iterations")
+        if not warm or it == 0:
             precond = 1.0 / (k2 + 0.5 * (e.min() + e.max()))
         res = new_res
         phi_hat -= precond * r_hat
@@ -136,7 +116,7 @@ def _poisson_fixed_point(n, grid, phi0):
 def apply_inv_schrodinger(f, phi_c, grid):
     """Solve (-d^2/dx^2 + e^{phi_c}) g = f for real f.
 
-    The linear form of `_poisson_fixed_point`: g_hat -= r_hat / (k^2 + sigma)
+    The linear form of `solve_poisson`'s iteration: g_hat -= r_hat / (k^2 + sigma)
     with r_hat = k^2 g_hat + rfft(e^{phi_c} g) - rfft(f) and sigma the
     midpoint of [min e^{phi_c}, max e^{phi_c}], which contracts the error by
     (max - min) / (max + min) of e^{phi_c} an iteration.  It stops once the

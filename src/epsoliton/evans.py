@@ -66,13 +66,11 @@ class CoefficientCache:
         rows = np.array([
             (c - u) * du / J - K * dn / (J * one_n),          # A1[0,0]
             (c - u) * dn / J + one_n * du / J,                # A1[0,1]
-            one_n / J,                                        # A1[0,3]
+            one_n / J,                                        # A1[0,3], A2[0,1]
             K * du / (J * one_n) - K * (c - u) * dn / (J * one_n ** 2),  # A1[1,0]
             K * dn / (J * one_n) + (c - u) * du / J,          # A1[1,1]
-            (c - u) / J,                                      # A1[1,3]
+            (c - u) / J,                                      # A1[1,3], A2[0,0], A2[1,1]
             np.exp(phi),                                      # A1[3,2]
-            (c - u) / J,                                      # A2[0,0]
-            one_n / J,                                        # A2[0,1]
             K / (J * one_n),                                  # A2[1,0]
         ])
         self._spl = CubicSpline(xf, rows)
@@ -88,8 +86,8 @@ class CoefficientCache:
         A1[..., 1, 0] = r[..., 3]; A1[..., 1, 1] = r[..., 4]; A1[..., 1, 3] = r[..., 5]
         A1[..., 2, 3] = 1.0
         A1[..., 3, 0] = -1.0; A1[..., 3, 2] = r[..., 6]
-        A2[..., 0, 0] = r[..., 7]; A2[..., 0, 1] = r[..., 8]
-        A2[..., 1, 0] = r[..., 9]; A2[..., 1, 1] = r[..., 7]
+        A2[..., 0, 0] = r[..., 5]; A2[..., 0, 1] = r[..., 2]
+        A2[..., 1, 0] = r[..., 7]; A2[..., 1, 1] = r[..., 5]
         return A1, A2
 
 

@@ -263,11 +263,7 @@ class CubicSpline:
 
     def __init__(self, x, y):
         x = np.asarray(x, dtype=float)
-        # equal rows have one spline: each distinct row is solved once
-        rows = np.asarray(y, dtype=float)
-        label = {}
-        inv = [label.setdefault(r.tobytes(), len(label)) for r in rows]
-        y = rows[[inv.index(k) for k in range(len(label))]].T
+        y = np.asarray(y, dtype=float).T
         dx = np.diff(x)
         dxr = dx[:, None]
         slope = np.diff(y, axis=0) / dxr
@@ -293,11 +289,15 @@ class CubicSpline:
             d[i + 1] = d[i + 1] - fact[i] * du[i]
         if d[-1] == 0:
             raise ValueError("CubicSpline: singular knot system")
-        s = np.array([_eliminate_and_solve(col, fact, d, du) for col in b.T.tolist()]).T
+        s = np.empty_like(b)  # one right-hand side at a time, in plain floats
+        for j in range(b.shape[1]):
+            s[:, j] = _eliminate_and_solve(b[:, j].tolist(), fact, d, du)
         t = (s[:-1] + s[1:] - 2 * slope) / dxr
-        c = np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
         self.x = x
-        self.c = c[:, :, inv]
+        self.c = c = np.empty((4,) + slope.shape)
+        c[0] = t / dxr
+        c[1] = (slope - s[:-1]) / dxr - t
+        c[2], c[3] = s[:-1], y[:-1]
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)

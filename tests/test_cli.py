@@ -8,6 +8,7 @@ import io
 import json
 import re
 import tempfile
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -629,6 +630,25 @@ def test_evolve_solver_failure_exits_2(tmp_path, fail_poisson_at, capsys):
     assert err.startswith("numerical failure: time stepping failed at RK4 stage 2")
     assert "blow-up" not in err
     _check_failure_record(out, err, [])
+
+
+def test_evolve_overflowing_cold_start_exits_2(tmp_path, capsys):
+    # the first Poisson solve has a root (max phi about 6.9), but its cold
+    # start reaches max phi = 952, where e^phi overflows: a limit of the
+    # fixed point, not bad input, so the run exits 2, and stderr holds the
+    # failure line alone, with no NumPy warning before it
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.run(["evolve", "--out", str(out), "--eps", "0.1", "--L", "40",
+                      "--N", "64", "--T", "1", "--delta", "1000"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == ("numerical failure: time stepping failed at RK4 stage 1 of the step "
+                   "from t = 0: solve_poisson: the cold start reaches max phi = 952, "
+                   "past 709.8, where e^phi overflows\n")
+    man = _check_failure_record(out, err, [])
+    assert man["scalars"]["poisson_solves"] == man["scalars"]["rk4_steps"] == 0
 
 
 def _check_failure_record(out, err, outputs):

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -91,27 +92,18 @@ def test_poisson_newton_fallback(g):
     assert np.max(np.abs(res)) <= rep.residual <= 1e-11
 
 
-def test_poisson_fallback_counts_every_iteration(g, monkeypatch):
-    # the reported iterations are both passes' together, and a cold solve,
-    # which runs to the tolerance, never falls back
-    passes = []
-    fixed_point = ell._poisson_fixed_point
-
-    def recording(*args):
-        out = fixed_point(*args)
-        passes.append(out[1].iterations)
-        return out
-
-    monkeypatch.setattr(ell, "_poisson_fixed_point", recording)
+def test_poisson_fallback_counts_every_iteration(g):
+    # a far warm start stalls, and the solve restarts cold: it returns the
+    # cold solve exactly, and counts the warm pass's iterations with the
+    # cold pass's; a cold solve, which runs to the tolerance, never falls back
     n = 20.0 * np.exp(-(g.x / 2) ** 2)
-    _, rep = ell.solve_poisson(n, g)  # contracts by about 0.9 an iteration
-    assert not rep.fallback and len(passes) == 1
-    assert rep.iterations == passes[0]
-    passes.clear()
-    # a far warm start: the fixed point stalls and restarts cold
-    _, rep = ell.solve_poisson(n, g, phi0=np.fft.rfft(10.0 * np.cos(0.5 * g.x)))
-    assert rep.fallback and len(passes) == 2
-    assert rep.iterations == sum(passes)
+    phi, rep = ell.solve_poisson(n, g)  # contracts by about 0.9 an iteration
+    assert not rep.fallback
+    far_phi, far = ell.solve_poisson(n, g, phi0=np.fft.rfft(10.0 * np.cos(0.5 * g.x)))
+    assert far.fallback
+    assert np.array_equal(far.phi_hat, rep.phi_hat) and np.array_equal(far_phi, phi)
+    assert far.residual == rep.residual
+    assert far.iterations > rep.iterations
     _, rep = ell.solve_poisson(0.1 * n, g)
     assert not rep.fallback
 
@@ -147,11 +139,24 @@ def test_poisson_rejects_nonfinite_density(g):
 
 
 def test_poisson_cold_failure_raises(g):
-    # the cold linearisation of this density overflows e^phi: the solve
-    # names its residual and iteration count instead of returning NaN
+    # e^phi reaches about 1e3 at the root, so the cold pass contracts by about
+    # 0.998 an iteration and stops at _MAXITER above the tolerance: the solve
+    # names its residual and iteration count instead of returning
+    n = 900.0 * np.exp(-(g.x / 2) ** 2)
+    with pytest.raises(RuntimeError, match=r"fixed point failed, residual \S+ "
+                                           r"after 10000 iterations"):
+        ell.solve_poisson(n, g)
+
+
+def test_poisson_overflowing_cold_start_raises(g):
+    # the root exists (max phi about 7), but the cold linearisation of this
+    # density reaches max phi = 757.9, where e^phi overflows: the solve names
+    # it before taking the exponential, so NumPy warns of nothing
     n = 1e3 * np.exp(-(g.x / 2) ** 2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(RuntimeError, match=r"residual nan after 0 iterations"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=r"cold start reaches max phi = 757\.9, "
+                                               r"past 709\.8, where e\^phi overflows"):
             ell.solve_poisson(n, g)
 
 
