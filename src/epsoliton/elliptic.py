@@ -11,8 +11,9 @@ FFTs an iteration:
   the root, about 0.1 for the eps = 0.1 wave.  A warm start comes in, and
   the solution goes out (on the report), as those rfft coefficients, so a
   caller that chains solves spends no FFT on either.  A warm start that
-  stalls the iteration is dropped for a cold start, which runs to the
-  tolerance or raises RuntimeError, at once when e^phi would overflow there;
+  stalls the iteration, or at which e^phi would overflow, is dropped for a
+  cold start, which runs to the tolerance or raises RuntimeError, at once
+  when e^phi would overflow there;
 * linear solves with  -d^2/dx^2 + e^{phi_c}, the same iteration with
   e^{phi_c} for e^phi.  A fixed operator with an even phi_c applied many
   times (the linearized flow) is inverted once instead, on grids of up to
@@ -56,9 +57,10 @@ def solve_poisson(n, grid, phi0=None):
     contracts by about (max e^phi - min e^phi) / (max e^phi + min e^phi).
 
     phi0, when given, is a warm start as rfft coefficients (not modified).
-    The warm pass forms sigma once, at phi0, and stops at _WARM_MAXITER or
-    when the residual does not shrink by 0.9 in an iteration (a NaN counts);
-    the solve then restarts once, cold, from the linearisation
+    The warm pass forms sigma once, at phi0, and stops at _WARM_MAXITER,
+    when the residual does not shrink by 0.9 in an iteration (a NaN counts),
+    or at once when phi0 passes _EXP_MAX, where e^phi overflows; the solve
+    then restarts once, cold, from the linearisation
     (-d^2/dx^2 + 1)^{-1} n, where a solve without phi0 starts.  That start
     can overshoot e^phi by orders of magnitude (about 4e6 against 23 at the
     root for n = 20 e^{-x^2/4}), and a sigma fixed there stalls the
@@ -89,7 +91,10 @@ def solve_poisson(n, grid, phi0=None):
         if cold_start:
             phi_hat, cold_from = np.fft.rfft(n) / (k2 + 1.0), it
         phi = np.fft.irfft(phi_hat, n=N)
-        if cold_start and phi.max() > _EXP_MAX:
+        if (cold_start or it == 0) and phi.max() > _EXP_MAX:  # e^phi would overflow
+            if warm:
+                warm, phi_hat = False, None  # the warm start stalls at once
+                continue
             raise RuntimeError(f"solve_poisson: the cold start reaches max phi = "
                                f"{phi.max():.4g}, past {_EXP_MAX:.4g}, where e^phi "
                                f"overflows")
@@ -122,9 +127,14 @@ def apply_inv_schrodinger(f, phi_c, grid):
     (max - min) / (max + min) of e^{phi_c} an iteration.  It stops once the
     2-norm of r_hat is at most _LINEAR_RTOL times that of rfft(f), and
     raises RuntimeError when the residual turns non-finite or the iteration
-    reaches _MAXITER.
+    reaches _MAXITER, and at once, naming max phi_c, when e^{phi_c} would
+    overflow.
     """
-    wgt = np.exp(np.asarray(phi_c, dtype=float))
+    phi_c = np.asarray(phi_c, dtype=float)
+    if phi_c.max() > _EXP_MAX:
+        raise RuntimeError(f"apply_inv_schrodinger: max phi_c = {phi_c.max():.4g} is "
+                           f"past {_EXP_MAX:.4g}, where e^phi_c overflows")
+    wgt = np.exp(phi_c)
     k2, N = grid.k2, grid.N
     f_hat = np.fft.rfft(f)
     precond = 1.0 / (k2 + 0.5 * (wgt.min() + wgt.max()))

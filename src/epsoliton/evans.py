@@ -27,6 +27,7 @@ else in the closed right half-plane.  All C^4 pairings here are bilinear
 (no conjugation).
 """
 
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,12 +54,11 @@ class CoefficientCache:
     """
 
     def __init__(self, p):
-        self.c, self.K = p.c, p.K
         self.evaluations = 0
         g = p.grid
         xf = np.linspace(-g.L, g.L, FINE * g.N + 1)
         n, u, phi, _, dn, du = p.fine
-        c, K = self.c, self.K
+        c, K = p.c, p.K
         J = (c - u) ** 2 - K
         if np.min(J) <= 0:
             raise ValueError("CoefficientCache: J = (c-u)^2 - K <= 0 (not supersonic)")
@@ -102,18 +102,14 @@ def A_infinity(lam, c, K):
 
 # ------------------------------------------------------------- dispersion
 
-def _quartic_roots(lams, c, K):
-    """Roots of the dispersion quartic at each of lams, shape (len(lams), 4):
-    the eigenvalues of the companion matrices np.roots would build, found
-    by one eigvals call on the stack."""
-    lams = np.asarray(lams, dtype=complex)
+def _quartic_roots(lam, c, K):
+    """The four roots of the dispersion quartic at lambda."""
+    # the coefficients are formed on a one-element array: complex128 scalars
+    # round some of them apart in the last bit
+    z = np.array([lam], dtype=complex)
     d = c * c - K
-    coeffs = np.stack([np.full_like(lams, d), -2 * c * lams,
-                       lams * lams - d + 1.0, 2 * c * lams, -lams * lams], axis=1)
-    comp = np.zeros((len(lams), 4, 4), dtype=complex)
-    comp[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
-    comp[:, [1, 2, 3], [0, 1, 2]] = 1.0
-    return np.linalg.eigvals(comp)
+    return np.roots(np.concatenate([np.full_like(z, d), -2 * c * z, z * z - d + 1.0,
+                                    2 * c * z, -z * z]))
 
 
 def dispersion_roots(lam, c, K):
@@ -134,7 +130,7 @@ def dispersion_roots(lam, c, K):
         return dispersion_roots(lam.conjugate(), c, K).conjugate()
     if lam == 0:
         return np.complex128(-mu4_at_zero(c, K))
-    roots = _quartic_roots([lam], c, K)[0]
+    roots = _quartic_roots(lam, c, K)
     tol = 1e-9 * max(1.0, abs(lam))
     s = np.sum(roots) - 2 * c * lam / (c * c - K)
     if abs(s) > tol:
@@ -180,47 +176,6 @@ def _core_step(c, K):
     comes within d < 1 of the real axis (eps > 0.11 for K = 1), where the
     coefficients vary on the scale d."""
     return _H_CORE * min(1.0, np.sqrt(sonic_branch_distance(c, K)))
-
-
-def _jost_mesh(c, K, x_lo, x_hi, x_eval, rtol):
-    """Step nodes of the Magnus march on [x_lo, x_hi], containing x_eval.
-
-    The step is h0 = _core_step(c, K) (rtol/1e-9)^(1/6) for |x| <= x_c =
-    2/mu4 and h0 exp(mu4 (|x| - x_c)/_GRADE) beyond; each gap between
-    consecutive points of x_eval gets a whole number of steps.  The
-    calibration: at eps = 0.1 (K = 1), |dD|/|D| against a converged march
-    is about rtol for |lambda| ~ 1 (382 steps at rtol 1e-9 on [-0.9L, 0.9L],
-    L = 40/sqrt(eps)).
-    The mesh is a function of (c, K, the interval, x_eval, rtol) alone,
-    never of lambda or of the march direction: D is then a smooth function
-    of lambda, and D(conj lambda) = conj D(lambda) holds to roundoff.
-    """
-    x_eval = np.asarray(x_eval, dtype=float)
-    if np.any(x_eval < x_lo) or np.any(x_eval > x_hi):
-        raise ValueError("jost marching: x_eval outside the march interval")
-    h0 = _core_step(c, K) * (rtol / 1e-9) ** (1.0 / 6.0)
-    r = mu4_at_zero(c, K) / _GRADE
-    xc = 2.0 / mu4_at_zero(c, K)
-    s_core = xc / h0
-
-    def s_of(x):  # mesh coordinate: s' = 1/h(x), one unit per step
-        ax = np.abs(x)
-        tail = -np.expm1(-r * np.maximum(ax - xc, 0.0)) / (r * h0)
-        return np.sign(x) * (np.minimum(ax, xc) / h0 + tail)
-
-    def x_of(s):
-        a = np.abs(s)
-        tail = xc - np.log1p(-np.maximum(a - s_core, 0.0) * r * h0) / r
-        return np.sign(s) * np.where(a <= s_core, a * h0, tail)
-
-    b = np.unique(np.concatenate([[x_lo, x_hi], x_eval]))
-    sb = s_of(b)
-    n = np.maximum(np.ceil(np.diff(sb) - 1e-9), 1).astype(int)
-    seg = np.repeat(np.arange(len(n)), n)
-    j = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-    x = x_of(sb[seg] + j * (np.diff(sb) / n)[seg])
-    x[j == 0] = b[:-1]
-    return np.append(x, b[-1])
 
 
 def _commutator(X, Y):
@@ -305,12 +260,44 @@ def _sweep(E, anchor, steps, lams, backward=False, transpose=False):
 
 
 def _march_mesh(p, rtol):
-    """The mesh of the march on [-xa, xa], xa = 0.9 L, and the indices of its
-    7 stations, spread evenly over [-xa, xa], at which the pairing is read."""
+    """The mesh of the Magnus march on [-xa, xa], xa = 0.9 L, and the indices
+    of its 7 stations, spread evenly over [-xa, xa], at which the pairing is
+    read.
+
+    The step is h0 = _core_step(c, K) (rtol/1e-9)^(1/6) for |x| <= x_c =
+    2/mu4 and h0 exp(mu4 (|x| - x_c)/_GRADE) beyond; each gap between
+    consecutive stations gets a whole number of steps.  The calibration: at
+    eps = 0.1 (K = 1), |dD|/|D| against a converged march is about rtol for
+    |lambda| ~ 1 (382 steps at rtol 1e-9, L = 40/sqrt(eps)).
+    The mesh is a function of (c, K, L, rtol) alone, never of lambda or of
+    the march direction: D is then a smooth function of lambda, and
+    D(conj lambda) = conj D(lambda) holds to roundoff.
+    """
     xa = 0.9 * p.grid.L
-    st = np.linspace(-xa, xa, 7)
-    mesh = _jost_mesh(p.c, p.K, -xa, xa, st, rtol)
-    return mesh, np.searchsorted(mesh, st)
+    b = np.linspace(-xa, xa, 7)
+    h0 = _core_step(p.c, p.K) * (rtol / 1e-9) ** (1.0 / 6.0)
+    r = mu4_at_zero(p.c, p.K) / _GRADE
+    xc = 2.0 / mu4_at_zero(p.c, p.K)
+    s_core = xc / h0
+
+    def s_of(x):  # mesh coordinate: s' = 1/h(x), one unit per step
+        ax = np.abs(x)
+        tail = -np.expm1(-r * np.maximum(ax - xc, 0.0)) / (r * h0)
+        return np.sign(x) * (np.minimum(ax, xc) / h0 + tail)
+
+    def x_of(s):
+        a = np.abs(s)
+        tail = xc - np.log1p(-np.maximum(a - s_core, 0.0) * r * h0) / r
+        return np.sign(s) * np.where(a <= s_core, a * h0, tail)
+
+    sb = s_of(b)
+    n = np.maximum(np.ceil(np.diff(sb) - 1e-9), 1).astype(int)
+    seg = np.repeat(np.arange(len(n)), n)
+    j = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    x = x_of(sb[seg] + j * (np.diff(sb) / n)[seg])
+    x[j == 0] = b[:-1]
+    mesh = np.append(x, b[-1])
+    return mesh, np.searchsorted(mesh, b)
 
 
 def evans(lam, p, cache, rtol=1e-11, return_spread=False):
@@ -324,7 +311,7 @@ def evans(lam, p, cache, rtol=1e-11, return_spread=False):
     station, x0 = 0, so each march stops there; with return_spread both run
     across the box, and the spread of the pairing over the stations, which
     measures that roundoff, is returned too.  rtol sets the step (see
-    _jost_mesh); cache is p's CoefficientCache.
+    _march_mesh, which gives its calibration); cache is p's CoefficientCache.
     The mesh and the coefficients at its Gauss points are formed once a
     call, the step exponentials once a lambda, and the marches run batched
     over lambda: each lambda's D is that of a call at it alone, bit for bit.
@@ -368,25 +355,23 @@ def evans_derivs_at0(p, cache, rtol=1e-11):
     # near the KdV limit D varies in lambda on the scale eps^{3/2}; a fixed
     # step's truncation error in D' swamps the double zero at eps <= 0.01
     d = _DLAM * min(1, (p.eps / 0.1) ** 1.5)
-    taus = np.array([0.0, d / 2, d, 2 * d])
-    Dval = dict(zip(taus, evans(1j * taus, p, cache, rtol=rtol)))
-    Dval.update({-t: np.conj(D) for t, D in list(Dval.items()) if t})
+    D0, Dh, Dd, D2d = evans(1j * np.array([0.0, d / 2, d, 2 * d]), p, cache, rtol=rtol)
 
-    def stencil(d):
-        Dm2, Dm1, D0, Dp1, Dp2 = (Dval[k * d] for k in (-2, -1, 0, 1, 2))
-        D1 = (-Dp2 + 8 * Dp1 - 8 * Dm1 + Dm2) / (12j * d)
-        D2 = -(-Dp2 + 16 * Dp1 - 30 * D0 + 16 * Dm1 - Dm2) / (12 * d * d)
-        return D0, D1, D2
+    def stencil(s, Dp1, Dp2):
+        """D'(0), D''(0) from D(+-is), D(+-2is) and D0."""
+        Dm1, Dm2 = np.conj(Dp1), np.conj(Dp2)
+        D1 = (-Dp2 + 8 * Dp1 - 8 * Dm1 + Dm2) / (12j * s)
+        D2 = -(-Dp2 + 16 * Dp1 - 30 * D0 + 16 * Dm1 - Dm2) / (12 * s * s)
+        return D1, D2
 
-    D0a, D1a, D2a = stencil(d)
-    D0b, D1b, D2b = stencil(d / 2)
+    D1a, D2a = stencil(d, Dd, D2d)
+    D1b, D2b = stencil(d / 2, Dh, Dd)
     # both stencils are 4th order; Richardson across the halving
     D1 = (16 * D1b - D1a) / 15
     D2 = (16 * D2b - D2a) / 15
     if abs(D2a - D2b) > 0.2 * abs(D2b):
-        import warnings
         warnings.warn("evans_derivs_at0: D'' stencil disagreement > 20%")
-    return Dval[0.0], D1, D2
+    return D0, D1, D2
 
 
 @dataclass
@@ -405,28 +390,21 @@ def evans_scan(points, p, cache, closed=False, rtol=1e-9):
     for at most _MAX_REFINE rounds.  One evans call takes the points, and
     one more each round's midpoints.
     """
-    pts = np.asarray(points, dtype=complex)
-    samples = list(zip(pts, evans(pts, p, cache, rtol=rtol)))  # (lambda, D)
+    lam = np.array(points, dtype=complex)
+    D = evans(lam, p, cache, rtol=rtol)
     for _ in range(_MAX_REFINE):
-        seq = samples + samples[:1] if closed else samples
-        pairs = list(zip(seq[:-1], seq[1:]))
-        split = [abs(np.angle(d1 / d0)) > np.pi / 2 for (_, d0), (_, d1) in pairs]
-        if not any(split):
+        # the pairs (k, k+1), and (last, first) on a closed contour
+        k = np.arange(len(lam) - 1 + closed)
+        nxt = (k + 1) % len(lam)
+        i = k[np.abs(np.angle(D[nxt] / D[k])) > np.pi / 2]
+        if not len(i):
             break
-        mids = np.array([(z0 + z1) / 2 for ((z0, _), (z1, _)), s in zip(pairs, split) if s])
-        fill = iter(zip(mids, evans(mids, p, cache, rtol=rtol)))
-        merged = []
-        for (first, _), s in zip(pairs, split):
-            merged.append(first)
-            if s:
-                merged.append(next(fill))
-        samples = merged if closed else merged + samples[-1:]
-    vals = np.array([d for _, d in samples])
-    scan = EvansScan(np.array([z for z, _ in samples]), vals, float(np.min(np.abs(vals))),
-                     len(_march_mesh(p, rtol)[0]) - 1)
+        mids = (lam[i] + lam[nxt[i]]) / 2
+        lam = np.insert(lam, i + 1, mids)
+        D = np.insert(D, i + 1, evans(mids, p, cache, rtol=rtol))
+    scan = EvansScan(lam, D, float(np.min(np.abs(D))), len(_march_mesh(p, rtol)[0]) - 1)
     if closed:
-        ring = np.concatenate([vals, vals[:1]])
-        dphi = np.angle(ring[1:] / ring[:-1])
+        dphi = np.angle(np.roll(D, -1) / D)
         scan.winding = int(np.round(np.sum(dphi) / (2 * np.pi)))
     return scan
 

@@ -119,11 +119,13 @@ def test_poisson_tall_bump_converges(g):
     assert np.max(np.abs(res)) <= 1e-11
 
 
-def test_poisson_nan_warm_residual_restarts_cold(g):
-    # e^800 overflows, so the warm pass's first residual is NaN: a stall at
-    # once, and the cold pass's answer is returned as it is
+def test_poisson_overflowing_warm_start_restarts_cold(g):
+    # e^800 overflows, so the warm start stalls before taking the
+    # exponential, and NumPy warns of nothing: the cold pass's answer is
+    # returned as it is
     n = 0.3 * np.exp(-(g.x / 3) ** 2)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         phi, rep = ell.solve_poisson(n, g, phi0=np.fft.rfft(800.0 * np.ones(g.N)))
     cold, cold_rep = ell.solve_poisson(n, g)
     assert rep.fallback and not cold_rep.fallback
@@ -158,6 +160,16 @@ def test_poisson_overflowing_cold_start_raises(g):
         with pytest.raises(RuntimeError, match=r"cold start reaches max phi = 757\.9, "
                                                r"past 709\.8, where e\^phi overflows"):
             ell.solve_poisson(n, g)
+
+
+def test_poisson_overflowing_warm_and_cold_starts_raise(g):
+    # both starts pass 709.8: the warm one restarts cold, and the cold one
+    # raises, with no NumPy warning on the way
+    n = 1e3 * np.exp(-(g.x / 2) ** 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=r"cold start reaches max phi = 757\.9, "):
+            ell.solve_poisson(n, g, phi0=np.fft.rfft(800.0 * np.ones(g.N)))
 
 
 # --------------------------------------------------- apply_inv_schrodinger
@@ -264,12 +276,19 @@ def test_inv_schrodinger_free_kernel(g):
     assert np.max(np.abs(out[interior] - exact[interior])) < 1e-3
 
 
-def test_inv_schrodinger_failure_raises(g):
-    # e^800 overflows the coefficient: the solve raises instead of
-    # returning NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(RuntimeError, match="apply_inv_schrodinger: fixed point failed"):
+def test_inv_schrodinger_failure_raises(g, monkeypatch):
+    # e^800 overflows the coefficient: the solve names it before taking the
+    # exponential, so NumPy warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=r"^apply_inv_schrodinger: max phi_c = 800 "
+                                               r"is past 709\.8, where e\^phi_c overflows$"):
             ell.apply_inv_schrodinger(np.cos(g.x), np.full(g.N, 800.0), g)
+    # an iteration that does not reach the tolerance raises too
+    monkeypatch.setattr(ell, "_MAXITER", 2)
+    with pytest.raises(RuntimeError, match=r"^apply_inv_schrodinger: fixed point failed, "
+                                           r"relative residual \S+ after 2 iterations$"):
+        ell.apply_inv_schrodinger(np.cos(g.x), 0.2 * np.exp(-(g.x / 4) ** 2), g)
 
 
 def test_resolvent_kernel_symmetry(g):

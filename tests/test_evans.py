@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from epsoliton import evans as ev
 from epsoliton import profile as prof
-from epsoliton.grid import derivative
+from epsoliton.grid import Grid, derivative
 from epsoliton.profile import default_grid
 
 
@@ -82,7 +82,7 @@ def test_dispersion_small_lambda_asymptotics(p10):
     c, K = p10.c, p10.K
     V = np.sqrt(1.0 + K)
     lam = 1e-3 * np.exp(0.4j)
-    roots = ev._quartic_roots([lam], c, K)[0]
+    roots = ev._quartic_roots(lam, c, K)
     for ref in (lam / (c + V), lam / (c - V)):
         assert np.min(np.abs(roots - ref)) < 0.01 * abs(ref)
 
@@ -107,8 +107,8 @@ def test_dispersion_two_decaying_roots_name_lambda(p10, monkeypatch):
 
     def two_decaying(*a):
         roots = quartic(*a)
-        roots = roots[:, np.argsort(roots[0].real)]
-        shift = roots[0, 1].real + 1.0
+        roots = roots[np.argsort(roots.real)]
+        shift = roots[1].real + 1.0
         return roots + np.array([0.0, -shift, 0.0, shift])
 
     monkeypatch.setattr(ev, "_quartic_roots", two_decaying)
@@ -131,7 +131,7 @@ def test_dispersion_sum_rule(re, im):
     lam = complex(re, im)
     if abs(lam) < 1e-6:
         return
-    roots = ev._quartic_roots([lam], c, K)[0]
+    roots = ev._quartic_roots(lam, c, K)
     # each is a quartic root
     dd = c * c - K
     for mu in roots:
@@ -352,16 +352,13 @@ def test_dispersion_roots_match_np_roots(p05, p10):
 
 def test_jost_mesh_holds_stations_and_grades_tails(p10):
     xa = 0.9 * p10.grid.L
-    st = np.linspace(-xa, xa, 7)
-    mesh = ev._jost_mesh(p10.c, p10.K, -xa, xa, st, 1e-9)
-    assert np.all(np.isin(st, mesh))
+    mesh, at = ev._march_mesh(p10, 1e-9)
+    assert np.array_equal(mesh[at], np.linspace(-xa, xa, 7))
     h = np.diff(mesh)
     assert np.all(h > 0)
     core = np.abs(mesh[:-1]) < 2.0
     assert np.max(h[core]) <= 0.1 + 1e-12
     assert np.max(h) > 10 * np.max(h[core])     # graded tails
-    with pytest.raises(ValueError):
-        ev._jost_mesh(p10.c, p10.K, -xa, xa, [xa + 1.0], 1e-9)
 
 
 def test_evans_scan_segment_and_rectangle(p10, cache10):
@@ -378,6 +375,25 @@ def test_evans_scan_segment_and_rectangle(p10, cache10):
     assert ring.winding == 0
     assert ring.min_modulus > 0.1
 
+
+def test_evans_scan_refines_between_samples_in_place():
+    # at eps = 0.1 the phase of D turns by more than pi/2 across each gap of
+    # 0.02i, 2i, 4i, 6i, and across the way back from 6i to 0.02i; each
+    # midpoint goes in after the first point of its pair, so on the closed
+    # contour the back pair's midpoints come last
+    p = prof.profile_from_eps(0.1, 1.0, Grid(40 / np.sqrt(0.1), 512))
+    cache = ev.CoefficientCache(p)
+    pts = 1j * np.array([0.02, 2.0, 4.0, 6.0])
+    seg = ev.evans_scan(pts, p, cache, closed=False)
+    ring = ev.evans_scan(pts, p, cache, closed=True)
+    assert len(seg.lam) == 7 and len(ring.lam) == 11
+    assert np.allclose(ring.lam[-4:], 1j * np.array([3.01, 1.515, 0.7675, 0.39375]),
+                       rtol=1e-15, atol=0.0)
+    for scan, closed in ((seg, False), (ring, True)):
+        assert np.array_equal(scan.lam[np.isin(scan.lam, pts)], pts)
+        assert np.array_equal(scan.D, ev.evans(scan.lam, p, cache, rtol=1e-9))
+        ends = np.append(scan.D, scan.D[:1]) if closed else scan.D
+        assert np.all(np.abs(np.angle(ends[1:] / ends[:-1])) <= np.pi / 2)
 
 
 def test_double_zero_at_origin_near_kdv_limit():

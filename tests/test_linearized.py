@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -177,12 +178,16 @@ def test_evolve_linear_real_and_bounded(p10, lin10, rng):
 
 # ------------------------------------------------ Chebyshev-Bessel propagator
 
-@pytest.fixture(scope="module")
-def dense05(p05, lin05):
-    """L assembled column by column from apply_Lc (2N = 1024)."""
-    n = p05.grid.N
+def _dense_L(ctx):
+    """L assembled column by column from apply_Lc, (2N, 2N)."""
+    n = ctx.grid.N
     cols = np.eye(2 * n).reshape(2 * n, 2, n)
-    return np.array([lin.apply_Lc(e, lin05).ravel() for e in cols]).T
+    return np.array([lin.apply_Lc(e, ctx).ravel() for e in cols]).T
+
+
+@pytest.fixture(scope="module")
+def dense05(lin05):
+    return _dense_L(lin05)  # 2N = 1024
 
 
 def test_evolve_linear_matches_dense_expm(p05, lin05, dense05, rng):
@@ -234,6 +239,26 @@ def test_propagator_radius_bounds_L(lin05, dense05):
     # the expansion needs rho >= ||L||_2 and the spectrum on the imaginary axis
     assert lin05.rho >= np.linalg.norm(dense05, 2)
     assert np.max(np.abs(np.linalg.eigvals(dense05).real)) <= 1e-6 * lin05.rho
+
+
+def test_dense_spectrum_is_imaginary_with_a_double_zero():
+    # a check of the discretised L on a small box, not of L on the line: of
+    # its 512 eigenvalues six lie within 1e-4 of 0, four of them (at most
+    # 1e-15) from the mean and Nyquist modes that -d/dx annihilates and two
+    # the zero pair, real and +-9.4e-7 apart from 0; every other one has
+    # |Re lambda| <= 5.3e-15
+    p = prof.profile_from_eps(0.1, 1.0, Grid(40.0, 256))
+
+    def checks(p):
+        lam = np.linalg.eigvals(_dense_L(lin.LinearContext.build(p)))
+        near0 = np.abs(lam) < 1e-4
+        return (np.count_nonzero(near0) == 6, np.max(np.abs(lam[~near0].real)) <= 1e-10,
+                np.max(lam.real) <= 1e-5)
+
+    assert checks(p) == (True, True, True)
+    # negative control: phi scaled by 1.01, off the travelling-wave equation,
+    # has an eigenvalue at Re lambda = 2.03e-3
+    assert not checks(dataclasses.replace(p, phi=1.01 * p.phi))[2]
 
 
 def test_bessel_table_matches_scipy():
