@@ -371,8 +371,7 @@ def cmd_stability(cfg, built):
     tables = {} if rep.series is None else {"stability_series.csv": long_table(
         rep.track.t, {"c": rep.track.c, "D": rep.track.D, **rep.series})}
     virial = None if rep.monitors is None else {
-        m.name: {"C": m.C, "stable": m.stable, "inconclusive": m.inconclusive}
-        for m in rep.monitors}
+        m.name: {k: v for k, v in vars(m).items() if k != "name"} for m in rep.monitors}
     return Record(tables, {"c_tail_spread": rep.c_tail_spread, "blowup_time": rep.blowup_time,
                            "virial_constants": virial, "L": sc.grid.L, "N": sc.grid.N,
                            "T": sc.T, **rep.flow}, rep.verdicts, rep.error)

@@ -56,13 +56,16 @@ class VirialMonitor:
     C: float
     stable: bool
     inconclusive: bool
+    fits: list  # the ratios of the windows whose right side is positive and finite
+    reason: str | None  # why the monitor is not stable; None when it is
 
 
 def virial_ratio_monitor(t, V, p, w, series):
     """Fitted constants for the three virial inequalities over trailing time
     windows.  C = max over windows of (integrated LHS)/(integrated RHS);
     'stable' requires two valid windows agreeing within 2x; below five
-    snapshots the windows coincide and the monitor is inconclusive.
+    snapshots the windows coincide and the monitor is inconclusive.  Each
+    monitor keeps its window ratios and, unless stable, the reason it is not.
 
     V is the (S, 3, N) stack of perturbations and series holds its
     virial_series(V, p, w) as I1, I2, J and its norm_bundle_series, of which
@@ -103,10 +106,20 @@ def virial_ratio_monitor(t, V, p, w, series):
     for name, lhs_sq, rhs_run in defs:
         lhs_run = running_integral(lhs_sq, t)
         sides = [(lhs_run[-1] - lhs_run[i0], rhs_run[-1] - rhs_run[i0]) for i0 in starts]
-        fits = [lhs / rhs for lhs, rhs in sides if rhs > 0 and np.isfinite(rhs)]
+        fits = [float(lhs / rhs) for lhs, rhs in sides if rhs > 0 and np.isfinite(rhs)]
         stable = len(fits) >= 2 and max(fits) <= 2.0 * max(min(fits), 1e-300)
-        monitors.append(VirialMonitor(name, float(max(fits, default=0.0)), bool(stable),
-                                      not fits or len(starts) < 2))
+        if stable:
+            reason = None
+        elif len(starts) < 2:
+            reason = "fewer than five snapshots: one window"
+        elif not fits:
+            reason = "no window has a positive right side"
+        elif len(fits) < 2:
+            reason = f"{len(fits)} of {len(starts)} windows have a positive right side"
+        else:
+            reason = f"window fits spread {max(fits) / max(min(fits), 1e-300):.3g}×, above 2×"
+        monitors.append(VirialMonitor(name, max(fits, default=0.0), bool(stable),
+                                      not fits or len(starts) < 2, fits, reason))
     return monitors
 
 

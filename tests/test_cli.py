@@ -704,8 +704,11 @@ def test_stability_happy_path_manifest(tmp_path):
     assert man["scalars"]["blowup_time"] == rep.blowup_time is None and not rep.blown_up
     assert man["scalars"]["c_tail_spread"] == rep.c_tail_spread
     assert man["scalars"]["virial_constants"] == {
-        m.name: {"C": m.C, "stable": m.stable, "inconclusive": m.inconclusive}
+        m.name: {"C": m.C, "stable": m.stable, "inconclusive": m.inconclusive,
+                 "fits": m.fits, "reason": m.reason}
         for m in rep.monitors}
+    assert all(v["reason"] == "fewer than five snapshots: one window"
+               for v in man["scalars"]["virial_constants"].values())
 
 
 def test_stability_series_csv_holds_each_series_once_per_snapshot(tmp_path):

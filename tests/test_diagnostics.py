@@ -117,6 +117,7 @@ def test_virial_monitor_sign_convention(p10, w10):
     assert s1.name == "Sigma1"
     assert s1.C == pytest.approx(1.0, rel=1e-12)
     assert s1.stable and not s1.inconclusive
+    assert s1.fits == pytest.approx([1.0, 1.0, 1.0], rel=1e-12) and s1.reason is None
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -132,6 +133,31 @@ def test_virial_monitor_below_five_snapshots_is_inconclusive(p10, w10, n):
     monitors = dg.virial_ratio_monitor(t, V, p10, w10, series)
     for m in monitors:
         assert not m.stable and m.inconclusive
+        assert len(m.fits) <= 1 and m.reason == "fewer than five snapshots: one window"
+    assert monitors[0].fits == pytest.approx([1.0], rel=1e-12)
+
+
+@pytest.mark.parametrize("I1_over_eps, fits, reason", [
+    # -dI1/dt / eps = -1: every window's right side is negative
+    (lambda t: t, [], "no window has a positive right side"),
+    # -I1/eps = -(t - 5.5)^2 rises over [2, 8] only: one window of three
+    (lambda t: (t - 5.5) ** 2, [6.0 / 6.0], "1 of 3 windows have a positive right side"),
+    # -I1/eps = e^t: the windows [2, 8], [4, 8], [6, 8] read fits 2.6x apart
+    (lambda t: -np.exp(t), [k / (np.exp(8.0) - np.exp(8.0 - k)) for k in (6.0, 4.0, 2.0)],
+     "window fits spread 2.6×, above 2×"),
+])
+def test_virial_monitor_names_why_it_is_not_stable(p10, w10, I1_over_eps, fits, reason):
+    # V = 0 and ||V||_Sigma1 = 1: each window's left side is its length, and
+    # its right side the rise of -I1/eps over it
+    t = np.linspace(0.0, 8.0, 9)
+    zero = np.zeros(len(t))
+    V = np.zeros((len(t), 3, p10.grid.N))
+    series = {"I1": p10.eps * I1_over_eps(t), "I2": zero, "J": zero,
+              "Sigma1": np.ones(len(t)), "Sigma2": zero, "Sigma_tilde": zero}
+    s1 = dg.virial_ratio_monitor(t, V, p10, w10, series)[0]
+    assert s1.fits == pytest.approx(fits, rel=1e-12) and s1.reason == reason
+    assert not s1.stable and s1.C == max(s1.fits, default=0.0)
+    assert s1.inconclusive == (not fits)
 
 
 def test_window_ratio_trapezoid_order():

@@ -52,6 +52,14 @@ def test_peak_state_rejects_past_existence_edge(eps):
 
 # ------------------------------------------------------------ build_profile
 
+def test_build_profile_refuses_a_pseudopotential_read_as_not_positive():
+    # at K = 3 and eps = 1e-4 phi* < 1e-3, so sagdeev_G takes its Taylor patch
+    # at 0 up to the peak, where it reads about -1e-15 (max G is 5.6e-13):
+    # the march stops at the first G <= 0 it reads, with the sign named
+    with pytest.raises(RuntimeError, match=r"^pseudopotential not single-signed on \(0, phi\*\)$"):
+        prof.profile_from_eps(1e-4, 3.0, Grid(20.0, 64))
+
+
 def test_profile_poisson_residual(p10, p05):
     # both spectrally resolved on their default grids
     assert p05.poisson_residual < 1e-8
