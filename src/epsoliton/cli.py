@@ -31,13 +31,6 @@ class ValidationError(Exception):
     pass
 
 
-class NumericalFailure(Exception):
-    pass
-
-
-_FAILURES = (NumericalFailure, RuntimeError, FloatingPointError)
-
-
 # ------------------------------------------------------------------ config
 
 # type and default of each setting (the weight settings' are the experiment's)
@@ -229,7 +222,7 @@ def _prepare(cfg):
     perturbation if it reads delta (linear's initial state V0), the profile
     p, the perturbed state s0 if it reads shape.  On the default grid a nodal
     Poisson residual above _RESIDUAL_MAX, a wave unresolved near the
-    existence edge, is a NumericalFailure; an explicit grid may be coarse."""
+    existence edge, is a RuntimeError; an explicit grid may be coarse."""
     stability = cfg.subcommand == "stability"
     if stability:  # the modulation context builds the waves at c -+ DC
         if not cfg.eps > modulation.DC:
@@ -268,7 +261,7 @@ def _prepare(cfg):
                                   "box: a squared norm of the run could overflow float64")
     p = profile_mod.profile_from_eps(cfg.eps, cfg.K, g)
     if cfg.L is None and cfg.N is None and p.poisson_residual > _RESIDUAL_MAX:
-        raise NumericalFailure(
+        raise RuntimeError(
             f"profile at eps = {cfg.eps:g} unresolved on the default grid "
             f"(N = {g.N}): nodal Poisson residual {p.poisson_residual:.2e} "
             f"> {_RESIDUAL_MAX:g}")
@@ -456,16 +449,16 @@ def run(argv=None):
         out = _outdir(cfg)
         try:
             rec = _COMMANDS[cfg.subcommand](cfg, built)
-        except _FAILURES as e:  # the run stopped with nothing written
+        except RuntimeError as e:  # the run stopped with nothing written
             rec = Record({}, {}, {}, str(e))
         _write_record(out, cfg, time.time() - t0, rec)
         if rec.error is not None:
-            raise NumericalFailure(rec.error)
+            raise RuntimeError(rec.error)
         return 0
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except _FAILURES as e:
+    except RuntimeError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 2
 

@@ -107,18 +107,17 @@ def virial_ratio_monitor(t, V, p, w, series):
         lhs_run = running_integral(lhs_sq, t)
         sides = [(lhs_run[-1] - lhs_run[i0], rhs_run[-1] - rhs_run[i0]) for i0 in starts]
         fits = [float(lhs / rhs) for lhs, rhs in sides if rhs > 0 and np.isfinite(rhs)]
-        stable = len(fits) >= 2 and max(fits) <= 2.0 * max(min(fits), 1e-300)
-        if stable:
-            reason = None
-        elif len(starts) < 2:
+        if len(starts) < 2:
             reason = "fewer than five snapshots: one window"
         elif not fits:
             reason = "no window has a positive right side"
         elif len(fits) < 2:
             reason = f"{len(fits)} of {len(starts)} windows have a positive right side"
-        else:
+        elif max(fits) > 2.0 * max(min(fits), 1e-300):
             reason = f"window fits spread {max(fits) / max(min(fits), 1e-300):.3g}×, above 2×"
-        monitors.append(VirialMonitor(name, max(fits, default=0.0), bool(stable),
+        else:
+            reason = None
+        monitors.append(VirialMonitor(name, max(fits, default=0.0), reason is None,
                                       not fits or len(starts) < 2, fits, reason))
     return monitors
 
@@ -248,6 +247,5 @@ def stability_experiment(config: StabilityConfig, profile=None) -> StabilityRepo
 
     rep.monitors = virial_ratio_monitor(t, track.V, p, w, rep.series)
     rep.verdicts["virial_constants_ok"] = all(
-        np.isfinite(m.C) and m.stable and not m.inconclusive
-        for m in rep.monitors) if config.delta > 0 else True
+        m.stable for m in rep.monitors) if config.delta > 0 else True
     return rep

@@ -203,13 +203,12 @@ def evolve(state0, T, K, grid, dt=None, cfl=None, n_saves=41, frame_speed=0.0):
         mid, end = top(t + step / 2), top(t + step)
         ks, cur, cur_err = [], [], []
         try:
-            for a, G_tau in ((0.0, None), (0.5, mid), (0.5, mid), (1.0, end)):
+            for i, (a, G_tau) in enumerate(((0.0, None), (0.5, mid), (0.5, mid), (1.0, end))):
                 if ks:
                     s_hat = whole(V + a * step * ks[-1], G_tau)
                     s = np.fft.irfft(s_hat, n=grid.N)
                 else:
                     s_hat, s = W_hat, W
-                i = len(cur)
                 resp = _density_response(s_hat[0], grid)
                 pred = _stage_prediction(i, cur, prev, step / (prev_step or step))
                 warm = pred if prev_err[i] is None else pred + prev_err[i]
@@ -223,8 +222,18 @@ def evolve(state0, T, K, grid, dt=None, cfl=None, n_saves=41, frame_speed=0.0):
                 ks.append(k[:, :cut])  # its top band is zero
                 cur.append(rep.phi_hat - resp)
                 cur_err.append(None if pred is None else cur[i] - pred)
+            k1, k2, k3, k4 = ks
+            V = V + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            t = t_save if lands else t + step
+            meta["rk4_steps"] += 1
+            W_hat = whole(V, end)
+            W = np.fft.irfft(W_hat, n=grid.N)
+            if (not np.all(np.isfinite(W)) or np.min(1.0 + W[0]) < 1e-6
+                    or np.max(np.abs(W[1])) > 1e3):
+                raise ValueError("blow-up at the step's end")
         except ValueError:
-            # vacuum or a non-finite density at a stage: a blow-up
+            # vacuum or a non-finite density at a stage (t the step's start),
+            # or a blow-up at the step's end (t advanced)
             traj.blowup_time = t
             traj.failure = f"blow-up at t = {t}"
             return traj
@@ -233,17 +242,6 @@ def evolve(state0, T, K, grid, dt=None, cfl=None, n_saves=41, frame_speed=0.0):
                             f"step from t = {t:.6g}: {e}")
             return traj
         prev, prev_err, prev_step = cur, cur_err, step
-        k1, k2, k3, k4 = ks
-        V = V + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t_save if lands else t + step
-        meta["rk4_steps"] += 1
-        W_hat = whole(V, end)
-        W = np.fft.irfft(W_hat, n=grid.N)
-        if (not np.all(np.isfinite(W)) or np.min(1.0 + W[0]) < 1e-6
-                or np.max(np.abs(W[1])) > 1e3):
-            traj.blowup_time = t
-            traj.failure = f"blow-up at t = {t}"
-            return traj
         if lands:
             traj.states.append(lab(t))
     return traj

@@ -67,11 +67,6 @@ class LinearContext:
         p = self.profile
         return p.u - p.c, 1.0 + p.n, p.K / (1.0 + p.n)
 
-    @cached_property
-    def minus_ik(self):
-        """The symbol of -d/dx on the rfft wavenumbers (Nyquist mode zeroed)."""
-        return -self.grid.symbol(1)
-
     def q_trajectory(self, V0, T, n_saves):
         """e^{tL} Q V0 at save_times(self, T, n_saves), for n_saves
         DECAY_SAVES or KATO_SAVES.
@@ -91,12 +86,12 @@ class LinearContext:
 
 def apply_Lc(V, ctx):
     """Apply the linearized operator, L V = -d/dx (M V + (0, H^{-1} V_n)), with
-    M's rows and the symbol of -d/dx taken from ctx and the derivative as one
-    rfft/irfft pair; one application of ctx.solve per call."""
+    M's rows taken from ctx and -d/dx as one rfft/irfft pair, times the
+    negated symbol of d/dx; one application of ctx.solve per call."""
     a, b, c = ctx.M_rows
     Vn, Vu = V
     w = np.array([a * Vn + b * Vu, c * Vn + a * Vu + ctx.solve(Vn)])
-    return np.fft.irfft(ctx.minus_ik * np.fft.rfft(w), n=ctx.grid.N)
+    return np.fft.irfft(-ctx.grid.symbol(1) * np.fft.rfft(w), n=ctx.grid.N)
 
 
 def apply_Lc_adjoint(W, ctx, dW=None):

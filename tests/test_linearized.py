@@ -280,18 +280,21 @@ def _dense_La(p, a):
     return -np.block([[d1 @ A, d1 @ B], [d1 @ (C + H_inv), d1 @ A]])
 
 
-def test_weighted_dense_spectrum_has_only_the_zero_pair_off_the_left_half_plane():
-    # the discretised L_a on a small box at eps = 0.1 (a check of the
-    # discretisation, not of L_a on the line).  At a = 0 it is L itself; at
-    # a = 0.3 sqrt(eps) the weight moves the continuous spectrum into the
-    # left half-plane and leaves the zero pair, real and +-9.4e-7, as the
-    # only eigenvalues within 1e-4 of 0, with max Re lambda = 9.4e-7.  The
-    # next eigenvalue reads Re lambda = -9.68e-3 on this build (-5.2e-3 on
-    # another), so nothing is asserted about the strip -beta < Re lambda < 0
-    p = prof.profile_from_eps(0.1, 1.0, Grid(40.0, 256))
-    L = _dense_L(lin.LinearContext.build(p))
-    assert np.max(np.abs(_dense_La(p, 0.0) - L)) <= 1e-13 * np.max(np.abs(L))
-    a = 0.3 * np.sqrt(0.1)
+@pytest.mark.parametrize("eps, L", [(0.1, 40.0), (0.05, 60.0)])
+def test_weighted_dense_spectrum_has_only_the_zero_pair_off_the_left_half_plane(eps, L):
+    # the discretised L_a on a small box (a check of the discretisation, not
+    # of L_a on the line).  At a = 0 it is L itself; at a = 0.3 sqrt(eps) the
+    # weight moves the continuous spectrum into the left half-plane and
+    # leaves the zero pair, real, as the only eigenvalues within 1e-4 of 0:
+    # +-9.4e-7 at eps = 0.1 and +-4.76e-8 at eps = 0.05, 19.7 times less,
+    # with max Re lambda the pair's.  The next eigenvalue reads Re lambda =
+    # -9.68e-3 at eps = 0.1 on this build (-5.2e-3 on another), and -3.48e-3
+    # at eps = 0.05 (-2.17e-3 on another, on the other side of -beta =
+    # -0.00325), so nothing is asserted about the strip -beta < Re lambda < 0
+    p = prof.profile_from_eps(eps, 1.0, Grid(L, 256))
+    dense = _dense_L(lin.LinearContext.build(p))
+    assert np.max(np.abs(_dense_La(p, 0.0) - dense)) <= 1e-13 * np.max(np.abs(dense))
+    a = 0.3 * np.sqrt(eps)
 
     def checks(p):
         lam = np.linalg.eigvals(_dense_La(p, a))
@@ -299,7 +302,7 @@ def test_weighted_dense_spectrum_has_only_the_zero_pair_off_the_left_half_plane(
 
     assert checks(p) == (True, True)
     # negative control: phi scaled by 1.01, off the travelling-wave equation,
-    # has an eigenvalue at Re lambda = 2.03e-3
+    # has an eigenvalue at Re lambda = 2.03e-3 (eps = 0.1) and 6.64e-4 (0.05)
     assert not checks(dataclasses.replace(p, phi=1.01 * p.phi))[1]
 
 

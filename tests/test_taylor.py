@@ -1,7 +1,8 @@
 """The Taylor check: the nonlinear flow and the linear propagator vouch for
 each other.  The central quotient (U(S + delta V0) - U(S - delta V0)) / (2 delta)
 of two flows about the wave S, taken into the wave's frame, is e^{tL} V0 up
-to O(delta^2) and the flow's time error.  Across the family, the quotient
+to O(delta^2) and the flow's time error, and on a fine grid its gap is seen
+to be second order in delta.  Across the family, the quotient
 (U(S_{c+dc}) - U(S_{c-dc})) / (2 dc) of two waves' flows is e^{tL} xi2 = xi2 - t xi1."""
 
 import dataclasses
@@ -27,19 +28,27 @@ def wave():
     return p, LinearContext.build(p)
 
 
+def _flow(U0, p, ctx):
+    """The flow from U0 = (n, u), 9 saves up to half the wrap time."""
+    return dyn.evolve(dyn.State(0.0, *U0), wrap_time(ctx) / 2, p.K, p.grid, n_saves=9,
+                      frame_speed=p.c)
+
+
+def _gap(a, b, step, p, ref):
+    """max |(a - b) / step - ref| / max |ref| over the saves of the flows a and
+    b, their difference taken into the wave's frame."""
+    quotient = np.array([translate([x.n - y.n, x.u - y.u], -p.c * tk, p.grid) / step
+                         for x, y, tk in zip(a.states, b.states, a.times)])
+    return np.max(np.abs(quotient - ref)) / np.max(np.abs(ref))
+
+
 def _taylor_error(shape, p, ctx):
     """max |quotient - e^{tL} V0| / max |e^{tL} V0| over 9 saves up to
     half the wrap time."""
-    g = p.grid
-    V0 = np.array(perturbation(shape, 1.0, g))
+    V0 = np.array(perturbation(shape, 1.0, p.grid))
     S = np.array([p.n, p.u])
-    runs = [dyn.evolve(dyn.State(0.0, *(S + sign * _DELTA * V0)), wrap_time(ctx) / 2,
-                       p.K, g, n_saves=9, frame_speed=p.c) for sign in (1.0, -1.0)]
-    t = runs[0].times
-    quotient = np.array([translate([a.n - b.n, a.u - b.u], -p.c * tk, g) / (2 * _DELTA)
-                         for a, b, tk in zip(runs[0].states, runs[1].states, t)])
-    ref = evolve_linear(V0, ctx, t).states
-    return np.max(np.abs(quotient - ref)) / np.max(np.abs(ref))
+    plus, minus = (_flow(S + sign * _DELTA * V0, p, ctx) for sign in (1.0, -1.0))
+    return _gap(plus, minus, 2 * _DELTA, p, evolve_linear(V0, ctx, plus.times).states)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -52,6 +61,30 @@ def test_taylor_check_negative_control(wave):
     p, ctx = wave
     off = dataclasses.replace(ctx, solve=lambda f: 1.01 * ctx.solve(f))
     assert _taylor_error("even", p, off) > _BOUND
+
+
+def test_central_gap_is_second_order_in_delta():
+    # the even bump at eps = 0.1: the central gap reads 3.64e-5 at delta = 2e-3
+    # and 9.11e-6 at 1e-3, a factor of 4.00 (4.5e-6 at 5e-4, where its floor
+    # starts).  The grid is finer than the fixture's: on Grid(40, 512), and
+    # up to a quarter of the wrap time on every grid tried, the gap sits on
+    # its floor and does not scale with delta; on Grid(126.5, 1024) it fell
+    # 2.72 times and then stopped
+    p = prof.profile_from_eps(0.1, 1.0, Grid(60.0, 1024))
+    ctx = LinearContext.build(p)
+    V0 = np.array(perturbation("even", 1.0, p.grid))
+    S = np.array([p.n, p.u])
+    base = _flow(S, p, ctx)
+    ref = evolve_linear(V0, ctx, base.times).states
+    central, one_sided = [], []
+    for delta in (2e-3, 1e-3):
+        plus, minus = _flow(S + delta * V0, p, ctx), _flow(S - delta * V0, p, ctx)
+        central.append(_gap(plus, minus, 2 * delta, p, ref))
+        one_sided.append(_gap(plus, base, delta, p, ref))
+    assert central[0] >= 3.0 * central[1] and central[1] <= 2e-5
+    # negative control: the one-sided quotient's gap is its O(delta) term,
+    # 5.63e-3 and 2.81e-3, a factor of 2.00
+    assert one_sided[0] < 3.0 * one_sided[1]
 
 
 # 2 times the largest gap measured (5.9e-4); the gap is 3.0e-5 at t = 0 and
