@@ -195,8 +195,7 @@ def write_csv(path, header, rows):
 
 def long_table(t, series):
     """Long-format time series: columns t,name,value."""
-    return ("t", "name", "value"), [(repr(float(ti)), name, repr(float(vi)))
-                                    for name, vals in series.items()
+    return ("t", "name", "value"), [(ti, name, vi) for name, vals in series.items()
                                     for ti, vi in zip(t, vals)]
 
 

@@ -122,7 +122,7 @@ LAB_CFL = 0.4  # default cfl in the lab frame (frame_speed = 0)
 COMOVING_CFL = 1.2
 
 
-def evolve(state0, T, K, grid, dt=None, cfl=None, n_saves=41, frame_speed=0.0):
+def evolve(state0, T, K, grid, cfl=None, n_saves=41, frame_speed=0.0):
     """Classical RK4 evolution up to time T, dealiased; returns a Trajectory
     of the states at t0 + T k/(n_saves - 1), k = 0 ... n_saves - 1 (t0 and
     t0 + T when n_saves < 2).  Each step is cut at the next save, a step that
@@ -144,9 +144,9 @@ def evolve(state0, T, K, grid, dt=None, cfl=None, n_saves=41, frame_speed=0.0):
     the wave's translation across the grid.  States are saved in the lab
     frame.
 
-    dt defaults to the CFL-limited step cfl h / (max|u - c| + sqrt(K) + 1),
-    recomputed each step, with cfl LAB_CFL at c = 0 and COMOVING_CFL
-    otherwise; a fixed dt is honoured up to the cuts at the saves.  An early
+    The step is cfl h / (max|u - c| + sqrt(K) + 1), recomputed each step and
+    cut at the next save, with cfl LAB_CFL at c = 0 and COMOVING_CFL
+    otherwise; with cfl = inf the save lattice sets every step.  An early
     stop truncates the trajectory and traj.failure names it: "blow-up at
     t = ..." for a blow-up (min(1+n) < 1e-6, sup|u| > 1e3, NaN, or a vacuum
     or non-finite stage state), which also sets blowup_time,
@@ -195,8 +195,7 @@ def evolve(state0, T, K, grid, dt=None, cfl=None, n_saves=41, frame_speed=0.0):
     prev, prev_err, prev_step = None, [None] * 4, None
     while len(traj.states) < len(lattice):
         t_save = lattice[len(traj.states)]
-        step = dt if dt is not None else \
-            cfl * grid.h / (float(np.max(np.abs(W[1] - c))) + np.sqrt(K) + 1.0)
+        step = cfl * grid.h / (float(np.max(np.abs(W[1] - c))) + np.sqrt(K) + 1.0)
         lands = t_save - t <= step * (1.0 + 1e-12)
         if lands:
             step = t_save - t  # cut at the save, or stretched onto it over roundoff

@@ -164,10 +164,6 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol, atol, max_step, events):
     crosses zero in that direction, or t_span[1] is reached.  t_eval:
     ascending points inside t_span, possibly none."""
     t, t_bound = map(float, t_span)
-    if not t_bound > t:
-        raise ValueError("solve_ivp: integrates forward only")
-    if not events.terminal or events.direction == 0:
-        raise ValueError("solve_ivp: one terminal event with a direction")
     nfev = 0
 
     def f(t, y):

@@ -229,12 +229,8 @@ class ProfileSolution:
     fine: np.ndarray = field(repr=False)   # (6, FINE*N + 1)
 
     @property
-    def V(self) -> float:
-        return float(np.sqrt(1.0 + self.K))
-
-    @property
     def eps(self) -> float:
-        return self.c - self.V
+        return self.c - float(np.sqrt(1.0 + self.K))
 
 
 def _half_line_values(c, K, xq, n_star, phi_star):

@@ -560,6 +560,26 @@ def test_linear_spurious_growth_exits_2(tmp_path, capsys, monkeypatch):
     _check_failure_record(out, err, [])
 
 
+def test_csv_numbers_read_back_as_the_floats_they_came_from(tmp_path):
+    # write_csv is where a number becomes text: each float cell, Python or
+    # NumPy, reads back as the float it came from, sign of zero included (a
+    # %g format would not), and an int or a string passes through unchanged
+    t = [0.1 + 0.2, np.float64(5e-324), np.float32(-0.0), 7]
+    series = {"x": [1e308, np.float32(0.1), np.float64(-0.0), "n/a"]}
+    header, rows = cli.long_table(t, series)
+    cli.write_csv(tmp_path / "t.csv", header, rows)
+    with open(tmp_path / "t.csv", newline="") as f:
+        back = list(csv.reader(f))
+    assert back[0] == ["t", "name", "value"] and len(back) == len(rows) + 1 == 5
+    for row, cells in zip(rows, back[1:]):
+        for v, cell in zip(row, cells):
+            if isinstance(v, (float, np.floating)):
+                assert float(cell) == float(v)
+                assert np.signbit(float(cell)) == np.signbit(v)
+            else:
+                assert cell == str(v)
+
+
 def test_evolve_writes_invariants(tmp_path):
     out = tmp_path / "run"
     rc = cli.run(["evolve", "--out", str(out), "--eps", "0.1", "--T", "2",

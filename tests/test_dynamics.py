@@ -15,6 +15,15 @@ def _zero(g):
     return dyn.State(0.0, np.zeros(g.N), np.zeros(g.N))
 
 
+def _fixed_steps(s, T, K, g, dt, **kw):
+    """evolve in steps of dt: with cfl = inf the save lattice, of spacing
+    dt, sets every step."""
+    n = round(T / dt) + 1
+    traj = dyn.evolve(s, T, K, g, cfl=np.inf, n_saves=n, **kw)
+    assert traj.meta["rk4_steps"] == n - 1
+    return traj
+
+
 def _low_band(f, g):
     """f with the top third of its Fourier modes, which rhs's 2/3 rule
     zeroes, removed."""
@@ -100,11 +109,11 @@ def test_evolve_guards(g, n0, T, message):
 @pytest.mark.parametrize("T, n", [(200.0 / np.sqrt(0.002), 1001), (1e5 / 3, 41),
                                   (12345.678, 11)])
 def test_evolve_saves_on_the_exact_lattice(T, n):
-    # a fixed step of one save spacing: each step lands on its save, with no
+    # steps set by the lattice alone: each step lands on its save, with no
     # roundoff-sized step after it and no extra snapshot at T, and the save
     # times are T k/(n - 1) bit for bit, not an accumulated clock
     g = Grid(10.0, 16)
-    traj = dyn.evolve(_zero(g), T, 1.0, g, dt=T / (n - 1), n_saves=n)
+    traj = dyn.evolve(_zero(g), T, 1.0, g, cfl=np.inf, n_saves=n)
     assert traj.failure is None and traj.meta["rk4_steps"] == n - 1
     assert np.array_equal(traj.times, T * np.arange(n) / (n - 1))
 
@@ -122,9 +131,8 @@ def test_time_reversal(p05):
     g = p05.grid
     s = dyn.State(0.0, p05.n.copy(), p05.u.copy())
     dt = 0.05
-    fwd = dyn.evolve(s, dt, p05.K, g, dt=dt, n_saves=2).states[-1]
-    back = dyn.evolve(dyn.State(0.0, fwd.n, -fwd.u), dt, p05.K, g,
-                      dt=dt, n_saves=2).states[-1]
+    fwd = _fixed_steps(s, dt, p05.K, g, dt).states[-1]
+    back = _fixed_steps(dyn.State(0.0, fwd.n, -fwd.u), dt, p05.K, g, dt).states[-1]
     assert np.max(np.abs(back.n - s.n)) < 1e-9
     assert np.max(np.abs(back.u + s.u)) < 1e-9
 
@@ -135,10 +143,8 @@ def test_translation_equivariance(p05):
     d = 16 * g.h
     shifted = dyn.State(0.0, *translate([s.n, s.u], d, g))
     for c in (0.0, p05.c):
-        a = dyn.evolve(shifted, 1.0, p05.K, g, dt=0.05, n_saves=2,
-                       frame_speed=c).states[-1]
-        b = dyn.evolve(s, 1.0, p05.K, g, dt=0.05, n_saves=2,
-                       frame_speed=c).states[-1]
+        a = _fixed_steps(shifted, 1.0, p05.K, g, 0.05, frame_speed=c).states[-1]
+        b = _fixed_steps(s, 1.0, p05.K, g, 0.05, frame_speed=c).states[-1]
         b_shift = translate(b.n, d, g)[0]
         assert np.max(np.abs(a.n - b_shift)) < 1e-10
 
@@ -150,14 +156,14 @@ def test_conservation_drift_order(p05):
     E0 = dyn.invariants_of(s, p05.K, g)["E"]
     drift = {}
     for dt in (0.2, 0.1):
-        end = dyn.evolve(s, 2.0, p05.K, g, dt=dt, n_saves=2).states[-1]
+        end = _fixed_steps(s, 2.0, p05.K, g, dt).states[-1]
         drift[dt] = abs(dyn.invariants_of(end, p05.K, g)["E"] - E0)
     order = np.log2(drift[0.2] / drift[0.1])
     assert order >= 3.5
 
 
 def test_evolve_records_steps_and_frame_speed(g):
-    traj = dyn.evolve(_zero(g), 1.0, 1.0, g, dt=0.25, n_saves=3, frame_speed=0.5)
+    traj = dyn.evolve(_zero(g), 1.0, 1.0, g, cfl=np.inf, n_saves=5, frame_speed=0.5)
     assert traj.meta["rk4_steps"] == 4 and traj.meta["poisson_solves"] == 16
     assert traj.meta["frame_speed"] == 0.5
 
@@ -174,14 +180,13 @@ def bumped05(p05):
 
 
 def test_comoving_and_lab_frames_share_the_semi_discretisation(p05, bumped05):
-    # at one fixed dt the frames differ by their time errors only, which
-    # fall at fourth order (4.3e-9 at dt = 0.05, 2.7e-10 at 0.025); a
+    # at one fixed step the frames differ by their time errors only, which
+    # fall at fourth order (5.4e-9 at dt = 0.05, 3.3e-10 at 0.025); a
     # different semi-discretisation would leave a gap that does not shrink
     gap = {}
     for dt in (0.05, 0.025):
-        lab = dyn.evolve(bumped05, 2.0, p05.K, p05.grid, dt=dt, n_saves=2)
-        com = dyn.evolve(bumped05, 2.0, p05.K, p05.grid, dt=dt, n_saves=2,
-                         frame_speed=p05.c)
+        lab = _fixed_steps(bumped05, 2.0, p05.K, p05.grid, dt)
+        com = _fixed_steps(bumped05, 2.0, p05.K, p05.grid, dt, frame_speed=p05.c)
         a, b = lab.states[-1], com.states[-1]
         assert a.t == b.t
         gap[dt] = max(np.max(np.abs(a.n - b.n)), np.max(np.abs(a.u - b.u)))
@@ -192,10 +197,9 @@ def test_comoving_and_lab_frames_share_the_semi_discretisation(p05, bumped05):
 def test_comoving_time_reversal(p05, bumped05):
     # (n, u, c) -> (n, -u, -c) runs the flow in the moving frame backwards
     g, s = p05.grid, bumped05
-    fwd = dyn.evolve(s, 1.0, p05.K, g, dt=0.05, n_saves=2,
-                     frame_speed=p05.c).states[-1]
-    back = dyn.evolve(dyn.State(0.0, fwd.n, -fwd.u), 1.0, p05.K, g, dt=0.05,
-                      n_saves=2, frame_speed=-p05.c).states[-1]
+    fwd = _fixed_steps(s, 1.0, p05.K, g, 0.05, frame_speed=p05.c).states[-1]
+    back = _fixed_steps(dyn.State(0.0, fwd.n, -fwd.u), 1.0, p05.K, g, 0.05,
+                        frame_speed=-p05.c).states[-1]
     assert np.max(np.abs(back.n - s.n)) < 1e-9
     assert np.max(np.abs(back.u + s.u)) < 1e-9
 
@@ -207,17 +211,16 @@ def test_comoving_conservation_drift_order(p05, bumped05):
     E0 = dyn.invariants_of(bumped05, p05.K, g)["E"]
     drift = {}
     for dt in (0.2, 0.1):
-        end = dyn.evolve(bumped05, 4.0, p05.K, g, dt=dt, n_saves=2,
-                         frame_speed=p05.c).states[-1]
+        end = _fixed_steps(bumped05, 4.0, p05.K, g, dt, frame_speed=p05.c).states[-1]
         drift[dt] = abs(dyn.invariants_of(end, p05.K, g)["E"] - E0)
     assert drift[0.1] > 1e-13
     assert np.log2(drift[0.2] / drift[0.1]) >= 3.5
 
 
 def test_evolve_reports_poisson_failure_not_blowup(g, fail_poisson_at):
-    # the 7th solve is stage 3 of the second step, which starts at t = dt
+    # the 7th solve is stage 3 of the second step, which starts at t = 0.25
     fail_poisson_at(7)
-    traj = dyn.evolve(_zero(g), 1.0, 1.0, g, dt=0.25, n_saves=5)
+    traj = dyn.evolve(_zero(g), 1.0, 1.0, g, cfl=np.inf, n_saves=5)
     assert traj.blowup_time is None
     assert traj.failure.startswith("time stepping failed at RK4 stage 3 ")
     assert "t = 0.25" in traj.failure
@@ -317,8 +320,7 @@ def test_poisson_fallbacks_counted(g, monkeypatch):
     for name, start in (("far", far), ("cold", None)):
         monkeypatch.setattr(dyn, "_stage_prediction",
                             lambda i, cur, prev, r: start if cur else None)
-        runs[name] = dyn.evolve(dyn.State(0.0, n0, np.zeros(g.N)), 0.25, 1.0, g,
-                                dt=0.25, n_saves=2)
+        runs[name] = _fixed_steps(dyn.State(0.0, n0, np.zeros(g.N)), 0.25, 1.0, g, 0.25)
     far_run, cold_run = runs["far"], runs["cold"]
     assert far_run.meta["poisson_fallbacks"] == far_run.meta["poisson_solves"] - 1 == 3
     assert cold_run.meta["poisson_fallbacks"] == 0
