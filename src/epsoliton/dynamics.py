@@ -33,11 +33,25 @@ e^phi = 1, a Fourier multiplier that costs no FFT.  It holds in the wave's
 frame: the solution stays close to the wave there, so the stage densities
 change slowly, and the error the frozen Jacobian leaves, where e^phi - 1 is
 localised on the wave, changes little from one step to the next, so the
-add-back of the previous step's prediction error cancels most of it.  That
-takes the eps = 0.1 run to about 2 fixed-point iterations a solve, against
-4.5 without the response (4.3 and 5.0 in the lab frame, where the wave
-crosses the grid).  The run's telemetry counts the solves whose warm start
-stalled and restarted cold (`poisson_fallbacks`).
+add-back of the previous step's prediction error cancels most of it.
+
+In a moving frame the Poisson solve itself takes the same view: the first
+solved stage potential phi_ref freezes the Jacobian -d^2/dx^2 + e^{phi_ref}
+(`elliptic.freeze_jacobian`), whose inverse preconditions every later warm
+pass (`elliptic.FrozenJacobian.solve`), and each stage's irfft carries its
+warm start to the nodes with the stage state.  The error then contracts by
+about max |e^phi - e^{phi_ref}| an iteration, so the eps = 0.1 run takes
+about 1.04-1.09 iterations a solve (2.3 with the scalar preconditioner, and
+4.5 without the response either), and a stage four FFT calls: the stage
+state's irfft, the first residual's rfft, which transforms the fluxes less
+their -phi term too, and the iteration's irfft and rfft.  The Jacobian is
+frozen again only when a warm pass stalls.  The lab frame, where the wave
+crosses the grid (a frozen Jacobian took 5.5 iterations a solve there, the
+scalar one 4.3), and a potential off 1 on more than N/4 nodes keep the
+scalar iteration.  The run's telemetry counts the solves whose warm start
+stalled and restarted cold (`poisson_fallbacks`), the nodes the Jacobian
+was frozen on (`poisson_jacobian_nodes`, 0 where none was) and the times it
+was frozen again (`poisson_refreezes`).
 Conserved quantities: total energy E and momentum M = int n u.
 """
 
@@ -46,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import _band_cut, derivative, integrate
-from .elliptic import solve_poisson
+from .elliptic import freeze_jacobian, solve_poisson
 
 
 @dataclass
@@ -77,7 +91,7 @@ class Trajectory:
 def gradient_E(n, u, phi, K):
     """Variational gradient of the energy: (dE/dn, dE/du)."""
     one_n = 1.0 + n
-    if np.min(one_n) <= 0.0:
+    if one_n.min() <= 0.0:
         raise ValueError("gradient_E: 1 + n <= 0 (blow-up)")
     return u ** 2 / 2.0 + K * np.log(one_n) + phi, one_n * u
 
@@ -153,8 +167,11 @@ def evolve(state0, T, K, grid, cfl=None, n_saves=41, frame_speed=0.0):
     and "time stepping failed at RK4 stage k of the step from t = ...: ..."
     for a failed Poisson solve.  traj.meta counts the Poisson solves,
     their iterations, the solves whose warm start stalled and restarted cold
-    (poisson_fallbacks) and their largest residual, and the RK4 steps, and
-    records frame_speed.
+    (poisson_fallbacks) and their largest residual, the nodes of the last
+    frozen Jacobian (poisson_jacobian_nodes, 0 where the scalar iteration
+    ran: at c = 0, or where the potential is off 1 on more than N/4 nodes)
+    and the times a stalled warm pass froze it again (poisson_refreezes),
+    and the RK4 steps, and records frame_speed.
     """
     if K <= 0.0 or T <= 0.0:
         raise ValueError("evolve: K > 0 and T > 0 required")
@@ -186,16 +203,19 @@ def evolve(state0, T, K, grid, cfl=None, n_saves=41, frame_speed=0.0):
     traj = Trajectory(states=[State(t, state0.n.copy(), state0.u.copy())],
                       meta={"poisson_solves": 0, "poisson_iterations": 0,
                             "poisson_fallbacks": 0, "poisson_residual_max": 0.0,
+                            "poisson_jacobian_nodes": 0, "poisson_refreezes": 0,
                             "rk4_steps": 0, "frame_speed": c})
     meta = traj.meta
+    jac = None  # the Poisson Jacobian frozen in the moving frame
     W_hat = whole(V, top(t))  # the whole state in the moving frame
     W = np.fft.irfft(W_hat, n=grid.N)
+    start = (None, _density_response(W_hat[0], grid), None)  # the first stage starts cold
     # the previous step's stage potentials less their density responses,
     # their prediction errors (None where a stage started cold), and its length
     prev, prev_err, prev_step = None, [None] * 4, None
     while len(traj.states) < len(lattice):
         t_save = lattice[len(traj.states)]
-        step = cfl * grid.h / (float(np.max(np.abs(W[1] - c))) + np.sqrt(K) + 1.0)
+        step = cfl * grid.h / (float(np.abs(W[1] - c).max()) + np.sqrt(K) + 1.0)
         lands = t_save - t <= step * (1.0 + 1e-12)
         if lands:
             step = t_save - t  # cut at the save, or stretched onto it over roundoff
@@ -205,19 +225,27 @@ def evolve(state0, T, K, grid, cfl=None, n_saves=41, frame_speed=0.0):
             for i, (a, G_tau) in enumerate(((0.0, None), (0.5, mid), (0.5, mid), (1.0, end))):
                 if ks:
                     s_hat = whole(V + a * step * ks[-1], G_tau)
-                    s = np.fft.irfft(s_hat, n=grid.N)
+                    start = _warm_start(i, s_hat, cur, prev, prev_err,
+                                        step / (prev_step or step), grid)
+                    s = np.fft.irfft(_with_warm_start(s_hat, start, jac), n=grid.N)
                 else:
-                    s_hat, s = W_hat, W
-                resp = _density_response(s_hat[0], grid)
-                pred = _stage_prediction(i, cur, prev, step / (prev_step or step))
-                warm = pred if prev_err[i] is None else pred + prev_err[i]
-                k, rep = rhs(s, K, grid, None if warm is None else warm + resp,
-                             frame_speed=c)
+                    s = W
+                pred, resp, phi0 = start
+                if len(s) == 3:  # the warm start on the nodes: the frozen Jacobian's pass
+                    k, rep = _frozen_rhs(s, phi0, K, grid, jac, c)
+                else:
+                    k, rep = rhs(s, K, grid, phi0, frame_speed=c)
                 meta["poisson_solves"] += 1
                 meta["poisson_iterations"] += rep.iterations
                 meta["poisson_fallbacks"] += int(rep.fallback)
                 meta["poisson_residual_max"] = max(meta["poisson_residual_max"],
                                                    rep.residual)
+                refreeze = len(s) == 3 and rep.fallback  # the frozen pass stalled
+                if refreeze or c and meta["poisson_solves"] == 1:
+                    # freeze at the first solved potential, again after a stall
+                    meta["poisson_refreezes"] += int(refreeze)
+                    jac = freeze_jacobian(np.fft.irfft(rep.phi_hat, n=grid.N), grid)
+                    meta["poisson_jacobian_nodes"] = 0 if jac is None else len(jac.nodes)
                 ks.append(k[:, :cut])  # its top band is zero
                 cur.append(rep.phi_hat - resp)
                 cur_err.append(None if pred is None else cur[i] - pred)
@@ -226,9 +254,10 @@ def evolve(state0, T, K, grid, cfl=None, n_saves=41, frame_speed=0.0):
             t = t_save if lands else t + step
             meta["rk4_steps"] += 1
             W_hat = whole(V, end)
-            W = np.fft.irfft(W_hat, n=grid.N)
-            if (not np.all(np.isfinite(W)) or np.min(1.0 + W[0]) < 1e-6
-                    or np.max(np.abs(W[1])) > 1e3):
+            start = _warm_start(0, W_hat, [], cur, cur_err, 1.0, grid)
+            W = np.fft.irfft(_with_warm_start(W_hat, start, jac), n=grid.N)
+            if (not np.isfinite(W).all() or (1.0 + W[0]).min() < 1e-6
+                    or np.abs(W[1]).max() > 1e3):
                 raise ValueError("blow-up at the step's end")
         except ValueError:
             # vacuum or a non-finite density at a stage (t the step's start),
@@ -244,6 +273,39 @@ def evolve(state0, T, K, grid, cfl=None, n_saves=41, frame_speed=0.0):
         if lands:
             traj.states.append(lab(t))
     return traj
+
+
+def _frozen_rhs(s, phi0, K, grid, jac, c):
+    """`rhs` at the stage state (n, u) = s[:2] through the frozen Jacobian's
+    pass, warm-started from phi0, as rfft coefficients, and s[2], its values
+    on the nodes.  The fluxes less their -phi term go through the pass's
+    first rfft, and the flux of u takes -phi_hat from the solved potential."""
+    n, u, phi = s
+    gn, gu = gradient_E(n, u, 0.0, K)
+    _, rep, f_hat = jac.solve(n, phi0, phi, (c * n - gu, c * u - gn))
+    f_hat[1] -= rep.phi_hat
+    return grid.dealiased_d1 * f_hat, rep
+
+
+def _warm_start(i, s_hat, cur, prev, prev_err, r, grid):
+    """(pred, resp, phi0) for stage i + 1 (i = 0-3) at the stage state s_hat:
+    the prediction of `_stage_prediction`, the density response
+    `_density_response(s_hat[0])` and the warm start phi0 they make with the
+    previous step's prediction error at the same stage, as rfft
+    coefficients (pred and phi0 None for a cold start)."""
+    resp = _density_response(s_hat[0], grid)
+    pred = _stage_prediction(i, cur, prev, r)
+    if pred is None:
+        return None, resp, None
+    return pred, resp, (pred if prev_err[i] is None else pred + prev_err[i]) + resp
+
+
+def _with_warm_start(s_hat, start, jac):
+    """The rows a stage's irfft takes: the stage state, and its warm start
+    when the frozen Jacobian will solve for its potential."""
+    if jac is None or start[2] is None:
+        return s_hat
+    return np.concatenate((s_hat, start[2][None]))
 
 
 def _stage_prediction(i, cur, prev, r):

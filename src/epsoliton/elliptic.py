@@ -11,15 +11,22 @@ FFTs an iteration:
   the root, about 0.1 for the eps = 0.1 wave.  A warm start comes in, and
   the solution goes out (on the report), as those rfft coefficients, so a
   caller that chains solves spends no FFT on either.  A warm start that
-  stalls the iteration, or at which e^phi would overflow, is dropped for a
-  cold start, which runs to the tolerance or raises RuntimeError, at once
-  when e^phi would overflow there;
+  stalls the iteration, or an iterate at which e^phi would overflow, is
+  dropped for a cold start, which runs to the tolerance or raises
+  RuntimeError, at once when e^phi would overflow there;
 * linear solves with  -d^2/dx^2 + e^{phi_c}, the same iteration with
   e^{phi_c} for e^phi.  A fixed operator with an even phi_c applied many
   times (the linearized flow) is inverted once instead, on grids of up to
   DENSE_N_MAX points: it commutes with the reflection x -> -x, so its
   inverse is two dense blocks of about half the size, one on even and one
   on odd functions (schrodinger_solver).
+
+A caller whose potentials stay close to one phi_ref, as the flow's do in the
+wave's frame, freezes the Poisson map's Jacobian -d^2/dx^2 + e^{phi_ref}
+there (`freeze_jacobian`): its inverse, applied by Woodbury's identity at
+one FFT, preconditions the warm pass instead of 1/(k^2 + sigma), so that
+the error contracts by about max |e^phi - e^{phi_ref}| an iteration
+(`FrozenJacobian.solve`).
 
 `solve_schrodinger` takes  -d^2/dx^2 + q  with a q that may be negative,
 where neither iteration contracts: preconditioned MINRES, on every grid.
@@ -34,6 +41,8 @@ _LINEAR_RTOL = 1e-13     # residual of a linear solve relative to its right side
 _WARM_MAXITER = 40       # iteration cap of a warm-started Poisson pass
 _MAXITER = 10000         # iteration cap of a cold Poisson pass and of a linear solve
 _EXP_MAX = float(np.log(np.finfo(float).max))  # 709.78: e^phi overflows above it
+_FROZEN_CUT = 1e-5       # what FrozenJacobian drops: |e^phi_ref - 1| and the Green's
+                         # function of -d^2/dx^2 + 1 relative to its diagonal below it
 
 
 @dataclass
@@ -59,14 +68,14 @@ def solve_poisson(n, grid, phi0=None):
     phi0, when given, is a warm start as rfft coefficients (not modified).
     The warm pass forms sigma once, at phi0, and stops at _WARM_MAXITER,
     when the residual does not shrink by 0.9 in an iteration (a NaN counts),
-    or at once when phi0 passes _EXP_MAX, where e^phi overflows; the solve
-    then restarts once, cold, from the linearisation
+    or at an iterate, phi0 included, whose max passes _EXP_MAX, where e^phi
+    overflows; the solve then restarts once, cold, from the linearisation
     (-d^2/dx^2 + 1)^{-1} n, where a solve without phi0 starts.  That start
     can overshoot e^phi by orders of magnitude (about 4e6 against 23 at the
     root for n = 20 e^{-x^2/4}), and a sigma fixed there stalls the
     iteration, so the cold pass re-forms sigma at every iterate.  It raises
     RuntimeError when its residual turns non-finite or it reaches _MAXITER
-    iterations, and at once when its start passes _EXP_MAX.
+    iterations, and at once when its start or an iterate passes _EXP_MAX.
 
     Convergence is judged on report.residual = sum_k w_k |r_hat_k|, at most
     _POISSON_TOL on return: it bounds max |-phi'' + e^phi - 1 - n| on the
@@ -91,11 +100,12 @@ def solve_poisson(n, grid, phi0=None):
         if cold_start:
             phi_hat, cold_from = np.fft.rfft(n) / (k2 + 1.0), it
         phi = np.fft.irfft(phi_hat, n=N)
-        if (cold_start or it == 0) and phi.max() > _EXP_MAX:  # e^phi would overflow
+        if phi.max() > _EXP_MAX:  # e^phi would overflow
             if warm:
-                warm, phi_hat = False, None  # the warm start stalls at once
+                warm, phi_hat = False, None  # the warm pass stalls
                 continue
-            raise RuntimeError(f"solve_poisson: the cold start reaches max phi = "
+            where = "start" if cold_start else f"pass's iterate {it - cold_from}"
+            raise RuntimeError(f"solve_poisson: the cold {where} reaches max phi = "
                                f"{phi.max():.4g}, past {_EXP_MAX:.4g}, where e^phi "
                                f"overflows")
         e = np.exp(phi)
@@ -116,6 +126,123 @@ def solve_poisson(n, grid, phi0=None):
         res = new_res
         phi_hat -= precond * r_hat
         it += 1
+
+
+def freeze_jacobian(phi_ref, grid):
+    """The FrozenJacobian at phi_ref, or None when |e^{phi_ref} - 1| passes
+    _FROZEN_CUT on more than N/4 nodes, where its dense block would cost
+    more than the iterations it saves."""
+    d = np.expm1(phi_ref)
+    nodes = np.flatnonzero(np.abs(d) > _FROZEN_CUT)
+    if len(nodes) > grid.N // 4:
+        return None
+    return FrozenJacobian(d, nodes, grid)
+
+
+class FrozenJacobian:
+    """(-d^2/dx^2 + e^{phi_ref})^{-1}, the inverse of the Poisson map's
+    Jacobian frozen at phi_ref, and the warm pass it preconditions.
+
+    With A = -d^2/dx^2 + 1 and D = e^{phi_ref} - 1 kept on the m nodes where
+    |D| > _FROZEN_CUT (U selects them), Woodbury's identity (Hager, SIAM Rev.
+    31, 1989) reads
+
+        (A + U D U^T)^{-1} = A^{-1} - A^{-1} U (D^{-1} + U^T A^{-1} U)^{-1} U^T A^{-1}.
+
+    A^{-1} is the multiplier (k^2 + 1)^{-1}, one irfft from r_hat to the
+    nodes, and the columns of A^{-1} U are its Green's function g centred on
+    the m nodes.  g decays like e^{-|x|} down to an algebraic tail, which the
+    grid's band limit leaves (2e-7 of g_0 half a box away, for the eps = 0.1
+    wave on 1024 nodes of [-253, 253)), so the columns are cut where
+    |g| < _FROZEN_CUT g_0: the correction acts on a band of nodes about the
+    m, as one dense product with the m values of A^{-1} r, and updates the
+    nodal potential directly.  Both cuts leave the inverse exact to about
+    _FROZEN_CUT relative, which only slows the iteration by as much.  Built
+    in about 1.3 ms for m = 91 (that wave and box) and 2.9 ms for m = 181
+    (on 2048 nodes).
+    """
+
+    def __init__(self, d, nodes, grid):
+        N = grid.N
+        self.far = 1.0 / (grid.k2 + 1.0)
+        g = np.fft.irfft(self.far, n=N)  # column 0 of A^{-1}
+        reach = int(np.flatnonzero(np.abs(g[: N // 2 + 1]) >= _FROZEN_CUT * g[0]).max())
+        self.grid, self.nodes = grid, nodes
+        band = np.unique((nodes[:, None] + np.arange(-reach, reach + 1)) % N)
+        self._nodes, self._band = _run(nodes), _run(band)
+        dm = d[nodes]
+        # the band rows of A^{-1} U (D^{-1} + U^T A^{-1} U)^{-1}, transposed:
+        # D (I + U^T A^{-1} U D)^{-1} (A^{-1} U)^T, A^{-1} being symmetric (a
+        # solve with many right sides, where a matrix product here took 8 ms
+        # on two BLAS threads)
+        block = np.eye(len(nodes)) + g[(nodes[:, None] - nodes) % N] * dm
+        self.correction = (dm[:, None] * np.linalg.solve(
+            block, g[(nodes[:, None] - band) % N])).T
+
+    def apply(self, r_hat):
+        """The frozen inverse of r on the nodes, r given by its rfft
+        coefficients r_hat: one irfft and one band product."""
+        a = np.fft.irfft(self.far * r_hat, n=self.grid.N)
+        # einsum, not BLAS: OpenBLAS runs a product this size on two threads,
+        # whose wake-ups cost more than the product on a loaded 2-core box
+        a[self._band] -= np.einsum("ij,j->i", self.correction, a[self._nodes])
+        return a
+
+    def solve(self, n, phi_hat, phi, rows):
+        """`solve_poisson`'s warm pass from phi_hat, with phi = irfft(phi_hat)
+        on the nodes, preconditioned by this inverse; returns (phi, report,
+        rows_hat), rows_hat the rfft coefficients of the nodal rows `rows`.
+
+        An iteration is phi -= apply(r_hat), then one rfft of e^phi - 1 - n
+        and phi, whose coefficients become phi_hat; `rows` go through the
+        rfft of the first residual, so a caller that needs them transformed
+        spends no FFT call of its own.  Near phi_ref one iteration nearly
+        always meets _POISSON_TOL.  The stop test, the stall test and the
+        report are solve_poisson's: a pass that stalls, or an iterate whose
+        max passes _EXP_MAX, restarts cold through solve_poisson, and
+        report.fallback is then set.  ValueError for a non-finite density.
+        """
+        if not np.isfinite(n).all():
+            raise ValueError("solve_poisson: non-finite density")
+        k2, w = self.grid.k2, self.grid.l1_weights
+        one_n = 1.0 + n
+        nrow = 1 + len(rows)
+        buf = np.empty((max(nrow, 2), self.grid.N))  # e^phi - 1 - n, then the rows or phi
+        buf[1:nrow] = rows
+        rows_hat, it, res = None, 0, np.inf
+        while phi.max() <= _EXP_MAX:  # else e^phi would overflow: a stall
+            np.exp(phi, out=buf[0])
+            buf[0] -= one_n
+            if rows_hat is None:
+                F = np.fft.rfft(buf[:nrow])
+                rows_hat = F[1:]
+            else:  # buf[1] holds phi
+                F = np.fft.rfft(buf[:2])
+                phi_hat = F[1]
+            r_hat = k2 * phi_hat + F[0]
+            new_res = float(w @ np.abs(r_hat))
+            if new_res <= _POISSON_TOL:
+                return phi, EllipticSolveReport(iterations=it, residual=new_res,
+                                                phi_hat=phi_hat), rows_hat
+            if it == _WARM_MAXITER or not new_res <= 0.9 * res:
+                break
+            res = new_res
+            phi = np.subtract(phi, self.apply(r_hat), out=buf[1])
+            it += 1
+        if rows_hat is None:
+            rows_hat = np.fft.rfft(buf[1:nrow])
+        phi, cold = solve_poisson(n, self.grid)
+        return phi, EllipticSolveReport(iterations=it + cold.iterations,
+                                        residual=cold.residual, phi_hat=cold.phi_hat,
+                                        fallback=True), rows_hat
+
+
+def _run(idx):
+    """Sorted node indices idx as a slice when they are consecutive, so that
+    indexing with them takes a view."""
+    if len(idx) and idx[-1] - idx[0] + 1 == len(idx):
+        return slice(idx[0], idx[-1] + 1)
+    return idx
 
 
 def apply_inv_schrodinger(f, phi_c, grid):

@@ -82,20 +82,24 @@ def rng():
 @pytest.fixture
 def fail_poisson_at(monkeypatch):
     """fail_poisson_at(k) makes the k-th Poisson solve (1-based) of the
-    nonlinear flow raise the RuntimeError of a solver failure."""
+    nonlinear flow raise the RuntimeError of a solver failure, whether
+    `solve_poisson` or the frozen Jacobian's pass solves it."""
     from epsoliton import dynamics
+    from epsoliton.elliptic import FrozenJacobian
 
     def install(fail_at):
         calls = []
-        solve = dynamics.solve_poisson
 
-        def failing(*args, **kwargs):
-            calls.append(1)
-            if len(calls) == fail_at:
-                raise RuntimeError("solve_poisson: fixed point failed, residual "
-                                   "1e-3 after 10000 iterations")
-            return solve(*args, **kwargs)
+        def failing(solve):
+            def counted(*args, **kwargs):
+                calls.append(1)
+                if len(calls) == fail_at:
+                    raise RuntimeError("solve_poisson: fixed point failed, residual "
+                                       "1e-3 after 10000 iterations")
+                return solve(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(dynamics, "solve_poisson", failing)
+        monkeypatch.setattr(dynamics, "solve_poisson", failing(dynamics.solve_poisson))
+        monkeypatch.setattr(FrozenJacobian, "solve", failing(FrozenJacobian.solve))
 
     return install

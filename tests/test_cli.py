@@ -682,7 +682,8 @@ def _check_failure_record(out, err, outputs):
 
 
 FLOW_SCALARS = {"poisson_solves", "poisson_iterations", "poisson_fallbacks",
-                "poisson_residual_max", "rk4_steps", "frame_speed"}
+                "poisson_residual_max", "poisson_jacobian_nodes", "poisson_refreezes",
+                "rk4_steps", "frame_speed"}
 
 
 def _check_flow_telemetry(scalars):
@@ -695,6 +696,12 @@ def _check_flow_telemetry(scalars):
     assert isinstance(scalars["poisson_fallbacks"], int)
     assert scalars["poisson_fallbacks"] == 0
     assert 0.0 < scalars["poisson_residual_max"] <= 1e-11
+    # the wave's frame freezes the Poisson Jacobian on the nodes where
+    # e^phi - 1 is not negligible, unless they pass N/4 (0: the scalar
+    # iteration ran), and a healthy run never freezes it again
+    assert isinstance(scalars["poisson_jacobian_nodes"], int)
+    assert 0 <= scalars["poisson_jacobian_nodes"] <= scalars["N"] // 4
+    assert scalars["poisson_refreezes"] == 0
     assert scalars["frame_speed"] == pytest.approx(np.sqrt(2.0) + 0.1, rel=1e-15)
 
 

@@ -172,6 +172,99 @@ def test_poisson_overflowing_warm_and_cold_starts_raise(g):
             ell.solve_poisson(n, g, phi0=np.fft.rfft(800.0 * np.ones(g.N)))
 
 
+def test_poisson_overflowing_warm_iterate_restarts_cold(g):
+    # the warm start sits far below 709.8, but sigma = e^-50 sends its first
+    # iterate past it: a stall, caught before the exponential, so NumPy
+    # warns of nothing and the cold pass's answer is returned as it is
+    n = 0.3 * np.exp(-(g.x / 3) ** 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi, rep = ell.solve_poisson(n, g, phi0=np.fft.rfft(np.full(g.N, -50.0)))
+    cold, cold_rep = ell.solve_poisson(n, g)
+    assert rep.fallback and rep.iterations > cold_rep.iterations
+    assert np.array_equal(phi, cold) and np.array_equal(rep.phi_hat, cold_rep.phi_hat)
+
+
+# ------------------------------------------------------------ FrozenJacobian
+
+@pytest.fixture(scope="module")
+def frozen10(p10):
+    return ell.freeze_jacobian(p10.phi, p10.grid)
+
+
+def _frozen_pass(jac, n, phi0, rows=None):
+    rows = np.empty((0, len(n))) if rows is None else rows
+    phi_hat = np.fft.rfft(phi0)
+    return jac.solve(n, phi_hat, np.fft.irfft(phi_hat, n=len(n)), rows)
+
+
+@pytest.mark.parametrize("shift", [0, 512], ids=["centred", "seam"])
+def test_frozen_jacobian_inverts_J_ref(p10, shift):
+    # both cuts drop terms below _FROZEN_CUT, relative: |e^phi - 1| off the
+    # m nodes and the Green's function off the band, so the inverse applied
+    # to J_ref v returns v within _FROZEN_CUT of max |v| (1.1e-6 of it
+    # measured for this v, on m = 181 nodes); the wave moved half a box
+    # wraps its nodes round the periodic seam
+    g = p10.grid
+    phi_ref = np.roll(p10.phi, shift)
+    jac = ell.freeze_jacobian(phi_ref, g)
+    assert len(jac.nodes) == 181
+    v = np.fft.irfft(np.fft.rfft(np.random.default_rng(3).standard_normal(g.N))
+                     * np.exp(-g.k2 / 4), n=g.N)
+    Jv_hat = g.k2 * np.fft.rfft(v) + np.fft.rfft(np.exp(phi_ref) * v)
+    assert np.max(np.abs(jac.apply(Jv_hat) - v)) <= ell._FROZEN_CUT * np.max(np.abs(v))
+
+
+def test_freeze_jacobian_declines_a_wide_potential(g):
+    # |e^phi - 1| > _FROZEN_CUT on every node, more than N/4 of them
+    assert ell.freeze_jacobian(np.full(g.N, 0.1), g) is None
+
+
+@pytest.mark.parametrize("bump, iterations", [(1e-6, 1), (1e-3, 3)])
+def test_frozen_pass_solves_poisson(p10, frozen10, bump, iterations):
+    # from the wave's potential, for a density bump / off the wave's, the
+    # pass runs as Newton's would, its Jacobian frozen at phi_ref: one
+    # iteration at bump 1e-6 and three at 1e-3, where solve_poisson's
+    # scalar warm pass takes 5 and 7.  The rows come back transformed, and
+    # the potential is solve_poisson's within its tolerance
+    g = p10.grid
+    n = p10.n + bump * np.exp(-g.x ** 2)
+    rows = np.array([n, np.cos(g.x)])
+    phi, rep, rows_hat = _frozen_pass(frozen10, n, p10.phi, rows)
+    assert not rep.fallback and rep.iterations == iterations and rep.residual <= 1e-11
+    assert np.array_equal(rep.phi_hat, np.fft.rfft(phi))
+    true = np.max(np.abs(-derivative(phi, g, 2) + np.exp(phi) - 1.0 - n))
+    assert true <= rep.residual + 1e-13
+    cold, _ = ell.solve_poisson(n, g)
+    assert np.max(np.abs(phi - cold)) < 1e-11
+    assert np.max(np.abs(rows_hat - np.fft.rfft(rows))) <= 1e-12
+
+
+@pytest.mark.parametrize("start", ["cos", "bump"])
+def test_frozen_pass_far_start_restarts_cold(p10, frozen10, start):
+    # from the cos start the frozen pass stalls; from the 30 tall bump its
+    # first iterate passes 709.8, a stall too, caught before the
+    # exponential: both restart cold, with no NumPy warning, and return the
+    # cold solve exactly
+    g = p10.grid
+    n = p10.n + 1e-3 * np.exp(-g.x ** 2)
+    phi0 = {"cos": p10.phi + 10.0 * np.cos(0.05 * g.x),
+            "bump": 30.0 * np.exp(-(g.x - 5.0) ** 2)}[start]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi, rep, _ = _frozen_pass(frozen10, n, phi0)
+    cold, cold_rep = ell.solve_poisson(n, g)
+    assert rep.fallback and rep.iterations > cold_rep.iterations
+    assert np.array_equal(phi, cold) and np.array_equal(rep.phi_hat, cold_rep.phi_hat)
+
+
+def test_frozen_pass_rejects_nonfinite_density(p10, frozen10):
+    n = p10.n.copy()
+    n[7] = np.inf
+    with pytest.raises(ValueError, match="^solve_poisson: non-finite density"):
+        _frozen_pass(frozen10, n, p10.phi)
+
+
 # --------------------------------------------------- apply_inv_schrodinger
 
 # schrodinger_solver inverts densely up to DENSE_N_MAX points and falls back
