@@ -21,10 +21,11 @@ semi-discretisation stays the lab frame's and the time error shrinks: near
 the wave it is set by the slow perturbation, not by the wave's translation
 across the grid.  The RK4 stages are held as rfft coefficients (V, the
 carried top band and the tendencies), with one irfft per stage for the
-pointwise fluxes, and so are the stage potentials, the form `solve_poisson`
-takes a warm start in and hands its solution back in.
+pointwise fluxes, and so are the stage potentials, the form the Poisson
+solve hands its solution back in.
 
-Each stage's warm start is extrapolated from the stages already solved
+The run's first stage solves its potential cold (`rhs`); each later stage's
+warm start is extrapolated from the stages already solved
 (`_stage_prediction`), plus the linear response of the potential to what the
 same extrapolation of the stage densities misses, plus the previous step's
 prediction error at the same stage.  The response is the inverse of the
@@ -35,23 +36,26 @@ change slowly, and the error the frozen Jacobian leaves, where e^phi - 1 is
 localised on the wave, changes little from one step to the next, so the
 add-back of the previous step's prediction error cancels most of it.
 
-In a moving frame the Poisson solve itself takes the same view: the first
-solved stage potential phi_ref freezes the Jacobian -d^2/dx^2 + e^{phi_ref}
-(`elliptic.freeze_jacobian`), whose inverse preconditions every later warm
-pass (`elliptic.FrozenJacobian.solve`), and each stage's irfft carries its
-warm start to the nodes with the stage state.  The error then contracts by
-about max |e^phi - e^{phi_ref}| an iteration, so the eps = 0.1 run takes
-about 1.04-1.09 iterations a solve (2.3 with the scalar preconditioner, and
-4.5 without the response either), and a stage four FFT calls: the stage
+The Poisson solve itself takes the same view: the first stage's potential
+phi_ref freezes the Jacobian -d^2/dx^2 + e^{phi_ref}
+(`elliptic.freeze_jacobian`), whose inverse preconditions every later
+stage's warm pass (`elliptic.FrozenJacobian.solve`, through `_frozen_rhs`),
+and each stage's irfft carries its warm start to the nodes with the stage
+state.  In a moving frame the inverse keeps a dense block on the nodes
+where e^{phi_ref} is off 1, and the error contracts by about
+max |e^phi - e^{phi_ref}| an iteration, so the eps = 0.1 run takes about
+1.04-1.09 iterations a solve (2.3 with the scalar preconditioner, and 4.5
+without the response either), and a stage four FFT calls: the stage
 state's irfft, the first residual's rfft, which transforms the fluxes less
-their -phi term too, and the iteration's irfft and rfft.  The Jacobian is
-frozen again only when a warm pass stalls.  The lab frame, where the wave
-crosses the grid (a frozen Jacobian took 5.5 iterations a solve there, the
-scalar one 4.3), and a potential off 1 on more than N/4 nodes keep the
-scalar iteration.  The run's telemetry counts the solves whose warm start
-stalled and restarted cold (`poisson_fallbacks`), the nodes the Jacobian
-was frozen on (`poisson_jacobian_nodes`, 0 where none was) and the times it
-was frozen again (`poisson_refreezes`).
+their -phi term too, and the iteration's irfft and rfft.  The lab frame,
+where the wave crosses the grid (a block took 5.5 iterations a solve there,
+the scalar inverse 4.3), and a potential off 1 on more than N/4 nodes keep
+no block: the inverse is the scalar (k^2 + sigma)^{-1}, sigma frozen at
+e^{phi_ref}.  The Jacobian is frozen again only when a warm pass stalls.
+The run's telemetry counts the solves whose warm start stalled and
+restarted cold (`poisson_fallbacks`), the nodes of the frozen block
+(`poisson_jacobian_nodes`, 0 where no block was taken) and the times the
+Jacobian was frozen again (`poisson_refreezes`).
 Conserved quantities: total energy E and momentum M = int n u.
 """
 
@@ -96,17 +100,16 @@ def gradient_E(n, u, phi, K):
     return u ** 2 / 2.0 + K * np.log(one_n) + phi, one_n * u
 
 
-def rhs(U, K, grid, phi0=None, frame_speed=0.0):
+def rhs(U, K, grid, frame_speed=0.0):
     """Tendency dU/dt of U = (n, u) in the frame moving at frame_speed c, as
-    rfft coefficients; returns (dU_hat, report).
+    rfft coefficients, with a cold Poisson solve; returns (dU_hat, report).
 
-    phi0 is the Poisson warm start as rfft coefficients; report is the
-    Poisson solve's EllipticSolveReport, whose phi_hat holds the solved
-    potential.  Both fluxes, less c (n, u), go through one rfft, times the
-    2/3-dealiased symbol of d/dx (`Grid.dealiased_d1`).
+    report is the Poisson solve's EllipticSolveReport, whose phi_hat holds
+    the solved potential.  Both fluxes, less c (n, u), go through one rfft,
+    times the 2/3-dealiased symbol of d/dx (`Grid.dealiased_d1`).
     """
     n, u = U
-    phi, rep = solve_poisson(n, grid, phi0=phi0)
+    phi, rep = solve_poisson(n, grid)
     gn, gu = gradient_E(n, u, phi, K)
     c = frame_speed
     # -d/dx sigma1 (gn - c u, gu - c n) = d/dx (c n - gu, c u - gn)
@@ -165,13 +168,15 @@ def evolve(state0, T, K, grid, cfl=None, n_saves=41, frame_speed=0.0):
     t = ..." for a blow-up (min(1+n) < 1e-6, sup|u| > 1e3, NaN, or a vacuum
     or non-finite stage state), which also sets blowup_time,
     and "time stepping failed at RK4 stage k of the step from t = ...: ..."
-    for a failed Poisson solve.  traj.meta counts the Poisson solves,
-    their iterations, the solves whose warm start stalled and restarted cold
-    (poisson_fallbacks) and their largest residual, the nodes of the last
-    frozen Jacobian (poisson_jacobian_nodes, 0 where the scalar iteration
-    ran: at c = 0, or where the potential is off 1 on more than N/4 nodes)
-    and the times a stalled warm pass froze it again (poisson_refreezes),
-    and the RK4 steps, and records frame_speed.
+    for a failed Poisson solve.  The first stage solves its potential cold
+    (`rhs`), every later one through the one warm pass (`_frozen_rhs`).
+    traj.meta counts the Poisson solves, their iterations, the solves whose
+    warm start stalled and restarted cold (poisson_fallbacks) and their
+    largest residual, the nodes of the last frozen block
+    (poisson_jacobian_nodes, 0 where no block was taken: at c = 0, or where
+    the potential is off 1 on more than N/4 nodes) and the times a stalled
+    warm pass froze the Jacobian again (poisson_refreezes), and the RK4
+    steps, and records frame_speed.
     """
     if K <= 0.0 or T <= 0.0:
         raise ValueError("evolve: K > 0 and T > 0 required")
@@ -206,7 +211,7 @@ def evolve(state0, T, K, grid, cfl=None, n_saves=41, frame_speed=0.0):
                             "poisson_jacobian_nodes": 0, "poisson_refreezes": 0,
                             "rk4_steps": 0, "frame_speed": c})
     meta = traj.meta
-    jac = None  # the Poisson Jacobian frozen in the moving frame
+    jac = None  # the frozen Poisson Jacobian, set by the first stage
     W_hat = whole(V, top(t))  # the whole state in the moving frame
     W = np.fft.irfft(W_hat, n=grid.N)
     start = (None, _density_response(W_hat[0], grid), None)  # the first stage starts cold
@@ -227,25 +232,25 @@ def evolve(state0, T, K, grid, cfl=None, n_saves=41, frame_speed=0.0):
                     s_hat = whole(V + a * step * ks[-1], G_tau)
                     start = _warm_start(i, s_hat, cur, prev, prev_err,
                                         step / (prev_step or step), grid)
-                    s = np.fft.irfft(_with_warm_start(s_hat, start, jac), n=grid.N)
+                    s = np.fft.irfft(np.concatenate((s_hat, start[2][None])), n=grid.N)
                 else:
                     s = W
                 pred, resp, phi0 = start
-                if len(s) == 3:  # the warm start on the nodes: the frozen Jacobian's pass
-                    k, rep = _frozen_rhs(s, phi0, K, grid, jac, c)
+                if jac is None:  # the run's first stage
+                    k, rep = rhs(s, K, grid, frame_speed=c)
                 else:
-                    k, rep = rhs(s, K, grid, phi0, frame_speed=c)
+                    k, rep = _frozen_rhs(s, phi0, K, grid, jac, c)
                 meta["poisson_solves"] += 1
                 meta["poisson_iterations"] += rep.iterations
                 meta["poisson_fallbacks"] += int(rep.fallback)
                 meta["poisson_residual_max"] = max(meta["poisson_residual_max"],
                                                    rep.residual)
-                refreeze = len(s) == 3 and rep.fallback  # the frozen pass stalled
-                if refreeze or c and meta["poisson_solves"] == 1:
+                if jac is None or rep.fallback:
                     # freeze at the first solved potential, again after a stall
-                    meta["poisson_refreezes"] += int(refreeze)
-                    jac = freeze_jacobian(np.fft.irfft(rep.phi_hat, n=grid.N), grid)
-                    meta["poisson_jacobian_nodes"] = 0 if jac is None else len(jac.nodes)
+                    meta["poisson_refreezes"] += int(rep.fallback)
+                    jac = freeze_jacobian(np.fft.irfft(rep.phi_hat, n=grid.N), grid,
+                                          block=bool(c))
+                    meta["poisson_jacobian_nodes"] = len(jac.nodes)
                 ks.append(k[:, :cut])  # its top band is zero
                 cur.append(rep.phi_hat - resp)
                 cur_err.append(None if pred is None else cur[i] - pred)
@@ -255,7 +260,7 @@ def evolve(state0, T, K, grid, cfl=None, n_saves=41, frame_speed=0.0):
             meta["rk4_steps"] += 1
             W_hat = whole(V, end)
             start = _warm_start(0, W_hat, [], cur, cur_err, 1.0, grid)
-            W = np.fft.irfft(_with_warm_start(W_hat, start, jac), n=grid.N)
+            W = np.fft.irfft(np.concatenate((W_hat, start[2][None])), n=grid.N)
             if (not np.isfinite(W).all() or (1.0 + W[0]).min() < 1e-6
                     or np.abs(W[1]).max() > 1e3):
                 raise ValueError("blow-up at the step's end")
@@ -292,27 +297,16 @@ def _warm_start(i, s_hat, cur, prev, prev_err, r, grid):
     the prediction of `_stage_prediction`, the density response
     `_density_response(s_hat[0])` and the warm start phi0 they make with the
     previous step's prediction error at the same stage, as rfft
-    coefficients (pred and phi0 None for a cold start)."""
+    coefficients."""
     resp = _density_response(s_hat[0], grid)
     pred = _stage_prediction(i, cur, prev, r)
-    if pred is None:
-        return None, resp, None
     return pred, resp, (pred if prev_err[i] is None else pred + prev_err[i]) + resp
-
-
-def _with_warm_start(s_hat, start, jac):
-    """The rows a stage's irfft takes: the stage state, and its warm start
-    when the frozen Jacobian will solve for its potential."""
-    if jac is None or start[2] is None:
-        return s_hat
-    return np.concatenate((s_hat, start[2][None]))
 
 
 def _stage_prediction(i, cur, prev, r):
     """The prediction of psi = phi - _density_response(n), the part of a stage
     potential that the linear response to its density leaves, for stage
-    i + 1 of an RK4 step (i = 0-3), as rfft coefficients; None for a cold
-    start.
+    i + 1 of an RK4 step (i = 0-3), as rfft coefficients.
 
     cur holds this step's solved stages' psi and prev the previous step's,
     and r is the ratio of this step to the previous one.  The stages sit at
@@ -320,12 +314,13 @@ def _stage_prediction(i, cur, prev, r):
     stages 1 and 3 take the stage solved at the same time, and stages 2 and
     4 extrapolate linearly in time, stage 2 from t - dt_prev/2 and t.  So
     the potentials are extrapolated, plus the response to what the same
-    extrapolation of the densities misses.  The first step's first stage
-    starts cold, and that step takes every stage of the step before it to
-    be its first.
+    extrapolation of the densities misses.  Stage 1 takes the previous
+    step's stage 4 (the run's first stage starts cold, so prev is never
+    None there), and the first step takes every stage of the step before it
+    to be its first.
     """
     if i == 0:
-        return None if prev is None else prev[3]
+        return prev[3]
     if i == 1:
         return (1 + r) * cur[0] - r * (cur[0] if prev is None else prev[2])
     if i == 2:

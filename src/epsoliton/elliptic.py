@@ -5,15 +5,13 @@ sigma the midpoint of the range of the zeroth-order coefficient, at two real
 FFTs an iteration:
 
 * the nonlinear Poisson constraint  -phi'' + e^phi - 1 - n = 0, whose root
-  is unique (it minimises a strictly convex functional).  The iterate
-  phi_hat -= r_hat / (k^2 + sigma), sigma taken from e^phi, contracts by
-  about (max e^phi - min e^phi)/(max e^phi + min e^phi) an iteration near
-  the root, about 0.1 for the eps = 0.1 wave.  A warm start comes in, and
-  the solution goes out (on the report), as those rfft coefficients, so a
-  caller that chains solves spends no FFT on either.  A warm start that
-  stalls the iteration, or an iterate at which e^phi would overflow, is
-  dropped for a cold start, which runs to the tolerance or raises
-  RuntimeError, at once when e^phi would overflow there;
+  is unique (it minimises a strictly convex functional), from a cold start
+  (`solve_poisson`).  The iterate phi_hat -= r_hat / (k^2 + sigma), sigma
+  taken from e^phi, contracts by about (max e^phi - min e^phi)/(max e^phi +
+  min e^phi) an iteration near the root, about 0.1 for the eps = 0.1 wave.
+  It runs to the tolerance or raises RuntimeError, at once when e^phi
+  would overflow; the solution goes out (on the report) as those rfft
+  coefficients too;
 * linear solves with  -d^2/dx^2 + e^{phi_c}, the same iteration with
   e^{phi_c} for e^phi.  A fixed operator with an even phi_c applied many
   times (the linearized flow) is inverted once instead, on grids of up to
@@ -21,12 +19,14 @@ FFTs an iteration:
   inverse is two dense blocks of about half the size, one on even and one
   on odd functions (schrodinger_solver).
 
-A caller whose potentials stay close to one phi_ref, as the flow's do in the
-wave's frame, freezes the Poisson map's Jacobian -d^2/dx^2 + e^{phi_ref}
-there (`freeze_jacobian`): its inverse, applied by Woodbury's identity at
-one FFT, preconditions the warm pass instead of 1/(k^2 + sigma), so that
-the error contracts by about max |e^phi - e^{phi_ref}| an iteration
-(`FrozenJacobian.solve`).
+A caller that chains Poisson solves with potentials close to one phi_ref,
+as the flow does, freezes the Poisson map's Jacobian -d^2/dx^2 + e^{phi_ref}
+there (`freeze_jacobian`) and takes the one warm pass,
+`FrozenJacobian.solve`, which starts from a potential on the nodes and
+stops, stalls and restarts cold by solve_poisson's rules.  Where phi_ref is
+localised the inverse is applied by Woodbury's identity at one FFT, and the
+error contracts by about max |e^phi - e^{phi_ref}| an iteration; elsewhere
+it is the scalar 1/(k^2 + sigma), sigma frozen at e^{phi_ref}.
 
 `solve_schrodinger` takes  -d^2/dx^2 + q  with a q that may be negative,
 where neither iteration contracts: preconditioned MINRES, on every grid.
@@ -56,8 +56,8 @@ class EllipticSolveReport:
     fallback: bool = False  # the warm start stalled and the solve restarted cold
 
 
-def solve_poisson(n, grid, phi0=None):
-    """Solve -phi'' + e^phi - 1 - n = 0; returns (phi, report).
+def solve_poisson(n, grid):
+    """Solve -phi'' + e^phi - 1 - n = 0 from a cold start; returns (phi, report).
 
     A preconditioned fixed-point iteration on phi_hat = rfft(phi), two real
     FFTs an iteration: phi = irfft(phi_hat), r_hat = k^2 phi_hat +
@@ -65,17 +65,14 @@ def solve_poisson(n, grid, phi0=None):
     midpoint of [min e^phi, max e^phi].  Near the solution the error
     contracts by about (max e^phi - min e^phi) / (max e^phi + min e^phi).
 
-    phi0, when given, is a warm start as rfft coefficients (not modified).
-    The warm pass forms sigma once, at phi0, and stops at _WARM_MAXITER,
-    when the residual does not shrink by 0.9 in an iteration (a NaN counts),
-    or at an iterate, phi0 included, whose max passes _EXP_MAX, where e^phi
-    overflows; the solve then restarts once, cold, from the linearisation
-    (-d^2/dx^2 + 1)^{-1} n, where a solve without phi0 starts.  That start
-    can overshoot e^phi by orders of magnitude (about 4e6 against 23 at the
-    root for n = 20 e^{-x^2/4}), and a sigma fixed there stalls the
-    iteration, so the cold pass re-forms sigma at every iterate.  It raises
-    RuntimeError when its residual turns non-finite or it reaches _MAXITER
-    iterations, and at once when its start or an iterate passes _EXP_MAX.
+    It starts from the linearisation (-d^2/dx^2 + 1)^{-1} n.  That start can
+    overshoot e^phi by orders of magnitude (about 4e6 against 23 at the root
+    for n = 20 e^{-x^2/4}), and a sigma fixed there stalls the iteration, so
+    sigma is re-formed at every iterate.  It raises RuntimeError when the
+    residual turns non-finite or it reaches _MAXITER iterations, and at once
+    when its start or an iterate passes _EXP_MAX, where e^phi overflows.  A
+    caller with a potential near the answer takes the warm pass instead
+    (`FrozenJacobian.solve`).
 
     Convergence is judged on report.residual = sum_k w_k |r_hat_k|, at most
     _POISSON_TOL on return: it bounds max |-phi'' + e^phi - 1 - n| on the
@@ -83,88 +80,76 @@ def solve_poisson(n, grid, phi0=None):
     report.phi_hat, phi'' taken from them.  The returned phi =
     irfft(report.phi_hat) re-transformed does not carry the bound: with phi''
     from rfft(phi) its nodal residual read 1.0e-11 to 1.8e-11 at N = 2048
-    and max phi 3 to 5.  report.iterations sums both passes' iterations, and
-    report.fallback is set when the warm start stalled.
+    and max phi 3 to 5.
     """
     n = np.asarray(n, dtype=float)
     if not np.all(np.isfinite(n)):
         raise ValueError("solve_poisson: non-finite density")
     N, k2, w = grid.N, grid.k2, grid.l1_weights
     one_n = 1.0 + n
-    warm = phi0 is not None
-    phi_hat = np.array(phi0, dtype=complex) if warm else None
-    it = cold_from = 0  # the iterations spent, and those spent before the cold start
-    res = np.inf
+    phi_hat = np.fft.rfft(n) / (k2 + 1.0)
+    it = 0
     while True:
-        cold_start = phi_hat is None
-        if cold_start:
-            phi_hat, cold_from = np.fft.rfft(n) / (k2 + 1.0), it
         phi = np.fft.irfft(phi_hat, n=N)
         if phi.max() > _EXP_MAX:  # e^phi would overflow
-            if warm:
-                warm, phi_hat = False, None  # the warm pass stalls
-                continue
-            where = "start" if cold_start else f"pass's iterate {it - cold_from}"
+            where = "start" if it == 0 else f"pass's iterate {it}"
             raise RuntimeError(f"solve_poisson: the cold {where} reaches max phi = "
                                f"{phi.max():.4g}, past {_EXP_MAX:.4g}, where e^phi "
                                f"overflows")
         e = np.exp(phi)
         r_hat = k2 * phi_hat + np.fft.rfft(e - one_n)
-        new_res = float(w @ np.abs(r_hat))
-        if new_res <= _POISSON_TOL:
-            return phi, EllipticSolveReport(iterations=it, residual=new_res,
-                                            phi_hat=phi_hat,
-                                            fallback=phi0 is not None and not warm)
-        if warm and (it == _WARM_MAXITER or not new_res <= 0.9 * res):
-            warm, phi_hat = False, None  # the warm start stalled: restart cold
-            continue
-        if not warm and (it - cold_from == _MAXITER or not np.isfinite(new_res)):
+        res = float(w @ np.abs(r_hat))
+        if res <= _POISSON_TOL:
+            return phi, EllipticSolveReport(iterations=it, residual=res, phi_hat=phi_hat)
+        if it == _MAXITER or not np.isfinite(res):
             raise RuntimeError(f"solve_poisson: fixed point failed, residual "
-                               f"{new_res:.3e} after {it} iterations")
-        if not warm or it == 0:
-            precond = 1.0 / (k2 + 0.5 * (e.min() + e.max()))
-        res = new_res
+                               f"{res:.3e} after {it} iterations")
+        precond = 1.0 / (k2 + 0.5 * (e.min() + e.max()))
         phi_hat -= precond * r_hat
         it += 1
 
 
-def freeze_jacobian(phi_ref, grid):
-    """The FrozenJacobian at phi_ref, or None when |e^{phi_ref} - 1| passes
-    _FROZEN_CUT on more than N/4 nodes, where its dense block would cost
-    more than the iterations it saves."""
+def freeze_jacobian(phi_ref, grid, block):
+    """The FrozenJacobian at phi_ref.  With block, and |e^{phi_ref} - 1|
+    past _FROZEN_CUT on at most N/4 nodes, it keeps those nodes in a dense
+    block over the far field (k^2 + 1)^{-1}; otherwise, where the block
+    would cost more than the iterations it saves, it keeps none, and the far
+    field is (k^2 + sigma)^{-1}, sigma the midpoint of [min e^{phi_ref},
+    max e^{phi_ref}]: solve_poisson's scalar iteration, in nodal form."""
     d = np.expm1(phi_ref)
     nodes = np.flatnonzero(np.abs(d) > _FROZEN_CUT)
-    if len(nodes) > grid.N // 4:
-        return None
-    return FrozenJacobian(d, nodes, grid)
+    if block and len(nodes) <= grid.N // 4:
+        return FrozenJacobian(d, nodes, 1.0, grid)
+    sigma = 0.5 * (np.exp(phi_ref.min()) + np.exp(phi_ref.max()))
+    return FrozenJacobian(d, nodes[:0], sigma, grid)
 
 
 class FrozenJacobian:
     """(-d^2/dx^2 + e^{phi_ref})^{-1}, the inverse of the Poisson map's
     Jacobian frozen at phi_ref, and the warm pass it preconditions.
 
-    With A = -d^2/dx^2 + 1 and D = e^{phi_ref} - 1 kept on the m nodes where
-    |D| > _FROZEN_CUT (U selects them), Woodbury's identity (Hager, SIAM Rev.
-    31, 1989) reads
+    With A = -d^2/dx^2 + sigma and D = e^{phi_ref} - sigma kept on the m
+    nodes U selects, Woodbury's identity (Hager, SIAM Rev. 31, 1989) reads
 
         (A + U D U^T)^{-1} = A^{-1} - A^{-1} U (D^{-1} + U^T A^{-1} U)^{-1} U^T A^{-1}.
 
-    A^{-1} is the multiplier (k^2 + 1)^{-1}, one irfft from r_hat to the
-    nodes, and the columns of A^{-1} U are its Green's function g centred on
-    the m nodes.  g decays like e^{-|x|} down to an algebraic tail, which the
-    grid's band limit leaves (2e-7 of g_0 half a box away, for the eps = 0.1
-    wave on 1024 nodes of [-253, 253)), so the columns are cut where
-    |g| < _FROZEN_CUT g_0: the correction acts on a band of nodes about the
-    m, as one dense product with the m values of A^{-1} r, and updates the
-    nodal potential directly.  Both cuts leave the inverse exact to about
-    _FROZEN_CUT relative, which only slows the iteration by as much.  Built
-    in about 1.3 ms for m = 91 (that wave and box) and 2.9 ms for m = 181
-    (on 2048 nodes).
+    A^{-1} is the multiplier (k^2 + sigma)^{-1}, one irfft from r_hat to the
+    nodes, and with m = 0 it is the whole inverse.  With a block, sigma = 1,
+    U selects the nodes where |D| > _FROZEN_CUT, and the columns of A^{-1} U
+    are its Green's function g centred on them.  g decays like e^{-|x|} down
+    to an algebraic tail, which the grid's band limit leaves (2e-7 of g_0
+    half a box away, for the eps = 0.1 wave on 1024 nodes of [-253, 253)),
+    so the columns are cut where |g| < _FROZEN_CUT g_0: the correction acts
+    on a band of nodes about the m, as one dense product with the m values
+    of A^{-1} r, and updates the nodal potential directly.  Both cuts leave
+    the inverse exact to about _FROZEN_CUT relative, which only slows the
+    iteration by as much.  Built in about 1.3 ms for m = 91 (that wave and
+    box) and 2.9 ms for m = 181 (on 2048 nodes).
     """
 
-    def __init__(self, d, nodes, grid):
+    def __init__(self, d, nodes, sigma, grid):
         N = grid.N
-        self.far = 1.0 / (grid.k2 + 1.0)
+        self.far = 1.0 / (grid.k2 + sigma)
         g = np.fft.irfft(self.far, n=N)  # column 0 of A^{-1}
         reach = int(np.flatnonzero(np.abs(g[: N // 2 + 1]) >= _FROZEN_CUT * g[0]).max())
         self.grid, self.nodes = grid, nodes
@@ -183,24 +168,30 @@ class FrozenJacobian:
         """The frozen inverse of r on the nodes, r given by its rfft
         coefficients r_hat: one irfft and one band product."""
         a = np.fft.irfft(self.far * r_hat, n=self.grid.N)
-        # einsum, not BLAS: OpenBLAS runs a product this size on two threads,
-        # whose wake-ups cost more than the product on a loaded 2-core box
-        a[self._band] -= np.einsum("ij,j->i", self.correction, a[self._nodes])
+        if len(self.nodes):  # with no block the far field is the whole inverse
+            # einsum, not BLAS: OpenBLAS runs a product this size on two
+            # threads, whose wake-ups cost more than the product on a loaded
+            # 2-core box
+            a[self._band] -= np.einsum("ij,j->i", self.correction, a[self._nodes])
         return a
 
     def solve(self, n, phi_hat, phi, rows):
-        """`solve_poisson`'s warm pass from phi_hat, with phi = irfft(phi_hat)
-        on the nodes, preconditioned by this inverse; returns (phi, report,
+        """The warm Poisson pass from phi_hat, with phi = irfft(phi_hat) on
+        the nodes, preconditioned by this inverse; returns (phi, report,
         rows_hat), rows_hat the rfft coefficients of the nodal rows `rows`.
 
         An iteration is phi -= apply(r_hat), then one rfft of e^phi - 1 - n
         and phi, whose coefficients become phi_hat; `rows` go through the
         rfft of the first residual, so a caller that needs them transformed
-        spends no FFT call of its own.  Near phi_ref one iteration nearly
-        always meets _POISSON_TOL.  The stop test, the stall test and the
-        report are solve_poisson's: a pass that stalls, or an iterate whose
-        max passes _EXP_MAX, restarts cold through solve_poisson, and
-        report.fallback is then set.  ValueError for a non-finite density.
+        spends no FFT call of its own.  Near phi_ref the error contracts by
+        about max |e^phi - e^{phi_ref}| an iteration, and with a block one
+        iteration nearly always meets _POISSON_TOL.  The stop test and the
+        report are solve_poisson's.  The pass stalls at _WARM_MAXITER
+        iterations, when the residual does not shrink by 0.9 in an iteration
+        (a NaN counts), or at an iterate, phi included, whose max passes
+        _EXP_MAX, where e^phi would overflow; it then restarts cold through
+        solve_poisson, report.iterations counts both passes and
+        report.fallback is set.  ValueError for a non-finite density.
         """
         if not np.isfinite(n).all():
             raise ValueError("solve_poisson: non-finite density")

@@ -252,10 +252,17 @@ def bumped10():
     return dyn.State(0.0, p.n + dn, p.u + du), p
 
 
+def _cold_stages(monkeypatch):
+    """Solve every stage's potential cold, through rhs."""
+    monkeypatch.setattr(dyn, "_frozen_rhs", lambda s, phi0, K, grid, jac, c:
+                        dyn.rhs(s[:2], K, grid, frame_speed=c))
+
+
 def test_warm_start_changes_cost_not_answer(bumped10, monkeypatch):
-    # the wave's frame solves its warm stages through the frozen Jacobian's
-    # pass, so the counts are read off meta, and checked against what the
-    # two solvers report
+    # the wave's frame solves its first stage cold and the rest through the
+    # frozen Jacobian's pass, so the counts are read off meta, and checked
+    # against what the two solvers report; the cold run takes rhs at every
+    # stage
     s0, p = bumped10
     iterations = []
 
@@ -279,8 +286,9 @@ def test_warm_start_changes_cost_not_answer(bumped10, monkeypatch):
     assert meta["poisson_iterations"] == sum(iterations)
     assert 0.0 < meta["poisson_residual_max"] <= 1e-11
 
-    monkeypatch.setattr(dyn, "_stage_prediction", lambda *args: None)
+    _cold_stages(monkeypatch)
     cold = dyn.evolve(s0, 10.0, p.K, p.grid, n_saves=2, frame_speed=p.c)
+    assert cold.meta["poisson_iterations"] > meta["poisson_iterations"]
     a, b = warm.states[-1], cold.states[-1]
     assert a.t == b.t
     assert np.max(np.abs(a.n - b.n)) <= 1e-9
@@ -290,48 +298,69 @@ def test_warm_start_changes_cost_not_answer(bumped10, monkeypatch):
 def test_comoving_warm_start_iterations(bumped10):
     # the wave's frame, with the Jacobian frozen on its m = 91 nodes, takes
     # 1.036 iterations a solve (2.32 with the far-field preconditioner alone,
-    # 4.45 without the linear response either); the lab frame, where the
-    # wave crosses the grid and the scalar iteration runs, 4.26 (5.02
-    # without the response), bounded here below that with a margin of 0.34
-    # for roundoff in the iterates
+    # 4.45 without the linear response either)
     s0, p = bumped10
     com = dyn.evolve(s0, 20.0, p.K, p.grid, n_saves=2, frame_speed=p.c).meta
     assert com["poisson_iterations"] / com["poisson_solves"] <= 1.2
     assert com["poisson_fallbacks"] == com["poisson_refreezes"] == 0
     assert com["poisson_jacobian_nodes"] == 91
+
+
+def test_lab_frame_solves_cold_once(bumped10, monkeypatch):
+    # the lab frame, where the wave crosses the grid, freezes no block: its
+    # warm stages take the scalar inverse frozen at the first stage's
+    # potential, 4.26 iterations a solve (5.02 without the linear response),
+    # bounded here below that with a margin of 0.34 for roundoff in the
+    # iterates; only the first stage calls rhs
+    s0, p = bumped10
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rhs(*args, **kwargs)
+
+    rhs = dyn.rhs
+    monkeypatch.setattr(dyn, "rhs", counted)
     lab = dyn.evolve(s0, 20.0, p.K, p.grid, n_saves=2).meta
+    assert len(calls) == 1
     assert lab["poisson_iterations"] / lab["poisson_solves"] <= 4.6
     assert lab["poisson_fallbacks"] == 0
     assert lab["poisson_jacobian_nodes"] == lab["poisson_refreezes"] == 0
 
 
 def test_frozen_jacobian_changes_cost_not_answer(bumped10, monkeypatch):
-    # with freezing off the wave's frame runs the scalar iteration: the
-    # final states differ by 8e-13 and 1.1e-12 at T = 20
+    # with no block the wave's frame runs the scalar iteration, and the cold
+    # run takes rhs at every stage: the final states differ by 8e-13 and
+    # 1.1e-12 at T = 20
     s0, p = bumped10
     on = dyn.evolve(s0, 10.0, p.K, p.grid, n_saves=2, frame_speed=p.c)
-    monkeypatch.setattr(dyn, "freeze_jacobian", lambda phi, grid: None)
+    monkeypatch.setattr(dyn, "freeze_jacobian", lambda phi, grid, block:
+                        ell.freeze_jacobian(phi, grid, block=False))
     off = dyn.evolve(s0, 10.0, p.K, p.grid, n_saves=2, frame_speed=p.c)
     assert on.meta["poisson_jacobian_nodes"] > 0 == off.meta["poisson_jacobian_nodes"]
     assert on.meta["poisson_iterations"] < off.meta["poisson_iterations"]
-    a, b = on.states[-1], off.states[-1]
-    assert a.t == b.t
-    assert np.max(np.abs(a.n - b.n)) <= 1e-10
-    assert np.max(np.abs(a.u - b.u)) <= 1e-10
+    _cold_stages(monkeypatch)
+    cold = dyn.evolve(s0, 10.0, p.K, p.grid, n_saves=2, frame_speed=p.c)
+    b = cold.states[-1]
+    for a in (on.states[-1], off.states[-1]):
+        assert a.t == b.t
+        assert np.max(np.abs(a.n - b.n)) <= 1e-10
+        assert np.max(np.abs(a.u - b.u)) <= 1e-10
 
 
 def test_stalled_frozen_pass_refreezes(p05, bumped05, monkeypatch):
     # every stage after the first, which starts cold and freezes the
     # Jacobian, predicts a far start at which the frozen pass stalls: each
     # restarts cold, a fallback, and freezes the Jacobian again at the cold
-    # solution, so the run ends where a cold one does
+    # solution, so the run ends where one that takes rhs at every stage does
     g = p05.grid
     far = np.fft.rfft(10.0 * np.cos(0.5 * g.x))
     runs = {}
-    for name, start in (("far", far), ("cold", None)):
-        monkeypatch.setattr(dyn, "_stage_prediction",
-                            lambda i, cur, prev, r: start if cur else None)
-        runs[name] = _fixed_steps(bumped05, 0.25, p05.K, g, 0.25, frame_speed=p05.c)
+    with monkeypatch.context() as m:
+        m.setattr(dyn, "_stage_prediction", lambda i, cur, prev, r: far)
+        runs["far"] = _fixed_steps(bumped05, 0.25, p05.K, g, 0.25, frame_speed=p05.c)
+    _cold_stages(monkeypatch)
+    runs["cold"] = _fixed_steps(bumped05, 0.25, p05.K, g, 0.25, frame_speed=p05.c)
     far_run, cold_run = runs["far"].meta, runs["cold"].meta
     assert far_run["poisson_fallbacks"] == far_run["poisson_refreezes"] == 3
     assert cold_run["poisson_fallbacks"] == cold_run["poisson_refreezes"] == 0
@@ -354,21 +383,27 @@ def test_density_response_changes_cost_not_answer(bumped10, monkeypatch):
 
 
 def test_poisson_fallbacks_counted(g, monkeypatch):
-    # every stage after the first, which starts cold, predicts the far start
-    # that stalls the fixed point (see test_elliptic), so every solve but the
-    # first is restarted cold: a fallback, which returns the cold solve
-    # exactly, having spent the warm pass's iterations too.  One step only:
-    # a second would add back this one's prediction error, psi - far, and so
-    # start from this step's potentials, which converge
+    # in the lab frame every stage after the first, which starts cold,
+    # predicts the far start that stalls the warm pass (see test_elliptic),
+    # so every solve but the first is restarted cold: a fallback, which
+    # returns the cold solve exactly, having spent the warm pass's
+    # iterations too, and freezes the scalar inverse again.  The cold run's
+    # pass solves cold at once, so both runs transform the same fluxes.  One
+    # step only: a second would add back this one's prediction error,
+    # psi - far, and so start from this step's potentials, which converge
     n0 = 0.5 * np.exp(-(g.x / 2) ** 2)
     far = np.fft.rfft(10.0 * np.cos(0.5 * g.x))
     runs = {}
-    for name, start in (("far", far), ("cold", None)):
-        monkeypatch.setattr(dyn, "_stage_prediction",
-                            lambda i, cur, prev, r: start if cur else None)
-        runs[name] = _fixed_steps(dyn.State(0.0, n0, np.zeros(g.N)), 0.25, 1.0, g, 0.25)
+    with monkeypatch.context() as m:
+        m.setattr(dyn, "_stage_prediction", lambda i, cur, prev, r: far)
+        runs["far"] = _fixed_steps(dyn.State(0.0, n0, np.zeros(g.N)), 0.25, 1.0, g, 0.25)
+    monkeypatch.setattr(ell.FrozenJacobian, "solve", lambda jac, n, phi_hat, phi, rows:
+                        (*ell.solve_poisson(n, jac.grid), np.fft.rfft(rows)))
+    runs["cold"] = _fixed_steps(dyn.State(0.0, n0, np.zeros(g.N)), 0.25, 1.0, g, 0.25)
     far_run, cold_run = runs["far"], runs["cold"]
     assert far_run.meta["poisson_fallbacks"] == far_run.meta["poisson_solves"] - 1 == 3
+    assert far_run.meta["poisson_refreezes"] == 3
+    assert far_run.meta["poisson_jacobian_nodes"] == 0
     assert cold_run.meta["poisson_fallbacks"] == 0
     assert far_run.meta["poisson_iterations"] >= cold_run.meta["poisson_iterations"] + 3
     a, b = far_run.states[-1], cold_run.states[-1]

@@ -13,6 +13,13 @@ def g():
     return Grid(L=20.0, N=512)
 
 
+def _frozen_pass(jac, n, phi0, rows=None):
+    """The warm pass of jac from the nodal potential phi0 (band-limited)."""
+    rows = np.empty((0, len(n))) if rows is None else rows
+    phi_hat = np.fft.rfft(phi0)
+    return jac.solve(n, phi_hat, np.fft.irfft(phi_hat, n=len(n)), rows)
+
+
 # ------------------------------------------------------------ solve_poisson
 
 def test_poisson_zero(g):
@@ -33,9 +40,13 @@ def test_poisson_small_n_linearization(g):
 
 
 def test_poisson_uniqueness_two_guesses(g):
+    # the warm pass, with the inverse frozen at phi = 0, runs to the root
+    # from both guesses (15 iterations each), with no cold restart
     n = 0.3 * np.exp(-(g.x / 3) ** 2)
-    phi_a, _ = ell.solve_poisson(n, g, phi0=np.fft.rfft(np.zeros(g.N)))
-    phi_b, _ = ell.solve_poisson(n, g, phi0=np.fft.rfft(n))
+    jac = ell.freeze_jacobian(np.zeros(g.N), g, block=True)
+    phi_a, rep_a, _ = _frozen_pass(jac, n, np.zeros(g.N))
+    phi_b, rep_b, _ = _frozen_pass(jac, n, n)
+    assert not rep_a.fallback and not rep_b.fallback
     assert np.max(np.abs(phi_a - phi_b)) < 1e-10
 
 
@@ -49,14 +60,20 @@ def test_poisson_residual_reported(g):
 
 def test_poisson_report_bounds_true_residual(g, p10):
     # report.residual is the l1 norm of the residual's Fourier coefficients,
-    # which bounds the nodal max-norm residual.  Computing -phi'' both ways
-    # rounds differently, by about 1e-14 at N = 1024 (1% of tol is allowed)
+    # which bounds the nodal max-norm residual, for the cold solve and for
+    # the warm pass from it: on g with no block (the potential is off 1 on
+    # more than N/4 nodes), on the wave's grid with one.  Computing -phi''
+    # both ways rounds differently, by about 1e-14 at N = 1024 (1% of tol
+    # is allowed)
     tol = 1e-11
-    cases = [(g, 0.3 * np.exp(-(g.x / 3) ** 2)), (p10.grid, p10.n)]
-    for grid, n in cases:
+    cases = [(g, 0.3 * np.exp(-(g.x / 3) ** 2), 0), (p10.grid, p10.n, 181)]
+    for grid, n, nodes in cases:
         phi, rep = ell.solve_poisson(n, grid)
+        jac = ell.freeze_jacobian(phi, grid, block=True)
+        assert len(jac.nodes) == nodes
         n_warm = n + 1e-3 * np.exp(-grid.x ** 2)
-        phi_w, rep_w = ell.solve_poisson(n_warm, grid, phi0=np.fft.rfft(phi))
+        phi_w, rep_w, _ = _frozen_pass(jac, n_warm, phi)
+        assert not rep_w.fallback
         for p, dens, r in ((phi, n, rep), (phi_w, n_warm, rep_w)):
             true = np.max(np.abs(-derivative(p, grid, 2) + np.exp(p) - 1.0 - dens))
             assert true <= r.residual + 1e-13
@@ -65,8 +82,9 @@ def test_poisson_report_bounds_true_residual(g, p10):
 
 @pytest.mark.parametrize("guess", ["cos", "gauss"])
 def test_poisson_far_guess_restarts_cold(guess):
-    # from these guesses the warm pass stalls and the solve restarts cold,
-    # so it returns the cold solve's answer
+    # from these guesses the warm pass, with the scalar inverse frozen at
+    # the wave's potential, stalls and the solve restarts cold, so it
+    # returns the cold solve's answer
     from epsoliton.diagnostics import perturbation
     from epsoliton.profile import profile_from_eps
     grid = Grid(80.0 / np.sqrt(0.1), 1024)
@@ -74,9 +92,11 @@ def test_poisson_far_guess_restarts_cold(guess):
     n = p.n + perturbation("even", 1e-3, grid)[0]
     phi0 = {"cos": p.phi + 10.0 * np.cos(0.05 * grid.x),
             "gauss": p.phi - 10.0 * np.exp(-(grid.x / 30.0) ** 2)}[guess]
-    phi, rep = ell.solve_poisson(n, grid, phi0=np.fft.rfft(phi0))
+    jac = ell.freeze_jacobian(p.phi, grid, block=False)
+    phi, rep, _ = _frozen_pass(jac, n, phi0)
     cold, _ = ell.solve_poisson(n, grid)
     true = np.max(np.abs(-derivative(phi, grid, 2) + np.exp(phi) - 1.0 - n))
+    assert rep.fallback
     assert true <= 1e-11 and rep.residual <= 1e-11
     assert np.max(np.abs(phi - cold)) < 1e-12
 
@@ -93,13 +113,17 @@ def test_poisson_newton_fallback(g):
 
 
 def test_poisson_fallback_counts_every_iteration(g):
-    # a far warm start stalls, and the solve restarts cold: it returns the
-    # cold solve exactly, and counts the warm pass's iterations with the
-    # cold pass's; a cold solve, which runs to the tolerance, never falls back
+    # a far warm start stalls the pass frozen at the root (no block: the
+    # potential is off 1 on more than N/4 nodes), and the solve restarts
+    # cold: it returns the cold solve exactly, and counts the warm pass's
+    # iterations with the cold pass's; a cold solve, which runs to the
+    # tolerance, never falls back
     n = 20.0 * np.exp(-(g.x / 2) ** 2)
     phi, rep = ell.solve_poisson(n, g)  # contracts by about 0.9 an iteration
     assert not rep.fallback
-    far_phi, far = ell.solve_poisson(n, g, phi0=np.fft.rfft(10.0 * np.cos(0.5 * g.x)))
+    jac = ell.freeze_jacobian(phi, g, block=True)
+    assert len(jac.nodes) == 0
+    far_phi, far, _ = _frozen_pass(jac, n, 10.0 * np.cos(0.5 * g.x))
     assert far.fallback
     assert np.array_equal(far.phi_hat, rep.phi_hat) and np.array_equal(far_phi, phi)
     assert far.residual == rep.residual
@@ -124,10 +148,11 @@ def test_poisson_overflowing_warm_start_restarts_cold(g):
     # exponential, and NumPy warns of nothing: the cold pass's answer is
     # returned as it is
     n = 0.3 * np.exp(-(g.x / 3) ** 2)
+    cold, cold_rep = ell.solve_poisson(n, g)
+    jac = ell.freeze_jacobian(cold, g, block=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        phi, rep = ell.solve_poisson(n, g, phi0=np.fft.rfft(800.0 * np.ones(g.N)))
-    cold, cold_rep = ell.solve_poisson(n, g)
+        phi, rep, _ = _frozen_pass(jac, n, 800.0 * np.ones(g.N))
     assert rep.fallback and not cold_rep.fallback
     assert np.array_equal(phi, cold) and np.array_equal(rep.phi_hat, cold_rep.phi_hat)
     assert rep.residual == cold_rep.residual <= 1e-11
@@ -166,20 +191,23 @@ def test_poisson_overflowing_warm_and_cold_starts_raise(g):
     # both starts pass 709.8: the warm one restarts cold, and the cold one
     # raises, with no NumPy warning on the way
     n = 1e3 * np.exp(-(g.x / 2) ** 2)
+    jac = ell.freeze_jacobian(np.zeros(g.N), g, block=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match=r"cold start reaches max phi = 757\.9, "):
-            ell.solve_poisson(n, g, phi0=np.fft.rfft(800.0 * np.ones(g.N)))
+            _frozen_pass(jac, n, 800.0 * np.ones(g.N))
 
 
 def test_poisson_overflowing_warm_iterate_restarts_cold(g):
-    # the warm start sits far below 709.8, but sigma = e^-50 sends its first
-    # iterate past it: a stall, caught before the exponential, so NumPy
-    # warns of nothing and the cold pass's answer is returned as it is
+    # the warm start sits far below 709.8, but sigma = e^-50, frozen there,
+    # sends its first iterate past it: a stall, caught before the
+    # exponential, so NumPy warns of nothing and the cold pass's answer is
+    # returned as it is
     n = 0.3 * np.exp(-(g.x / 3) ** 2)
+    jac = ell.freeze_jacobian(np.full(g.N, -50.0), g, block=False)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        phi, rep = ell.solve_poisson(n, g, phi0=np.fft.rfft(np.full(g.N, -50.0)))
+        phi, rep, _ = _frozen_pass(jac, n, np.full(g.N, -50.0))
     cold, cold_rep = ell.solve_poisson(n, g)
     assert rep.fallback and rep.iterations > cold_rep.iterations
     assert np.array_equal(phi, cold) and np.array_equal(rep.phi_hat, cold_rep.phi_hat)
@@ -189,13 +217,7 @@ def test_poisson_overflowing_warm_iterate_restarts_cold(g):
 
 @pytest.fixture(scope="module")
 def frozen10(p10):
-    return ell.freeze_jacobian(p10.phi, p10.grid)
-
-
-def _frozen_pass(jac, n, phi0, rows=None):
-    rows = np.empty((0, len(n))) if rows is None else rows
-    phi_hat = np.fft.rfft(phi0)
-    return jac.solve(n, phi_hat, np.fft.irfft(phi_hat, n=len(n)), rows)
+    return ell.freeze_jacobian(p10.phi, p10.grid, block=True)
 
 
 @pytest.mark.parametrize("shift", [0, 512], ids=["centred", "seam"])
@@ -207,7 +229,7 @@ def test_frozen_jacobian_inverts_J_ref(p10, shift):
     # wraps its nodes round the periodic seam
     g = p10.grid
     phi_ref = np.roll(p10.phi, shift)
-    jac = ell.freeze_jacobian(phi_ref, g)
+    jac = ell.freeze_jacobian(phi_ref, g, block=True)
     assert len(jac.nodes) == 181
     v = np.fft.irfft(np.fft.rfft(np.random.default_rng(3).standard_normal(g.N))
                      * np.exp(-g.k2 / 4), n=g.N)
@@ -216,16 +238,28 @@ def test_frozen_jacobian_inverts_J_ref(p10, shift):
 
 
 def test_freeze_jacobian_declines_a_wide_potential(g):
-    # |e^phi - 1| > _FROZEN_CUT on every node, more than N/4 of them
-    assert ell.freeze_jacobian(np.full(g.N, 0.1), g) is None
+    # |e^phi - 1| > _FROZEN_CUT on every node, more than N/4 of them: no
+    # block, and the pass the scalar inverse (k^2 + e^0.1)^{-1} preconditions
+    # solves Poisson for a density bump off that potential (3 iterations),
+    # as the cold solve does, within its tolerance
+    phi_ref = np.full(g.N, 0.1)
+    jac = ell.freeze_jacobian(phi_ref, g, block=True)
+    assert len(jac.nodes) == 0
+    n = np.expm1(0.1) + 1e-3 * np.exp(-g.x ** 2)
+    phi, rep, _ = _frozen_pass(jac, n, phi_ref)
+    assert not rep.fallback and rep.residual <= 1e-11
+    true = np.max(np.abs(-derivative(phi, g, 2) + np.exp(phi) - 1.0 - n))
+    assert true <= rep.residual + 1e-13
+    cold, _ = ell.solve_poisson(n, g)
+    assert np.max(np.abs(phi - cold)) < 1e-11
 
 
 @pytest.mark.parametrize("bump, iterations", [(1e-6, 1), (1e-3, 3)])
 def test_frozen_pass_solves_poisson(p10, frozen10, bump, iterations):
     # from the wave's potential, for a density bump / off the wave's, the
     # pass runs as Newton's would, its Jacobian frozen at phi_ref: one
-    # iteration at bump 1e-6 and three at 1e-3, where solve_poisson's
-    # scalar warm pass takes 5 and 7.  The rows come back transformed, and
+    # iteration at bump 1e-6 and three at 1e-3, where the pass with no
+    # block, its scalar inverse frozen at phi_ref, takes 5 and 7.  The rows come back transformed, and
     # the potential is solve_poisson's within its tolerance
     g = p10.grid
     n = p10.n + bump * np.exp(-g.x ** 2)
